@@ -34,6 +34,7 @@
 #include "query/query.h"
 #include "sta/incremental.h"
 #include "sta/slew_sta.h"
+#include "support/reference.h"
 #include "netlist/generators.h"
 #include "opt/ivc.h"
 #include "opt/mlv.h"
@@ -157,10 +158,9 @@ BENCHMARK(BM_MlvSearch);
 void BM_EstimateSignalStats(benchmark::State& state) {
   const netlist::Netlist nl = netlist::iscas85_like("c432");
   const std::vector<double> sp(nl.num_inputs(), 0.5);
-  const int n_threads = static_cast<int>(state.range(0));
+  const common::ThreadBudget budget(static_cast<int>(state.range(0)));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        sim::estimate_signal_stats(nl, sp, 4096, 7, n_threads));
+    benchmark::DoNotOptimize(sim::estimate_signal_stats(nl, sp, 4096, 7));
   }
   state.SetItemsProcessed(state.iterations() * nl.num_gates() * 4096);
 }
@@ -171,7 +171,7 @@ void BM_GateDvthCached(benchmark::State& state) {
   const netlist::Netlist nl = netlist::iscas85_like("c432");
   aging::AgingConditions cond;
   cond.sp_vectors = 1024;
-  cond.n_threads = static_cast<int>(state.range(0));
+  const common::ThreadBudget budget(static_cast<int>(state.range(0)));
   const aging::AgingAnalyzer analyzer(nl, lib, cond);
   const auto policy = aging::StandbyPolicy::all_stressed();
   benchmark::DoNotOptimize(analyzer.gate_dvth(policy));  // warm the cache
@@ -187,7 +187,7 @@ void BM_DegradationSeries(benchmark::State& state) {
   const netlist::Netlist nl = netlist::iscas85_like("c432");
   aging::AgingConditions cond;
   cond.sp_vectors = 1024;
-  cond.n_threads = static_cast<int>(state.range(0));
+  const common::ThreadBudget budget(static_cast<int>(state.range(0)));
   const aging::AgingAnalyzer analyzer(nl, lib, cond);
   for (auto _ : state) {
     analyzer.invalidate_stress_cache();
@@ -203,7 +203,9 @@ BENCHMARK(BM_DegradationSeries)->Arg(1)->Arg(8);
 // "serial / before" legs reproduce the seed implementation's cost model:
 // one thread, and (for the aging pipeline) the per-gate stress descriptors
 // rebuilt at every time point.  "parallel / after" legs use the cached
-// descriptors and 8 worker threads.  Outputs are asserted bit-identical.
+// descriptors and 8 worker threads.  Every section sets its legs' widths
+// with common::ThreadBudget scopes (time_ms_at).  Outputs are asserted
+// bit-identical.
 
 using Clock = std::chrono::steady_clock;
 
@@ -220,6 +222,14 @@ double time_ms(Fn&& fn, int repeats = 3) {
   return best;
 }
 
+/// time_ms under a common::ThreadBudget of \p threads: every parallel loop
+/// \p fn reaches runs on at most that many threads.
+template <typename Fn>
+double time_ms_at(int threads, Fn&& fn, int repeats = 3) {
+  const common::ThreadBudget budget(threads);
+  return time_ms(std::forward<Fn>(fn), repeats);
+}
+
 struct AgingCase {
   std::string name;
   std::string netlist;
@@ -232,33 +242,30 @@ AgingCase case_signal_stats(const netlist::Netlist& nl) {
   const std::vector<double> sp(nl.num_inputs(), 0.5);
   AgingCase c{"estimate_signal_stats_4096", nl.name(), 0, 0, false};
   sim::SignalStats serial, parallel;
-  c.serial_ms =
-      time_ms([&] { serial = sim::estimate_signal_stats(nl, sp, 4096, 7, 1); });
-  c.parallel_ms = time_ms(
-      [&] { parallel = sim::estimate_signal_stats(nl, sp, 4096, 7, 8); });
+  c.serial_ms = time_ms_at(
+      1, [&] { serial = sim::estimate_signal_stats(nl, sp, 4096, 7); });
+  c.parallel_ms = time_ms_at(
+      8, [&] { parallel = sim::estimate_signal_stats(nl, sp, 4096, 7); });
   c.identical = serial.probability == parallel.probability &&
                 serial.activity == parallel.activity;
   return c;
 }
 
 AgingCase case_gate_dvth(const netlist::Netlist& nl, const tech::Library& lib) {
-  aging::AgingConditions serial_cond, parallel_cond;
-  serial_cond.sp_vectors = parallel_cond.sp_vectors = 1024;
-  serial_cond.n_threads = 1;
-  parallel_cond.n_threads = 8;
-  const aging::AgingAnalyzer serial_an(nl, lib, serial_cond);
-  const aging::AgingAnalyzer parallel_an(nl, lib, parallel_cond);
+  aging::AgingConditions cond;
+  cond.sp_vectors = 1024;
+  const aging::AgingAnalyzer an(nl, lib, cond);
   const auto policy = aging::StandbyPolicy::all_stressed();
 
   AgingCase c{"gate_dvth_rebuild", nl.name(), 0, 0, false};
   std::vector<double> serial, parallel;
-  c.serial_ms = time_ms([&] {
-    serial_an.invalidate_stress_cache();
-    serial = serial_an.gate_dvth(policy);
+  c.serial_ms = time_ms_at(1, [&] {
+    an.invalidate_stress_cache();
+    serial = an.gate_dvth(policy);
   });
-  c.parallel_ms = time_ms([&] {
-    parallel_an.invalidate_stress_cache();
-    parallel = parallel_an.gate_dvth(policy);
+  c.parallel_ms = time_ms_at(8, [&] {
+    an.invalidate_stress_cache();
+    parallel = an.gate_dvth(policy);
   });
   c.identical = serial == parallel;
   return c;
@@ -268,35 +275,36 @@ AgingCase case_dvth_eval_kernel(const netlist::Netlist& nl,
                                 const tech::Library& lib) {
   // The dVth-evaluation portion of a 64-point degradation series — the part
   // the SoA kernel layout changes (the STA half of the series is untouched):
-  // scalar per-device calls vs the SoA kernel, both single-threaded, on warm
-  // stress descriptors.  Horizons start at 2e6 s so the telescoped tail
-  // (not the exact-recursion head both paths share) dominates.
-  aging::AgingConditions scalar_cond, soa_cond;
-  scalar_cond.sp_vectors = soa_cond.sp_vectors = 1024;
-  scalar_cond.n_threads = soa_cond.n_threads = 1;
-  scalar_cond.use_soa_kernel = false;
-  soa_cond.use_soa_kernel = true;
-  const aging::AgingAnalyzer scalar_an(nl, lib, scalar_cond);
-  const aging::AgingAnalyzer soa_an(nl, lib, soa_cond);
+  // the scalar oracle (tests/support/reference.h reference_gate_dvth: a
+  // fresh DeviceStress and one one-shot delta_vth per device and horizon)
+  // vs gate_dvth's SoA kernel on warm stress descriptors, both on one
+  // thread.  Horizons start at 2e6 s so the telescoped tail (not the
+  // exact-recursion head both paths share) dominates.
+  aging::AgingConditions cond;
+  cond.sp_vectors = 1024;
+  const aging::AgingAnalyzer an(nl, lib, cond);
   const auto policy = aging::StandbyPolicy::all_stressed();
   constexpr int kPoints = 64;
   std::vector<double> horizons(kPoints);
   for (int i = 0; i < kPoints; ++i) {
     horizons[i] = 2e6 * std::pow(150.0, i / static_cast<double>(kPoints - 1));
   }
-  (void)scalar_an.gate_dvth(policy, horizons[0]);  // warm the descriptors
-  (void)soa_an.gate_dvth(policy, horizons[0]);
+  (void)an.gate_dvth(policy, horizons[0]);  // warm the descriptors
 
   AgingCase c{"dvth_eval_64pt_kernel", nl.name(), 0, 0, false};
   std::vector<std::vector<double>> scalar_out(kPoints), soa_out(kPoints);
-  c.serial_ms = time_ms([&] {
+  c.serial_ms = time_ms_at(
+      1,
+      [&] {
+        for (int i = 0; i < kPoints; ++i) {
+          scalar_out[i] =
+              testsupport::reference_gate_dvth(an, policy, horizons[i]);
+        }
+      },
+      1);
+  c.parallel_ms = time_ms_at(1, [&] {
     for (int i = 0; i < kPoints; ++i) {
-      scalar_out[i] = scalar_an.gate_dvth(policy, horizons[i]);
-    }
-  });
-  c.parallel_ms = time_ms([&] {
-    for (int i = 0; i < kPoints; ++i) {
-      soa_out[i] = soa_an.gate_dvth(policy, horizons[i]);
+      soa_out[i] = an.gate_dvth(policy, horizons[i]);
     }
   });
   c.identical = scalar_out == soa_out;
@@ -324,7 +332,7 @@ TableCase case_mc_lifetime_table(const netlist::Netlist& nl,
   // bound (see nbti/dvth_table.h).
   aging::AgingConditions cond;
   cond.sp_vectors = 1024;
-  cond.n_threads = 1;
+  const common::ThreadBudget one(1);
   const aging::AgingAnalyzer an(nl, lib, cond);
   const auto policy = aging::StandbyPolicy::all_stressed();
   const double t_lo = 1e6, t_hi = 9.5e8;
@@ -377,12 +385,9 @@ TableCase case_mc_lifetime_table(const netlist::Netlist& nl,
 
 AgingCase case_degradation_series(const netlist::Netlist& nl,
                                   const tech::Library& lib) {
-  aging::AgingConditions serial_cond, parallel_cond;
-  serial_cond.sp_vectors = parallel_cond.sp_vectors = 1024;
-  serial_cond.n_threads = 1;
-  parallel_cond.n_threads = 8;
-  const aging::AgingAnalyzer serial_an(nl, lib, serial_cond);
-  const aging::AgingAnalyzer parallel_an(nl, lib, parallel_cond);
+  aging::AgingConditions cond;
+  cond.sp_vectors = 1024;
+  const aging::AgingAnalyzer an(nl, lib, cond);
   const auto policy = aging::StandbyPolicy::all_stressed();
   constexpr int kPoints = 64;
   const double t_min = 1e6, t_max = 3e8;
@@ -390,20 +395,22 @@ AgingCase case_degradation_series(const netlist::Netlist& nl,
   AgingCase c{"degradation_series_64pt", nl.name(), 0, 0, false};
   // Seed cost model: descriptors rebuilt from scratch at every point.
   std::vector<std::pair<double, double>> serial(kPoints), parallel;
-  c.serial_ms = time_ms(
+  c.serial_ms = time_ms_at(
+      1,
       [&] {
         const double log_step = std::log(t_max / t_min) / (kPoints - 1);
         for (int i = 0; i < kPoints; ++i) {
-          serial_an.invalidate_stress_cache();
+          an.invalidate_stress_cache();
           const double t = t_min * std::exp(log_step * i);
-          serial[i] = {t, serial_an.analyze(policy, t).percent()};
+          serial[i] = {t, an.analyze(policy, t).percent()};
         }
       },
       1);
-  c.parallel_ms = time_ms(
+  c.parallel_ms = time_ms_at(
+      8,
       [&] {
-        parallel_an.invalidate_stress_cache();
-        parallel = parallel_an.degradation_series(policy, t_min, t_max, kPoints);
+        an.invalidate_stress_cache();
+        parallel = an.degradation_series(policy, t_min, t_max, kPoints);
       },
       1);
   c.identical = serial == parallel;
@@ -504,13 +511,11 @@ void write_bench_aging_json(const char* path) {
 AgingCase case_mc_fresh(const aging::AgingAnalyzer& an) {
   AgingCase c{"mc_fresh_distribution_300", an.sta().netlist().name(), 0, 0,
               false};
-  const variation::MonteCarloAging serial_mc(
-      an, {.sigma_vth = 0.012, .samples = 300, .n_threads = 1});
-  const variation::MonteCarloAging parallel_mc(
-      an, {.sigma_vth = 0.012, .samples = 300, .n_threads = 8});
+  const variation::MonteCarloAging mc(an,
+                                      {.sigma_vth = 0.012, .samples = 300});
   variation::DelayDistribution serial, parallel;
-  c.serial_ms = time_ms([&] { serial = serial_mc.fresh_distribution(); });
-  c.parallel_ms = time_ms([&] { parallel = parallel_mc.fresh_distribution(); });
+  c.serial_ms = time_ms_at(1, [&] { serial = mc.fresh_distribution(); });
+  c.parallel_ms = time_ms_at(8, [&] { parallel = mc.fresh_distribution(); });
   c.identical = serial.delays == parallel.delays;
   return c;
 }
@@ -520,15 +525,13 @@ AgingCase case_mc_aged(const aging::AgingAnalyzer& an) {
               false};
   const auto policy = aging::StandbyPolicy::all_stressed();
   constexpr double kThreeYears = 3.0 * 3.1536e7;
-  const variation::MonteCarloAging serial_mc(
-      an, {.sigma_vth = 0.012, .samples = 300, .n_threads = 1});
-  const variation::MonteCarloAging parallel_mc(
-      an, {.sigma_vth = 0.012, .samples = 300, .n_threads = 8});
+  const variation::MonteCarloAging mc(an,
+                                      {.sigma_vth = 0.012, .samples = 300});
   variation::DelayDistribution serial, parallel;
-  c.serial_ms =
-      time_ms([&] { serial = serial_mc.aged_distribution(policy, kThreeYears); });
-  c.parallel_ms = time_ms(
-      [&] { parallel = parallel_mc.aged_distribution(policy, kThreeYears); });
+  c.serial_ms = time_ms_at(
+      1, [&] { serial = mc.aged_distribution(policy, kThreeYears); });
+  c.parallel_ms = time_ms_at(
+      8, [&] { parallel = mc.aged_distribution(policy, kThreeYears); });
   c.identical = serial.delays == parallel.delays;
   return c;
 }
@@ -540,12 +543,10 @@ AgingCase case_lifetime(const aging::AgingAnalyzer& an) {
   variation::LifetimeParams p;
   p.samples = 100;
   variation::LifetimeResult serial, parallel;
-  p.n_threads = 1;
-  c.serial_ms =
-      time_ms([&] { serial = variation::lifetime_distribution(an, policy, p); });
-  p.n_threads = 8;
-  c.parallel_ms = time_ms(
-      [&] { parallel = variation::lifetime_distribution(an, policy, p); });
+  c.serial_ms = time_ms_at(
+      1, [&] { serial = variation::lifetime_distribution(an, policy, p); });
+  c.parallel_ms = time_ms_at(
+      8, [&] { parallel = variation::lifetime_distribution(an, policy, p); });
   c.identical = serial.lifetimes == parallel.lifetimes;
   return c;
 }
@@ -555,10 +556,10 @@ AgingCase case_criticality(const aging::AgingAnalyzer& an) {
   variation::CriticalityParams p;
   p.samples = 300;
   variation::CriticalityResult serial, parallel;
-  p.n_threads = 1;
-  c.serial_ms = time_ms([&] { serial = variation::gate_criticality(an, p); });
-  p.n_threads = 8;
-  c.parallel_ms = time_ms([&] { parallel = variation::gate_criticality(an, p); });
+  c.serial_ms =
+      time_ms_at(1, [&] { serial = variation::gate_criticality(an, p); });
+  c.parallel_ms =
+      time_ms_at(8, [&] { parallel = variation::gate_criticality(an, p); });
   c.identical = serial.probability == parallel.probability &&
                 serial.distinct_paths == parallel.distinct_paths;
   return c;
@@ -571,12 +572,10 @@ AgingCase case_evaluate_ivc(const aging::AgingAnalyzer& an,
   p.population = 32;
   p.max_rounds = 8;
   opt::IvcResult serial, parallel;
-  p.n_threads = 1;
-  c.serial_ms = time_ms([&] { serial = opt::evaluate_ivc(an, leak, p, 16); },
-                        1);
-  p.n_threads = 8;
-  c.parallel_ms = time_ms(
-      [&] { parallel = opt::evaluate_ivc(an, leak, p, 16); }, 1);
+  c.serial_ms = time_ms_at(
+      1, [&] { serial = opt::evaluate_ivc(an, leak, p, 16); }, 1);
+  c.parallel_ms = time_ms_at(
+      8, [&] { parallel = opt::evaluate_ivc(an, leak, p, 16); }, 1);
   c.identical = serial.best_index == parallel.best_index &&
                 serial.random_vector_percent == parallel.random_vector_percent &&
                 serial.candidates.size() == parallel.candidates.size();
@@ -637,13 +636,14 @@ void write_bench_variation_json(const char* path) {
 // ---------------------------------------------------------------------------
 // Self-timed section -> BENCH_sizing.json.
 //
-// Three legs of the sizing loop: "serial" reproduces the seed cost model
-// (one thread, brute-force full delay rebuild + full STA per candidate
-// trial), "incremental" keeps one thread but patches only the affected
-// delays per trial, "parallel" adds 8 worker threads on top.  All three are
-// asserted bit-identical — the differential suite's contract, re-checked on
-// every bench run.  A fourth case times the horizon-batched derate table
-// against the naive per-cell evaluation.
+// Three legs of the sizing loop: "serial" times the seed cost model, which
+// now lives only as the oracle (tests/support/reference.h
+// reference_size_for_lifetime: one thread, full delay rebuild + full STA
+// per candidate trial), "incremental" is the production loop on one thread
+// (patches only the affected delays per trial), "parallel" the same loop
+// at 8 threads.  All three are asserted bit-identical — the differential
+// suite's contract, re-checked on every bench run.  A fourth case times the
+// horizon-batched derate table against the naive per-cell evaluation.
 
 struct SizingCase {
   std::string name;
@@ -659,21 +659,18 @@ SizingCase case_sizing(const netlist::Netlist& nl, const tech::Library& lib) {
   cond.sp_vectors = 1024;
   const aging::AgingAnalyzer an(nl, lib, cond);
   const auto policy = aging::StandbyPolicy::all_stressed();
-  const opt::SizingParams base{.spec_margin_percent = 3.0, .size_step = 0.5,
-                               .max_moves = 200};
+  const opt::SizingParams p{.spec_margin_percent = 3.0, .size_step = 0.5,
+                            .max_moves = 200};
 
   SizingCase c{"size_for_lifetime_3pct", nl.name(), 0, 0, 0, false};
   opt::SizingResult serial, incremental, parallel;
-  opt::SizingParams p = base;
-  p.n_threads = 1;
-  p.incremental = false;
-  c.serial_ms = time_ms([&] { serial = opt::size_for_lifetime(an, policy, p); });
-  p.incremental = true;
-  c.incremental_ms =
-      time_ms([&] { incremental = opt::size_for_lifetime(an, policy, p); });
-  p.n_threads = 8;
-  c.parallel_ms =
-      time_ms([&] { parallel = opt::size_for_lifetime(an, policy, p); });
+  c.serial_ms = time_ms_at(1, [&] {
+    serial = testsupport::reference_size_for_lifetime(an, policy, p);
+  });
+  c.incremental_ms = time_ms_at(
+      1, [&] { incremental = opt::size_for_lifetime(an, policy, p); });
+  c.parallel_ms = time_ms_at(
+      8, [&] { parallel = opt::size_for_lifetime(an, policy, p); });
   c.identical = serial.sizes == incremental.sizes &&
                 serial.sizes == parallel.sizes &&
                 serial.moves == incremental.moves &&
@@ -708,10 +705,10 @@ SizingCase case_derate(const netlist::Netlist& nl, const tech::Library& lib) {
     }
   });
   report::DerateTable batched_serial, batched;
-  c.incremental_ms = time_ms(
-      [&] { batched_serial = report::aging_derate_table(an, years, 1); });
+  c.incremental_ms = time_ms_at(
+      1, [&] { batched_serial = report::aging_derate_table(an, years); });
   c.parallel_ms =
-      time_ms([&] { batched = report::aging_derate_table(an, years, 8); });
+      time_ms_at(8, [&] { batched = report::aging_derate_table(an, years); });
   c.identical = batched.factors == percell &&
                 batched_serial.factors == percell;
   return c;
@@ -1070,9 +1067,9 @@ void write_bench_pool_json(const char* path) {
       spawn_parallel_for(kN, 4, [&](int i) { body(spawn_out, i); });
     }
   });
-  const double pool_ms = time_ms([&] {
+  const double pool_ms = time_ms_at(4, [&] {
     for (int c = 0; c < kCalls; ++c) {
-      common::parallel_for(kN, 4, [&](int i) { body(pool_out, i); });
+      common::parallel_for(kN, [&](int i) { body(pool_out, i); });
     }
   });
   const bool dispatch_identical =
@@ -1176,13 +1173,12 @@ AgingCase case_failure_suite(const netlist::Netlist& nl,
   const auto policy = aging::StandbyPolicy::all_stressed();
 
   AgingCase c{"failure_suite_40pt", nl.name(), 0, 0, false};
-  aging::FailureParams p;
+  const aging::FailureParams p;
   aging::FailureReport serial, parallel;
-  p.n_threads = 1;
-  c.serial_ms = time_ms([&] { serial = aging::analyze_failure(an, policy, p); });
-  p.n_threads = 8;
+  c.serial_ms =
+      time_ms_at(1, [&] { serial = aging::analyze_failure(an, policy, p); });
   c.parallel_ms =
-      time_ms([&] { parallel = aging::analyze_failure(an, policy, p); });
+      time_ms_at(8, [&] { parallel = aging::analyze_failure(an, policy, p); });
   c.identical = same_failure_report(serial, parallel);
   return c;
 }
@@ -1198,16 +1194,18 @@ AgingCase case_thermal_sweep(const netlist::Netlist& nl,
   AgingCase c{"thermal_sweep_16pt", nl.name(), 0, 0, false};
   std::vector<thermal::OperatingPoint> serial, parallel;
   // One repeat: each leg re-characterizes 16 x ~5 LeakageTables already.
-  c.serial_ms = time_ms(
+  c.serial_ms = time_ms_at(
+      1,
       [&] {
         serial = thermal::solve_operating_points(nl, lib, model, standby,
-                                                 powers, params, 1);
+                                                 powers, params);
       },
       1);
-  c.parallel_ms = time_ms(
+  c.parallel_ms = time_ms_at(
+      8,
       [&] {
         parallel = thermal::solve_operating_points(nl, lib, model, standby,
-                                                   powers, params, 8);
+                                                   powers, params);
       },
       1);
   c.identical = serial.size() == parallel.size();

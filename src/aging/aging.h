@@ -79,11 +79,6 @@ struct AgingConditions {
   int sp_vectors = 4096;     ///< Monte-Carlo vectors for signal probabilities
   std::uint64_t seed = 7;
   double sta_temperature = 400.0;  ///< temperature for delay evaluation
-  /// Worker threads for the Monte-Carlo signal-probability pass and the
-  /// per-gate dVth evaluation; 0 = hardware concurrency.  Results are
-  /// bit-identical for every value (deterministic block decomposition +
-  /// ordered reductions), so this is purely a speed knob.
-  int n_threads = 0;
   /// Per-primary-input probabilities of being 1 for the active-mode
   /// Monte-Carlo pass; empty = 0.5 everywhere (the paper's setup).  Size
   /// must match the netlist's PI count, values in [0, 1].
@@ -95,11 +90,6 @@ struct AgingConditions {
   /// Optional per-gate delay multipliers (>= 1), e.g. the series-sleep-
   /// device penalty of a control-point-modified driver. Empty = all 1.
   std::vector<double> gate_delay_scale;
-  /// Evaluate per-gate dVth through the structure-of-arrays kernel
-  /// (nbti::RdKernel) instead of per-device scalar calls.  Bit-identical to
-  /// the scalar path at every thread count (differential-tested), so this is
-  /// purely a speed knob; turn it off to benchmark or debug the scalar path.
-  bool use_soa_kernel = true;
 };
 
 /// Full circuit degradation report.
@@ -130,9 +120,11 @@ class AgingAnalyzer {
   /// Two-phase: per-gate/per-PMOS stress descriptors (standby-vector
   /// simulation + signal-probability propagation) are built once per
   /// distinct policy and cached; each call then only evaluates the device
-  /// model against the cached descriptors, in parallel over gates
-  /// (AgingConditions::n_threads).  Repeated calls with different horizons
-  /// — degradation_series in particular — skip the whole build phase.
+  /// model against the cached descriptors through the SoA kernel
+  /// (nbti::RdKernel), in parallel over gate chunks.  Repeated calls with
+  /// different horizons — degradation_series in particular — skip the
+  /// whole build phase.  tests/support/reference.h reference_gate_dvth is
+  /// the per-device scalar oracle it is differential-tested against.
   std::vector<double> gate_dvth(const StandbyPolicy& policy,
                                 std::optional<double> total_time = {}) const;
 
@@ -153,7 +145,7 @@ class AgingAnalyzer {
   /// \p points_per_decade resolution — the interpolation substrate for the
   /// Monte-Carlo lifetime / failure crossing-time loops.  Built once per
   /// (policy, range, resolution) and cached like the stress descriptors;
-  /// sampling goes through gate_dvth (SoA kernel when enabled).  Tolerance:
+  /// sampling goes through gate_dvth.  Tolerance:
   /// DvthTable::rel_error_bound(table->grid_ratio()) per single-device
   /// curve; see dvth_table.h.
   std::shared_ptr<const nbti::DvthTable> dvth_table(
@@ -198,12 +190,10 @@ class AgingAnalyzer {
   /// argument of the device model varies between evaluations.
   struct StressDescriptors {
     StandbyPolicy policy;                      // cache key
-    std::vector<nbti::DeviceStress> devices;   // flattened per-gate runs
-    /// Precomputed per-device evaluation state (equivalent cycle, K_v,
-    /// S_n prefix) under cond_.schedule: makes each horizon O(1) per device.
-    std::vector<nbti::DeviceAging::StressContext> contexts;
     std::vector<int> gate_begin;               // size num_gates + 1
-    /// SoA evaluator over `contexts` (AgingConditions::use_soa_kernel).
+    /// SoA evaluator over every PMOS device's precomputed evaluation state
+    /// (equivalent cycle, K_v, S_n prefix) under cond_.schedule, flattened
+    /// over gates: makes each horizon O(1) per device.
     nbti::RdKernel kernel;
   };
 

@@ -1,6 +1,5 @@
 #include "aging/failure.h"
 
-#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -58,37 +57,6 @@ std::vector<double> time_grid(double max_years, int n_points) {
   return t;
 }
 
-/// Per-gate output load with unit size factors — the same accumulation
-/// SizedTiming uses (fixed wire caps + sink input caps + PO load) [F].
-std::vector<double> gate_loads(const AgingAnalyzer& analyzer) {
-  const sta::StaEngine& sta = analyzer.sta();
-  const tech::Library& lib = sta.library();
-  const netlist::Netlist& nl = sta.netlist();
-  const double wire = lib.params().wire_cap_per_fanout;
-  const double po_load = lib.input_cap(lib.find("BUF"), 0) + wire;
-
-  std::vector<double> loads(nl.num_gates(), 0.0);
-  for (int gi = 0; gi < nl.num_gates(); ++gi) {
-    const netlist::NodeId out = nl.gate(gi).output;
-    double load = 0.0;
-    for (int sink : nl.fanout_gates(out)) {
-      const netlist::Gate& sg = nl.gate(sink);
-      for (std::size_t pin = 0; pin < sg.fanins.size(); ++pin) {
-        if (sg.fanins[pin] == out) {
-          load += wire +
-                  lib.input_cap(sta.gate_cell(sink), static_cast<int>(pin));
-        }
-      }
-    }
-    if (std::find(nl.outputs().begin(), nl.outputs().end(), out) !=
-        nl.outputs().end()) {
-      load += po_load;
-    }
-    loads[gi] = load;
-  }
-  return loads;
-}
-
 /// Weibull-aggregates a set of unit MTTFs: returns sum of eta^-beta over
 /// the finite entries (each unit's scale eta = mttf / gamma).
 double weibull_lambda(const std::vector<double>& mttf_years, double beta,
@@ -121,6 +89,12 @@ FailureReport analyze_failure(const AgingAnalyzer& analyzer,
   if (params.use_dvth_table && params.table_points_per_decade < 1) {
     throw std::invalid_argument(
         "analyze_failure: table_points_per_decade < 1");
+  }
+  const double pbti_ratio = params.multi.pbti.ratio;
+  if (params.multi.enable_pbti &&
+      !(std::isfinite(pbti_ratio) && pbti_ratio >= 0.0)) {
+    throw std::invalid_argument(
+        "analyze_failure: pbti.ratio must be finite and >= 0");
   }
 
   const netlist::Netlist& nl = analyzer.sta().netlist();
@@ -164,7 +138,7 @@ FailureReport analyze_failure(const AgingAnalyzer& analyzer,
     MechanismMttf m;
     m.name = "nbti";
     m.gate_mttf.assign(n_gates, kNeverFails);
-    common::parallel_for(n_gates, params.n_threads, [&](int gi) {
+    common::parallel_for(n_gates, [&](int gi) {
       std::vector<double> v(n_points);
       for (int i = 0; i < n_points; ++i) v[i] = series[i][gi];
       m.gate_mttf[gi] =
@@ -179,48 +153,31 @@ FailureReport analyze_failure(const AgingAnalyzer& analyzer,
     MechanismMttf m;
     m.name = "pbti";
     m.gate_mttf.assign(n_gates, kNeverFails);
-    if (cond.use_soa_kernel && params.multi.pbti.ratio >= 0.0) {
-      // One context build + SoA kernel sweep per grid point.  Scaling the
-      // per-gate maximum by the (non-negative) ratio equals the scalar
-      // max-of-scaled reduction bit for bit: rounded multiplication by a
-      // non-negative constant is monotone, and every dVth is >= 0.
-      std::vector<nbti::DeviceAging::StressContext> ctxs(pbti.devices.size());
-      for (std::size_t di = 0; di < pbti.devices.size(); ++di) {
-        ctxs[di] = model.make_context(pbti.devices[di], cond.schedule);
-      }
-      const nbti::RdKernel kernel(model, std::move(ctxs));
-      std::vector<std::vector<double>> worst_at(
-          n_points, std::vector<double>(n_gates, 0.0));
-      std::vector<double> dev_out(pbti.devices.size());
-      std::vector<double> dev_scratch(pbti.devices.size());
-      for (int i = 0; i < n_points; ++i) {
-        kernel.worst_per_gate(t_sec[i], pbti.gate_begin, 0, n_gates,
-                              worst_at[i], dev_out, dev_scratch);
-      }
-      common::parallel_for(n_gates, params.n_threads, [&](int gi) {
-        std::vector<double> worst(n_points);
-        for (int i = 0; i < n_points; ++i) {
-          worst[i] = params.multi.pbti.ratio * worst_at[i][gi];
-        }
-        m.gate_mttf[gi] =
-            crossing_time(t_sec, worst, params.fail_dvth) / kSecondsPerYear;
-      });
-    } else {
-      common::parallel_for(n_gates, params.n_threads, [&](int gi) {
-        std::vector<double> worst(n_points, 0.0);
-        for (int di = pbti.gate_begin[gi]; di < pbti.gate_begin[gi + 1];
-             ++di) {
-          const nbti::DeviceAging::StressContext ctx =
-              model.make_context(pbti.devices[di], cond.schedule);
-          for (int i = 0; i < n_points; ++i) {
-            worst[i] = std::max(worst[i], params.multi.pbti.ratio *
-                                              model.delta_vth(ctx, t_sec[i]));
-          }
-        }
-        m.gate_mttf[gi] =
-            crossing_time(t_sec, worst, params.fail_dvth) / kSecondsPerYear;
-      });
+    // One context build + SoA kernel sweep per grid point.  Scaling the
+    // per-gate maximum by the (validated non-negative) ratio equals the
+    // max-of-scaled reduction bit for bit: rounded multiplication by a
+    // non-negative constant is monotone, and every dVth is >= 0.
+    std::vector<nbti::DeviceAging::StressContext> ctxs(pbti.devices.size());
+    for (std::size_t di = 0; di < pbti.devices.size(); ++di) {
+      ctxs[di] = model.make_context(pbti.devices[di], cond.schedule);
     }
+    const nbti::RdKernel kernel(model, std::move(ctxs));
+    std::vector<std::vector<double>> worst_at(
+        n_points, std::vector<double>(n_gates, 0.0));
+    std::vector<double> dev_out(pbti.devices.size());
+    std::vector<double> dev_scratch(pbti.devices.size());
+    for (int i = 0; i < n_points; ++i) {
+      kernel.worst_per_gate(t_sec[i], pbti.gate_begin, 0, n_gates,
+                            worst_at[i], dev_out, dev_scratch);
+    }
+    common::parallel_for(n_gates, [&](int gi) {
+      std::vector<double> worst(n_points);
+      for (int i = 0; i < n_points; ++i) {
+        worst[i] = pbti_ratio * worst_at[i][gi];
+      }
+      m.gate_mttf[gi] =
+          crossing_time(t_sec, worst, params.fail_dvth) / kSecondsPerYear;
+    });
     rep.mechanisms.push_back(std::move(m));
   }
 
@@ -228,7 +185,7 @@ FailureReport analyze_failure(const AgingAnalyzer& analyzer,
     MechanismMttf m;
     m.name = "hci";
     m.gate_mttf.assign(n_gates, kNeverFails);
-    common::parallel_for(n_gates, params.n_threads, [&](int gi) {
+    common::parallel_for(n_gates, [&](int gi) {
       const double activity = stats.activity[nl.gate(gi).output];
       std::vector<double> v(n_points);
       for (int i = 0; i < n_points; ++i) {
@@ -265,15 +222,15 @@ FailureReport analyze_failure(const AgingAnalyzer& analyzer,
   }
 
   if (params.enable_em) {
-    const std::vector<double> loads = gate_loads(analyzer);
+    const sta::StaEngine& sta = analyzer.sta();
     MechanismMttf m;
     m.name = "em";
     m.gate_mttf.assign(n_gates, kNeverFails);
-    common::parallel_for(n_gates, params.n_threads, [&](int gi) {
+    common::parallel_for(n_gates, [&](int gi) {
       // Average switching current of the output wire while active:
       // activity x f_clk charge pumps of C_load * Vdd per second.
       const double current = stats.activity[nl.gate(gi).output] *
-                             params.multi.clock_hz * loads[gi] * vdd;
+                             params.multi.clock_hz * sta.gate_load(gi) * vdd;
       if (active_fraction <= 0.0) return;  // no charge flow: never fails
       const double intrinsic =
           nbti::em_mttf(params.em, current, cond.schedule.temp_active);

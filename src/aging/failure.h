@@ -53,9 +53,6 @@ struct FailureParams {
   double weibull_beta = 2.0;
   /// Years at which the system failure curve is reported.
   std::vector<double> curve_years = {1.0, 2.0, 5.0, 10.0, 20.0, 30.0};
-  /// Worker threads for the per-gate loops; 0 = hardware concurrency.
-  /// Bit-identical for every value.
-  int n_threads = 0;
   /// Sample the NBTI dVth(t) series from the analyzer's cached interpolated
   /// table (AgingAnalyzer::dvth_table) instead of one exact gate_dvth sweep
   /// per grid point.  Crossing times then interpolate an interpolant;
@@ -103,8 +100,9 @@ double crossing_time(std::span<const double> times,
 
 /// Runs the failure suite on \p analyzer's circuit under \p policy.
 /// \throws std::invalid_argument for a Rotating policy with an empty
-///         rotation, non-positive fail_dvth/max_years/weibull_beta, or
-///         time_points < 2
+///         rotation, non-positive fail_dvth/max_years/weibull_beta,
+///         time_points < 2, or — with PBTI enabled — a NaN, infinite or
+///         negative multi.pbti.ratio
 FailureReport analyze_failure(const AgingAnalyzer& analyzer,
                               const StandbyPolicy& policy,
                               const FailureParams& params = {});

@@ -1,6 +1,7 @@
 #include "aging/multi.h"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 namespace nbtisim::aging {
@@ -106,6 +107,13 @@ MultiAgingReport analyze_multi_mechanism(const AgingAnalyzer& analyzer,
   const AgingConditions& cond = analyzer.conditions();
   const sim::SignalStats& stats = analyzer.signal_stats();
   const double horizon = total_time.value_or(cond.total_time);
+  if (params.enable_pbti &&
+      !(std::isfinite(params.pbti.ratio) && params.pbti.ratio >= 0.0)) {
+    // A NaN ratio would vanish in the std::max below and drop PBTI
+    // without a word.
+    throw std::invalid_argument(
+        "analyze_multi_mechanism: pbti.ratio must be finite and >= 0");
+  }
 
   MultiAgingReport rep;
   rep.pmos_dvth = analyzer.gate_dvth(policy, horizon);

@@ -63,7 +63,9 @@ PbtiStressSet build_pbti_stress(const AgingAnalyzer& analyzer,
 /// Per gate, the NMOS shift is the worst over the cell's stage inputs of
 /// PBTI (duty = signal probability of 1; standby state from the policy)
 /// plus the HCI contribution of the gate's switching activity.
-/// \throws std::invalid_argument for a Rotating policy with an empty rotation
+/// \throws std::invalid_argument for a Rotating policy with an empty
+///         rotation, or — with PBTI enabled — a NaN, infinite or negative
+///         pbti.ratio
 MultiAgingReport analyze_multi_mechanism(const AgingAnalyzer& analyzer,
                                          const StandbyPolicy& policy,
                                          const MultiAgingParams& params = {},

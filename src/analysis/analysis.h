@@ -22,12 +22,12 @@
 /// (e.g. sizing_step) appear only in their technique's.
 ///
 /// Determinism contract: run() must be bit-identical for every scheduler
-/// thread count. Inner engines are invoked with n_threads = 0 — the shared
-/// work pool, which runs them serially when the task already executes on a
-/// pool worker (see common/pool.h) — and every inner engine is itself
-/// bit-identical for any thread count, so this holds by construction;
-/// registry iteration (std::map) and metric order (fixed per analysis) are
-/// deterministic too.
+/// thread count. Analyses carry no thread knob: inner engines run at the
+/// calling thread's common::ThreadBudget, which the campaign opens, and
+/// serially when the task already executes on a pool worker (see
+/// common/pool.h). Every inner engine is itself bit-identical for any
+/// thread count, so this holds by construction; registry iteration
+/// (std::map) and metric order (fixed per analysis) are deterministic too.
 #pragma once
 
 #include <cstdint>

@@ -112,7 +112,6 @@ const aging::AgingAnalyzer& ContextPool::analyzer_for(
     c.total_time = cond.years * kSecondsPerYear;
     c.sp_vectors = params_.sp_vectors;
     c.seed = params_.seed;
-    c.n_threads = 0;  // shared pool; serial when inside a pool task
     return std::make_shared<aging::AgingAnalyzer>(nl, lib_, c);
   });
 }

@@ -13,10 +13,10 @@
 /// guards the slot map, and each slot's (expensive, deterministic) build
 /// runs under its own std::call_once — two tasks needing different
 /// analyzers build them concurrently, while two tasks sharing a cell still
-/// build once. Inner engines are configured with n_threads = 0, i.e. the
-/// shared work pool: executed inside a scheduler worker they run serially
-/// (a pool task never spawns a nested team), executed at top level they may
-/// fan out. Every inner engine is bit-identical for any thread count
+/// build once. Builds carry no thread knob: they run at the building
+/// thread's common::ThreadBudget — serially inside a scheduler worker (a
+/// pool task never spawns a nested team), at the campaign's width on the
+/// caller. Every inner engine is bit-identical for any thread count
 /// anyway, so this is purely a scheduling choice.
 #pragma once
 

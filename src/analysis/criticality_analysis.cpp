@@ -35,7 +35,6 @@ class CriticalityAnalysis final : public Analysis {
     cp.seed = p.seed;
     cp.aged = true;  // criticality of the circuit the condition produces
     cp.total_time = ctx.horizon();
-    cp.n_threads = 0;  // shared pool; serial when inside a pool task
     cp.use_dvth_table = p.use_dvth_table;
     cp.table_points_per_decade = p.table_ppd;
     const variation::CriticalityResult r =

@@ -49,7 +49,6 @@ class FailureAnalysis final : public Analysis {
     fp.time_points = p.fail_points;
     fp.weibull_beta = p.weibull_beta;
     fp.curve_years = p.fail_curve_years;
-    fp.n_threads = 0;  // shared pool; serial when inside a pool task
     fp.use_dvth_table = p.use_dvth_table;
     fp.table_points_per_decade = p.table_ppd;
     const aging::FailureReport r = aging::analyze_failure(

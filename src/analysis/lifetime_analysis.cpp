@@ -27,7 +27,6 @@ class LifetimeAnalysis final : public Analysis {
     lt.spec_margin_percent = p.spec_margin;
     lt.samples = p.samples;
     lt.seed = p.seed;
-    lt.n_threads = 0;  // shared pool; serial when inside a pool task
     lt.use_dvth_table = p.use_dvth_table;
     lt.table_points_per_decade = p.table_ppd;
     const variation::LifetimeResult r = variation::lifetime_distribution(

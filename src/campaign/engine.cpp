@@ -30,7 +30,7 @@ Value execute_task(const CampaignSpec& spec, const Task& task,
   }
 
   // No timestamps or timings in the row: the file must be byte-identical
-  // for every n_threads (and across re-runs of identical work).
+  // for every thread count (and across re-runs of identical work).
   Value row;
   row.set("hash", task.hash);
   row.set("campaign", spec.name);
@@ -86,6 +86,9 @@ RunStats run_campaign(const CampaignSpec& spec, const std::string& store_path,
     }
   }
 
+  // The campaign owns its thread: spec.n_threads is the width of the task
+  // loop below and of every inner loop a task reaches on this thread.
+  const common::ThreadBudget budget(spec.n_threads);
   analysis::ContextPool pool(spec.params, spec.cut_dffs);
   // Fixed batch size: big enough to keep any sane worker count busy, small
   // enough that a killed run loses little work. Batch boundaries never
@@ -96,7 +99,7 @@ RunStats run_campaign(const CampaignSpec& spec, const std::string& store_path,
     const int count =
         static_cast<int>(std::min<std::size_t>(kBatch, pending.size() - begin));
     std::vector<Value> rows(count);
-    common::parallel_for(count, spec.n_threads, [&](int i) {
+    common::parallel_for(count, [&](int i) {
       rows[i] = execute_task(spec, *pending[begin + i], pool);
     });
     store.append(rows);

@@ -21,13 +21,17 @@
 /// tasks that share a grid cell's (netlist, condition) reuse one
 /// AgingAnalyzer (the dominant cost: signal statistics + stress-descriptor
 /// builds), and tasks sharing (netlist, T_standby) reuse one
-/// LeakageAnalyzer. Inner engines default to the shared pool (n_threads =
-/// 0): run inside a scheduler worker they execute serially — a pool task
-/// never spawns a nested team, so a k-worker campaign uses k threads, not
-/// k² — while a task executed on the caller (serial campaign) may fan its
-/// inner loops over the idle pool. Every inner engine is bit-identical for
-/// any thread count (see docs/USAGE.md "Threading model"), so all of this
-/// is purely a scheduling choice, not a results one.
+/// LeakageAnalyzer.
+///
+/// Threads: run_campaign opens a common::ThreadBudget of spec.n_threads
+/// (0 = hardware concurrency) on the calling thread, so the task loop runs
+/// on at most that many threads — the caller plus pool workers — and so
+/// does everything a task calls. Inner engine loops inside a scheduler
+/// worker run serially (a pool task never spawns a nested team), so a
+/// k-thread campaign uses k threads, not k²; at n_threads = 1 every task
+/// and every inner loop stays on the caller. Every inner engine is
+/// bit-identical for any thread count (see docs/USAGE.md "Threading
+/// model"), so all of this is a scheduling choice, not a results one.
 #pragma once
 
 #include <iosfwd>

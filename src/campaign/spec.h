@@ -62,7 +62,8 @@ struct CampaignSpec {
   std::vector<Condition> conditions;
   std::vector<std::string> analyses;  ///< registry names ("aging", "sizing"…)
   CampaignParams params;
-  int n_threads = 0;    ///< campaign-level workers; 0 = hardware
+  int n_threads = 0;    ///< threads for the whole run — task loop and every
+                        ///< inner loop (common::ThreadBudget); 0 = hardware
   int shards = 16;      ///< result-store shards (1, 2, 4, 8 or 16);
                         ///< 1 = legacy single-file layout
   bool cut_dffs = false;  ///< cut DFFs when loading .bench netlists

@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <exception>
+#include <stdexcept>
 
 namespace nbtisim::common {
 namespace {
@@ -11,7 +12,11 @@ namespace {
 /// participation), 0 otherwise.
 thread_local int g_task_depth = 0;
 
-/// Hard cap on pool size — requests are bounded by explicit --threads knobs
+/// The calling thread's innermost ThreadBudget value; 0 (hardware
+/// concurrency) while no scope is open.
+thread_local int g_budget = 0;
+
+/// Hard cap on pool size — requests are bounded by the thread budgets
 /// (resolve_threads), this is only a backstop against absurd values.
 constexpr int kMaxWorkers = 256;
 
@@ -21,6 +26,17 @@ struct TaskDepthGuard {
 };
 
 }  // namespace
+
+ThreadBudget::ThreadBudget(int threads) : saved_(g_budget) {
+  if (threads < 0) {
+    throw std::invalid_argument("ThreadBudget: negative thread count");
+  }
+  g_budget = threads;
+}
+
+ThreadBudget::~ThreadBudget() { g_budget = saved_; }
+
+int ThreadBudget::current() { return resolve_threads(g_budget); }
 
 /// One submitted loop. Heap-allocated and shared between the submitter and
 /// every queued ticket, so a worker that pops a ticket after the loop

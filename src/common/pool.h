@@ -1,5 +1,6 @@
 /// \file pool.h
-/// \brief The process-wide deterministic work pool behind parallel_for.
+/// \brief The process-wide deterministic work pool behind parallel_for, and
+///        the per-thread budget that sets how wide its loops run.
 ///
 /// Callers submit *loops* (index ranges) as tasks; the pool owns one set of
 /// long-lived worker threads that all loops share. Work inside a loop is
@@ -22,6 +23,14 @@
 ///    scheduler workers that each started inner threads. Debug builds
 ///    assert that no nested submission reaches the pool.
 ///
+/// How wide a loop runs is not a parameter of the loop. It is the calling
+/// thread's ThreadBudget: the owner of a thread (the CLI for --threads,
+/// run_campaign for CampaignSpec::n_threads, run_query for its argument)
+/// opens one scope, and every parallel_for that thread reaches — however
+/// deep in the engines — runs at that width. A budget of 1 therefore keeps
+/// every inner loop on the caller. With no scope open the width is the
+/// hardware concurrency.
+///
 /// Callers that need reductions still accumulate into per-index storage and
 /// reduce serially in index order afterwards — see estimate_signal_stats
 /// and AgingAnalyzer::gate_dvth.
@@ -39,12 +48,34 @@
 
 namespace nbtisim::common {
 
-/// Resolves a thread-count knob: values < 1 mean "use the hardware".
-inline int resolve_threads(int n_threads) {
-  if (n_threads > 0) return n_threads;
+/// Resolves a thread count: values < 1 mean "use the hardware".
+inline int resolve_threads(int threads) {
+  if (threads > 0) return threads;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<int>(hw);
 }
+
+/// RAII scope that sets the calling thread's loop width: every
+/// parallel_for the thread issues while the scope is open runs on up to
+/// resolve_threads(threads) participants (0 = hardware concurrency).
+/// Scopes nest; closing one, also by an exception, restores the enclosing
+/// width. The budget belongs to the thread that opened it — pool workers
+/// and other threads keep their own — and loops inside a pool task stay
+/// serial whatever the budget.
+class ThreadBudget {
+ public:
+  /// \throws std::invalid_argument for a negative \p threads
+  explicit ThreadBudget(int threads);
+  ~ThreadBudget();
+  ThreadBudget(const ThreadBudget&) = delete;
+  ThreadBudget& operator=(const ThreadBudget&) = delete;
+
+  /// The calling thread's current width, resolved (>= 1).
+  static int current();
+
+ private:
+  int saved_;
+};
 
 /// The shared worker pool. One instance per process (global()); loops are
 /// submitted through run(), normally via the parallel_for wrappers below.
@@ -94,21 +125,21 @@ class WorkPool {
   bool stop_ = false;
 };
 
-/// Invokes body(i) for every i in [0, n) on up to resolve_threads(n_threads)
+/// Invokes body(i) for every i in [0, n) on up to ThreadBudget::current()
 /// shared-pool participants, handing out \p grain consecutive indices per
 /// atomic-counter pull. body must be safe to run concurrently for distinct
 /// indices; invocation order is unspecified; results are bit-identical for
 /// every thread count. If any invocation throws, the first exception is
 /// rethrown on the calling thread after the loop drains.
 template <typename Body>
-void parallel_for_grain(int n, int n_threads, int grain, Body&& body) {
+void parallel_for_grain(int n, int grain, Body&& body) {
   if (n <= 0) return;
   if (grain < 1) grain = 1;
   const int chunks = (n + grain - 1) / grain;
-  const int k = std::min(resolve_threads(n_threads), chunks);
+  const int k = std::min(ThreadBudget::current(), chunks);
   if (k <= 1 || WorkPool::inside_task()) {
-    // Serial: one thread requested, nothing to share — or we *are* a pool
-    // task already, and inner loops must not multiply the worker count.
+    // Serial: a budget of one, nothing to share — or we *are* a pool task
+    // already, and inner loops must not multiply the worker count.
     for (int i = 0; i < n; ++i) body(i);
     return;
   }
@@ -125,8 +156,8 @@ void parallel_for_grain(int n, int n_threads, int grain, Body&& body) {
 /// parallel_for_grain with single-index hand-out — the default used by
 /// every coarse-grained loop in the codebase.
 template <typename Body>
-void parallel_for(int n, int n_threads, Body&& body) {
-  parallel_for_grain(n, n_threads, 1, std::forward<Body>(body));
+void parallel_for(int n, Body&& body) {
+  parallel_for_grain(n, 1, std::forward<Body>(body));
 }
 
 }  // namespace nbtisim::common

@@ -43,17 +43,16 @@ IvcResult evaluate_ivc(const aging::AgingAnalyzer& analyzer,
   }
   // Each candidate is an independent AgingAnalyzer::analyze call (the
   // analyzer's stress-descriptor cache is thread-safe) writing its own
-  // slot: bit-identical for every n_threads.
+  // slot: bit-identical for every thread count.
   result.candidates.resize(mlv.vectors.size());
-  common::parallel_for(
-      static_cast<int>(mlv.vectors.size()), mlv_params.n_threads, [&](int i) {
-        IvcCandidate& cand = result.candidates[i];
-        cand.vector = mlv.vectors[i];
-        cand.leakage = mlv.leakages[i];
-        cand.degradation_percent =
-            analyzer.analyze(aging::StandbyPolicy::from_vector(cand.vector))
-                .percent();
-      });
+  common::parallel_for(static_cast<int>(mlv.vectors.size()), [&](int i) {
+    IvcCandidate& cand = result.candidates[i];
+    cand.vector = mlv.vectors[i];
+    cand.leakage = mlv.leakages[i];
+    cand.degradation_percent =
+        analyzer.analyze(aging::StandbyPolicy::from_vector(cand.vector))
+            .percent();
+  });
 
   // Best member: minimum degradation; ties broken by lower leakage (the set
   // is already leakage-ascending, and std::min_element keeps the first).
@@ -74,7 +73,7 @@ IvcResult evaluate_ivc(const aging::AgingAnalyzer& analyzer,
     // from the MLV search streams), evaluated in parallel; the mean is
     // reduced in stream order.
     std::vector<double> ref_percent(n_random_ref);
-    common::parallel_for(n_random_ref, mlv_params.n_threads, [&](int k) {
+    common::parallel_for(n_random_ref, [&](int k) {
       std::mt19937_64 rng(
           common::stream_seed(mlv_params.seed ^ kRandomRefSalt, k));
       std::uniform_int_distribution<int> bit(0, 1);
@@ -115,12 +114,11 @@ AlternatingIvcResult evaluate_alternating_ivc(
   // Best static member by circuit degradation: per-candidate analyses fan
   // out, the argmin scan stays in set order (first minimum wins, as before).
   std::vector<double> percent(mlv.vectors.size());
-  common::parallel_for(
-      static_cast<int>(mlv.vectors.size()), mlv_params.n_threads, [&](int i) {
-        percent[i] =
-            analyzer.analyze(aging::StandbyPolicy::from_vector(mlv.vectors[i]))
-                .percent();
-      });
+  common::parallel_for(static_cast<int>(mlv.vectors.size()), [&](int i) {
+    percent[i] =
+        analyzer.analyze(aging::StandbyPolicy::from_vector(mlv.vectors[i]))
+            .percent();
+  });
   double best_percent = 1e18;
   std::size_t best = 0;
   for (std::size_t i = 0; i < mlv.vectors.size(); ++i) {

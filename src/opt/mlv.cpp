@@ -92,7 +92,7 @@ MlvResult find_mlv_set(const leakage::LeakageAnalyzer& analyzer,
       for (int i = 0; i < n_inputs; ++i) v[i] = uni(rng) < prob[i];
       batch[k] = std::move(v);
     }
-    common::parallel_for(params.population, params.n_threads, [&](int k) {
+    common::parallel_for(params.population, [&](int k) {
       batch_leak[k] = analyzer.circuit_leakage(batch[k]);
     });
     for (int k = 0; k < params.population; ++k) {
@@ -112,8 +112,7 @@ MlvResult find_mlv_set(const leakage::LeakageAnalyzer& analyzer,
 }
 
 MlvResult find_mlv_exhaustive(const leakage::LeakageAnalyzer& analyzer,
-                              double leakage_window, int max_set_size,
-                              int n_threads) {
+                              double leakage_window, int max_set_size) {
   const int n_inputs = analyzer.netlist().num_inputs();
   if (n_inputs > 20) {
     throw std::invalid_argument(
@@ -123,7 +122,7 @@ MlvResult find_mlv_exhaustive(const leakage::LeakageAnalyzer& analyzer,
   // insertion then runs in index order, identical to the serial sweep.
   const int n_vectors = 1 << n_inputs;
   std::vector<double> leak(n_vectors);
-  common::parallel_for(n_vectors, n_threads, [&](int bits) {
+  common::parallel_for(n_vectors, [&](int bits) {
     std::vector<bool> v(n_inputs);
     for (int i = 0; i < n_inputs; ++i) v[i] = (bits >> i) & 1;
     leak[bits] = analyzer.circuit_leakage(v);

@@ -29,12 +29,6 @@ struct MlvSearchParams {
   double convergence_eps = 0.05;///< PI probability saturation threshold
   int max_set_size = 24;        ///< MLV set truncation (lowest leakage kept)
   std::uint64_t seed = 11;
-  /// Worker threads for the batched per-round leakage evaluations, and —
-  /// via evaluate_ivc / evaluate_alternating_ivc — for the per-candidate
-  /// aging analyses; 0 = hardware concurrency.  Vector generation stays a
-  /// single sequential RNG stream and candidates are inserted in generation
-  /// order, so results are bit-identical for every value.
-  int n_threads = 0;
 };
 
 /// Result of the MLV search.
@@ -55,11 +49,11 @@ MlvResult find_mlv_set(const leakage::LeakageAnalyzer& analyzer,
 
 /// Exhaustive MLV search (all 2^n vectors) for small circuits; used as the
 /// ground truth in tests and the heuristic-quality ablation.  The 2^n
-/// leakage evaluations fan out over \p n_threads (0 = hardware), with the
-/// usual bit-identical-for-any-thread-count guarantee.
+/// leakage evaluations fan out over common::parallel_for, with the usual
+/// bit-identical-for-any-thread-count guarantee.
 /// \throws std::invalid_argument when the circuit has more than 20 inputs
 MlvResult find_mlv_exhaustive(const leakage::LeakageAnalyzer& analyzer,
                               double leakage_window = 0.04,
-                              int max_set_size = 24, int n_threads = 0);
+                              int max_set_size = 24);
 
 }  // namespace nbtisim::opt

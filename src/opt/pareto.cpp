@@ -81,23 +81,22 @@ ParetoResult pareto_standby_vectors(const aging::AgingAnalyzer& analyzer,
   // Each candidate of a batch is an independent (leakage, aging) evaluation
   // writing its own slot; the non-dominated front is then folded serially in
   // generation order — the exact front evolution (and golden values) of the
-  // original serial loop, bit-identical for every n_threads.
+  // original serial loop, bit-identical for every thread count.
   auto evaluate_batch = [&](std::vector<std::vector<bool>> batch) {
     std::vector<ParetoPoint> points(batch.size());
-    common::parallel_for(
-        static_cast<int>(batch.size()), params.n_threads, [&](int i) {
-          ParetoPoint& p = points[i];
-          p.leakage = standby_leak.circuit_leakage(batch[i]);
-          // aged_critical_delay takes the arrival-only STA path — same
-          // percent() value (identical numerator/denominator expressions)
-          // without materializing a DegradationReport per candidate.
-          const double fresh = analyzer.fresh_critical_delay();
-          const double aged = analyzer.aged_critical_delay(
-              aging::StandbyPolicy::from_vector(batch[i]));
-          p.degradation_percent =
-              fresh > 0.0 ? 100.0 * (aged - fresh) / fresh : 0.0;
-          p.vector = std::move(batch[i]);
-        });
+    common::parallel_for(static_cast<int>(batch.size()), [&](int i) {
+      ParetoPoint& p = points[i];
+      p.leakage = standby_leak.circuit_leakage(batch[i]);
+      // aged_critical_delay takes the arrival-only STA path — same
+      // percent() value (identical numerator/denominator expressions)
+      // without materializing a DegradationReport per candidate.
+      const double fresh = analyzer.fresh_critical_delay();
+      const double aged = analyzer.aged_critical_delay(
+          aging::StandbyPolicy::from_vector(batch[i]));
+      p.degradation_percent =
+          fresh > 0.0 ? 100.0 * (aged - fresh) / fresh : 0.0;
+      p.vector = std::move(batch[i]);
+    });
     for (ParetoPoint& p : points) {
       ++result.evaluated;
       insert_nondominated(result.front, std::move(p));

@@ -26,12 +26,6 @@ struct ParetoParams {
   int improve_rounds = 3;    ///< bit-flip local-search rounds over the front
   int flips_per_member = 8;  ///< random single-bit flips tried per member
   std::uint64_t seed = 19;
-  /// Worker threads for the per-candidate (leakage, degradation)
-  /// evaluations; 0 = hardware concurrency.  Candidate generation stays a
-  /// single sequential RNG stream and the front is folded in generation
-  /// order, so results are bit-identical for every value (same contract as
-  /// MlvSearchParams::n_threads).
-  int n_threads = 0;
 };
 
 /// One evaluated standby vector.

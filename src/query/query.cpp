@@ -356,7 +356,8 @@ QueryResult run_query(const StoreView& view, const Query& q, int n_threads) {
   };
   const int n_files = static_cast<int>(view.files().size());
   std::vector<FileScan> scans(static_cast<std::size_t>(n_files));
-  common::parallel_for(n_files, n_threads, [&](int fi) {
+  const common::ThreadBudget budget(n_threads);
+  common::parallel_for(n_files, [&](int fi) {
     const StoreView::File& file = view.files()[static_cast<std::size_t>(fi)];
     FileScan& scan = scans[static_cast<std::size_t>(fi)];
     std::ifstream f;  // opened lazily: count-only scans never touch the file

@@ -140,8 +140,11 @@ struct QueryResult {
 
 /// Evaluates \p q against \p view. Candidate rows are selected from the
 /// index (coordinates + scalar-metric names) and only those are parsed;
-/// files are scanned on the shared work pool. Bit-identical output for
-/// every \p n_threads and every shard layout of the same logical store.
+/// files are scanned on the shared work pool, \p n_threads wide (a
+/// common::ThreadBudget scope; 0 = hardware concurrency). Bit-identical
+/// output for every \p n_threads and every shard layout of the same
+/// logical store.
+/// \throws std::invalid_argument for a negative \p n_threads
 QueryResult run_query(const StoreView& view, const Query& q, int n_threads);
 
 }  // namespace nbtisim::query

@@ -24,7 +24,7 @@ Table DerateTable::to_table(int precision) const {
 }
 
 DerateTable aging_derate_table(const aging::AgingAnalyzer& analyzer,
-                               std::vector<double> years, int n_threads) {
+                               std::vector<double> years) {
   if (years.empty()) {
     throw std::invalid_argument("aging_derate_table: no lifetimes");
   }
@@ -51,16 +51,15 @@ DerateTable aging_derate_table(const aging::AgingAnalyzer& analyzer,
   // table bit-identical for every thread count.
   const double fresh = analyzer.fresh_critical_delay();
   table.factors.assign(policies.size(), {});
-  common::parallel_for(
-      static_cast<int>(policies.size()), n_threads, [&](int p) {
-        std::vector<double>& col = table.factors[p];
-        col.reserve(table.years.size());
-        for (double y : table.years) {
-          const double aged =
-              analyzer.aged_critical_delay(policies[p], y * kSecondsPerYear);
-          col.push_back(aged / fresh);
-        }
-      });
+  common::parallel_for(static_cast<int>(policies.size()), [&](int p) {
+    std::vector<double>& col = table.factors[p];
+    col.reserve(table.years.size());
+    for (double y : table.years) {
+      const double aged =
+          analyzer.aged_critical_delay(policies[p], y * kSecondsPerYear);
+      col.push_back(aged / fresh);
+    }
+  });
   return table;
 }
 

@@ -40,10 +40,10 @@ struct DerateTable {
 /// (policy, year) cell, and the per-policy passes fan out over
 /// common::parallel_for.  Each pass writes only its own column and the
 /// factors are pure per-cell values, so the table is bit-identical for
-/// every \p n_threads (0 = hardware concurrency) and identical to the
-/// naive per-cell evaluation (tests/test_differential.cpp).
+/// every thread count and identical to the naive per-cell evaluation
+/// (tests/test_differential.cpp).
 /// \throws std::invalid_argument for an empty or non-positive lifetime list
 DerateTable aging_derate_table(const aging::AgingAnalyzer& analyzer,
-                               std::vector<double> years, int n_threads = 0);
+                               std::vector<double> years);
 
 }  // namespace nbtisim::report

@@ -134,7 +134,7 @@ namespace {
 
 // Words per RNG block. Fixed (not derived from the thread count) so the
 // block decomposition — and with it each block's RNG stream — is the same
-// for every n_threads, which is what makes parallel runs bit-identical to
+// for every thread count, which is what makes parallel runs bit-identical to
 // serial ones.
 constexpr int kBlockWords = 4;  // 256 vectors per block
 
@@ -151,8 +151,7 @@ struct StatsBlock {
 
 SignalStats estimate_signal_stats(const netlist::Netlist& nl,
                                   std::span<const double> input_sp,
-                                  int n_vectors, std::uint64_t seed,
-                                  int n_threads) {
+                                  int n_vectors, std::uint64_t seed) {
   if (static_cast<int>(input_sp.size()) != nl.num_inputs()) {
     throw std::invalid_argument("estimate_signal_stats: SP count mismatch");
   }
@@ -174,7 +173,7 @@ SignalStats estimate_signal_stats(const netlist::Netlist& nl,
       tail_bits == 64 ? ~0ull : (1ull << tail_bits) - 1ull;
 
   std::vector<StatsBlock> blocks(n_blocks);
-  common::parallel_for(n_blocks, n_threads, [&](int blk) {
+  common::parallel_for(n_blocks, [&](int blk) {
     const Simulator sim(nl);
     std::mt19937_64 rng(common::stream_seed(seed, blk));
     std::uniform_real_distribution<double> uni(0.0, 1.0);

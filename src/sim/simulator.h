@@ -69,11 +69,10 @@ struct SignalStats {
 /// The word stream is generated in fixed-size blocks, each from its own
 /// counter-seeded RNG stream, and block results are reduced in block order —
 /// so the result is deterministic for a fixed \p seed and *bit-identical
-/// for every \p n_threads* (0 = hardware concurrency).
+/// for every thread count* (the blocks fan out over common::parallel_for).
 /// \throws std::invalid_argument on size mismatch or n_vectors < 1
 SignalStats estimate_signal_stats(const netlist::Netlist& nl,
                                   std::span<const double> input_sp,
-                                  int n_vectors, std::uint64_t seed,
-                                  int n_threads = 1);
+                                  int n_vectors, std::uint64_t seed);
 
 }  // namespace nbtisim::sim

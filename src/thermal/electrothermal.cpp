@@ -62,15 +62,14 @@ OperatingPoint solve_operating_point(const netlist::Netlist& nl,
 std::vector<OperatingPoint> solve_operating_points(
     const netlist::Netlist& nl, const tech::Library& lib,
     const RcThermalModel& model, const std::vector<bool>& standby_vector,
-    std::span<const double> dynamic_powers, const ElectrothermalParams& params,
-    int n_threads) {
+    std::span<const double> dynamic_powers,
+    const ElectrothermalParams& params) {
   std::vector<OperatingPoint> points(dynamic_powers.size());
-  common::parallel_for(
-      static_cast<int>(dynamic_powers.size()), n_threads, [&](int i) {
-        ElectrothermalParams cell = params;
-        cell.dynamic_power_w = dynamic_powers[i];
-        points[i] = solve_operating_point(nl, lib, model, standby_vector, cell);
-      });
+  common::parallel_for(static_cast<int>(dynamic_powers.size()), [&](int i) {
+    ElectrothermalParams cell = params;
+    cell.dynamic_power_w = dynamic_powers[i];
+    points[i] = solve_operating_point(nl, lib, model, standby_vector, cell);
+  });
   return points;
 }
 

@@ -54,12 +54,12 @@ OperatingPoint solve_operating_point(const netlist::Netlist& nl,
 /// \p dynamic_powers, each overriding params.dynamic_power_w.  The fixpoints
 /// are independent, so they fan out over common::parallel_for — each sweep
 /// cell writes only its own slot, making the result bit-identical to the
-/// serial loop for every \p n_threads (0 = hardware concurrency).
+/// serial loop for every thread count.
 /// \throws std::invalid_argument as solve_operating_point
 std::vector<OperatingPoint> solve_operating_points(
     const netlist::Netlist& nl, const tech::Library& lib,
     const RcThermalModel& model, const std::vector<bool>& standby_vector,
     std::span<const double> dynamic_powers,
-    const ElectrothermalParams& params = {}, int n_threads = 0);
+    const ElectrothermalParams& params = {});
 
 }  // namespace nbtisim::thermal

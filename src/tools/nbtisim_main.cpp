@@ -61,6 +61,7 @@
 #include "analysis/analysis.h"
 #include "analysis/context.h"
 #include "campaign/engine.h"
+#include "common/pool.h"
 #include "query/query.h"
 #include "query/serve.h"
 #include "netlist/bench_io.h"
@@ -105,7 +106,7 @@ struct CliOptions {
   double fail_dvth = 0.05;
   bool use_dvth_table = false;
   int table_ppd = 16;
-  int n_threads = 0;
+  int threads = 0;
   std::string csv_path;
   bool cut_dffs = false;
 };
@@ -200,7 +201,9 @@ CliOptions parse_args(int argc, char** argv) {
       if (o.clock_ghz <= 0.0) usage("bad --clock");
     } else if (arg == "--pbti-ratio") {
       o.pbti_ratio = std::atof(value().c_str());
-      if (o.pbti_ratio < 0.0) usage("bad --pbti-ratio");
+      if (!std::isfinite(o.pbti_ratio) || o.pbti_ratio < 0.0) {
+        usage("bad --pbti-ratio");
+      }
     } else if (arg == "--standby") {
       o.standby_mode = value();
       if (o.standby_mode != "stressed" && o.standby_mode != "relaxed" &&
@@ -223,8 +226,8 @@ CliOptions parse_args(int argc, char** argv) {
       o.table_ppd = std::atoi(value().c_str());
       if (o.table_ppd < 1) usage("bad --table-ppd");
     } else if (arg == "--threads") {
-      o.n_threads = std::atoi(value().c_str());
-      if (o.n_threads < 0) usage("bad --threads");
+      o.threads = std::atoi(value().c_str());
+      if (o.threads < 0) usage("bad --threads");
     } else if (arg == "--csv") {
       o.csv_path = value();
     } else if (arg == "--cut-dffs") {
@@ -258,7 +261,6 @@ aging::AgingConditions conditions(const CliOptions& o) {
   cond.schedule = nbti::ModeSchedule::from_ras(
       o.ras_active, o.ras_standby, 1000.0, o.t_active, o.t_standby);
   cond.total_time = o.years * kSecondsPerYear;
-  cond.n_threads = o.n_threads;
   return cond;
 }
 
@@ -324,12 +326,9 @@ int cmd_ivc(const CliOptions& o) {
   const aging::AgingAnalyzer an(nl, lib, conditions(o));
   const leakage::LeakageAnalyzer leak(nl, lib, o.t_standby);
   const opt::IvcResult r = opt::evaluate_ivc(
-      an, leak,
-      {.population = 48, .max_rounds = 12, .n_threads = o.n_threads}, 0);
+      an, leak, {.population = 48, .max_rounds = 12}, 0);
   const opt::AlternatingIvcResult alt = opt::evaluate_alternating_ivc(
-      an, leak,
-      {.population = 48, .max_rounds = 12, .max_set_size = 8,
-       .n_threads = o.n_threads});
+      an, leak, {.population = 48, .max_rounds = 12, .max_set_size = 8});
 
   report::Table t{{"quantity", "value"}, {}};
   char buf[96];
@@ -387,8 +386,7 @@ int cmd_mc(const CliOptions& o) {
   const tech::Library lib;
   const aging::AgingAnalyzer an(nl, lib, conditions(o));
   const variation::MonteCarloAging mc(
-      an,
-      {.sigma_vth = 0.012, .samples = o.mc_samples, .n_threads = o.n_threads});
+      an, {.sigma_vth = 0.012, .samples = o.mc_samples});
   const auto fresh = mc.fresh_distribution();
   const auto aged = mc.aged_distribution(aging::StandbyPolicy::all_stressed(),
                                          o.years * kSecondsPerYear);
@@ -415,8 +413,7 @@ std::vector<bool> standby_vector(const CliOptions& o,
   if (o.standby_mode == "ones") return std::vector<bool>(nl.num_inputs(), true);
   if (o.standby_mode == "mlv") {
     const leakage::LeakageAnalyzer leak(nl, lib, o.t_standby);
-    const opt::MlvResult mlv =
-        opt::find_mlv_set(leak, {.n_threads = o.n_threads});
+    const opt::MlvResult mlv = opt::find_mlv_set(leak);
     if (mlv.vectors.empty()) {
       throw std::runtime_error("--standby mlv: MLV search returned no vector");
     }
@@ -497,7 +494,7 @@ int cmd_sizing(const CliOptions& o) {
   const opt::SizingResult r = opt::size_for_lifetime(
       an, aging::StandbyPolicy::all_stressed(),
       {.spec_margin_percent = o.spec_margin, .size_step = 0.5,
-       .max_moves = 600, .n_threads = o.n_threads});
+       .max_moves = 600});
   report::Table t{{"quantity", "value"}, {}};
   char buf[96];
   std::snprintf(buf, sizeof buf, "%.3f ns (+%.1f%% spec)",
@@ -539,7 +536,7 @@ int cmd_lifetime(const CliOptions& o) {
   const variation::LifetimeResult r = variation::lifetime_distribution(
       an, aging::StandbyPolicy::all_stressed(),
       {.spec_margin_percent = o.spec_margin, .samples = o.mc_samples,
-       .n_threads = o.n_threads, .use_dvth_table = o.use_dvth_table,
+       .use_dvth_table = o.use_dvth_table,
        .table_points_per_decade = o.table_ppd});
   report::Table t{{"quantity", "value"}, {}};
   char buf[96];
@@ -562,8 +559,8 @@ int cmd_derate(const CliOptions& o) {
   const netlist::Netlist nl = load_circuit(o);
   const tech::Library lib;
   const aging::AgingAnalyzer an(nl, lib, conditions(o));
-  const report::DerateTable t = report::aging_derate_table(
-      an, {1.0, 2.0, 3.0, 5.0, 7.0, o.years}, o.n_threads);
+  const report::DerateTable t =
+      report::aging_derate_table(an, {1.0, 2.0, 3.0, 5.0, 7.0, o.years});
   emit(o, t.to_table());
   return 0;
 }
@@ -603,7 +600,6 @@ int cmd_failure(const CliOptions& o) {
   fp.multi.pbti.ratio = o.pbti_ratio;
   fp.fail_dvth = o.fail_dvth;
   if (o.years_set) fp.max_years = o.years;
-  fp.n_threads = o.n_threads;
   fp.use_dvth_table = o.use_dvth_table;
   fp.table_points_per_decade = o.table_ppd;
   const aging::FailureReport rep =
@@ -871,6 +867,9 @@ int main(int argc, char** argv) {
       return cmd_generate(argc, argv);
     }
     const CliOptions o = parse_args(argc, argv);
+    // The verb owns this thread: --threads is the width of every parallel
+    // loop it reaches.
+    const common::ThreadBudget budget(o.threads);
     if (o.command == "info") return cmd_info(o);
     if (o.command == "aging") return cmd_aging(o);
     if (o.command == "ivc") return cmd_ivc(o);

@@ -58,9 +58,9 @@ CriticalityResult gate_criticality(const aging::AgingAnalyzer& analyzer,
 
   // Per-sample critical paths land in disjoint slots; the hit-count and
   // distinct-PO reductions then run serially in sample order, making the
-  // result bit-identical for every n_threads.
+  // result bit-identical for every thread count.
   std::vector<std::vector<netlist::NodeId>> sample_paths(params.samples);
-  common::parallel_for(params.samples, params.n_threads, [&](int s) {
+  common::parallel_for(params.samples, [&](int s) {
     std::mt19937_64 rng(common::stream_seed(params.seed, s));
     std::normal_distribution<double> gauss(0.0, params.sigma_vth);
     std::vector<double> delays(nl.num_gates());

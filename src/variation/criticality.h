@@ -24,11 +24,6 @@ struct CriticalityParams {
   bool aged = false;         ///< measure criticality of the AGED circuit
                              ///< (under the worst-case standby policy)
   double total_time = 3.0e8; ///< aging horizon when aged = true
-  /// Worker threads for per-sample STA; 0 = hardware concurrency.  Samples
-  /// record their critical paths independently and the hit counts are
-  /// reduced in sample order, so the result is bit-identical for every
-  /// value (same contract as AgingConditions::n_threads).
-  int n_threads = 0;
   /// Fetch the aged nominal dVth through the analyzer's cached dVth(t)
   /// table (exact back-node hit — bitwise the gate_dvth values; see
   /// VariationParams::use_dvth_table).

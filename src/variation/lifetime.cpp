@@ -81,8 +81,8 @@ LifetimeResult lifetime_distribution(const aging::AgingAnalyzer& analyzer,
   result.lifetimes.resize(params.samples);
 
   // Samples are independent streams writing disjoint slots: bit-identical
-  // for every n_threads.
-  common::parallel_for(params.samples, params.n_threads, [&](int s) {
+  // for every thread count.
+  common::parallel_for(params.samples, [&](int s) {
     std::mt19937_64 rng(common::stream_seed(params.seed, s));
     std::normal_distribution<double> gauss(0.0, params.sigma_vth);
     std::vector<double> offsets(nl.num_gates());

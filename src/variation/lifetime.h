@@ -26,10 +26,6 @@ struct LifetimeParams {
   std::uint64_t seed = 42;
   double max_time = 9.5e8;           ///< analysis horizon (~30 years) [s]
   int time_grid_points = 40;         ///< nominal dVth(t) grid resolution
-  /// Worker threads for per-sample bisection; 0 = hardware concurrency.
-  /// Per-sample SplitMix64 streams make the result bit-identical for every
-  /// value (same contract as AgingConditions::n_threads).
-  int n_threads = 0;
   /// Sample the nominal dVth(t) grid from the analyzer's cached interpolated
   /// table (AgingAnalyzer::dvth_table) instead of one exact gate_dvth
   /// evaluation per grid point.  Interpolation error is bounded by

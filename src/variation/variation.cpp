@@ -63,10 +63,10 @@ DelayDistribution MonteCarloAging::fresh_distribution() const {
   const double sens = lp.pmos.alpha / (lp.vdd - lp.pmos.vth0);
 
   // Samples are independent streams writing disjoint slots: bit-identical
-  // for every n_threads.
+  // for every thread count.
   DelayDistribution dist;
   dist.delays.resize(params_.samples);
-  common::parallel_for(params_.samples, params_.n_threads, [&](int s) {
+  common::parallel_for(params_.samples, [&](int s) {
     const std::vector<double> offsets = sample_offsets(s);
     std::vector<double> delays(fresh.size());
     for (std::size_t g = 0; g < fresh.size(); ++g) {
@@ -101,7 +101,7 @@ DelayDistribution MonteCarloAging::aged_distribution(
 
   DelayDistribution dist;
   dist.delays.resize(params_.samples);
-  common::parallel_for(params_.samples, params_.n_threads, [&](int s) {
+  common::parallel_for(params_.samples, [&](int s) {
     const std::vector<double> offsets = sample_offsets(s);
     std::vector<double> delays(fresh.size());
     for (std::size_t g = 0; g < fresh.size(); ++g) {

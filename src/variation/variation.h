@@ -24,11 +24,6 @@ struct VariationParams {
   double sigma_vth = 0.015;  ///< per-gate Vth standard deviation [V]
   int samples = 500;
   std::uint64_t seed = 42;
-  /// Worker threads for per-sample evaluation; 0 = hardware concurrency.
-  /// Every sample owns an independent SplitMix64-decorrelated RNG stream,
-  /// so results are bit-identical for every value — purely a speed knob
-  /// (same contract as AgingConditions::n_threads).
-  int n_threads = 0;
   /// Fetch the nominal dVth through the analyzer's cached dVth(t) table.
   /// The horizon is the table's back node — an exact grid point — so the
   /// values are bitwise the gate_dvth result; the point is sharing one

@@ -181,7 +181,6 @@ TEST_F(AgingTest, StressDescriptorsBuildOncePerPolicy) {
 
   variation::LifetimeParams lt;
   lt.samples = 8;
-  lt.n_threads = 1;
   const variation::LifetimeResult mc =
       variation::lifetime_distribution(an, StandbyPolicy::all_stressed(), lt);
   ASSERT_EQ(mc.lifetimes.size(), 8u);

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -16,6 +17,7 @@
 
 #include "campaign/spec.h"
 #include "campaign/store.h"
+#include "common/pool.h"
 #include "report/report.h"
 
 namespace nbtisim::campaign {
@@ -373,6 +375,31 @@ TEST_F(CampaignRunTest, BitIdenticalAcrossThreadCounts) {
   EXPECT_EQ(read_file(path), read_file(path_serial_));
 }
 
+// Two campaigns on two threads, one serial and one 4 wide, each write the
+// serial bytes, and neither leaves its width behind on its thread.
+TEST_F(CampaignRunTest, ConcurrentCampaignsKeepTheirThreadCounts) {
+  CampaignSpec wide = *spec_;
+  wide.n_threads = 4;
+  const std::string path_a = temp_path("campaign_conc_serial.jsonl");
+  const std::string path_b = temp_path("campaign_conc_wide.jsonl");
+  int after_a = 0;
+  int after_b = 0;
+  std::thread ta([&] {
+    run_campaign(*spec_, path_a);
+    after_a = common::ThreadBudget::current();
+  });
+  std::thread tb([&] {
+    run_campaign(wide, path_b);
+    after_b = common::ThreadBudget::current();
+  });
+  ta.join();
+  tb.join();
+  EXPECT_EQ(read_file(path_a), read_file(path_serial_));
+  EXPECT_EQ(read_file(path_b), read_file(path_serial_));
+  EXPECT_EQ(after_a, common::resolve_threads(0));
+  EXPECT_EQ(after_b, common::resolve_threads(0));
+}
+
 TEST_F(CampaignRunTest, RerunSkipsEverythingAndLeavesFileUntouched) {
   const std::string before = read_file(path_serial_);
   const RunStats stats = run_campaign(*spec_, path_serial_);
@@ -588,6 +615,42 @@ TEST_F(ShardedCampaignTest, ResumesAcrossShardLayoutChange) {
   EXPECT_EQ(stats.skipped, 8);
   const report::Table t = summarize(narrower, path);
   EXPECT_EQ(t.rows.size(), 8u);
+}
+
+// A serial campaign keeps every inner engine loop on the calling thread: no
+// other thread may burn CPU while it runs. (When n_threads = 1 serialized
+// only the task loop, the analyses' inner loops fanned out over every core
+// and this ratio sat near 2 on a 4-core host.)
+TEST(CampaignThreadTest, SerialCampaignThreadCountOneStaysOnCaller) {
+#ifndef RUSAGE_THREAD
+  GTEST_SKIP() << "needs per-thread CPU accounting (RUSAGE_THREAD)";
+#else
+  const auto cpu_s = [](int who) {
+    rusage ru{};
+    getrusage(who, &ru);
+    return static_cast<double>(ru.ru_utime.tv_sec + ru.ru_stime.tv_sec) +
+           1e-6 * static_cast<double>(ru.ru_utime.tv_usec +
+                                      ru.ru_stime.tv_usec);
+  };
+  const CampaignSpec spec = spec_from_json(common::json::parse(R"({
+    "name": "serial_cpu",
+    "netlists": ["c432"],
+    "conditions": [{"ras": "1:9", "t_active": 400, "t_standby": 330}],
+    "analyses": ["aging", "lifetime", "derate", "ivc", "criticality"],
+    "params": {"sp_vectors": 8192, "samples": 200, "seed": 7},
+    "n_threads": 1,
+    "shards": 1
+  })"));
+  const std::string path = temp_path("campaign_serial_cpu.jsonl");
+  const double process0 = cpu_s(RUSAGE_SELF);
+  const double caller0 = cpu_s(RUSAGE_THREAD);
+  EXPECT_EQ(run_campaign(spec, path).executed, 5);
+  const double caller = cpu_s(RUSAGE_THREAD) - caller0;
+  const double others = cpu_s(RUSAGE_SELF) - process0 - caller;
+  EXPECT_GT(caller, 0.0);
+  EXPECT_LE(others, 0.05 * caller + 0.01)
+      << "caller " << caller << " s, other threads " << others << " s";
+#endif
 }
 
 // Two campaigns running at once share the process-wide pool; each must

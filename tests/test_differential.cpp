@@ -3,10 +3,11 @@
 // electrothermal sweeps, the SoA degradation kernel and the interpolated
 // dVth(t) tables) property-tested against the deliberately naive reference
 // evaluators — support/reference.h and the per-device scalar model — across
-// random dag: netlists, seeds, temperatures, duty cycles, thread counts and
-// horizons.  Kernel comparisons are exact (double ==): the optimized paths
-// are bit-identical to brute force by construction, and these tests are what
-// enforce that contract.  Table comparisons are bounded by the documented
+// random dag: netlists, seeds, temperatures, duty cycles, standby policies,
+// thread counts (common::ThreadBudget scopes) and horizons.  Kernel
+// comparisons are exact (double ==): the optimized paths are bit-identical
+// to brute force by construction, and these tests are what enforce that
+// contract.  Table comparisons are bounded by the documented
 // interpolation tolerance (see nbti/dvth_table.h).
 
 #include <cmath>
@@ -19,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include "aging/failure.h"
+#include "common/pool.h"
 #include "nbti/dvth_table.h"
 #include "nbti/rd_kernel.h"
 #include "netlist/generators.h"
@@ -131,29 +133,23 @@ TEST(DifferentialTest, SizeForLifetimeMatchesReferenceAcrossThreadCounts) {
     const netlist::Netlist nl = random_dag(12, 80, seed);
     const aging::AgingAnalyzer an(nl, lib, fast_conditions());
     const aging::StandbyPolicy policy = aging::StandbyPolicy::all_stressed();
-    const opt::SizingParams base{.spec_margin_percent = 1.0, .size_step = 0.5,
-                                 .max_moves = 30};
+    const opt::SizingParams params{.spec_margin_percent = 1.0,
+                                   .size_step = 0.5, .max_moves = 30};
 
     const opt::SizingResult want =
-        testsupport::reference_size_for_lifetime(an, policy, base);
+        testsupport::reference_size_for_lifetime(an, policy, params);
     EXPECT_GT(want.moves, 0);  // the comparison must exercise the loop
     for (int n_threads : {1, 2, 8}) {
-      for (bool incremental : {true, false}) {
-        SCOPED_TRACE(::testing::Message() << "n_threads=" << n_threads
-                                          << " incremental=" << incremental);
-        opt::SizingParams params = base;
-        params.n_threads = n_threads;
-        params.incremental = incremental;
-        const opt::SizingResult got =
-            opt::size_for_lifetime(an, policy, params);
-        EXPECT_EQ(got.sizes, want.sizes);
-        EXPECT_EQ(got.moves, want.moves);
-        EXPECT_EQ(got.met, want.met);
-        EXPECT_EQ(got.fresh_delay, want.fresh_delay);
-        EXPECT_EQ(got.spec, want.spec);
-        EXPECT_EQ(got.aged_before, want.aged_before);
-        EXPECT_EQ(got.aged_after, want.aged_after);
-      }
+      SCOPED_TRACE(::testing::Message() << "n_threads=" << n_threads);
+      const common::ThreadBudget budget(n_threads);
+      const opt::SizingResult got = opt::size_for_lifetime(an, policy, params);
+      EXPECT_EQ(got.sizes, want.sizes);
+      EXPECT_EQ(got.moves, want.moves);
+      EXPECT_EQ(got.met, want.met);
+      EXPECT_EQ(got.fresh_delay, want.fresh_delay);
+      EXPECT_EQ(got.spec, want.spec);
+      EXPECT_EQ(got.aged_before, want.aged_before);
+      EXPECT_EQ(got.aged_after, want.aged_after);
     }
   }
 }
@@ -171,8 +167,8 @@ TEST(DifferentialTest, DerateTableMatchesPerCellReference) {
         testsupport::reference_derate_table(an, years);
     for (int n_threads : {1, 2, 8}) {
       SCOPED_TRACE(::testing::Message() << "n_threads=" << n_threads);
-      const report::DerateTable got =
-          report::aging_derate_table(an, years, n_threads);
+      const common::ThreadBudget budget(n_threads);
+      const report::DerateTable got = report::aging_derate_table(an, years);
       EXPECT_EQ(got.years, want.years);
       EXPECT_EQ(got.policy_names, want.policy_names);
       ASSERT_EQ(got.factors.size(), want.factors.size());
@@ -196,9 +192,9 @@ TEST(DifferentialTest, ElectrothermalSweepMatchesSerialReference) {
                                               params);
   for (int n_threads : {1, 2, 8}) {
     SCOPED_TRACE(::testing::Message() << "n_threads=" << n_threads);
+    const common::ThreadBudget budget(n_threads);
     const std::vector<thermal::OperatingPoint> got =
-        thermal::solve_operating_points(nl, lib, model, zeros, powers, params,
-                                        n_threads);
+        thermal::solve_operating_points(nl, lib, model, zeros, powers, params);
     ASSERT_EQ(got.size(), want.size());
     for (std::size_t i = 0; i < want.size(); ++i) {
       SCOPED_TRACE(::testing::Message() << "power " << powers[i]);
@@ -212,6 +208,8 @@ TEST(DifferentialTest, ElectrothermalSweepMatchesSerialReference) {
 
 // --- SoA kernel vs scalar device model ------------------------------------
 
+// gate_dvth (stress contexts + RdKernel) against reference_gate_dvth (a
+// fresh DeviceStress and one one-shot scalar delta_vth per PMOS).
 TEST(DifferentialTest, SoaKernelGateDvthMatchesScalarAcrossRandomCases) {
   const tech::Library lib;
   std::mt19937_64 rng(2026);
@@ -240,20 +238,30 @@ TEST(DifferentialTest, SoaKernelGateDvthMatchesScalarAcrossRandomCases) {
     // scalar fixup path and still match bitwise.
     const bool exact = rep % 3 == 2;
     if (exact) cond.method = nbti::AcEvalMethod::ExactRecursion;
-    aging::AgingConditions scalar_cond = cond;
-    cond.use_soa_kernel = true;
-    scalar_cond.use_soa_kernel = false;
-    const aging::AgingAnalyzer soa(nl, lib, cond);
-    const aging::AgingAnalyzer ref(nl, lib, scalar_cond);
+    const aging::AgingAnalyzer an(nl, lib, cond);
 
-    std::vector<bool> standby_vec(nl.num_inputs());
-    for (std::size_t i = 0; i < standby_vec.size(); ++i) {
-      standby_vec[i] = u(rng) < 0.5;
+    const auto random_vector = [&] {
+      std::vector<bool> v(nl.num_inputs());
+      for (std::size_t i = 0; i < v.size(); ++i) v[i] = u(rng) < 0.5;
+      return v;
+    };
+    const std::vector<bool> standby_vec = random_vector();
+    // Control points on two random gate outputs; the forced values
+    // propagate downstream through the standby simulation.
+    aging::StandbyPolicy forced = aging::StandbyPolicy::from_vector(
+        random_vector());
+    for (int f = 0; f < 2; ++f) {
+      const int gi = static_cast<int>(
+          rng() % static_cast<std::uint64_t>(nl.num_gates()));
+      forced.forces.emplace_back(nl.gate(gi).output, u(rng) < 0.5);
     }
+    aging::StandbyPolicy rotating = aging::StandbyPolicy::rotating(
+        {random_vector(), random_vector(), random_vector()});
+    rotating.forces = forced.forces;
     const std::vector<aging::StandbyPolicy> policies = {
         aging::StandbyPolicy::all_stressed(),
         aging::StandbyPolicy::all_relaxed(),
-        aging::StandbyPolicy::from_vector(standby_vec)};
+        aging::StandbyPolicy::from_vector(standby_vec), forced, rotating};
 
     // Horizons span t = 0, the exact-recursion head (small cycle counts) and
     // the telescoped tail; recursion cases stay below 1e7 s to keep the
@@ -269,8 +277,9 @@ TEST(DifferentialTest, SoaKernelGateDvthMatchesScalarAcrossRandomCases) {
         SCOPED_TRACE(::testing::Message()
                      << "rep=" << rep << " policy=" << p << " t=" << t
                      << (exact ? " exact" : " closed"));
-        const std::vector<double> got = soa.gate_dvth(policies[p], t);
-        const std::vector<double> want = ref.gate_dvth(policies[p], t);
+        const std::vector<double> got = an.gate_dvth(policies[p], t);
+        const std::vector<double> want =
+            testsupport::reference_gate_dvth(an, policies[p], t);
         ASSERT_EQ(got.size(), want.size());
         for (std::size_t g = 0; g < want.size(); ++g) {
           ASSERT_EQ(got[g], want[g]) << "gate " << g;
@@ -401,7 +410,6 @@ TEST(DifferentialTest, TableBackedFailureKeepsMttfDecisions) {
   const aging::StandbyPolicy policy = aging::StandbyPolicy::all_stressed();
   aging::FailureParams fp;
   fp.time_points = 16;
-  fp.n_threads = 1;
   const aging::FailureReport want = aging::analyze_failure(an, policy, fp);
 
   fp.use_dvth_table = true;

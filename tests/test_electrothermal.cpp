@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/pool.h"
 #include "netlist/generators.h"
 
 namespace nbtisim::thermal {
@@ -89,8 +90,9 @@ TEST_F(ElectrothermalTest, SweepMatchesCellwiseSolvesBitIdentically) {
     want.push_back(solve_operating_point(c432_, lib_, model_, zeros_, cell));
   }
   for (int n_threads : {1, 2, 8}) {
-    const std::vector<OperatingPoint> sweep = solve_operating_points(
-        c432_, lib_, model_, zeros_, powers, params, n_threads);
+    const common::ThreadBudget budget(n_threads);
+    const std::vector<OperatingPoint> sweep =
+        solve_operating_points(c432_, lib_, model_, zeros_, powers, params);
     ASSERT_EQ(sweep.size(), powers.size());
     for (std::size_t i = 0; i < powers.size(); ++i) {
       EXPECT_EQ(sweep[i].temperature_k, want[i].temperature_k);

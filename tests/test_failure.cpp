@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
+#include "common/pool.h"
 #include "netlist/generators.h"
 #include "support/reference.h"
 #include "tech/units.h"
@@ -182,19 +184,42 @@ TEST_F(FailureSuiteTest, RejectsBadParameters) {
                std::invalid_argument);
 }
 
+TEST_F(FailureSuiteTest, RejectsNonFiniteOrNegativePbtiRatio) {
+  // Regression: a NaN ratio used to fail the kernel branch's ratio >= 0
+  // test and fall through to a scalar loop whose std::max(0.0, NaN) kept 0,
+  // so PBTI silently never failed.
+  const aging::StandbyPolicy policy = aging::StandbyPolicy::all_stressed();
+  for (double ratio : {std::nan(""), HUGE_VAL, -0.1}) {
+    SCOPED_TRACE(::testing::Message() << "ratio=" << ratio);
+    aging::FailureParams p = params_;
+    p.multi.pbti.ratio = ratio;
+    try {
+      aging::analyze_failure(*analyzer_, policy, p);
+      ADD_FAILURE() << "no exception";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("pbti.ratio"), std::string::npos)
+          << e.what();
+    }
+    // The ratio only matters while PBTI is part of the suite.
+    p.multi.enable_pbti = false;
+    EXPECT_NO_THROW(aging::analyze_failure(*analyzer_, policy, p));
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Determinism contract (picked up by the ctest "determinism" label).
 
 TEST_F(FailureSuiteTest, BitIdenticalAcrossThreadCounts) {
-  aging::FailureParams base = params_;
-  base.n_threads = 1;
-  const aging::FailureReport want = aging::analyze_failure(
-      *analyzer_, aging::StandbyPolicy::all_stressed(), base);
+  aging::FailureReport want;
+  {
+    const common::ThreadBudget one(1);
+    want = aging::analyze_failure(
+        *analyzer_, aging::StandbyPolicy::all_stressed(), params_);
+  }
   for (int n_threads : {2, 4, 8}) {
-    aging::FailureParams p = params_;
-    p.n_threads = n_threads;
+    const common::ThreadBudget budget(n_threads);
     const aging::FailureReport got = aging::analyze_failure(
-        *analyzer_, aging::StandbyPolicy::all_stressed(), p);
+        *analyzer_, aging::StandbyPolicy::all_stressed(), params_);
     ASSERT_EQ(got.mechanisms.size(), want.mechanisms.size());
     for (std::size_t mi = 0; mi < want.mechanisms.size(); ++mi) {
       EXPECT_EQ(got.mechanisms[mi].name, want.mechanisms[mi].name);

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/pool.h"
 #include "netlist/generators.h"
 
 namespace nbtisim::opt {
@@ -170,11 +171,14 @@ TEST_F(IvcTest, EvaluateIvcBitIdenticalAcrossThreadCounts) {
   // with per-index slots; the result must match the serial run exactly.
   const aging::AgingAnalyzer an(c432_, lib_, cond(330.0));
   const leakage::LeakageAnalyzer leak(c432_, lib_, 330.0);
-  MlvSearchParams p{.population = 32, .max_rounds = 8};
-  p.n_threads = 1;
-  const IvcResult serial = evaluate_ivc(an, leak, p, 8);
+  const MlvSearchParams p{.population = 32, .max_rounds = 8};
+  IvcResult serial;
+  {
+    const common::ThreadBudget one(1);
+    serial = evaluate_ivc(an, leak, p, 8);
+  }
   for (int n : {2, 8}) {
-    p.n_threads = n;
+    const common::ThreadBudget budget(n);
     const IvcResult r = evaluate_ivc(an, leak, p, 8);
     ASSERT_EQ(r.candidates.size(), serial.candidates.size()) << n;
     EXPECT_EQ(r.best_index, serial.best_index) << n;
@@ -193,11 +197,15 @@ TEST_F(IvcTest, EvaluateIvcBitIdenticalAcrossThreadCounts) {
 TEST_F(IvcTest, AlternatingIvcBitIdenticalAcrossThreadCounts) {
   const aging::AgingAnalyzer an(c432_, lib_, cond(400.0));
   const leakage::LeakageAnalyzer leak(c432_, lib_, 330.0);
-  MlvSearchParams p{.population = 32, .max_rounds = 8, .max_set_size = 6};
-  p.n_threads = 1;
-  const AlternatingIvcResult serial = evaluate_alternating_ivc(an, leak, p);
+  const MlvSearchParams p{.population = 32, .max_rounds = 8,
+                          .max_set_size = 6};
+  AlternatingIvcResult serial;
+  {
+    const common::ThreadBudget one(1);
+    serial = evaluate_alternating_ivc(an, leak, p);
+  }
   for (int n : {2, 8}) {
-    p.n_threads = n;
+    const common::ThreadBudget budget(n);
     const AlternatingIvcResult r = evaluate_alternating_ivc(an, leak, p);
     EXPECT_EQ(r.n_vectors, serial.n_vectors) << n;
     EXPECT_EQ(r.static_percent, serial.static_percent) << n;

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/pool.h"
 #include "netlist/generators.h"
 #include "tech/units.h"
 
@@ -99,12 +100,16 @@ TEST_F(LifetimeTest, DeterministicPerSeed) {
 }
 
 TEST_F(LifetimeTest, BitIdenticalAcrossThreadCounts) {
-  LifetimeParams p{.spec_margin_percent = 6.0, .samples = 40, .seed = 13};
-  p.n_threads = 1;
-  const LifetimeResult serial = lifetime_distribution(
-      *analyzer_, aging::StandbyPolicy::all_stressed(), p);
+  const LifetimeParams p{.spec_margin_percent = 6.0, .samples = 40,
+                         .seed = 13};
+  LifetimeResult serial;
+  {
+    const common::ThreadBudget one(1);
+    serial = lifetime_distribution(*analyzer_,
+                                   aging::StandbyPolicy::all_stressed(), p);
+  }
   for (int n : {2, 8}) {
-    p.n_threads = n;
+    const common::ThreadBudget budget(n);
     const LifetimeResult r = lifetime_distribution(
         *analyzer_, aging::StandbyPolicy::all_stressed(), p);
     EXPECT_EQ(r.lifetimes, serial.lifetimes) << n;

@@ -6,6 +6,7 @@
 
 #include <random>
 
+#include "common/pool.h"
 #include "netlist/generators.h"
 
 namespace nbtisim::opt {
@@ -92,18 +93,21 @@ TEST_F(MlvTest, BitIdenticalAcrossThreadCounts) {
   // search is bit-identical for any thread count.
   const netlist::Netlist nl = netlist::make_alu("alu", 4);
   const LeakageAnalyzer an(nl, lib_, 330.0);
-  MlvSearchParams p;
-  p.n_threads = 1;
-  const MlvResult serial = find_mlv_set(an, p);
-  const MlvResult serial_ex = find_mlv_exhaustive(an, 0.04, 24, 1);
+  const MlvSearchParams p;
+  MlvResult serial, serial_ex;
+  {
+    const common::ThreadBudget one(1);
+    serial = find_mlv_set(an, p);
+    serial_ex = find_mlv_exhaustive(an, 0.04, 24);
+  }
   for (int n : {2, 8}) {
-    p.n_threads = n;
+    const common::ThreadBudget budget(n);
     const MlvResult r = find_mlv_set(an, p);
     EXPECT_EQ(r.vectors, serial.vectors) << n;
     EXPECT_EQ(r.leakages, serial.leakages) << n;
     EXPECT_EQ(r.rounds, serial.rounds) << n;
     EXPECT_EQ(r.converged, serial.converged) << n;
-    const MlvResult ex = find_mlv_exhaustive(an, 0.04, 24, n);
+    const MlvResult ex = find_mlv_exhaustive(an, 0.04, 24);
     EXPECT_EQ(ex.vectors, serial_ex.vectors) << n;
     EXPECT_EQ(ex.leakages, serial_ex.leakages) << n;
   }

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "netlist/generators.h"
 #include "tech/units.h"
@@ -249,6 +250,26 @@ TEST_F(MultiMechanismTest, HigherClockAgesFaster) {
       *analyzer_, aging::StandbyPolicy::all_stressed(),
       {.enable_pbti = false, .clock_hz = 4e9});
   EXPECT_GT(fast.aged_delay, slow.aged_delay);
+}
+
+TEST_F(MultiMechanismTest, RejectsNonFiniteOrNegativePbtiRatio) {
+  // Regression: std::max(0.0, NaN * dVth) kept 0, so a NaN ratio dropped
+  // PBTI from the report without a word.
+  const aging::StandbyPolicy policy = aging::StandbyPolicy::all_stressed();
+  for (double ratio : {std::nan(""), HUGE_VAL, -0.1}) {
+    SCOPED_TRACE(::testing::Message() << "ratio=" << ratio);
+    aging::MultiAgingParams p;
+    p.pbti.ratio = ratio;
+    try {
+      aging::analyze_multi_mechanism(*analyzer_, policy, p);
+      ADD_FAILURE() << "no exception";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("pbti.ratio"), std::string::npos)
+          << e.what();
+    }
+    p.enable_pbti = false;
+    EXPECT_NO_THROW(aging::analyze_multi_mechanism(*analyzer_, policy, p));
+  }
 }
 
 }  // namespace

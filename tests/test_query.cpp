@@ -421,6 +421,8 @@ TEST(QueryTest, BitIdenticalAcrossThreadCounts) {
       EXPECT_EQ(run_query(view, q, threads).to_json(), baseline)
           << text << " threads=" << threads;
     }
+    // A negative count is rejected, not read as "use the hardware".
+    EXPECT_THROW(run_query(view, q, -1), std::invalid_argument) << text;
   }
   remove_store(path);
 }

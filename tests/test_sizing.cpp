@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include "common/pool.h"
 #include "netlist/generators.h"
+#include "support/reference.h"
 
 namespace nbtisim::opt {
 namespace {
@@ -85,37 +87,43 @@ TEST_F(SizingTest, RelaxedPolicyNeedsLessWork) {
 }
 
 TEST_F(SizingTest, BitIdenticalAcrossThreadCountsAndEvalPaths) {
-  const SizingParams base{.spec_margin_percent = 4.0, .size_step = 0.5,
-                          .max_moves = 150, .n_threads = 1};
-  const SizingResult want = size_for_lifetime(
-      *analyzer_, aging::StandbyPolicy::all_stressed(), base);
+  // The production loop at every thread count, and the full-rebuild oracle,
+  // must agree bit for bit.
+  const SizingParams params{.spec_margin_percent = 4.0, .size_step = 0.5,
+                            .max_moves = 150};
+  const aging::StandbyPolicy policy = aging::StandbyPolicy::all_stressed();
+  SizingResult want;
+  {
+    const common::ThreadBudget one(1);
+    want = size_for_lifetime(*analyzer_, policy, params);
+  }
   EXPECT_GT(want.moves, 0);
   for (int n_threads : {2, 8}) {
-    for (bool incremental : {true, false}) {
-      SizingParams params = base;
-      params.n_threads = n_threads;
-      params.incremental = incremental;
-      const SizingResult got = size_for_lifetime(
-          *analyzer_, aging::StandbyPolicy::all_stressed(), params);
-      EXPECT_EQ(got.sizes, want.sizes)
-          << "n_threads=" << n_threads << " incremental=" << incremental;
-      EXPECT_EQ(got.moves, want.moves);
-      EXPECT_EQ(got.aged_after, want.aged_after);
-      EXPECT_EQ(got.met, want.met);
-    }
+    const common::ThreadBudget budget(n_threads);
+    const SizingResult got = size_for_lifetime(*analyzer_, policy, params);
+    EXPECT_EQ(got.sizes, want.sizes) << "n_threads=" << n_threads;
+    EXPECT_EQ(got.moves, want.moves);
+    EXPECT_EQ(got.aged_after, want.aged_after);
+    EXPECT_EQ(got.met, want.met);
   }
+  const SizingResult oracle =
+      testsupport::reference_size_for_lifetime(*analyzer_, policy, params);
+  EXPECT_EQ(oracle.sizes, want.sizes);
+  EXPECT_EQ(oracle.moves, want.moves);
+  EXPECT_EQ(oracle.aged_after, want.aged_after);
+  EXPECT_EQ(oracle.met, want.met);
 }
 
 TEST_F(SizingTest, IncrementalMatchesFullRebuild) {
-  const SizingParams full{.spec_margin_percent = 3.0, .size_step = 0.5,
-                          .max_moves = 200, .n_threads = 1,
-                          .incremental = false};
-  SizingParams inc = full;
-  inc.incremental = true;
-  const SizingResult a = size_for_lifetime(
-      *analyzer_, aging::StandbyPolicy::all_stressed(), full);
-  const SizingResult b = size_for_lifetime(
-      *analyzer_, aging::StandbyPolicy::all_stressed(), inc);
+  // Patched-delay trials vs the oracle's full delay rebuild + full STA per
+  // trial (tests/support/reference.h).
+  const SizingParams params{.spec_margin_percent = 3.0, .size_step = 0.5,
+                            .max_moves = 200};
+  const aging::StandbyPolicy policy = aging::StandbyPolicy::all_stressed();
+  const SizingResult a =
+      testsupport::reference_size_for_lifetime(*analyzer_, policy, params);
+  const SizingResult b = size_for_lifetime(*analyzer_, policy, params);
+  EXPECT_GT(a.moves, 0);
   EXPECT_EQ(a.sizes, b.sizes);
   EXPECT_EQ(a.moves, b.moves);
   EXPECT_EQ(a.aged_after, b.aged_after);
@@ -182,15 +190,17 @@ TEST(SizingTieBreakTest, IdenticalGainRatiosPickSameGateAtEveryThreadCount) {
   ASSERT_GT(trial0, trial2);
 
   // The fold breaks the tie serially in path order, so every thread count
-  // and both evaluation paths must pick gate 2, never gate 4.
+  // and the full-rebuild oracle must pick gate 2, never gate 4.
+  const SizingParams params{.spec_margin_percent = 0.5, .size_step = 0.5,
+                            .max_moves = 1};
   for (int n_threads : {1, 2, 8}) {
-    for (bool incremental : {true, false}) {
-      const SizingResult r = size_for_lifetime(
-          an, policy,
-          {.spec_margin_percent = 0.5, .size_step = 0.5, .max_moves = 1,
-           .n_threads = n_threads, .incremental = incremental});
+    for (bool oracle : {false, true}) {
+      const common::ThreadBudget budget(n_threads);
+      const SizingResult r =
+          oracle ? testsupport::reference_size_for_lifetime(an, policy, params)
+                 : size_for_lifetime(an, policy, params);
       SCOPED_TRACE(::testing::Message() << "n_threads=" << n_threads
-                                        << " incremental=" << incremental);
+                                        << " oracle=" << oracle);
       ASSERT_EQ(r.moves, 1);
       EXPECT_EQ(r.sizes[2], 1.5);
       EXPECT_EQ(r.sizes[4], 1.0);

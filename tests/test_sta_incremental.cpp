@@ -334,8 +334,7 @@ TEST_F(MultiPathSizingTest, WindowModeDifferentialAgainstClassicLoop) {
   const aging::StandbyPolicy policy = aging::StandbyPolicy::all_stressed();
   const opt::SizingParams classic{.spec_margin_percent = 3.0,
                                   .size_step = 0.5,
-                                  .max_moves = 400,
-                                  .n_threads = 1};
+                                  .max_moves = 400};
   const opt::SizingResult ref =
       testsupport::reference_size_for_lifetime(*analyzer_, policy, classic);
   ASSERT_TRUE(ref.met);
@@ -364,7 +363,7 @@ TEST_F(MultiPathSizingTest, SingleMoveRoundsStillMeetSpec) {
   const opt::SizingResult r = opt::size_for_lifetime(
       *analyzer_, aging::StandbyPolicy::all_stressed(),
       {.spec_margin_percent = 3.0, .size_step = 0.5, .max_moves = 400,
-       .n_threads = 1, .slack_window_percent = 2.0, .moves_per_round = 1});
+       .slack_window_percent = 2.0, .moves_per_round = 1});
   EXPECT_TRUE(r.met);
   EXPECT_EQ(r.moves, r.rounds);
   EXPECT_LT(r.aged_after, r.aged_before);

@@ -6,6 +6,7 @@
 
 #include <cmath>
 
+#include "common/pool.h"
 #include "netlist/generators.h"
 #include "tech/units.h"
 
@@ -58,16 +59,18 @@ TEST_F(VariationTest, QuantileMidBucketInterpolation) {
 
 TEST_F(VariationTest, BitIdenticalAcrossThreadCounts) {
   // The parallel fan-out is purely a speed knob: per-sample SplitMix64
-  // streams land in disjoint slots, so any n_threads gives the serial bits.
-  VariationParams p{.sigma_vth = 0.012, .samples = 60, .seed = 5};
-  p.n_threads = 1;
-  const MonteCarloAging serial(*analyzer_, p);
-  const DelayDistribution fresh1 = serial.fresh_distribution();
-  const DelayDistribution aged1 =
-      serial.aged_distribution(aging::StandbyPolicy::all_stressed(), 1e8);
+  // streams land in disjoint slots, so any thread count gives the serial
+  // bits.
+  const VariationParams p{.sigma_vth = 0.012, .samples = 60, .seed = 5};
+  const MonteCarloAging mc(*analyzer_, p);
+  DelayDistribution fresh1, aged1;
+  {
+    const common::ThreadBudget one(1);
+    fresh1 = mc.fresh_distribution();
+    aged1 = mc.aged_distribution(aging::StandbyPolicy::all_stressed(), 1e8);
+  }
   for (int n : {2, 8}) {
-    p.n_threads = n;
-    const MonteCarloAging mc(*analyzer_, p);
+    const common::ThreadBudget budget(n);
     EXPECT_EQ(mc.fresh_distribution().delays, fresh1.delays) << n;
     EXPECT_EQ(
         mc.aged_distribution(aging::StandbyPolicy::all_stressed(), 1e8).delays,

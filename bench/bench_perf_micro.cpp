@@ -1193,7 +1193,6 @@ AgingCase case_thermal_sweep(const netlist::Netlist& nl,
 
   AgingCase c{"thermal_sweep_16pt", nl.name(), 0, 0, false};
   std::vector<thermal::OperatingPoint> serial, parallel;
-  // One repeat: each leg re-characterizes 16 x ~5 LeakageTables already.
   c.serial_ms = time_ms_at(
       1,
       [&] {

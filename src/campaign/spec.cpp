@@ -1,7 +1,10 @@
 #include "campaign/spec.h"
 
+#include <cmath>
 #include <cstdio>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 namespace nbtisim::campaign {
 namespace {
@@ -16,15 +19,21 @@ Condition condition_from_json(const common::json::Value& doc) {
     }
     c.ras_active = std::strtod(v.substr(0, colon).c_str(), nullptr);
     c.ras_standby = std::strtod(v.substr(colon + 1).c_str(), nullptr);
-    if (c.ras_active <= 0.0 || c.ras_standby < 0.0) {
+    if (!std::isfinite(c.ras_active) || !std::isfinite(c.ras_standby) ||
+        c.ras_active <= 0.0 || c.ras_standby < 0.0) {
       throw std::invalid_argument("campaign: bad \"ras\" value " + v);
     }
   }
   c.t_active = doc.number_or("t_active", c.t_active);
   c.t_standby = doc.number_or("t_standby", c.t_standby);
   c.years = doc.number_or("years", c.years);
-  if (c.t_active <= 0.0 || c.t_standby <= 0.0 || c.years <= 0.0) {
-    throw std::invalid_argument("campaign: condition values must be positive");
+  for (const auto& [name, value] : {std::pair{"t_active", c.t_active},
+                                    std::pair{"t_standby", c.t_standby},
+                                    std::pair{"years", c.years}}) {
+    if (!std::isfinite(value) || value <= 0.0) {
+      throw std::invalid_argument(std::string("campaign: condition \"") +
+                                  name + "\" must be finite and positive");
+    }
   }
   return c;
 }

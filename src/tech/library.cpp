@@ -329,6 +329,12 @@ Library::Unateness Library::unateness(CellId id) const {
 LeakageTable::LeakageTable(const Library& lib, double temp_k,
                            double vth_offset)
     : temp_k_(temp_k), vth_offset_(vth_offset) {
+  if (!std::isfinite(temp_k) || temp_k <= 0.0) {
+    throw std::invalid_argument("LeakageTable: temp_k must be finite and > 0");
+  }
+  if (!std::isfinite(vth_offset)) {
+    throw std::invalid_argument("LeakageTable: vth_offset must be finite");
+  }
   table_.resize(lib.num_cells());
   for (CellId id = 0; id < lib.num_cells(); ++id) {
     const int pins = lib.cell(id).num_pins();

@@ -127,6 +127,8 @@ class LeakageTable {
  public:
   /// \param vth_offset builds the table for a Vth-shifted (e.g. high-Vth)
   ///        variant of every cell
+  /// \throws std::invalid_argument for a non-finite or non-positive
+  ///         \p temp_k or a non-finite \p vth_offset
   explicit LeakageTable(const Library& lib, double temp_k,
                         double vth_offset = 0.0);
 

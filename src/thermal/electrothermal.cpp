@@ -19,8 +19,6 @@ OperatingPoint solve_operating_point(const netlist::Netlist& nl,
   }
 
   auto leakage_watts = [&](double temp_k) {
-    // Characterizing a LeakageTable per iterate is the dominant cost; the
-    // fixpoint needs only a handful of iterations.
     const leakage::LeakageAnalyzer analyzer(nl, lib, temp_k);
     return analyzer.circuit_leakage(standby_vector) * params.supply_v *
            params.replication;
@@ -43,9 +41,6 @@ OperatingPoint solve_operating_point(const netlist::Netlist& nl,
       return op;
     }
     if (std::abs(next - temp) < params.tolerance_k) {
-      // p_leak was characterized at temp, which agrees with next within
-      // tolerance_k — re-characterizing a whole LeakageTable at next would
-      // double the cost of the final iteration for a sub-tolerance delta.
       op.temperature_k = next;
       op.leakage_w = p_leak;
       op.converged = true;

@@ -4,7 +4,8 @@
 /// Each function here recomputes a result the slow, obvious way — one
 /// scalar device-model call per PMOS per horizon, full delay rebuild + full
 /// STA per sizing trial, a fresh analyze() per derate cell, a serial loop
-/// per electrothermal sweep — and serves as the oracle that
+/// per electrothermal sweep, a nested bisection per stacked OFF device —
+/// and serves as the oracle that
 /// tests/test_differential.cpp property-tests the optimized engines against
 /// across random netlists, seeds, thread counts and horizons.  Keep them
 /// boring: no caching, no incremental updates, no parallelism.  The one
@@ -17,6 +18,8 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <span>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -29,6 +32,8 @@
 #include "opt/sizing.h"
 #include "report/derate.h"
 #include "report/report.h"
+#include "tech/device.h"
+#include "tech/stack.h"
 #include "tech/units.h"
 #include "thermal/electrothermal.h"
 
@@ -423,6 +428,80 @@ inline std::vector<thermal::OperatingPoint> reference_operating_points(
         thermal::solve_operating_point(nl, lib, model, standby_vector, cell));
   }
   return points;
+}
+
+// ---------------------------------------------------------------------------
+// Nested-bisection stack solve: one 60-step bisection per stacked OFF
+// device, each trial of which re-solves the whole chain above it —
+// 60^(k-1) device evaluations for k OFF devices.
+
+namespace refstack_detail {
+
+constexpr int kBisectIters = 60;
+
+inline double off_device_current(const tech::DeviceParams& p,
+                                 const tech::StackDevice& d, double vs,
+                                 double vd, double temp_k) {
+  const double vds = vd - vs;
+  if (vds <= 0.0) return 0.0;
+  return tech::subthreshold_current(p, d.width, -vs, vds, /*vsb=*/vs, temp_k,
+                                    d.delta_vth);
+}
+
+inline double solve_chain(const tech::DeviceParams& p,
+                          std::span<const tech::StackDevice> devs,
+                          double v_bottom, double v_top, double temp_k,
+                          std::vector<double>* nodes) {
+  if (devs.size() == 1) {
+    return off_device_current(p, devs[0], v_bottom, v_top, temp_k);
+  }
+  // Find the voltage of the node above devs[0] by current continuity.
+  double lo = v_bottom, hi = v_top;
+  double i_bottom = 0.0;
+  std::vector<double> upper_nodes;
+  for (int it = 0; it < kBisectIters; ++it) {
+    const double mid = 0.5 * (lo + hi);
+    i_bottom = off_device_current(p, devs[0], v_bottom, mid, temp_k);
+    upper_nodes.clear();
+    const double i_upper =
+        solve_chain(p, devs.subspan(1), mid, v_top, temp_k, &upper_nodes);
+    // i_bottom grows and i_upper shrinks as mid rises.
+    if (i_bottom > i_upper) {
+      hi = mid;
+    } else {
+      lo = mid;
+    }
+  }
+  const double v_node = 0.5 * (lo + hi);
+  if (nodes != nullptr) {
+    nodes->push_back(v_node);
+    nodes->insert(nodes->end(), upper_nodes.begin(), upper_nodes.end());
+  }
+  return off_device_current(p, devs[0], v_bottom, v_node, temp_k);
+}
+
+}  // namespace refstack_detail
+
+/// The oracle for tech::solve_stack: same interface and ON-device collapse,
+/// with the chain solved by nested bisection.
+inline tech::StackSolution reference_solve_stack(
+    const tech::DeviceParams& params,
+    const std::vector<tech::StackDevice>& devices, double vout, double vdd,
+    double temp_k) {
+  if (devices.empty()) throw std::invalid_argument("solve_stack: empty stack");
+  if (vout < 0.0 || vdd <= 0.0) {
+    throw std::invalid_argument("solve_stack: negative rail voltage");
+  }
+  std::vector<tech::StackDevice> off;
+  off.reserve(devices.size());
+  for (const tech::StackDevice& d : devices) {
+    if (!d.gate_on) off.push_back(d);
+  }
+  tech::StackSolution sol;
+  if (off.empty()) return sol;
+  sol.current = refstack_detail::solve_chain(params, off, 0.0, vout, temp_k,
+                                             &sol.node_voltages);
+  return sol;
 }
 
 // ---------------------------------------------------------------------------

@@ -111,6 +111,23 @@ TEST(CampaignSpecTest, RejectsBadSpecs) {
       std::invalid_argument);  // out-of-range param
 }
 
+// The JSON layer reads NaN/Infinity; a NaN t_standby used to get past the
+// "<= 0" checks and store an ivc row with a NaN best-MLV leakage.
+TEST(CampaignSpecTest, RejectsNonFiniteConditions) {
+  for (const char* cond :
+       {R"({"t_standby": NaN})", R"({"t_standby": Infinity})",
+        R"({"t_active": NaN})", R"({"t_active": -Infinity})",
+        R"({"years": NaN})", R"({"years": Infinity})",
+        R"({"ras": "nan:1"})", R"({"ras": "1:inf"})"}) {
+    SCOPED_TRACE(cond);
+    EXPECT_THROW(spec_from_json(common::json::parse(
+                     std::string(R"({"netlists": ["c432"], )") +
+                     R"("analyses": ["ivc"], "conditions": [)" + cond +
+                     "]}")),
+                 std::invalid_argument);
+  }
+}
+
 TEST(CampaignSpecTest, ExpandBuildsTheFullGridWithStableHashes) {
   const CampaignSpec spec = tiny_spec();
   const std::vector<Task> grid = expand(spec);

@@ -1,14 +1,15 @@
 // Differential tests: the optimized evaluation paths (incremental
 // SizedTiming, parallel sizing argmax, horizon-batched derate, batched
-// electrothermal sweeps, the SoA degradation kernel and the interpolated
-// dVth(t) tables) property-tested against the deliberately naive reference
+// electrothermal sweeps, the SoA degradation kernel, the interpolated
+// dVth(t) tables and the shooting stack solver) property-tested against the deliberately naive reference
 // evaluators — support/reference.h and the per-device scalar model — across
 // random dag: netlists, seeds, temperatures, duty cycles, standby policies,
 // thread counts (common::ThreadBudget scopes) and horizons.  Kernel
 // comparisons are exact (double ==): the optimized paths are bit-identical
 // to brute force by construction, and these tests are what enforce that
 // contract.  Table comparisons are bounded by the documented
-// interpolation tolerance (see nbti/dvth_table.h).
+// interpolation tolerance (see nbti/dvth_table.h), and the shooting stack
+// solver by its documented agreement with nested bisection (tech/stack.h).
 
 #include <cmath>
 #include <cstdint>
@@ -21,12 +22,15 @@
 
 #include "aging/failure.h"
 #include "common/pool.h"
+#include "common/rng.h"
 #include "nbti/dvth_table.h"
 #include "nbti/rd_kernel.h"
 #include "netlist/generators.h"
 #include "opt/sizing.h"
 #include "report/derate.h"
 #include "support/reference.h"
+#include "tech/library.h"
+#include "tech/stack.h"
 #include "tech/units.h"
 #include "thermal/electrothermal.h"
 
@@ -451,6 +455,99 @@ TEST(DifferentialTest, TableBackedFailureKeepsMttfDecisions) {
       EXPECT_NEAR(got.failure_curve[i].second, want.failure_curve[i].second,
                   1e-3);
     }
+  }
+}
+
+// One stack the library's leakage characterization solves: the series
+// network of a stage whose output sits at the far rail.
+struct LibraryStack {
+  const tech::DeviceParams* params;
+  std::vector<tech::StackDevice> devices;
+};
+
+// The series stacks Library::cell_leakage solves for (cell, bits): the PMOS
+// pull-up of a NOR stage whose output is 0, the NMOS pull-down of an
+// INV/NAND stage whose output is 1.
+std::vector<LibraryStack> library_stacks(const tech::Library& lib,
+                                         tech::CellId id, std::uint32_t bits,
+                                         double vth_offset) {
+  const tech::Cell& cell = lib.cell(id);
+  const std::vector<bool> signals = cell.signal_values(bits);
+  std::vector<LibraryStack> stacks;
+  for (std::size_t s = 0; s < cell.stages().size(); ++s) {
+    const tech::Stage& st = cell.stages()[s];
+    const bool out = signals[cell.num_pins() + s];
+    const bool nor = st.kind == tech::StageKind::Nor;
+    if (nor == out) continue;  // that stage's leaking network is parallel
+    LibraryStack stack{nor ? &lib.params().pmos : &lib.params().nmos, {}};
+    for (int in : st.inputs) {
+      stack.devices.push_back({nor ? st.pmos_width : st.nmos_width,
+                               nor ? !signals[in] : signals[in], vth_offset});
+    }
+    stacks.push_back(std::move(stack));
+  }
+  return stacks;
+}
+
+void expect_stack_matches_reference(const tech::DeviceParams& params,
+                                    const std::vector<tech::StackDevice>& devs,
+                                    double vout, double temp_k) {
+  const double tol = tech::kStackSolveRelTolerance;
+  const tech::StackSolution got =
+      tech::solve_stack(params, devs, vout, vout, temp_k);
+  const tech::StackSolution want =
+      testsupport::reference_solve_stack(params, devs, vout, vout, temp_k);
+  EXPECT_NEAR(got.current, want.current, tol * want.current);
+  ASSERT_EQ(got.node_voltages.size(), want.node_voltages.size());
+  for (std::size_t k = 0; k < want.node_voltages.size(); ++k) {
+    EXPECT_NEAR(got.node_voltages[k], want.node_voltages[k],
+                tol * want.node_voltages[k])
+        << "node " << k;
+  }
+}
+
+TEST(DifferentialTest, StackSolverMatchesNestedBisection) {
+  // Every stack the library characterizes, over the standby/active
+  // temperature range and the dual-Vth / aging offsets.
+  const tech::Library lib;
+  const double vdd = lib.params().vdd;
+  for (double temp : {250.0, 300.0, 330.0, 400.0, 450.0, 600.0}) {
+    for (double offset : {-0.05, 0.0, 0.05, 0.1}) {
+      for (tech::CellId id = 0; id < lib.num_cells(); ++id) {
+        const std::uint32_t vectors = 1u << lib.cell(id).num_pins();
+        for (std::uint32_t bits = 0; bits < vectors; ++bits) {
+          SCOPED_TRACE(::testing::Message()
+                       << lib.cell(id).name() << " bits=" << bits
+                       << " T=" << temp << " offset=" << offset);
+          for (const LibraryStack& st :
+               library_stacks(lib, id, bits, offset)) {
+            expect_stack_matches_reference(*st.params, st.devices, vdd, temp);
+          }
+        }
+      }
+    }
+  }
+
+  // Random stacks: depth 1-4, mixed channels, widths, ON/OFF patterns and
+  // per-device aging shifts, at random temperatures and output voltages.
+  const tech::DeviceParams channels[] = {
+      tech::default_device(tech::Channel::Nmos),
+      tech::default_device(tech::Channel::Pmos)};
+  for (std::uint64_t c = 0; c < 200; ++c) {
+    std::mt19937_64 rng(common::stream_seed(2026, c));
+    std::uniform_real_distribution<double> u(0.0, 1.0);
+    const tech::DeviceParams& params = channels[rng() % 2];
+    std::vector<tech::StackDevice> devs(1 + rng() % 4);
+    for (tech::StackDevice& d : devs) {
+      d.width = 120e-9 + 1.08e-6 * u(rng);
+      d.gate_on = u(rng) < 0.3;
+      d.delta_vth = -0.05 + 0.15 * u(rng);
+    }
+    const double temp = 250.0 + 350.0 * u(rng);
+    const double vout = 0.5 + 0.7 * u(rng);
+    SCOPED_TRACE(::testing::Message() << "case " << c << " depth "
+                                      << devs.size() << " T=" << temp);
+    expect_stack_matches_reference(params, devs, vout, temp);
   }
 }
 

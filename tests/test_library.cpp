@@ -3,6 +3,10 @@
 
 #include "tech/library.h"
 
+#include <limits>
+#include <stdexcept>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "tech/units.h"
@@ -82,6 +86,28 @@ TEST_F(LibraryTest, LeakageTableMatchesDirectComputation) {
   const CellId nor3 = lib_.find("NOR3");
   for (std::uint32_t v = 0; v < 8; ++v) {
     EXPECT_DOUBLE_EQ(t.leakage(nor3, v), lib_.cell_leakage(nor3, v, 330.0));
+  }
+}
+
+// A NaN standby temperature used to characterize a table of NaNs.
+TEST_F(LibraryTest, LeakageTableRejectsNonFiniteInputs) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double t : {nan, inf, 0.0, -5.0}) {
+    try {
+      const LeakageTable table(lib_, t);
+      ADD_FAILURE() << "accepted temp_k=" << t;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("temp_k"), std::string::npos);
+    }
+  }
+  for (double off : {nan, inf, -inf}) {
+    try {
+      const LeakageTable table(lib_, 400.0, off);
+      ADD_FAILURE() << "accepted vth_offset=" << off;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("vth_offset"), std::string::npos);
+    }
   }
 }
 

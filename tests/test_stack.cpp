@@ -3,6 +3,10 @@
 
 #include "tech/stack.h"
 
+#include <limits>
+#include <stdexcept>
+#include <string>
+
 #include <gtest/gtest.h>
 
 namespace nbtisim::tech {
@@ -90,17 +94,50 @@ TEST_F(StackTest, ParallelOffLeakageScalesWithCount) {
   EXPECT_EQ(parallel_off_leakage(nmos_, kW, 0, kVdd, kT), 0.0);
 }
 
-// Current continuity: the solved internal node must carry equal currents
-// through both devices.
+// Current continuity: every solved internal node must carry equal currents
+// through the devices on either side of it, and the node voltages must rise
+// strictly from the rail to the output.
 TEST_F(StackTest, CurrentContinuityAtInternalNode) {
-  const StackSolution s = solve({{kW, false, 0.0}, {kW, false, 0.0}});
-  ASSERT_EQ(s.node_voltages.size(), 1u);
-  const double vm = s.node_voltages[0];
-  const double i_bottom = subthreshold_current(nmos_, kW, 0.0, vm, 0.0, kT);
-  const double i_top =
-      subthreshold_current(nmos_, kW, -vm, kVdd - vm, vm, kT);
-  EXPECT_NEAR(i_bottom, i_top, 1e-3 * i_bottom);
-  EXPECT_NEAR(s.current, i_bottom, 1e-3 * i_bottom);
+  for (int depth = 2; depth <= 4; ++depth) {
+    SCOPED_TRACE(::testing::Message() << "depth=" << depth);
+    const StackSolution s =
+        solve(std::vector<StackDevice>(depth, StackDevice{kW, false, 0.0}));
+    ASSERT_EQ(s.node_voltages.size(), static_cast<std::size_t>(depth - 1));
+    double vs = 0.0;
+    for (int j = 0; j < depth; ++j) {
+      const double vd = j + 1 < depth ? s.node_voltages[j] : kVdd;
+      EXPECT_LT(vs, vd) << "device " << j;
+      const double i_dev =
+          subthreshold_current(nmos_, kW, -vs, vd - vs, vs, kT);
+      EXPECT_NEAR(i_dev, s.current, 1e-9 * s.current) << "device " << j;
+      vs = vd;
+    }
+  }
+}
+
+TEST_F(StackTest, RejectsNonFiniteInputs) {
+  const std::vector<StackDevice> two{{kW, false, 0.0}, {kW, false, 0.0}};
+  const auto expect_rejects = [](auto&& call, const char* param) {
+    try {
+      call();
+      ADD_FAILURE() << "accepted a bad " << param;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(param), std::string::npos)
+          << e.what();
+    }
+  };
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double t : {nan, inf, 0.0, -5.0}) {
+    expect_rejects([&] { solve_stack(nmos_, two, kVdd, kVdd, t); }, "temp_k");
+  }
+  for (double v : {nan, inf}) {
+    expect_rejects([&] { solve_stack(nmos_, two, v, kVdd, kT); }, "vout");
+  }
+  expect_rejects(
+      [&] { solve_stack(nmos_, {{kW, false, 0.0}, {kW, true, nan}}, kVdd,
+                        kVdd, kT); },
+      "delta_vth");
 }
 
 // Stack leakage must be monotone in temperature regardless of depth.

@@ -46,6 +46,17 @@ printf '%s\n%s\n' \
 run diff -u tools/golden/campaign_serve.txt "$QSMOKE_DIR/serve.txt"
 echo "check.sh: query/serve smoke matches golden transcripts"
 
+# Paper values: Tables 1-4, Figs. 1-12, the extension studies and the model
+# ablation print no timings, so their stdout is pinned byte for byte to
+# tools/golden/paper/<bench>.txt.  A paper bench without a golden fails.
+for bin in build/bench/bench_table* build/bench/bench_fig* \
+           build/bench/bench_ext_* build/bench/bench_ablation_models; do
+  name="$(basename "$bin")"
+  "$bin" > "$QSMOKE_DIR/$name.txt"
+  run diff -u "tools/golden/paper/$name.txt" "$QSMOKE_DIR/$name.txt"
+done
+echo "check.sh: paper benches match tools/golden/paper/"
+
 # Aging bench schema smoke: write BENCH_aging.json (timings and all — the
 # numbers vary per machine, the key set must not) and diff its sorted JSON
 # key set against the expected list.  Catches silently dropped or renamed

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <stdexcept>
 
 #include "common/pool.h"
@@ -284,17 +285,31 @@ std::vector<double> AgingAnalyzer::aged_gate_delays(
     }
     return delays;
   }
-  // Paper eqs. (21)-(22): delta_d = alpha * dVth / (Vg - Vth0) * d.
-  const double vdd = lib_->params().vdd;
-  const double vth0 = lib_->params().pmos.vth0;
-  const double alpha = lib_->params().pmos.alpha;
   std::vector<double> delays(fresh_delays_);
   for (int gi = 0; gi < nl_->num_gates(); ++gi) {
     const double offset =
         cond_.gate_vth_offsets.empty() ? 0.0 : cond_.gate_vth_offsets[gi];
-    delays[gi] *= 1.0 + alpha * dvth[gi] / (vdd - vth0 - offset);
+    delays[gi] *=
+        taylor_delay_factor(lib_->params(), dvth[gi], offset, *nl_, gi);
   }
   return delays;
+}
+
+double taylor_delay_factor(const tech::LibraryParams& lp, double dvth,
+                           double vth_offset, const netlist::Netlist& nl,
+                           int gi) {
+  const double overdrive = lp.vdd - lp.pmos.vth0 - vth_offset;
+  if (!std::isfinite(dvth) || dvth >= overdrive) {
+    char buf[96];
+    std::snprintf(buf, sizeof buf,
+                  "dVth %g V is not below Vdd - Vth0 - offset = %g V", dvth,
+                  overdrive);
+    throw std::domain_error("gate " + nl.node_name(nl.gate(gi).output) +
+                            ": " + buf +
+                            " (device cannot switch; the first-order delay "
+                            "law does not apply)");
+  }
+  return 1.0 + lp.pmos.alpha * dvth / overdrive;
 }
 
 double AgingAnalyzer::aged_critical_delay(

@@ -92,6 +92,17 @@ struct AgingConditions {
   std::vector<double> gate_delay_scale;
 };
 
+/// Aged/fresh delay ratio of gate \p gi under the first-order delay law of
+/// paper eqs. (21)-(22): 1 + alpha * dVth / (Vdd - Vth0 - vth_offset). The
+/// law is a Taylor expansion of the alpha-power delay and holds only while
+/// the device still switches, dVth < Vdd - Vth0 - vth_offset: the point at
+/// which the exact path's tech::Library::cell_arc throws as well.
+/// \throws std::domain_error naming the gate's output net when \p dvth is
+///         non-finite or not below that overdrive
+double taylor_delay_factor(const tech::LibraryParams& lp, double dvth,
+                           double vth_offset, const netlist::Netlist& nl,
+                           int gi);
+
 /// Full circuit degradation report.
 struct DegradationReport {
   double fresh_delay = 0.0;  ///< [s]

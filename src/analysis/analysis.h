@@ -12,7 +12,7 @@
 ///
 /// Adding a technique is one self-registering file: implement `Analysis`,
 /// expose a factory, and seed it in register_builtin_analyses() — the
-/// campaign grid, task hashing, CLI listing and summarize columns all pick
+/// campaign grid, task hashing, the CLI verb and summarize columns all pick
 /// it up without touching the engine.
 ///
 /// Hashing contract: fingerprint() returns exactly the Params fields the
@@ -91,6 +91,12 @@ struct Params {
   // multi + failure (shared wear-out knobs)
   double clock_ghz = 1.0;     ///< HCI / EM switching clock [GHz]
   double pbti_ratio = 0.35;   ///< PBTI/NBTI K_v ratio
+  // multi + failure + thermal
+  /// Standby state: "" (each analysis's own: all stressed for multi and
+  /// failure, inputs all-0 for thermal), "stressed", "relaxed", "zeros",
+  /// "ones" or "mlv" (the minimum-leakage vector at T_standby). Enters a
+  /// fingerprint only when set, so stores written without it stay valid.
+  std::string standby;
   // thermal
   double thermal_power = 60.0;        ///< dynamic power [W]
   double thermal_replication = 1e5;   ///< identical blocks on the die
@@ -106,6 +112,8 @@ struct Params {
                                  ///< interpolated table instead of exact
                                  ///< per-point device-model sweeps
   int table_ppd = 16;            ///< table points per decade when enabled
+
+  friend bool operator==(const Params&, const Params&) = default;
 };
 
 /// Ordered metric list — the order is the JSONL member order, so it must be
@@ -174,6 +182,10 @@ std::unique_ptr<Analysis> make_criticality_analysis();  // criticality_analysis.
 std::unique_ptr<Analysis> make_multi_analysis();        // multi_analysis.cpp
 std::unique_ptr<Analysis> make_thermal_analysis();      // thermal_analysis.cpp
 std::unique_ptr<Analysis> make_failure_analysis();      // failure_analysis.cpp
+std::unique_ptr<Analysis> make_mc_analysis();           // mc_analysis.cpp
+std::unique_ptr<Analysis> make_dualvth_analysis();      // dualvth_analysis.cpp
+std::unique_ptr<Analysis> make_inc_analysis();          // inc_analysis.cpp
+std::unique_ptr<Analysis> make_altivc_analysis();       // altivc_analysis.cpp
 
 /// Seeds \p r with the built-ins (what global() does once).
 /// \throws std::invalid_argument when any name is already present

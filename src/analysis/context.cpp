@@ -8,6 +8,7 @@
 #include "netlist/bench_io.h"
 #include "netlist/generators.h"
 #include "netlist/verilog_io.h"
+#include "opt/mlv.h"
 #include "tech/units.h"
 
 namespace nbtisim::analysis {
@@ -105,14 +106,8 @@ const aging::AgingAnalyzer& ContextPool::analyzer_for(
   const std::string key = nl_spec + "|" + cond.label();
   const netlist::Netlist& nl = netlist_for(nl_spec);
   return fill_slot<aging::AgingAnalyzer>(mutex_, analyzers_, key, [&] {
-    aging::AgingConditions c;
-    c.schedule = nbti::ModeSchedule::from_ras(cond.ras_active,
-                                              cond.ras_standby, 1000.0,
-                                              cond.t_active, cond.t_standby);
-    c.total_time = cond.years * kSecondsPerYear;
-    c.sp_vectors = params_.sp_vectors;
-    c.seed = params_.seed;
-    return std::make_shared<aging::AgingAnalyzer>(nl, lib_, c);
+    return std::make_shared<aging::AgingAnalyzer>(
+        nl, lib_, context(nl_spec, cond).aging_conditions());
   });
 }
 
@@ -129,5 +124,41 @@ const leakage::LeakageAnalyzer& ContextPool::leakage_for(
 }
 
 double EvalContext::horizon() const { return cond_.years * kSecondsPerYear; }
+
+aging::AgingConditions EvalContext::aging_conditions() const {
+  aging::AgingConditions c;
+  c.schedule = nbti::ModeSchedule::from_ras(cond_.ras_active,
+                                            cond_.ras_standby, 1000.0,
+                                            cond_.t_active, cond_.t_standby);
+  c.total_time = horizon();
+  c.sp_vectors = params().sp_vectors;
+  c.seed = params().seed;
+  return c;
+}
+
+std::vector<bool> standby_vector(EvalContext& ctx, const std::string& standby) {
+  const int n = ctx.netlist().num_inputs();
+  if (standby.empty() || standby == "zeros") return std::vector<bool>(n, false);
+  if (standby == "ones") return std::vector<bool>(n, true);
+  if (standby == "mlv") {
+    const opt::MlvResult mlv = opt::find_mlv_set(ctx.standby_leakage());
+    if (mlv.vectors.empty()) {
+      throw std::runtime_error("standby mlv: MLV search returned no vector");
+    }
+    return mlv.vectors.front();
+  }
+  throw std::invalid_argument("\"standby\": \"" + standby +
+                              "\" is a policy, not an input vector "
+                              "(expected zeros|ones|mlv)");
+}
+
+aging::StandbyPolicy standby_policy(EvalContext& ctx,
+                                    const std::string& standby) {
+  if (standby.empty() || standby == "stressed") {
+    return aging::StandbyPolicy::all_stressed();
+  }
+  if (standby == "relaxed") return aging::StandbyPolicy::all_relaxed();
+  return aging::StandbyPolicy::from_vector(standby_vector(ctx, standby));
+}
 
 }  // namespace nbtisim::analysis

@@ -24,6 +24,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <vector>
 
 #include "aging/aging.h"
 #include "analysis/analysis.h"
@@ -99,6 +100,11 @@ class EvalContext {
     return pool_->analyzer_for(spec_, cond_);
   }
 
+  /// The conditions aging() is built with: the condition's schedule and
+  /// horizon plus the shared sp_vectors/seed knobs. For techniques that
+  /// build their own analyzers (dual-Vth, control-point insertion).
+  aging::AgingConditions aging_conditions() const;
+
   /// Leakage analyzer at the condition's standby temperature (cached per
   /// netlist × T_standby).
   const leakage::LeakageAnalyzer& standby_leakage() {
@@ -117,5 +123,17 @@ class EvalContext {
   std::string spec_;
   Condition cond_;
 };
+
+/// The standby input vector Params::standby names: all-0 ("" or "zeros"),
+/// all-1 ("ones"), or the first vector of the MLV set at the cell's
+/// standby temperature ("mlv").
+/// \throws std::invalid_argument naming "standby" for "stressed" and
+///         "relaxed", which are policies rather than vectors
+std::vector<bool> standby_vector(EvalContext& ctx, const std::string& standby);
+
+/// The standby policy Params::standby names: all stressed ("" or
+/// "stressed"), all relaxed ("relaxed"), or the standby_vector() otherwise.
+aging::StandbyPolicy standby_policy(EvalContext& ctx,
+                                    const std::string& standby);
 
 }  // namespace nbtisim::analysis

@@ -1,8 +1,8 @@
 /// \file failure_analysis.cpp
 /// \brief "failure": the multi-mechanism failure suite as a grid analysis —
 ///        per-mechanism Weibull-aggregated MTTFs, the all-mechanism system
-///        MTTF, and the system failure curve samples, under the canonical
-///        worst-case (all-stressed) standby policy.
+///        MTTF, and the system failure curve samples, under
+///        Params::standby (default: the worst-case all-stressed policy).
 ///
 /// MTTF metrics are reported in years and clamped to 10x the crossing
 /// window: a mechanism that never fails inside the window would otherwise
@@ -37,6 +37,7 @@ class FailureAnalysis final : public Analysis {
     fp += "]";
     // Appended only when enabled so pre-table store rows keep their hashes.
     if (p.use_dvth_table) fp += ",table" + std::to_string(p.table_ppd);
+    if (!p.standby.empty()) fp += ",sb" + p.standby;
     return fp;
   }
 
@@ -52,7 +53,7 @@ class FailureAnalysis final : public Analysis {
     fp.use_dvth_table = p.use_dvth_table;
     fp.table_points_per_decade = p.table_ppd;
     const aging::FailureReport r = aging::analyze_failure(
-        ctx.aging(), aging::StandbyPolicy::all_stressed(), fp);
+        ctx.aging(), standby_policy(ctx, p.standby), fp);
 
     const double cap = 10.0 * p.fail_max_years;
     auto clamp = [cap](double years) {

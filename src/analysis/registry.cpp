@@ -63,6 +63,10 @@ void register_builtin_analyses(AnalysisRegistry& r) {
   r.add(make_multi_analysis());
   r.add(make_thermal_analysis());
   r.add(make_failure_analysis());
+  r.add(make_mc_analysis());
+  r.add(make_dualvth_analysis());
+  r.add(make_inc_analysis());
+  r.add(make_altivc_analysis());
 }
 
 AnalysisRegistry& AnalysisRegistry::global() {

@@ -84,9 +84,29 @@ struct Task {
 };
 
 /// Parses a spec document; analysis names are validated against the global
-/// registry.
-/// \throws std::runtime_error / std::invalid_argument on schema violations
+/// registry. Every number in "conditions" and "params" must be finite and
+/// in range, and "standby" one of "", stressed, relaxed, zeros, ones, mlv.
+/// \throws std::runtime_error / std::invalid_argument on schema violations,
+///         naming the offending key — unknown keys included, at the top
+///         level, in a condition and in "params"
 CampaignSpec spec_from_json(const common::json::Value& doc);
+
+/// The one-cell spec the CLI command `nbtisim <verb> <circuit> FLAGS…`
+/// stands for. A flag is a spec key with '-' turned into '_': --ras,
+/// --t-active, --t-standby and --years form the one condition, --threads
+/// is n_threads, --cut-dffs is cut_dffs, and every other flag is a
+/// "params" key. A value is whatever it parses as in JSON (a number, true,
+/// false, an array, NaN), else a number when strtod takes all of it ("nan",
+/// "inf"), else a string; a flag without a value is true. The document
+/// goes through spec_from_json, so the CLI has no validator of its own.
+/// A \p verb outside the registry (the CLI's `info`) runs no analysis: its
+/// spec has no analyses and reads no params.
+/// \throws std::invalid_argument naming the flag and \p verb when a params
+///         flag changes Params but not the verb's fingerprint — a knob the
+///         verb would silently ignore — and whatever spec_from_json throws
+CampaignSpec spec_from_args(const std::string& verb,
+                            const std::string& circuit,
+                            const std::vector<std::string>& flags);
 
 /// Loads and parses a spec file.
 /// \throws std::runtime_error when the file cannot be read or parsed

@@ -16,12 +16,10 @@ SizedTiming::SizedTiming(const aging::AgingAnalyzer& analyzer,
   if (static_cast<int>(dvth.size()) != nl.num_gates()) {
     throw std::invalid_argument("SizedTiming: dvth size mismatch");
   }
-  const double alpha = lib_->params().pmos.alpha;
-  const double vdd = lib_->params().vdd;
-  const double vth0 = lib_->params().pmos.vth0;
   aging_factor_.resize(nl.num_gates());
   for (int gi = 0; gi < nl.num_gates(); ++gi) {
-    aging_factor_[gi] = 1.0 + alpha * dvth[gi] / (vdd - vth0);
+    aging_factor_[gi] =
+        aging::taylor_delay_factor(lib_->params(), dvth[gi], 0.0, nl, gi);
   }
   // Fanout structure: (sink gate, pin cap) per gate, plus constant load.
   const double wire = lib_->params().wire_cap_per_fanout;

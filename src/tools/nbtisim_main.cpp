@@ -1,56 +1,27 @@
 /// \file nbtisim_main.cpp
 /// \brief The `nbtisim` command-line driver.
 ///
-/// Runs the library's analyses on built-in ISCAS85-class circuits or user
-/// .bench / .v files:
+///   nbtisim <analysis> <circuit> [--key value ...] [--csv PATH]
 ///
-///   nbtisim info     <circuit>              circuit + timing + leakage stats
-///   nbtisim aging    <circuit> [options]    NBTI degradation report
-///   nbtisim multi    <circuit> [options]    NBTI + PBTI + HCI combined
-///   nbtisim ivc      <circuit> [options]    IVC / NBTI co-optimization
-///   nbtisim st       <circuit> [options]    sleep-transistor analysis
-///   nbtisim dualvth  <circuit> [options]    dual-Vth assignment co-benefit
-///   nbtisim sizing   <circuit> [options]    NBTI-aware gate sizing
-///   nbtisim inc      <circuit> [options]    control-point insertion
-///   nbtisim mc       <circuit> [options]    variation Monte-Carlo
-///   nbtisim lifetime <circuit> [options]    time-to-failure distribution
-///   nbtisim thermal  <circuit> [options]    electrothermal operating point
-///   nbtisim failure  <circuit> [options]    multi-mechanism failure suite
+/// runs one registered analysis (src/analysis) as a one-cell campaign and
+/// prints its scalar metrics as a `metric | value` table — the rule
+/// `campaign summarize` uses for its columns. A flag is a campaign spec key
+/// with '-' for '_' (campaign::spec_from_args): --ras, --t-active,
+/// --t-standby and --years form the condition, --threads is the thread
+/// budget, --cut-dffs cuts .bench DFFs, and every other flag is a "params"
+/// key. The spec parser is the only validator, and a flag the analysis
+/// does not read is an error. Beside the analyses:
 ///
-/// Batch campaigns (declarative scenario grids, src/campaign):
+///   nbtisim info <circuit>           circuit, fresh timing, standby leakage
+///   nbtisim campaign <action> SPEC   run|resume|summarize|query|serve a grid
+///   nbtisim generate <spec>          write a generated circuit as .bench/.v
 ///
-///   nbtisim campaign run       SPEC.json    execute the grid (skips rows
-///                                           already in the result store)
-///   nbtisim campaign resume    SPEC.json    continue an interrupted run
-///   nbtisim campaign summarize SPEC.json    aggregate the store to a table
-///   nbtisim campaign query     SPEC.json    run one query (src/query) over
-///                                           the indexed result store
-///   nbtisim campaign serve     SPEC.json    answer query lines on stdio or
-///                                           TCP (--port)
-///
-/// Circuit generation (write a generated circuit out as .bench / .v):
-///
-///   nbtisim generate <spec> [--out PATH] [--format bench|v]
-///
-/// where <spec> is any netlist spec the campaign grid accepts: a built-in
-/// name, "dag:<inputs>x<gates>@<seed>", "mult:<bits>" or "alu:<width>".
-///
-/// <circuit>: a built-in name (c432, c880, ...), a path to a .bench file
-/// (add --cut-dffs for sequential netlists), or a structural .v file.
-///
-/// Common options:
-///   --ras A:S          active:standby ratio        (default 1:9)
-///   --t-active K       active temperature          (default 400)
-///   --t-standby K      standby temperature         (default 330)
-///   --years Y          lifetime horizon            (default 10)
-///   --threads N        worker threads, 0=hardware  (default 0)
-///   --csv PATH         also write the result table as CSV
-///   --cut-dffs         cut DFFs when loading .bench
+/// <circuit> is any netlist spec the campaign grid accepts: a built-in name
+/// (c432, c880, ...), a .bench or structural .v path, "dag:<inputs>x
+/// <gates>@<seed>", "mult:<bits>" or "alu:<width>".
 
 #include <cstdio>
 #include <cstdlib>
-#include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -66,61 +37,25 @@
 #include "query/serve.h"
 #include "netlist/bench_io.h"
 #include "netlist/verilog_io.h"
-#include "netlist/generators.h"
-#include "aging/failure.h"
-#include "aging/multi.h"
-#include "opt/mlv.h"
-#include "opt/dual_vth.h"
-#include "opt/inc_insertion.h"
-#include "opt/ivc.h"
-#include "opt/sizing.h"
-#include "opt/sleep_transistor.h"
-#include "report/derate.h"
 #include "report/report.h"
+#include "sta/sta.h"
 #include "tech/units.h"
-#include "thermal/electrothermal.h"
-#include "variation/lifetime.h"
-#include "variation/variation.h"
 
 using namespace nbtisim;
 
 namespace {
 
-struct CliOptions {
-  std::string command;
-  std::string circuit;
-  double ras_active = 1.0, ras_standby = 9.0;
-  double t_active = 400.0, t_standby = 330.0;
-  double years = 10.0;
-  bool years_set = false;  ///< --years given (the failure window defaults
-                           ///< to FailureParams::max_years otherwise)
-  double st_sigma = 0.05;
-  int mc_samples = 300;
-  double spec_margin = 5.0;
-  double dynamic_power = 60.0;
-  double clock_ghz = 1.0;
-  double pbti_ratio = 0.35;
-  std::string standby_mode;  ///< per-command default when empty
-  double replication = 1e5;
-  double runaway_k = 1000.0;
-  double fail_dvth = 0.05;
-  bool use_dvth_table = false;
-  int table_ppd = 16;
-  int threads = 0;
-  std::string csv_path;
-  bool cut_dffs = false;
-};
-
 [[noreturn]] void usage(const char* msg = nullptr) {
   if (msg != nullptr) std::fprintf(stderr, "error: %s\n\n", msg);
-  // The campaign analysis axis is open (analysis::AnalysisRegistry), so the
-  // usage text lists whatever is registered instead of a hard-coded set.
   std::string analyses;
   for (const std::string& name : analysis::AnalysisRegistry::global().names()) {
-    analyses += analyses.empty() ? name : " " + name;
+    analyses += " " + name;
   }
   std::fprintf(stderr,
-               "usage: nbtisim <command> <circuit> [options]\n"
+               "usage: nbtisim <analysis> <circuit> [--key value ...] "
+               "[--csv PATH]\n"
+               "       nbtisim info <circuit> [--ras A:S] [--t-active K] "
+               "[--t-standby K]\n"
                "       nbtisim campaign run|resume|summarize SPEC.json\n"
                "                [--out PATH] [--threads N] [--csv PATH]\n"
                "                [--format md|csv]\n"
@@ -132,151 +67,31 @@ struct CliOptions {
                "                [--threads N] [--port N] [--max-connections N]\n"
                "       nbtisim generate <spec> [--out PATH] [--format bench|v]\n"
                "       nbtisim --version\n"
-               "commands: info aging multi ivc st dualvth sizing inc mc\n"
-               "          lifetime thermal failure derate campaign generate\n");
-  std::fprintf(stderr,
-               "campaign analyses: %s\n", analyses.c_str());
-  std::fprintf(stderr,
+               "analyses:%s\n"
                "  <circuit>: built-in (c432, c499, c880, c1355, c1908, c2670,\n"
-               "             c3540, c5315, c6288, c7552), a .bench path, or a\n"
-               "             structural .v path\n"
-               "  --ras A:S  --t-active K  --t-standby K  --years Y\n"
-               "  --sigma F (st)  --samples N (mc/lifetime)\n"
-               "  --margin P (lifetime/sizing)  --power W (thermal)\n"
-               "  --standby stressed|relaxed|zeros|ones|mlv (multi/failure;\n"
-               "            thermal accepts zeros|ones|mlv)\n"
-               "  --clock GHZ  --pbti-ratio R (multi/failure)\n"
-               "  --replication N  --runaway-k K (thermal)\n"
-               "  --fail-dvth V (failure; --years sets its crossing window)\n"
-               "  --dvth-table  --table-ppd N (lifetime/failure: sample the\n"
-               "              dVth(t) grid from a cached interpolated table)\n"
-               "  --threads N (0 = hardware; results are bit-identical for\n"
-               "              every N)  --csv PATH  --cut-dffs\n");
+               "             c3540, c5315, c6288, c7552), a .bench or .v path,\n"
+               "             dag:<inputs>x<gates>@<seed>, mult:<bits>, alu:<width>\n"
+               "  A flag is a campaign spec key with '-' for '_' (docs/USAGE.md):\n"
+               "  --ras A:S --t-active K --t-standby K --years Y (condition),\n"
+               "  --threads N (0 = hardware), --cut-dffs, and any \"params\" key:\n"
+               "  --sp-vectors N --seed S --samples N --sizing-margin P ...\n",
+               analyses.c_str());
   std::exit(2);
 }
 
-CliOptions parse_args(int argc, char** argv) {
-  if (argc < 3) usage();
-  CliOptions o;
-  o.command = argv[1];
-  o.circuit = argv[2];
-  if (!o.circuit.empty() && o.circuit.front() == '-') {
-    usage(("expected a circuit before options, got " + o.circuit).c_str());
-  }
-  for (int i = 3; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&]() -> std::string {
-      if (i + 1 >= argc) usage(("missing value for " + arg).c_str());
-      return argv[++i];
-    };
-    if (arg == "--ras") {
-      const std::string v = value();
-      const std::size_t colon = v.find(':');
-      if (colon == std::string::npos) usage("--ras expects A:S");
-      o.ras_active = std::atof(v.substr(0, colon).c_str());
-      o.ras_standby = std::atof(v.substr(colon + 1).c_str());
-      if (o.ras_active <= 0.0 || o.ras_standby < 0.0) usage("bad --ras");
-    } else if (arg == "--t-active") {
-      o.t_active = std::atof(value().c_str());
-    } else if (arg == "--t-standby") {
-      o.t_standby = std::atof(value().c_str());
-    } else if (arg == "--years") {
-      o.years = std::atof(value().c_str());
-      o.years_set = true;
-      if (o.years <= 0.0) usage("bad --years");
-    } else if (arg == "--sigma") {
-      o.st_sigma = std::atof(value().c_str());
-      if (o.st_sigma <= 0.0 || o.st_sigma > 0.5) usage("bad --sigma");
-    } else if (arg == "--samples") {
-      o.mc_samples = std::atoi(value().c_str());
-      if (o.mc_samples < 2) usage("bad --samples");
-    } else if (arg == "--margin") {
-      o.spec_margin = std::atof(value().c_str());
-      if (o.spec_margin <= 0.0) usage("bad --margin");
-    } else if (arg == "--power") {
-      o.dynamic_power = std::atof(value().c_str());
-      if (o.dynamic_power < 0.0) usage("bad --power");
-    } else if (arg == "--clock") {
-      o.clock_ghz = std::atof(value().c_str());
-      if (o.clock_ghz <= 0.0) usage("bad --clock");
-    } else if (arg == "--pbti-ratio") {
-      o.pbti_ratio = std::atof(value().c_str());
-      if (!std::isfinite(o.pbti_ratio) || o.pbti_ratio < 0.0) {
-        usage("bad --pbti-ratio");
-      }
-    } else if (arg == "--standby") {
-      o.standby_mode = value();
-      if (o.standby_mode != "stressed" && o.standby_mode != "relaxed" &&
-          o.standby_mode != "zeros" && o.standby_mode != "ones" &&
-          o.standby_mode != "mlv") {
-        usage("--standby expects stressed|relaxed|zeros|ones|mlv");
-      }
-    } else if (arg == "--replication") {
-      o.replication = std::atof(value().c_str());
-      if (o.replication <= 0.0) usage("bad --replication");
-    } else if (arg == "--runaway-k") {
-      o.runaway_k = std::atof(value().c_str());
-      if (o.runaway_k <= 0.0) usage("bad --runaway-k");
-    } else if (arg == "--fail-dvth") {
-      o.fail_dvth = std::atof(value().c_str());
-      if (o.fail_dvth <= 0.0) usage("bad --fail-dvth");
-    } else if (arg == "--dvth-table") {
-      o.use_dvth_table = true;
-    } else if (arg == "--table-ppd") {
-      o.table_ppd = std::atoi(value().c_str());
-      if (o.table_ppd < 1) usage("bad --table-ppd");
-    } else if (arg == "--threads") {
-      o.threads = std::atoi(value().c_str());
-      if (o.threads < 0) usage("bad --threads");
-    } else if (arg == "--csv") {
-      o.csv_path = value();
-    } else if (arg == "--cut-dffs") {
-      o.cut_dffs = true;
-    } else {
-      usage(("unknown option " + arg).c_str());
-    }
-  }
-  return o;
-}
-
-netlist::Netlist load_circuit(const CliOptions& o) {
-  if (o.circuit.ends_with(".v")) return netlist::load_verilog(o.circuit);
-  const bool is_path = o.circuit.find('/') != std::string::npos ||
-                       o.circuit.ends_with(".bench");
-  if (is_path) {
-    std::ifstream probe(o.circuit);
-    if (!probe) throw std::runtime_error("cannot open " + o.circuit);
-    std::ostringstream ss;
-    ss << probe.rdbuf();
-    std::string name = o.circuit;
-    const std::size_t slash = name.find_last_of('/');
-    if (slash != std::string::npos) name.erase(0, slash + 1);
-    return netlist::parse_bench(ss.str(), name, {.cut_dffs = o.cut_dffs});
-  }
-  return netlist::iscas85_like(o.circuit);
-}
-
-aging::AgingConditions conditions(const CliOptions& o) {
-  aging::AgingConditions cond;
-  cond.schedule = nbti::ModeSchedule::from_ras(
-      o.ras_active, o.ras_standby, 1000.0, o.t_active, o.t_standby);
-  cond.total_time = o.years * kSecondsPerYear;
-  return cond;
-}
-
-void emit(const CliOptions& o, const report::Table& table) {
+void emit(const report::Table& table, const std::string& csv_path) {
   std::fputs(report::to_markdown(table).c_str(), stdout);
-  if (!o.csv_path.empty()) {
-    report::write_file(o.csv_path, report::to_csv(table));
-    std::printf("\n(csv written to %s)\n", o.csv_path.c_str());
+  if (!csv_path.empty()) {
+    report::write_file(csv_path, report::to_csv(table));
+    std::printf("\n(csv written to %s)\n", csv_path.c_str());
   }
 }
 
-int cmd_info(const CliOptions& o) {
-  const netlist::Netlist nl = load_circuit(o);
-  const tech::Library lib;
-  const sta::StaEngine sta(nl, lib);
-  const leakage::LeakageAnalyzer leak(nl, lib, o.t_standby);
+// info reads only the cell: the netlist, the fresh timing at T_active and
+// the all-0 leakage at T_standby.
+report::Table info_table(analysis::EvalContext& ctx) {
+  const netlist::Netlist& nl = ctx.netlist();
+  const sta::StaEngine sta(nl, ctx.library());
   const std::vector<bool> zeros(nl.num_inputs(), false);
 
   report::Table t{{"metric", "value"}, {}};
@@ -287,360 +102,61 @@ int cmd_info(const CliOptions& o) {
   t.add_row({"logic depth", std::to_string(nl.depth())});
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.3f ns",
-                to_ns(sta.analyze_fresh(o.t_active).max_delay));
+                to_ns(sta.analyze_fresh(ctx.condition().t_active).max_delay));
   t.add_row({"fresh critical delay", buf});
   std::snprintf(buf, sizeof buf, "%.2f uA @ %g K (inputs all-0)",
-                1e6 * leak.circuit_leakage(zeros), o.t_standby);
+                1e6 * ctx.standby_leakage().circuit_leakage(zeros),
+                ctx.condition().t_standby);
   t.add_row({"standby leakage", buf});
-  emit(o, t);
-  return 0;
+  return t;
 }
 
-int cmd_aging(const CliOptions& o) {
-  const netlist::Netlist nl = load_circuit(o);
-  const tech::Library lib;
-  const aging::AgingAnalyzer an(nl, lib, conditions(o));
-
-  const auto worst = an.analyze(aging::StandbyPolicy::all_stressed());
-  const auto best = an.analyze(aging::StandbyPolicy::all_relaxed());
-  const std::vector<bool> zeros(nl.num_inputs(), false);
-  const auto vec = an.analyze(aging::StandbyPolicy::from_vector(zeros));
-
-  report::Table t{{"standby policy", "fresh [ns]", "aged [ns]", "ddelay [%]"},
-                  {}};
-  auto row = [&](const char* name, const aging::DegradationReport& r) {
-    const std::vector<double> vals{to_ns(r.fresh_delay), to_ns(r.aged_delay),
-                                   r.percent()};
-    t.add_row(name, vals);
-  };
-  row("all nodes stressed (worst)", worst);
-  row("inputs held all-0", vec);
-  row("all nodes relaxed (best)", best);
-  emit(o, t);
-  return 0;
-}
-
-int cmd_ivc(const CliOptions& o) {
-  const netlist::Netlist nl = load_circuit(o);
-  const tech::Library lib;
-  const aging::AgingAnalyzer an(nl, lib, conditions(o));
-  const leakage::LeakageAnalyzer leak(nl, lib, o.t_standby);
-  const opt::IvcResult r = opt::evaluate_ivc(
-      an, leak, {.population = 48, .max_rounds = 12}, 0);
-  const opt::AlternatingIvcResult alt = opt::evaluate_alternating_ivc(
-      an, leak, {.population = 48, .max_rounds = 12, .max_set_size = 8});
-
-  report::Table t{{"quantity", "value"}, {}};
-  char buf[96];
-  std::snprintf(buf, sizeof buf, "%.3f %%", r.worst_case_percent);
-  t.add_row({"worst-case degradation", buf});
-  std::snprintf(buf, sizeof buf, "%.3f %% (leakage %.2f uA)",
-                r.best().degradation_percent, 1e6 * r.best().leakage);
-  t.add_row({"best MLV degradation", buf});
-  std::snprintf(buf, sizeof buf, "%.3f %%pt over %zu vectors",
-                r.mlv_spread_percent(), r.candidates.size());
-  t.add_row({"MLV spread", buf});
-  std::snprintf(buf, sizeof buf, "%.3f %%", r.best_case_percent);
-  t.add_row({"INC bound (all relaxed)", buf});
-  std::snprintf(buf, sizeof buf, "%.2f mV -> %.2f mV (-%.1f%%)",
-                to_mV(alt.static_max_dvth), to_mV(alt.rotating_max_dvth),
-                alt.max_dvth_reduction_percent());
-  t.add_row({"max device dVth, static -> rotating", buf});
-  emit(o, t);
-  return 0;
-}
-
-int cmd_st(const CliOptions& o) {
-  const netlist::Netlist nl = load_circuit(o);
-  const tech::Library lib;
-  const aging::AgingAnalyzer an(nl, lib, conditions(o));
-  opt::StParams st;
-  st.sigma = o.st_sigma;
-  const double horizon = o.years * kSecondsPerYear;
-  const auto with_st = opt::st_circuit_degradation_series(
-      an, opt::StStyle::Header, st, horizon, horizon * 1.01, 2);
-  const auto without = opt::no_st_degradation_series(an, horizon,
-                                                     horizon * 1.01, 2);
-  const opt::StSizing sizing = opt::size_sleep_transistor(
-      an.conditions().rd, an.conditions().schedule, horizon, 1e-3, st);
-
-  report::Table t{{"quantity", "value"}, {}};
-  char buf[96];
-  std::snprintf(buf, sizeof buf, "%.3f %%", without.front().total_percent);
-  t.add_row({"degradation w/o ST (worst case)", buf});
-  std::snprintf(buf, sizeof buf, "%.3f %% (logic %.3f + ST %.3f)",
-                with_st.front().total_percent, with_st.front().logic_percent,
-                with_st.front().st_percent);
-  t.add_row({"total vs fresh, with header ST", buf});
-  std::snprintf(buf, sizeof buf, "%.1f -> %.1f (+%.2f%%)", sizing.wl_base,
-                sizing.wl_nbti_aware, sizing.wl_increase_percent());
-  t.add_row({"NBTI-aware (W/L) @ I_ON=1mA", buf});
-  std::snprintf(buf, sizeof buf, "%.2f mV", to_mV(sizing.dvth_st));
-  t.add_row({"lifetime ST dVth", buf});
-  emit(o, t);
-  return 0;
-}
-
-int cmd_mc(const CliOptions& o) {
-  const netlist::Netlist nl = load_circuit(o);
-  const tech::Library lib;
-  const aging::AgingAnalyzer an(nl, lib, conditions(o));
-  const variation::MonteCarloAging mc(
-      an, {.sigma_vth = 0.012, .samples = o.mc_samples});
-  const auto fresh = mc.fresh_distribution();
-  const auto aged = mc.aged_distribution(aging::StandbyPolicy::all_stressed(),
-                                         o.years * kSecondsPerYear);
-
-  report::Table t{
-      {"distribution", "mean [ns]", "sigma [ps]", "-3s [ns]", "+3s [ns]"}, {}};
-  auto row = [&](const char* name, const variation::DelayDistribution& d) {
-    const std::vector<double> vals{to_ns(d.mean()), to_ps(d.stddev()),
-                                   to_ns(d.lower3()), to_ns(d.upper3())};
-    t.add_row(name, vals);
-  };
-  row("fresh", fresh);
-  row("aged", aged);
-  emit(o, t);
-  return 0;
-}
-
-// The concrete standby input vector selected by --standby for commands
-// that need a leakage/logic state rather than a policy: all-0 (default),
-// all-1, or the minimum-leakage vector from the Fig. 7 search.
-std::vector<bool> standby_vector(const CliOptions& o,
-                                 const netlist::Netlist& nl,
-                                 const tech::Library& lib) {
-  if (o.standby_mode == "ones") return std::vector<bool>(nl.num_inputs(), true);
-  if (o.standby_mode == "mlv") {
-    const leakage::LeakageAnalyzer leak(nl, lib, o.t_standby);
-    const opt::MlvResult mlv = opt::find_mlv_set(leak);
-    if (mlv.vectors.empty()) {
-      throw std::runtime_error("--standby mlv: MLV search returned no vector");
+// An analysis verb: the registry's run() on the one cell, scalar metrics
+// only (structured payloads such as a Pareto front have no table cell).
+report::Table metric_table(const std::string& verb, analysis::EvalContext& ctx,
+                           const analysis::Params& params) {
+  report::Table t{{"metric", "value"}, {}};
+  for (const auto& [name, value] :
+       analysis::AnalysisRegistry::global().at(verb).run(ctx, params)) {
+    if (value.is_number()) {
+      t.add_row({name, common::json::format_number(value.as_number())});
     }
-    return mlv.vectors.front();
   }
-  return std::vector<bool>(nl.num_inputs(), false);  // "" or "zeros"
+  return t;
 }
 
-// The standby policy selected by --standby for the aging-path commands:
-// the bounding policies, or a concrete vector via standby_vector().
-aging::StandbyPolicy standby_policy(const CliOptions& o,
-                                    const netlist::Netlist& nl,
-                                    const tech::Library& lib) {
-  if (o.standby_mode.empty() || o.standby_mode == "stressed") {
-    return aging::StandbyPolicy::all_stressed();
+int cmd_cell(int argc, char** argv) {
+  if (argc < 3) usage();
+  const std::string verb = argv[1];
+  const std::string circuit = argv[2];
+  const bool info = verb == "info";
+  if (!info && analysis::AnalysisRegistry::global().find(verb) == nullptr) {
+    usage(("unknown command " + verb).c_str());
   }
-  if (o.standby_mode == "relaxed") return aging::StandbyPolicy::all_relaxed();
-  return aging::StandbyPolicy::from_vector(standby_vector(o, nl, lib));
-}
-
-int cmd_multi(const CliOptions& o) {
-  const netlist::Netlist nl = load_circuit(o);
-  const tech::Library lib;
-  const aging::AgingAnalyzer an(nl, lib, conditions(o));
-  aging::MultiAgingParams mp;
-  mp.clock_hz = o.clock_ghz * 1e9;
-  mp.pbti.ratio = o.pbti_ratio;
-  const aging::MultiAgingReport rep =
-      aging::analyze_multi_mechanism(an, standby_policy(o, nl, lib), mp);
-
-  report::Table t{{"quantity", "value"}, {}};
-  char buf[96];
-  std::snprintf(buf, sizeof buf, "%.3f ns", to_ns(rep.fresh_delay));
-  t.add_row({"fresh delay (slew-aware)", buf});
-  std::snprintf(buf, sizeof buf, "%.3f %%", rep.nbti_only_percent());
-  t.add_row({"NBTI-only degradation", buf});
-  std::snprintf(buf, sizeof buf, "%.3f %%", rep.percent());
-  t.add_row({"NBTI + PBTI + HCI degradation", buf});
-  double max_n = 0.0, max_p = 0.0;
-  for (double d : rep.nmos_dvth) max_n = std::max(max_n, d);
-  for (double d : rep.pmos_dvth) max_p = std::max(max_p, d);
-  std::snprintf(buf, sizeof buf, "PMOS %.2f mV / NMOS %.2f mV", to_mV(max_p),
-                to_mV(max_n));
-  t.add_row({"worst device shifts", buf});
-  emit(o, t);
-  return 0;
-}
-
-int cmd_dualvth(const CliOptions& o) {
-  const netlist::Netlist nl = load_circuit(o);
-  const tech::Library lib;
-  const opt::DualVthResult r = opt::assign_dual_vth(
-      nl, lib, conditions(o), {.delay_budget_percent = 2.0,
-                               .leakage_temperature = o.t_standby});
-  report::Table t{{"quantity", "value"}, {}};
-  char buf[96];
-  std::snprintf(buf, sizeof buf, "%d of %zu (%.1f%%)", r.n_high,
-                r.gate_vth_offsets.size(), 100.0 * r.high_fraction());
-  t.add_row({"gates moved to high Vth", buf});
-  std::snprintf(buf, sizeof buf, "%.3f -> %.3f ns", to_ns(r.fresh_delay_low),
-                to_ns(r.fresh_delay_dual));
-  t.add_row({"fresh delay", buf});
-  std::snprintf(buf, sizeof buf, "%.2f -> %.2f uA (-%.1f%%)",
-                1e6 * r.leakage_low, 1e6 * r.leakage_dual,
-                r.leakage_saving_percent());
-  t.add_row({"standby leakage", buf});
-  std::snprintf(buf, sizeof buf, "%.3f -> %.3f %%", r.aging_low_percent,
-                r.aging_dual_percent);
-  t.add_row({"10-year degradation", buf});
-  emit(o, t);
-  return 0;
-}
-
-int cmd_sizing(const CliOptions& o) {
-  const netlist::Netlist nl = load_circuit(o);
-  const tech::Library lib;
-  const aging::AgingAnalyzer an(nl, lib, conditions(o));
-  const opt::SizingResult r = opt::size_for_lifetime(
-      an, aging::StandbyPolicy::all_stressed(),
-      {.spec_margin_percent = o.spec_margin, .size_step = 0.5,
-       .max_moves = 600});
-  report::Table t{{"quantity", "value"}, {}};
-  char buf[96];
-  std::snprintf(buf, sizeof buf, "%.3f ns (+%.1f%% spec)",
-                to_ns(r.spec), o.spec_margin);
-  t.add_row({"lifetime timing spec", buf});
-  std::snprintf(buf, sizeof buf, "%.3f -> %.3f ns", to_ns(r.aged_before),
-                to_ns(r.aged_after));
-  t.add_row({"aged delay before -> after", buf});
-  std::snprintf(buf, sizeof buf, "%.2f %% (vs %.2f%% guard-band)",
-                r.area_overhead_percent(), r.guard_band_percent());
-  t.add_row({"area overhead", buf});
-  t.add_row({"spec met", r.met ? "yes" : "no"});
-  emit(o, t);
-  return 0;
-}
-
-int cmd_inc(const CliOptions& o) {
-  const netlist::Netlist nl = load_circuit(o);
-  const tech::Library lib;
-  const opt::IncInsertionResult r = opt::insert_control_points(
-      nl, lib, conditions(o), {.max_control_points = 30});
-  report::Table t{{"quantity", "value"}, {}};
-  char buf[96];
-  std::snprintf(buf, sizeof buf, "%zu", r.controlled.size());
-  t.add_row({"control points inserted", buf});
-  std::snprintf(buf, sizeof buf, "%.3f -> %.3f %% (-%.1f%%)", r.aging_before,
-                r.aging_after, r.aging_saving_percent());
-  t.add_row({"10-year degradation", buf});
-  std::snprintf(buf, sizeof buf, "%.2f %%", r.time0_penalty_percent());
-  t.add_row({"time-0 delay penalty", buf});
-  emit(o, t);
-  return 0;
-}
-
-int cmd_lifetime(const CliOptions& o) {
-  const netlist::Netlist nl = load_circuit(o);
-  const tech::Library lib;
-  const aging::AgingAnalyzer an(nl, lib, conditions(o));
-  const variation::LifetimeResult r = variation::lifetime_distribution(
-      an, aging::StandbyPolicy::all_stressed(),
-      {.spec_margin_percent = o.spec_margin, .samples = o.mc_samples,
-       .use_dvth_table = o.use_dvth_table,
-       .table_points_per_decade = o.table_ppd});
-  report::Table t{{"quantity", "value"}, {}};
-  char buf[96];
-  std::snprintf(buf, sizeof buf, "%.2f years",
-                r.quantile(0.5) / kSecondsPerYear);
-  t.add_row({"median lifetime", buf});
-  std::snprintf(buf, sizeof buf, "%.2f years",
-                r.quantile(0.01) / kSecondsPerYear);
-  t.add_row({"1%-ile lifetime", buf});
-  std::snprintf(buf, sizeof buf, "%.1f %%",
-                100.0 * r.failure_fraction_at(o.years * kSecondsPerYear));
-  t.add_row({"failed within the horizon", buf});
-  std::snprintf(buf, sizeof buf, "%.1f %%", 100.0 * r.survivor_fraction());
-  t.add_row({"survivors at 30 years", buf});
-  emit(o, t);
-  return 0;
-}
-
-int cmd_derate(const CliOptions& o) {
-  const netlist::Netlist nl = load_circuit(o);
-  const tech::Library lib;
-  const aging::AgingAnalyzer an(nl, lib, conditions(o));
-  const report::DerateTable t =
-      report::aging_derate_table(an, {1.0, 2.0, 3.0, 5.0, 7.0, o.years});
-  emit(o, t.to_table());
-  return 0;
-}
-
-int cmd_thermal(const CliOptions& o) {
-  if (o.standby_mode == "stressed" || o.standby_mode == "relaxed") {
-    usage("thermal needs a concrete standby vector: zeros|ones|mlv");
+  if (circuit.starts_with('-')) {
+    usage(("expected a circuit before options, got " + circuit).c_str());
   }
-  const netlist::Netlist nl = load_circuit(o);
-  const tech::Library lib;
-  const thermal::RcThermalModel model;
-  const thermal::OperatingPoint op = thermal::solve_operating_point(
-      nl, lib, model, standby_vector(o, nl, lib),
-      {.dynamic_power_w = o.dynamic_power, .replication = o.replication,
-       .runaway_temp_k = o.runaway_k});
-  report::Table t{{"quantity", "value"}, {}};
-  char buf[96];
-  std::snprintf(buf, sizeof buf, "%.2f K (%.2f C)", op.temperature_k,
-                op.temperature_k - 273.15);
-  t.add_row({"operating temperature", buf});
-  std::snprintf(buf, sizeof buf, "%.3f W (die of %g blocks)", op.leakage_w,
-                o.replication);
-  t.add_row({"leakage power", buf});
-  std::snprintf(buf, sizeof buf, "%d iterations, %s", op.iterations,
-                op.converged ? "converged" : "RUNAWAY");
-  t.add_row({"fixpoint", buf});
-  emit(o, t);
-  return 0;
-}
-
-int cmd_failure(const CliOptions& o) {
-  const netlist::Netlist nl = load_circuit(o);
-  const tech::Library lib;
-  const aging::AgingAnalyzer an(nl, lib, conditions(o));
-  aging::FailureParams fp;
-  fp.multi.clock_hz = o.clock_ghz * 1e9;
-  fp.multi.pbti.ratio = o.pbti_ratio;
-  fp.fail_dvth = o.fail_dvth;
-  if (o.years_set) fp.max_years = o.years;
-  fp.use_dvth_table = o.use_dvth_table;
-  fp.table_points_per_decade = o.table_ppd;
-  const aging::FailureReport rep =
-      aging::analyze_failure(an, standby_policy(o, nl, lib), fp);
-
-  report::Table t{{"mechanism", "system MTTF [years]", "worst gate [years]"},
-                  {}};
-  char buf[96];
-  auto years = [&](double y) -> const char* {
-    if (std::isfinite(y)) {
-      std::snprintf(buf, sizeof buf, "%.2f", y);
+  std::vector<std::string> flags;
+  std::string csv_path;
+  for (int i = 3; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--csv") != 0) {
+      flags.emplace_back(argv[i]);
+    } else if (i + 1 < argc) {
+      csv_path = argv[++i];
     } else {
-      std::snprintf(buf, sizeof buf, "> %g (window)", fp.max_years);
+      usage("missing value for --csv");
     }
-    return buf;
-  };
-  for (const aging::MechanismMttf& m : rep.mechanisms) {
-    std::vector<std::string> row{m.name};
-    row.push_back(years(m.system_mttf));
-    double worst = aging::kNeverFails;
-    for (double g : m.gate_mttf) worst = std::min(worst, g);
-    row.push_back(years(worst));
-    t.add_row(row);
   }
-  {
-    std::vector<std::string> row{"system (all mechanisms)"};
-    row.push_back(years(rep.system_mttf));
-    row.push_back("");
-    t.add_row(row);
-  }
-  emit(o, t);
-
-  report::Table curve{{"years", "P(system failed)"}, {}};
-  for (const auto& [y, p] : rep.failure_curve) {
-    std::snprintf(buf, sizeof buf, "%g", y);
-    std::string year_s = buf;
-    std::snprintf(buf, sizeof buf, "%.4f", p);
-    curve.add_row({year_s, buf});
-  }
-  std::printf("\n");
-  emit(o, curve);
+  const campaign::CampaignSpec spec =
+      campaign::spec_from_args(verb, circuit, flags);
+  // The verb owns this thread: --threads is the width of every parallel
+  // loop it reaches.
+  const common::ThreadBudget budget(spec.n_threads);
+  analysis::ContextPool pool(spec.params, spec.cut_dffs);
+  analysis::EvalContext ctx =
+      pool.context(spec.netlists.front(), spec.conditions.front());
+  emit(info ? info_table(ctx) : metric_table(verb, ctx, spec.params),
+       csv_path);
   return 0;
 }
 
@@ -866,24 +382,7 @@ int main(int argc, char** argv) {
     if (argc >= 2 && std::strcmp(argv[1], "generate") == 0) {
       return cmd_generate(argc, argv);
     }
-    const CliOptions o = parse_args(argc, argv);
-    // The verb owns this thread: --threads is the width of every parallel
-    // loop it reaches.
-    const common::ThreadBudget budget(o.threads);
-    if (o.command == "info") return cmd_info(o);
-    if (o.command == "aging") return cmd_aging(o);
-    if (o.command == "ivc") return cmd_ivc(o);
-    if (o.command == "st") return cmd_st(o);
-    if (o.command == "mc") return cmd_mc(o);
-    if (o.command == "multi") return cmd_multi(o);
-    if (o.command == "dualvth") return cmd_dualvth(o);
-    if (o.command == "sizing") return cmd_sizing(o);
-    if (o.command == "inc") return cmd_inc(o);
-    if (o.command == "lifetime") return cmd_lifetime(o);
-    if (o.command == "thermal") return cmd_thermal(o);
-    if (o.command == "failure") return cmd_failure(o);
-    if (o.command == "derate") return cmd_derate(o);
-    usage(("unknown command " + o.command).c_str());
+    return cmd_cell(argc, argv);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "nbtisim: %s\n", e.what());
     return 1;

@@ -4,6 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "netlist/generators.h"
 #include "tech/units.h"
 #include "variation/lifetime.h"
@@ -157,6 +162,39 @@ TEST_F(AgingTest, AgedGateDelaysRejectSizeMismatch) {
   const AgingAnalyzer an(c432_, lib_, cond(9, 330.0));
   EXPECT_THROW(an.aged_gate_delays(std::vector<double>(3, 0.0)),
                std::invalid_argument);
+}
+
+// The first-order law 1 + alpha*dVth/(Vdd - Vth0 - offset) is shared by the
+// aging and sizing paths; past the overdrive it used to return huge finite
+// factors (an aged delay of 1e74 ns at --years 1e300).
+TEST_F(AgingTest, TaylorDelayFactorGuardsItsDomain) {
+  const tech::LibraryParams& lp = lib_.params();
+  const double overdrive = lp.vdd - lp.pmos.vth0;
+  EXPECT_EQ(taylor_delay_factor(lp, 0.0, 0.0, c432_, 0), 1.0);
+  EXPECT_EQ(taylor_delay_factor(lp, 0.03, 0.0, c432_, 0),
+            1.0 + lp.pmos.alpha * 0.03 / (lp.vdd - lp.pmos.vth0));
+  EXPECT_EQ(taylor_delay_factor(lp, 0.03, 0.1, c432_, 0),
+            1.0 + lp.pmos.alpha * 0.03 / (lp.vdd - lp.pmos.vth0 - 0.1));
+  const std::string gate = c432_.node_name(c432_.gate(5).output);
+  for (const auto& [dvth, offset] :
+       std::vector<std::pair<double, double>>{
+           {overdrive, 0.0}, {1e73, 0.0}, {overdrive - 0.1, 0.1},
+           {std::nan(""), 0.0}, {-INFINITY, 0.0}, {INFINITY, 0.0}}) {
+    SCOPED_TRACE(dvth);
+    try {
+      taylor_delay_factor(lp, dvth, offset, c432_, 5);
+      FAIL() << "expected std::domain_error";
+    } catch (const std::domain_error& e) {
+      EXPECT_NE(std::string(e.what()).find("gate " + gate + ":"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // The analyzer's Taylor path reaches the guard at an absurd horizon.
+  AgingConditions c = cond(9, 330.0);
+  c.total_time = 1e300 * kSecondsPerYear;
+  const AgingAnalyzer an(c432_, lib_, c);
+  EXPECT_THROW(an.analyze(StandbyPolicy::all_stressed()), std::domain_error);
 }
 
 TEST_F(AgingTest, ReportAccessorsConsistent) {

@@ -52,8 +52,9 @@ std::string temp_path(const std::string& name) {
 TEST(AnalysisRegistryTest, GlobalListsAllBuiltinsSorted) {
   const std::vector<std::string> names = AnalysisRegistry::global().names();
   const std::vector<std::string> expected{
-      "aging",  "criticality", "derate", "failure", "ivc",     "lifetime",
-      "multi",  "pareto",      "sizing", "st",      "thermal"};
+      "aging", "altivc", "criticality", "derate", "dualvth",
+      "failure", "inc", "ivc", "lifetime", "mc",
+      "multi", "pareto", "sizing", "st", "thermal"};
   EXPECT_EQ(names, expected);
   // Every listed name resolves, and name() round-trips.
   for (const std::string& n : names) {
@@ -117,7 +118,9 @@ TEST(AnalysisFingerprintTest, TechniqueKnobsTouchOnlyTheirOwnHash) {
             V{"sizing"});
   EXPECT_EQ(changed_by([](Params& p) { p.sizing_max_moves = 99; }),
             V{"sizing"});
-  EXPECT_EQ(changed_by([](Params& p) { p.samples = 33; }), V{"lifetime"});
+  // samples sizes both Monte-Carlo verbs; population feeds both MLV ones.
+  EXPECT_EQ(changed_by([](Params& p) { p.samples = 33; }),
+            (V{"lifetime", "mc"}));
   EXPECT_EQ(changed_by([](Params& p) { p.spec_margin = 8.0; }),
             V{"lifetime"});
   EXPECT_EQ(changed_by([](Params& p) { p.derate_years = {1.0, 4.0}; }),
@@ -126,7 +129,10 @@ TEST(AnalysisFingerprintTest, TechniqueKnobsTouchOnlyTheirOwnHash) {
   EXPECT_EQ(changed_by([](Params& p) { p.crit_samples = 12; }),
             V{"criticality"});
   EXPECT_EQ(changed_by([](Params& p) { p.st_sigma = 0.07; }), V{"st"});
-  EXPECT_EQ(changed_by([](Params& p) { p.population = 16; }), V{"ivc"});
+  EXPECT_EQ(changed_by([](Params& p) { p.population = 16; }),
+            (V{"altivc", "ivc"}));
+  EXPECT_EQ(changed_by([](Params& p) { p.max_rounds = 3; }),
+            (V{"altivc", "ivc"}));
   // clock/pbti knobs feed both wear-out analyses; the rest are exclusive.
   EXPECT_EQ(changed_by([](Params& p) { p.clock_ghz = 2.0; }),
             (V{"failure", "multi"}));
@@ -146,6 +152,36 @@ TEST(AnalysisFingerprintTest, TechniqueKnobsTouchOnlyTheirOwnHash) {
             V{"failure"});
   EXPECT_EQ(changed_by([](Params& p) { p.fail_curve_years = {1.0, 3.0}; }),
             V{"failure"});
+}
+
+TEST(AnalysisFingerprintTest, StandbyTouchesOnlyMultiFailureThermal) {
+  using V = std::vector<std::string>;
+  for (const char* mode : {"stressed", "relaxed", "zeros", "ones", "mlv"}) {
+    SCOPED_TRACE(mode);
+    EXPECT_EQ(changed_by([&](Params& p) { p.standby = mode; }),
+              (V{"failure", "multi", "thermal"}));
+  }
+}
+
+// The task hash of every store row written so far is a function of these
+// strings: changing one silently invalidates every store that holds it.
+TEST(AnalysisFingerprintTest, DefaultFingerprintsArePinned) {
+  const std::map<std::string, std::string> pinned{
+      {"aging", "sp1024,seed7"},
+      {"criticality", "sp1024,seed7,cs300,csig0.015"},
+      {"derate", "sp1024,seed7,y[1:2:3:5:7:10]"},
+      {"failure",
+       "sp1024,seed7,clk1,pbti0.35,dvth0.05,beta2,pts40,ymax100,"
+       "curve[1:2:5:10:20:30]"},
+      {"ivc", "sp1024,seed7,pop32,r8"},
+      {"lifetime", "sp1024,seed7,mc100,margin5"},
+      {"multi", "sp1024,seed7,clk1,pbti0.35"},
+      {"pareto", "sp1024,seed7,ps64,pr3,pf8"},
+      {"sizing", "sp1024,seed7,margin3,step0.5,cap4,moves600"},
+      {"st", "sp1024,seed7,sig0.05"},
+      {"thermal", "pw60,rep100000,run1000"}};
+  const auto all = all_fingerprints(Params{});
+  for (const auto& [name, fp] : pinned) EXPECT_EQ(all.at(name), fp) << name;
 }
 
 TEST(AnalysisFingerprintTest, SharedKnobsTouchEveryHashExceptThermal) {
@@ -202,12 +238,11 @@ TEST(EvalContextTest, PoolCachesPerCellState) {
 }
 
 // --------------------------------------------------------------------------
-// The acceptance campaign: one spec listing all eleven analyses runs,
-// resumes after interruption, and its store is byte-identical for every
-// n_threads. Kept on one tiny generated netlist so the whole thing stays
-// CI-cheap.
+// The acceptance campaign: one spec listing every analysis runs, resumes
+// after interruption, and its store is byte-identical for every n_threads.
+// Kept on one tiny generated netlist so the whole thing stays CI-cheap.
 
-constexpr int kAllAnalyses = 11;
+constexpr int kAllAnalyses = 15;
 
 campaign::CampaignSpec all_analyses_spec() {
   const char* text = R"({
@@ -216,8 +251,9 @@ campaign::CampaignSpec all_analyses_spec() {
     "conditions": [
       {"ras": "1:9", "t_active": 400, "t_standby": 330, "years": 10}
     ],
-    "analyses": ["aging", "criticality", "derate", "failure", "ivc",
-                 "lifetime", "multi", "pareto", "sizing", "st", "thermal"],
+    "analyses": ["aging", "altivc", "criticality", "derate", "dualvth",
+                 "failure", "inc", "ivc", "lifetime", "mc", "multi",
+                 "pareto", "sizing", "st", "thermal"],
     "params": {"sp_vectors": 256, "samples": 10, "population": 8,
                "max_rounds": 2, "sizing_margin": 3.0, "sizing_max_moves": 40,
                "derate_years": [2, 5], "pareto_samples": 8,

@@ -12,9 +12,11 @@
 
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <thread>
 
+#include "analysis/analysis.h"
 #include "campaign/spec.h"
 #include "campaign/store.h"
 #include "common/pool.h"
@@ -126,6 +128,158 @@ TEST(CampaignSpecTest, RejectsNonFiniteConditions) {
                      "]}")),
                  std::invalid_argument);
   }
+}
+
+// NaN passes every "<= 0" range check: {"sizing_margin": NaN,
+// "st_sigma": NaN} used to store spec_ns, st_total_pct and wl_base as NaN.
+TEST(CampaignSpecTest, RejectsNonFiniteParams) {
+  for (const char* params :
+       {R"({"sizing_margin": NaN})", R"({"st_sigma": NaN})",
+        R"({"spec_margin": Infinity})", R"({"fail_dvth": NaN})",
+        R"({"thermal_power": Infinity})", R"({"pbti_ratio": -Infinity})",
+        R"({"sp_vectors": NaN})", R"({"samples": Infinity})",
+        R"({"seed": NaN})", R"({"seed": -1})", R"({"samples": 10.5})",
+        R"({"derate_years": [1, NaN]})", R"({"fail_curve_years": []})",
+        R"({"use_dvth_table": 1})", R"({"standby": "sideways"})",
+        R"({"standby": 0})"}) {
+    SCOPED_TRACE(params);
+    const std::string key = common::json::parse(params)
+                                .as_object()
+                                .front()
+                                .first;
+    try {
+      spec_from_json(common::json::parse(
+          std::string(R"({"netlists": ["c432"], "analyses": ["st"], )") +
+          R"("params": )" + params + "}"));
+      FAIL() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find('"' + key + '"'),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // Every standby value the analyses know parses.
+  for (const char* mode : {"", "stressed", "relaxed", "zeros", "ones", "mlv"}) {
+    EXPECT_EQ(spec_from_json(common::json::parse(
+                  std::string(R"({"netlists": ["c432"], "analyses": ["multi"],
+                                  "params": {"standby": ")") +
+                  mode + "\"}}"))
+                  .params.standby,
+              mode);
+  }
+}
+
+// A misspelt key used to be ignored: "t_activ" and "sp_vector" ran at the
+// defaults.
+TEST(CampaignSpecTest, RejectsUnknownKeys) {
+  const std::string grid = R"("netlists": ["c432"], "analyses": ["aging"])";
+  for (const auto& [doc, key] : std::vector<std::pair<std::string, std::string>>{
+           {"{" + grid + R"(, "conditions": [{"t_activ": 350}]})", "t_activ"},
+           {"{" + grid + R"(, "params": {"sp_vector": 256}})", "sp_vector"},
+           {"{" + grid + R"(, "n_thread": 2})", "n_thread"}}) {
+    SCOPED_TRACE(doc);
+    try {
+      spec_from_json(common::json::parse(doc));
+      FAIL() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find('"' + key + '"'),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // Every spec the repo ships uses known keys only.
+  for (const char* path :
+       {"campaign_all_analyses.json", "campaign_failure.json",
+        "campaign_smoke.json", "campaign_table3_ivc.json"}) {
+    EXPECT_NO_THROW(load_spec(std::string(NBTISIM_EXAMPLES_DIR) + "/" + path))
+        << path;
+  }
+}
+
+// The CLI's `nbtisim <verb> <circuit> FLAGS` is the one-cell spec: for every
+// registry verb, flags and the equivalent JSON expand to the same task.
+TEST(CampaignSpecTest, CliFlagsExpandLikeTheirJsonSpec) {
+  const std::map<std::string, std::pair<std::vector<std::string>, std::string>>
+      extra{
+          {"altivc", {{"--population", "16"}, R"("population": 16)"}},
+          {"criticality", {{"--crit-sigma", "0.02"}, R"("crit_sigma": 0.02)"}},
+          {"derate",
+           {{"--derate-years", "[2,4]"}, R"("derate_years": [2, 4])"}},
+          {"failure",
+           {{"--fail-max-years", "50", "--standby", "zeros"},
+            R"("fail_max_years": 50, "standby": "zeros")"}},
+          {"ivc", {{"--max-rounds", "3"}, R"("max_rounds": 3)"}},
+          {"lifetime",
+           {{"--spec-margin", "6", "--use-dvth-table", "--table-ppd", "12"},
+            R"("spec_margin": 6, "use_dvth_table": true, "table_ppd": 12)"}},
+          {"mc", {{"--samples", "40"}, R"("samples": 40)"}},
+          {"multi",
+           {{"--standby", "mlv", "--clock-ghz", "2"},
+            R"("standby": "mlv", "clock_ghz": 2)"}},
+          {"pareto", {{"--pareto-flips", "3"}, R"("pareto_flips": 3)"}},
+          {"sizing", {{"--sizing-margin", "4"}, R"("sizing_margin": 4)"}},
+          {"st", {{"--st-sigma", "0.03"}, R"("st_sigma": 0.03)"}}};
+  for (const std::string& verb : analysis::AnalysisRegistry::global().names()) {
+    SCOPED_TRACE(verb);
+    // thermal reads neither shared Monte-Carlo knob; every other verb does.
+    std::vector<std::string> flags{"--ras", "1:5", "--t-standby", "350",
+                                   "--years", "8", "--threads", "2"};
+    std::string params = verb == "thermal" ? R"("thermal_power": 70)"
+                                           : R"("sp_vectors": 512, "seed": 3)";
+    if (verb == "thermal") {
+      flags.insert(flags.end(), {"--thermal-power", "70"});
+    } else {
+      flags.insert(flags.end(), {"--sp-vectors", "512", "--seed", "3"});
+    }
+    if (const auto it = extra.find(verb); it != extra.end()) {
+      flags.insert(flags.end(), it->second.first.begin(),
+                   it->second.first.end());
+      params += ", " + it->second.second;
+    }
+    const CampaignSpec from_flags = spec_from_args(verb, "c432", flags);
+    const CampaignSpec from_json = spec_from_json(common::json::parse(
+        R"({"netlists": ["c432"], "analyses": [")" + verb +
+        R"("], "conditions": [{"ras": "1:5", "t_standby": 350, "years": 8}],
+            "n_threads": 2, "params": {)" + params + "}}"));
+    const std::vector<Task> a = expand(from_flags), b = expand(from_json);
+    ASSERT_EQ(a.size(), 1u);
+    ASSERT_EQ(b.size(), 1u);
+    EXPECT_EQ(a[0].key(from_flags.params), b[0].key(from_json.params));
+    EXPECT_EQ(a[0].hash, b[0].hash);
+    EXPECT_EQ(from_flags.params, from_json.params);
+    EXPECT_EQ(from_flags.n_threads, 2);
+  }
+}
+
+TEST(CampaignSpecTest, CliRejectsFlagsTheVerbDoesNotRead) {
+  try {
+    spec_from_args("sizing", "c432", {"--spec-margin", "4"});
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("--spec-margin"), std::string::npos) << what;
+    EXPECT_NE(what.find("sizing"), std::string::npos) << what;
+  }
+  EXPECT_THROW(spec_from_args("aging", "c432", {"--standby", "mlv"}),
+               std::invalid_argument);
+  EXPECT_THROW(spec_from_args("thermal", "c432", {"--seed", "3"}),
+               std::invalid_argument);
+  EXPECT_THROW(spec_from_args("info", "c432", {"--samples", "40"}),
+               std::invalid_argument);
+  // A default value, or a knob that matters only next to another flag,
+  // changes nothing the verb reads yet is not ignored.
+  EXPECT_NO_THROW(spec_from_args("sizing", "c432", {"--spec-margin", "5"}));
+  EXPECT_NO_THROW(spec_from_args(
+      "lifetime", "c432", {"--use-dvth-table", "--table-ppd", "12"}));
+  EXPECT_THROW(spec_from_args("lifetime", "c432", {"--table-ppd", "12"}),
+               std::invalid_argument);
+  // info reads only the condition, validated like any spec's.
+  EXPECT_TRUE(spec_from_args("info", "c432", {"--t-standby", "350"})
+                  .analyses.empty());
+  EXPECT_THROW(spec_from_args("info", "c432", {"--t-standby", "nan"}),
+               std::invalid_argument);
+  EXPECT_THROW(spec_from_args("aging", "c432", {"t-standby", "350"}),
+               std::invalid_argument);
 }
 
 TEST(CampaignSpecTest, ExpandBuildsTheFullGridWithStableHashes) {

@@ -57,6 +57,25 @@ for bin in build/bench/bench_table* build/bench/bench_fig* \
 done
 echo "check.sh: paper benches match tools/golden/paper/"
 
+# CLI verbs: each analysis verb is a one-cell campaign, so its transcript on
+# c432 is pinned like a paper bench.  tools/golden/cli/<verb>.txt is
+# `nbtisim <verb> c432`; <verb>_standby_<mode>.txt adds `--standby <mode>`.
+# A verb (info or any registered analysis) without a golden fails.
+for verb in info $("$NBTISIM" 2>&1 | sed -n 's/^analyses: //p' || true); do
+  if [[ ! -f "tools/golden/cli/$verb.txt" ]]; then
+    echo "check.sh: no tools/golden/cli/$verb.txt" >&2
+    exit 1
+  fi
+done
+for golden in tools/golden/cli/*.txt; do
+  name="$(basename "$golden" .txt)"
+  args=("${name%%_standby_*}" c432)
+  [[ "$name" == *_standby_* ]] && args+=(--standby "${name##*_standby_}")
+  "$NBTISIM" "${args[@]}" > "$QSMOKE_DIR/cli_$name.txt"
+  run diff -u "$golden" "$QSMOKE_DIR/cli_$name.txt"
+done
+echo "check.sh: CLI verbs match tools/golden/cli/"
+
 # Aging bench schema smoke: write BENCH_aging.json (timings and all — the
 # numbers vary per machine, the key set must not) and diff its sorted JSON
 # key set against the expected list.  Catches silently dropped or renamed

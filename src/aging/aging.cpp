@@ -76,21 +76,8 @@ AgingAnalyzer::AgingAnalyzer(const netlist::Netlist& nl,
   fresh_critical_delay_ = sta_.analyze(fresh_delays_).max_delay;
 }
 
-std::shared_ptr<const AgingAnalyzer::StressDescriptors>
-AgingAnalyzer::stress_descriptors(const StandbyPolicy& policy) const {
-  {
-    std::lock_guard<std::mutex> lock(cache_mutex_);
-    for (const auto& entry : stress_cache_) {
-      if (entry->policy == policy) return entry;
-    }
-  }
-
-  // Build phase — everything that does not depend on the evaluation
-  // horizon: standby-vector simulation, signal-probability propagation
-  // through each cell, and the per-PMOS stress descriptors.
-  stress_builds_.fetch_add(1, std::memory_order_relaxed);
-  const double vdd = lib_->params().vdd;
-
+AgingAnalyzer::StressSet AgingAnalyzer::build_stress(
+    const StandbyPolicy& policy, tech::Channel channel) const {
   // Standby net values (Vector policy: one set; Rotating: one per member).
   std::vector<std::vector<bool>> standby_values;
   if (policy.kind == StandbyPolicy::Kind::Vector) {
@@ -112,18 +99,24 @@ AgingAnalyzer::stress_descriptors(const StandbyPolicy& policy) const {
     }
   }
 
-  auto desc = std::make_shared<StressDescriptors>();
-  desc->policy = policy;
-  desc->gate_begin.resize(nl_->num_gates() + 1, 0);
+  // The gate signal value that stresses a device of this channel: 0 for a
+  // PMOS (Vgs = -Vdd), 1 for an NMOS (Vgs = +Vdd).
+  const bool stress_value = channel == tech::Channel::Nmos;
+  const tech::LibraryParams& lp = lib_->params();
+  const double vth0 =
+      channel == tech::Channel::Pmos ? lp.pmos.vth0 : lp.nmos.vth0;
+
+  StressSet set;
+  set.gate_begin.resize(nl_->num_gates() + 1, 0);
   for (int gi = 0; gi < nl_->num_gates(); ++gi) {
     const tech::Cell& cell = lib_->cell(sta_.gate_cell(gi));
-    desc->gate_begin[gi + 1] =
-        desc->gate_begin[gi] + static_cast<int>(cell.pmos_devices().size());
+    set.gate_begin[gi + 1] =
+        set.gate_begin[gi] + static_cast<int>(cell.pmos_devices().size());
   }
   std::vector<nbti::DeviceAging::StressContext> contexts(
-      desc->gate_begin.back());
+      set.gate_begin.back());
 
-  const nbti::DeviceAging model(cond_.rd, cond_.method);
+  const nbti::DeviceAging model(cond_.rd);
   common::parallel_for(nl_->num_gates(), [&](int gi) {
     const netlist::Gate& g = nl_->gate(gi);
     const tech::Cell& cell = lib_->cell(sta_.gate_cell(gi));
@@ -145,27 +138,32 @@ AgingAnalyzer::stress_descriptors(const StandbyPolicy& policy) const {
       standby_sig.push_back(cell.signal_values(bits));
     }
 
-    int slot = desc->gate_begin[gi];
-    for (const tech::PmosDevice& pm : cell.pmos_devices()) {
+    // One device per stage input in either channel: pmos_devices() lists
+    // the stage inputs, and gate_signal is the input's signal.
+    int slot = set.gate_begin[gi];
+    for (const tech::PmosDevice& dev : cell.pmos_devices()) {
+      const int sig = dev.gate_signal;
       nbti::DeviceStress stress;
-      stress.active_stress_prob = 1.0 - sp[pm.gate_signal];
-      stress.vgs = vdd;
-      stress.vth0 = lib_->params().pmos.vth0 +
-                    (cond_.gate_vth_offsets.empty()
-                         ? 0.0
-                         : cond_.gate_vth_offsets[gi]);
+      stress.active_stress_prob = stress_value ? sp[sig] : 1.0 - sp[sig];
+      stress.vgs = lp.vdd;
+      stress.vth0 = vth0 + (cond_.gate_vth_offsets.empty()
+                                ? 0.0
+                                : cond_.gate_vth_offsets[gi]);
       switch (policy.kind) {
         case StandbyPolicy::Kind::AllStressed:
-          stress.standby = nbti::StandbyMode::Stressed;
+        case StandbyPolicy::Kind::AllRelaxed: {
+          const bool standby_value =
+              policy.kind == StandbyPolicy::Kind::AllRelaxed;
+          stress.standby = standby_value == stress_value
+                               ? nbti::StandbyMode::Stressed
+                               : nbti::StandbyMode::Relaxed;
           break;
-        case StandbyPolicy::Kind::AllRelaxed:
-          stress.standby = nbti::StandbyMode::Relaxed;
-          break;
+        }
         case StandbyPolicy::Kind::Vector:
         case StandbyPolicy::Kind::Rotating: {
           int stressed = 0;
-          for (const std::vector<bool>& sig : standby_sig) {
-            stressed += sig[pm.gate_signal] ? 0 : 1;
+          for (const std::vector<bool>& values : standby_sig) {
+            stressed += values[sig] == stress_value ? 1 : 0;
           }
           stress.standby_stress_fraction =
               static_cast<double>(stressed) / standby_sig.size();
@@ -176,7 +174,23 @@ AgingAnalyzer::stress_descriptors(const StandbyPolicy& policy) const {
       ++slot;
     }
   });
-  desc->kernel = nbti::RdKernel(model, std::move(contexts));
+  set.kernel = nbti::RdKernel(model, std::move(contexts));
+  return set;
+}
+
+std::shared_ptr<const AgingAnalyzer::StressDescriptors>
+AgingAnalyzer::stress_descriptors(const StandbyPolicy& policy) const {
+  {
+    std::lock_guard<std::mutex> lock(cache_mutex_);
+    for (const auto& entry : stress_cache_) {
+      if (entry->policy == policy) return entry;
+    }
+  }
+
+  stress_builds_.fetch_add(1, std::memory_order_relaxed);
+  auto desc = std::make_shared<StressDescriptors>();
+  desc->policy = policy;
+  desc->pmos = build_stress(policy, tech::Channel::Pmos);
 
   std::lock_guard<std::mutex> lock(cache_mutex_);
   // Another thread may have built the same policy concurrently; reuse its
@@ -233,24 +247,20 @@ std::shared_ptr<const nbti::DvthTable> AgingAnalyzer::dvth_table(
   return table;
 }
 
-std::vector<double> AgingAnalyzer::gate_dvth(
-    const StandbyPolicy& policy, std::optional<double> total_time) const {
-  const double horizon = total_time.value_or(cond_.total_time);
-  const std::shared_ptr<const StressDescriptors> desc =
-      stress_descriptors(policy);
-
-  // Evaluation phase: embarrassingly parallel over gate chunks wide enough
-  // for the kernel's packed inner loop; each gate writes only its own slot,
-  // so the result is identical for every thread count and chunk size.
-  // Chunks own disjoint device ranges, so they can share the two
-  // device-wide work buffers — thread-local so horizon sweeps (degradation
-  // series, table builds, crossing-time scans) pay no per-call allocation.
-  // Each calling thread owns its pair; pool workers only write the
-  // disjoint slices they are handed.
+std::vector<double> AgingAnalyzer::worst_per_gate(const StressSet& set,
+                                                  double total_time) const {
+  // Embarrassingly parallel over gate chunks wide enough for the kernel's
+  // packed inner loop; each gate writes only its own slot, so the result is
+  // identical for every thread count and chunk size.  Chunks own disjoint
+  // device ranges, so they can share the two device-wide work buffers —
+  // thread-local so horizon sweeps (degradation series, table builds,
+  // crossing-time scans) pay no per-call allocation.  Each calling thread
+  // owns its pair; pool workers only write the disjoint slices they are
+  // handed.
   std::vector<double> dvth(nl_->num_gates(), 0.0);
   static thread_local std::vector<double> dev_out;
   static thread_local std::vector<double> dev_scratch;
-  const std::size_t n_devices = desc->kernel.num_devices();
+  const std::size_t n_devices = set.kernel.num_devices();
   if (dev_out.size() < n_devices) {
     dev_out.resize(n_devices);
     dev_scratch.resize(n_devices);
@@ -264,10 +274,16 @@ std::vector<double> AgingAnalyzer::gate_dvth(
   common::parallel_for(n_chunks, [&](int c) {
     const int g_lo = c * kKernelGateChunk;
     const int g_hi = std::min(nl_->num_gates(), g_lo + kKernelGateChunk);
-    desc->kernel.worst_per_gate(horizon, desc->gate_begin, g_lo, g_hi, dvth,
-                                dev_span, scratch_span);
+    set.kernel.worst_per_gate(total_time, set.gate_begin, g_lo, g_hi, dvth,
+                              dev_span, scratch_span);
   });
   return dvth;
+}
+
+std::vector<double> AgingAnalyzer::gate_dvth(
+    const StandbyPolicy& policy, std::optional<double> total_time) const {
+  return worst_per_gate(stress_descriptors(policy)->pmos,
+                        total_time.value_or(cond_.total_time));
 }
 
 std::vector<double> AgingAnalyzer::aged_gate_delays(
@@ -328,20 +344,6 @@ DegradationReport AgingAnalyzer::analyze(
   rep.gate_dvth = gate_dvth(policy, total_time);
   rep.fresh_delay = fresh_critical_delay_;
   rep.aged_delay = sta_.analyze(aged_gate_delays(rep.gate_dvth)).max_delay;
-  return rep;
-}
-
-DegradationReport AgingAnalyzer::analyze_slew_aware(
-    const StandbyPolicy& policy, std::optional<double> total_time) const {
-  const sta::SlewStaEngine slew(*nl_, *lib_);
-  DegradationReport rep;
-  rep.gate_dvth = gate_dvth(policy, total_time);
-  rep.fresh_delay =
-      slew.analyze(cond_.sta_temperature, {}, cond_.gate_vth_offsets)
-          .max_delay;
-  rep.aged_delay = slew.analyze(cond_.sta_temperature, rep.gate_dvth,
-                                cond_.gate_vth_offsets)
-                       .max_delay;
   return rep;
 }
 

@@ -28,7 +28,6 @@
 #include "netlist/netlist.h"
 #include "sim/simulator.h"
 #include "sta/sta.h"
-#include "sta/slew_sta.h"
 #include "tech/library.h"
 
 namespace nbtisim::aging {
@@ -73,7 +72,6 @@ struct AgingConditions {
       nbti::ModeSchedule::from_ras(1, 9, 1000.0, 400.0, 330.0);
   double total_time = 3.0e8;  ///< ~10 years
   nbti::RdParams rd{};
-  nbti::AcEvalMethod method = nbti::AcEvalMethod::ClosedForm;
   bool taylor_delay = true;  ///< eq. 22 first-order form vs. exact
                              ///< alpha-power re-evaluation
   int sp_vectors = 4096;     ///< Monte-Carlo vectors for signal probabilities
@@ -125,17 +123,41 @@ class AgingAnalyzer {
   const sta::StaEngine& sta() const { return sta_; }
   const sim::SignalStats& signal_stats() const { return stats_; }
 
+  /// One channel's devices under one standby policy, flattened over gates:
+  /// every device's horizon-independent evaluation state (equivalent cycle,
+  /// K_v, S_n prefix under conditions().schedule) packed into the SoA
+  /// kernel, so each horizon is O(1) per device.
+  struct StressSet {
+    std::vector<int> gate_begin;  ///< CSR device offsets, size num_gates + 1
+    nbti::RdKernel kernel;
+  };
+
+  /// Builds the stress of every \p channel device under \p policy from the
+  /// standby-vector simulation and the signal probabilities inside each
+  /// cell.  Every stage input drives one PMOS and one NMOS, so both
+  /// channels list their devices in Cell::pmos_devices() order.  A PMOS
+  /// (NBTI) is stressed while its gate signal is 0, an NMOS (PBTI) while it
+  /// is 1; AllStressed holds every signal at 0 in standby and AllRelaxed
+  /// every signal at 1.  Not cached: gate_dvth keeps the PMOS set per
+  /// policy, and the PBTI consumers build the NMOS set per call.
+  /// \throws std::invalid_argument for a standby vector of the wrong width
+  ///         or a Rotating policy with an empty rotation
+  StressSet build_stress(const StandbyPolicy& policy,
+                         tech::Channel channel) const;
+
+  /// Worst-device dVth per gate of \p set after \p total_time [V]: the SoA
+  /// kernel in parallel over gate chunks, bit-identical for every thread
+  /// count.
+  std::vector<double> worst_per_gate(const StressSet& set,
+                                     double total_time) const;
+
   /// Worst-PMOS dVth per gate after \p total_time (defaults to the
-  /// configured horizon) under the given standby policy [V].
-  ///
-  /// Two-phase: per-gate/per-PMOS stress descriptors (standby-vector
-  /// simulation + signal-probability propagation) are built once per
-  /// distinct policy and cached; each call then only evaluates the device
-  /// model against the cached descriptors through the SoA kernel
-  /// (nbti::RdKernel), in parallel over gate chunks.  Repeated calls with
-  /// different horizons — degradation_series in particular — skip the
-  /// whole build phase.  tests/support/reference.h reference_gate_dvth is
-  /// the per-device scalar oracle it is differential-tested against.
+  /// configured horizon) under the given standby policy [V]: worst_per_gate
+  /// over the policy's PMOS stress set, built on the first call per
+  /// distinct policy and cached.  Repeated calls with different horizons —
+  /// degradation_series in particular — skip the whole build phase.
+  /// tests/support/reference.h reference_gate_dvth is the per-device
+  /// scalar oracle it is differential-tested against.
   std::vector<double> gate_dvth(const StandbyPolicy& policy,
                                 std::optional<double> total_time = {}) const;
 
@@ -179,14 +201,6 @@ class AgingAnalyzer {
   DegradationReport analyze(const StandbyPolicy& policy,
                             std::optional<double> total_time = {}) const;
 
-  /// Rise/fall- and slew-aware variant of analyze(): uses SlewStaEngine so
-  /// the NBTI threshold shift slows *pull-up arcs only* — the physically
-  /// correct asymmetry (the paper's eq. 22 attributes the whole gate delay
-  /// to the degraded device; see bench_ablation_models (c)).
-  /// gate_delay_scale is not applied in this mode.
-  DegradationReport analyze_slew_aware(
-      const StandbyPolicy& policy, std::optional<double> total_time = {}) const;
-
   /// (time, delay-degradation-percent) series for Fig. 5-style plots.
   std::vector<std::pair<double, double>> degradation_series(
       const StandbyPolicy& policy, double t_min, double t_max,
@@ -196,16 +210,10 @@ class AgingAnalyzer {
   std::vector<double> aged_gate_delays(std::span<const double> dvth) const;
 
  private:
-  /// Build-once product of the pipeline's per-policy phase: every PMOS
-  /// device's stress descriptor, flattened over gates.  Only the horizon
-  /// argument of the device model varies between evaluations.
+  /// One cached PMOS stress set per policy.
   struct StressDescriptors {
-    StandbyPolicy policy;                      // cache key
-    std::vector<int> gate_begin;               // size num_gates + 1
-    /// SoA evaluator over every PMOS device's precomputed evaluation state
-    /// (equivalent cycle, K_v, S_n prefix) under cond_.schedule, flattened
-    /// over gates: makes each horizon O(1) per device.
-    nbti::RdKernel kernel;
+    StandbyPolicy policy;  // cache key
+    StressSet pmos;
   };
 
   /// Returns the cached descriptors for \p policy, building them on miss.

@@ -116,12 +116,28 @@ FailureReport analyze_failure(const AgingAnalyzer& analyzer,
 
   // --- Wear-out mechanisms: dVth(t) series -> threshold crossing. -------
 
+  // Per-gate MTTFs of a BTI mechanism; series[i][gi] is gate gi's
+  // worst-device shift at t_sec[i].
+  using Series = std::vector<std::vector<double>>;
+  const auto crossing_mttf = [&](const char* name, const Series& series) {
+    MechanismMttf m;
+    m.name = name;
+    m.gate_mttf.assign(n_gates, kNeverFails);
+    common::parallel_for(n_gates, [&](int gi) {
+      std::vector<double> v(n_points);
+      for (int i = 0; i < n_points; ++i) v[i] = series[i][gi];
+      m.gate_mttf[gi] =
+          crossing_time(t_sec, v, params.fail_dvth) / kSecondsPerYear;
+    });
+    return m;
+  };
+
   if (params.enable_nbti) {
     // One gate_dvth call per grid point: the analyzer's cached stress
     // descriptors make each horizon O(1) per device.  With use_dvth_table
     // the exact sweeps collapse into one cached table build (shared with
     // every other consumer of the analyzer) sampled at the grid times.
-    std::vector<std::vector<double>> series(n_points);
+    Series series(n_points);
     if (params.use_dvth_table) {
       const std::shared_ptr<const nbti::DvthTable> table =
           analyzer.dvth_table(policy, t_sec.front(), t_sec.back(),
@@ -135,50 +151,23 @@ FailureReport analyze_failure(const AgingAnalyzer& analyzer,
         series[i] = analyzer.gate_dvth(policy, t_sec[i]);
       }
     }
-    MechanismMttf m;
-    m.name = "nbti";
-    m.gate_mttf.assign(n_gates, kNeverFails);
-    common::parallel_for(n_gates, [&](int gi) {
-      std::vector<double> v(n_points);
-      for (int i = 0; i < n_points; ++i) v[i] = series[i][gi];
-      m.gate_mttf[gi] =
-          crossing_time(t_sec, v, params.fail_dvth) / kSecondsPerYear;
-    });
-    rep.mechanisms.push_back(std::move(m));
+    rep.mechanisms.push_back(crossing_mttf("nbti", series));
   }
 
   if (params.multi.enable_pbti) {
-    const PbtiStressSet pbti = build_pbti_stress(analyzer, policy);
-    const nbti::DeviceAging model(cond.rd, cond.method);
-    MechanismMttf m;
-    m.name = "pbti";
-    m.gate_mttf.assign(n_gates, kNeverFails);
-    // One context build + SoA kernel sweep per grid point.  Scaling the
-    // per-gate maximum by the (validated non-negative) ratio equals the
-    // max-of-scaled reduction bit for bit: rounded multiplication by a
-    // non-negative constant is monotone, and every dVth is >= 0.
-    std::vector<nbti::DeviceAging::StressContext> ctxs(pbti.devices.size());
-    for (std::size_t di = 0; di < pbti.devices.size(); ++di) {
-      ctxs[di] = model.make_context(pbti.devices[di], cond.schedule);
-    }
-    const nbti::RdKernel kernel(model, std::move(ctxs));
-    std::vector<std::vector<double>> worst_at(
-        n_points, std::vector<double>(n_gates, 0.0));
-    std::vector<double> dev_out(pbti.devices.size());
-    std::vector<double> dev_scratch(pbti.devices.size());
+    // The NMOS stress set, built once for this call (not cached), through
+    // the evaluator gate_dvth uses.  Scaling the per-gate maximum by the
+    // (validated non-negative) ratio equals the max-of-scaled reduction bit
+    // for bit: rounded multiplication by a non-negative constant is
+    // monotone, and every dVth is >= 0.
+    const AgingAnalyzer::StressSet nmos =
+        analyzer.build_stress(policy, tech::Channel::Nmos);
+    Series series(n_points);
     for (int i = 0; i < n_points; ++i) {
-      kernel.worst_per_gate(t_sec[i], pbti.gate_begin, 0, n_gates,
-                            worst_at[i], dev_out, dev_scratch);
+      series[i] = analyzer.worst_per_gate(nmos, t_sec[i]);
+      for (double& d : series[i]) d *= pbti_ratio;
     }
-    common::parallel_for(n_gates, [&](int gi) {
-      std::vector<double> worst(n_points);
-      for (int i = 0; i < n_points; ++i) {
-        worst[i] = pbti_ratio * worst_at[i][gi];
-      }
-      m.gate_mttf[gi] =
-          crossing_time(t_sec, worst, params.fail_dvth) / kSecondsPerYear;
-    });
-    rep.mechanisms.push_back(std::move(m));
+    rep.mechanisms.push_back(crossing_mttf("pbti", series));
   }
 
   if (params.multi.enable_hci) {

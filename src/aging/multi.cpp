@@ -1,102 +1,11 @@
 #include "aging/multi.h"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
+#include "sta/slew_sta.h"
+
 namespace nbtisim::aging {
-
-PbtiStressSet build_pbti_stress(const AgingAnalyzer& analyzer,
-                                const StandbyPolicy& policy) {
-  const netlist::Netlist& nl = analyzer.sta().netlist();
-  const tech::Library& lib = analyzer.sta().library();
-  const AgingConditions& cond = analyzer.conditions();
-  const sim::SignalStats& stats = analyzer.signal_stats();
-
-  if (policy.kind == StandbyPolicy::Kind::Rotating &&
-      policy.rotation.empty()) {
-    // An empty rotation has no standby state to average over; letting it
-    // through would divide by standby_sig.size() == 0 below and poison
-    // every stress fraction with NaN.
-    throw std::invalid_argument(
-        "build_pbti_stress: Rotating policy with an empty rotation");
-  }
-
-  // Standby net values per policy member (as in AgingAnalyzer::gate_dvth).
-  std::vector<std::vector<bool>> standby_values;
-  if (policy.kind == StandbyPolicy::Kind::Vector) {
-    standby_values.push_back(
-        sim::Simulator(nl).evaluate_forced(policy.vector, policy.forces));
-  } else if (policy.kind == StandbyPolicy::Kind::Rotating) {
-    const sim::Simulator simulator(nl);
-    for (const std::vector<bool>& v : policy.rotation) {
-      standby_values.push_back(simulator.evaluate_forced(v, policy.forces));
-    }
-  }
-
-  const double vdd = lib.params().vdd;
-
-  PbtiStressSet set;
-  set.gate_begin.reserve(nl.num_gates() + 1);
-  set.gate_begin.push_back(0);
-
-  std::vector<double> pin_sp;
-  for (int gi = 0; gi < nl.num_gates(); ++gi) {
-    const netlist::Gate& g = nl.gate(gi);
-    const tech::Cell& cell = lib.cell(analyzer.sta().gate_cell(gi));
-
-    pin_sp.clear();
-    for (netlist::NodeId in : g.fanins) {
-      pin_sp.push_back(stats.probability[in]);
-    }
-    const std::vector<double> sp = cell.signal_probabilities(pin_sp);
-
-    std::vector<std::vector<bool>> standby_sig;
-    for (const std::vector<bool>& values : standby_values) {
-      std::uint32_t bits = 0;
-      for (std::size_t pin = 0; pin < g.fanins.size(); ++pin) {
-        bits |= values[g.fanins[pin]] ? (1u << pin) : 0u;
-      }
-      standby_sig.push_back(cell.signal_values(bits));
-    }
-
-    for (const tech::Stage& st : cell.stages()) {
-      for (int in : st.inputs) {
-        nbti::DeviceStress stress;
-        // PBTI: the NMOS is stressed while its gate is HIGH.
-        stress.active_stress_prob = sp[in];
-        stress.vgs = vdd;
-        stress.vth0 = lib.params().nmos.vth0 +
-                      (cond.gate_vth_offsets.empty()
-                           ? 0.0
-                           : cond.gate_vth_offsets[gi]);
-        switch (policy.kind) {
-          case StandbyPolicy::Kind::AllStressed:
-            // All gate nodes 0: NMOS relaxed (PBTI's polarity inverts
-            // the paper's worst case).
-            stress.standby = nbti::StandbyMode::Relaxed;
-            break;
-          case StandbyPolicy::Kind::AllRelaxed:
-            stress.standby = nbti::StandbyMode::Stressed;
-            break;
-          case StandbyPolicy::Kind::Vector:
-          case StandbyPolicy::Kind::Rotating: {
-            int high = 0;
-            for (const std::vector<bool>& sig : standby_sig) {
-              high += sig[in] ? 1 : 0;
-            }
-            stress.standby_stress_fraction =
-                static_cast<double>(high) / standby_sig.size();
-            break;
-          }
-        }
-        set.devices.push_back(stress);
-      }
-    }
-    set.gate_begin.push_back(static_cast<int>(set.devices.size()));
-  }
-  return set;
-}
 
 MultiAgingReport analyze_multi_mechanism(const AgingAnalyzer& analyzer,
                                          const StandbyPolicy& policy,
@@ -109,8 +18,8 @@ MultiAgingReport analyze_multi_mechanism(const AgingAnalyzer& analyzer,
   const double horizon = total_time.value_or(cond.total_time);
   if (params.enable_pbti &&
       !(std::isfinite(params.pbti.ratio) && params.pbti.ratio >= 0.0)) {
-    // A NaN ratio would vanish in the std::max below and drop PBTI
-    // without a word.
+    // The scaling below needs a finite, non-negative ratio; a NaN one would
+    // turn every NMOS shift into NaN.
     throw std::invalid_argument(
         "analyze_multi_mechanism: pbti.ratio must be finite and >= 0");
   }
@@ -119,22 +28,20 @@ MultiAgingReport analyze_multi_mechanism(const AgingAnalyzer& analyzer,
   rep.pmos_dvth = analyzer.gate_dvth(policy, horizon);
   rep.nmos_dvth.assign(nl.num_gates(), 0.0);
 
-  const nbti::DeviceAging model(cond.rd, cond.method);
-  PbtiStressSet pbti;
-  if (params.enable_pbti) pbti = build_pbti_stress(analyzer, policy);
+  // Worst NMOS shift per gate, from a per-call (uncached) NMOS stress set.
+  // Scaling the maximum by the validated non-negative ratio equals the
+  // maximum of the scaled shifts bit for bit: rounded multiplication by a
+  // non-negative constant is monotone, and every dVth is >= 0.
+  std::vector<double> worst_nmos;
+  if (params.enable_pbti) {
+    worst_nmos = analyzer.worst_per_gate(
+        analyzer.build_stress(policy, tech::Channel::Nmos), horizon);
+  }
 
   for (int gi = 0; gi < nl.num_gates(); ++gi) {
     const netlist::Gate& g = nl.gate(gi);
-
-    double worst_pbti = 0.0;
-    if (params.enable_pbti) {
-      for (int di = pbti.gate_begin[gi]; di < pbti.gate_begin[gi + 1]; ++di) {
-        worst_pbti = std::max(
-            worst_pbti, params.pbti.ratio * model.delta_vth(pbti.devices[di],
-                                                            cond.schedule,
-                                                            horizon));
-      }
-    }
+    const double worst_pbti =
+        params.enable_pbti ? params.pbti.ratio * worst_nmos[gi] : 0.0;
 
     double hci = 0.0;
     if (params.enable_hci) {

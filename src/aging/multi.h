@@ -42,27 +42,11 @@ struct MultiAgingReport {
   }
 };
 
-/// Flattened per-gate NMOS PBTI stress descriptors: the standby-simulation +
-/// signal-probability phase of the multi-mechanism pipeline, built once per
-/// policy and reusable across horizons — the failure suite evaluates the
-/// same devices over a whole dVth(t) grid.
-struct PbtiStressSet {
-  std::vector<nbti::DeviceStress> devices;  ///< flattened per-gate runs
-  std::vector<int> gate_begin;              ///< size num_gates + 1
-};
-
-/// Builds the PBTI device stress descriptors for every gate of \p analyzer's
-/// circuit under \p policy.  The worst per-gate PBTI shift at horizon t is
-/// pbti.ratio * max over the gate's devices of DeviceAging::delta_vth(d, t).
-/// \throws std::invalid_argument for a Rotating policy with an empty rotation
-PbtiStressSet build_pbti_stress(const AgingAnalyzer& analyzer,
-                                const StandbyPolicy& policy);
-
 /// Runs the combined analysis on \p analyzer's circuit.
 ///
-/// Per gate, the NMOS shift is the worst over the cell's stage inputs of
-/// PBTI (duty = signal probability of 1; standby state from the policy)
-/// plus the HCI contribution of the gate's switching activity.
+/// Per gate, the NMOS shift is pbti.ratio times the worst NMOS R-D shift
+/// (AgingAnalyzer::build_stress with tech::Channel::Nmos, evaluated like
+/// gate_dvth) plus the HCI contribution of the gate's switching activity.
 /// \throws std::invalid_argument for a Rotating policy with an empty
 ///         rotation, or — with PBTI enabled — a NaN, infinite or negative
 ///         pbti.ratio

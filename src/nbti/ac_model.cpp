@@ -87,8 +87,7 @@ double sn_closed(const SnPrefix& prefix, double n_cycles) {
 }
 
 double ac_delta_vth(const RdParams& p, double temp_k, const AcStress& stress,
-                    double total_time, double vgs, double vth,
-                    AcEvalMethod method) {
+                    double total_time, double vgs, double vth) {
   check_duty(stress.duty);
   if (stress.period <= 0.0) {
     throw std::invalid_argument("ac_delta_vth: non-positive period");
@@ -100,15 +99,7 @@ double ac_delta_vth(const RdParams& p, double temp_k, const AcStress& stress,
   if (stress.duty == 1.0) return dc_delta_vth(p, temp_k, total_time, vgs, vth);
 
   const double n = std::max(1.0, total_time / stress.period);
-  double sn = 0.0;
-  switch (method) {
-    case AcEvalMethod::ClosedForm:
-      sn = sn_closed(stress.duty, n);
-      break;
-    case AcEvalMethod::ExactRecursion:
-      sn = sn_exact(stress.duty, static_cast<std::int64_t>(std::llround(n)));
-      break;
-  }
+  const double sn = sn_closed(stress.duty, n);
   return kv_at(p, temp_k, vgs, vth) * sn * std::pow(stress.period, 0.25);
 }
 
@@ -133,23 +124,6 @@ double simulate_cycles(const RdParams& p, double temp_k, const AcStress& stress,
     dvth *= recovery_factor(t_recover, cumulative_stress);
   }
   return dvth;
-}
-
-std::vector<std::pair<double, double>> ac_delta_vth_series(
-    const RdParams& p, double temp_k, const AcStress& stress, double t_min,
-    double t_max, int n_points, double vgs, double vth) {
-  if (n_points < 2) throw std::invalid_argument("ac_delta_vth_series: n_points < 2");
-  if (t_min <= 0.0 || t_max <= t_min) {
-    throw std::invalid_argument("ac_delta_vth_series: bad time range");
-  }
-  std::vector<std::pair<double, double>> out;
-  out.reserve(n_points);
-  const double log_step = std::log(t_max / t_min) / (n_points - 1);
-  for (int i = 0; i < n_points; ++i) {
-    const double t = t_min * std::exp(log_step * i);
-    out.emplace_back(t, ac_delta_vth(p, temp_k, stress, t, vgs, vth));
-  }
-  return out;
 }
 
 }  // namespace nbtisim::nbti

@@ -16,22 +16,15 @@
 /// which is accurate to <0.2% and period-independent in the product
 /// S_n * tau^(1/4) for large n — the property that makes the result depend
 /// only on *total effective stress time*, not on the cycle chopping.
-/// `bench_ablation_recursion` quantifies the difference.
+/// `bench_ablation_models` (a) quantifies the difference.
 #pragma once
 
 #include <cmath>
 #include <cstdint>
-#include <vector>
 
 #include "nbti/rd_model.h"
 
 namespace nbtisim::nbti {
-
-/// How to evaluate the S_n sequence.
-enum class AcEvalMethod : std::uint8_t {
-  ClosedForm,      ///< hybrid telescoped form (default; O(min(n, 1024)))
-  ExactRecursion,  ///< literal eq. (10) iteration (O(n))
-};
 
 /// One AC stress pattern: duty cycle (stress fraction) and period.
 struct AcStress {
@@ -76,10 +69,10 @@ double sn_closed(const SnPrefix& prefix, double n_cycles);
 /// \p stress at temperature \p temp_k with gate bias \p vgs on a device with
 /// initial threshold \p vth  [V].
 ///
-/// Degenerate cases: duty == 0 -> 0; duty == 1 -> DC law.
+/// S_n comes from sn_closed.  Degenerate cases: duty == 0 -> 0; duty == 1
+/// -> DC law.
 double ac_delta_vth(const RdParams& p, double temp_k, const AcStress& stress,
-                    double total_time, double vgs, double vth,
-                    AcEvalMethod method = AcEvalMethod::ClosedForm);
+                    double total_time, double vgs, double vth);
 
 /// A literal alternating stress/recovery simulation using the DC growth law
 /// (eq. 5, with equivalent-time restart) and the recovery law (eq. 6).
@@ -89,11 +82,5 @@ double ac_delta_vth(const RdParams& p, double temp_k, const AcStress& stress,
 /// Returns dVth after \p n_cycles [V].
 double simulate_cycles(const RdParams& p, double temp_k, const AcStress& stress,
                        std::int64_t n_cycles, double vgs, double vth);
-
-/// Time series of (time [s], dVth [V]) for plotting Fig. 3/4-style curves:
-/// geometrically spaced sample times from \p t_min to \p t_max.
-std::vector<std::pair<double, double>> ac_delta_vth_series(
-    const RdParams& p, double temp_k, const AcStress& stress, double t_min,
-    double t_max, int n_points, double vgs, double vth);
 
 }  // namespace nbtisim::nbti

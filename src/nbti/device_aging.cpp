@@ -16,8 +16,7 @@ double DeviceAging::eval(const DeviceStress& stress,
   ModeSchedule sched = schedule;
   if (worst_case_temp) sched.temp_standby = sched.temp_active;
 
-  const EquivalentCycle eq =
-      equivalent_cycle(params_, stress, sched, scale_recovery_);
+  const EquivalentCycle eq = equivalent_cycle(params_, stress, sched);
   if (eq.stress_time <= 0.0) return 0.0;
 
   const double n_cycles = total_time / sched.period();
@@ -26,7 +25,7 @@ double DeviceAging::eval(const DeviceStress& stress,
   // count identical to the wall-clock cycle count.
   const double total_equivalent = n_cycles * eq.period();
   return ac_delta_vth(params_, sched.temp_active, ac, total_equivalent,
-                      stress.vgs, stress.vth0, method_);
+                      stress.vgs, stress.vth0);
 }
 
 double DeviceAging::delta_vth(const DeviceStress& stress,
@@ -43,8 +42,7 @@ DeviceAging::StressContext DeviceAging::make_context(
   ctx.vgs = stress.vgs;
   ctx.vth0 = stress.vth0;
 
-  const EquivalentCycle eq =
-      equivalent_cycle(params_, stress, schedule, scale_recovery_);
+  const EquivalentCycle eq = equivalent_cycle(params_, stress, schedule);
   if (eq.stress_time <= 0.0) {
     ctx.always_zero = true;
     return ctx;
@@ -78,15 +76,7 @@ double DeviceAging::delta_vth(const StressContext& ctx,
   }
 
   const double n = std::max(1.0, total_equivalent / ctx.ac.period);
-  double sn = 0.0;
-  switch (method_) {
-    case AcEvalMethod::ClosedForm:
-      sn = sn_closed(ctx.prefix, n);
-      break;
-    case AcEvalMethod::ExactRecursion:
-      sn = sn_exact(ctx.ac.duty, static_cast<std::int64_t>(std::llround(n)));
-      break;
-  }
+  const double sn = sn_closed(ctx.prefix, n);
   return ctx.kv * sn * ctx.period_pow;
 }
 
@@ -94,25 +84,6 @@ double DeviceAging::delta_vth_worst_case_temp(const DeviceStress& stress,
                                               const ModeSchedule& schedule,
                                               double total_time) const {
   return eval(stress, schedule, total_time, /*worst_case_temp=*/true);
-}
-
-std::vector<std::pair<double, double>> DeviceAging::delta_vth_series(
-    const DeviceStress& stress, const ModeSchedule& schedule, double t_min,
-    double t_max, int n_points) const {
-  if (n_points < 2) {
-    throw std::invalid_argument("delta_vth_series: n_points < 2");
-  }
-  if (t_min <= 0.0 || t_max <= t_min) {
-    throw std::invalid_argument("delta_vth_series: bad time range");
-  }
-  std::vector<std::pair<double, double>> out;
-  out.reserve(n_points);
-  const double log_step = std::log(t_max / t_min) / (n_points - 1);
-  for (int i = 0; i < n_points; ++i) {
-    const double t = t_min * std::exp(log_step * i);
-    out.emplace_back(t, delta_vth(stress, schedule, t));
-  }
-  return out;
 }
 
 }  // namespace nbtisim::nbti

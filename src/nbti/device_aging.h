@@ -8,9 +8,6 @@
 /// with a given stress profile under a given active/standby schedule.
 #pragma once
 
-#include <utility>
-#include <vector>
-
 #include "nbti/ac_model.h"
 #include "nbti/schedule.h"
 
@@ -23,14 +20,9 @@ namespace nbtisim::nbti {
 /// T_standby = 330 K, Vdd = 1.0 V, |Vth0| = 220 mV, horizon 3e8 s.
 class DeviceAging {
  public:
-  explicit DeviceAging(RdParams params = {},
-                       AcEvalMethod method = AcEvalMethod::ClosedForm,
-                       bool scale_recovery_with_temp = false)
-      : params_(params), method_(method),
-        scale_recovery_(scale_recovery_with_temp) {}
+  explicit DeviceAging(RdParams params = {}) : params_(params) {}
 
   const RdParams& params() const { return params_; }
-  AcEvalMethod method() const { return method_; }
 
   /// dVth of a device with stress profile \p stress after \p total_time
   /// seconds of the repeating mode schedule \p schedule [V].
@@ -69,18 +61,11 @@ class DeviceAging {
                                    const ModeSchedule& schedule,
                                    double total_time) const;
 
-  /// Geometrically spaced (time, dVth) series for Fig. 3/4-style plots.
-  std::vector<std::pair<double, double>> delta_vth_series(
-      const DeviceStress& stress, const ModeSchedule& schedule, double t_min,
-      double t_max, int n_points) const;
-
  private:
   double eval(const DeviceStress& stress, const ModeSchedule& schedule,
               double total_time, bool worst_case_temp) const;
 
   RdParams params_;
-  AcEvalMethod method_;
-  bool scale_recovery_;
 };
 
 }  // namespace nbtisim::nbti

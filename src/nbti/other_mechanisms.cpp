@@ -6,25 +6,6 @@
 
 namespace nbtisim::nbti {
 
-double pbti_delta_vth(const RdParams& rd, const PbtiParams& pbti,
-                      double active_one_prob, bool standby_value,
-                      const ModeSchedule& schedule, double total_time,
-                      double vgs, double vth0) {
-  if (pbti.ratio < 0.0) {
-    throw std::invalid_argument("pbti_delta_vth: negative ratio");
-  }
-  // NMOS is PBTI-stressed while its gate is HIGH: the stress probability is
-  // the probability of 1 (the complement of the NBTI convention).
-  DeviceStress stress;
-  stress.active_stress_prob = active_one_prob;
-  stress.standby =
-      standby_value ? StandbyMode::Stressed : StandbyMode::Relaxed;
-  stress.vgs = vgs;
-  stress.vth0 = vth0;
-  const DeviceAging model(rd);
-  return pbti.ratio * model.delta_vth(stress, schedule, total_time);
-}
-
 double hci_delta_vth(const HciParams& hci, double activity, double clock_hz,
                      const ModeSchedule& schedule, double total_time) {
   if (activity < 0.0 || activity > 1.0) {

@@ -11,7 +11,8 @@
 ///   - **PBTI**: the NMOS mirror of NBTI — stressed while the gate is at 1
 ///     (Vgs = +Vdd) — modeled with the same R-D/AC machinery scaled by a
 ///     technology ratio (high-k NMOS PBTI is typically a fraction of PMOS
-///     NBTI at 90 nm-class stacks).
+///     NBTI at 90 nm-class stacks); AgingAnalyzer::build_stress builds the
+///     NMOS devices' stress.
 ///   - **HCI**: hot-carrier damage accumulates per *switching event*, so it
 ///     scales with activity x clock frequency x active time and follows a
 ///     ~sqrt(t) power law; unlike BTI it does not recover.
@@ -37,7 +38,7 @@
 /// Weibull unit-lifetime distributions and a system failure curve.
 #pragma once
 
-#include "nbti/device_aging.h"
+#include "nbti/schedule.h"
 #include "tech/units.h"
 
 namespace nbtisim::nbti {
@@ -47,15 +48,6 @@ struct PbtiParams {
   /// K_v(PBTI) / K_v(NBTI) at identical stress conditions.
   double ratio = 0.35;
 };
-
-/// PBTI threshold shift of an NMOS whose gate is 1 with probability
-/// \p active_one_prob during active mode and held at \p standby_value
-/// during standby [V]. Mirrors DeviceAging::delta_vth with inverted stress
-/// polarity and the PBTI ratio.
-double pbti_delta_vth(const RdParams& rd, const PbtiParams& pbti,
-                      double active_one_prob, bool standby_value,
-                      const ModeSchedule& schedule, double total_time,
-                      double vgs = 1.0, double vth0 = 0.22);
 
 /// HCI model parameters.
 struct HciParams {

@@ -58,20 +58,19 @@ RdKernel::RdKernel(const DeviceAging& model,
   kv_.resize(n_);
   period_pow_.resize(n_);
 
-  const bool closed = model_.method() == AcEvalMethod::ClosedForm;
   for (int i = 0; i < n_; ++i) {
     const DeviceAging::StressContext& ctx = contexts_[i];
     if (!ctx.always_zero && ctx.ac.duty >= 1.0) {
       // DC lane: delta_vth(ctx, t) short-circuits duty == 1 to
-      // dc_delta_vth(params, temp, te, vgs, vth0) before the eval-method
-      // switch, so this compaction is valid under ExactRecursion too.
+      // dc_delta_vth(params, temp, te, vgs, vth0) before the S_n
+      // evaluation.
       dc_slot_.push_back(i);
       dc_sched_.push_back(ctx.schedule_period);
       dc_eq_.push_back(ctx.eq_period);
       dc_kv_.push_back(ctx.kv);
     }
-    const bool formula_lane = closed && !ctx.always_zero &&
-                              ctx.ac.duty > 0.0 && ctx.ac.duty < 1.0;
+    const bool formula_lane =
+        !ctx.always_zero && ctx.ac.duty > 0.0 && ctx.ac.duty < 1.0;
     if (!formula_lane) {
       // Benign fills: the lane computes n == 0, which routes the device to
       // the scalar fixup pass unconditionally (and divides by nothing).
@@ -123,33 +122,13 @@ void RdKernel::eval(double total_time, int begin, int end, double* out,
   }
   // Scalar fixup: the exact-recursion head (n < kSnExactCycles), the
   // boundary cycle (n == kSnExactCycles returns the prefix value itself),
-  // duty 0, inactive devices, underflowed equivalent time, and
-  // ExactRecursion mode all take the reference scalar path.
+  // duty 0, inactive devices and underflowed equivalent time all take the
+  // reference scalar path.
   for (int i = begin; i < end; ++i) {
     if (lane_n[i - begin] <= kSnExactCycles) {
       out[i - begin] = model_.delta_vth(contexts_[i], total_time);
     }
   }
-}
-
-void RdKernel::delta_vth(double total_time, int begin, int end,
-                         std::span<double> out) const {
-  if (total_time < 0.0) {
-    throw std::invalid_argument("RdKernel: negative total time");
-  }
-  if (begin < 0 || end < begin || end > n_) {
-    throw std::invalid_argument("RdKernel: bad device range");
-  }
-  if (static_cast<int>(out.size()) != end - begin) {
-    throw std::invalid_argument("RdKernel: out size mismatch");
-  }
-  if (begin == end) return;
-  std::vector<double> lane_n(static_cast<std::size_t>(end - begin));
-  eval(total_time, begin, end, out.data(), lane_n.data());
-}
-
-void RdKernel::delta_vth(double total_time, std::span<double> out) const {
-  delta_vth(total_time, 0, n_, out);
 }
 
 void RdKernel::worst_per_gate(double total_time,

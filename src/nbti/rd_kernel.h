@@ -20,12 +20,12 @@
 /// scalar TU; no intrinsics).  Duty == 1 (DC stress) devices get their own
 /// compacted pass — kv * quarter_root(total_equivalent) with the kv_at
 /// prefactor hoisted to construction time — since the scalar path
-/// short-circuits them before the eval-method switch.  Remaining lanes the
+/// short-circuits them before the S_n evaluation.  Remaining lanes the
 /// formulas do not cover — horizons inside the exact-recursion head
-/// (n <= kSnExactCycles), duty 0, inactive devices, ExactRecursion mode —
-/// are finished by a scalar fixup pass that calls DeviceAging::delta_vth on
-/// the stored context, so every output is bitwise equal to the scalar path
-/// by construction.  The differential suite (tests/test_differential.cpp)
+/// (n <= kSnExactCycles), duty 0, inactive devices — are finished by a
+/// scalar fixup pass that calls DeviceAging::delta_vth on the stored
+/// context, so every output is bitwise equal to the scalar path by
+/// construction.  The differential suite (tests/test_differential.cpp)
 /// enforces exact equality.
 #pragma once
 
@@ -49,28 +49,17 @@ class RdKernel {
            std::vector<DeviceAging::StressContext> contexts);
 
   int num_devices() const { return n_; }
-  const DeviceAging::StressContext& context(int i) const {
-    return contexts_[i];
-  }
-
-  /// out[i - begin] = model.delta_vth(context(i), total_time) for i in
-  /// [begin, end), bit-identical to the scalar calls.
-  /// \throws std::invalid_argument for negative total_time
-  void delta_vth(double total_time, int begin, int end,
-                 std::span<double> out) const;
-
-  /// All devices at once; out.size() must equal num_devices().
-  void delta_vth(double total_time, std::span<double> out) const;
 
   /// Worst-device reduction per gate: for every gate g in [gate_lo, gate_hi)
-  /// sets dvth[g] = max over devices [gate_begin[g], gate_begin[g + 1]) (0.0
-  /// for empty gates), in the scalar reduction's slot order.  \p gate_begin
-  /// is the CSR offset array (size num_gates + 1, last entry num_devices());
-  /// \p dvth spans all gates.  \p dev_out and \p scratch are device-indexed
-  /// caller buffers (at least num_devices() slots each; only the range's
-  /// slice is touched) so hot sweeps pay no per-call allocation — parallel
-  /// callers hand disjoint gate ranges slices of shared buffers, and reused
-  /// thread-local buffers may be oversized.
+  /// sets dvth[g] = max over devices i in [gate_begin[g], gate_begin[g + 1])
+  /// of model.delta_vth(contexts[i], total_time) (0.0 for empty gates), in
+  /// slot order; each device value is bit-identical to the scalar call.
+  /// \p gate_begin is the CSR offset array (size num_gates + 1, last entry
+  /// num_devices()); \p dvth spans all gates.  \p dev_out and \p scratch
+  /// are device-indexed caller buffers (at least num_devices() slots each;
+  /// only the range's slice is touched) so hot sweeps pay no per-call
+  /// allocation — parallel callers hand disjoint gate ranges slices of
+  /// shared buffers, and reused thread-local buffers may be oversized.
   void worst_per_gate(double total_time, std::span<const int> gate_begin,
                       int gate_lo, int gate_hi, std::span<double> dvth,
                       std::span<double> dev_out,
@@ -96,9 +85,8 @@ class RdKernel {
   std::vector<double> kv_;
   std::vector<double> period_pow_;
   // Compacted duty == 1 (DC stress) lanes: the scalar path short-circuits
-  // them to kv_at(...) * quarter_root(total_equivalent) for either eval
-  // method, and kv_at of the context's inputs is bitwise the precomputed
-  // ctx.kv — so a dedicated pass over these slots replaces a per-device
+  // them to kv_at(...) * quarter_root(total_equivalent), and kv_at of the
+  // context's inputs is bitwise the precomputed ctx.kv — so a dedicated pass over these slots replaces a per-device
   // kv_at recomputation (exp-heavy) with one multiply and two sqrts.
   // Sorted by device slot for range lookup.
   std::vector<int> dc_slot_;

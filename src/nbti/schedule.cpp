@@ -21,8 +21,7 @@ ModeSchedule ModeSchedule::from_ras(double active_parts, double standby_parts,
 }
 
 EquivalentCycle equivalent_cycle(const RdParams& p, const DeviceStress& stress,
-                                 const ModeSchedule& schedule,
-                                 bool scale_recovery_with_temp) {
+                                 const ModeSchedule& schedule) {
   if (schedule.t_active < 0.0 || schedule.t_standby < 0.0 ||
       schedule.period() <= 0.0) {
     throw std::invalid_argument("equivalent_cycle: bad schedule times");
@@ -42,8 +41,7 @@ EquivalentCycle equivalent_cycle(const RdParams& p, const DeviceStress& stress,
   eq.recovery_time = (1.0 - stress.active_stress_prob) * schedule.t_active;
   const double sf = stress.standby_fraction();
   eq.stress_time += sf * schedule.t_standby * d_ratio;
-  eq.recovery_time += (1.0 - sf) * schedule.t_standby *
-                      (scale_recovery_with_temp ? d_ratio : 1.0);
+  eq.recovery_time += (1.0 - sf) * schedule.t_standby;
   return eq;
 }
 

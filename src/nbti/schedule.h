@@ -16,9 +16,9 @@
 ///   c_eq  = t_eq_stress / (t_eq_stress + t_eq_recover)                       (18)
 ///   tau_eq = t_eq_stress + t_eq_recover                                      (19)
 ///
-/// Recovery time is *not* diffusion-scaled by default: the paper observes
-/// that "the temperature has negligible effect on [the] NBTI relaxation
-/// phase" (Section 4.3.3).  A flag lets ablations scale it anyway.
+/// Recovery time is *not* diffusion-scaled: the paper observes that "the
+/// temperature has negligible effect on [the] NBTI relaxation phase"
+/// (Section 4.3.3).
 #pragma once
 
 #include "nbti/rd_model.h"
@@ -80,12 +80,8 @@ struct EquivalentCycle {
 };
 
 /// Applies the equivalent-time transform (eqs. 17-19) to one mode period.
-///
-/// \param scale_recovery_with_temp if true, relaxation time at T_standby is
-///        also scaled by D_s/D_a (ablation of the paper's assumption).
 /// \throws std::invalid_argument for negative times / probabilities outside [0,1]
 EquivalentCycle equivalent_cycle(const RdParams& p, const DeviceStress& stress,
-                                 const ModeSchedule& schedule,
-                                 bool scale_recovery_with_temp = false);
+                                 const ModeSchedule& schedule);
 
 }  // namespace nbtisim::nbti

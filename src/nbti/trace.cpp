@@ -5,8 +5,7 @@
 namespace nbtisim::nbti {
 
 EquivalentCycle equivalent_cycle_from_trace(
-    const RdParams& p, std::span<const StressInterval> trace, double temp_ref,
-    bool scale_recovery_with_temp) {
+    const RdParams& p, std::span<const StressInterval> trace, double temp_ref) {
   if (trace.empty()) {
     throw std::invalid_argument("equivalent_cycle_from_trace: empty trace");
   }
@@ -22,15 +21,14 @@ EquivalentCycle equivalent_cycle_from_trace(
     }
     const double d_ratio = diffusion_ratio(p, iv.temperature, temp_ref);
     eq.stress_time += iv.stress_prob * iv.duration * d_ratio;
-    eq.recovery_time += (1.0 - iv.stress_prob) * iv.duration *
-                        (scale_recovery_with_temp ? d_ratio : 1.0);
+    eq.recovery_time += (1.0 - iv.stress_prob) * iv.duration;
   }
   return eq;
 }
 
 double trace_delta_vth(const RdParams& p, std::span<const StressInterval> trace,
                        double temp_ref, double total_time, double vgs,
-                       double vth0, AcEvalMethod method) {
+                       double vth0) {
   if (total_time < 0.0) {
     throw std::invalid_argument("trace_delta_vth: negative total time");
   }
@@ -42,8 +40,7 @@ double trace_delta_vth(const RdParams& p, std::span<const StressInterval> trace,
   for (const StressInterval& iv : trace) wall_period += iv.duration;
   const double n_cycles = total_time / wall_period;
   const AcStress ac{eq.duty(), eq.period()};
-  return ac_delta_vth(p, temp_ref, ac, n_cycles * eq.period(), vgs, vth0,
-                      method);
+  return ac_delta_vth(p, temp_ref, ac, n_cycles * eq.period(), vgs, vth0);
 }
 
 std::vector<StressInterval> trace_from_samples(

@@ -13,7 +13,7 @@
 /// observation). The whole trace becomes one EquivalentCycle which repeats
 /// for the lifetime, so the standard AC machinery applies unchanged.
 ///
-/// `bench_ext_trace_aging` quantifies how well the paper's two-mode RAS
+/// `bench_ext_techniques` quantifies how well the paper's two-mode RAS
 /// abstraction tracks a full thermal trace.
 #pragma once
 
@@ -36,16 +36,14 @@ struct StressInterval {
 /// \p temp_ref (piecewise eqs. 17-19).
 /// \throws std::invalid_argument on an empty trace or malformed intervals
 EquivalentCycle equivalent_cycle_from_trace(
-    const RdParams& p, std::span<const StressInterval> trace, double temp_ref,
-    bool scale_recovery_with_temp = false);
+    const RdParams& p, std::span<const StressInterval> trace, double temp_ref);
 
 /// dVth after \p total_time seconds of the repeating \p trace, for a device
 /// with gate bias \p vgs and initial threshold \p vth0, all referenced to
 /// \p temp_ref [V].
 double trace_delta_vth(const RdParams& p, std::span<const StressInterval> trace,
                        double temp_ref, double total_time, double vgs,
-                       double vth0,
-                       AcEvalMethod method = AcEvalMethod::ClosedForm);
+                       double vth0);
 
 /// Builds a StressInterval trace from (time, temperature) samples — e.g.
 /// the output of thermal::RcThermalModel::simulate — by assigning each

@@ -5,15 +5,35 @@
 
 namespace nbtisim::opt {
 
-double st_delta_vth(const nbti::RdParams& rd, const nbti::ModeSchedule& schedule,
-                    double total_time, const StParams& st) {
-  const nbti::DeviceAging model(rd);
+namespace {
+
+/// The header ST's stress: its gate is held at 0 for the whole active mode
+/// and at 1 in standby to cut the rail.
+nbti::DeviceStress header_st_stress(const StParams& st) {
   nbti::DeviceStress stress;
-  stress.active_stress_prob = 1.0;  // gate held at 0 for the whole active mode
-  stress.standby = nbti::StandbyMode::Relaxed;  // gate at 1 to cut the rail
+  stress.active_stress_prob = 1.0;
+  stress.standby = nbti::StandbyMode::Relaxed;
   stress.vgs = st.vdd;
   stress.vth0 = st.vth_st;
-  return model.delta_vth(stress, schedule, total_time);
+  return stress;
+}
+
+std::vector<double> log_spaced(double t_min, double t_max, int n_points) {
+  if (n_points < 2 || t_min <= 0.0 || t_max <= t_min) {
+    throw std::invalid_argument("degradation series: bad sampling spec");
+  }
+  std::vector<double> t(n_points);
+  const double step = std::log(t_max / t_min) / (n_points - 1);
+  for (int i = 0; i < n_points; ++i) t[i] = t_min * std::exp(step * i);
+  return t;
+}
+
+}  // namespace
+
+double st_delta_vth(const nbti::RdParams& rd, const nbti::ModeSchedule& schedule,
+                    double total_time, const StParams& st) {
+  return nbti::DeviceAging(rd).delta_vth(header_st_stress(st), schedule,
+                                         total_time);
 }
 
 StSizing size_sleep_transistor(const nbti::RdParams& rd,
@@ -43,20 +63,6 @@ StSizing size_sleep_transistor(const nbti::RdParams& rd,
   return s;
 }
 
-namespace {
-
-std::vector<double> log_spaced(double t_min, double t_max, int n_points) {
-  if (n_points < 2 || t_min <= 0.0 || t_max <= t_min) {
-    throw std::invalid_argument("degradation series: bad sampling spec");
-  }
-  std::vector<double> t(n_points);
-  const double step = std::log(t_max / t_min) / (n_points - 1);
-  for (int i = 0; i < n_points; ++i) t[i] = t_min * std::exp(step * i);
-  return t;
-}
-
-}  // namespace
-
 std::vector<StDegradationPoint> st_circuit_degradation_series(
     const aging::AgingAnalyzer& analyzer, StStyle style, const StParams& st,
     double t_min, double t_max, int n_points) {
@@ -69,13 +75,8 @@ std::vector<StDegradationPoint> st_circuit_degradation_series(
   // (bitwise what st_delta_vth computes — delta_vth(stress, ...) is
   // make_context + delta_vth(ctx, t)).
   const nbti::DeviceAging st_model(rd);
-  nbti::DeviceStress st_stress;
-  st_stress.active_stress_prob = 1.0;  // gate held at 0 while active
-  st_stress.standby = nbti::StandbyMode::Relaxed;  // gate at 1, rail cut
-  st_stress.vgs = st.vdd;
-  st_stress.vth0 = st.vth_st;
   const nbti::DeviceAging::StressContext st_ctx =
-      st_model.make_context(st_stress, schedule);
+      st_model.make_context(header_st_stress(st), schedule);
 
   const double sigma0_percent = 100.0 * st.sigma;
   std::vector<StDegradationPoint> series;

@@ -8,6 +8,7 @@
 #include "common/pool.h"
 #include "common/rng.h"
 #include "nbti/rd_model.h"
+#include "variation/variation.h"
 
 namespace nbtisim::variation {
 
@@ -49,7 +50,7 @@ CriticalityResult gate_criticality(const aging::AgingAnalyzer& analyzer,
                                         params.total_time);
     }
   }
-  const double sens = lp.pmos.alpha / (lp.vdd - lp.pmos.vth0);
+  const LinearizedDelay law(lp);
   const double ff_nominal = nbti::field_factor(rd, lp.vdd, lp.pmos.vth0);
 
   CriticalityResult result;
@@ -72,7 +73,7 @@ CriticalityResult gate_criticality(const aging::AgingAnalyzer& analyzer,
             nbti::field_factor(rd, lp.vdd, lp.pmos.vth0 + offset);
         dvth = dvth_nominal[gi] * (ff_nominal > 0.0 ? ff / ff_nominal : 1.0);
       }
-      delays[gi] = fresh[gi] * (1.0 + sens * (offset + dvth));
+      delays[gi] = fresh[gi] * law.factor(offset + dvth, nl, gi);
     }
     sample_paths[s] = sta.analyze(delays).critical_path;
   });

@@ -8,6 +8,7 @@
 #include "common/pool.h"
 #include "common/rng.h"
 #include "nbti/rd_model.h"
+#include "variation/variation.h"
 
 namespace nbtisim::variation {
 
@@ -49,7 +50,7 @@ LifetimeResult lifetime_distribution(const aging::AgingAnalyzer& analyzer,
   std::vector<double> nominal_scratch;
   const double nominal = sta.critical_delay(fresh, nominal_scratch);
   const double spec = nominal * (1.0 + params.spec_margin_percent / 100.0);
-  const double sens = lp.pmos.alpha / (lp.vdd - lp.pmos.vth0);
+  const LinearizedDelay law(lp);
   const double ff_nominal = nbti::field_factor(rd, lp.vdd, lp.pmos.vth0);
 
   // Nominal per-gate dVth on a geometric time grid.
@@ -103,7 +104,7 @@ LifetimeResult lifetime_distribution(const aging::AgingAnalyzer& analyzer,
       if (delay_cache[k] >= 0.0) return delay_cache[k];
       for (int gi = 0; gi < nl.num_gates(); ++gi) {
         const double dvth = grid_dvth[k][gi] * ff_scale[gi];
-        delays[gi] = fresh[gi] * (1.0 + sens * (offsets[gi] + dvth));
+        delays[gi] = fresh[gi] * law.factor(offsets[gi] + dvth, nl, gi);
       }
       // Arrival-only STA: same max_delay bitwise, no TimingResult
       // allocation inside the per-sample bisection loop.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <random>
 #include <stdexcept>
 
@@ -10,6 +11,18 @@
 #include "nbti/rd_model.h"
 
 namespace nbtisim::variation {
+
+void LinearizedDelay::reject(double shift, double f,
+                             const netlist::Netlist& nl, int gi) const {
+  char buf[256];
+  std::snprintf(buf, sizeof buf,
+                "threshold shift %g V gives delay factor %g; the linearized "
+                "delay law needs a finite shift below Vdd - Vth0 = %g V and "
+                "a positive factor",
+                shift, f, overdrive_);
+  throw std::domain_error("gate " + nl.node_name(nl.gate(gi).output) + ": " +
+                          buf);
+}
 
 double DelayDistribution::mean() const {
   if (delays.empty()) return 0.0;
@@ -60,7 +73,7 @@ DelayDistribution MonteCarloAging::fresh_distribution() const {
   const tech::LibraryParams& lp = sta.library().params();
   const std::vector<double> fresh =
       sta.gate_delays(analyzer_->conditions().sta_temperature);
-  const double sens = lp.pmos.alpha / (lp.vdd - lp.pmos.vth0);
+  const LinearizedDelay law(lp);
 
   // Samples are independent streams writing disjoint slots: bit-identical
   // for every thread count.
@@ -70,7 +83,8 @@ DelayDistribution MonteCarloAging::fresh_distribution() const {
     const std::vector<double> offsets = sample_offsets(s);
     std::vector<double> delays(fresh.size());
     for (std::size_t g = 0; g < fresh.size(); ++g) {
-      delays[g] = fresh[g] * (1.0 + sens * offsets[g]);
+      delays[g] = fresh[g] * law.factor(offsets[g], sta.netlist(),
+                                        static_cast<int>(g));
     }
     dist.delays[s] = sta.analyze(delays).max_delay;
   });
@@ -96,7 +110,7 @@ DelayDistribution MonteCarloAging::aged_distribution(
   } else {
     dvth_nominal = analyzer_->gate_dvth(policy, total_time);
   }
-  const double sens = lp.pmos.alpha / (lp.vdd - lp.pmos.vth0);
+  const LinearizedDelay law(lp);
   const double ff_nominal = nbti::field_factor(rd, lp.vdd, lp.pmos.vth0);
 
   DelayDistribution dist;
@@ -110,7 +124,8 @@ DelayDistribution MonteCarloAging::aged_distribution(
       const double ff =
           nbti::field_factor(rd, lp.vdd, lp.pmos.vth0 + offsets[g]);
       const double dvth = dvth_nominal[g] * (ff_nominal > 0.0 ? ff / ff_nominal : 1.0);
-      delays[g] = fresh[g] * (1.0 + sens * (offsets[g] + dvth));
+      delays[g] = fresh[g] * law.factor(offsets[g] + dvth, sta.netlist(),
+                                        static_cast<int>(g));
     }
     dist.delays[s] = sta.analyze(delays).max_delay;
   });

@@ -12,12 +12,44 @@
 /// per-gate dVth by the field-factor ratio, and re-runs STA.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
 #include "aging/aging.h"
 
 namespace nbtisim::variation {
+
+/// The linearized delay law of the Monte-Carlo layers: a gate whose
+/// threshold shifts by `shift` (its sampled Vth offset, plus its aged dVth)
+/// has its fresh delay scaled by 1 + sens * shift, sens = alpha / (Vdd -
+/// Vth0).  Like aging::taylor_delay_factor it holds only while the device
+/// still switches (shift < Vdd - Vth0), and a large negative offset would
+/// drive the factor, and with it the gate delay, to or below zero.
+class LinearizedDelay {
+ public:
+  explicit LinearizedDelay(const tech::LibraryParams& lp)
+      : sens_(lp.pmos.alpha / (lp.vdd - lp.pmos.vth0)),
+        overdrive_(lp.vdd - lp.pmos.vth0) {}
+
+  /// Delay factor of gate \p gi at threshold shift \p shift [V].
+  /// \throws std::domain_error naming the gate's output net when \p shift
+  ///         is non-finite or not below Vdd - Vth0, or the factor is <= 0
+  double factor(double shift, const netlist::Netlist& nl, int gi) const {
+    const double f = 1.0 + sens_ * shift;
+    if (!std::isfinite(shift) || shift >= overdrive_ || !(f > 0.0)) {
+      reject(shift, f, nl, gi);
+    }
+    return f;
+  }
+
+ private:
+  [[noreturn]] void reject(double shift, double f, const netlist::Netlist& nl,
+                           int gi) const;
+
+  double sens_;
+  double overdrive_;
+};
 
 /// Monte-Carlo knobs.
 struct VariationParams {

@@ -2,10 +2,10 @@
 /// \brief Deliberately naive reference evaluators for the differential tests.
 ///
 /// Each function here recomputes a result the slow, obvious way — one
-/// scalar device-model call per PMOS per horizon, full delay rebuild + full
-/// STA per sizing trial, a fresh analyze() per derate cell, a serial loop
-/// per electrothermal sweep, a nested bisection per stacked OFF device —
-/// and serves as the oracle that
+/// scalar device-model call per PMOS or NMOS per horizon, the literal S_n
+/// recursion, full delay rebuild + full STA per sizing trial, a fresh
+/// analyze() per derate cell, a serial loop per electrothermal sweep, a
+/// nested bisection per stacked OFF device — and serves as the oracle that
 /// tests/test_differential.cpp property-tests the optimized engines against
 /// across random netlists, seeds, thread counts and horizons.  Keep them
 /// boring: no caching, no incremental updates, no parallelism.  The one
@@ -29,6 +29,7 @@
 #include "aging/failure.h"
 #include "campaign/store.h"
 #include "common/json.h"
+#include "nbti/ac_model.h"
 #include "opt/sizing.h"
 #include "report/derate.h"
 #include "report/report.h"
@@ -39,21 +40,45 @@
 
 namespace nbtisim::testsupport {
 
-/// Worst-PMOS dVth per gate at \p total_time, the scalar way: every PMOS
-/// DeviceStress is rebuilt from the analyzer's signal statistics and a
-/// fresh standby simulation, then evaluated with one one-shot
+/// dVth after \p total_time of the AC pattern \p stress by the literal
+/// per-cycle recursion of eqs. (9)-(10) (nbti::sn_exact, O(n) in the cycle
+/// count) instead of the production hybrid closed form — the accuracy
+/// oracle for nbti::ac_delta_vth.
+inline double reference_ac_delta_vth_exact(const nbti::RdParams& p,
+                                           double temp_k,
+                                           const nbti::AcStress& stress,
+                                           double total_time, double vgs,
+                                           double vth) {
+  if (stress.duty == 0.0 || total_time == 0.0) return 0.0;
+  if (stress.duty == 1.0) {
+    return nbti::dc_delta_vth(p, temp_k, total_time, vgs, vth);
+  }
+  const double n = std::max(1.0, total_time / stress.period);
+  return nbti::kv_at(p, temp_k, vgs, vth) *
+         nbti::sn_exact(stress.duty,
+                        static_cast<std::int64_t>(std::llround(n))) *
+         std::pow(stress.period, 0.25);
+}
+
+/// Worst-device dVth per gate at \p total_time, the scalar way: every
+/// device's DeviceStress is rebuilt from the analyzer's signal statistics
+/// and a fresh standby simulation, then evaluated with one one-shot
 /// DeviceAging::delta_vth(stress, schedule, t) call — no stress contexts,
-/// no SoA kernel, no descriptor cache. The oracle for
-/// AgingAnalyzer::gate_dvth.
+/// no SoA kernel, no descriptor cache.  A PMOS sits on every stage input
+/// and is NBTI-stressed while its gate signal is 0; an NMOS sits on every
+/// stage input too and is PBTI-stressed while the signal is 1.  The oracle
+/// for AgingAnalyzer::gate_dvth (Pmos) and for worst_per_gate over
+/// build_stress(policy, Nmos).
 inline std::vector<double> reference_gate_dvth(
     const aging::AgingAnalyzer& analyzer, const aging::StandbyPolicy& policy,
-    double total_time) {
+    double total_time, tech::Channel channel = tech::Channel::Pmos) {
   const sta::StaEngine& sta = analyzer.sta();
   const netlist::Netlist& nl = sta.netlist();
   const tech::Library& lib = sta.library();
   const aging::AgingConditions& cond = analyzer.conditions();
   const sim::SignalStats& stats = analyzer.signal_stats();
-  const nbti::DeviceAging model(cond.rd, cond.method);
+  const nbti::DeviceAging model(cond.rd);
+  const bool nmos = channel == tech::Channel::Nmos;
 
   // Standby net values: one set per standby vector of the policy.
   std::vector<std::vector<bool>> standby;
@@ -73,37 +98,47 @@ inline std::vector<double> reference_gate_dvth(
     std::vector<double> pin_sp;
     for (netlist::NodeId in : g.fanins) pin_sp.push_back(stats.probability[in]);
     const std::vector<double> sp = cell.signal_probabilities(pin_sp);
-    for (const tech::PmosDevice& pm : cell.pmos_devices()) {
-      nbti::DeviceStress stress;
-      stress.active_stress_prob = 1.0 - sp[pm.gate_signal];
-      stress.vgs = lib.params().vdd;
-      stress.vth0 = lib.params().pmos.vth0 +
-                    (cond.gate_vth_offsets.empty() ? 0.0
-                                                   : cond.gate_vth_offsets[gi]);
-      switch (policy.kind) {
-        case aging::StandbyPolicy::Kind::AllStressed:
-          stress.standby = nbti::StandbyMode::Stressed;
-          break;
-        case aging::StandbyPolicy::Kind::AllRelaxed:
-          stress.standby = nbti::StandbyMode::Relaxed;
-          break;
-        case aging::StandbyPolicy::Kind::Vector:
-        case aging::StandbyPolicy::Kind::Rotating: {
-          int stressed = 0;
-          for (const std::vector<bool>& values : standby) {
-            std::uint32_t bits = 0;
-            for (std::size_t pin = 0; pin < g.fanins.size(); ++pin) {
-              bits |= values[g.fanins[pin]] ? (1u << pin) : 0u;
-            }
-            stressed += cell.signal_values(bits)[pm.gate_signal] ? 0 : 1;
-          }
-          stress.standby_stress_fraction =
-              static_cast<double>(stressed) / standby.size();
-          break;
+    for (const tech::Stage& stage : cell.stages()) {
+      for (int sig : stage.inputs) {
+        nbti::DeviceStress stress;
+        stress.vgs = lib.params().vdd;
+        const double offset =
+            cond.gate_vth_offsets.empty() ? 0.0 : cond.gate_vth_offsets[gi];
+        if (nmos) {
+          stress.active_stress_prob = sp[sig];
+          stress.vth0 = lib.params().nmos.vth0 + offset;
+        } else {
+          stress.active_stress_prob = 1.0 - sp[sig];
+          stress.vth0 = lib.params().pmos.vth0 + offset;
         }
+        switch (policy.kind) {
+          case aging::StandbyPolicy::Kind::AllStressed:  // every net at 0
+            stress.standby = nmos ? nbti::StandbyMode::Relaxed
+                                  : nbti::StandbyMode::Stressed;
+            break;
+          case aging::StandbyPolicy::Kind::AllRelaxed:  // every net at 1
+            stress.standby = nmos ? nbti::StandbyMode::Stressed
+                                  : nbti::StandbyMode::Relaxed;
+            break;
+          case aging::StandbyPolicy::Kind::Vector:
+          case aging::StandbyPolicy::Kind::Rotating: {
+            int stressed = 0;
+            for (const std::vector<bool>& values : standby) {
+              std::uint32_t bits = 0;
+              for (std::size_t pin = 0; pin < g.fanins.size(); ++pin) {
+                bits |= values[g.fanins[pin]] ? (1u << pin) : 0u;
+              }
+              const bool high = cell.signal_values(bits)[sig];
+              stressed += (nmos ? high : !high) ? 1 : 0;
+            }
+            stress.standby_stress_fraction =
+                static_cast<double>(stressed) / standby.size();
+            break;
+          }
+        }
+        dvth[gi] = std::max(dvth[gi],
+                            model.delta_vth(stress, cond.schedule, total_time));
       }
-      dvth[gi] = std::max(dvth[gi],
-                          model.delta_vth(stress, cond.schedule, total_time));
     }
   }
   return dvth;
@@ -232,10 +267,11 @@ inline report::DerateTable reference_derate_table(
   return table;
 }
 
-/// Serial failure suite: plain per-device delta_vth calls (no stress
-/// contexts), serial per-gate loops, and its own inline crossing /
-/// Weibull arithmetic — mirroring the production expression order so the
-/// differential test can demand bitwise equality.
+/// Serial failure suite: the PBTI series from reference_gate_dvth's NMOS
+/// devices (plain per-device delta_vth calls, no stress contexts), serial
+/// per-gate loops, and its own inline crossing / Weibull arithmetic —
+/// mirroring the production expression order so the differential test can
+/// demand bitwise equality.
 inline aging::FailureReport reference_failure_report(
     const aging::AgingAnalyzer& analyzer, const aging::StandbyPolicy& policy,
     const aging::FailureParams& params = {}) {
@@ -296,25 +332,20 @@ inline aging::FailureReport reference_failure_report(
   }
 
   if (params.multi.enable_pbti) {
-    const aging::PbtiStressSet pbti = aging::build_pbti_stress(analyzer,
-                                                               policy);
-    const nbti::DeviceAging model(cond.rd, cond.method);
+    std::vector<std::vector<double>> nmos(n_points);
+    for (int i = 0; i < n_points; ++i) {
+      nmos[i] = reference_gate_dvth(analyzer, policy, t_sec[i],
+                                    tech::Channel::Nmos);
+    }
     aging::MechanismMttf m;
     m.name = "pbti";
     m.gate_mttf.assign(n_gates, aging::kNeverFails);
     for (int gi = 0; gi < n_gates; ++gi) {
-      std::vector<double> worst(n_points, 0.0);
-      for (int di = pbti.gate_begin[gi]; di < pbti.gate_begin[gi + 1]; ++di) {
-        for (int i = 0; i < n_points; ++i) {
-          // The one-shot overload — no StressContext — which the device
-          // model documents as bit-identical to the cached path.
-          worst[i] = std::max(
-              worst[i], params.multi.pbti.ratio *
-                            model.delta_vth(pbti.devices[di], cond.schedule,
-                                            t_sec[i]));
-        }
+      std::vector<double> v(n_points);
+      for (int i = 0; i < n_points; ++i) {
+        v[i] = params.multi.pbti.ratio * nmos[i][gi];
       }
-      m.gate_mttf[gi] = naive_crossing(worst) / kSecondsPerYear;
+      m.gate_mttf[gi] = naive_crossing(v) / kSecondsPerYear;
     }
     rep.mechanisms.push_back(std::move(m));
   }

@@ -6,6 +6,7 @@
 
 #include <cmath>
 
+#include "support/reference.h"
 #include "tech/units.h"
 
 namespace nbtisim::nbti {
@@ -98,10 +99,9 @@ TEST_F(AcModelTest, PeriodInsensitivityForLargeN) {
 
 TEST_F(AcModelTest, ExactAndClosedAgreeOnDeltaVth) {
   const AcStress s{0.5, 1000.0};
-  const double closed =
-      ac_delta_vth(p_, 400.0, s, 1e7, kVgs, kVth, AcEvalMethod::ClosedForm);
-  const double exact =
-      ac_delta_vth(p_, 400.0, s, 1e7, kVgs, kVth, AcEvalMethod::ExactRecursion);
+  const double closed = ac_delta_vth(p_, 400.0, s, 1e7, kVgs, kVth);
+  const double exact = testsupport::reference_ac_delta_vth_exact(
+      p_, 400.0, s, 1e7, kVgs, kVth);
   EXPECT_NEAR(closed / exact, 1.0, 2e-3);
 }
 
@@ -118,8 +118,7 @@ TEST_F(AcModelTest, CycleSimulatorTracksAnalyticalModelShape) {
   // The literal stress/recovery alternation is an independent reference:
   // both models must agree within a modest band over a long run.
   const AcStress s{0.5, 1000.0};
-  const double analytical =
-      ac_delta_vth(p_, 400.0, s, 1e6, kVgs, kVth, AcEvalMethod::ClosedForm);
+  const double analytical = ac_delta_vth(p_, 400.0, s, 1e6, kVgs, kVth);
   const double simulated = simulate_cycles(p_, 400.0, s, 1000, kVgs, kVth);
   EXPECT_GT(simulated, 0.3 * analytical);
   EXPECT_LT(simulated, 3.0 * analytical);
@@ -132,14 +131,14 @@ TEST_F(AcModelTest, CycleSimulatorMonotoneInDuty) {
 }
 
 TEST_F(AcModelTest, SeriesIsMonotoneAndGeometricallySpaced) {
-  const auto series =
-      ac_delta_vth_series(p_, 400.0, {0.5, 1000.0}, 1e4, 3e8, 20, kVgs, kVth);
-  ASSERT_EQ(series.size(), 20u);
-  EXPECT_NEAR(series.front().first, 1e4, 1.0);
-  EXPECT_NEAR(series.back().first, 3e8, 3e4);
-  for (std::size_t i = 1; i < series.size(); ++i) {
-    EXPECT_GT(series[i].second, series[i - 1].second);
-    EXPECT_GT(series[i].first, series[i - 1].first);
+  // dVth grows at every point of a 20-point geometric grid, 1e4 .. 3e8 s.
+  const double log_step = std::log(3e8 / 1e4) / 19.0;
+  double prev = 0.0;
+  for (int i = 0; i < 20; ++i) {
+    const double t = 1e4 * std::exp(log_step * i);
+    const double d = ac_delta_vth(p_, 400.0, {0.5, 1000.0}, t, kVgs, kVth);
+    EXPECT_GT(d, prev) << "t=" << t;
+    prev = d;
   }
 }
 

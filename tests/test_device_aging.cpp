@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "support/reference.h"
 #include "tech/units.h"
 
 namespace nbtisim::nbti {
@@ -116,15 +117,6 @@ TEST_F(DeviceAgingTest, NeverStressedDeviceDoesNotAge) {
   EXPECT_EQ(model_.delta_vth(idle, ras(9, 330.0), kTenYears), 0.0);
 }
 
-TEST_F(DeviceAgingTest, SeriesMatchesPointEvaluations) {
-  const ModeSchedule s = ras(5, 330.0);
-  const auto series = model_.delta_vth_series(worst_, s, 1e6, 1e8, 5);
-  ASSERT_EQ(series.size(), 5u);
-  for (const auto& [t, d] : series) {
-    EXPECT_NEAR(d, model_.delta_vth(worst_, s, t), 1e-15);
-  }
-}
-
 TEST_F(DeviceAgingTest, HigherInitialVthAgesLess) {
   DeviceStress low = worst_, high = worst_;
   low.vth0 = 0.20;
@@ -159,21 +151,16 @@ TEST_F(DeviceAgingTest, StressContextIsBitIdenticalToDirectEval) {
   }
 }
 
-TEST_F(DeviceAgingTest, StressContextMatchesExactRecursionToo) {
-  const DeviceAging exact({}, AcEvalMethod::ExactRecursion);
-  const ModeSchedule s = ras(9, 330.0);
-  const DeviceAging::StressContext ctx = exact.make_context(worst_, s);
-  for (double t : {1e5, 1e6, 1e7}) {
-    EXPECT_EQ(exact.delta_vth(ctx, t), exact.delta_vth(worst_, s, t));
-  }
-}
-
 TEST_F(DeviceAgingTest, ExactRecursionMatchesClosedForm) {
-  const DeviceAging exact({}, AcEvalMethod::ExactRecursion);
   const ModeSchedule s = ras(9, 330.0);
-  // Moderate horizon keeps the exact recursion cheap (3e5 cycles).
-  const double a = model_.delta_vth(worst_, s, 1e7);
-  const double b = exact.delta_vth(worst_, s, 1e7);
+  // The same equivalent cycle through the literal S_n recursion; a
+  // moderate horizon keeps it cheap (1e4 cycles).
+  const EquivalentCycle eq = equivalent_cycle(RdParams{}, worst_, s);
+  const double t = 1e7;
+  const double a = model_.delta_vth(worst_, s, t);
+  const double b = testsupport::reference_ac_delta_vth_exact(
+      RdParams{}, s.temp_active, {eq.duty(), eq.period()},
+      (t / s.period()) * eq.period(), worst_.vgs, worst_.vth0);
   EXPECT_NEAR(a / b, 1.0, 2e-3);
 }
 

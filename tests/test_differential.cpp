@@ -212,8 +212,9 @@ TEST(DifferentialTest, ElectrothermalSweepMatchesSerialReference) {
 
 // --- SoA kernel vs scalar device model ------------------------------------
 
-// gate_dvth (stress contexts + RdKernel) against reference_gate_dvth (a
-// fresh DeviceStress and one one-shot scalar delta_vth per PMOS).
+// gate_dvth (PMOS) and worst_per_gate over the NMOS stress set (stress
+// contexts + RdKernel) against reference_gate_dvth (a fresh DeviceStress and
+// one one-shot scalar delta_vth per device).
 TEST(DifferentialTest, SoaKernelGateDvthMatchesScalarAcrossRandomCases) {
   const tech::Library lib;
   std::mt19937_64 rng(2026);
@@ -237,11 +238,6 @@ TEST(DifferentialTest, SoaKernelGateDvthMatchesScalarAcrossRandomCases) {
       const double r = u(rng);
       sp = r < 0.15 ? 0.0 : (r > 0.85 ? 1.0 : u(rng));
     }
-    // Every third case runs the exact per-cycle recursion: the kernel's
-    // vector formula does not apply, so every non-DC lane must take the
-    // scalar fixup path and still match bitwise.
-    const bool exact = rep % 3 == 2;
-    if (exact) cond.method = nbti::AcEvalMethod::ExactRecursion;
     const aging::AgingAnalyzer an(nl, lib, cond);
 
     const auto random_vector = [&] {
@@ -268,33 +264,40 @@ TEST(DifferentialTest, SoaKernelGateDvthMatchesScalarAcrossRandomCases) {
         aging::StandbyPolicy::from_vector(standby_vec), forced, rotating};
 
     // Horizons span t = 0, the exact-recursion head (small cycle counts) and
-    // the telescoped tail; recursion cases stay below 1e7 s to keep the
-    // per-cycle reference affordable.
+    // the telescoped tail out to 10^9.5 s.
     std::vector<double> horizons = {0.0};
-    const double t_max_exp = exact ? 7.0 : 9.5;
     for (int h = 0; h < 3; ++h) {
-      horizons.push_back(std::pow(10.0, 3.0 + (t_max_exp - 3.0) * u(rng)));
+      horizons.push_back(std::pow(10.0, 3.0 + 6.5 * u(rng)));
     }
 
-    for (std::size_t p = 0; p < policies.size(); ++p) {
-      for (double t : horizons) {
-        SCOPED_TRACE(::testing::Message()
-                     << "rep=" << rep << " policy=" << p << " t=" << t
-                     << (exact ? " exact" : " closed"));
-        const std::vector<double> got = an.gate_dvth(policies[p], t);
-        const std::vector<double> want =
-            testsupport::reference_gate_dvth(an, policies[p], t);
-        ASSERT_EQ(got.size(), want.size());
-        for (std::size_t g = 0; g < want.size(); ++g) {
-          ASSERT_EQ(got[g], want[g]) << "gate " << g;
+    for (const tech::Channel channel :
+         {tech::Channel::Pmos, tech::Channel::Nmos}) {
+      const bool nmos = channel == tech::Channel::Nmos;
+      for (std::size_t p = 0; p < policies.size(); ++p) {
+        // The NMOS set is built per policy, as the PBTI analyses do.
+        aging::AgingAnalyzer::StressSet nmos_set;
+        if (nmos) nmos_set = an.build_stress(policies[p], channel);
+        for (double t : horizons) {
+          SCOPED_TRACE(::testing::Message()
+                       << "rep=" << rep << " policy=" << p << " t=" << t
+                       << (nmos ? " nmos" : " pmos"));
+          const std::vector<double> got =
+              nmos ? an.worst_per_gate(nmos_set, t)
+                   : an.gate_dvth(policies[p], t);
+          const std::vector<double> want =
+              testsupport::reference_gate_dvth(an, policies[p], t, channel);
+          ASSERT_EQ(got.size(), want.size());
+          for (std::size_t g = 0; g < want.size(); ++g) {
+            ASSERT_EQ(got[g], want[g]) << "gate " << g;
+          }
+          ++checked;
         }
-        ++checked;
       }
     }
   }
-  // The acceptance bar: at least 100 randomized kernel-vs-scalar sweeps,
-  // every one an exact (bitwise) whole-circuit comparison.
-  EXPECT_GE(checked, 100);
+  // The acceptance bar: at least 100 randomized kernel-vs-scalar sweeps per
+  // channel, every one an exact (bitwise) whole-circuit comparison.
+  EXPECT_GE(checked, 200);
 }
 
 TEST(DifferentialTest, RdKernelMatchesScalarDeviceModelAcrossRandomContexts) {
@@ -305,10 +308,7 @@ TEST(DifferentialTest, RdKernelMatchesScalarDeviceModelAcrossRandomContexts) {
     const nbti::ModeSchedule schedule = nbti::ModeSchedule::from_ras(
         1.0 + 4.0 * u(rng), 9.0 * u(rng), 500.0 + 1000.0 * u(rng),
         360.0 + 60.0 * u(rng), 300.0 + 60.0 * u(rng));
-    const nbti::AcEvalMethod method = rep % 2 == 0
-                                          ? nbti::AcEvalMethod::ClosedForm
-                                          : nbti::AcEvalMethod::ExactRecursion;
-    const nbti::DeviceAging model(nbti::RdParams{}, method);
+    const nbti::DeviceAging model;
 
     std::vector<nbti::DeviceAging::StressContext> ctxs;
     // Handcrafted edge lanes first: full DC stress (duty 1), never stressed
@@ -337,23 +337,32 @@ TEST(DifferentialTest, RdKernelMatchesScalarDeviceModelAcrossRandomContexts) {
       ctxs.push_back(model.make_context(s, schedule));
     }
     const nbti::RdKernel kernel(model, ctxs);
-    ASSERT_EQ(kernel.num_devices(), static_cast<int>(ctxs.size()));
+    const int n = static_cast<int>(ctxs.size());
+    ASSERT_EQ(kernel.num_devices(), n);
 
+    // One device per gate, so each gate's worst device is the device.
+    std::vector<int> gate_begin(ctxs.size() + 1);
+    for (int i = 0; i <= n; ++i) gate_begin[i] = i;
     std::vector<double> out(ctxs.size());
+    std::vector<double> dev_out(ctxs.size());
+    std::vector<double> scratch(ctxs.size());
     for (double t : {0.0, 3.0e3, 8.5e5, 4.0e7, 1.9e9}) {
-      if (method == nbti::AcEvalMethod::ExactRecursion && t > 1.0e8) continue;
       SCOPED_TRACE(::testing::Message() << "rep=" << rep << " t=" << t);
-      kernel.delta_vth(t, out);
+      kernel.worst_per_gate(t, gate_begin, 0, n, out, dev_out, scratch);
       for (std::size_t i = 0; i < ctxs.size(); ++i) {
         ASSERT_EQ(out[i], model.delta_vth(ctxs[i], t)) << "device " << i;
         ++checked;
       }
     }
-    // Sub-range evaluation addresses the same slots.
-    std::vector<double> part(10);
-    kernel.delta_vth(1.3e8, 7, 17, part);
-    for (std::size_t i = 0; i < part.size(); ++i) {
-      ASSERT_EQ(part[i], model.delta_vth(ctxs[7 + i], 1.3e8));
+    // A gate sub-range addresses the same slots and leaves the rest alone.
+    std::vector<double> part(ctxs.size(), -1.0);
+    kernel.worst_per_gate(1.3e8, gate_begin, 7, 17, part, dev_out, scratch);
+    for (int i = 0; i < n; ++i) {
+      if (i >= 7 && i < 17) {
+        ASSERT_EQ(part[i], model.delta_vth(ctxs[i], 1.3e8)) << "device " << i;
+      } else {
+        ASSERT_EQ(part[i], -1.0) << "device " << i;
+      }
     }
   }
   EXPECT_GE(checked, 100);

@@ -158,6 +158,12 @@ TEST_F(LifetimeTest, RejectsBadParameters) {
                                      aging::StandbyPolicy::all_stressed(),
                                      {.time_grid_points = 2}),
                std::invalid_argument);
+  // Negative delays from shifts past the linearized delay law's domain
+  // would also defeat the per-grid-point delay memo (sentinel -1).
+  EXPECT_THROW(lifetime_distribution(*analyzer_,
+                                     aging::StandbyPolicy::all_stressed(),
+                                     {.sigma_vth = 1.0, .samples = 20}),
+               std::domain_error);
   LifetimeResult empty;
   EXPECT_THROW(empty.quantile(0.5), std::logic_error);
 }

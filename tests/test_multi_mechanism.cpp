@@ -16,35 +16,53 @@ namespace {
 
 class MechanismTest : public ::testing::Test {
  protected:
+  MechanismTest() : inv_("inv") {
+    in_ = inv_.add_input("a");
+    inv_.mark_output(inv_.add_gate(tech::GateFn::Not, {in_}, "y"));
+  }
+
+  /// Analyzer of the inverter whose input is 1 with probability
+  /// \p input_sp while active.
+  aging::AgingAnalyzer inverter(double input_sp) const {
+    aging::AgingConditions cond;
+    cond.schedule = sched_;
+    cond.rd = rd_;
+    cond.input_sp = {input_sp};
+    return aging::AgingAnalyzer(inv_, lib_, cond);
+  }
+
+  /// PBTI-only shift of the inverter's one NMOS, which sits on the input,
+  /// with the input held at \p standby in standby.
+  static double pbti(const aging::AgingAnalyzer& an, bool standby,
+                     double total_time) {
+    return aging::analyze_multi_mechanism(
+               an, aging::StandbyPolicy::from_vector({standby}),
+               {.enable_hci = false}, total_time)
+        .nmos_dvth[0];
+  }
+
   nbti::RdParams rd_;
   nbti::ModeSchedule sched_ =
       nbti::ModeSchedule::from_ras(1, 9, 1000.0, 400.0, 330.0);
+  tech::Library lib_;
+  netlist::Netlist inv_;
+  netlist::NodeId in_ = 0;
 };
 
 TEST_F(MechanismTest, PbtiIsAFractionOfNbti) {
-  const nbti::PbtiParams pbti{.ratio = 0.35};
-  const double p = nbti::pbti_delta_vth(rd_, pbti, 0.5, true, sched_,
-                                        kTenYears);
-  // The equivalent NBTI device (stress prob 0.5, stressed standby).
-  const nbti::DeviceAging model(rd_);
-  const nbti::DeviceStress nbti_stress{0.5, nbti::StandbyMode::Stressed, 1.0,
-                                       0.22};
-  const double n = model.delta_vth(nbti_stress, sched_, kTenYears);
-  EXPECT_NEAR(p / n, 0.35, 1e-9);
+  // The inverter's NMOS follows the NBTI R-D law with the polarity inverted
+  // (stressed while its gate is 1), scaled by the PBTI ratio.
+  const aging::AgingAnalyzer an = inverter(0.5);
+  const nbti::DeviceStress nmos{an.signal_stats().probability[in_],
+                                nbti::StandbyMode::Stressed,
+                                lib_.params().vdd, lib_.params().nmos.vth0};
+  const double n = nbti::DeviceAging(rd_).delta_vth(nmos, sched_, kTenYears);
+  EXPECT_NEAR(pbti(an, true, kTenYears) / n, nbti::PbtiParams{}.ratio, 1e-9);
 }
 
 TEST_F(MechanismTest, PbtiStressPolarityIsInverted) {
-  const nbti::PbtiParams pbti;
   // Gate mostly HIGH ages the NMOS more than gate mostly LOW.
-  const double high = nbti::pbti_delta_vth(rd_, pbti, 0.9, true, sched_, 3e8);
-  const double low = nbti::pbti_delta_vth(rd_, pbti, 0.1, false, sched_, 3e8);
-  EXPECT_GT(high, low);
-}
-
-TEST_F(MechanismTest, PbtiRejectsNegativeRatio) {
-  EXPECT_THROW(nbti::pbti_delta_vth(rd_, {.ratio = -1.0}, 0.5, true, sched_,
-                                    1e6),
-               std::invalid_argument);
+  EXPECT_GT(pbti(inverter(0.9), true, 3e8), pbti(inverter(0.1), false, 3e8));
 }
 
 TEST_F(MechanismTest, HciGrowsWithActivityAndTime) {
@@ -214,31 +232,27 @@ TEST_F(MultiMechanismTest, EmptyRotationIsRejectedNotNaN) {
   aging::StandbyPolicy p;
   p.kind = aging::StandbyPolicy::Kind::Rotating;
   ASSERT_TRUE(p.rotation.empty());
-  EXPECT_THROW(aging::build_pbti_stress(*analyzer_, p), std::invalid_argument);
+  EXPECT_THROW(analyzer_->build_stress(p, tech::Channel::Nmos),
+               std::invalid_argument);
   EXPECT_THROW(aging::analyze_multi_mechanism(*analyzer_, p),
                std::invalid_argument);
 }
 
 TEST_F(MultiMechanismTest, PbtiStressSetMatchesReportShift) {
-  // The exported stress set, evaluated through DeviceAging directly, must
-  // reproduce the PBTI-only NMOS shifts of analyze_multi_mechanism.
+  // The PBTI-only NMOS shifts of analyze_multi_mechanism are exactly the
+  // ratio times the worst device of the NMOS stress set.
   const aging::StandbyPolicy policy = aging::StandbyPolicy::all_relaxed();
   const aging::MultiAgingParams params{.enable_pbti = true,
                                        .enable_hci = false};
   const aging::MultiAgingReport rep =
       aging::analyze_multi_mechanism(*analyzer_, policy, params);
-  const aging::PbtiStressSet set = aging::build_pbti_stress(*analyzer_, policy);
+  const aging::AgingAnalyzer::StressSet set =
+      analyzer_->build_stress(policy, tech::Channel::Nmos);
   ASSERT_EQ(set.gate_begin.size(), c432_.num_gates() + 1);
-  const nbti::DeviceAging model(analyzer_->conditions().rd);
-  const double horizon = analyzer_->conditions().total_time;
-  for (std::size_t g = 0; g < c432_.num_gates(); ++g) {
-    double worst = 0.0;
-    for (std::size_t d = set.gate_begin[g]; d < set.gate_begin[g + 1]; ++d) {
-      worst = std::max(
-          worst, params.pbti.ratio * model.delta_vth(set.devices[d],
-                                                     cond_.schedule, horizon));
-    }
-    EXPECT_DOUBLE_EQ(rep.nmos_dvth[g], worst);
+  const std::vector<double> worst = analyzer_->worst_per_gate(
+      set, analyzer_->conditions().total_time);
+  for (int g = 0; g < c432_.num_gates(); ++g) {
+    EXPECT_EQ(rep.nmos_dvth[g], params.pbti.ratio * worst[g]) << "gate " << g;
   }
 }
 

@@ -64,16 +64,6 @@ TEST_F(ScheduleTest, RelaxedStandbyBecomesRecoveryTime) {
   EXPECT_NEAR(eq.recovery_time, 50.0 + 900.0, 1e-9);
 }
 
-TEST_F(ScheduleTest, RecoveryScalingFlagShrinksRecovery) {
-  DeviceStress relaxed = stress_;
-  relaxed.standby = StandbyMode::Relaxed;
-  const ModeSchedule s = ModeSchedule::from_ras(1, 9, 1000.0, 400.0, 330.0);
-  const EquivalentCycle plain = equivalent_cycle(p_, relaxed, s, false);
-  const EquivalentCycle scaled = equivalent_cycle(p_, relaxed, s, true);
-  EXPECT_LT(scaled.recovery_time, plain.recovery_time);
-  EXPECT_DOUBLE_EQ(scaled.stress_time, plain.stress_time);
-}
-
 TEST_F(ScheduleTest, ZeroActiveStressProbMeansNoActiveStress) {
   DeviceStress never{0.0, StandbyMode::Relaxed, 1.0, 0.22};
   const ModeSchedule s = ModeSchedule::from_ras(1, 1, 100.0, 400.0, 330.0);

@@ -84,6 +84,12 @@ TEST_F(VariationTest, RejectsBadParams) {
                std::invalid_argument);
   EXPECT_THROW(MonteCarloAging(*analyzer_, {.sigma_vth = -0.01}),
                std::invalid_argument);
+  // A 1 V sigma draws shifts past the linearized delay law's domain
+  // (negative factors below about -0.6 V, no switching at Vdd - Vth0).
+  const MonteCarloAging wide(*analyzer_, {.sigma_vth = 1.0, .samples = 20});
+  EXPECT_THROW(wide.fresh_distribution(), std::domain_error);
+  EXPECT_THROW(wide.aged_distribution(aging::StandbyPolicy::all_stressed(), 3e8),
+               std::domain_error);
 }
 
 TEST_F(VariationTest, FreshDistributionCentersOnNominal) {

@@ -114,8 +114,9 @@ run cmake --preset tsan-determinism
 run cmake --build --preset tsan-determinism -j "$JOBS"
 run ctest --preset tsan-determinism -j "$JOBS"
 # The differential suite (SoA kernel vs scalar model, ΔVth table vs exact
-# recursion) is part of the determinism label above; run it by name too so
-# a label regression can't silently drop it from the TSan gate.
+# sweeps, optimized engines vs tests/support/reference.h) is part of the
+# determinism label above; run it by name too so a label regression can't
+# silently drop it from the TSan gate.
 run ctest --test-dir build-tsan -R "Differential" -j "$JOBS" --output-on-failure
 
 echo "check.sh: all presets green"

@@ -11,19 +11,19 @@ namespace nbtisim::aging {
 
 namespace {
 
-// Bound on cached per-policy descriptor sets; oldest entries are evicted
-// first. Sweeps that visit many distinct policies (IVC candidate search)
-// stay within this working set because they revisit each candidate rarely.
-constexpr std::size_t kMaxCachedPolicies = 16;
-
 // Bound on cached dVth(t) tables (policy x range x resolution keys).
 constexpr std::size_t kMaxCachedTables = 8;
 
-// Gates handed to one RdKernel sweep per work-pool index: large enough that
-// the packed inner loop amortizes its setup, small enough to keep the
-// parallel decomposition fine-grained.  Chunk boundaries do not affect
-// results (each gate writes only its own slot).
-constexpr int kKernelGateChunk = 64;
+// Gates handed to one work-pool index, both by the RdKernel sweeps and by
+// build_stress's make_contexts batches: large enough that the packed inner
+// loop and the interleaved prefix recursions amortize their setup, small
+// enough to keep the parallel decomposition fine-grained.  Chunk boundaries
+// do not affect results (each gate writes only its own slots).
+constexpr int kGateChunk = 64;
+
+int num_gate_chunks(const netlist::Netlist& nl) {
+  return (nl.num_gates() + kGateChunk - 1) / kGateChunk;
+}
 
 std::vector<double> resolve_input_sp(const netlist::Netlist& nl,
                                      const AgingConditions& cond) {
@@ -34,6 +34,45 @@ std::vector<double> resolve_input_sp(const netlist::Netlist& nl,
     throw std::invalid_argument("AgingAnalyzer: input_sp size mismatch");
   }
   return cond.input_sp;
+}
+
+/// Standby net values under each standby vector of \p policy (with its
+/// forces): one set for Vector, one per member for Rotating, none for the
+/// bounds.
+std::vector<std::vector<bool>> standby_values(const netlist::Netlist& nl,
+                                              const StandbyPolicy& policy) {
+  std::vector<std::vector<bool>> values;
+  if (policy.kind == StandbyPolicy::Kind::Vector) {
+    if (static_cast<int>(policy.vector.size()) != nl.num_inputs()) {
+      throw std::invalid_argument("StandbyPolicy vector: PI count mismatch");
+    }
+    values.push_back(
+        sim::Simulator(nl).evaluate_forced(policy.vector, policy.forces));
+  } else if (policy.kind == StandbyPolicy::Kind::Rotating) {
+    if (policy.rotation.empty()) {
+      throw std::invalid_argument("StandbyPolicy rotating: no vectors");
+    }
+    const sim::Simulator simulator(nl);
+    for (const std::vector<bool>& v : policy.rotation) {
+      if (static_cast<int>(v.size()) != nl.num_inputs()) {
+        throw std::invalid_argument("StandbyPolicy rotating: PI count mismatch");
+      }
+      values.push_back(simulator.evaluate_forced(v, policy.forces));
+    }
+  }
+  return values;
+}
+
+/// Standby values of gate \p g's cell signals (pins, then stage outputs)
+/// under the standby net values \p values: what each device's gate sees.
+std::vector<bool> cell_standby_signals(const netlist::Gate& g,
+                                       const tech::Cell& cell,
+                                       const std::vector<bool>& values) {
+  std::uint32_t bits = 0;
+  for (std::size_t pin = 0; pin < g.fanins.size(); ++pin) {
+    bits |= values[g.fanins[pin]] ? (1u << pin) : 0u;
+  }
+  return cell.signal_values(bits);
 }
 
 }  // namespace
@@ -78,26 +117,7 @@ AgingAnalyzer::AgingAnalyzer(const netlist::Netlist& nl,
 
 AgingAnalyzer::StressSet AgingAnalyzer::build_stress(
     const StandbyPolicy& policy, tech::Channel channel) const {
-  // Standby net values (Vector policy: one set; Rotating: one per member).
-  std::vector<std::vector<bool>> standby_values;
-  if (policy.kind == StandbyPolicy::Kind::Vector) {
-    if (static_cast<int>(policy.vector.size()) != nl_->num_inputs()) {
-      throw std::invalid_argument("StandbyPolicy vector: PI count mismatch");
-    }
-    standby_values.push_back(
-        sim::Simulator(*nl_).evaluate_forced(policy.vector, policy.forces));
-  } else if (policy.kind == StandbyPolicy::Kind::Rotating) {
-    if (policy.rotation.empty()) {
-      throw std::invalid_argument("StandbyPolicy rotating: no vectors");
-    }
-    const sim::Simulator simulator(*nl_);
-    for (const std::vector<bool>& v : policy.rotation) {
-      if (static_cast<int>(v.size()) != nl_->num_inputs()) {
-        throw std::invalid_argument("StandbyPolicy rotating: PI count mismatch");
-      }
-      standby_values.push_back(simulator.evaluate_forced(v, policy.forces));
-    }
-  }
+  const std::vector<std::vector<bool>> standby = standby_values(*nl_, policy);
 
   // The gate signal value that stresses a device of this channel: 0 for a
   // PMOS (Vgs = -Vdd), 1 for an NMOS (Vgs = +Vdd).
@@ -113,66 +133,73 @@ AgingAnalyzer::StressSet AgingAnalyzer::build_stress(
     set.gate_begin[gi + 1] =
         set.gate_begin[gi] + static_cast<int>(cell.pmos_devices().size());
   }
-  std::vector<nbti::DeviceAging::StressContext> contexts(
-      set.gate_begin.back());
+  std::vector<nbti::DeviceStress> stresses(set.gate_begin.back());
+  std::vector<nbti::DeviceAging::StressContext> contexts(stresses.size());
 
   const nbti::DeviceAging model(cond_.rd);
-  common::parallel_for(nl_->num_gates(), [&](int gi) {
-    const netlist::Gate& g = nl_->gate(gi);
-    const tech::Cell& cell = lib_->cell(sta_.gate_cell(gi));
+  common::parallel_for(num_gate_chunks(*nl_), [&](int c) {
+    const int g_lo = c * kGateChunk;
+    const int g_hi = std::min(nl_->num_gates(), g_lo + kGateChunk);
+    for (int gi = g_lo; gi < g_hi; ++gi) {
+      const netlist::Gate& g = nl_->gate(gi);
+      const tech::Cell& cell = lib_->cell(sta_.gate_cell(gi));
 
-    // Active-mode signal probabilities of the cell's internal signals.
-    std::vector<double> pin_sp;
-    pin_sp.reserve(g.fanins.size());
-    for (netlist::NodeId in : g.fanins) pin_sp.push_back(stats_.probability[in]);
-    const std::vector<double> sp = cell.signal_probabilities(pin_sp);
-
-    // Standby-mode values of the cell's internal signals, one per standby
-    // vector (empty for the bounding policies).
-    std::vector<std::vector<bool>> standby_sig;
-    for (const std::vector<bool>& values : standby_values) {
-      std::uint32_t bits = 0;
-      for (std::size_t pin = 0; pin < g.fanins.size(); ++pin) {
-        bits |= values[g.fanins[pin]] ? (1u << pin) : 0u;
+      // Active-mode signal probabilities of the cell's internal signals.
+      std::vector<double> pin_sp;
+      pin_sp.reserve(g.fanins.size());
+      for (netlist::NodeId in : g.fanins) {
+        pin_sp.push_back(stats_.probability[in]);
       }
-      standby_sig.push_back(cell.signal_values(bits));
-    }
+      const std::vector<double> sp = cell.signal_probabilities(pin_sp);
 
-    // One device per stage input in either channel: pmos_devices() lists
-    // the stage inputs, and gate_signal is the input's signal.
-    int slot = set.gate_begin[gi];
-    for (const tech::PmosDevice& dev : cell.pmos_devices()) {
-      const int sig = dev.gate_signal;
-      nbti::DeviceStress stress;
-      stress.active_stress_prob = stress_value ? sp[sig] : 1.0 - sp[sig];
-      stress.vgs = lp.vdd;
-      stress.vth0 = vth0 + (cond_.gate_vth_offsets.empty()
-                                ? 0.0
-                                : cond_.gate_vth_offsets[gi]);
-      switch (policy.kind) {
-        case StandbyPolicy::Kind::AllStressed:
-        case StandbyPolicy::Kind::AllRelaxed: {
-          const bool standby_value =
-              policy.kind == StandbyPolicy::Kind::AllRelaxed;
-          stress.standby = standby_value == stress_value
-                               ? nbti::StandbyMode::Stressed
-                               : nbti::StandbyMode::Relaxed;
-          break;
-        }
-        case StandbyPolicy::Kind::Vector:
-        case StandbyPolicy::Kind::Rotating: {
-          int stressed = 0;
-          for (const std::vector<bool>& values : standby_sig) {
-            stressed += values[sig] == stress_value ? 1 : 0;
+      // Standby-mode values of the cell's internal signals, one per standby
+      // vector (empty for the bounding policies).
+      std::vector<std::vector<bool>> standby_sig;
+      for (const std::vector<bool>& values : standby) {
+        standby_sig.push_back(cell_standby_signals(g, cell, values));
+      }
+
+      // One device per stage input in either channel: pmos_devices() lists
+      // the stage inputs, and gate_signal is the input's signal.
+      int slot = set.gate_begin[gi];
+      for (const tech::PmosDevice& dev : cell.pmos_devices()) {
+        const int sig = dev.gate_signal;
+        nbti::DeviceStress& stress = stresses[slot++];
+        stress.active_stress_prob = stress_value ? sp[sig] : 1.0 - sp[sig];
+        stress.vgs = lp.vdd;
+        stress.vth0 = vth0 + (cond_.gate_vth_offsets.empty()
+                                  ? 0.0
+                                  : cond_.gate_vth_offsets[gi]);
+        switch (policy.kind) {
+          case StandbyPolicy::Kind::AllStressed:
+          case StandbyPolicy::Kind::AllRelaxed: {
+            const bool standby_value =
+                policy.kind == StandbyPolicy::Kind::AllRelaxed;
+            stress.standby = standby_value == stress_value
+                                 ? nbti::StandbyMode::Stressed
+                                 : nbti::StandbyMode::Relaxed;
+            break;
           }
-          stress.standby_stress_fraction =
-              static_cast<double>(stressed) / standby_sig.size();
-          break;
+          case StandbyPolicy::Kind::Vector:
+          case StandbyPolicy::Kind::Rotating: {
+            int stressed = 0;
+            for (const std::vector<bool>& values : standby_sig) {
+              stressed += values[sig] == stress_value ? 1 : 0;
+            }
+            stress.standby_stress_fraction =
+                static_cast<double>(stressed) / standby_sig.size();
+            break;
+          }
         }
       }
-      contexts[slot] = model.make_context(stress, cond_.schedule);
-      ++slot;
     }
+    // The chunk's contexts in one batch: its devices are the contiguous
+    // slots [gate_begin[g_lo], gate_begin[g_hi]).
+    const std::size_t d_lo = set.gate_begin[g_lo];
+    const std::size_t d_n = set.gate_begin[g_hi] - set.gate_begin[g_lo];
+    model.make_contexts(std::span(stresses).subspan(d_lo, d_n),
+                        cond_.schedule,
+                        std::span(contexts).subspan(d_lo, d_n));
   });
   set.kernel = nbti::RdKernel(model, std::move(contexts));
   return set;
@@ -180,29 +207,30 @@ AgingAnalyzer::StressSet AgingAnalyzer::build_stress(
 
 std::shared_ptr<const AgingAnalyzer::StressDescriptors>
 AgingAnalyzer::stress_descriptors(const StandbyPolicy& policy) const {
+  std::shared_ptr<StressDescriptors> entry;
   {
     std::lock_guard<std::mutex> lock(cache_mutex_);
-    for (const auto& entry : stress_cache_) {
-      if (entry->policy == policy) return entry;
+    for (const auto& e : stress_cache_) {
+      if (e->policy == policy) {
+        entry = e;
+        break;
+      }
+    }
+    if (!entry) {
+      entry = std::make_shared<StressDescriptors>();
+      entry->policy = policy;
+      stress_cache_.push_back(entry);
     }
   }
-
-  stress_builds_.fetch_add(1, std::memory_order_relaxed);
-  auto desc = std::make_shared<StressDescriptors>();
-  desc->policy = policy;
-  desc->pmos = build_stress(policy, tech::Channel::Pmos);
-
-  std::lock_guard<std::mutex> lock(cache_mutex_);
-  // Another thread may have built the same policy concurrently; reuse its
-  // entry so callers share one descriptor set.
-  for (const auto& entry : stress_cache_) {
-    if (entry->policy == policy) return entry;
-  }
-  if (stress_cache_.size() >= kMaxCachedPolicies) {
-    stress_cache_.erase(stress_cache_.begin());
-  }
-  stress_cache_.push_back(desc);
-  return desc;
+  // Built outside the cache lock, once per entry: a concurrent miss on the
+  // same policy waits here for the build in flight, while other policies
+  // build in parallel.  A throwing build leaves the flag unset, so the next
+  // caller retries (std::call_once semantics).
+  std::call_once(entry->built, [&] {
+    stress_builds_.fetch_add(1, std::memory_order_relaxed);
+    entry->pmos = build_stress(policy, tech::Channel::Pmos);
+  });
+  return entry;
 }
 
 void AgingAnalyzer::invalidate_stress_cache() const {
@@ -249,41 +277,81 @@ std::shared_ptr<const nbti::DvthTable> AgingAnalyzer::dvth_table(
 
 std::vector<double> AgingAnalyzer::worst_per_gate(const StressSet& set,
                                                   double total_time) const {
+  return worst_per_gate(set, total_time, nullptr, nullptr);
+}
+
+std::vector<double> AgingAnalyzer::worst_per_gate(
+    const StressSet& set, double total_time, const StressSet* relaxed,
+    const std::vector<bool>* standby) const {
   // Embarrassingly parallel over gate chunks wide enough for the kernel's
   // packed inner loop; each gate writes only its own slot, so the result is
   // identical for every thread count and chunk size.  Chunks own disjoint
-  // device ranges, so they can share the two device-wide work buffers —
+  // device ranges, so they can share the device-wide work buffers —
   // thread-local so horizon sweeps (degradation series, table builds,
   // crossing-time scans) pay no per-call allocation.  Each calling thread
-  // owns its pair; pool workers only write the disjoint slices they are
+  // owns its set; pool workers only write the disjoint slices they are
   // handed.
   std::vector<double> dvth(nl_->num_gates(), 0.0);
   static thread_local std::vector<double> dev_out;
+  static thread_local std::vector<double> dev_relaxed;
   static thread_local std::vector<double> dev_scratch;
   const std::size_t n_devices = set.kernel.num_devices();
   if (dev_out.size() < n_devices) {
     dev_out.resize(n_devices);
+    dev_relaxed.resize(n_devices);
     dev_scratch.resize(n_devices);
   }
   // Lambdas do not capture thread_locals — a pool worker would see its own
   // (empty) instances — so hand the workers spans bound on this thread.
-  const std::span<double> dev_span(dev_out);
-  const std::span<double> scratch_span(dev_scratch);
-  const int n_chunks =
-      (nl_->num_gates() + kKernelGateChunk - 1) / kKernelGateChunk;
-  common::parallel_for(n_chunks, [&](int c) {
-    const int g_lo = c * kKernelGateChunk;
-    const int g_hi = std::min(nl_->num_gates(), g_lo + kKernelGateChunk);
-    set.kernel.worst_per_gate(total_time, set.gate_begin, g_lo, g_hi, dvth,
-                              dev_span, scratch_span);
+  const std::span<double> out(dev_out);
+  const std::span<double> alt(dev_relaxed);
+  const std::span<double> scratch(dev_scratch);
+  common::parallel_for(num_gate_chunks(*nl_), [&](int c) {
+    const int g_lo = c * kGateChunk;
+    const int g_hi = std::min(nl_->num_gates(), g_lo + kGateChunk);
+    const int d_lo = set.gate_begin[g_lo];
+    const int d_hi = set.gate_begin[g_hi];
+    set.kernel.delta_vth(total_time, d_lo, d_hi, out, scratch);
+    if (relaxed != nullptr) {
+      // A PMOS whose gate signal the standby vector holds at 1 recovers
+      // through standby: its context is the AllRelaxed one.
+      relaxed->kernel.delta_vth(total_time, d_lo, d_hi, alt, scratch);
+      for (int gi = g_lo; gi < g_hi; ++gi) {
+        const tech::Cell& cell = lib_->cell(sta_.gate_cell(gi));
+        const std::vector<bool> sig =
+            cell_standby_signals(nl_->gate(gi), cell, *standby);
+        int slot = set.gate_begin[gi];
+        for (const tech::PmosDevice& dev : cell.pmos_devices()) {
+          if (sig[dev.gate_signal]) out[slot] = alt[slot];
+          ++slot;
+        }
+      }
+    }
+    for (int gi = g_lo; gi < g_hi; ++gi) {
+      double worst = 0.0;
+      for (int i = set.gate_begin[gi]; i < set.gate_begin[gi + 1]; ++i) {
+        worst = std::max(worst, out[i]);
+      }
+      dvth[gi] = worst;
+    }
   });
   return dvth;
 }
 
 std::vector<double> AgingAnalyzer::gate_dvth(
     const StandbyPolicy& policy, std::optional<double> total_time) const {
-  return worst_per_gate(stress_descriptors(policy)->pmos,
-                        total_time.value_or(cond_.total_time));
+  const double t = total_time.value_or(cond_.total_time);
+  if (policy.kind != StandbyPolicy::Kind::Vector) {
+    return worst_per_gate(stress_descriptors(policy)->pmos, t);
+  }
+  // A vector's standby fraction is exactly 1 or 0 per PMOS, so every device
+  // context is bitwise the AllStressed or the AllRelaxed one: select, per
+  // device, between the two cached bounds instead of building.
+  const std::vector<bool> standby =
+      std::move(standby_values(*nl_, policy).front());
+  const auto stressed = stress_descriptors(StandbyPolicy::all_stressed());
+  const auto relaxed = stress_descriptors(StandbyPolicy::all_relaxed());
+  return worst_per_gate(stressed->pmos, t, &relaxed->pmos, &standby);
 }
 
 std::vector<double> AgingAnalyzer::aged_gate_delays(
@@ -356,9 +424,10 @@ std::vector<std::pair<double, double>> AgingAnalyzer::degradation_series(
   std::vector<std::pair<double, double>> series;
   series.reserve(n_points);
   const double log_step = std::log(t_max / t_min) / (n_points - 1);
-  // The first aged_critical_delay call builds (and caches) the policy's
-  // stress descriptors; every further horizon reuses them, and the fresh
-  // baseline is the precomputed fresh_critical_delay().
+  // The first aged_critical_delay call builds (and caches) the stress
+  // descriptors the policy reads (a vector's are the two bounds); every
+  // further horizon reuses them, and the fresh baseline is the precomputed
+  // fresh_critical_delay().
   const double fresh = fresh_critical_delay_;
   for (int i = 0; i < n_points; ++i) {
     const double t = t_min * std::exp(log_step * i);

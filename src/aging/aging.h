@@ -138,37 +138,52 @@ class AgingAnalyzer {
   /// channels list their devices in Cell::pmos_devices() order.  A PMOS
   /// (NBTI) is stressed while its gate signal is 0, an NMOS (PBTI) while it
   /// is 1; AllStressed holds every signal at 0 in standby and AllRelaxed
-  /// every signal at 1.  Not cached: gate_dvth keeps the PMOS set per
-  /// policy, and the PBTI consumers build the NMOS set per call.
+  /// every signal at 1.  The contexts come from DeviceAging::make_contexts,
+  /// one batch per gate chunk of the parallel loop.  Not cached: gate_dvth
+  /// keeps the PMOS sets of the two bounds and of each rotation (a vector
+  /// selects between the bounds and needs no build), and the PBTI consumers
+  /// build the NMOS set per call.
   /// \throws std::invalid_argument for a standby vector of the wrong width
   ///         or a Rotating policy with an empty rotation
   StressSet build_stress(const StandbyPolicy& policy,
                          tech::Channel channel) const;
 
   /// Worst-device dVth per gate of \p set after \p total_time [V]: the SoA
-  /// kernel in parallel over gate chunks, bit-identical for every thread
-  /// count.
+  /// kernel in parallel over gate chunks, each gate's maximum taken in slot
+  /// order; bit-identical for every thread count.
   std::vector<double> worst_per_gate(const StressSet& set,
                                      double total_time) const;
 
   /// Worst-PMOS dVth per gate after \p total_time (defaults to the
-  /// configured horizon) under the given standby policy [V]: worst_per_gate
-  /// over the policy's PMOS stress set, built on the first call per
-  /// distinct policy and cached.  Repeated calls with different horizons —
-  /// degradation_series in particular — skip the whole build phase.
+  /// configured horizon) under the given standby policy [V].  The bounds
+  /// and Rotating policies take worst_per_gate over the policy's PMOS
+  /// stress set, built on the first call per distinct policy and cached, so
+  /// repeated calls with different horizons — degradation_series in
+  /// particular — skip the whole build phase.  A Vector policy (forces
+  /// included) builds nothing: it holds every PMOS gate signal at exactly 0
+  /// or 1 in standby, so each device's stress context is bitwise its
+  /// AllStressed or its AllRelaxed one.  One standby simulation picks, per
+  /// device, the cached bound its signal selects, evaluated at the horizon;
+  /// the result is bitwise worst_per_gate(build_stress(policy, Pmos), t).
   /// tests/support/reference.h reference_gate_dvth is the per-device
   /// scalar oracle it is differential-tested against.
+  /// \throws std::invalid_argument for a standby vector of the wrong width,
+  ///         a bad force net id or an empty rotation
   std::vector<double> gate_dvth(const StandbyPolicy& policy,
                                 std::optional<double> total_time = {}) const;
 
-  /// Drops all cached per-policy stress descriptors and dVth tables.  Useful
-  /// to reclaim memory after sweeping many distinct policies, and to
-  /// benchmark the build phase itself (bench_perf_micro's "uncached" legs).
+  /// Drops all cached per-policy stress descriptors and dVth tables, and
+  /// with them the memory of the sets built so far; bench_perf_micro's
+  /// "uncached" legs use it to time the build phase itself.
   void invalidate_stress_cache() const;
 
-  /// Number of stress-descriptor build phases executed so far (cache misses).
-  /// Sweeps and Monte-Carlo loops over one policy must keep this at one —
-  /// the regression contract of the per-policy cache.
+  /// Number of PMOS stress-descriptor builds so far: gate_dvth's cache
+  /// misses, one per bound (AllStressed, AllRelaxed) and per distinct
+  /// Rotating policy.  Vectors select between the bounds and add nothing,
+  /// and build_stress calls made by others (the per-call NMOS sets) are not
+  /// counted.  Sweeps and Monte-Carlo loops over one policy keep it at one,
+  /// and a concurrent miss waits for the build in flight instead of
+  /// repeating it — the regression contract of the per-policy cache.
   std::uint64_t stress_build_count() const {
     return stress_builds_.load(std::memory_order_relaxed);
   }
@@ -210,16 +225,25 @@ class AgingAnalyzer {
   std::vector<double> aged_gate_delays(std::span<const double> dvth) const;
 
  private:
-  /// One cached PMOS stress set per policy.
+  /// One cached PMOS stress set per policy, built once under its own flag.
   struct StressDescriptors {
     StandbyPolicy policy;  // cache key
+    std::once_flag built;
     StressSet pmos;
   };
 
   /// Returns the cached descriptors for \p policy, building them on miss.
-  /// Thread-safe; the shared_ptr keeps an entry alive across eviction.
+  /// Thread-safe: a concurrent miss on the same policy waits for the build
+  /// in flight; the shared_ptr keeps an entry alive across invalidation.
   std::shared_ptr<const StressDescriptors> stress_descriptors(
       const StandbyPolicy& policy) const;
+
+  /// worst_per_gate of \p set; with \p relaxed, the Vector select: a device
+  /// whose gate signal is 1 under the standby net values \p standby takes
+  /// its value from \p relaxed instead (\p set is then the AllStressed set).
+  std::vector<double> worst_per_gate(const StressSet& set, double total_time,
+                                     const StressSet* relaxed,
+                                     const std::vector<bool>* standby) const;
 
   const netlist::Netlist* nl_;
   const tech::Library* lib_;
@@ -229,7 +253,7 @@ class AgingAnalyzer {
   std::vector<double> fresh_delays_;
   double fresh_critical_delay_ = 0.0;
   mutable std::mutex cache_mutex_;
-  mutable std::vector<std::shared_ptr<const StressDescriptors>> stress_cache_;
+  mutable std::vector<std::shared_ptr<StressDescriptors>> stress_cache_;
   mutable std::atomic<std::uint64_t> stress_builds_{0};
 
   /// One cached dVth(t) table per (policy, range, resolution).

@@ -1,6 +1,8 @@
 #include "nbti/ac_model.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <stdexcept>
 
 namespace nbtisim::nbti {
@@ -9,6 +11,35 @@ namespace {
 void check_duty(double duty) {
   if (duty < 0.0 || duty > 1.0) {
     throw std::invalid_argument("AC stress duty must lie in [0, 1]");
+  }
+}
+
+/// Duties whose prefix recursions make_sn_prefixes runs interleaved: enough
+/// independent division chains to keep the divider busy.
+constexpr std::size_t kSnPrefixLanes = 8;
+
+/// S_1 of eq. (9) and the eq. (10) step c / (4 (1 + beta)) of one duty.
+struct SnHead {
+  double s;
+  double step;
+};
+
+SnHead sn_head(double duty) {
+  const double beta = ac_beta(duty);
+  return {std::pow(duty, 0.25) / (1.0 + beta), duty / (4.0 * (1.0 + beta))};
+}
+
+/// Advances W independent lanes from S_1 to S_cycles by eq. (10).  The one
+/// S-recursion loop: sn_exact and sn_closed run it on one lane,
+/// make_sn_prefixes on kSnPrefixLanes, and every lane performs the same
+/// operations in the same order whatever W is.
+template <std::size_t W>
+void sn_recursion(double (&s)[W], const double (&step)[W],
+                  std::int64_t cycles) {
+  for (std::int64_t i = 1; i < cycles; ++i) {
+    for (std::size_t l = 0; l < W; ++l) {
+      s[l] += step[l] / (s[l] * s[l] * s[l]);
+    }
   }
 }
 
@@ -23,52 +54,62 @@ double sn_exact(double duty, std::int64_t n_cycles) {
   check_duty(duty);
   if (n_cycles < 1) throw std::invalid_argument("sn_exact: n_cycles < 1");
   if (duty == 0.0) return 0.0;
-  const double beta = ac_beta(duty);
-  double s = std::pow(duty, 0.25) / (1.0 + beta);
-  const double step = duty / (4.0 * (1.0 + beta));
-  for (std::int64_t i = 1; i < n_cycles; ++i) {
-    s += step / (s * s * s);
-  }
-  return s;
+  const SnHead head = sn_head(duty);
+  double s[1] = {head.s};
+  const double step[1] = {head.step};
+  sn_recursion(s, step, n_cycles);
+  return s[0];
 }
 
 double sn_closed(double duty, double n_cycles) {
   check_duty(duty);
   if (n_cycles < 1.0) throw std::invalid_argument("sn_closed: n_cycles < 1");
   if (duty == 0.0) return 0.0;
-  const double beta = ac_beta(duty);
-  const double step = duty / (4.0 * (1.0 + beta));
   // Hybrid evaluation: run the exact recursion for the first cycles (where
   // the telescoped form's O(log n / n) error is visible), then telescope the
   // long tail where S^4 grows by 4*step per cycle to high accuracy.
-  double s = std::pow(duty, 0.25) / (1.0 + beta);
+  const SnHead head = sn_head(duty);
+  double s[1] = {head.s};
+  const double step[1] = {head.step};
   const std::int64_t iters =
       static_cast<std::int64_t>(std::min(n_cycles, kSnExactCycles));
-  for (std::int64_t i = 1; i < iters; ++i) {
-    s += step / (s * s * s);
-  }
+  sn_recursion(s, step, iters);
   const double remaining = n_cycles - static_cast<double>(iters);
-  if (remaining <= 0.0) return s;
-  const double s4 = s * s * s * s + remaining * 4.0 * step;
+  if (remaining <= 0.0) return s[0];
+  const double s4 = s[0] * s[0] * s[0] * s[0] + remaining * 4.0 * step[0];
   return quarter_root(s4);
 }
 
-SnPrefix make_sn_prefix(double duty) {
-  check_duty(duty);
-  SnPrefix prefix;
-  prefix.duty = duty;
-  if (duty == 0.0) return prefix;
-  const double beta = ac_beta(duty);
-  prefix.step = duty / (4.0 * (1.0 + beta));
-  // Same operation sequence as sn_closed's head with n_cycles >=
-  // kSnExactCycles — the bit-identity contract depends on it.
-  double s = std::pow(duty, 0.25) / (1.0 + beta);
-  for (std::int64_t i = 1; i < static_cast<std::int64_t>(kSnExactCycles);
-       ++i) {
-    s += prefix.step / (s * s * s);
+void make_sn_prefixes(std::span<const double> duties,
+                      std::span<SnPrefix> out) {
+  if (out.size() != duties.size()) {
+    throw std::invalid_argument("make_sn_prefixes: size mismatch");
   }
-  prefix.s = s;
-  return prefix;
+  for (std::size_t base = 0; base < duties.size(); base += kSnPrefixLanes) {
+    const std::size_t used = std::min(kSnPrefixLanes, duties.size() - base);
+    // Lanes past the end, and duty-0 lanes (no recursion: S == 0), run a
+    // duty-1 stand-in whose result is dropped.
+    double s[kSnPrefixLanes];
+    double step[kSnPrefixLanes];
+    for (std::size_t l = 0; l < kSnPrefixLanes; ++l) {
+      const double duty = l < used ? duties[base + l] : 1.0;
+      check_duty(duty);
+      const SnHead head = sn_head(duty == 0.0 ? 1.0 : duty);
+      s[l] = head.s;
+      step[l] = head.step;
+    }
+    // Same operation sequence as sn_closed's head with n_cycles >=
+    // kSnExactCycles — the bit-identity contract depends on it.
+    sn_recursion(s, step, static_cast<std::int64_t>(kSnExactCycles));
+    for (std::size_t l = 0; l < used; ++l) {
+      SnPrefix& prefix = out[base + l];
+      prefix = SnPrefix{};
+      prefix.duty = duties[base + l];
+      if (prefix.duty == 0.0) continue;
+      prefix.s = s[l];
+      prefix.step = step[l];
+    }
+  }
 }
 
 double sn_closed(const SnPrefix& prefix, double n_cycles) {

@@ -21,6 +21,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <span>
 
 #include "nbti/rd_model.h"
 
@@ -58,8 +59,15 @@ struct SnPrefix {
   double step = 0.0;  ///< c / (4 (1 + beta))
 };
 
-/// \throws std::invalid_argument for duty outside [0, 1]
-SnPrefix make_sn_prefix(double duty);
+/// The prefix of every duty in \p duties into \p out (same size).  The
+/// recursions of 8 duties at a time run interleaved, each lane with the
+/// operation sequence sn_exact and sn_closed use, so every prefix is bitwise
+/// the one-duty result (sn_exact(duty, kSnExactCycles) for a duty above 0):
+/// the lanes' dependent division chains overlap instead of each waiting out
+/// the divider's latency alone.
+/// \throws std::invalid_argument for a duty outside [0, 1] or a size
+///         mismatch
+void make_sn_prefixes(std::span<const double> duties, std::span<SnPrefix> out);
 
 /// sn_closed via a precomputed prefix: O(1) for n_cycles >= kSnExactCycles,
 /// falls back to the short exact recursion below it.

@@ -1,7 +1,9 @@
 #include "nbti/device_aging.h"
 
 #include <cmath>
+#include <cstddef>
 #include <stdexcept>
+#include <vector>
 
 namespace nbtisim::nbti {
 
@@ -34,28 +36,44 @@ double DeviceAging::delta_vth(const DeviceStress& stress,
   return eval(stress, schedule, total_time, /*worst_case_temp=*/false);
 }
 
-DeviceAging::StressContext DeviceAging::make_context(
-    const DeviceStress& stress, const ModeSchedule& schedule) const {
-  StressContext ctx;
-  ctx.schedule_period = schedule.period();
-  ctx.temp_active = schedule.temp_active;
-  ctx.vgs = stress.vgs;
-  ctx.vth0 = stress.vth0;
+void DeviceAging::make_contexts(std::span<const DeviceStress> stresses,
+                                const ModeSchedule& schedule,
+                                std::span<StressContext> out) const {
+  if (out.size() != stresses.size()) {
+    throw std::invalid_argument("make_contexts: size mismatch");
+  }
+  // Every field but the S_n prefix, device by device; then all prefixes in
+  // one interleaved batch (an always-zero device asks for duty 0, whose
+  // prefix is the default one).
+  std::vector<double> duties(stresses.size(), 0.0);
+  for (std::size_t i = 0; i < stresses.size(); ++i) {
+    const DeviceStress& stress = stresses[i];
+    StressContext& ctx = out[i];
+    ctx = StressContext{};
+    ctx.schedule_period = schedule.period();
+    ctx.temp_active = schedule.temp_active;
+    ctx.vgs = stress.vgs;
+    ctx.vth0 = stress.vth0;
 
-  const EquivalentCycle eq = equivalent_cycle(params_, stress, schedule);
-  if (eq.stress_time <= 0.0) {
-    ctx.always_zero = true;
-    return ctx;
+    const EquivalentCycle eq = equivalent_cycle(params_, stress, schedule);
+    if (eq.stress_time <= 0.0) {
+      ctx.always_zero = true;
+      continue;
+    }
+    ctx.eq_period = eq.period();
+    ctx.ac = AcStress{eq.duty(), eq.period()};
+    if (ctx.ac.period <= 0.0) {
+      throw std::invalid_argument("make_contexts: non-positive period");
+    }
+    ctx.kv = kv_at(params_, ctx.temp_active, ctx.vgs, ctx.vth0);
+    ctx.period_pow = std::pow(ctx.ac.period, 0.25);
+    duties[i] = ctx.ac.duty;
   }
-  ctx.eq_period = eq.period();
-  ctx.ac = AcStress{eq.duty(), eq.period()};
-  if (ctx.ac.period <= 0.0) {
-    throw std::invalid_argument("make_context: non-positive period");
+  std::vector<SnPrefix> prefixes(duties.size());
+  make_sn_prefixes(duties, prefixes);
+  for (std::size_t i = 0; i < prefixes.size(); ++i) {
+    out[i].prefix = prefixes[i];
   }
-  ctx.prefix = make_sn_prefix(ctx.ac.duty);
-  ctx.kv = kv_at(params_, ctx.temp_active, ctx.vgs, ctx.vth0);
-  ctx.period_pow = std::pow(ctx.ac.period, 0.25);
-  return ctx;
 }
 
 double DeviceAging::delta_vth(const StressContext& ctx,

@@ -8,6 +8,8 @@
 /// with a given stress profile under a given active/standby schedule.
 #pragma once
 
+#include <span>
+
 #include "nbti/ac_model.h"
 #include "nbti/schedule.h"
 
@@ -31,7 +33,7 @@ class DeviceAging {
 
   /// Horizon-independent evaluation state for one (stress, schedule) pair:
   /// the equivalent cycle, the K_v prefactor, and the S_n recursion prefix.
-  /// Build once with make_context(), then evaluate many horizons at O(1)
+  /// Build once with make_contexts(), then evaluate many horizons at O(1)
   /// each (vs. O(kSnExactCycles) for the plain overload).  delta_vth(ctx, t)
   /// is bit-identical to delta_vth(stress, schedule, t) for every t.
   struct StressContext {
@@ -47,9 +49,16 @@ class DeviceAging {
     double period_pow = 0.0;       ///< ac.period^(1/4)
   };
 
-  /// Precomputes the evaluation state of \p stress under \p schedule.
-  StressContext make_context(const DeviceStress& stress,
-                             const ModeSchedule& schedule) const;
+  /// Precomputes the evaluation state of every stress in \p stresses under
+  /// \p schedule into \p out (same size).  The S_n prefixes, nearly all of
+  /// the cost, come from make_sn_prefixes, which interleaves the recursions
+  /// of 8 devices; each context is bitwise what one device alone would get.  A device with no equivalent stress gets always_zero
+  /// and default fields otherwise.
+  /// \throws std::invalid_argument for a size mismatch or an invalid stress
+  ///         or schedule (see equivalent_cycle)
+  void make_contexts(std::span<const DeviceStress> stresses,
+                     const ModeSchedule& schedule,
+                     std::span<StressContext> out) const;
 
   /// dVth after \p total_time seconds via a precomputed context [V].
   double delta_vth(const StressContext& ctx, double total_time) const;

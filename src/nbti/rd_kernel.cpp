@@ -99,66 +99,49 @@ RdKernel::RdKernel(const DeviceAging& model,
   }
 }
 
-void RdKernel::eval(double total_time, int begin, int end, double* out,
-                    double* lane_n) const {
-  telescoped_lane(total_time, end - begin, sched_period_.data() + begin,
-                  eq_period_.data() + begin, ac_period_.data() + begin,
-                  s4_base_.data() + begin, step4_.data() + begin,
-                  kv_.data() + begin, period_pow_.data() + begin, out,
+void RdKernel::delta_vth(double total_time, int dev_lo, int dev_hi,
+                         std::span<double> out,
+                         std::span<double> scratch) const {
+  if (dev_lo < 0 || dev_hi < dev_lo || dev_hi > n_) {
+    throw std::invalid_argument("RdKernel: bad device range");
+  }
+  if (total_time < 0.0) {
+    throw std::invalid_argument("RdKernel: negative total time");
+  }
+  if (static_cast<int>(out.size()) < n_ ||
+      static_cast<int>(scratch.size()) < n_) {
+    throw std::invalid_argument("RdKernel: device buffer too small");
+  }
+  if (dev_lo == dev_hi) return;
+  double* const lane_out = out.data() + dev_lo;
+  double* const lane_n = scratch.data() + dev_lo;
+  telescoped_lane(total_time, dev_hi - dev_lo, sched_period_.data() + dev_lo,
+                  eq_period_.data() + dev_lo, ac_period_.data() + dev_lo,
+                  s4_base_.data() + dev_lo, step4_.data() + dev_lo,
+                  kv_.data() + dev_lo, period_pow_.data() + dev_lo, lane_out,
                   lane_n);
   // DC pass: duty == 1 slots in range, mirroring the scalar short-circuit
   // kv * quarter_root((t / sched) * eq) (zero equivalent time folds in as
   // kv * 0.0 == +0.0, the scalar early-out value).  Marks the slots so the
   // fixup below leaves them alone.
   {
-    const auto lo = std::lower_bound(dc_slot_.begin(), dc_slot_.end(), begin);
-    const auto hi = std::lower_bound(dc_slot_.begin(), dc_slot_.end(), end);
+    const auto lo = std::lower_bound(dc_slot_.begin(), dc_slot_.end(), dev_lo);
+    const auto hi = std::lower_bound(dc_slot_.begin(), dc_slot_.end(), dev_hi);
     for (auto it = lo; it != hi; ++it) {
       const auto k = static_cast<std::size_t>(it - dc_slot_.begin());
       const double te = (total_time / dc_sched_[k]) * dc_eq_[k];
-      out[*it - begin] = dc_kv_[k] * quarter_root(te);
-      lane_n[*it - begin] = kDcLaneDone;
+      lane_out[*it - dev_lo] = dc_kv_[k] * quarter_root(te);
+      lane_n[*it - dev_lo] = kDcLaneDone;
     }
   }
   // Scalar fixup: the exact-recursion head (n < kSnExactCycles), the
   // boundary cycle (n == kSnExactCycles returns the prefix value itself),
   // duty 0, inactive devices and underflowed equivalent time all take the
   // reference scalar path.
-  for (int i = begin; i < end; ++i) {
-    if (lane_n[i - begin] <= kSnExactCycles) {
-      out[i - begin] = model_.delta_vth(contexts_[i], total_time);
+  for (int i = dev_lo; i < dev_hi; ++i) {
+    if (lane_n[i - dev_lo] <= kSnExactCycles) {
+      lane_out[i - dev_lo] = model_.delta_vth(contexts_[i], total_time);
     }
-  }
-}
-
-void RdKernel::worst_per_gate(double total_time,
-                              std::span<const int> gate_begin, int gate_lo,
-                              int gate_hi, std::span<double> dvth,
-                              std::span<double> dev_out,
-                              std::span<double> scratch) const {
-  if (gate_lo < 0 || gate_hi < gate_lo ||
-      gate_hi >= static_cast<int>(gate_begin.size())) {
-    throw std::invalid_argument("RdKernel: bad gate range");
-  }
-  if (total_time < 0.0) {
-    throw std::invalid_argument("RdKernel: negative total time");
-  }
-  if (static_cast<int>(dev_out.size()) < n_ ||
-      static_cast<int>(scratch.size()) < n_) {
-    throw std::invalid_argument("RdKernel: device buffer too small");
-  }
-  if (gate_lo == gate_hi) return;
-  const int dev_lo = gate_begin[gate_lo];
-  const int dev_hi = gate_begin[gate_hi];
-  eval(total_time, dev_lo, dev_hi, dev_out.data() + dev_lo,
-       scratch.data() + dev_lo);
-  for (int gi = gate_lo; gi < gate_hi; ++gi) {
-    // Same reduction order as the scalar per-gate loop.
-    double worst = 0.0;
-    for (int i = gate_begin[gi]; i < gate_begin[gi + 1]; ++i) {
-      worst = std::max(worst, dev_out[static_cast<std::size_t>(i)]);
-    }
-    dvth[gi] = worst;
   }
 }
 

@@ -26,7 +26,8 @@
 /// scalar fixup pass that calls DeviceAging::delta_vth on the stored
 /// context, so every output is bitwise equal to the scalar path by
 /// construction.  The differential suite (tests/test_differential.cpp)
-/// enforces exact equality.
+/// enforces exact equality.  The kernel evaluates devices only; the per-gate
+/// worst-device reduction is AgingAnalyzer::worst_per_gate's.
 #pragma once
 
 #include <span>
@@ -42,7 +43,7 @@ class RdKernel {
  public:
   RdKernel() = default;
 
-  /// Packs \p contexts (as produced by DeviceAging::make_context under one
+  /// Packs \p contexts (as produced by DeviceAging::make_contexts under one
   /// model) into SoA form.  The model is copied; contexts are kept for the
   /// scalar fixup lanes.
   RdKernel(const DeviceAging& model,
@@ -50,26 +51,16 @@ class RdKernel {
 
   int num_devices() const { return n_; }
 
-  /// Worst-device reduction per gate: for every gate g in [gate_lo, gate_hi)
-  /// sets dvth[g] = max over devices i in [gate_begin[g], gate_begin[g + 1])
-  /// of model.delta_vth(contexts[i], total_time) (0.0 for empty gates), in
-  /// slot order; each device value is bit-identical to the scalar call.
-  /// \p gate_begin is the CSR offset array (size num_gates + 1, last entry
-  /// num_devices()); \p dvth spans all gates.  \p dev_out and \p scratch
-  /// are device-indexed caller buffers (at least num_devices() slots each;
-  /// only the range's slice is touched) so hot sweeps pay no per-call
-  /// allocation — parallel callers hand disjoint gate ranges slices of
-  /// shared buffers, and reused thread-local buffers may be oversized.
-  void worst_per_gate(double total_time, std::span<const int> gate_begin,
-                      int gate_lo, int gate_hi, std::span<double> dvth,
-                      std::span<double> dev_out,
-                      std::span<double> scratch) const;
+  /// Sets out[i] = model.delta_vth(contexts[i], total_time), bitwise, for
+  /// every device i in [dev_lo, dev_hi).  \p out and \p scratch are
+  /// device-indexed caller buffers (at least num_devices() slots each; only
+  /// the range's slice is touched) so hot sweeps pay no per-call allocation
+  /// — parallel callers hand disjoint ranges slices of shared buffers, and
+  /// reused thread-local buffers may be oversized.
+  void delta_vth(double total_time, int dev_lo, int dev_hi,
+                 std::span<double> out, std::span<double> scratch) const;
 
  private:
-  /// The SIMD lane + fixup pass over [begin, end); out and lane_n point at
-  /// the slot for device `begin` and hold end - begin slots.
-  void eval(double total_time, int begin, int end, double* out,
-            double* lane_n) const;
 
   DeviceAging model_;
   std::vector<DeviceAging::StressContext> contexts_;

@@ -73,10 +73,11 @@ std::vector<StDegradationPoint> st_circuit_degradation_series(
   // The ST device's stress descriptor is horizon-independent: build the
   // model and context once and only re-evaluate the horizon per point
   // (bitwise what st_delta_vth computes — delta_vth(stress, ...) is
-  // make_context + delta_vth(ctx, t)).
+  // make_contexts + delta_vth(ctx, t)).
   const nbti::DeviceAging st_model(rd);
-  const nbti::DeviceAging::StressContext st_ctx =
-      st_model.make_context(header_st_stress(st), schedule);
+  const nbti::DeviceStress st_stress = header_st_stress(st);
+  nbti::DeviceAging::StressContext st_ctx;
+  st_model.make_contexts({&st_stress, 1}, schedule, {&st_ctx, 1});
 
   const double sigma0_percent = 100.0 * st.sigma;
   std::vector<StDegradationPoint> series;

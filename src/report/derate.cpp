@@ -46,7 +46,8 @@ DerateTable aging_derate_table(const aging::AgingAnalyzer& analyzer,
       aging::StandbyPolicy::all_relaxed(),
   };
   // One degradation_series-style pass per policy: the first year builds the
-  // policy's stress descriptors, the rest reuse them.  Each pass fills only
+  // stress descriptors the policy reads (the all-zero vector selects between
+  // the two bounds), the rest reuse them.  Each pass fills only
   // its own column, so fanning the policies out over parallel_for keeps the
   // table bit-identical for every thread count.
   const double fresh = analyzer.fresh_critical_delay();

@@ -3,15 +3,15 @@
 ///
 /// Each function here recomputes a result the slow, obvious way — one
 /// scalar device-model call per PMOS or NMOS per horizon, the literal S_n
-/// recursion, full delay rebuild + full STA per sizing trial, a fresh
-/// analyze() per derate cell, a serial loop per electrothermal sweep, a
-/// nested bisection per stacked OFF device — and serves as the oracle that
-/// tests/test_differential.cpp property-tests the optimized engines against
-/// across random netlists, seeds, thread counts and horizons.  Keep them
-/// boring: no caching, no incremental updates, no parallelism.  The one
-/// deliberate sophistication is FP discipline — every accumulation mirrors
-/// the production expression order, so the comparisons can demand bitwise
-/// equality instead of tolerances.
+/// recursion, one stress context per device, full delay rebuild + full STA
+/// per sizing trial, a fresh analyze() per derate cell, a serial loop per
+/// electrothermal sweep, a nested bisection per stacked OFF device — and
+/// serves as the oracle that tests/test_differential.cpp property-tests the
+/// optimized engines against across random netlists, seeds, thread counts
+/// and horizons.  Keep them boring: no caching, no incremental updates, no
+/// parallelism.  The one deliberate sophistication is FP discipline — every
+/// accumulation mirrors the production expression order, so the
+/// comparisons can demand bitwise equality instead of tolerances.
 #pragma once
 
 #include <algorithm>
@@ -30,6 +30,7 @@
 #include "campaign/store.h"
 #include "common/json.h"
 #include "nbti/ac_model.h"
+#include "nbti/device_aging.h"
 #include "opt/sizing.h"
 #include "report/derate.h"
 #include "report/report.h"
@@ -58,6 +59,39 @@ inline double reference_ac_delta_vth_exact(const nbti::RdParams& p,
          nbti::sn_exact(stress.duty,
                         static_cast<std::int64_t>(std::llround(n))) *
          std::pow(stress.period, 0.25);
+}
+
+/// One device's evaluation state, field by field the obvious way: the
+/// equivalent cycle, the literal S_n recursion to kSnExactCycles
+/// (nbti::sn_exact), kv_at and pow, one device at a time.  The oracle for
+/// DeviceAging::make_contexts, whose S_n prefixes run lane-interleaved in
+/// batches.  A device without equivalent stress keeps the default fields
+/// and always_zero.
+inline nbti::DeviceAging::StressContext reference_stress_context(
+    const nbti::RdParams& p, const nbti::DeviceStress& stress,
+    const nbti::ModeSchedule& schedule) {
+  nbti::DeviceAging::StressContext ctx;
+  ctx.schedule_period = schedule.period();
+  ctx.temp_active = schedule.temp_active;
+  ctx.vgs = stress.vgs;
+  ctx.vth0 = stress.vth0;
+  const nbti::EquivalentCycle eq = nbti::equivalent_cycle(p, stress, schedule);
+  if (eq.stress_time <= 0.0) {
+    ctx.always_zero = true;
+    return ctx;
+  }
+  ctx.eq_period = eq.period();
+  ctx.ac = nbti::AcStress{eq.duty(), eq.period()};
+  ctx.prefix.duty = ctx.ac.duty;
+  if (ctx.ac.duty != 0.0) {
+    ctx.prefix.s = nbti::sn_exact(
+        ctx.ac.duty, static_cast<std::int64_t>(nbti::kSnExactCycles));
+    ctx.prefix.step =
+        ctx.ac.duty / (4.0 * (1.0 + nbti::ac_beta(ctx.ac.duty)));
+  }
+  ctx.kv = nbti::kv_at(p, ctx.temp_active, ctx.vgs, ctx.vth0);
+  ctx.period_pow = std::pow(ctx.ac.period, 0.25);
+  return ctx;
 }
 
 /// Worst-device dVth per gate at \p total_time, the scalar way: every

@@ -139,8 +139,11 @@ TEST_F(DeviceAgingTest, StressContextIsBitIdenticalToDirectEval) {
   };
   for (double parts : {1.0, 9.0}) {
     const ModeSchedule s = ras(parts, 330.0);
-    for (const DeviceStress& stress : stresses) {
-      const DeviceAging::StressContext ctx = model_.make_context(stress, s);
+    std::vector<DeviceAging::StressContext> ctxs(stresses.size());
+    model_.make_contexts(stresses, s, ctxs);
+    for (std::size_t k = 0; k < stresses.size(); ++k) {
+      const DeviceStress& stress = stresses[k];
+      const DeviceAging::StressContext& ctx = ctxs[k];
       for (double t : {1.0, 500.0, 1e4, 1e6, 3e8}) {
         EXPECT_EQ(model_.delta_vth(ctx, t), model_.delta_vth(stress, s, t))
             << "RAS=1:" << parts << " t=" << t;

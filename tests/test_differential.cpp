@@ -11,11 +11,15 @@
 // interpolation tolerance (see nbti/dvth_table.h), and the shooting stack
 // solver by its documented agreement with nested bisection (tech/stack.h).
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <random>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -274,15 +278,19 @@ TEST(DifferentialTest, SoaKernelGateDvthMatchesScalarAcrossRandomCases) {
          {tech::Channel::Pmos, tech::Channel::Nmos}) {
       const bool nmos = channel == tech::Channel::Nmos;
       for (std::size_t p = 0; p < policies.size(); ++p) {
-        // The NMOS set is built per policy, as the PBTI analyses do.
-        aging::AgingAnalyzer::StressSet nmos_set;
-        if (nmos) nmos_set = an.build_stress(policies[p], channel);
+        const bool vector =
+            policies[p].kind == aging::StandbyPolicy::Kind::Vector;
+        // The NMOS set is built per policy, as the PBTI analyses do; a PMOS
+        // vector's own build is what its select must reproduce.
+        aging::AgingAnalyzer::StressSet built;
+        if (nmos || vector) built = an.build_stress(policies[p], channel);
         for (double t : horizons) {
           SCOPED_TRACE(::testing::Message()
                        << "rep=" << rep << " policy=" << p << " t=" << t
                        << (nmos ? " nmos" : " pmos"));
+          const std::uint64_t builds = an.stress_build_count();
           const std::vector<double> got =
-              nmos ? an.worst_per_gate(nmos_set, t)
+              nmos ? an.worst_per_gate(built, t)
                    : an.gate_dvth(policies[p], t);
           const std::vector<double> want =
               testsupport::reference_gate_dvth(an, policies[p], t, channel);
@@ -290,14 +298,151 @@ TEST(DifferentialTest, SoaKernelGateDvthMatchesScalarAcrossRandomCases) {
           for (std::size_t g = 0; g < want.size(); ++g) {
             ASSERT_EQ(got[g], want[g]) << "gate " << g;
           }
+          if (vector && !nmos) {
+            // The plain and the forced vector select between the bounds
+            // built for policies 0 and 1: no build of their own, and
+            // bitwise what one would give.
+            EXPECT_EQ(an.stress_build_count(), builds);
+            const std::vector<double> own = an.worst_per_gate(built, t);
+            for (std::size_t g = 0; g < own.size(); ++g) {
+              ASSERT_EQ(got[g], own[g]) << "gate " << g;
+            }
+          }
           ++checked;
         }
       }
     }
+
+    // A wrong-width vector and a bad force net id still throw through the
+    // select.
+    EXPECT_THROW(an.gate_dvth(aging::StandbyPolicy::from_vector(
+                     std::vector<bool>(nl.num_inputs() + 1))),
+                 std::invalid_argument);
+    aging::StandbyPolicy bad_force =
+        aging::StandbyPolicy::from_vector(standby_vec);
+    bad_force.forces.emplace_back(nl.num_nodes(), true);
+    EXPECT_THROW(an.gate_dvth(bad_force), std::invalid_argument);
   }
   // The acceptance bar: at least 100 randomized kernel-vs-scalar sweeps per
   // channel, every one an exact (bitwise) whole-circuit comparison.
   EXPECT_GE(checked, 200);
+}
+
+// DeviceAging::make_contexts (S_n prefixes interleaved 8 at a time)
+// against reference_stress_context (one device, the literal
+// recursion), every field compared bit for bit — across batch sizes that
+// end on, before and after a lane boundary, a c1908-sized batch, and the
+// chunked parallel calls build_stress makes.
+TEST(DifferentialTest, BatchedStressContextsMatchReferenceFieldByField) {
+  const tech::Library lib;
+  const netlist::Netlist c1908 = netlist::iscas85_like("c1908");
+  const sta::StaEngine sta(c1908, lib);
+  int c1908_devices = 0;
+  for (int gi = 0; gi < c1908.num_gates(); ++gi) {
+    c1908_devices +=
+        static_cast<int>(lib.cell(sta.gate_cell(gi)).pmos_devices().size());
+  }
+
+  const auto same_bits = [](double a, double b) {
+    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+  };
+  const auto expect_same = [&](const nbti::DeviceAging::StressContext& got,
+                               const nbti::DeviceAging::StressContext& want) {
+    EXPECT_EQ(got.always_zero, want.always_zero);
+    EXPECT_TRUE(same_bits(got.schedule_period, want.schedule_period));
+    EXPECT_TRUE(same_bits(got.eq_period, want.eq_period));
+    EXPECT_TRUE(same_bits(got.temp_active, want.temp_active));
+    EXPECT_TRUE(same_bits(got.ac.duty, want.ac.duty));
+    EXPECT_TRUE(same_bits(got.ac.period, want.ac.period));
+    EXPECT_TRUE(same_bits(got.prefix.duty, want.prefix.duty));
+    EXPECT_TRUE(same_bits(got.prefix.s, want.prefix.s));
+    EXPECT_TRUE(same_bits(got.prefix.step, want.prefix.step));
+    EXPECT_TRUE(same_bits(got.vgs, want.vgs));
+    EXPECT_TRUE(same_bits(got.vth0, want.vth0));
+    EXPECT_TRUE(same_bits(got.kv, want.kv));
+    EXPECT_TRUE(same_bits(got.period_pow, want.period_pow));
+  };
+
+  std::mt19937_64 rng(1908);
+  std::uniform_real_distribution<double> u(0.0, 1.0);
+  const nbti::RdParams rd;
+  const nbti::DeviceAging model(rd);
+  const nbti::ModeSchedule schedule =
+      nbti::ModeSchedule::from_ras(1, 9, 1000.0, 400.0, 330.0);
+
+  // Edge stresses lead every batch: duty 1 (DC), always zero (never
+  // stressed), duty 0 without being always zero (stress time a few
+  // denormals, so the duty underflows), and standby-only stress.
+  std::vector<nbti::DeviceStress> edges(4);
+  edges[0].active_stress_prob = 1.0;
+  edges[0].standby = nbti::StandbyMode::Stressed;
+  edges[1].active_stress_prob = 0.0;
+  edges[1].standby = nbti::StandbyMode::Relaxed;
+  edges[2].active_stress_prob = std::numeric_limits<double>::denorm_min();
+  edges[2].standby = nbti::StandbyMode::Relaxed;
+  edges[3].active_stress_prob = 0.0;
+  edges[3].standby = nbti::StandbyMode::Stressed;
+  {
+    const nbti::DeviceAging::StressContext dc =
+        testsupport::reference_stress_context(rd, edges[0], schedule);
+    const nbti::DeviceAging::StressContext zero =
+        testsupport::reference_stress_context(rd, edges[1], schedule);
+    const nbti::DeviceAging::StressContext underflow =
+        testsupport::reference_stress_context(rd, edges[2], schedule);
+    ASSERT_EQ(dc.ac.duty, 1.0);
+    ASSERT_TRUE(zero.always_zero);
+    ASSERT_FALSE(underflow.always_zero);
+    ASSERT_EQ(underflow.ac.duty, 0.0);
+  }
+
+  int checked = 0;
+  for (const int threads : {1, 4}) {
+    const common::ThreadBudget budget(threads);
+    for (const int n : {0, 1, 7, 8, 9, 17, c1908_devices}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "threads=" << threads << " batch=" << n);
+      std::vector<nbti::DeviceStress> stresses(n);
+      for (int i = 0; i < n; ++i) {
+        if (i < static_cast<int>(edges.size())) {
+          stresses[i] = edges[i];
+          continue;
+        }
+        nbti::DeviceStress& s = stresses[i];
+        const double r = u(rng);
+        s.active_stress_prob = r < 0.1 ? 0.0 : (r > 0.9 ? 1.0 : u(rng));
+        s.standby = u(rng) < 0.5 ? nbti::StandbyMode::Stressed
+                                 : nbti::StandbyMode::Relaxed;
+        if (u(rng) < 0.25) s.standby_stress_fraction = u(rng);
+        s.vgs = 0.9 + 0.3 * u(rng);
+        s.vth0 = 0.18 + 0.08 * u(rng);
+      }
+      // The whole batch in one call, and in the uneven chunks of a parallel
+      // loop so lanes straddle chunk ends, as in build_stress.
+      std::vector<nbti::DeviceAging::StressContext> whole(n);
+      model.make_contexts(stresses, schedule, whole);
+      constexpr int kChunk = 13;
+      std::vector<nbti::DeviceAging::StressContext> chunked(n);
+      common::parallel_for((n + kChunk - 1) / kChunk, [&](int c) {
+        const std::size_t lo = static_cast<std::size_t>(c) * kChunk;
+        const std::size_t len = std::min<std::size_t>(kChunk, n - lo);
+        model.make_contexts(std::span(stresses).subspan(lo, len), schedule,
+                            std::span(chunked).subspan(lo, len));
+      });
+      for (int i = 0; i < n; ++i) {
+        SCOPED_TRACE(::testing::Message() << "device " << i);
+        const nbti::DeviceAging::StressContext want =
+            testsupport::reference_stress_context(rd, stresses[i], schedule);
+        expect_same(whole[i], want);
+        expect_same(chunked[i], want);
+        ++checked;
+      }
+    }
+  }
+  EXPECT_GE(checked, 2 * c1908_devices);
+
+  std::vector<nbti::DeviceAging::StressContext> short_out(1);
+  EXPECT_THROW(model.make_contexts(edges, schedule, short_out),
+               std::invalid_argument);
 }
 
 TEST(DifferentialTest, RdKernelMatchesScalarDeviceModelAcrossRandomContexts) {
@@ -310,21 +455,21 @@ TEST(DifferentialTest, RdKernelMatchesScalarDeviceModelAcrossRandomContexts) {
         360.0 + 60.0 * u(rng), 300.0 + 60.0 * u(rng));
     const nbti::DeviceAging model;
 
-    std::vector<nbti::DeviceAging::StressContext> ctxs;
+    std::vector<nbti::DeviceStress> stresses;
     // Handcrafted edge lanes first: full DC stress (duty 1), never stressed
     // (duty 0 / always_zero), and standby-only stress.
     nbti::DeviceStress dc;
     dc.active_stress_prob = 1.0;
     dc.standby = nbti::StandbyMode::Stressed;
-    ctxs.push_back(model.make_context(dc, schedule));
+    stresses.push_back(dc);
     nbti::DeviceStress off;
     off.active_stress_prob = 0.0;
     off.standby = nbti::StandbyMode::Relaxed;
-    ctxs.push_back(model.make_context(off, schedule));
+    stresses.push_back(off);
     nbti::DeviceStress standby_only;
     standby_only.active_stress_prob = 0.0;
     standby_only.standby = nbti::StandbyMode::Stressed;
-    ctxs.push_back(model.make_context(standby_only, schedule));
+    stresses.push_back(standby_only);
     for (int d = 0; d < 37; ++d) {
       nbti::DeviceStress s;
       const double r = u(rng);
@@ -334,29 +479,27 @@ TEST(DifferentialTest, RdKernelMatchesScalarDeviceModelAcrossRandomContexts) {
       if (u(rng) < 0.25) s.standby_stress_fraction = u(rng);
       s.vgs = 0.9 + 0.3 * u(rng);
       s.vth0 = 0.18 + 0.08 * u(rng);
-      ctxs.push_back(model.make_context(s, schedule));
+      stresses.push_back(s);
     }
+    std::vector<nbti::DeviceAging::StressContext> ctxs(stresses.size());
+    model.make_contexts(stresses, schedule, ctxs);
     const nbti::RdKernel kernel(model, ctxs);
     const int n = static_cast<int>(ctxs.size());
     ASSERT_EQ(kernel.num_devices(), n);
 
-    // One device per gate, so each gate's worst device is the device.
-    std::vector<int> gate_begin(ctxs.size() + 1);
-    for (int i = 0; i <= n; ++i) gate_begin[i] = i;
     std::vector<double> out(ctxs.size());
-    std::vector<double> dev_out(ctxs.size());
     std::vector<double> scratch(ctxs.size());
     for (double t : {0.0, 3.0e3, 8.5e5, 4.0e7, 1.9e9}) {
       SCOPED_TRACE(::testing::Message() << "rep=" << rep << " t=" << t);
-      kernel.worst_per_gate(t, gate_begin, 0, n, out, dev_out, scratch);
+      kernel.delta_vth(t, 0, n, out, scratch);
       for (std::size_t i = 0; i < ctxs.size(); ++i) {
         ASSERT_EQ(out[i], model.delta_vth(ctxs[i], t)) << "device " << i;
         ++checked;
       }
     }
-    // A gate sub-range addresses the same slots and leaves the rest alone.
+    // A device sub-range addresses the same slots and leaves the rest alone.
     std::vector<double> part(ctxs.size(), -1.0);
-    kernel.worst_per_gate(1.3e8, gate_begin, 7, 17, part, dev_out, scratch);
+    kernel.delta_vth(1.3e8, 7, 17, part, scratch);
     for (int i = 0; i < n; ++i) {
       if (i >= 7 && i < 17) {
         ASSERT_EQ(part[i], model.delta_vth(ctxs[i], 1.3e8)) << "device " << i;

@@ -127,7 +127,8 @@ TEST(DvthTableTest, DutyZeroCurveStaysExactlyZero) {
   DeviceStress off;
   off.active_stress_prob = 0.0;
   off.standby = StandbyMode::Relaxed;
-  const DeviceAging::StressContext ctx = model.make_context(off, schedule);
+  DeviceAging::StressContext ctx;
+  model.make_contexts({&off, 1}, schedule, {&ctx, 1});
 
   const std::vector<double> grid = DvthTable::geometric_grid(1.0e4, 1.0e8, 4);
   std::vector<std::vector<double>> rows;
@@ -146,7 +147,8 @@ TEST(DvthTableTest, DutyOneCurveWithinPowerLawBound) {
   DeviceStress dc;
   dc.active_stress_prob = 1.0;
   dc.standby = StandbyMode::Stressed;
-  const DeviceAging::StressContext ctx = model.make_context(dc, schedule);
+  DeviceAging::StressContext ctx;
+  model.make_contexts({&dc, 1}, schedule, {&ctx, 1});
 
   const std::vector<double> grid = DvthTable::geometric_grid(1.0e4, 1.0e8, 8);
   std::vector<std::vector<double>> rows;

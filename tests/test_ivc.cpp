@@ -126,6 +126,11 @@ TEST_F(IvcTest, RotatingPolicyValidation) {
   EXPECT_THROW(
       an.analyze(aging::StandbyPolicy::rotating({std::vector<bool>(3)})),
       std::invalid_argument);
+  // The failed build leaves its cache entry unbuilt: a second call retries
+  // and throws again rather than returning an empty stress set.
+  EXPECT_THROW(
+      an.analyze(aging::StandbyPolicy::rotating({std::vector<bool>(3)})),
+      std::invalid_argument);
 }
 
 TEST_F(IvcTest, AlternatingIvcReducesMaxDeviceDegradation) {
@@ -222,6 +227,43 @@ TEST_F(IvcTest, RandomReferenceBetweenBounds) {
       evaluate_ivc(an, leak, {.population = 32, .max_rounds = 8}, 4);
   EXPECT_GE(r.random_vector_percent, r.best_case_percent - 1e-9);
   EXPECT_LE(r.random_vector_percent, r.worst_case_percent + 1e-9);
+}
+
+TEST_F(IvcTest, EvaluateIvcBuildsEachBoundOnceAtAnyThreadCount) {
+  // Every MLV candidate and random reference is a vector, and a vector
+  // selects between the two bounding stress sets: the whole evaluation is
+  // the AllStressed and the AllRelaxed build.  Parallel candidates miss on
+  // the same two policies at once; the concurrent misses wait for the build
+  // in flight instead of repeating it.
+  const netlist::Netlist c1908 = netlist::iscas85_like("c1908");
+  const leakage::LeakageAnalyzer leak(c1908, lib_, 330.0);
+  for (int n : {1, 4}) {
+    const common::ThreadBudget budget(n);
+    const aging::AgingAnalyzer an(c1908, lib_, cond(330.0));
+    evaluate_ivc(an, leak, {.population = 32, .max_rounds = 8});
+    EXPECT_EQ(an.stress_build_count(), 2u) << n << " threads";
+  }
+}
+
+TEST_F(IvcTest, RepeatedIvcAddsNoBuildsAndAlternatingAddsTwo) {
+  // The descriptor cache holds only the bounds and the rotations: a second
+  // IVC pass over the same candidates builds nothing, and the alternating
+  // study adds exactly its two rotations (whole set, complement pair).
+  const netlist::Netlist c1908 = netlist::iscas85_like("c1908");
+  const aging::AgingAnalyzer an(c1908, lib_, cond(330.0));
+  const leakage::LeakageAnalyzer leak(c1908, lib_, 330.0);
+  const MlvSearchParams p{.population = 32, .max_rounds = 8};
+  const IvcResult first = evaluate_ivc(an, leak, p);
+  EXPECT_EQ(an.stress_build_count(), 2u);
+  const IvcResult second = evaluate_ivc(an, leak, p);
+  EXPECT_EQ(an.stress_build_count(), 2u);
+  ASSERT_EQ(second.candidates.size(), first.candidates.size());
+  for (std::size_t i = 0; i < first.candidates.size(); ++i) {
+    EXPECT_EQ(second.candidates[i].degradation_percent,
+              first.candidates[i].degradation_percent);
+  }
+  evaluate_alternating_ivc(an, leak, p);
+  EXPECT_EQ(an.stress_build_count(), 4u);
 }
 
 }  // namespace

@@ -101,6 +101,54 @@ if grep -q '"bit_identical": false' "$QSMOKE_DIR/BENCH_sta.json"; then
 fi
 echo "check.sh: BENCH_sta.json key set matches tools/golden/bench_sta_keys.txt"
 
+# Performance trajectory: each line of BENCH_perfbench.jsonl is one
+# change's perfbench record (EXPERIMENTS.md "Standby vectors as a select"
+# shows one).  Per workload it holds the seed, the passes, the host
+# calibration and hardware_concurrency, and the parent's and the change's
+# median and quartiles of the four end-to-end metrics.  A line that does not
+# parse or lacks one of those keys fails the check.
+run python3 - BENCH_perfbench.jsonl <<'PY'
+import json
+import sys
+
+METRICS = ("setup_s", "pass_s", "pass_cpu_s", "peak_rss_mb")
+WORKLOAD_KEYS = ("workload", "seed", "passes", "hardware_concurrency",
+                 "host.calib_s", "host.mem_calib_s", "parent", "change")
+path = sys.argv[1]
+try:
+    with open(path, encoding="utf-8") as f:
+        lines = f.read().splitlines()
+except OSError as e:
+    sys.exit(f"{path}: {e.strerror}")
+if not lines:
+    sys.exit(f"{path}: no records")
+for n, line in enumerate(lines, 1):
+    where = f"{path}:{n}"
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError as e:
+        sys.exit(f"{where}: not JSON ({e})")
+    workloads = record.get("workloads") if isinstance(record, dict) else None
+    if not isinstance(workloads, list) or not workloads:
+        sys.exit(f"{where}: no \"workloads\" list")
+    for w in workloads:
+        if not isinstance(w, dict):
+            sys.exit(f"{where}: a workload entry is not an object")
+        name = w.get("workload", "?")
+        for key in WORKLOAD_KEYS:
+            if key not in w:
+                sys.exit(f"{where}: workload {name} lacks \"{key}\"")
+        for side in ("parent", "change"):
+            for metric in METRICS:
+                stats = w[side].get(metric) if isinstance(w[side], dict) else None
+                if not isinstance(stats, dict) or not all(
+                        isinstance(stats.get(q), (int, float))
+                        for q in ("median", "q1", "q3")):
+                    sys.exit(f"{where}: workload {name} lacks "
+                             f"{side}.{metric} median/q1/q3")
+print(f"check.sh: {path} has {len(lines)} well-formed record(s)")
+PY
+
 if [[ "$FAST" == 1 ]]; then
   echo "check.sh: fast mode — skipped sanitize and tsan-determinism presets"
   exit 0

@@ -16,7 +16,6 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
-#include <optional>
 #include <random>
 #include <sstream>
 #include <string_view>
@@ -30,7 +29,6 @@
 #include "campaign/store.h"
 #include "common/json.h"
 #include "common/pool.h"
-#include "nbti/dvth_table.h"
 #include "query/query.h"
 #include "sta/incremental.h"
 #include "sta/slew_sta.h"
@@ -188,9 +186,10 @@ void BM_DegradationSeries(benchmark::State& state) {
   aging::AgingConditions cond;
   cond.sp_vectors = 1024;
   const common::ThreadBudget budget(static_cast<int>(state.range(0)));
-  const aging::AgingAnalyzer analyzer(nl, lib, cond);
   for (auto _ : state) {
-    analyzer.invalidate_stress_cache();
+    state.PauseTiming();  // a fresh analyzer: the series builds its stress
+    const aging::AgingAnalyzer analyzer(nl, lib, cond);
+    state.ResumeTiming();
     benchmark::DoNotOptimize(analyzer.degradation_series(
         aging::StandbyPolicy::all_stressed(), 1e6, 3e8, 64));
   }
@@ -257,17 +256,17 @@ AgingCase case_gate_dvth(const netlist::Netlist& nl, const tech::Library& lib) {
   const aging::AgingAnalyzer an(nl, lib, cond);
   const auto policy = aging::StandbyPolicy::all_stressed();
 
+  // gate_dvth's cache-miss path, timed without touching the cache: the
+  // PMOS stress build plus one kernel sweep at the configured horizon.
   AgingCase c{"gate_dvth_rebuild", nl.name(), 0, 0, false};
+  auto cold_gate_dvth = [&] {
+    return an.worst_per_gate(an.build_stress(policy, tech::Channel::Pmos),
+                             cond.total_time);
+  };
   std::vector<double> serial, parallel;
-  c.serial_ms = time_ms_at(1, [&] {
-    an.invalidate_stress_cache();
-    serial = an.gate_dvth(policy);
-  });
-  c.parallel_ms = time_ms_at(8, [&] {
-    an.invalidate_stress_cache();
-    parallel = an.gate_dvth(policy);
-  });
-  c.identical = serial == parallel;
+  c.serial_ms = time_ms_at(1, [&] { serial = cold_gate_dvth(); });
+  c.parallel_ms = time_ms_at(8, [&] { parallel = cold_gate_dvth(); });
+  c.identical = serial == parallel && serial == an.gate_dvth(policy);
   return c;
 }
 
@@ -311,78 +310,6 @@ AgingCase case_dvth_eval_kernel(const netlist::Netlist& nl,
   return c;
 }
 
-struct TableCase {
-  std::string netlist;
-  double recursion_ms = 0.0;
-  double table_ms = 0.0;
-  double max_rel_error = 0.0;
-  double rel_error_bound = 0.0;
-  bool within_tolerance = false;
-};
-
-TableCase case_mc_lifetime_table(const netlist::Netlist& nl,
-                                 const tech::Library& lib) {
-  // Table-backed Monte-Carlo lifetime sampling vs per-sample recursion:
-  // ~200 MC samples x ~10 bisection steps issue 2000 dVth(t) queries at
-  // scattered times.  "recursion" answers each query with an exact model
-  // evaluation (what a per-sample crossing search without the grid does);
-  // "table" builds the interpolated table once (included in the timing) and
-  // answers every query with two loads and a lerp.  Table answers are
-  // checked against the exact sweep within 2x the documented single-curve
-  // bound (see nbti/dvth_table.h).
-  aging::AgingConditions cond;
-  cond.sp_vectors = 1024;
-  const common::ThreadBudget one(1);
-  const aging::AgingAnalyzer an(nl, lib, cond);
-  const auto policy = aging::StandbyPolicy::all_stressed();
-  const double t_lo = 1e6, t_hi = 9.5e8;
-  constexpr int kQueries = 2000;
-  constexpr int kPpd = 16;
-  std::mt19937_64 rng(11);
-  std::uniform_real_distribution<double> u(0.0, 1.0);
-  std::vector<double> queries(kQueries);
-  for (double& t : queries) t = t_lo * std::pow(t_hi / t_lo, u(rng));
-  (void)an.gate_dvth(policy, t_hi);  // warm the descriptors for both legs
-
-  TableCase c;
-  c.netlist = nl.name();
-  double sink = 0.0;
-  c.recursion_ms = time_ms([&] {
-    for (double t : queries) sink += an.gate_dvth(policy, t).back();
-  });
-  std::optional<nbti::DvthTable> table;
-  std::vector<double> buf(nl.num_gates());
-  c.table_ms = time_ms([&] {
-    std::vector<double> grid = nbti::DvthTable::geometric_grid(t_lo, t_hi, kPpd);
-    std::vector<std::vector<double>> rows;
-    rows.reserve(grid.size());
-    for (double t : grid) rows.push_back(an.gate_dvth(policy, t));
-    table.emplace(std::move(grid), rows);
-    for (double t : queries) {
-      table->values_at(t, buf);
-      sink += buf.back();
-    }
-  });
-  benchmark::DoNotOptimize(sink);
-
-  c.rel_error_bound = 2.0 * nbti::DvthTable::rel_error_bound(table->grid_ratio());
-  bool zeros_exact = true;
-  for (int i = 0; i < kQueries; i += 100) {
-    const std::vector<double> exact = an.gate_dvth(policy, queries[i]);
-    table->values_at(queries[i], buf);
-    for (std::size_t g = 0; g < exact.size(); ++g) {
-      if (exact[g] == 0.0) {
-        zeros_exact = zeros_exact && buf[g] == 0.0;
-      } else {
-        c.max_rel_error =
-            std::max(c.max_rel_error, std::abs(buf[g] - exact[g]) / exact[g]);
-      }
-    }
-  }
-  c.within_tolerance = zeros_exact && c.max_rel_error <= c.rel_error_bound;
-  return c;
-}
-
 AgingCase case_degradation_series(const netlist::Netlist& nl,
                                   const tech::Library& lib) {
   aging::AgingConditions cond;
@@ -393,24 +320,33 @@ AgingCase case_degradation_series(const netlist::Netlist& nl,
   const double t_min = 1e6, t_max = 3e8;
 
   AgingCase c{"degradation_series_64pt", nl.name(), 0, 0, false};
-  // Seed cost model: descriptors rebuilt from scratch at every point.
+  // Seed cost model: descriptors rebuilt from scratch at every point — an
+  // uncached analyze(): build_stress and worst_per_gate never touch the
+  // analyzer's cache.
   std::vector<std::pair<double, double>> serial(kPoints), parallel;
   c.serial_ms = time_ms_at(
       1,
       [&] {
         const double log_step = std::log(t_max / t_min) / (kPoints - 1);
         for (int i = 0; i < kPoints; ++i) {
-          an.invalidate_stress_cache();
           const double t = t_min * std::exp(log_step * i);
-          serial[i] = {t, an.analyze(policy, t).percent()};
+          aging::DegradationReport rep;
+          rep.gate_dvth = an.worst_per_gate(
+              an.build_stress(policy, tech::Channel::Pmos), t);
+          rep.fresh_delay = an.fresh_critical_delay();
+          rep.aged_delay =
+              an.sta().analyze(an.aged_gate_delays(rep.gate_dvth)).max_delay;
+          serial[i] = {t, rep.percent()};
         }
       },
       1);
+  // A fresh analyzer, built outside the timed region: the series pays its
+  // one cached build.
+  const aging::AgingAnalyzer cold(nl, lib, cond);
   c.parallel_ms = time_ms_at(
       8,
       [&] {
-        an.invalidate_stress_cache();
-        parallel = an.degradation_series(policy, t_min, t_max, kPoints);
+        parallel = cold.degradation_series(policy, t_min, t_max, kPoints);
       },
       1);
   c.identical = serial == parallel;
@@ -430,11 +366,9 @@ void write_bench_aging_json(const char* path) {
     cases.push_back(case_gate_dvth(*nl, lib));
     cases.push_back(case_degradation_series(*nl, lib));
   }
-  // Kernel-layout and table section: scalar-vs-SoA and recursion-vs-table
-  // legs rather than thread counts (see EXPERIMENTS.md "SoA kernel and
-  // interpolated tables").
+  // Kernel-layout section: scalar-vs-SoA legs rather than thread counts
+  // (see EXPERIMENTS.md "SoA kernel and interpolated tables").
   const AgingCase kernel = case_dvth_eval_kernel(rand_dag, lib);
-  const TableCase table = case_mc_lifetime_table(rand_dag, lib);
 
   std::ofstream out(path);
   out << "{\n  \"schema\": \"nbtisim-bench-aging-v2\",\n"
@@ -460,15 +394,7 @@ void write_bench_aging_json(const char* path) {
       << (kernel.parallel_ms > 0.0 ? kernel.serial_ms / kernel.parallel_ms
                                    : 0.0)
       << ", \"bit_identical\": " << (kernel.identical ? "true" : "false")
-      << "},\n"
-      << "    {\"name\": \"mc_lifetime_2000q_table\", \"netlist\": \""
-      << table.netlist << "\", \"recursion_ms\": " << table.recursion_ms
-      << ", \"table_ms\": " << table.table_ms << ", \"speedup\": "
-      << (table.table_ms > 0.0 ? table.recursion_ms / table.table_ms : 0.0)
-      << ", \"max_rel_error\": " << table.max_rel_error
-      << ", \"rel_error_bound\": " << table.rel_error_bound
-      << ", \"within_tolerance\": "
-      << (table.within_tolerance ? "true" : "false") << "}\n"
+      << "}\n"
       << "  ]\n}\n";
 
   std::cout << "bench_perf_micro: wrote " << path << " ("
@@ -487,17 +413,7 @@ void write_bench_aging_json(const char* path) {
             << (kernel.parallel_ms > 0.0
                     ? kernel.serial_ms / kernel.parallel_ms
                     : 0.0)
-            << (kernel.identical ? " (bit-identical)" : " (MISMATCH!)") << "\n"
-            << "  mc_lifetime_2000q_table [" << table.netlist
-            << "]: recursion " << table.recursion_ms << " ms, table "
-            << table.table_ms << " ms, speedup "
-            << (table.table_ms > 0.0 ? table.recursion_ms / table.table_ms
-                                     : 0.0)
-            << ", max rel err " << table.max_rel_error << " (bound "
-            << table.rel_error_bound << ")"
-            << (table.within_tolerance ? " (within tolerance)"
-                                       : " (OUT OF TOLERANCE!)")
-            << "\n";
+            << (kernel.identical ? " (bit-identical)" : " (MISMATCH!)") << "\n";
 }
 
 // ---------------------------------------------------------------------------

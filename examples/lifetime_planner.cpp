@@ -11,6 +11,7 @@
 /// Usage: lifetime_planner [circuit] [target_years] [survival_%]
 ///   e.g. lifetime_planner c880 7 99
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -26,7 +27,10 @@ int main(int argc, char** argv) {
   const std::string name = argc > 1 ? argv[1] : "c432";
   const double target_years = argc > 2 ? std::atof(argv[2]) : 10.0;
   const double survival_pct = argc > 3 ? std::atof(argv[3]) : 99.0;
-  if (target_years <= 0.0 || survival_pct <= 0.0 || survival_pct >= 100.0) {
+  // Written so NaN and infinities fail too: a NaN survival rate used to
+  // print "nan" in every life@%ile row.
+  if (!std::isfinite(target_years) || target_years <= 0.0 ||
+      !(survival_pct > 0.0 && survival_pct < 100.0)) {
     std::fprintf(stderr,
                  "usage: lifetime_planner [circuit] [years>0] [0<surv%%<100]\n");
     return 1;

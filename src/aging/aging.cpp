@@ -11,9 +11,6 @@ namespace nbtisim::aging {
 
 namespace {
 
-// Bound on cached dVth(t) tables (policy x range x resolution keys).
-constexpr std::size_t kMaxCachedTables = 8;
-
 // Gates handed to one work-pool index, both by the RdKernel sweeps and by
 // build_stress's make_contexts batches: large enough that the packed inner
 // loop and the interleaved prefix recursions amortize their setup, small
@@ -205,21 +202,21 @@ AgingAnalyzer::StressSet AgingAnalyzer::build_stress(
   return set;
 }
 
-std::shared_ptr<const AgingAnalyzer::StressDescriptors>
-AgingAnalyzer::stress_descriptors(const StandbyPolicy& policy) const {
-  std::shared_ptr<StressDescriptors> entry;
+const AgingAnalyzer::StressSet& AgingAnalyzer::stress_descriptors(
+    const StandbyPolicy& policy) const {
+  StressDescriptors* entry = nullptr;
   {
     std::lock_guard<std::mutex> lock(cache_mutex_);
     for (const auto& e : stress_cache_) {
       if (e->policy == policy) {
-        entry = e;
+        entry = e.get();
         break;
       }
     }
     if (!entry) {
-      entry = std::make_shared<StressDescriptors>();
+      stress_cache_.push_back(std::make_unique<StressDescriptors>());
+      entry = stress_cache_.back().get();
       entry->policy = policy;
-      stress_cache_.push_back(entry);
     }
   }
   // Built outside the cache lock, once per entry: a concurrent miss on the
@@ -230,49 +227,7 @@ AgingAnalyzer::stress_descriptors(const StandbyPolicy& policy) const {
     stress_builds_.fetch_add(1, std::memory_order_relaxed);
     entry->pmos = build_stress(policy, tech::Channel::Pmos);
   });
-  return entry;
-}
-
-void AgingAnalyzer::invalidate_stress_cache() const {
-  std::lock_guard<std::mutex> lock(cache_mutex_);
-  stress_cache_.clear();
-  table_cache_.clear();
-}
-
-std::shared_ptr<const nbti::DvthTable> AgingAnalyzer::dvth_table(
-    const StandbyPolicy& policy, double t_lo, double t_hi,
-    int points_per_decade) const {
-  {
-    std::lock_guard<std::mutex> lock(cache_mutex_);
-    for (const TableEntry& e : table_cache_) {
-      if (e.t_lo == t_lo && e.t_hi == t_hi &&
-          e.points_per_decade == points_per_decade && e.policy == policy) {
-        return e.table;
-      }
-    }
-  }
-
-  const std::vector<double> times =
-      nbti::DvthTable::geometric_grid(t_lo, t_hi, points_per_decade);
-  std::vector<std::vector<double>> rows(times.size());
-  for (std::size_t k = 0; k < times.size(); ++k) {
-    rows[k] = gate_dvth(policy, times[k]);
-  }
-  auto table =
-      std::make_shared<const nbti::DvthTable>(times, rows);
-
-  std::lock_guard<std::mutex> lock(cache_mutex_);
-  for (const TableEntry& e : table_cache_) {
-    if (e.t_lo == t_lo && e.t_hi == t_hi &&
-        e.points_per_decade == points_per_decade && e.policy == policy) {
-      return e.table;  // concurrent build won the race; share its entry
-    }
-  }
-  if (table_cache_.size() >= kMaxCachedTables) {
-    table_cache_.erase(table_cache_.begin());
-  }
-  table_cache_.push_back({policy, t_lo, t_hi, points_per_decade, table});
-  return table;
+  return entry->pmos;
 }
 
 std::vector<double> AgingAnalyzer::worst_per_gate(const StressSet& set,
@@ -287,10 +242,9 @@ std::vector<double> AgingAnalyzer::worst_per_gate(
   // packed inner loop; each gate writes only its own slot, so the result is
   // identical for every thread count and chunk size.  Chunks own disjoint
   // device ranges, so they can share the device-wide work buffers —
-  // thread-local so horizon sweeps (degradation series, table builds,
-  // crossing-time scans) pay no per-call allocation.  Each calling thread
-  // owns its set; pool workers only write the disjoint slices they are
-  // handed.
+  // thread-local so horizon sweeps (degradation series, crossing-time
+  // grids) pay no per-call allocation.  Each calling thread owns its set;
+  // pool workers only write the disjoint slices they are handed.
   std::vector<double> dvth(nl_->num_gates(), 0.0);
   static thread_local std::vector<double> dev_out;
   static thread_local std::vector<double> dev_relaxed;
@@ -342,16 +296,16 @@ std::vector<double> AgingAnalyzer::gate_dvth(
     const StandbyPolicy& policy, std::optional<double> total_time) const {
   const double t = total_time.value_or(cond_.total_time);
   if (policy.kind != StandbyPolicy::Kind::Vector) {
-    return worst_per_gate(stress_descriptors(policy)->pmos, t);
+    return worst_per_gate(stress_descriptors(policy), t);
   }
   // A vector's standby fraction is exactly 1 or 0 per PMOS, so every device
   // context is bitwise the AllStressed or the AllRelaxed one: select, per
   // device, between the two cached bounds instead of building.
   const std::vector<bool> standby =
       std::move(standby_values(*nl_, policy).front());
-  const auto stressed = stress_descriptors(StandbyPolicy::all_stressed());
-  const auto relaxed = stress_descriptors(StandbyPolicy::all_relaxed());
-  return worst_per_gate(stressed->pmos, t, &relaxed->pmos, &standby);
+  const StressSet& stressed = stress_descriptors(StandbyPolicy::all_stressed());
+  const StressSet& relaxed = stress_descriptors(StandbyPolicy::all_relaxed());
+  return worst_per_gate(stressed, t, &relaxed, &standby);
 }
 
 std::vector<double> AgingAnalyzer::aged_gate_delays(

@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "nbti/device_aging.h"
-#include "nbti/dvth_table.h"
 #include "nbti/rd_kernel.h"
 #include "netlist/netlist.h"
 #include "sim/simulator.h"
@@ -172,11 +171,6 @@ class AgingAnalyzer {
   std::vector<double> gate_dvth(const StandbyPolicy& policy,
                                 std::optional<double> total_time = {}) const;
 
-  /// Drops all cached per-policy stress descriptors and dVth tables, and
-  /// with them the memory of the sets built so far; bench_perf_micro's
-  /// "uncached" legs use it to time the build phase itself.
-  void invalidate_stress_cache() const;
-
   /// Number of PMOS stress-descriptor builds so far: gate_dvth's cache
   /// misses, one per bound (AllStressed, AllRelaxed) and per distinct
   /// Rotating policy.  Vectors select between the bounds and add nothing,
@@ -187,18 +181,6 @@ class AgingAnalyzer {
   std::uint64_t stress_build_count() const {
     return stress_builds_.load(std::memory_order_relaxed);
   }
-
-  /// Sampled per-gate worst-PMOS dVth(t) curves of \p policy on a geometric
-  /// grid from \p t_lo to \p t_hi (both exact nodes) at
-  /// \p points_per_decade resolution — the interpolation substrate for the
-  /// Monte-Carlo lifetime / failure crossing-time loops.  Built once per
-  /// (policy, range, resolution) and cached like the stress descriptors;
-  /// sampling goes through gate_dvth.  Tolerance:
-  /// DvthTable::rel_error_bound(table->grid_ratio()) per single-device
-  /// curve; see dvth_table.h.
-  std::shared_ptr<const nbti::DvthTable> dvth_table(
-      const StandbyPolicy& policy, double t_lo, double t_hi,
-      int points_per_decade) const;
 
   /// Fresh critical delay [s] (gate_delay_scale applied) — precomputed once
   /// at construction; what analyze() reports as fresh_delay.
@@ -232,11 +214,10 @@ class AgingAnalyzer {
     StressSet pmos;
   };
 
-  /// Returns the cached descriptors for \p policy, building them on miss.
+  /// Returns the cached PMOS set of \p policy, building it on miss.
   /// Thread-safe: a concurrent miss on the same policy waits for the build
-  /// in flight; the shared_ptr keeps an entry alive across invalidation.
-  std::shared_ptr<const StressDescriptors> stress_descriptors(
-      const StandbyPolicy& policy) const;
+  /// in flight.  Entries live as long as the analyzer.
+  const StressSet& stress_descriptors(const StandbyPolicy& policy) const;
 
   /// worst_per_gate of \p set; with \p relaxed, the Vector select: a device
   /// whose gate signal is 1 under the standby net values \p standby takes
@@ -253,18 +234,8 @@ class AgingAnalyzer {
   std::vector<double> fresh_delays_;
   double fresh_critical_delay_ = 0.0;
   mutable std::mutex cache_mutex_;
-  mutable std::vector<std::shared_ptr<StressDescriptors>> stress_cache_;
+  mutable std::vector<std::unique_ptr<StressDescriptors>> stress_cache_;
   mutable std::atomic<std::uint64_t> stress_builds_{0};
-
-  /// One cached dVth(t) table per (policy, range, resolution).
-  struct TableEntry {
-    StandbyPolicy policy;
-    double t_lo = 0.0;
-    double t_hi = 0.0;
-    int points_per_decade = 0;
-    std::shared_ptr<const nbti::DvthTable> table;
-  };
-  mutable std::vector<TableEntry> table_cache_;
 };
 
 }  // namespace nbtisim::aging

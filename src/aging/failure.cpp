@@ -86,10 +86,6 @@ FailureReport analyze_failure(const AgingAnalyzer& analyzer,
   if (params.time_points < 2) {
     throw std::invalid_argument("analyze_failure: time_points < 2");
   }
-  if (params.use_dvth_table && params.table_points_per_decade < 1) {
-    throw std::invalid_argument(
-        "analyze_failure: table_points_per_decade < 1");
-  }
   const double pbti_ratio = params.multi.pbti.ratio;
   if (params.multi.enable_pbti &&
       !(std::isfinite(pbti_ratio) && pbti_ratio >= 0.0)) {
@@ -134,22 +130,10 @@ FailureReport analyze_failure(const AgingAnalyzer& analyzer,
 
   if (params.enable_nbti) {
     // One gate_dvth call per grid point: the analyzer's cached stress
-    // descriptors make each horizon O(1) per device.  With use_dvth_table
-    // the exact sweeps collapse into one cached table build (shared with
-    // every other consumer of the analyzer) sampled at the grid times.
+    // descriptors make each horizon O(1) per device.
     Series series(n_points);
-    if (params.use_dvth_table) {
-      const std::shared_ptr<const nbti::DvthTable> table =
-          analyzer.dvth_table(policy, t_sec.front(), t_sec.back(),
-                              params.table_points_per_decade);
-      for (int i = 0; i < n_points; ++i) {
-        series[i].resize(n_gates);
-        table->values_at(t_sec[i], series[i]);
-      }
-    } else {
-      for (int i = 0; i < n_points; ++i) {
-        series[i] = analyzer.gate_dvth(policy, t_sec[i]);
-      }
+    for (int i = 0; i < n_points; ++i) {
+      series[i] = analyzer.gate_dvth(policy, t_sec[i]);
     }
     rep.mechanisms.push_back(crossing_mttf("nbti", series));
   }

@@ -53,13 +53,6 @@ struct FailureParams {
   double weibull_beta = 2.0;
   /// Years at which the system failure curve is reported.
   std::vector<double> curve_years = {1.0, 2.0, 5.0, 10.0, 20.0, 30.0};
-  /// Sample the NBTI dVth(t) series from the analyzer's cached interpolated
-  /// table (AgingAnalyzer::dvth_table) instead of one exact gate_dvth sweep
-  /// per grid point.  Crossing times then interpolate an interpolant;
-  /// nbti::DvthTable::rel_error_bound at table_points_per_decade bounds the
-  /// drift, and the differential suite pins the MTTF decisions.
-  bool use_dvth_table = false;
-  int table_points_per_decade = 16;  ///< table resolution when enabled
 };
 
 /// Per-mechanism lifetime summary.

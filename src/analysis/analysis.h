@@ -107,11 +107,6 @@ struct Params {
   int fail_points = 40;          ///< geometric time-grid points
   double weibull_beta = 2.0;     ///< unit-lifetime Weibull shape
   std::vector<double> fail_curve_years = {1.0, 2.0, 5.0, 10.0, 20.0, 30.0};
-  // dvth table (lifetime + failure + criticality interpolation substrate)
-  bool use_dvth_table = false;   ///< sample dVth(t) grids from the cached
-                                 ///< interpolated table instead of exact
-                                 ///< per-point device-model sweeps
-  int table_ppd = 16;            ///< table points per decade when enabled
 
   friend bool operator==(const Params&, const Params&) = default;
 };

@@ -18,14 +18,8 @@ class CriticalityAnalysis final : public Analysis {
   std::string_view name() const override { return "criticality"; }
 
   std::string fingerprint(const Params& p) const override {
-    std::string fp = base_fingerprint(p) + ",cs" +
-                     std::to_string(p.crit_samples) + ",csig" +
-                     fmt_g(p.crit_sigma);
-    // Appended only when enabled so pre-table store rows keep their hashes.
-    // The table hit is an exact back-node sample, but the knob still selects
-    // a different evaluation path, so it participates in the task hash.
-    if (p.use_dvth_table) fp += ",table" + std::to_string(p.table_ppd);
-    return fp;
+    return base_fingerprint(p) + ",cs" + std::to_string(p.crit_samples) +
+           ",csig" + fmt_g(p.crit_sigma);
   }
 
   Metrics run(EvalContext& ctx, const Params& p) const override {
@@ -35,8 +29,6 @@ class CriticalityAnalysis final : public Analysis {
     cp.seed = p.seed;
     cp.aged = true;  // criticality of the circuit the condition produces
     cp.total_time = ctx.horizon();
-    cp.use_dvth_table = p.use_dvth_table;
-    cp.table_points_per_decade = p.table_ppd;
     const variation::CriticalityResult r =
         variation::gate_criticality(ctx.aging(), cp);
     const double max_prob =

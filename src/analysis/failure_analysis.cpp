@@ -35,8 +35,6 @@ class FailureAnalysis final : public Analysis {
       fp += fmt_g(p.fail_curve_years[i]);
     }
     fp += "]";
-    // Appended only when enabled so pre-table store rows keep their hashes.
-    if (p.use_dvth_table) fp += ",table" + std::to_string(p.table_ppd);
     if (!p.standby.empty()) fp += ",sb" + p.standby;
     return fp;
   }
@@ -50,8 +48,6 @@ class FailureAnalysis final : public Analysis {
     fp.time_points = p.fail_points;
     fp.weibull_beta = p.weibull_beta;
     fp.curve_years = p.fail_curve_years;
-    fp.use_dvth_table = p.use_dvth_table;
-    fp.table_points_per_decade = p.table_ppd;
     const aging::FailureReport r = aging::analyze_failure(
         ctx.aging(), standby_policy(ctx, p.standby), fp);
 

@@ -15,11 +15,8 @@ class LifetimeAnalysis final : public Analysis {
   std::string_view name() const override { return "lifetime"; }
 
   std::string fingerprint(const Params& p) const override {
-    std::string fp = base_fingerprint(p) + ",mc" + std::to_string(p.samples) +
-                     ",margin" + fmt_g(p.spec_margin);
-    // Appended only when enabled so pre-table store rows keep their hashes.
-    if (p.use_dvth_table) fp += ",table" + std::to_string(p.table_ppd);
-    return fp;
+    return base_fingerprint(p) + ",mc" + std::to_string(p.samples) +
+           ",margin" + fmt_g(p.spec_margin);
   }
 
   Metrics run(EvalContext& ctx, const Params& p) const override {
@@ -27,8 +24,6 @@ class LifetimeAnalysis final : public Analysis {
     lt.spec_margin_percent = p.spec_margin;
     lt.samples = p.samples;
     lt.seed = p.seed;
-    lt.use_dvth_table = p.use_dvth_table;
-    lt.table_points_per_decade = p.table_ppd;
     const variation::LifetimeResult r = variation::lifetime_distribution(
         ctx.aging(), aging::StandbyPolicy::all_stressed(), lt);
     return {{"median_years", r.quantile(0.5) / kSecondsPerYear},

@@ -51,8 +51,7 @@ double integer_in(const Value& v, const char* section, const std::string& key,
 struct ParamKey {
   std::string_view name;
   std::variant<int CampaignParams::*, double CampaignParams::*,
-               std::uint64_t CampaignParams::*, bool CampaignParams::*,
-               std::string CampaignParams::*,
+               std::uint64_t CampaignParams::*, std::string CampaignParams::*,
                std::vector<double> CampaignParams::*>
       field;
   double lo = -kInf;
@@ -92,8 +91,6 @@ const ParamKey kParamKeys[] = {
     {"fail_points", &P::fail_points, 2},
     {"weibull_beta", &P::weibull_beta, 0, true},
     {"fail_curve_years", &P::fail_curve_years, 0, true},
-    {"use_dvth_table", &P::use_dvth_table},
-    {"table_ppd", &P::table_ppd, 1},
 };
 
 template <typename... Fs>
@@ -135,10 +132,6 @@ void set_param(CampaignParams& p, const std::string& name, const Value& v) {
               (p.*f).push_back(
                   number_in(x, kSection, name, key->lo, key->open, key->hi));
             }
-          },
-          [&](bool P::*f) {
-            if (!v.is_bool()) fail("must be true or false");
-            p.*f = v.as_bool();
           },
           [&](std::string P::*f) {  // "standby", the one string knob
             const std::string s = v.is_string() ? v.as_string() : "?";

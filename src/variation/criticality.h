@@ -24,11 +24,6 @@ struct CriticalityParams {
   bool aged = false;         ///< measure criticality of the AGED circuit
                              ///< (under the worst-case standby policy)
   double total_time = 3.0e8; ///< aging horizon when aged = true
-  /// Fetch the aged nominal dVth through the analyzer's cached dVth(t)
-  /// table (exact back-node hit — bitwise the gate_dvth values; see
-  /// VariationParams::use_dvth_table).
-  bool use_dvth_table = false;
-  int table_points_per_decade = 16;  ///< table resolution when enabled
 };
 
 /// Per-gate criticality result.

@@ -25,14 +25,8 @@ struct LifetimeParams {
   int samples = 200;
   std::uint64_t seed = 42;
   double max_time = 9.5e8;           ///< analysis horizon (~30 years) [s]
-  int time_grid_points = 40;         ///< nominal dVth(t) grid resolution
-  /// Sample the nominal dVth(t) grid from the analyzer's cached interpolated
-  /// table (AgingAnalyzer::dvth_table) instead of one exact gate_dvth
-  /// evaluation per grid point.  Interpolation error is bounded by
-  /// nbti::DvthTable::rel_error_bound at table_points_per_decade; the
-  /// differential suite pins the resulting lifetime drift.
-  bool use_dvth_table = false;
-  int table_points_per_decade = 16;  ///< table resolution when enabled
+  int time_grid_points = 40;         ///< nominal dVth(t) grid resolution:
+                                     ///< one exact gate_dvth per point
 };
 
 /// Per-sample failure times and summary statistics.
@@ -44,7 +38,7 @@ struct LifetimeResult {
   /// Fraction of samples that fail within \p t seconds.
   double failure_fraction_at(double t) const;
   /// Empirical lifetime quantile in [0,1] (clipped samples count as
-  /// max_time).
+  /// max_time); see empirical_quantile.
   double quantile(double q) const;
   /// Fraction of samples still meeting spec at the horizon.
   double survivor_fraction() const { return 1.0 - failure_fraction_at(max_time * (1.0 - 1e-9)); }

@@ -39,16 +39,22 @@ double DelayDistribution::stddev() const {
   return std::sqrt(acc / (delays.size() - 1));
 }
 
-double DelayDistribution::quantile(double q) const {
-  if (delays.empty()) throw std::logic_error("quantile of empty distribution");
-  if (q < 0.0 || q > 1.0) throw std::invalid_argument("quantile: q outside [0,1]");
-  std::vector<double> sorted = delays;
-  std::sort(sorted.begin(), sorted.end());
-  const double idx = q * (sorted.size() - 1);
+double empirical_quantile(std::vector<double> samples, double q) {
+  if (samples.empty()) throw std::logic_error("quantile of empty samples");
+  // Written so NaN fails too: it must never reach the index cast below.
+  if (!(q >= 0.0 && q <= 1.0)) {
+    throw std::invalid_argument("quantile: q must be finite and in [0, 1]");
+  }
+  std::sort(samples.begin(), samples.end());
+  const double idx = q * (samples.size() - 1);
   const std::size_t lo = static_cast<std::size_t>(idx);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
+  const std::size_t hi = std::min(lo + 1, samples.size() - 1);
   const double frac = idx - lo;
-  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+  return samples[lo] * (1.0 - frac) + samples[hi] * frac;
+}
+
+double DelayDistribution::quantile(double q) const {
+  return empirical_quantile(delays, q);
 }
 
 MonteCarloAging::MonteCarloAging(const aging::AgingAnalyzer& analyzer,
@@ -98,18 +104,8 @@ DelayDistribution MonteCarloAging::aged_distribution(
   const nbti::RdParams& rd = analyzer_->conditions().rd;
   const std::vector<double> fresh =
       sta.gate_delays(analyzer_->conditions().sta_temperature);
-  std::vector<double> dvth_nominal;
-  if (params_.use_dvth_table && total_time > 0.0) {
-    // The horizon is the table's back node, an exact grid sample, so these
-    // are bitwise the gate_dvth values (see VariationParams).
-    const std::shared_ptr<const nbti::DvthTable> table =
-        analyzer_->dvth_table(policy, total_time / 1.0e3, total_time,
-                              params_.table_points_per_decade);
-    dvth_nominal.resize(sta.netlist().num_gates());
-    table->values_at(total_time, dvth_nominal);
-  } else {
-    dvth_nominal = analyzer_->gate_dvth(policy, total_time);
-  }
+  const std::vector<double> dvth_nominal =
+      analyzer_->gate_dvth(policy, total_time);
   const LinearizedDelay law(lp);
   const double ff_nominal = nbti::field_factor(rd, lp.vdd, lp.pmos.vth0);
 

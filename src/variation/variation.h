@@ -56,14 +56,15 @@ struct VariationParams {
   double sigma_vth = 0.015;  ///< per-gate Vth standard deviation [V]
   int samples = 500;
   std::uint64_t seed = 42;
-  /// Fetch the nominal dVth through the analyzer's cached dVth(t) table.
-  /// The horizon is the table's back node — an exact grid point — so the
-  /// values are bitwise the gate_dvth result; the point is sharing one
-  /// cached table (and its stress-descriptor reuse) with the lifetime /
-  /// failure consumers of the same analyzer.
-  bool use_dvth_table = false;
-  int table_points_per_decade = 16;  ///< table resolution when enabled
 };
+
+/// Empirical quantile of \p samples at \p q in [0, 1]: the sorted samples,
+/// linearly interpolated between adjacent ranks.  The one quantile of the
+/// Monte-Carlo layers (DelayDistribution and LifetimeResult).
+/// \throws std::logic_error when \p samples is empty, and
+///         std::invalid_argument (a logic_error too) when \p q is
+///         non-finite or outside [0, 1]
+double empirical_quantile(std::vector<double> samples, double q);
 
 /// Summary statistics of a sampled delay distribution.
 struct DelayDistribution {

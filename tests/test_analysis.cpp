@@ -356,13 +356,12 @@ TEST(AnalysisCampaignTest, BitIdenticalShardedStoresForNewAnalyses) {
   EXPECT_NE(std::find(h.begin(), h.end(), "multi_pct"), h.end());
 }
 
-TEST(AnalysisCampaignTest, BitIdenticalShardedStoresWithDvthTable) {
-  // The table-backed evaluation paths (lifetime / failure / criticality with
-  // use_dvth_table), sharded, at n_threads 1 vs 4: every shard file must
-  // agree byte for byte — the interpolated-table subsystem keeps the
-  // campaign determinism contract.
+TEST(AnalysisCampaignTest, BitIdenticalShardedMonteCarloStores) {
+  // The Monte-Carlo consumers of the nominal dVth(t) grid (lifetime /
+  // failure / criticality), sharded, at n_threads 1 vs 4: every shard file
+  // must agree byte for byte — the campaign determinism contract.
   const char* text = R"({
-    "name": "table3",
+    "name": "mc3",
     "netlists": ["dag:8x40@3"],
     "conditions": [
       {"ras": "1:9", "t_active": 400, "t_standby": 330, "years": 10},
@@ -370,17 +369,16 @@ TEST(AnalysisCampaignTest, BitIdenticalShardedStoresWithDvthTable) {
     ],
     "analyses": ["criticality", "failure", "lifetime"],
     "params": {"sp_vectors": 256, "samples": 24, "crit_samples": 60,
-               "fail_points": 10, "fail_curve_years": [5, 20],
-               "use_dvth_table": true, "table_ppd": 12},
+               "fail_points": 10, "fail_curve_years": [5, 20]},
     "n_threads": 1,
     "shards": 4
   })";
   campaign::CampaignSpec spec =
       campaign::spec_from_json(common::json::parse(text));
-  const std::string p1 = temp_path("table3_t1.jsonl");
+  const std::string p1 = temp_path("mc3_t1.jsonl");
   ASSERT_EQ(campaign::run_campaign(spec, p1).executed, 6);
   spec.n_threads = 4;
-  const std::string p4 = temp_path("table3_t4.jsonl");
+  const std::string p4 = temp_path("mc3_t4.jsonl");
   ASSERT_EQ(campaign::run_campaign(spec, p4).executed, 6);
 
   int shards_with_rows = 0;
@@ -394,15 +392,6 @@ TEST(AnalysisCampaignTest, BitIdenticalShardedStoresWithDvthTable) {
     ++shards_with_rows;
   }
   EXPECT_GT(shards_with_rows, 0);
-
-  // The table knob participates in the task hash only when enabled, so
-  // pre-table store rows keep their fingerprints.
-  const Analysis& lt = AnalysisRegistry::global().at("lifetime");
-  EXPECT_NE(lt.fingerprint(spec.params).find(",table12"), std::string::npos);
-  Params off = spec.params;
-  off.use_dvth_table = false;
-  EXPECT_EQ(off.table_ppd, 12);
-  EXPECT_EQ(lt.fingerprint(off).find(",table"), std::string::npos);
 }
 
 TEST(AnalysisCampaignTest, StaleRowsAreCountedNotSilentlyDropped) {

@@ -10,6 +10,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -140,8 +141,7 @@ TEST(CampaignSpecTest, RejectsNonFiniteParams) {
         R"({"sp_vectors": NaN})", R"({"samples": Infinity})",
         R"({"seed": NaN})", R"({"seed": -1})", R"({"samples": 10.5})",
         R"({"derate_years": [1, NaN]})", R"({"fail_curve_years": []})",
-        R"({"use_dvth_table": 1})", R"({"standby": "sideways"})",
-        R"({"standby": 0})"}) {
+        R"({"standby": "sideways"})", R"({"standby": 0})"}) {
     SCOPED_TRACE(params);
     const std::string key = common::json::parse(params)
                                 .as_object()
@@ -209,9 +209,7 @@ TEST(CampaignSpecTest, CliFlagsExpandLikeTheirJsonSpec) {
            {{"--fail-max-years", "50", "--standby", "zeros"},
             R"("fail_max_years": 50, "standby": "zeros")"}},
           {"ivc", {{"--max-rounds", "3"}, R"("max_rounds": 3)"}},
-          {"lifetime",
-           {{"--spec-margin", "6", "--use-dvth-table", "--table-ppd", "12"},
-            R"("spec_margin": 6, "use_dvth_table": true, "table_ppd": 12)"}},
+          {"lifetime", {{"--spec-margin", "6"}, R"("spec_margin": 6)"}},
           {"mc", {{"--samples", "40"}, R"("samples": 40)"}},
           {"multi",
            {{"--standby", "mlv", "--clock-ghz", "2"},
@@ -266,13 +264,32 @@ TEST(CampaignSpecTest, CliRejectsFlagsTheVerbDoesNotRead) {
                std::invalid_argument);
   EXPECT_THROW(spec_from_args("info", "c432", {"--samples", "40"}),
                std::invalid_argument);
-  // A default value, or a knob that matters only next to another flag,
-  // changes nothing the verb reads yet is not ignored.
+  // A default value changes nothing the verb reads yet is not ignored.
   EXPECT_NO_THROW(spec_from_args("sizing", "c432", {"--spec-margin", "5"}));
-  EXPECT_NO_THROW(spec_from_args(
-      "lifetime", "c432", {"--use-dvth-table", "--table-ppd", "12"}));
-  EXPECT_THROW(spec_from_args("lifetime", "c432", {"--table-ppd", "12"}),
-               std::invalid_argument);
+  // The retired dVth-table knobs are unknown keys, as flags and in a spec,
+  // and the error names the key.
+  for (const std::string flag : {"--use-dvth-table", "--table-ppd"}) {
+    std::string key = flag.substr(2);
+    std::replace(key.begin(), key.end(), '-', '_');
+    const std::string spec = R"({"netlists": ["c432"],
+        "analyses": ["lifetime"], "params": {")" + key + R"(": 12}})";
+    for (const bool from_flag : {true, false}) {
+      SCOPED_TRACE(from_flag ? flag : spec);
+      try {
+        if (from_flag) {
+          spec_from_args("lifetime", "c432", {flag});
+        } else {
+          spec_from_json(common::json::parse(spec));
+        }
+        FAIL() << "expected std::invalid_argument";
+      } catch (const std::invalid_argument& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("unknown \"params\" key \"" + key + '"'),
+                  std::string::npos)
+            << what;
+      }
+    }
+  }
   // info reads only the condition, validated like any spec's.
   EXPECT_TRUE(spec_from_args("info", "c432", {"--t-standby", "350"})
                   .analyses.empty());

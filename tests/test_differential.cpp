@@ -1,22 +1,20 @@
 // Differential tests: the optimized evaluation paths (incremental
 // SizedTiming, parallel sizing argmax, horizon-batched derate, batched
-// electrothermal sweeps, the SoA degradation kernel, the interpolated
-// dVth(t) tables and the shooting stack solver) property-tested against the deliberately naive reference
+// electrothermal sweeps, the SoA degradation kernel and the shooting stack
+// solver) property-tested against the deliberately naive reference
 // evaluators — support/reference.h and the per-device scalar model — across
 // random dag: netlists, seeds, temperatures, duty cycles, standby policies,
 // thread counts (common::ThreadBudget scopes) and horizons.  Kernel
 // comparisons are exact (double ==): the optimized paths are bit-identical
 // to brute force by construction, and these tests are what enforce that
-// contract.  Table comparisons are bounded by the documented
-// interpolation tolerance (see nbti/dvth_table.h), and the shooting stack
-// solver by its documented agreement with nested bisection (tech/stack.h).
+// contract.  The shooting stack solver is bounded by its documented
+// agreement with nested bisection (tech/stack.h).
 
 #include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <optional>
 #include <random>
 #include <span>
@@ -24,10 +22,9 @@
 
 #include <gtest/gtest.h>
 
-#include "aging/failure.h"
+#include "aging/aging.h"
 #include "common/pool.h"
 #include "common/rng.h"
-#include "nbti/dvth_table.h"
 #include "nbti/rd_kernel.h"
 #include "netlist/generators.h"
 #include "opt/sizing.h"
@@ -509,105 +506,6 @@ TEST(DifferentialTest, RdKernelMatchesScalarDeviceModelAcrossRandomContexts) {
     }
   }
   EXPECT_GE(checked, 100);
-}
-
-// --- Interpolated dVth(t) tables vs exact sweeps ---------------------------
-
-TEST(DifferentialTest, DvthTableMatchesExactSweepWithinDocumentedBound) {
-  const tech::Library lib;
-  std::mt19937_64 rng(99);
-  std::uniform_real_distribution<double> u(0.0, 1.0);
-  int checked = 0;
-  for (std::uint64_t seed : {21ULL, 22ULL, 23ULL}) {
-    SCOPED_TRACE(::testing::Message() << "dag seed " << seed);
-    const netlist::Netlist nl = random_dag(8, 50, seed);
-    const aging::AgingAnalyzer an(nl, lib, fast_conditions());
-    const aging::StandbyPolicy policy = aging::StandbyPolicy::all_stressed();
-    for (int ppd : {6, 16}) {
-      SCOPED_TRACE(::testing::Message() << "ppd=" << ppd);
-      const std::shared_ptr<const nbti::DvthTable> table =
-          an.dvth_table(policy, 1.0e5, 3.0e8, ppd);
-      // 2x the single-curve bound: per-gate curves are maxima over several
-      // device curves and may kink between nodes (see nbti/dvth_table.h).
-      const double tol =
-          2.0 * nbti::DvthTable::rel_error_bound(table->grid_ratio());
-      std::vector<double> got(nl.num_gates());
-
-      // Grid nodes are exact sample hits: bitwise equal to the sweep.
-      for (double t : {table->front_time(), table->back_time()}) {
-        table->values_at(t, got);
-        const std::vector<double> want = an.gate_dvth(policy, t);
-        for (std::size_t g = 0; g < want.size(); ++g) {
-          ASSERT_EQ(got[g], want[g]) << "node t=" << t << " gate " << g;
-        }
-        ++checked;
-      }
-      // Random interior queries stay within the documented relative bound.
-      for (int q = 0; q < 8; ++q) {
-        const double t = 1.0e5 * std::pow(3.0e3, u(rng));
-        SCOPED_TRACE(::testing::Message() << "t=" << t);
-        table->values_at(t, got);
-        const std::vector<double> want = an.gate_dvth(policy, t);
-        for (std::size_t g = 0; g < want.size(); ++g) {
-          ASSERT_LE(std::abs(got[g] - want[g]), tol * want[g] + 1e-15)
-              << "gate " << g << " exact " << want[g] << " table " << got[g];
-        }
-        ++checked;
-      }
-    }
-  }
-  EXPECT_GE(checked, 50);
-}
-
-TEST(DifferentialTest, TableBackedFailureKeepsMttfDecisions) {
-  const tech::Library lib;
-  const netlist::Netlist nl = random_dag(10, 60, 5);
-  const aging::AgingAnalyzer an(nl, lib, fast_conditions());
-  const aging::StandbyPolicy policy = aging::StandbyPolicy::all_stressed();
-  aging::FailureParams fp;
-  fp.time_points = 16;
-  const aging::FailureReport want = aging::analyze_failure(an, policy, fp);
-
-  fp.use_dvth_table = true;
-  for (int ppd : {8, 16}) {
-    SCOPED_TRACE(::testing::Message() << "ppd=" << ppd);
-    fp.table_points_per_decade = ppd;
-    const aging::FailureReport got = aging::analyze_failure(an, policy, fp);
-    ASSERT_EQ(got.mechanisms.size(), want.mechanisms.size());
-    for (std::size_t i = 0; i < want.mechanisms.size(); ++i) {
-      const aging::MechanismMttf& g = got.mechanisms[i];
-      const aging::MechanismMttf& w = want.mechanisms[i];
-      ASSERT_EQ(g.name, w.name);
-      if (g.name == "nbti") {
-        // The table only feeds the NBTI series: its crossing times drift by
-        // at most the interpolation tolerance, and no gate may flip between
-        // failing and never-failing.
-        ASSERT_EQ(g.gate_mttf.size(), w.gate_mttf.size());
-        for (std::size_t gi = 0; gi < w.gate_mttf.size(); ++gi) {
-          ASSERT_EQ(g.gate_mttf[gi] >= aging::kNeverFails,
-                    w.gate_mttf[gi] >= aging::kNeverFails)
-              << "gate " << gi;
-          if (w.gate_mttf[gi] < aging::kNeverFails) {
-            EXPECT_NEAR(g.gate_mttf[gi], w.gate_mttf[gi],
-                        0.01 * w.gate_mttf[gi])
-                << "gate " << gi;
-          }
-        }
-        EXPECT_NEAR(g.system_mttf, w.system_mttf, 0.01 * w.system_mttf);
-      } else {
-        // Every other mechanism's evaluation is untouched by the knob.
-        EXPECT_EQ(g.gate_mttf, w.gate_mttf);
-        EXPECT_EQ(g.system_mttf, w.system_mttf);
-      }
-    }
-    EXPECT_NEAR(got.system_mttf, want.system_mttf, 0.01 * want.system_mttf);
-    ASSERT_EQ(got.failure_curve.size(), want.failure_curve.size());
-    for (std::size_t i = 0; i < want.failure_curve.size(); ++i) {
-      EXPECT_EQ(got.failure_curve[i].first, want.failure_curve[i].first);
-      EXPECT_NEAR(got.failure_curve[i].second, want.failure_curve[i].second,
-                  1e-3);
-    }
-  }
 }
 
 // One stack the library's leakage characterization solves: the series

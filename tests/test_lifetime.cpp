@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "common/pool.h"
 #include "netlist/generators.h"
 #include "tech/units.h"
@@ -131,6 +133,9 @@ TEST_F(LifetimeTest, QuantileEdgeCases) {
   EXPECT_NEAR(r.quantile(0.5), 3.0, 1e-12);    // index 1.5 inside [2, 4]
   EXPECT_THROW(r.quantile(-0.1), std::invalid_argument);
   EXPECT_THROW(r.quantile(1.1), std::invalid_argument);
+  // NaN fails every "< 0 || > 1" test; it must not reach the index cast.
+  EXPECT_THROW(r.quantile(std::nan("")), std::invalid_argument);
+  EXPECT_THROW(r.quantile(HUGE_VAL), std::invalid_argument);
 }
 
 TEST_F(LifetimeTest, FailureFractionAtExactSampleTimes) {

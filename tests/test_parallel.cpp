@@ -394,15 +394,6 @@ TEST_F(AgingParallelTest, DegradationSeriesMatchesAnalyzePerPoint) {
   }
 }
 
-TEST_F(AgingParallelTest, CacheInvalidationKeepsResults) {
-  const common::ThreadBudget budget(2);
-  const aging::AgingAnalyzer an(c432_, lib_, cond());
-  const auto policy = aging::StandbyPolicy::all_relaxed();
-  const std::vector<double> before = an.gate_dvth(policy);
-  an.invalidate_stress_cache();
-  EXPECT_EQ(before, an.gate_dvth(policy));
-}
-
 TEST_F(AgingParallelTest, InputSpOverrideChangesStress) {
   const aging::AgingConditions uniform = cond();
   aging::AgingConditions skewed = cond();

@@ -36,6 +36,9 @@ TEST_F(VariationTest, DistributionStatsBasics) {
   EXPECT_NEAR(d.quantile(1.0), 4.0, 1e-12);
   EXPECT_NEAR(d.quantile(0.5), 2.5, 1e-12);
   EXPECT_THROW(d.quantile(1.5), std::invalid_argument);
+  // NaN fails every "< 0 || > 1" test; it must not reach the index cast.
+  EXPECT_THROW(d.quantile(std::nan("")), std::invalid_argument);
+  EXPECT_THROW(d.quantile(-HUGE_VAL), std::invalid_argument);
   EXPECT_THROW(DelayDistribution{}.quantile(0.5), std::logic_error);
 }
 

@@ -3,10 +3,10 @@
 ///        device-model evaluation, stack solving, logic simulation, STA,
 ///        full aging analysis and MLV search — plus self-timed
 ///        serial-vs-parallel sections that write BENCH_aging.json,
-///        BENCH_variation.json, BENCH_sizing.json, BENCH_sta.json,
-///        BENCH_campaign.json, BENCH_pool.json, BENCH_multi.json,
-///        BENCH_registry.json and BENCH_query.json (see EXPERIMENTS.md
-///        "Performance") before the google-benchmark suite runs.
+///        BENCH_variation.json, BENCH_sizing.json, BENCH_campaign.json,
+///        BENCH_pool.json, BENCH_multi.json, BENCH_registry.json and
+///        BENCH_query.json (see EXPERIMENTS.md "Performance") before the
+///        google-benchmark suite runs.
 
 #include <benchmark/benchmark.h>
 
@@ -30,7 +30,6 @@
 #include "common/json.h"
 #include "common/pool.h"
 #include "query/query.h"
-#include "sta/incremental.h"
 #include "sta/slew_sta.h"
 #include "support/reference.h"
 #include "netlist/generators.h"
@@ -675,187 +674,6 @@ void write_bench_sizing_json(const char* path) {
 }
 
 // ---------------------------------------------------------------------------
-// Self-timed section -> BENCH_sta.json.
-//
-// Prices the resident IncrementalSta against the full forward pass it
-// replaces, at 10k / 100k / 1M gates. Two operations per netlist:
-//  - one edit: a single gate delay changes and the critical delay is
-//    re-queried — "full" re-runs StaEngine::analyze over the whole circuit,
-//    "incremental" retimes only the dirty fanout cone;
-//  - one sizing round: kTrials candidate gates are each trialed (patch the
-//    delay, query max_delay, undo) and the best move is committed — the
-//    exact access pattern of the slack-aware sizing loop. "full" pays a
-//    complete analyze per trial, "incremental" uses checkpoint / rollback.
-// Every query answer and the committed pick are asserted bit-identical
-// between the two legs — the differential suite's contract, re-checked on
-// every bench run. Construction of the IncrementalSta (its one seeding
-// pass) is untimed: the resident engine amortizes it across a session.
-
-struct StaCase {
-  std::string netlist;
-  int gates = 0;
-  double full_edit_ms = 0.0;
-  double inc_edit_ms = 0.0;
-  double full_round_ms = 0.0;
-  double inc_round_ms = 0.0;
-  int round_trials = 0;
-  bool identical = false;
-};
-
-StaCase case_incremental_sta(const netlist::Netlist& nl,
-                             const tech::Library& lib, int repeats) {
-  const sta::StaEngine sta(nl, lib);
-  const std::vector<double> base = sta.gate_delays(400.0);
-  const int n = nl.num_gates();
-  StaCase c;
-  c.netlist = nl.name();
-  c.gates = n;
-
-  // One edit: bump a mid-circuit gate and re-query the critical delay.
-  const int edit_gate = n / 2;
-  std::vector<double> edited = base;
-  edited[edit_gate] = base[edit_gate] * 1.25;
-  sta::TimingResult full_edit;
-  c.full_edit_ms = time_ms([&] { full_edit = sta.analyze(edited); }, repeats);
-
-  sta::IncrementalSta inc(sta, base);
-  double inc_edit_md = 0.0;
-  {
-    double best = 1e300;
-    for (int r = 0; r < repeats; ++r) {
-      const auto t0 = Clock::now();
-      inc.set_delay(edit_gate, edited[edit_gate]);
-      inc_edit_md = inc.max_delay();
-      const auto t1 = Clock::now();
-      best = std::min(
-          best, std::chrono::duration<double, std::milli>(t1 - t0).count());
-      inc.set_delay(edit_gate, base[edit_gate]);  // untimed restore
-      (void)inc.max_delay();
-    }
-    c.inc_edit_ms = best;
-  }
-
-  // One sizing round: trial kTrials spread-out candidates (each 20% faster
-  // when upsized), commit the best. The full leg restores the patched entry
-  // after every trial, so each analyze prices exactly one re-evaluation.
-  constexpr int kTrials = 8;
-  c.round_trials = kTrials;
-  std::vector<int> cands(kTrials);
-  for (int i = 0; i < kTrials; ++i) {
-    cands[i] = static_cast<int>((static_cast<long long>(i) * 2 + 1) * n /
-                                (2 * kTrials));
-  }
-  int full_pick = -1, inc_pick = -1;
-  double full_after = 0.0, inc_after = 0.0;
-  std::vector<double> work = base;
-  c.full_round_ms = time_ms(
-      [&] {
-        full_pick = -1;
-        double best_md = 1e300;
-        for (int i = 0; i < kTrials; ++i) {
-          const int g = cands[i];
-          work[g] = base[g] * 0.8;
-          const double md = sta.analyze(work).max_delay;
-          work[g] = base[g];
-          if (md < best_md) {
-            best_md = md;
-            full_pick = i;
-          }
-        }
-        work[cands[full_pick]] = base[cands[full_pick]] * 0.8;
-        full_after = sta.analyze(work).max_delay;
-        work[cands[full_pick]] = base[cands[full_pick]];  // reset for repeats
-      },
-      repeats);
-  {
-    double best = 1e300;
-    for (int r = 0; r < repeats; ++r) {
-      const auto t0 = Clock::now();
-      inc_pick = -1;
-      double best_md = 1e300;
-      for (int i = 0; i < kTrials; ++i) {
-        const int g = cands[i];
-        inc.checkpoint();
-        inc.set_delay(g, base[g] * 0.8);
-        const double md = inc.max_delay();
-        inc.rollback();
-        if (md < best_md) {
-          best_md = md;
-          inc_pick = i;
-        }
-      }
-      inc.set_delay(cands[inc_pick], base[cands[inc_pick]] * 0.8);
-      inc_after = inc.max_delay();
-      const auto t1 = Clock::now();
-      best = std::min(
-          best, std::chrono::duration<double, std::milli>(t1 - t0).count());
-      inc.set_delay(cands[inc_pick], base[cands[inc_pick]]);  // untimed undo
-      (void)inc.max_delay();
-    }
-    c.inc_round_ms = best;
-  }
-
-  c.identical = inc_edit_md == full_edit.max_delay &&
-                inc_pick == full_pick && inc_after == full_after;
-  return c;
-}
-
-void write_bench_sta_json(const char* path) {
-  const tech::Library lib;
-  struct Scale {
-    const char* name;
-    int inputs, gates, repeats;
-  };
-  const Scale kScales[] = {
-      {"rand10k", 64, 10000, 3},
-      {"rand100k", 128, 100000, 2},
-      {"rand1M", 256, 1000000, 1},
-  };
-
-  std::vector<StaCase> cases;
-  for (const Scale& s : kScales) {
-    const netlist::Netlist nl = netlist::make_random_dag(
-        s.name, {.n_inputs = s.inputs, .n_outputs = s.inputs / 2,
-                 .n_gates = s.gates, .seed = 7, .locality = 0.75});
-    cases.push_back(case_incremental_sta(nl, lib, s.repeats));
-  }
-
-  const auto ratio = [](double num, double den) {
-    return den > 0.0 ? num / den : 0.0;
-  };
-  std::ofstream out(path);
-  out << "{\n  \"schema\": \"nbtisim-bench-sta-v1\",\n"
-      << "  \"hardware_concurrency\": "
-      << std::thread::hardware_concurrency() << ",\n"
-      << "  \"cases\": [\n";
-  for (std::size_t i = 0; i < cases.size(); ++i) {
-    const StaCase& c = cases[i];
-    out << "    {\"netlist\": \"" << c.netlist << "\", \"gates\": " << c.gates
-        << ", \"full_edit_ms\": " << c.full_edit_ms
-        << ", \"incremental_edit_ms\": " << c.inc_edit_ms
-        << ", \"edit_speedup\": " << ratio(c.full_edit_ms, c.inc_edit_ms)
-        << ", \"round_trials\": " << c.round_trials
-        << ", \"full_round_ms\": " << c.full_round_ms
-        << ", \"incremental_round_ms\": " << c.inc_round_ms
-        << ", \"round_speedup\": " << ratio(c.full_round_ms, c.inc_round_ms)
-        << ", \"bit_identical\": " << (c.identical ? "true" : "false") << "}"
-        << (i + 1 < cases.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
-
-  std::cout << "bench_perf_micro: wrote " << path << "\n";
-  for (const StaCase& c : cases) {
-    std::cout << "  " << c.netlist << " (" << c.gates
-              << " gates): edit full " << c.full_edit_ms << " ms vs inc "
-              << c.inc_edit_ms << " ms (x"
-              << ratio(c.full_edit_ms, c.inc_edit_ms) << "), round full "
-              << c.full_round_ms << " ms vs inc " << c.inc_round_ms
-              << " ms (x" << ratio(c.full_round_ms, c.inc_round_ms) << ")"
-              << (c.identical ? " (bit-identical)" : " (MISMATCH!)") << "\n";
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Self-timed serial-vs-parallel section -> BENCH_campaign.json.
 //
 // A 12-task in-memory campaign (3 netlists x 2 conditions x 2 analysis
@@ -1393,23 +1211,17 @@ void write_bench_query_json(const char* path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // --aging-json-only / --sta-json-only: write just that BENCH_*.json and
-  // exit — the check.sh pre-merge steps that diff the key sets against
-  // tools/golden.
+  // --aging-json-only: write just BENCH_aging.json and exit — the check.sh
+  // pre-merge step that diffs its key set against tools/golden.
   for (int i = 1; i < argc; ++i) {
     if (std::string_view(argv[i]) == "--aging-json-only") {
       write_bench_aging_json("BENCH_aging.json");
-      return 0;
-    }
-    if (std::string_view(argv[i]) == "--sta-json-only") {
-      write_bench_sta_json("BENCH_sta.json");
       return 0;
     }
   }
   write_bench_aging_json("BENCH_aging.json");
   write_bench_variation_json("BENCH_variation.json");
   write_bench_sizing_json("BENCH_sizing.json");
-  write_bench_sta_json("BENCH_sta.json");
   write_bench_campaign_json("BENCH_campaign.json");
   write_bench_pool_json("BENCH_pool.json");
   write_bench_multi_json("BENCH_multi.json");

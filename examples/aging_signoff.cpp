@@ -12,6 +12,7 @@
 /// Usage: aging_signoff [circuit] [years] [ras_standby_parts]
 ///   e.g. aging_signoff c880 7 5
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -60,7 +61,9 @@ int main(int argc, char** argv) {
   const std::string only = argc > 1 ? argv[1] : "";
   const double years = argc > 2 ? std::atof(argv[2]) : 10.0;
   const double standby_parts = argc > 3 ? std::atof(argv[3]) : 9.0;
-  if (years <= 0.0 || standby_parts < 0.0) {
+  // Written so NaN and infinities fail too.
+  if (!(std::isfinite(years) && years > 0.0) ||
+      !(std::isfinite(standby_parts) && standby_parts >= 0.0)) {
     std::fprintf(stderr, "usage: aging_signoff [circuit] [years>0] [parts>=0]\n");
     return 1;
   }

@@ -9,6 +9,7 @@
 /// Usage: st_sizing [i_on_mA] [sigma_%] [vth_st_V] [active:standby]
 ///   e.g. st_sizing 2.5 3 0.25 1:4
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -33,7 +34,13 @@ int main(int argc, char** argv) {
     active_parts = std::atof(ras.substr(0, colon).c_str());
     standby_parts = std::atof(ras.substr(colon + 1).c_str());
   }
-  if (i_on_ma <= 0.0 || sigma_pct <= 0.0 || vth_st <= 0.0 || vth_st >= 0.9) {
+  // Written so NaN and infinities fail too.
+  const bool ras_ok = std::isfinite(active_parts) && active_parts >= 0.0 &&
+                      std::isfinite(standby_parts) && standby_parts >= 0.0 &&
+                      active_parts + standby_parts > 0.0;
+  if (!(std::isfinite(i_on_ma) && i_on_ma > 0.0) ||
+      !(std::isfinite(sigma_pct) && sigma_pct > 0.0) ||
+      !(vth_st > 0.0 && vth_st < 0.9) || !ras_ok) {
     std::fprintf(stderr,
                  "usage: st_sizing [i_on_mA>0] [sigma_%%>0] [0<vth_st<0.9] "
                  "[a:s]\n");

@@ -26,7 +26,8 @@ using namespace nbtisim;
 int main(int argc, char** argv) {
   const std::string name = argc > 1 ? argv[1] : "c432";
   const double t_standby = argc > 2 ? std::atof(argv[2]) : 330.0;
-  if (t_standby < 250.0 || t_standby > 450.0) {
+  // Written so NaN fails too.
+  if (!(t_standby >= 250.0 && t_standby <= 450.0)) {
     std::fprintf(stderr, "usage: standby_advisor [circuit] [250..450 K]\n");
     return 1;
   }

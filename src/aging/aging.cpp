@@ -372,7 +372,9 @@ DegradationReport AgingAnalyzer::analyze(
 std::vector<std::pair<double, double>> AgingAnalyzer::degradation_series(
     const StandbyPolicy& policy, double t_min, double t_max,
     int n_points) const {
-  if (n_points < 2 || t_min <= 0.0 || t_max <= t_min) {
+  // Written so NaN and an infinite t_max fail too.
+  if (n_points < 2 ||
+      !(t_min > 0.0 && t_max > t_min && std::isfinite(t_max))) {
     throw std::invalid_argument("degradation_series: bad sampling spec");
   }
   std::vector<std::pair<double, double>> series;

@@ -75,10 +75,6 @@ struct Params {
   double sizing_step = 0.5;   ///< multiplicative step added per move
   double sizing_max_size = 4.0;  ///< per-gate size cap
   int sizing_max_moves = 600;    ///< greedy iteration cap
-  /// Slack window for multi-path sizing [% of aged critical delay];
-  /// 0 keeps the classic single-critical-path loop.
-  double sizing_slack_window = 0.0;
-  int sizing_moves_per_round = 1;  ///< committed moves per round (window mode)
   // derate
   std::vector<double> derate_years = {1.0, 2.0, 3.0, 5.0, 7.0, 10.0};
   // pareto

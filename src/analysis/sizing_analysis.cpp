@@ -16,19 +16,9 @@ class SizingAnalysis final : public Analysis {
   std::string_view name() const override { return "sizing"; }
 
   std::string fingerprint(const Params& p) const override {
-    std::string fp = base_fingerprint(p) + ",margin" + fmt_g(p.sizing_margin) +
-                     ",step" + fmt_g(p.sizing_step) + ",cap" +
-                     fmt_g(p.sizing_max_size) + ",moves" +
-                     std::to_string(p.sizing_max_moves);
-    // Multi-path knobs appear only when non-default so every pre-existing
-    // campaign key (and its cached result) stays addressable.
-    if (p.sizing_slack_window != 0.0) {
-      fp += ",window" + fmt_g(p.sizing_slack_window);
-    }
-    if (p.sizing_moves_per_round != 1) {
-      fp += ",k" + std::to_string(p.sizing_moves_per_round);
-    }
-    return fp;
+    return base_fingerprint(p) + ",margin" + fmt_g(p.sizing_margin) +
+           ",step" + fmt_g(p.sizing_step) + ",cap" + fmt_g(p.sizing_max_size) +
+           ",moves" + std::to_string(p.sizing_max_moves);
   }
 
   Metrics run(EvalContext& ctx, const Params& p) const override {
@@ -37,8 +27,6 @@ class SizingAnalysis final : public Analysis {
     sp.size_step = p.sizing_step;
     sp.max_size = p.sizing_max_size;
     sp.max_moves = p.sizing_max_moves;
-    sp.slack_window_percent = p.sizing_slack_window;
-    sp.moves_per_round = p.sizing_moves_per_round;
     const opt::SizingResult r = opt::size_for_lifetime(
         ctx.aging(), aging::StandbyPolicy::all_stressed(), sp);
     return {{"spec_ns", to_ns(r.spec)},

@@ -72,8 +72,6 @@ const ParamKey kParamKeys[] = {
     {"sizing_step", &P::sizing_step, 0, true},
     {"sizing_max_size", &P::sizing_max_size, 1},
     {"sizing_max_moves", &P::sizing_max_moves, 1},
-    {"sizing_slack_window", &P::sizing_slack_window, 0},
-    {"sizing_moves_per_round", &P::sizing_moves_per_round, 1},
     {"derate_years", &P::derate_years, 0, true},
     {"pareto_samples", &P::pareto_samples, 2},
     {"pareto_rounds", &P::pareto_rounds, 0},

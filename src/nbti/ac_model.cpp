@@ -9,7 +9,7 @@ namespace nbtisim::nbti {
 namespace {
 
 void check_duty(double duty) {
-  if (duty < 0.0 || duty > 1.0) {
+  if (!(duty >= 0.0 && duty <= 1.0)) {  // NaN fails too
     throw std::invalid_argument("AC stress duty must lie in [0, 1]");
   }
 }
@@ -130,11 +130,11 @@ double sn_closed(const SnPrefix& prefix, double n_cycles) {
 double ac_delta_vth(const RdParams& p, double temp_k, const AcStress& stress,
                     double total_time, double vgs, double vth) {
   check_duty(stress.duty);
-  if (stress.period <= 0.0) {
-    throw std::invalid_argument("ac_delta_vth: non-positive period");
+  if (!(stress.period > 0.0)) {  // NaN fails too
+    throw std::invalid_argument("ac_delta_vth: period not > 0");
   }
-  if (total_time < 0.0) {
-    throw std::invalid_argument("ac_delta_vth: negative total time");
+  if (!(total_time >= 0.0)) {
+    throw std::invalid_argument("ac_delta_vth: total time negative or NaN");
   }
   if (stress.duty == 0.0 || total_time == 0.0) return 0.0;
   if (stress.duty == 1.0) return dc_delta_vth(p, temp_k, total_time, vgs, vth);

@@ -10,8 +10,8 @@ namespace nbtisim::nbti {
 double DeviceAging::eval(const DeviceStress& stress,
                          const ModeSchedule& schedule, double total_time,
                          bool worst_case_temp) const {
-  if (total_time < 0.0) {
-    throw std::invalid_argument("DeviceAging: negative total time");
+  if (!(total_time >= 0.0)) {  // NaN fails too
+    throw std::invalid_argument("DeviceAging: total time negative or NaN");
   }
   if (total_time == 0.0) return 0.0;
 
@@ -78,8 +78,8 @@ void DeviceAging::make_contexts(std::span<const DeviceStress> stresses,
 
 double DeviceAging::delta_vth(const StressContext& ctx,
                               double total_time) const {
-  if (total_time < 0.0) {
-    throw std::invalid_argument("DeviceAging: negative total time");
+  if (!(total_time >= 0.0)) {  // NaN fails too
+    throw std::invalid_argument("DeviceAging: total time negative or NaN");
   }
   if (total_time == 0.0 || ctx.always_zero) return 0.0;
 

@@ -105,8 +105,8 @@ void RdKernel::delta_vth(double total_time, int dev_lo, int dev_hi,
   if (dev_lo < 0 || dev_hi < dev_lo || dev_hi > n_) {
     throw std::invalid_argument("RdKernel: bad device range");
   }
-  if (total_time < 0.0) {
-    throw std::invalid_argument("RdKernel: negative total time");
+  if (!(total_time >= 0.0)) {  // NaN fails too
+    throw std::invalid_argument("RdKernel: total time negative or NaN");
   }
   if (static_cast<int>(out.size()) < n_ ||
       static_cast<int>(scratch.size()) < n_) {

@@ -36,7 +36,9 @@ double kv_at(const RdParams& p, double temp_k, double vgs, double vth) {
 
 double dc_delta_vth(const RdParams& p, double temp_k, double time_s,
                     double vgs, double vth) {
-  if (time_s < 0.0) throw std::invalid_argument("dc_delta_vth: negative time");
+  if (!(time_s >= 0.0)) {  // NaN fails too
+    throw std::invalid_argument("dc_delta_vth: time negative or NaN");
+  }
   return kv_at(p, temp_k, vgs, vth) * quarter_root(time_s);
 }
 

@@ -1,19 +1,32 @@
 #include "nbti/schedule.h"
 
+#include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace nbtisim::nbti {
 
 ModeSchedule ModeSchedule::from_ras(double active_parts, double standby_parts,
                                     double period_s, double temp_active_k,
                                     double temp_standby_k) {
-  if (active_parts < 0.0 || standby_parts < 0.0 ||
-      active_parts + standby_parts <= 0.0) {
-    throw std::invalid_argument("ModeSchedule::from_ras: bad ratio");
-  }
-  if (period_s <= 0.0) {
-    throw std::invalid_argument("ModeSchedule::from_ras: non-positive period");
-  }
+  // Every check is written so NaN fails too.
+  auto require = [](bool ok, const char* what) {
+    if (!ok) {
+      throw std::invalid_argument(std::string("ModeSchedule::from_ras: ") +
+                                  what);
+    }
+  };
+  require(std::isfinite(active_parts) && active_parts >= 0.0,
+          "active parts must be finite and >= 0");
+  require(std::isfinite(standby_parts) && standby_parts >= 0.0,
+          "standby parts must be finite and >= 0");
+  require(active_parts + standby_parts > 0.0,
+          "active + standby parts must be > 0");
+  require(std::isfinite(period_s) && period_s > 0.0,
+          "period must be finite and > 0");
+  require(std::isfinite(temp_active_k), "active temperature must be finite");
+  require(std::isfinite(temp_standby_k),
+          "standby temperature must be finite");
   const double total = active_parts + standby_parts;
   return ModeSchedule{period_s * active_parts / total,
                       period_s * standby_parts / total, temp_active_k,
@@ -22,16 +35,18 @@ ModeSchedule ModeSchedule::from_ras(double active_parts, double standby_parts,
 
 EquivalentCycle equivalent_cycle(const RdParams& p, const DeviceStress& stress,
                                  const ModeSchedule& schedule) {
-  if (schedule.t_active < 0.0 || schedule.t_standby < 0.0 ||
-      schedule.period() <= 0.0) {
+  // Written so NaN fails too.
+  if (!(schedule.t_active >= 0.0 && schedule.t_standby >= 0.0 &&
+        schedule.period() > 0.0)) {
     throw std::invalid_argument("equivalent_cycle: bad schedule times");
   }
-  if (stress.active_stress_prob < 0.0 || stress.active_stress_prob > 1.0) {
+  if (!(stress.active_stress_prob >= 0.0 &&
+        stress.active_stress_prob <= 1.0)) {
     throw std::invalid_argument("equivalent_cycle: stress prob outside [0,1]");
   }
-  if (stress.standby_stress_fraction > 1.0) {
+  if (!(stress.standby_stress_fraction <= 1.0)) {
     throw std::invalid_argument(
-        "equivalent_cycle: standby stress fraction > 1");
+        "equivalent_cycle: standby stress fraction > 1 or NaN");
   }
   const double d_ratio =
       diffusion_ratio(p, schedule.temp_standby, schedule.temp_active);

@@ -23,54 +23,6 @@ bool arity_ok(tech::GateFn fn, std::size_t n) {
 
 Netlist::Netlist(std::string name) : name_(std::move(name)) {}
 
-void Netlist::invalidate_levelization() {
-  std::lock_guard<std::mutex> lock(*level_mutex_);
-  level_cache_.reset();
-}
-
-const Levelization& Netlist::levelization() const {
-  std::lock_guard<std::mutex> lock(*level_mutex_);
-  if (!level_cache_) {
-    auto lev = std::make_shared<Levelization>();
-    lev->node_level.assign(num_nodes(), 0);
-    for (const Gate& g : gates_) {
-      int lv = 0;
-      for (NodeId in : g.fanins) lv = std::max(lv, lev->node_level[in]);
-      lev->node_level[g.output] = lv + 1;
-    }
-    for (int lv : lev->node_level) lev->depth = std::max(lev->depth, lv);
-
-    // Wavefront CSR: counting sort by output level keeps ascending gate
-    // index within each level.
-    lev->level_offset.assign(lev->depth + 2, 0);
-    for (const Gate& g : gates_) {
-      ++lev->level_offset[lev->node_level[g.output] + 1];
-    }
-    for (std::size_t l = 1; l < lev->level_offset.size(); ++l) {
-      lev->level_offset[l] += lev->level_offset[l - 1];
-    }
-    lev->level_gates.resize(gates_.size());
-    std::vector<int> cursor(lev->level_offset.begin(),
-                            lev->level_offset.end() - 1);
-    for (int gi = 0; gi < num_gates(); ++gi) {
-      lev->level_gates[cursor[lev->node_level[gates_[gi].output]]++] = gi;
-    }
-
-    lev->fanout_offset.assign(num_nodes() + 1, 0);
-    for (NodeId n = 0; n < num_nodes(); ++n) {
-      lev->fanout_offset[n + 1] =
-          lev->fanout_offset[n] + static_cast<int>(fanouts_[n].size());
-    }
-    lev->fanout_gates.reserve(lev->fanout_offset.back());
-    for (NodeId n = 0; n < num_nodes(); ++n) {
-      lev->fanout_gates.insert(lev->fanout_gates.end(), fanouts_[n].begin(),
-                               fanouts_[n].end());
-    }
-    level_cache_ = std::move(lev);
-  }
-  return *level_cache_;
-}
-
 NodeId Netlist::new_node(std::string node_name) {
   if (node_name.empty()) {
     throw std::invalid_argument("Netlist: empty net name");
@@ -84,7 +36,6 @@ NodeId Netlist::new_node(std::string node_name) {
   node_names_.push_back(std::move(node_name));
   driver_.push_back(-1);
   fanouts_.emplace_back();
-  invalidate_levelization();
   return it->second;
 }
 
@@ -123,7 +74,6 @@ void Netlist::mark_output(NodeId node) {
   }
   if (std::find(outputs_.begin(), outputs_.end(), node) == outputs_.end()) {
     outputs_.push_back(node);
-    invalidate_levelization();
   }
 }
 
@@ -149,10 +99,19 @@ std::span<const int> Netlist::fanout_gates(NodeId node) const {
 }
 
 std::vector<int> Netlist::node_levels() const {
-  return levelization().node_level;
+  std::vector<int> level(num_nodes(), 0);
+  for (const Gate& g : gates_) {
+    int lv = 0;
+    for (NodeId in : g.fanins) lv = std::max(lv, level[in]);
+    level[g.output] = lv + 1;
+  }
+  return level;
 }
 
-int Netlist::depth() const { return levelization().depth; }
+int Netlist::depth() const {
+  const std::vector<int> level = node_levels();
+  return level.empty() ? 0 : *std::max_element(level.begin(), level.end());
+}
 
 void Netlist::validate() const {
   if (inputs_.empty()) throw std::logic_error("Netlist: no primary inputs");
@@ -220,7 +179,6 @@ void Netlist::reorder_gates(std::span<const int> order) {
     driver_[gates_[gi].output] = gi;
     for (NodeId in : gates_[gi].fanins) fanouts_[in].push_back(gi);
   }
-  invalidate_levelization();
 }
 
 NodeId build_wide_gate(Netlist& nl, tech::GateFn fn,

@@ -8,8 +8,6 @@
 /// valid topological order.
 #pragma once
 
-#include <memory>
-#include <mutex>
 #include <span>
 #include <string>
 #include <string_view>
@@ -28,43 +26,6 @@ struct Gate {
   tech::GateFn fn = tech::GateFn::Buf;
   std::vector<NodeId> fanins;
   NodeId output = -1;
-};
-
-/// Cached level structure of a netlist — the shared substrate for every
-/// level-ordered traversal (logic-depth reports, incremental STA wavefronts,
-/// level-scheduled evaluation).  Built lazily once per topology by
-/// Netlist::levelization() and dropped on any mutation; all views are
-/// immutable, so one instance can be read concurrently.
-struct Levelization {
-  /// Logic level per net: primary inputs at 0, gate output = 1 + max fanin
-  /// level (exactly what Netlist::node_levels() always reported).
-  std::vector<int> node_level;
-  /// Longest input-to-output path length in gates (the max node level).
-  int depth = 0;
-  /// Gate wavefronts: gate indices bucketed by the level of their output
-  /// net, as a CSR over levels 0..depth.  wavefront(l) lists every gate
-  /// whose output sits at level l in ascending gate index; gates within one
-  /// wavefront never read each other's outputs, so a wavefront can be
-  /// processed in any order (or concurrently) without changing results.
-  std::vector<int> level_offset;  ///< size depth + 2
-  std::vector<int> level_gates;   ///< size num_gates
-  /// Fanout CSR: the reader gate indices of every net in one flat array —
-  /// the per-net vector<vector<int>> flattened for cache locality.
-  std::vector<int> fanout_offset;  ///< size num_nodes + 1
-  std::vector<int> fanout_gates;
-
-  /// Gates whose output net sits at \p level (empty for level 0).
-  std::span<const int> wavefront(int level) const {
-    return std::span<const int>(level_gates)
-        .subspan(level_offset[level],
-                 level_offset[level + 1] - level_offset[level]);
-  }
-  /// Reader gates of \p node.
-  std::span<const int> fanout(NodeId node) const {
-    return std::span<const int>(fanout_gates)
-        .subspan(fanout_offset[node],
-                 fanout_offset[node + 1] - fanout_offset[node]);
-  }
 };
 
 /// A combinational gate-level netlist.
@@ -112,20 +73,12 @@ class Netlist {
   /// Indices of gates reading \p node.
   std::span<const int> fanout_gates(NodeId node) const;
 
-  /// The cached level structure (levels, depth, wavefront + fanout CSR).
-  /// Built on first use, O(V + E); every later call is a cache hit until the
-  /// netlist mutates.  The reference stays valid until the next mutating
-  /// call (add_input/add_gate/mark_output/reorder_gates) — the same
-  /// read-vs-mutate exclusion every query on this class already requires.
-  /// Thread-safe: concurrent calls build at most one instance.
-  const Levelization& levelization() const;
-
   /// Logic level of each node (inputs at 0; gate output = 1 + max fanin
-  /// level).  A copy of levelization().node_level — prefer the cached view
-  /// in hot paths.
+  /// level), computed in one O(V + E) pass over the gate list.
   std::vector<int> node_levels() const;
 
-  /// Longest input-to-output path length in gates (cached).
+  /// Longest input-to-output path length in gates (the maximum of
+  /// node_levels()).
   int depth() const;
 
   /// Structural sanity checks (every output reachable, arities consistent).
@@ -160,16 +113,7 @@ class Netlist {
   std::vector<int> driver_;                 // node -> gate index or -1
   std::vector<std::vector<int>> fanouts_;   // node -> reader gate indices
 
-  // Lazily built level cache.  The mutex lives behind a shared_ptr so the
-  // class keeps its implicit copy/move operations (copies share the mutex,
-  // which is only ever contended, never corrupted; the cache itself is
-  // immutable and safely shared).
-  mutable std::shared_ptr<std::mutex> level_mutex_ =
-      std::make_shared<std::mutex>();
-  mutable std::shared_ptr<const Levelization> level_cache_;
-
   NodeId new_node(std::string node_name);
-  void invalidate_levelization();
 };
 
 /// Builds a possibly-wide gate, decomposing fanin > 4 into a balanced tree of

@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "common/pool.h"
-#include "sta/incremental.h"
 
 namespace nbtisim::opt {
 
@@ -103,133 +102,11 @@ void SizedTiming::commit_resize(int gate, double new_size) {
   sizes_[gate] = new_size;
 }
 
-namespace {
-
-/// Slack-aware multi-path sizing round loop (slack_window_percent > 0).
-/// One resident IncrementalSta carries every trial and commit: a candidate
-/// move is priced by patching its affected delays inside a checkpoint and
-/// re-timing the dirty frontier, then rolled back — O(frontier) per trial
-/// where the classic loop pays a full O(V + E) STA.  \p r arrives with
-/// sizes / fresh_delay / spec filled in by size_for_lifetime.
-SizingResult size_multi_path(const aging::AgingAnalyzer& analyzer,
-                             SizedTiming& timing, const SizingParams& params,
-                             SizingResult r) {
-  const netlist::Netlist& nl = analyzer.sta().netlist();
-  sta::IncrementalSta inc(analyzer.sta(), timing.current_delays());
-  double aged_max = inc.max_delay();
-  r.aged_before = aged_max;
-
-  std::vector<int> candidates;
-  std::vector<double> trial_max;
-  std::vector<char> used(nl.num_gates(), 0);
-  while (aged_max > r.spec && r.moves < params.max_moves) {
-    // Candidate moves: any upsizable gate whose output net sits within the
-    // slack window of the aged critical delay — every near-critical path
-    // contributes, not just the single worst one.
-    const std::vector<double>& slack = inc.slacks();
-    const double window = aged_max * params.slack_window_percent / 100.0;
-    candidates.clear();
-    for (int gi = 0; gi < nl.num_gates(); ++gi) {
-      if (r.sizes[gi] + params.size_step > params.max_size) continue;
-      const double s = slack[nl.gate(gi).output];
-      if (s >= sta::kUnconstrainedSlack || s > window) continue;
-      candidates.push_back(gi);
-    }
-    if (candidates.empty()) break;
-
-    // Price every candidate against the round's base state.
-    trial_max.assign(candidates.size(), 0.0);
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-      const int gi = candidates[i];
-      const double new_size = r.sizes[gi] + params.size_step;
-      inc.checkpoint();
-      for (int a : timing.affected_gates(gi)) {
-        inc.set_delay(a, timing.patched_delay(a, gi, new_size));
-      }
-      trial_max[i] = inc.max_delay();
-      inc.rollback();
-    }
-
-    // Commit up to moves_per_round non-overlapping moves, best gain per
-    // area step first (strict argmax, first-wins — the classic tie rule).
-    // Overlapping affected sets would invalidate each other's patched
-    // delays, so an already-touched gate disqualifies a candidate for the
-    // rest of the round.
-    std::fill(used.begin(), used.end(), 0);
-    int committed = 0;
-    for (int k = 0; k < params.moves_per_round && r.moves < params.max_moves;
-         ++k) {
-      int best = -1;
-      double best_ratio = 0.0;
-      for (std::size_t i = 0; i < candidates.size(); ++i) {
-        bool overlaps = false;
-        for (int a : timing.affected_gates(candidates[i])) {
-          if (used[a]) {
-            overlaps = true;
-            break;
-          }
-        }
-        if (overlaps) continue;
-        const double gain = aged_max - trial_max[i];
-        if (gain > 0.0 && gain / params.size_step > best_ratio) {
-          best_ratio = gain / params.size_step;
-          best = static_cast<int>(i);
-        }
-      }
-      if (best < 0) break;
-      const int gi = candidates[best];
-      const double new_size = r.sizes[gi] + params.size_step;
-      for (int a : timing.affected_gates(gi)) used[a] = 1;
-      if (committed == 0) {
-        // Priced against exactly the current state, so the positive gain
-        // is exact: commit directly.  (patched_delay must run before
-        // commit_resize updates the cached sizes; the committed delays are
-        // bitwise the patched ones.)
-        for (int a : timing.affected_gates(gi)) {
-          inc.set_delay(a, timing.patched_delay(a, gi, new_size));
-        }
-        timing.commit_resize(gi, new_size);
-        r.sizes[gi] = new_size;
-        ++r.moves;
-        ++committed;
-        aged_max = inc.max_delay();
-      } else {
-        // Later moves were priced against the round's base; re-validate on
-        // top of the moves already committed and keep only real wins.
-        inc.checkpoint();
-        for (int a : timing.affected_gates(gi)) {
-          inc.set_delay(a, timing.patched_delay(a, gi, new_size));
-        }
-        const double new_max = inc.max_delay();
-        if (new_max < aged_max) {
-          inc.commit();
-          timing.commit_resize(gi, new_size);
-          r.sizes[gi] = new_size;
-          ++r.moves;
-          ++committed;
-          aged_max = new_max;
-        } else {
-          inc.rollback();
-        }
-      }
-    }
-    if (committed == 0) break;
-    ++r.rounds;
-  }
-
-  r.aged_after = aged_max;
-  r.met = aged_max <= r.spec;
-  return r;
-}
-
-}  // namespace
-
 SizingResult size_for_lifetime(const aging::AgingAnalyzer& analyzer,
                                const aging::StandbyPolicy& policy,
                                const SizingParams& params) {
   if (params.spec_margin_percent < 0.0 || params.size_step <= 0.0 ||
-      params.max_size < 1.0 || params.max_moves < 1 ||
-      params.slack_window_percent < 0.0 || params.moves_per_round < 1) {
+      params.max_size < 1.0 || params.max_moves < 1) {
     throw std::invalid_argument("size_for_lifetime: bad parameters");
   }
   const netlist::Netlist& nl = analyzer.sta().netlist();
@@ -243,10 +120,6 @@ SizingResult size_for_lifetime(const aging::AgingAnalyzer& analyzer,
                           analyzer.conditions().sta_temperature))
                       .max_delay;
   r.spec = r.fresh_delay * (1.0 + params.spec_margin_percent / 100.0);
-
-  if (params.slack_window_percent > 0.0) {
-    return size_multi_path(analyzer, timing, params, std::move(r));
-  }
 
   sta::TimingResult aged = timing.analyze_current();
   r.aged_before = aged.max_delay;

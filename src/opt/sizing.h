@@ -24,21 +24,13 @@
 /// delays, then prices the move with one full STA.  tests/support/
 /// reference.h reference_size_for_lifetime (full rebuild + full STA per
 /// trial) is the oracle tests/test_differential.cpp checks it against.
-/// Pricing trials through IncrementalSta instead was measured and rejected
-/// for this loop (EXPERIMENTS.md "Classic sizing: full-STA trials").
 ///
-/// Setting SizingParams::slack_window_percent > 0 switches the loop to
-/// slack-aware multi-path sizing: each round collects every gate whose
-/// output-net slack sits within the window of the aged critical delay,
-/// prices each candidate upsize through an sta::IncrementalSta checkpoint
-/// (patch the affected delays, re-time the frontier, roll back), and
-/// commits the best SizingParams::moves_per_round non-overlapping moves —
-/// several near-critical paths tighten per round instead of one move along
-/// a single critical path.  The defaults (window 0, one move per round)
-/// reproduce the classic loop bit for bit.
+/// Only upsizing a gate on the critical path can shorten that path, so the
+/// candidates are exactly that path's drivers.  Widening them to a slack
+/// window priced through an incremental STA picked the same moves, more
+/// slowly on large DAGs (EXPERIMENTS.md "One sizing loop").
 #pragma once
 
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -53,16 +45,6 @@ struct SizingParams {
   double size_step = 0.25;           ///< multiplicative step added per move
   double max_size = 4.0;             ///< per-gate size cap
   int max_moves = 2000;              ///< greedy iteration cap
-  /// Slack window for multi-path candidate collection, as a percentage of
-  /// the aged critical delay.  0 (the default) keeps the classic
-  /// single-critical-path greedy loop bit for bit; > 0 considers every
-  /// gate whose output-net slack is within the window and prices each
-  /// move through an sta::IncrementalSta checkpoint.
-  double slack_window_percent = 0.0;
-  /// Best non-overlapping moves committed per round in window mode (two
-  /// moves overlap when their affected gate sets intersect).  Ignored by
-  /// the classic loop, which always commits exactly one move per round.
-  int moves_per_round = 1;
 };
 
 /// Result of the sizing loop.
@@ -74,8 +56,8 @@ struct SizingResult {
   double aged_after = 0.0;        ///< aged delay after sizing [s]
   bool met = false;               ///< spec achieved
   int moves = 0;                  ///< upsizing moves applied
-  int rounds = 0;                 ///< outer-loop rounds (== moves when
-                                  ///< moves_per_round is 1)
+  int rounds = 0;                 ///< outer-loop rounds (== moves: one
+                                  ///< move per round)
 
   /// Total area increase, with gate area proportional to size [%].
   double area_overhead_percent() const {
@@ -119,12 +101,6 @@ class SizedTiming {
   /// STA over the cached delay vector.
   sta::TimingResult analyze_current() const;
 
-  /// Gates whose delay depends on gate \p gate's size factor: the gate
-  /// itself plus the drivers of its fanin nets, deduplicated.
-  std::span<const int> affected_gates(int gate) const {
-    return affected_.at(gate);
-  }
-
   /// Evaluates resizing \p gate to \p new_size without committing: copies
   /// the cached delays into \p scratch, patches the affected entries and
   /// runs STA.  Thread-safe for concurrent calls with distinct scratches.
@@ -134,21 +110,13 @@ class SizedTiming {
   /// Applies the resize to the cached sizes + delay vector.
   void commit_resize(int gate, double new_size);
 
-  /// Delay gate \p gi would have under the cached sizes with gate
-  /// \p resized overridden to \p resized_size — the per-entry patch the
-  /// multi-path loop feeds into IncrementalSta::set_delay for each gate in
-  /// affected_gates(resized).  Bitwise the value commit_resize would cache.
-  double patched_delay(int gi, int resized, double resized_size) const {
-    return gate_delay(sizes_, gi, resized, resized_size);
-  }
-
   const sta::StaEngine& sta() const { return *sta_; }
 
  private:
   /// Delay of gate \p gi under \p sizes, with gate \p resized (-1 for none)
   /// overridden to \p resized_size.  The single source of truth for every
-  /// cached, trial and patched delay above — sharing it is what keeps them
-  /// bitwise equal to a full rebuild.
+  /// cached and trial delay above — sharing it is what keeps them bitwise
+  /// equal to a full rebuild.
   double gate_delay(const std::vector<double>& sizes, int gi, int resized,
                     double resized_size) const;
 

@@ -19,7 +19,9 @@ nbti::DeviceStress header_st_stress(const StParams& st) {
 }
 
 std::vector<double> log_spaced(double t_min, double t_max, int n_points) {
-  if (n_points < 2 || t_min <= 0.0 || t_max <= t_min) {
+  // Written so NaN and an infinite t_max fail too.
+  if (n_points < 2 ||
+      !(t_min > 0.0 && t_max > t_min && std::isfinite(t_max))) {
     throw std::invalid_argument("degradation series: bad sampling spec");
   }
   std::vector<double> t(n_points);
@@ -40,11 +42,12 @@ StSizing size_sleep_transistor(const nbti::RdParams& rd,
                                const nbti::ModeSchedule& schedule,
                                double total_time, double i_on,
                                const StParams& st) {
-  if (i_on <= 0.0) {
-    throw std::invalid_argument("size_sleep_transistor: non-positive I_ON");
+  // Written so NaN fails too.
+  if (!(i_on > 0.0)) {
+    throw std::invalid_argument("size_sleep_transistor: I_ON not > 0");
   }
-  if (st.sigma <= 0.0 || st.vdd - st.vth_st <= 0.0 ||
-      st.vdd - st.vth_low <= 0.0) {
+  if (!(st.sigma > 0.0 && st.vdd - st.vth_st > 0.0 &&
+        st.vdd - st.vth_low > 0.0)) {
     throw std::invalid_argument("size_sleep_transistor: no voltage headroom");
   }
   StSizing s;

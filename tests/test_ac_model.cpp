@@ -110,6 +110,14 @@ TEST_F(AcModelTest, RejectsBadArguments) {
                std::invalid_argument);
   EXPECT_THROW(ac_delta_vth(p_, 400.0, {0.5, 1.0}, -1.0, kVgs, kVth),
                std::invalid_argument);
+  // NaN used to pass these checks; a NaN time evaluated one cycle.
+  const double nan = std::nan("");
+  EXPECT_THROW(ac_delta_vth(p_, 400.0, {0.5, 1.0}, nan, kVgs, kVth),
+               std::invalid_argument);
+  EXPECT_THROW(ac_delta_vth(p_, 400.0, {0.5, nan}, 1e6, kVgs, kVth),
+               std::invalid_argument);
+  EXPECT_THROW(ac_delta_vth(p_, 400.0, {nan, 1.0}, 1e6, kVgs, kVth),
+               std::invalid_argument);
   EXPECT_THROW(sn_exact(0.5, 0), std::invalid_argument);
   EXPECT_THROW(sn_closed(0.5, 0.5), std::invalid_argument);
 }

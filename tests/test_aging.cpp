@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -117,6 +118,17 @@ TEST_F(AgingTest, DegradationGrowsOverTime) {
   for (std::size_t i = 1; i < series.size(); ++i) {
     EXPECT_GT(series[i].second, series[i - 1].second);
   }
+}
+
+TEST_F(AgingTest, NanHorizonRejected) {
+  // A NaN horizon used to pass `t < 0.0` and report 0 % degradation.
+  const AgingAnalyzer an(c432_, lib_, cond(9, 330.0));
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(an.analyze(StandbyPolicy::all_stressed(), nan),
+               std::invalid_argument);
+  EXPECT_THROW(
+      an.degradation_series(StandbyPolicy::all_stressed(), nan, 3e8, 4),
+      std::invalid_argument);
 }
 
 TEST_F(AgingTest, CircuitDegradationIsMilderThanDevice) {

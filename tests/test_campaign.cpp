@@ -266,18 +266,24 @@ TEST(CampaignSpecTest, CliRejectsFlagsTheVerbDoesNotRead) {
                std::invalid_argument);
   // A default value changes nothing the verb reads yet is not ignored.
   EXPECT_NO_THROW(spec_from_args("sizing", "c432", {"--spec-margin", "5"}));
-  // The retired dVth-table knobs are unknown keys, as flags and in a spec,
-  // and the error names the key.
-  for (const std::string flag : {"--use-dvth-table", "--table-ppd"}) {
+  // The retired dVth-table and sizing slack-window knobs are unknown keys,
+  // as flags and in a spec, and the error names the key.
+  const std::pair<std::string, std::string> retired[] = {
+      {"lifetime", "--use-dvth-table"},
+      {"lifetime", "--table-ppd"},
+      {"sizing", "--sizing-slack-window"},
+      {"sizing", "--sizing-moves-per-round"}};
+  for (const auto& [verb, flag] : retired) {
     std::string key = flag.substr(2);
     std::replace(key.begin(), key.end(), '-', '_');
-    const std::string spec = R"({"netlists": ["c432"],
-        "analyses": ["lifetime"], "params": {")" + key + R"(": 12}})";
+    const std::string spec = R"({"netlists": ["c432"], "analyses": [")" +
+                             verb + R"("], "params": {")" + key +
+                             R"(": 2}})";
     for (const bool from_flag : {true, false}) {
-      SCOPED_TRACE(from_flag ? flag : spec);
+      SCOPED_TRACE(from_flag ? verb + " " + flag : spec);
       try {
         if (from_flag) {
-          spec_from_args("lifetime", "c432", {flag});
+          spec_from_args(verb, "c432", {flag});
         } else {
           spec_from_json(common::json::parse(spec));
         }

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "support/reference.h"
 #include "tech/units.h"
 
@@ -28,6 +30,10 @@ TEST_F(DeviceAgingTest, ZeroAtZeroTime) {
 
 TEST_F(DeviceAgingTest, RejectsNegativeTime) {
   EXPECT_THROW(model_.delta_vth(worst_, ras(9, 330.0), -5.0),
+               std::invalid_argument);
+  // NaN used to pass `t < 0.0` and evaluate one cycle (0.82 mV).
+  EXPECT_THROW(model_.delta_vth(worst_, ras(9, 330.0),
+                                std::numeric_limits<double>::quiet_NaN()),
                std::invalid_argument);
 }
 
@@ -150,6 +156,9 @@ TEST_F(DeviceAgingTest, StressContextIsBitIdenticalToDirectEval) {
       }
       EXPECT_EQ(model_.delta_vth(ctx, 0.0), 0.0);
       EXPECT_THROW(model_.delta_vth(ctx, -1.0), std::invalid_argument);
+      EXPECT_THROW(
+          model_.delta_vth(ctx, std::numeric_limits<double>::quiet_NaN()),
+          std::invalid_argument);
     }
   }
 }

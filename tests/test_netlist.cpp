@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "netlist/generators.h"
+
 namespace nbtisim::netlist {
 namespace {
 
@@ -48,12 +52,32 @@ TEST(NetlistTest, DriverAndFanouts) {
 }
 
 TEST(NetlistTest, LevelsAndDepth) {
-  const Netlist nl = tiny();
+  Netlist nl = tiny();
   const std::vector<int> lv = nl.node_levels();
   EXPECT_EQ(lv[nl.find_node("a")], 0);
   EXPECT_EQ(lv[nl.find_node("n1")], 1);
   EXPECT_EQ(lv[nl.find_node("out")], 2);
   EXPECT_EQ(nl.depth(), 2);
+
+  // Levels and depth follow a gate added after a depth() call.
+  const NodeId out2 = nl.add_gate(GateFn::Not, {nl.find_node("out")}, "out2");
+  nl.mark_output(out2);
+  EXPECT_EQ(nl.node_levels()[out2], 3);
+  EXPECT_EQ(nl.depth(), 3);
+
+  // On a random DAG every gate's output sits above all of its fanins, and
+  // depth() is the largest level.
+  const Netlist dag = make_random_dag(
+      "r", {.n_inputs = 12, .n_outputs = 6, .n_gates = 200, .seed = 3});
+  const std::vector<int> level = dag.node_levels();
+  ASSERT_EQ(static_cast<int>(level.size()), dag.num_nodes());
+  for (int gi = 0; gi < dag.num_gates(); ++gi) {
+    const Gate& g = dag.gate(gi);
+    for (NodeId in : g.fanins) {
+      EXPECT_GT(level[g.output], level[in]) << "gate " << gi;
+    }
+  }
+  EXPECT_EQ(dag.depth(), *std::max_element(level.begin(), level.end()));
 }
 
 TEST(NetlistTest, DuplicateNamesRejected) {

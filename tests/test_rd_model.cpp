@@ -77,6 +77,8 @@ TEST_F(RdModelTest, DcTenYearCalibration) {
 TEST_F(RdModelTest, DcRejectsNegativeTime) {
   EXPECT_THROW(dc_delta_vth(p_, 400.0, -1.0, 1.0, 0.22),
                std::invalid_argument);
+  EXPECT_THROW(dc_delta_vth(p_, 400.0, std::nan(""), 1.0, 0.22),
+               std::invalid_argument);
 }
 
 TEST_F(RdModelTest, DcZeroAtZeroTime) {

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace nbtisim::nbti {
 namespace {
 
@@ -29,6 +31,21 @@ TEST_F(ScheduleTest, FromRasRejectsBadRatios) {
   EXPECT_THROW(ModeSchedule::from_ras(-1, 9, 1000.0, 400.0, 330.0),
                std::invalid_argument);
   EXPECT_THROW(ModeSchedule::from_ras(1, 9, 0.0, 400.0, 330.0),
+               std::invalid_argument);
+  // NaN used to pass every `x < 0.0` check here.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(ModeSchedule::from_ras(1, nan, 1000.0, 400.0, 330.0),
+               std::invalid_argument);
+  EXPECT_THROW(ModeSchedule::from_ras(nan, 9, 1000.0, 400.0, 330.0),
+               std::invalid_argument);
+  EXPECT_THROW(ModeSchedule::from_ras(1, inf, 1000.0, 400.0, 330.0),
+               std::invalid_argument);
+  EXPECT_THROW(ModeSchedule::from_ras(1, 9, nan, 400.0, 330.0),
+               std::invalid_argument);
+  EXPECT_THROW(ModeSchedule::from_ras(1, 9, 1000.0, nan, 330.0),
+               std::invalid_argument);
+  EXPECT_THROW(ModeSchedule::from_ras(1, 9, 1000.0, 400.0, inf),
                std::invalid_argument);
 }
 
@@ -76,6 +93,8 @@ TEST_F(ScheduleTest, RejectsBadStressProbability) {
   DeviceStress bad = stress_;
   bad.active_stress_prob = 1.5;
   const ModeSchedule s = ModeSchedule::from_ras(1, 1, 100.0, 400.0, 330.0);
+  EXPECT_THROW(equivalent_cycle(p_, bad, s), std::invalid_argument);
+  bad.active_stress_prob = std::numeric_limits<double>::quiet_NaN();
   EXPECT_THROW(equivalent_cycle(p_, bad, s), std::invalid_argument);
 }
 

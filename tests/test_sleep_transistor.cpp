@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "netlist/generators.h"
 #include "tech/units.h"
 
@@ -121,6 +123,14 @@ TEST_F(SleepTransistorTest, SizingRejectsBadInputs) {
   bad.vth_st = 1.1;
   EXPECT_THROW(size_sleep_transistor(rd_, sched_, kTenYears, 1e-3, bad),
                std::invalid_argument);
+  // NaN used to pass both `<= 0.0` checks and size the ST to NaN.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(size_sleep_transistor(rd_, sched_, kTenYears, nan, st_),
+               std::invalid_argument);
+  bad = st_;
+  bad.vth_st = nan;
+  EXPECT_THROW(size_sleep_transistor(rd_, sched_, kTenYears, 1e-3, bad),
+               std::invalid_argument);
 }
 
 class StCircuitTest : public ::testing::Test {
@@ -210,6 +220,9 @@ TEST_F(StCircuitTest, BadSamplingSpecRejected) {
                                              1e6, 1e5, 5),
                std::invalid_argument);
   EXPECT_THROW(no_st_degradation_series(*analyzer_, 1e6, 3e8, 1),
+               std::invalid_argument);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(no_st_degradation_series(*analyzer_, nan, 3e8, 4),
                std::invalid_argument);
 }
 

@@ -189,6 +189,29 @@ TEST_F(StaTest, ArrivalRespectsAllEdgesOnRandomDag) {
   }
 }
 
+// critical_delay is analyze()'s forward pass without the path bookkeeping:
+// it must return the same double on random circuits and delay vectors.
+TEST(CriticalDelayDifferentialTest, MatchesAnalyzeBitwise) {
+  const tech::Library lib;
+  std::mt19937_64 rng(11);
+  std::uniform_real_distribution<double> uni(0.5, 2.0);
+  for (int which = 0; which < 8; ++which) {
+    const Netlist nl = netlist::make_random_dag(
+        "r" + std::to_string(which),
+        {.n_inputs = 6 + which, .n_outputs = 4, .n_gates = 80 + 50 * which,
+         .seed = static_cast<std::uint64_t>(which + 1)});
+    const StaEngine sta(nl, lib);
+    std::vector<double> delays = sta.gate_delays(400.0);
+    std::vector<double> scratch;
+    for (int trial = 0; trial < 4; ++trial) {
+      for (double& d : delays) d *= uni(rng);
+      EXPECT_EQ(sta.critical_delay(delays, scratch),
+                sta.analyze(delays).max_delay)
+          << "circuit " << which << " trial " << trial;
+    }
+  }
+}
+
 class StaCircuitSweep : public ::testing::TestWithParam<std::string_view> {};
 
 TEST_P(StaCircuitSweep, FreshAnalysisProducesSaneNumbers) {

@@ -88,19 +88,6 @@ grep -o '"[A-Za-z_0-9]*":' "$QSMOKE_DIR/BENCH_aging.json" | sort -u \
 run diff -u tools/golden/bench_aging_keys.txt "$QSMOKE_DIR/bench_aging_keys.txt"
 echo "check.sh: BENCH_aging.json key set matches tools/golden/bench_aging_keys.txt"
 
-# Incremental-STA bench smoke: same key-set contract for BENCH_sta.json,
-# plus a hard gate on the bit_identical flags — the incremental engine must
-# agree with the full forward pass at every scale, every run.
-(cd "$QSMOKE_DIR" && run "$BENCH_BIN" --sta-json-only)
-grep -o '"[A-Za-z_0-9]*":' "$QSMOKE_DIR/BENCH_sta.json" | sort -u \
-  > "$QSMOKE_DIR/bench_sta_keys.txt"
-run diff -u tools/golden/bench_sta_keys.txt "$QSMOKE_DIR/bench_sta_keys.txt"
-if grep -q '"bit_identical": false' "$QSMOKE_DIR/BENCH_sta.json"; then
-  echo "check.sh: BENCH_sta.json reports a full-vs-incremental MISMATCH" >&2
-  exit 1
-fi
-echo "check.sh: BENCH_sta.json key set matches tools/golden/bench_sta_keys.txt"
-
 # Performance trajectory: each line of BENCH_perfbench.jsonl is one
 # change's perfbench record (EXPERIMENTS.md "Standby vectors as a select"
 # shows one).  Per workload it holds the seed, the passes, the host

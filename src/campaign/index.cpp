@@ -19,24 +19,56 @@ bool is_ws_only(std::string_view bytes) {
   return true;
 }
 
-/// Parses one sidecar line back into an entry. Throws on schema mismatch —
-/// the caller treats that as a stale sidecar, not an error.
+/// A sidecar extent: an integer in [0, 2^53], the range where every integer
+/// is an exact double. Anything else (negative, fractional, NaN, huge) is
+/// a stale sidecar; the range is checked before the cast, which is
+/// undefined beyond it.
+std::uint64_t parse_extent(const Value& v, const char* key) {
+  const double d = v.as_number();
+  if (!(d >= 0.0 && d <= 9007199254740992.0) || d != std::floor(d)) {
+    throw std::runtime_error(std::string("index: bad extent \"") + key +
+                             "\"");
+  }
+  return static_cast<std::uint64_t>(d);
+}
+
+/// Parses one sidecar line back into an entry, moving its strings out of
+/// the parsed line. Throws on schema mismatch — the caller treats that as a
+/// stale sidecar, not an error.
 IndexEntry parse_entry(std::string_view line) {
-  const Value v = common::json::parse(line);
+  Value v = common::json::parse(line);
   IndexEntry e;
-  e.hash = v.at("h").as_string();
-  e.offset = static_cast<std::uint64_t>(v.at("o").as_number());
-  e.length = static_cast<std::uint64_t>(v.at("l").as_number());
-  e.netlist = v.string_or("n", "");
-  e.ras = v.string_or("r", "");
-  e.t_active = v.number_or("ta", std::numeric_limits<double>::quiet_NaN());
-  e.t_standby = v.number_or("ts", std::numeric_limits<double>::quiet_NaN());
-  e.years = v.number_or("y", std::numeric_limits<double>::quiet_NaN());
-  e.analysis = v.string_or("a", "");
-  if (const Value* m = v.find("m")) {
-    for (const Value& name : m->as_array()) {
-      e.metrics.push_back(name.as_string());
+  bool hash = false, offset = false, length = false;
+  for (auto& [key, member] : v.as_object()) {
+    if (key == "h") {
+      e.hash = std::move(member.as_string());
+      hash = true;
+    } else if (key == "o") {
+      e.offset = parse_extent(member, "o");
+      offset = true;
+    } else if (key == "l") {
+      e.length = parse_extent(member, "l");
+      length = true;
+    } else if (key == "n") {
+      e.netlist = std::move(member.as_string());
+    } else if (key == "r") {
+      e.ras = std::move(member.as_string());
+    } else if (key == "ta") {
+      e.t_active = member.as_number();
+    } else if (key == "ts") {
+      e.t_standby = member.as_number();
+    } else if (key == "y") {
+      e.years = member.as_number();
+    } else if (key == "a") {
+      e.analysis = std::move(member.as_string());
+    } else if (key == "m") {
+      for (Value& name : member.as_array()) {
+        e.metrics.push_back(std::move(name.as_string()));
+      }
     }
+  }
+  if (!hash || !offset || !length) {
+    throw std::runtime_error("index: entry lacks \"h\", \"o\" or \"l\"");
   }
   return e;
 }

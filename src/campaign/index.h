@@ -14,11 +14,11 @@
 ///     rows it just flushed, best-effort — a failed sidecar write never
 ///     fails the append.
 ///   - **Validated on load.** load_index() checks the sidecar against the
-///     store file (entries in file order, extents inside the file, nothing
-///     but whitespace between consecutive extents). Any mismatch — a
-///     hand-edited store, a sidecar from a crashed writer — triggers a
-///     transparent rebuild from the store file, which is then rewritten
-///     best-effort.
+///     store file (extents that are integers in [0, 2^53], entries in file
+///     order, extents inside the file, nothing but whitespace between
+///     consecutive extents). Any mismatch — a hand-edited store, a sidecar
+///     from a crashed writer — triggers a transparent rebuild from the
+///     store file, which is then rewritten best-effort.
 ///   - **Caught up on load.** Rows beyond the validated sidecar (appended by
 ///     an older binary, or a legacy store with no sidecar at all) are
 ///     scanned from the first unindexed byte and appended to the sidecar.

@@ -1,8 +1,10 @@
 #include "common/json.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <forward_list>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -15,21 +17,66 @@ namespace {
   throw std::runtime_error(std::string("json: value is not ") + wanted);
 }
 
+/// Reads a number token the grammar has accepted. from_chars reports
+/// overflow and underflow as out of range; strtod reads those tokens, so
+/// they keep its ±HUGE_VAL, ±0 and subnormal results.
+double read_double(std::string_view token) {
+  double d = 0.0;
+  if (std::from_chars(token.data(), token.data() + token.size(), d).ec ==
+      std::errc::result_out_of_range) {
+    d = std::strtod(std::string(token).c_str(), nullptr);
+  }
+  return d;
+}
+
+/// Longest output of write_number(): "-2.2250738585072014e-308" is 24.
+constexpr std::size_t kNumberChars = 32;
+
+/// Writes \p d, which must be finite, as format_number() documents and
+/// returns the end of the text.
+char* write_number(char* buf, double d) {
+  char* const last = buf + kNumberChars;
+  // Integral values within the exact-integer range print without a
+  // fraction. The range is checked first: the cast is undefined beyond it.
+  if (std::fabs(d) < 9.007199254740992e15 &&
+      d == static_cast<double>(static_cast<long long>(d))) {
+    return std::to_chars(buf, last, static_cast<long long>(d)).ptr;
+  }
+  // Shortest of %.15g, %.16g and %.17g that reads back as the same double.
+  char* end = buf;
+  for (int precision = 15; precision <= 17; ++precision) {
+    end = std::to_chars(buf, last, d, std::chars_format::general, precision)
+              .ptr;
+    double back = 0.0;
+    if (std::from_chars(buf, end, back).ec == std::errc() && back == d) break;
+  }
+  return end;
+}
+
 // ---------------------------------------------------------------------------
 // Parser: recursive descent over a string_view, errors carry a byte offset.
+// One grammar for parse() and its projection: a member the projection drops
+// is read by the same code with nothing built, so both throw alike.
 
 class Parser {
  public:
-  explicit Parser(std::string_view text) : text_(text) {}
+  Parser(std::string_view text, const Projection* keep)
+      : text_(text), keep_(keep) {
+    keys_.reserve(32);
+  }
 
   Value parse_document() {
-    Value v = parse_value();
+    Value v = parse_value(keep_ == nullptr ? Level::Whole : Level::Top);
     skip_ws();
     if (pos_ != text_.size()) fail("trailing characters after document");
     return v;
   }
 
  private:
+  /// What parse_value() builds: the whole value, nothing (read only), or a
+  /// projected object — the document (Top) or its kept member (Member).
+  enum class Level : unsigned char { Whole, Skip, Top, Member };
+
   [[noreturn]] void fail(const std::string& what) const {
     throw std::runtime_error("json: " + what + " at offset " +
                              std::to_string(pos_));
@@ -54,12 +101,37 @@ class Parser {
     return true;
   }
 
-  Value parse_value() {
+  /// The level at which member \p key of an object read at \p parent is
+  /// read.
+  Level member_level(Level parent, std::string_view key) const {
+    switch (parent) {
+      case Level::Top:
+        return key == keep_->member ? Level::Member : Level::Skip;
+      case Level::Member:
+        if (keep_->all) return Level::Whole;
+        for (const std::string& name : keep_->names) {
+          if (name == key) return Level::Whole;
+        }
+        return Level::Skip;
+      default: return parent;
+    }
+  }
+
+  Value parse_value(Level lv) {
     skip_ws();
     switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
-      case '"': return Value(parse_string());
+      case '{': return parse_object(lv);
+      case '[':
+        return parse_array(lv == Level::Skip ? Level::Skip : Level::Whole);
+      case '"': {
+        if (lv == Level::Skip) {
+          read_string(nullptr);
+          return Value();
+        }
+        std::string s;
+        read_string(&s);
+        return Value(std::move(s));
+      }
       case 't':
         if (consume_literal("true")) return Value(true);
         fail("bad literal");
@@ -81,81 +153,126 @@ class Parser {
           return Value(std::numeric_limits<double>::quiet_NaN());
         }
         fail("bad literal");
-      default: return parse_number();
+      default: return parse_number(lv != Level::Skip);
     }
   }
 
-  Value parse_object() {
+  Value parse_object(Level lv) {
     ++pos_;  // '{'
     Object obj;
+    // Keys of this object sit on keys_ from `first` on, so duplicates are
+    // caught in dropped members too.
+    const std::size_t first = keys_.size();
     skip_ws();
     if (peek() == '}') {
       ++pos_;
-      return Value(std::move(obj));
+      return lv == Level::Skip ? Value() : Value(std::move(obj));
     }
     for (;;) {
       skip_ws();
       if (peek() != '"') fail("expected object key");
-      std::string key = parse_string();
-      for (const auto& [k, v] : obj) {
-        if (k == key) fail("duplicate object key \"" + key + "\"");
+      const std::string_view key = parse_key();
+      for (std::size_t i = first; i < keys_.size(); ++i) {
+        if (keys_[i] == key) {
+          fail("duplicate object key \"" + std::string(key) + "\"");
+        }
       }
+      keys_.push_back(key);
       skip_ws();
       if (peek() != ':') fail("expected ':' after object key");
       ++pos_;
-      obj.emplace_back(std::move(key), parse_value());
+      const Level member = member_level(lv, key);
+      if (member == Level::Skip) {
+        parse_value(Level::Skip);
+      } else {
+        obj.emplace_back(std::string(key), parse_value(member));
+      }
       skip_ws();
       const char c = peek();
       ++pos_;
-      if (c == '}') return Value(std::move(obj));
+      if (c == '}') {
+        keys_.resize(first);
+        return lv == Level::Skip ? Value() : Value(std::move(obj));
+      }
       if (c != ',') fail("expected ',' or '}' in object");
     }
   }
 
-  Value parse_array() {
+  Value parse_array(Level lv) {
     ++pos_;  // '['
     Array arr;
     skip_ws();
     if (peek() == ']') {
       ++pos_;
-      return Value(std::move(arr));
+      return lv == Level::Skip ? Value() : Value(std::move(arr));
     }
     for (;;) {
-      arr.push_back(parse_value());
+      if (lv == Level::Skip) {
+        parse_value(Level::Skip);
+      } else {
+        arr.push_back(parse_value(Level::Whole));
+      }
       skip_ws();
       const char c = peek();
       ++pos_;
-      if (c == ']') return Value(std::move(arr));
+      if (c == ']') return lv == Level::Skip ? Value() : Value(std::move(arr));
       if (c != ',') fail("expected ',' or ']' in array");
     }
   }
 
-  std::string parse_string() {
-    ++pos_;  // opening quote
-    std::string out;
+  /// An object key: a view of the text when it has no escapes, else of its
+  /// decoded copy (kept until the parse ends).
+  std::string_view parse_key() {
+    const std::size_t open = pos_;
+    const std::string_view raw = read_string(nullptr);
+    if (raw.find('\\') == std::string_view::npos) return raw;
+    pos_ = open;
+    std::string& decoded = decoded_keys_.emplace_front();
+    read_string(&decoded);
+    return decoded;
+  }
+
+  /// Reads one string token (pos_ at its opening quote), appending the
+  /// decoded bytes to \p out when given. Runs of bytes that need no
+  /// decoding are appended at once. Returns the raw bytes between the
+  /// quotes.
+  std::string_view read_string(std::string* out) {
+    const std::size_t open = ++pos_;  // past the opening quote
     for (;;) {
+      std::size_t run = pos_;
+      while (run < text_.size()) {
+        const char c = text_[run];
+        if (c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20) {
+          break;
+        }
+        ++run;
+      }
+      if (out != nullptr) out->append(text_.data() + pos_, run - pos_);
+      pos_ = run;
       if (pos_ >= text_.size()) fail("unterminated string");
       const char c = text_[pos_++];
-      if (c == '"') return out;
-      if (static_cast<unsigned char>(c) < 0x20) fail("raw control character in string");
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
+      if (c == '"') return text_.substr(open, pos_ - 1 - open);
+      if (c != '\\') fail("raw control character in string");
       if (pos_ >= text_.size()) fail("unterminated escape");
       const char e = text_[pos_++];
+      char plain = 0;
       switch (e) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        case 'u': append_utf8(out, parse_codepoint()); break;
+        case '"': plain = '"'; break;
+        case '\\': plain = '\\'; break;
+        case '/': plain = '/'; break;
+        case 'b': plain = '\b'; break;
+        case 'f': plain = '\f'; break;
+        case 'n': plain = '\n'; break;
+        case 'r': plain = '\r'; break;
+        case 't': plain = '\t'; break;
+        case 'u': {
+          const unsigned cp = parse_codepoint();
+          if (out != nullptr) append_utf8(*out, cp);
+          continue;
+        }
         default: fail("bad escape character");
       }
+      if (out != nullptr) *out += plain;
     }
   }
 
@@ -204,7 +321,8 @@ class Parser {
     }
   }
 
-  Value parse_number() {
+  /// Checks the number grammar; converts the token only when \p build.
+  Value parse_number(bool build) {
     const std::size_t start = pos_;
     if (peek() == '-') {
       ++pos_;
@@ -234,12 +352,15 @@ class Parser {
       }
       digits();
     }
-    const std::string token(text_.substr(start, pos_ - start));
-    return Value(std::strtod(token.c_str(), nullptr));
+    if (!build) return Value();
+    return Value(read_double(text_.substr(start, pos_ - start)));
   }
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  const Projection* keep_;  ///< nullptr: keep everything
+  std::vector<std::string_view> keys_;  ///< keys of the open objects
+  std::forward_list<std::string> decoded_keys_;  ///< escaped keys, decoded
 };
 
 // ---------------------------------------------------------------------------
@@ -335,6 +456,11 @@ const std::string& Value::as_string() const {
   return std::get<std::string>(data_);
 }
 
+std::string& Value::as_string() {
+  if (!is_string()) kind_error("a string");
+  return std::get<std::string>(data_);
+}
+
 const Array& Value::as_array() const {
   if (!is_array()) kind_error("an array");
   return std::get<Array>(data_);
@@ -401,7 +527,13 @@ std::string Value::string_or(std::string_view key, std::string def) const {
   return v == nullptr ? std::move(def) : v->as_string();
 }
 
-Value parse(std::string_view text) { return Parser(text).parse_document(); }
+Value parse(std::string_view text) {
+  return Parser(text, nullptr).parse_document();
+}
+
+Value parse(std::string_view text, const Projection& keep) {
+  return Parser(text, &keep).parse_document();
+}
 
 std::string format_number(double d, NonFinite nf) {
   if (std::isnan(d)) return nf == NonFinite::Null ? "null" : "NaN";
@@ -409,18 +541,8 @@ std::string format_number(double d, NonFinite nf) {
     if (nf == NonFinite::Null) return "null";
     return d > 0.0 ? "Infinity" : "-Infinity";
   }
-  // Integral values within the exact-integer range print without a fraction.
-  if (d == static_cast<double>(static_cast<long long>(d)) &&
-      std::fabs(d) < 9.007199254740992e15) {
-    return std::to_string(static_cast<long long>(d));
-  }
-  // Shortest representation that round-trips to the identical double.
-  char buf[32];
-  for (int precision = 15; precision <= 17; ++precision) {
-    std::snprintf(buf, sizeof buf, "%.*g", precision, d);
-    if (std::strtod(buf, nullptr) == d) break;
-  }
-  return buf;
+  char buf[kNumberChars];
+  return std::string(buf, write_number(buf, d));
 }
 
 std::string dump(const Value& v, int indent, NonFinite nf) {

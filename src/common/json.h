@@ -11,6 +11,12 @@
 ///     the shortest representation that parses back to the identical double.
 ///     Re-serializing a parsed document is byte-identical, which is what lets
 ///     the result store compare and hash rows textually.
+///   - **Locale-free numbers.** Numbers are read with std::from_chars (strtod
+///     only for out-of-range tokens, so overflow, underflow and subnormals
+///     read as strtod reads them) and written with std::to_chars at
+///     precision 15, 16 or 17, the first that reads back exactly. The
+///     standard defines that output as printf's `%.*g` in the C locale, so
+///     the bytes are C-locale `%.*g` whatever the process locale is.
 ///   - **Documented non-finite policy.** RFC 8259 has no encoding for
 ///     infinities or NaN. By default dump() emits the literals `Infinity`,
 ///     `-Infinity` and `NaN` (the JSON5 convention), and parse() accepts
@@ -67,6 +73,7 @@ class Value {
   const std::string& as_string() const;
   const Array& as_array() const;
   const Object& as_object() const;
+  std::string& as_string();
   Array& as_array();
   Object& as_object();
 
@@ -96,6 +103,23 @@ class Value {
 /// rejected). Accepts the non-finite literals documented in the file comment.
 /// \throws std::runtime_error with byte offset on malformed input
 Value parse(std::string_view text);
+
+/// What a projected parse() keeps of a document: the top-level member
+/// \p member and, of that member's own members, those named in \p names
+/// (every one when \p all). A projection narrows objects only: a kept value
+/// of any other kind, and each kept inner member, is read whole.
+struct Projection {
+  std::string member;
+  bool all = true;
+  std::vector<std::string> names;  ///< read when !all
+};
+
+/// Parses \p text like parse() and returns that result with every member
+/// \p keep does not name removed. Members that are dropped are still read
+/// byte for byte, so malformed input throws the same message at the same
+/// offset as parse(); only no value is built for them.
+/// \throws std::runtime_error with byte offset on malformed input
+Value parse(std::string_view text, const Projection& keep);
 
 /// Encoding policy for non-finite doubles (see file comment).
 /// Literal round-trips (JSON5 tokens); Null is strict RFC 8259 output for

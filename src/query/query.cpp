@@ -1,9 +1,12 @@
 #include "query/query.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <cmath>
 #include <filesystem>
-#include <fstream>
 #include <stdexcept>
 #include <unordered_map>
 #include <utility>
@@ -17,77 +20,99 @@ namespace {
 using campaign::IndexEntry;
 using common::json::Value;
 
-constexpr const char* kStringCoords[] = {"netlist", "ras", "analysis", "hash"};
-constexpr const char* kNumberCoords[] = {"t_active", "t_standby", "years"};
+/// The largest "limit": every integer up to it is an exact double.
+constexpr double kMaxLimit = 9007199254740992.0;
 
-bool is_string_coord(std::string_view key) {
-  for (const char* c : kStringCoords) {
-    if (key == c) return true;
-  }
-  return false;
-}
+/// The index-entry field a grid coordinate key reads: a string (netlist,
+/// ras, analysis, hash) or a number (t_active, t_standby, years). Neither
+/// for a metric name.
+struct Field {
+  const std::string IndexEntry::* text = nullptr;
+  double IndexEntry::* number = nullptr;
+};
 
-bool is_number_coord(std::string_view key) {
-  for (const char* c : kNumberCoords) {
-    if (key == c) return true;
-  }
-  return false;
+Field coord_field(std::string_view key) {
+  if (key == "netlist") return {&IndexEntry::netlist};
+  if (key == "ras") return {&IndexEntry::ras};
+  if (key == "analysis") return {&IndexEntry::analysis};
+  if (key == "hash") return {&IndexEntry::hash};
+  if (key == "t_active") return {nullptr, &IndexEntry::t_active};
+  if (key == "t_standby") return {nullptr, &IndexEntry::t_standby};
+  if (key == "years") return {nullptr, &IndexEntry::years};
+  return {};
 }
 
 bool is_coord(std::string_view key) {
-  return is_string_coord(key) || is_number_coord(key);
+  const Field f = coord_field(key);
+  return f.text != nullptr || f.number != nullptr;
 }
 
-const std::string& entry_string(const IndexEntry& e, std::string_view key) {
-  if (key == "netlist") return e.netlist;
-  if (key == "ras") return e.ras;
-  if (key == "analysis") return e.analysis;
-  return e.hash;
-}
+/// One where-predicate compiled for one run_query(): the index-entry field
+/// a coordinate key reads, and the alternatives split by kind, so testing
+/// an entry builds no json::Value.
+struct Compiled {
+  const std::string* key = nullptr;
+  const Predicate* pred = nullptr;
+  Field field;  ///< neither member set: a metric predicate
+  std::vector<std::string_view> strings;  ///< the string alternatives
+  std::vector<double> numbers;            ///< the number alternatives
 
-double entry_number(const IndexEntry& e, std::string_view key) {
-  if (key == "t_active") return e.t_active;
-  if (key == "t_standby") return e.t_standby;
-  return e.years;
-}
+  bool is_metric() const {
+    return field.text == nullptr && field.number == nullptr;
+  }
 
-bool match_value(const Predicate& p, const Value& v) {
-  if (!p.any_of.empty()) {
-    bool any = false;
-    for (const Value& cand : p.any_of) {
-      if (v == cand) {
-        any = true;
-        break;
-      }
+  /// Predicate::any_of equality and range, as a string value sees them.
+  bool matches(std::string_view s) const {
+    if (pred->has_range) return false;  // a range holds numbers only
+    return pred->any_of.empty() ||
+           std::find(strings.begin(), strings.end(), s) != strings.end();
+  }
+  bool matches(double d) const {
+    if (!pred->any_of.empty() &&
+        std::find(numbers.begin(), numbers.end(), d) == numbers.end()) {
+      return false;
     }
-    if (!any) return false;
+    return !pred->has_range ||
+           (!std::isnan(d) && d >= pred->min && d <= pred->max);
   }
-  if (p.has_range) {
-    if (!v.is_number()) return false;
-    const double d = v.as_number();
-    if (std::isnan(d) || d < p.min || d > p.max) return false;
+  bool matches(const Value& v) const {
+    if (v.is_number()) return matches(v.as_number());
+    if (v.is_string()) return matches(std::string_view(v.as_string()));
+    return pred->any_of.empty() && !pred->has_range;
   }
-  return true;
+};
+
+std::vector<Compiled> compile(
+    const std::vector<std::pair<std::string, Predicate>>& where) {
+  std::vector<Compiled> out;
+  out.reserve(where.size());
+  for (const auto& [key, p] : where) {
+    Compiled c{&key, &p, coord_field(key), {}, {}};
+    for (const Value& cand : p.any_of) {
+      if (cand.is_string()) c.strings.emplace_back(cand.as_string());
+      if (cand.is_number()) c.numbers.push_back(cand.as_number());
+    }
+    out.push_back(std::move(c));
+  }
+  return out;
 }
 
 /// Coordinate predicates evaluated on the index entry alone. An absent
 /// coordinate (empty string / NaN) never matches an equality or range.
-bool entry_matches(const IndexEntry& e,
-                   const std::vector<std::pair<std::string, Predicate>>& preds) {
-  for (const auto& [key, p] : preds) {
-    if (is_string_coord(key)) {
-      const std::string& s = entry_string(e, key);
-      if (s.empty() && key != "hash") return false;
-      if (!match_value(p, Value(s))) return false;
-    } else if (is_number_coord(key)) {
-      const double d = entry_number(e, key);
-      if (std::isnan(d)) return false;
-      if (!match_value(p, Value(d))) return false;
+bool entry_matches(const IndexEntry& e, const std::vector<Compiled>& preds) {
+  for (const Compiled& c : preds) {
+    if (c.field.text != nullptr) {
+      const std::string& s = e.*c.field.text;
+      if (s.empty() && c.field.text != &IndexEntry::hash) return false;
+      if (!c.matches(std::string_view(s))) return false;
+    } else if (c.field.number != nullptr) {
+      const double d = e.*c.field.number;
+      if (std::isnan(d) || !c.matches(d)) return false;
     } else {
       // Metric predicate: the index lists the row's scalar metric names, so
       // a row without the metric is excluded without a parse. The value
       // check happens after the parse.
-      if (std::find(e.metrics.begin(), e.metrics.end(), key) ==
+      if (std::find(e.metrics.begin(), e.metrics.end(), *c.key) ==
           e.metrics.end()) {
         return false;
       }
@@ -118,6 +143,40 @@ bool entry_less(const IndexEntry& a, const IndexEntry& b) {
   return a.hash < b.hash;
 }
 
+/// Reads rows of one store file at their index extents: one pread each,
+/// with no stream buffer to refill after every seek. The file is opened at
+/// the first read, so scans that read no row never touch it.
+class RowReader {
+ public:
+  explicit RowReader(const std::string& path) : path_(path) {}
+  RowReader(const RowReader&) = delete;
+  RowReader& operator=(const RowReader&) = delete;
+  ~RowReader() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+
+  std::string_view read(const IndexEntry& e) {
+    if (fd_ < 0) {
+      fd_ = ::open(path_.c_str(), O_RDONLY | O_CLOEXEC);
+      if (fd_ < 0) throw std::runtime_error("query: cannot open " + path_);
+    }
+    buf_.resize(e.length);
+    for (std::size_t got = 0; got < e.length;) {
+      const ssize_t n = ::pread(fd_, buf_.data() + got, e.length - got,
+                                static_cast<off_t>(e.offset + got));
+      if (n < 0 && errno == EINTR) continue;
+      if (n <= 0) throw std::runtime_error("query: short read in " + path_);
+      got += static_cast<std::size_t>(n);
+    }
+    return buf_;
+  }
+
+ private:
+  const std::string& path_;
+  int fd_ = -1;
+  std::string buf_;
+};
+
 struct Matched {
   const IndexEntry* entry = nullptr;
   Value row;  ///< parsed store row; null when the query never needed it
@@ -129,13 +188,13 @@ struct Matched {
 /// else from the parsed row's metrics object. Null when absent.
 Value cell_value(const Matched& m, const std::string& col) {
   const IndexEntry& e = *m.entry;
-  if (col == "hash") return Value(e.hash);
-  if (is_string_coord(col)) {
-    const std::string& s = entry_string(e, col);
-    return s.empty() ? Value() : Value(s);
+  const Field f = coord_field(col);
+  if (f.text != nullptr) {
+    const std::string& s = e.*f.text;
+    return s.empty() && f.text != &IndexEntry::hash ? Value() : Value(s);
   }
-  if (is_number_coord(col)) {
-    const double d = entry_number(e, col);
+  if (f.number != nullptr) {
+    const double d = e.*f.number;
     return std::isnan(d) ? Value() : Value(d);
   }
   if (!m.parsed) return Value();
@@ -171,11 +230,14 @@ Predicate parse_predicate(const std::string& key, const Value& v) {
       p.max = std::numeric_limits<double>::infinity();
       bool bounded = false;
       for (const auto& [k, bound] : v.as_object()) {
-        if (k == "min") {
-          p.min = bound.as_number();
-          bounded = true;
-        } else if (k == "max") {
-          p.max = bound.as_number();
+        if (k == "min" || k == "max") {
+          const double d = bound.as_number();
+          // No row lies in a range with a NaN bound; ±Infinity is open.
+          if (std::isnan(d)) {
+            throw std::invalid_argument("query: range bound \"" + k +
+                                        "\" for \"" + key + "\" is NaN");
+          }
+          (k == "min" ? p.min : p.max) = d;
           bounded = true;
         } else {
           throw std::invalid_argument("query: range for \"" + key +
@@ -251,6 +313,35 @@ double reduce(const Aggregate& agg, std::vector<double>& values) {
   return values[lo] + (h - static_cast<double>(lo)) * (values[hi] - values[lo]);
 }
 
+/// What a matched row's read keeps: the members of its "metrics" that the
+/// query reads — metric predicates, metric select columns and aggregated
+/// metrics —, or every member for a default select or an aggregation over
+/// every metric. Nothing (not all, no names) when the index entries answer
+/// the query alone, as they do a count or a coordinate-only select.
+common::json::Projection metrics_read(const Query& q) {
+  common::json::Projection p;
+  p.member = "metrics";
+  p.all = false;
+  const auto read = [&p](const std::string& name) {
+    if (!is_coord(name) &&
+        std::find(p.names.begin(), p.names.end(), name) == p.names.end()) {
+      p.names.push_back(name);
+    }
+  };
+  for (const auto& [key, pred] : q.where) read(key);
+  if (q.has_agg) {
+    if (q.agg.op != "count") {
+      p.all = q.agg.metrics.empty();
+      for (const std::string& m : q.agg.metrics) read(m);
+    }
+  } else if (q.select.empty()) {
+    p.all = true;
+  } else {
+    for (const std::string& col : q.select) read(col);
+  }
+  return p;
+}
+
 /// Scalar metric names over the matched rows, first appearance in canonical
 /// row order — the default select/aggregate metric set.
 std::vector<std::string> metric_union(const std::vector<Matched>& matched) {
@@ -313,10 +404,11 @@ Query parse_query(const Value& q) {
       out.has_agg = true;
       out.agg = parse_aggregate(member);
     } else if (key == "limit") {
+      // The range is checked before the cast, which is undefined beyond it.
       const double n = member.as_number();
-      if (n < 0 || n != static_cast<double>(static_cast<long long>(n))) {
+      if (!(n >= 0.0 && n <= kMaxLimit) || n != std::floor(n)) {
         throw std::invalid_argument(
-            "query: \"limit\" must be a non-negative integer");
+            "query: \"limit\" must be an integer in [0, 2^53]");
       }
       out.limit = static_cast<long long>(n);
     } else {
@@ -327,28 +419,11 @@ Query parse_query(const Value& q) {
 }
 
 QueryResult run_query(const StoreView& view, const Query& q, int n_threads) {
-  // Does any step need the row content, or do index entries suffice?
-  // Metric value predicates and metric output columns need the parse;
-  // count-style aggregations over coordinates never touch the files.
-  bool needs_rows = false;
-  for (const auto& [key, p] : q.where) {
-    if (!is_coord(key)) needs_rows = true;
-  }
-  if (q.has_agg) {
-    if (q.agg.op != "count") needs_rows = true;
-  } else if (q.select.empty()) {
-    needs_rows = true;  // default select carries metric values
-  } else {
-    for (const std::string& col : q.select) {
-      if (!is_coord(col)) needs_rows = true;
-    }
-  }
-  // Metric *value* predicates (ranges / equalities on non-coordinates) are
-  // re-checked on the parsed row; name containment already ran on the entry.
-  std::vector<const std::pair<std::string, Predicate>*> metric_preds;
-  for (const auto& kp : q.where) {
-    if (!is_coord(kp.first)) metric_preds.push_back(&kp);
-  }
+  // Rows are read only for the metrics the query reads; a query that reads
+  // none is answered from the index entries alone.
+  const common::json::Projection read = metrics_read(q);
+  const bool needs_rows = read.all || !read.names.empty();
+  const std::vector<Compiled> preds = compile(q.where);
 
   struct FileScan {
     std::vector<Matched> matched;
@@ -360,39 +435,24 @@ QueryResult run_query(const StoreView& view, const Query& q, int n_threads) {
   common::parallel_for(n_files, [&](int fi) {
     const StoreView::File& file = view.files()[static_cast<std::size_t>(fi)];
     FileScan& scan = scans[static_cast<std::size_t>(fi)];
-    std::ifstream f;  // opened lazily: count-only scans never touch the file
-    std::string buf;
+    RowReader rows(file.path);
     for (const IndexEntry& e : file.index.entries) {
-      if (!entry_matches(e, q.where)) continue;
+      if (!entry_matches(e, preds)) continue;
       Matched m;
       m.entry = &e;
       if (needs_rows) {
-        if (!f.is_open()) {
-          f.open(file.path, std::ios::binary);
-          if (!f) {
-            throw std::runtime_error("query: cannot open " + file.path);
-          }
-        }
-        buf.resize(e.length);
-        f.seekg(static_cast<std::streamoff>(e.offset));
-        f.read(buf.data(), static_cast<std::streamsize>(e.length));
-        if (!f) {
-          throw std::runtime_error("query: short read in " + file.path);
-        }
-        m.row = common::json::parse(buf);
+        m.row = common::json::parse(rows.read(e), read);
         m.parsed = true;
         ++scan.parsed;
-        bool ok = true;
-        for (const auto* kp : metric_preds) {
-          const Value* metrics = m.row.find("metrics");
+        // Metric value predicates; name containment ran on the entry.
+        const Value* metrics = m.row.find("metrics");
+        const auto holds = [&](const Compiled& c) {
+          if (!c.is_metric()) return true;
           const Value* v =
-              metrics == nullptr ? nullptr : metrics->find(kp->first);
-          if (v == nullptr || !match_value(kp->second, *v)) {
-            ok = false;
-            break;
-          }
-        }
-        if (!ok) continue;
+              metrics == nullptr ? nullptr : metrics->find(*c.key);
+          return v != nullptr && c.matches(*v);
+        };
+        if (!std::all_of(preds.begin(), preds.end(), holds)) continue;
       }
       scan.matched.push_back(std::move(m));
     }

@@ -8,7 +8,9 @@
 /// a StoreView opens the base file and every shard with their sidecar
 /// indexes (campaign/index.h), and run_query() evaluates a small declarative
 /// query against the index first, seeking into the store files only for the
-/// rows that can still match. Non-matching rows are never parsed.
+/// rows that can still match. Non-matching rows are never parsed; a row that
+/// can match is validated whole but read through a json::Projection that
+/// builds only the metrics the query reads.
 ///
 /// ## The query language
 ///

@@ -5,18 +5,21 @@
 /// scalar device-model call per PMOS or NMOS per horizon, the literal S_n
 /// recursion, one stress context per device, full delay rebuild + full STA
 /// per sizing trial, a fresh analyze() per derate cell, a serial loop per
-/// electrothermal sweep, a nested bisection per stacked OFF device — and
-/// serves as the oracle that tests/test_differential.cpp property-tests the
-/// optimized engines against across random netlists, seeds, thread counts
-/// and horizons.  Keep them boring: no caching, no incremental updates, no
-/// parallelism.  The one deliberate sophistication is FP discipline — every
-/// accumulation mirrors the production expression order, so the
-/// comparisons can demand bitwise equality instead of tolerances.
+/// electrothermal sweep, a nested bisection per stacked OFF device,
+/// snprintf and strtod for JSON number text — and serves as the oracle
+/// that tests/test_differential.cpp property-tests the optimized engines
+/// against across random netlists, seeds, thread counts and horizons.
+/// Keep them boring: no caching, no incremental updates, no parallelism.
+/// The one deliberate sophistication is FP discipline — every accumulation
+/// mirrors the production expression order, so the comparisons can demand
+/// bitwise equality instead of tolerances.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <limits>
 #include <span>
 #include <stdexcept>
@@ -567,6 +570,61 @@ inline tech::StackSolution reference_solve_stack(
   sol.current = refstack_detail::solve_chain(params, off, 0.0, vout, temp_k,
                                              &sol.node_voltages);
   return sol;
+}
+
+// ---------------------------------------------------------------------------
+// JSON numbers the C-library way, and the projection as a filter.
+
+/// common::json::format_number (NonFinite::Literal) as snprintf writes it:
+/// integral values below 2^53 as "%lld", else the first of "%.15g",
+/// "%.16g" and "%.17g" that strtod reads back as the same double.
+inline std::string reference_format_number(double d) {
+  if (std::isnan(d)) return "NaN";
+  if (std::isinf(d)) return d > 0.0 ? "Infinity" : "-Infinity";
+  char buf[40];
+  if (std::fabs(d) < 9007199254740992.0 && d == std::trunc(d)) {
+    std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(d));
+    return buf;
+  }
+  for (int precision = 15; precision <= 17; ++precision) {
+    std::snprintf(buf, sizeof buf, "%.*g", precision, d);
+    if (std::strtod(buf, nullptr) == d) break;
+  }
+  return buf;
+}
+
+/// The double strtod reads from a JSON number token.
+inline double reference_parse_number(std::string_view token) {
+  const std::string copy(token);
+  return std::strtod(copy.c_str(), nullptr);
+}
+
+/// A projected parse as a full parse followed by a filter: of an object,
+/// only \p keep.member survives, and of that member (when it is an object
+/// and the projection names members) only the named members, in document
+/// order. A value of any other kind is kept whole.
+inline common::json::Value reference_projection(
+    const common::json::Value& full, const common::json::Projection& keep) {
+  using common::json::Object;
+  using common::json::Value;
+  if (!full.is_object()) return full;
+  Object out;
+  for (const auto& [key, member] : full.as_object()) {
+    if (key != keep.member) continue;
+    if (keep.all || !member.is_object()) {
+      out.emplace_back(key, member);
+      continue;
+    }
+    Object inner;
+    for (const auto& [name, v] : member.as_object()) {
+      if (std::find(keep.names.begin(), keep.names.end(), name) !=
+          keep.names.end()) {
+        inner.emplace_back(name, v);
+      }
+    }
+    out.emplace_back(key, Value(std::move(inner)));
+  }
+  return Value(std::move(out));
 }
 
 // ---------------------------------------------------------------------------

@@ -18,11 +18,14 @@
 #include <optional>
 #include <random>
 #include <span>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "aging/aging.h"
+#include "common/json.h"
 #include "common/pool.h"
 #include "common/rng.h"
 #include "nbti/rd_kernel.h"
@@ -599,6 +602,112 @@ TEST(DifferentialTest, StackSolverMatchesNestedBisection) {
                                       << devs.size() << " T=" << temp);
     expect_stack_matches_reference(params, devs, vout, temp);
   }
+}
+
+
+// JSON numbers: std::to_chars/from_chars in common/json against the
+// snprintf/strtod oracles. Every double must print the oracle's bytes, and
+// those bytes, like every edge token, must read back bitwise as strtod
+// reads them.
+TEST(DifferentialTest, JsonNumbersMatchSnprintfAndStrtod) {
+  int failures = 0;
+  const auto fail_once = [&](const std::string& what) {
+    if (++failures <= 5) ADD_FAILURE() << what;
+  };
+  const auto read_matches = [&](std::string_view token) {
+    const double got = common::json::parse(token).as_number();
+    const double want = testsupport::reference_parse_number(token);
+    if (std::bit_cast<std::uint64_t>(got) !=
+        std::bit_cast<std::uint64_t>(want)) {
+      fail_once("read " + std::string(token) + " as " +
+                std::to_string(got) + ", strtod " + std::to_string(want));
+    }
+  };
+  const auto check = [&](double d) {
+    const std::string text = common::json::format_number(d);
+    const std::string want = testsupport::reference_format_number(d);
+    if (text != want) {
+      fail_once("bits " + std::to_string(std::bit_cast<std::uint64_t>(d)) +
+                " print " + text + ", snprintf " + want);
+    }
+    if (std::isfinite(d)) read_matches(text);
+  };
+
+  // Seeded bit patterns over every sign, exponent and mantissa.
+  std::uint64_t state = 20261018;
+  for (int i = 0; i < 1'000'000; ++i) {
+    state = common::splitmix64(state);
+    check(std::bit_cast<double>(state));
+  }
+  // Subnormals, zeros, and the extremes of the range.
+  for (int i = 0; i < 20'000; ++i) {
+    state = common::splitmix64(state);
+    const std::uint64_t mantissa = state & ((std::uint64_t{1} << 52) - 1);
+    const std::uint64_t sign = state & (std::uint64_t{1} << 63);
+    check(std::bit_cast<double>(mantissa | sign));
+  }
+  for (double d : {0.0, -0.0, std::numeric_limits<double>::denorm_min(),
+                   std::numeric_limits<double>::min(),
+                   std::numeric_limits<double>::max(),
+                   std::numeric_limits<double>::infinity(),
+                   std::numeric_limits<double>::quiet_NaN()}) {
+    check(d);
+    check(-d);
+    check(std::nextafter(d, 0.0));
+  }
+  // Integers around 2^53 (where the integral branch ends) and 2^63 (where
+  // a long long cast stops being defined).
+  for (double base : {0x1p53, 0x1p63, 0x1p64}) {
+    for (int k = -2000; k <= 2000; ++k) {
+      for (double step : {1.0, 0x1p11}) {
+        check(base + k * step);
+        check(-(base + k * step));
+      }
+    }
+  }
+  // Powers of two, and decimal fractions that print in 15 digits.
+  for (int e = -1074; e <= 1023; ++e) {
+    check(std::ldexp(1.0, e));
+    check(-std::ldexp(1.0, e));
+  }
+  for (int i = 0; i < 50'000; ++i) {
+    state = common::splitmix64(state);
+    check(static_cast<double>(state % 1'000'000'007) /
+          std::pow(10.0, static_cast<double>(state >> 60)));
+  }
+
+  // Tokens past the range, at its edges, and longer than any double.
+  for (const char* token :
+       {"1e999", "-1e999", "1e-400", "-1e-400", "4.9e-324", "-0",
+        "2.2250738585072011e-308", "2.2250738585072014e-308",
+        "2.4703282292062327e-324", "2.4703282292062328e-324",
+        "1.7976931348623157e308", "1.7976931348623158e308",
+        "1.7976931348623159e308", "0e999999999", "-0.0e-999",
+        "9007199254740993", "18446744073709551616", "1e-320",
+        "123456789012345678901234567890.123456789e-10"}) {
+    read_matches(token);
+  }
+  read_matches("1" + std::string(400, '0'));
+  read_matches("0." + std::string(400, '0') + "1");
+  // Seeded decimal tokens: 1-20 digits, an optional fraction, exponents
+  // across and past the range.
+  std::mt19937_64 rng(common::stream_seed(2026, 10));
+  for (int i = 0; i < 200'000; ++i) {
+    std::string token = rng() % 2 ? "-" : "";
+    const auto digits = [&](std::size_t n) {
+      for (std::size_t k = 0; k < n; ++k) {
+        token += static_cast<char>('0' + rng() % 10);
+      }
+    };
+    digits(1 + rng() % 20);
+    if (rng() % 2) {
+      token += '.';
+      digits(1 + rng() % 20);
+    }
+    token += 'e' + std::to_string(static_cast<int>(rng() % 700) - 350);
+    read_matches(token);
+  }
+  EXPECT_EQ(failures, 0);
 }
 
 }  // namespace

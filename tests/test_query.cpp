@@ -18,12 +18,14 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <random>
 #include <sstream>
 #include <thread>
 #include <vector>
 
 #include "campaign/index.h"
 #include "campaign/store.h"
+#include "common/rng.h"
 #include "query/serve.h"
 #include "support/reference.h"
 
@@ -130,6 +132,7 @@ const char* kQueries[] = {
     R"({"where":{"worst_pct":{"min":5.0,"max":7.5}}})",
     R"({"where":{"ras":"5:5","worst_pct":{"max":6}},"select":["netlist","ras","analysis","worst_pct"]})",
     R"({"select":["hash","netlist","curve"],"where":{"netlist":"dag:8x40@3"},"limit":7})",
+    R"({"where":{"netlist":"c432"},"select":["ras","fresh_ns","curve","absent"]})",
     R"({"agg":{"op":"count","by":["netlist","analysis"]}})",
     R"({"agg":{"op":"mean","by":["netlist"],"metrics":["worst_pct","fresh_ns"]}})",
     R"({"where":{"t_standby":{"min":350}},"agg":{"op":"max","by":["ras"]}})",
@@ -229,6 +232,53 @@ TEST(IndexTest, StaleSidecarRebuilds) {
   EXPECT_TRUE(idx.rebuilt);
   ASSERT_EQ(idx.entries.size(), 2u);
   EXPECT_EQ(idx.entries[0].hash, synthetic_row(0).at("hash").as_string());
+}
+
+// Sidecar extents are integers in [0, 2^53]. A negative, NaN, fractional or
+// huge "o"/"l" marks the sidecar stale and the loader rebuilds it: casting
+// such a value was undefined, and a fractional one used to be truncated and
+// accepted as valid. Queries still answer like the full rescan.
+TEST(IndexTest, BadSidecarExtentsRebuild) {
+  const std::string path = build_store("idx_extent.jsonl", 40, 1);
+  const std::string good = read_file(campaign::index_path(path));
+  const campaign::StoreIndex clean = campaign::load_index(path);
+  ASSERT_FALSE(clean.rebuilt);
+  const std::string length = std::to_string(clean.entries[0].length);
+  const std::string extent = "\"o\":0,\"l\":" + length + ",";
+  ASSERT_NE(good.find(extent), std::string::npos);
+  for (const std::string& bad : std::vector<std::string>{
+           "\"o\":-1e300,\"l\":" + length + ",", "\"o\":0,\"l\":NaN,",
+           "\"o\":0.75,\"l\":" + length + ".9,",
+           "\"o\":1e300,\"l\":1,"}) {
+    SCOPED_TRACE(bad);
+    std::string side = good;
+    side.replace(side.find(extent), extent.size(), bad);
+    {
+      std::ofstream f(campaign::index_path(path), std::ios::trunc);
+      f << side;
+    }
+    const campaign::StoreIndex idx = campaign::load_index(path);
+    EXPECT_TRUE(idx.rebuilt);
+    ASSERT_EQ(idx.entries.size(), clean.entries.size());
+    for (std::size_t i = 0; i < idx.entries.size(); ++i) {
+      EXPECT_EQ(campaign::dump_entry(idx.entries[i]),
+                campaign::dump_entry(clean.entries[i]));
+    }
+    EXPECT_EQ(read_file(campaign::index_path(path)), good);
+    // A view opened on the damaged sidecar answers like the rescan.
+    {
+      std::ofstream f(campaign::index_path(path), std::ios::trunc);
+      f << side;
+    }
+    const StoreView view(path);
+    for (const char* text : kQueries) {
+      const Value qdoc = common::json::parse(text);
+      EXPECT_EQ(report::to_csv(run_query(view, parse_query(qdoc), 1).table()),
+                report::to_csv(testsupport::reference_query(path, qdoc)))
+          << text;
+    }
+  }
+  remove_store(path);
 }
 
 TEST(IndexTest, GapBetweenEntriesTriggersRebuild) {
@@ -339,6 +389,25 @@ TEST(QueryParseTest, RejectsMalformedQueries) {
   EXPECT_THROW(parse(R"({"limit":-1})"), std::invalid_argument);
   EXPECT_THROW(parse(R"({"limit":2.5})"), std::invalid_argument);
   EXPECT_THROW(parse(R"({"select":[]})"), std::invalid_argument);
+  // No row lies in a range with a NaN bound; it used to match every row.
+  EXPECT_THROW(
+      parse(R"({"where":{"analysis":"aging","worst_pct":{"min":NaN}}})"),
+      std::invalid_argument);
+  EXPECT_THROW(
+      parse(R"({"where":{"t_standby":{"max":NaN}},"agg":{"op":"count"}})"),
+      std::invalid_argument);
+  try {
+    parse(R"({"where":{"worst_pct":{"min":1,"max":NaN}}})");
+    ADD_FAILURE() << "a NaN bound was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("\"worst_pct\""), std::string::npos)
+        << e.what();
+  }
+  // A limit past 2^53 (or not a number at all) is rejected before the cast.
+  EXPECT_THROW(parse(R"({"limit":1e300})"), std::invalid_argument);
+  EXPECT_THROW(parse(R"({"limit":Infinity})"), std::invalid_argument);
+  EXPECT_THROW(parse(R"({"limit":NaN})"), std::invalid_argument);
+  EXPECT_THROW(parse(R"({"limit":9007199254740994})"), std::invalid_argument);
 }
 
 TEST(QueryParseTest, AcceptsTheDocumentedForms) {
@@ -354,6 +423,12 @@ TEST(QueryParseTest, AcceptsTheDocumentedForms) {
   EXPECT_TRUE(q.has_agg);
   EXPECT_EQ(q.agg.op, "quantile");
   EXPECT_EQ(q.limit, 10);
+  // ±Infinity is an open bound, and 2^53 the largest limit.
+  const Query open = parse_query(common::json::parse(
+      R"({"where":{"worst_pct":{"min":-Infinity,"max":Infinity}},
+          "limit":9007199254740992})"));
+  EXPECT_TRUE(open.where[0].second.has_range);
+  EXPECT_EQ(open.limit, 9007199254740992LL);
 }
 
 // --------------------------------------------------------------------------
@@ -381,6 +456,59 @@ TEST(QueryDifferentialTest, MatchesNaiveRescanOnLegacySingleFile) {
     EXPECT_EQ(report::to_csv(r.table()), report::to_csv(expect)) << text;
   }
   remove_store(path);
+}
+
+// A projected read (what run_query parses a matched row with) is the full
+// parse filtered to the kept members, for seeded keep-sets over the rows of
+// seeded stores. A truncated or byte-flipped row throws parse()'s exact
+// message, offset included, even where the damage sits in a dropped member.
+TEST(QueryDifferentialTest, ProjectedRowsEqualFilteredFullParse) {
+  std::vector<std::string> lines;
+  for (int n : {53, 97}) {
+    const std::string path = build_store("qproj.jsonl", n, 1);
+    std::istringstream rows(read_file(path));
+    for (std::string line; std::getline(rows, line);) lines.push_back(line);
+    remove_store(path);
+  }
+  // Escaped keys that collide once decoded, in a kept and a dropped member.
+  lines.push_back(R"({"hash":"x","metrics":{"a\u0062":1,"ab":2}})");
+  lines.push_back(R"({"hash":"x","skip":{"k":1,"\u006b":2},"metrics":{}})");
+  lines.push_back(R"({"h\u0061sh":"x","metrics":{"fresh_ns":1.5}})");
+
+  const std::vector<std::string> names = {"worst_pct", "fresh_ns", "curve",
+                                          "odd_metric", "ab", "absent"};
+  std::mt19937_64 rng(common::stream_seed(2026, 20));
+  const auto outcome = [](const auto& read) -> std::string {
+    try {
+      return common::json::dump(read());
+    } catch (const std::runtime_error& e) {
+      return std::string("error: ") + e.what();
+    }
+  };
+  for (const std::string& line : lines) {
+    for (int k = 0; k < 16; ++k) {
+      common::json::Projection keep;
+      keep.member = rng() % 8 == 0 ? "netlist" : "metrics";
+      keep.all = rng() % 4 == 0;
+      for (const std::string& name : names) {
+        if (rng() % 2) keep.names.push_back(name);
+      }
+      std::string text = line;
+      if (k % 2 == 1) {  // damage every other read
+        if (rng() % 2) {
+          text.resize(rng() % text.size());
+        } else {
+          text[rng() % text.size()] ^= static_cast<char>(1 + rng() % 255);
+        }
+      }
+      SCOPED_TRACE(text);
+      EXPECT_EQ(outcome([&] { return common::json::parse(text, keep); }),
+                outcome([&] {
+                  return testsupport::reference_projection(
+                      common::json::parse(text), keep);
+                }));
+    }
+  }
 }
 
 // --------------------------------------------------------------------------
@@ -501,6 +629,15 @@ TEST(ServeTest, HandleQueryWrapsResultsAndErrors) {
   EXPECT_EQ(err.find(R"({"ok":false,"error":)"), 0u) << err;
   const std::string garbage = handle_query(view, "not json at all", 1);
   EXPECT_EQ(garbage.find(R"({"ok":false)"), 0u) << garbage;
+  // A NaN bound and an out-of-range limit are error lines, not answers.
+  const std::string nan_bound = handle_query(
+      view, R"({"where":{"worst_pct":{"min":NaN}},"agg":{"op":"count"}})", 1);
+  EXPECT_EQ(nan_bound.find(R"({"ok":false,"error":)"), 0u) << nan_bound;
+  EXPECT_NE(nan_bound.find("worst_pct"), std::string::npos) << nan_bound;
+  const std::string huge_limit =
+      handle_query(view, R"({"limit":1e300})", 1);
+  EXPECT_EQ(huge_limit.find(R"({"ok":false,"error":)"), 0u) << huge_limit;
+  EXPECT_NE(huge_limit.find("limit"), std::string::npos) << huge_limit;
   remove_store(path);
 }
 

@@ -6,7 +6,7 @@
 #
 # Presets (CMakePresets.json):
 #   default           RelWithDebInfo, full ctest suite
-#   sanitize          ASan build, `ctest -L determinism` slice
+#   sanitize          ASan + UBSan build, full ctest suite
 #   tsan-determinism  TSan build, determinism slice via its test preset
 #                     (bit-identity across thread counts must hold data-race
 #                     clean — the work pool's core contract)
@@ -143,7 +143,7 @@ fi
 
 run cmake --preset sanitize
 run cmake --build --preset sanitize -j "$JOBS"
-run ctest --test-dir build-asan -L determinism -j "$JOBS" --output-on-failure
+run ctest --test-dir build-asan -j "$JOBS" --output-on-failure
 
 run cmake --preset tsan-determinism
 run cmake --build --preset tsan-determinism -j "$JOBS"

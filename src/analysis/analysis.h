@@ -182,7 +182,10 @@ std::unique_ptr<Analysis> make_altivc_analysis();       // altivc_analysis.cpp
 /// \throws std::invalid_argument when any name is already present
 void register_builtin_analyses(AnalysisRegistry& r);
 
-/// %g-formatted double for stable, compact fingerprints ("330", "0.05").
+/// Compact, exact text of \p v for keys, fingerprints and metric names:
+/// the "%g" bytes ("330", "0.05") when they read back as \p v, else the
+/// shortest round-trip form rows print (json::format_number), so two values
+/// never share a key.
 std::string fmt_g(double v);
 
 /// Shared-knob prefix every fingerprint starts with: "sp<N>,seed<S>".

@@ -1,6 +1,6 @@
 #include "analysis/context.h"
 
-#include <cstdio>
+#include <charconv>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -13,43 +13,62 @@
 
 namespace nbtisim::analysis {
 
+namespace {
+
+/// Reads all of \p text as a decimal integer into \p out; false when it is
+/// not one (a '+', space, fraction or trailing character) or overflows
+/// \p out. Every caller's lower bound rejects a '-'.
+template <typename T>
+bool read_integer(std::string_view text, T& out) {
+  const char* const last = text.data() + text.size();
+  const auto [end, ec] = std::from_chars(text.data(), last, out);
+  return ec == std::errc() && end == last;
+}
+
+/// "dag:8x40@3" -> "dag_8x40_3".
+std::string generator_name(std::string name) {
+  for (char& c : name) {
+    if (c == ':' || c == '@') c = '_';
+  }
+  return name;
+}
+
+}  // namespace
+
 netlist::Netlist load_netlist_spec(const std::string& spec, bool cut_dffs) {
   if (spec.starts_with("dag:")) {
+    const std::string_view body = std::string_view(spec).substr(4);
+    const std::size_t x = body.find('x');
+    const std::size_t at = body.find('@', x);  // npos when x is
     int n_inputs = 0, n_gates = 0;
-    long long seed = 0;
-    if (std::sscanf(spec.c_str(), "dag:%dx%d@%lld", &n_inputs, &n_gates,
-                    &seed) != 3 ||
-        n_inputs < 2 || n_gates < 1 || seed < 0) {
+    std::uint64_t seed = 0;
+    if (at == std::string_view::npos ||
+        !read_integer(body.substr(0, x), n_inputs) ||
+        !read_integer(body.substr(x + 1, at - x - 1), n_gates) ||
+        !read_integer(body.substr(at + 1), seed) || n_inputs < 2 ||
+        n_gates < 1) {
       throw std::invalid_argument(
           "campaign: bad generator spec \"" + spec +
           "\" (expected dag:<inputs>x<gates>@<seed>)");
     }
-    std::string name = spec;
-    for (char& c : name) {
-      if (c == ':' || c == '@') c = '_';
-    }
     return netlist::make_random_dag(
-        name, {.n_inputs = n_inputs, .n_outputs = std::max(2, n_inputs / 2),
-               .n_gates = n_gates, .seed = static_cast<std::uint64_t>(seed),
-               .locality = 0.75});
+        generator_name(spec),
+        {.n_inputs = n_inputs, .n_outputs = std::max(2, n_inputs / 2),
+         .n_gates = n_gates, .seed = seed, .locality = 0.75});
   }
   if (spec.starts_with("mult:") || spec.starts_with("alu:")) {
     const bool is_mult = spec.starts_with("mult:");
     int width = 0;
-    if (std::sscanf(spec.c_str(), is_mult ? "mult:%d" : "alu:%d", &width) !=
-            1 ||
+    if (!read_integer(std::string_view(spec).substr(spec.find(':') + 1),
+                     width) ||
         width < 2) {
       throw std::invalid_argument("campaign: bad generator spec \"" + spec +
                                   "\" (expected " +
                                   (is_mult ? "mult:<bits>" : "alu:<width>") +
                                   " with size >= 2)");
     }
-    std::string name = spec;
-    for (char& c : name) {
-      if (c == ':' || c == '@') c = '_';
-    }
-    return is_mult ? netlist::make_multiplier(name, width)
-                   : netlist::make_alu(name, width);
+    return is_mult ? netlist::make_multiplier(generator_name(spec), width)
+                   : netlist::make_alu(generator_name(spec), width);
   }
   if (spec.ends_with(".v")) return netlist::load_verilog(spec);
   if (spec.find('/') != std::string::npos || spec.ends_with(".bench")) {
@@ -113,11 +132,9 @@ const aging::AgingAnalyzer& ContextPool::analyzer_for(
 
 const leakage::LeakageAnalyzer& ContextPool::leakage_for(
     const std::string& nl_spec, const Condition& cond) {
-  char key[64];
-  std::snprintf(key, sizeof key, "|%g", cond.t_standby);
   const netlist::Netlist& nl = netlist_for(nl_spec);
   return fill_slot<leakage::LeakageAnalyzer>(
-      mutex_, leakages_, nl_spec + key, [&] {
+      mutex_, leakages_, nl_spec + "|" + fmt_g(cond.t_standby), [&] {
         return std::make_shared<leakage::LeakageAnalyzer>(nl, lib_,
                                                           cond.t_standby);
       });

@@ -1,14 +1,21 @@
 #include "analysis/analysis.h"
 
-#include <cstdio>
+#include <charconv>
 #include <stdexcept>
 
 namespace nbtisim::analysis {
 
 std::string fmt_g(double v) {
+  // to_chars at precision 6 writes the C-locale bytes of "%g".
   char buf[32];
-  std::snprintf(buf, sizeof buf, "%g", v);
-  return buf;
+  char* const end =
+      std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general, 6)
+          .ptr;
+  double back = 0.0;
+  if (std::from_chars(buf, end, back).ec == std::errc() && back == v) {
+    return std::string(buf, end);
+  }
+  return common::json::format_number(v);
 }
 
 std::string base_fingerprint(const Params& p) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <ostream>
 #include <unordered_map>
 #include <unordered_set>
@@ -36,10 +35,8 @@ Value execute_task(const CampaignSpec& spec, const Task& task,
   row.set("campaign", spec.name);
   row.set("netlist", ctx.netlist().name());
   row.set("netlist_spec", task.netlist);
-  char ras[32];
-  std::snprintf(ras, sizeof ras, "%g:%g", task.condition.ras_active,
-                task.condition.ras_standby);
-  row.set("ras", std::string(ras));
+  row.set("ras", analysis::fmt_g(task.condition.ras_active) + ":" +
+                     analysis::fmt_g(task.condition.ras_standby));
   row.set("t_active", task.condition.t_active);
   row.set("t_standby", task.condition.t_standby);
   row.set("years", task.condition.years);

@@ -1,10 +1,12 @@
 #include "campaign/spec.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -156,8 +158,15 @@ Condition condition_from_json(const Value& doc) {
         throw std::invalid_argument(
             "campaign: condition \"ras\" expects \"A:S\"");
       }
-      c.ras_active = std::strtod(v.substr(0, colon).c_str(), nullptr);
-      c.ras_standby = std::strtod(v.substr(colon + 1).c_str(), nullptr);
+      // All of each part, or NaN: "1x:9" is not 1:9.
+      auto part = [](std::string_view text) {
+        double d = 0.0;
+        const char* const last = text.data() + text.size();
+        const auto [end, ec] = std::from_chars(text.data(), last, d);
+        return ec == std::errc() && end == last ? d : std::nan("");
+      };
+      c.ras_active = part(std::string_view(v).substr(0, colon));
+      c.ras_standby = part(std::string_view(v).substr(colon + 1));
       if (!std::isfinite(c.ras_active) || !std::isfinite(c.ras_standby) ||
           c.ras_active <= 0.0 || c.ras_standby < 0.0) {
         throw std::invalid_argument("campaign: bad \"ras\" value " + v);
@@ -257,6 +266,26 @@ CampaignSpec spec_from_json(const common::json::Value& doc) {
     throw std::invalid_argument(
         "campaign: netlists, conditions and analyses must all be non-empty");
   }
+  // A repeated entry repeats its tasks' hashes, which the store rejects
+  // only after the whole grid has run. Conditions compare by label.
+  auto reject_repeats = [](const char* axis,
+                           const std::vector<std::string>& keys) {
+    for (std::size_t j = 1; j < keys.size(); ++j) {
+      for (std::size_t i = 0; i < j; ++i) {
+        if (keys[i] == keys[j]) {
+          throw std::invalid_argument(
+              std::string("campaign: \"") + axis + "\" entry " +
+              std::to_string(j) + " repeats entry " + std::to_string(i) +
+              " (" + keys[j] + ")");
+        }
+      }
+    }
+  };
+  std::vector<std::string> labels;
+  for (const Condition& c : spec.conditions) labels.push_back(c.label());
+  reject_repeats("netlists", spec.netlists);
+  reject_repeats("conditions", labels);
+  reject_repeats("analyses", spec.analyses);
   return spec;
 }
 
@@ -317,8 +346,12 @@ CampaignSpec spec_from_args(const std::string& verb,
   return spec;
 }
 
-CampaignSpec load_spec(const std::string& path) {
-  return spec_from_json(common::json::load_file(path));
+CampaignSpec load_spec(const std::string& path,
+                       const std::optional<std::string>& threads) {
+  Value doc = common::json::load_file(path);
+  // --threads is the spec key n_threads, read as a verb reads it.
+  if (threads.has_value()) doc.set("n_threads", flag_value(*threads));
+  return spec_from_json(doc);
 }
 
 std::string fnv1a_hex(std::string_view s) {

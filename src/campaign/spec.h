@@ -37,6 +37,7 @@
 /// and a stale row can never be mistaken for a current result.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -88,7 +89,9 @@ struct Task {
 /// in range, and "standby" one of "", stressed, relaxed, zeros, ones, mlv.
 /// \throws std::runtime_error / std::invalid_argument on schema violations,
 ///         naming the offending key — unknown keys included, at the top
-///         level, in a condition and in "params"
+///         level, in a condition and in "params" — and on a repeated
+///         netlist, condition (by label) or analysis, naming the axis and
+///         both indices
 CampaignSpec spec_from_json(const common::json::Value& doc);
 
 /// The one-cell spec the CLI command `nbtisim <verb> <circuit> FLAGS…`
@@ -108,9 +111,13 @@ CampaignSpec spec_from_args(const std::string& verb,
                             const std::string& circuit,
                             const std::vector<std::string>& flags);
 
-/// Loads and parses a spec file.
-/// \throws std::runtime_error when the file cannot be read or parsed
-CampaignSpec load_spec(const std::string& path);
+/// Loads and parses a spec file. \p threads, when given, is the value of
+/// a `campaign --threads` flag: it replaces "n_threads" as a verb's
+/// --threads does, and spec_from_json validates it.
+/// \throws std::runtime_error when the file cannot be read or parsed, and
+///         whatever spec_from_json throws
+CampaignSpec load_spec(const std::string& path,
+                       const std::optional<std::string>& threads = {});
 
 /// Expands the full netlist × condition × analysis grid, hashes assigned.
 /// \throws std::invalid_argument when any grid axis is empty or an analysis

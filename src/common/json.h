@@ -133,8 +133,8 @@ std::string dump(const Value& v, int indent = -1,
                  NonFinite nf = NonFinite::Literal);
 
 /// Formats one double exactly as dump() would (shortest round-trip form;
-/// non-finite per \p nf) — shared with hand-rolled writers like the bench
-/// JSON emitters.
+/// non-finite per \p nf) — for numbers printed outside a document, such
+/// as spec error messages and analysis::fmt_g's exact keys.
 std::string format_number(double d, NonFinite nf = NonFinite::Literal);
 
 /// Reads and parses a JSON file.

@@ -13,7 +13,7 @@
 ///  - threads are created once (lazily, up to the largest participant count
 ///    ever requested) instead of per parallel_for call — the ~100 us x k
 ///    spawn/join cost per call was eating the parallelism of the campaign
-///    scheduler and the MC/search layers (BENCH_campaign.json: 0.85x);
+///    scheduler and the MC/search layers (a 0.85x campaign "speedup");
 ///  - concurrent loops — two campaigns, or a campaign plus an interactive
 ///    analysis — interleave on the same workers instead of multiplying
 ///    thread counts;

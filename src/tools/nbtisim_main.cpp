@@ -20,11 +20,14 @@
 /// (c432, c880, ...), a .bench or structural .v path, "dag:<inputs>x
 /// <gates>@<seed>", "mult:<bits>" or "alu:<width>".
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -236,7 +239,7 @@ int cmd_campaign(int argc, char** argv) {
   std::string csv_path;
   std::string format = "md";
   std::string query_text;
-  int threads_override = -1;
+  std::optional<std::string> threads;
   int port = -1;
   int max_connections = 0;
   for (int i = 4; i < argc; ++i) {
@@ -244,6 +247,17 @@ int cmd_campaign(int argc, char** argv) {
     auto value = [&]() -> std::string {
       if (i + 1 >= argc) usage(("missing value for " + arg).c_str());
       return argv[++i];
+    };
+    // All of the value as a decimal integer in [0, hi].
+    auto count = [&](int hi) {
+      const std::string text = value();
+      const char* const last = text.data() + text.size();
+      int n = -1;
+      const auto [end, ec] = std::from_chars(text.data(), last, n);
+      if (ec != std::errc() || end != last || n < 0 || n > hi) {
+        usage(("bad " + arg).c_str());
+      }
+      return n;
     };
     if (arg == "--out") {
       store_path = value();
@@ -257,8 +271,7 @@ int cmd_campaign(int argc, char** argv) {
                                 : "--format expects md|csv");
       }
     } else if (arg == "--threads") {
-      threads_override = std::atoi(value().c_str());
-      if (threads_override < 0) usage("bad --threads");
+      threads = value();
     } else if (arg == "--query" && action == "query") {
       query_text = value();
     } else if (arg == "--query-file" && action == "query") {
@@ -269,18 +282,15 @@ int cmd_campaign(int argc, char** argv) {
       ss << f.rdbuf();
       query_text = ss.str();
     } else if (arg == "--port" && action == "serve") {
-      port = std::atoi(value().c_str());
-      if (port < 0 || port > 65535) usage("bad --port");
+      port = count(65535);
     } else if (arg == "--max-connections" && action == "serve") {
-      max_connections = std::atoi(value().c_str());
-      if (max_connections < 0) usage("bad --max-connections");
+      max_connections = count(std::numeric_limits<int>::max());
     } else {
       usage(("unknown option " + arg).c_str());
     }
   }
 
-  campaign::CampaignSpec spec = campaign::load_spec(spec_path);
-  if (threads_override >= 0) spec.n_threads = threads_override;
+  const campaign::CampaignSpec spec = campaign::load_spec(spec_path, threads);
 
   if (action == "query") {
     // "{}" — match everything, default columns — when no query was given.
@@ -330,8 +340,8 @@ int cmd_campaign(int argc, char** argv) {
   if (action == "summarize") {
     campaign::SummaryStats stats;
     const report::Table t = campaign::summarize(spec, store_path, &stats);
-    // CSV to stdout pipes straight into plotting scripts next to the
-    // BENCH_*.json files; markdown stays the human default.
+    // CSV to stdout pipes straight into plotting scripts; markdown stays
+    // the human default.
     std::fputs((format == "csv" ? report::to_csv(t) : report::to_markdown(t))
                    .c_str(),
                stdout);

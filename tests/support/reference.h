@@ -593,6 +593,15 @@ inline std::string reference_format_number(double d) {
   return buf;
 }
 
+/// analysis::fmt_g by its definition: the "%g" bytes when strtod reads
+/// them back as \p d, else the text rows print.
+inline std::string reference_fmt_g(double d) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%g", d);
+  return std::strtod(buf, nullptr) == d ? std::string(buf)
+                                        : reference_format_number(d);
+}
+
 /// The double strtod reads from a JSON number token.
 inline double reference_parse_number(std::string_view token) {
   const std::string copy(token);

@@ -427,5 +427,41 @@ TEST(AnalysisCampaignTest, StaleRowsAreCountedNotSilentlyDropped) {
   EXPECT_EQ(sum.stale, 1);
 }
 
+// Conditions that agree to six digits are two tasks: a 400 K run on a store
+// that holds the 399.9996 K row executes its task and counts that row
+// stale, instead of skipping as if 400 K were stored.
+TEST(AnalysisCampaignTest, ConditionsEqualToSixDigitsAreDistinctTasks) {
+  auto spec_at = [](const std::string& t_standby) {
+    return campaign::spec_from_json(common::json::parse(
+        R"({"netlists": ["dag:8x40@3"], "analyses": ["aging"],
+            "params": {"sp_vectors": 256}, "n_threads": 1,
+            "conditions": [{"t_standby": )" +
+        t_standby + "}]}"));
+  };
+  const std::string path = temp_path("six_digits.jsonl");
+  ASSERT_EQ(campaign::run_campaign(spec_at("399.9996"), path).executed, 1);
+  const campaign::RunStats stats = campaign::run_campaign(spec_at("400"), path);
+  EXPECT_EQ(stats.skipped, 0);
+  EXPECT_EQ(stats.executed, 1);
+  EXPECT_EQ(stats.stale, 1);
+}
+
+// Two derate horizons that agree to six digits are two metrics.
+TEST(AnalysisCampaignTest, DerateYearsEqualToSixDigitsAreDistinctMetrics) {
+  Params p;
+  p.sp_vectors = 256;
+  p.derate_years = {1.0, 1.0000001};
+  ContextPool pool(p);
+  EvalContext ctx = pool.context("dag:8x40@3", Condition{});
+  std::vector<std::string> names;
+  const Analysis& derate = AnalysisRegistry::global().at("derate");
+  for (const auto& [name, _] : derate.run(ctx, p)) names.push_back(name);
+  EXPECT_NE(std::find(names.begin(), names.end(), "worst_y1"), names.end());
+  EXPECT_NE(std::find(names.begin(), names.end(), "worst_y1.0000001"),
+            names.end());
+  std::sort(names.begin(), names.end());
+  EXPECT_EQ(std::adjacent_find(names.begin(), names.end()), names.end());
+}
+
 }  // namespace
 }  // namespace nbtisim::analysis

@@ -110,8 +110,44 @@ TEST(CampaignSpecTest, RejectsBadSpecs) {
   EXPECT_THROW(
       spec_from_json(parse(
           R"({"netlists": ["c432"], "analyses": ["aging"],
+              "conditions": [{"ras": "1:9abc"}]})")),
+      std::invalid_argument);  // ras parts are read whole (strtod took 1:9)
+  EXPECT_THROW(
+      spec_from_json(parse(
+          R"({"netlists": ["c432"], "analyses": ["aging"],
               "params": {"sp_vectors": 1}})")),
       std::invalid_argument);  // out-of-range param
+  // A repeated grid entry used to run every task, then fail on the
+  // duplicate row hash and leave no store. The error names the axis and
+  // both indices; conditions compare by their exact label.
+  for (const auto& [spec, message] :
+       std::vector<std::pair<std::string, std::string>>{
+           {R"({"netlists": ["c432", "c880", "c432"], "analyses": ["aging"]})",
+            R"("netlists" entry 2 repeats entry 0 (c432))"},
+           {R"({"netlists": ["c432"], "analyses": ["aging", "aging"]})",
+            R"("analyses" entry 1 repeats entry 0 (aging))"},
+           {R"({"netlists": ["c432"], "analyses": ["aging"],
+                "conditions": [{"t_standby": 400}, {"t_standby": 400.0}]})",
+            R"("conditions" entry 1 repeats entry 0 (ras1:9,ta400,ts400,y10))"},
+           {R"({"netlists": ["c432"], "analyses": ["aging"],
+                "conditions": [{}, {"ras": "1:9", "t_standby": 330}]})",
+            R"("conditions" entry 1 repeats entry 0)"}}) {
+    SCOPED_TRACE(spec);
+    try {
+      spec_from_json(parse(spec));
+      ADD_FAILURE() << "no throw";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(message), std::string::npos)
+          << e.what();
+    }
+  }
+  // Conditions that agree to six digits are distinct entries.
+  const CampaignSpec near = spec_from_json(parse(
+      R"({"netlists": ["c432"], "analyses": ["aging"],
+          "conditions": [{"t_standby": 399.9996}, {"t_standby": 400}]})"));
+  const std::vector<Task> grid = expand(near);
+  ASSERT_EQ(grid.size(), 2u);
+  EXPECT_NE(grid[0].hash, grid[1].hash);
 }
 
 // The JSON layer reads NaN/Infinity; a NaN t_standby used to get past the
@@ -305,6 +341,20 @@ TEST(CampaignSpecTest, CliRejectsFlagsTheVerbDoesNotRead) {
                std::invalid_argument);
 }
 
+// `campaign --threads` is the spec key n_threads, checked by the validator
+// a verb's --threads goes through: atoi used to read "abc" and "" as 0
+// (hardware concurrency), "2x" as 2 and "1.5" as 1.
+TEST(CampaignSpecTest, CampaignThreadsFlagIsValidatedAsNThreads) {
+  const std::string path =
+      std::string(NBTISIM_EXAMPLES_DIR) + "/campaign_smoke.json";
+  EXPECT_EQ(load_spec(path, "3").n_threads, 3);
+  EXPECT_EQ(load_spec(path, "0").n_threads, 0);
+  for (const char* bad : {"abc", "", "2x", "1.5", "-1", "1e10", "nan"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_THROW(load_spec(path, bad), std::invalid_argument);
+  }
+}
+
 TEST(CampaignSpecTest, ExpandBuildsTheFullGridWithStableHashes) {
   const CampaignSpec spec = tiny_spec();
   const std::vector<Task> grid = expand(spec);
@@ -336,6 +386,22 @@ TEST(CampaignSpecTest, NetlistSpecForms) {
   EXPECT_EQ(dag.name(), "dag_8x40_3");
   EXPECT_THROW(load_campaign_netlist("dag:8x40", false),
                std::invalid_argument);
+  EXPECT_EQ(load_campaign_netlist("dag:64x12000@1", false).name(),
+            "dag_64x12000_1");
+  EXPECT_EQ(load_campaign_netlist("mult:4", false).name(), "mult_4");
+  EXPECT_EQ(load_campaign_netlist("alu:4", false).name(), "alu_4");
+  // Every number is read whole, as digits only: a trailing character, a
+  // sign, a fraction or an int overflow (which ran a 4-input DAG for
+  // 4294967300 inputs) is an error, not a different netlist.
+  for (const char* bad :
+       {"dag:4x10@1x", "dag:+4x10@1", "dag:4x10@-1", "dag: 4x10@1",
+        "dag:4x10@", "dag:4x@1", "dag:4@1x10", "dag:4294967300x10@1",
+        "dag:4x4294967297@1", "dag:4x10@18446744073709551616", "mult:8abc",
+        "mult:4294967304", "mult:", "mult:-8", "alu:4.9", "alu:+4",
+        "alu:1"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_THROW(load_campaign_netlist(bad, false), std::invalid_argument);
+  }
   EXPECT_THROW(load_campaign_netlist("/no/such/file.bench", false),
                std::runtime_error);
 }

@@ -25,6 +25,7 @@
 #include <gtest/gtest.h>
 
 #include "aging/aging.h"
+#include "analysis/analysis.h"
 #include "common/json.h"
 #include "common/pool.h"
 #include "common/rng.h"
@@ -706,6 +707,39 @@ TEST(DifferentialTest, JsonNumbersMatchSnprintfAndStrtod) {
     }
     token += 'e' + std::to_string(static_cast<int>(rng() % 700) - 350);
     read_matches(token);
+  }
+  EXPECT_EQ(failures, 0);
+}
+
+// Task keys, fingerprints and derate/failure metric names are fmt_g text.
+// Every value whose "%g" form reads back keeps those bytes, so the hashes
+// of stored rows stay valid; every other value prints in full.
+TEST(DifferentialTest, FmtGMatchesPercentGWhereItRoundTrips) {
+  int failures = 0;
+  const auto check = [&](double d) {
+    const std::string got = analysis::fmt_g(d);
+    const std::string want = testsupport::reference_fmt_g(d);
+    if (got != want && ++failures <= 5) {
+      ADD_FAILURE() << "bits " << std::bit_cast<std::uint64_t>(d) << " print "
+                    << got << ", reference " << want;
+    }
+  };
+  std::uint64_t state = 20261018;
+  for (int i = 0; i < 100'000; ++i) {
+    state = common::splitmix64(state);
+    check(std::bit_cast<double>(state));
+  }
+  // Knob-like values: up to 8 significant digits, times 1e-40 to 1e23.
+  for (int i = 0; i < 100'000; ++i) {
+    state = common::splitmix64(state);
+    check(static_cast<double>(state % 100'000'000) *
+          std::pow(10.0, static_cast<double>(state >> 58) - 40.0));
+  }
+  for (double d : {0.0, -0.0, 330.0, 399.9996, 0.05, 1e6, 1.0000001,
+                   std::numeric_limits<double>::infinity(),
+                   std::numeric_limits<double>::quiet_NaN()}) {
+    check(d);
+    check(-d);
   }
   EXPECT_EQ(failures, 0);
 }

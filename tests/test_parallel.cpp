@@ -382,15 +382,39 @@ TEST_F(AgingParallelTest, GateDvthBitIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST_F(AgingParallelTest, DegradationSeriesMatchesAnalyzePerPoint) {
-  // The cached-descriptor fast path must agree with point-by-point analyze().
-  const common::ThreadBudget budget(8);
-  const aging::AgingAnalyzer an(c432_, lib_, cond());
+// The cached-descriptor series at budgets 1, 2 and 8 is bitwise the serial
+// uncached rebuild — worst_per_gate(build_stress(...)) and one STA at every
+// point — and point-by-point analyze().
+TEST_F(AgingParallelTest, DegradationSeriesBitIdenticalToPerPointRebuild) {
   const auto policy = aging::StandbyPolicy::all_stressed();
-  const auto series = an.degradation_series(policy, 1e6, 3e8, 5);
-  ASSERT_EQ(series.size(), 5u);
-  for (const auto& [t, pct] : series) {
-    EXPECT_DOUBLE_EQ(pct, an.analyze(policy, t).percent()) << t;
+  constexpr int kPoints = 64;
+  constexpr double kMin = 1e6, kMax = 3e8;
+  std::vector<std::pair<double, double>> ref(kPoints);
+  {
+    const common::ThreadBudget one(1);
+    const aging::AgingAnalyzer an(c432_, lib_, cond());
+    const double log_step = std::log(kMax / kMin) / (kPoints - 1);
+    for (int i = 0; i < kPoints; ++i) {
+      const double t = kMin * std::exp(log_step * i);
+      aging::DegradationReport rep;
+      rep.gate_dvth = an.worst_per_gate(
+          an.build_stress(policy, tech::Channel::Pmos), t);
+      rep.fresh_delay = an.fresh_critical_delay();
+      rep.aged_delay =
+          an.sta().analyze(an.aged_gate_delays(rep.gate_dvth)).max_delay;
+      ref[i] = {t, rep.percent()};
+    }
+  }
+  for (int n_threads : {1, 2, 8}) {
+    const common::ThreadBudget budget(n_threads);
+    // A fresh analyzer: the series pays its one cached build at this budget.
+    const aging::AgingAnalyzer an(c432_, lib_, cond());
+    EXPECT_EQ(an.degradation_series(policy, kMin, kMax, kPoints), ref)
+        << n_threads;
+    for (const auto& [t, pct] : ref) {
+      EXPECT_EQ(an.analyze(policy, t).percent(), pct)
+          << n_threads << " threads, t = " << t;
+    }
   }
 }
 

@@ -76,18 +76,6 @@ for golden in tools/golden/cli/*.txt; do
 done
 echo "check.sh: CLI verbs match tools/golden/cli/"
 
-# Aging bench schema smoke: write BENCH_aging.json (timings and all — the
-# numbers vary per machine, the key set must not) and diff its sorted JSON
-# key set against the expected list.  Catches silently dropped or renamed
-# bench cases/fields — e.g. the SoA kernel section going missing — without
-# pinning machine-dependent timings.
-BENCH_BIN="$PWD/build/bench/bench_perf_micro"
-(cd "$QSMOKE_DIR" && run "$BENCH_BIN" --aging-json-only)
-grep -o '"[A-Za-z_0-9]*":' "$QSMOKE_DIR/BENCH_aging.json" | sort -u \
-  > "$QSMOKE_DIR/bench_aging_keys.txt"
-run diff -u tools/golden/bench_aging_keys.txt "$QSMOKE_DIR/bench_aging_keys.txt"
-echo "check.sh: BENCH_aging.json key set matches tools/golden/bench_aging_keys.txt"
-
 # Performance trajectory: each line of BENCH_perfbench.jsonl is one
 # change's perfbench record (EXPERIMENTS.md "Standby vectors as a select"
 # shows one).  Per workload it holds the seed, the passes, the host

@@ -62,9 +62,10 @@ void ext_dual_vth(const tech::Library& lib) {
               "leak-sav%", "aging-low%", "aging-dual%");
   for (const char* name : {"c432", "c880", "c1908"}) {
     const netlist::Netlist nl = netlist::iscas85_like(name);
+    const aging::AgingAnalyzer an(nl, lib, conditions(330.0));
+    const leakage::LeakageAnalyzer leak(nl, lib, 330.0);
     const opt::DualVthResult r = opt::assign_dual_vth(
-        nl, lib, conditions(330.0),
-        {.high_vth_offset = 0.10, .delay_budget_percent = 2.0});
+        an, leak, {.high_vth_offset = 0.10, .delay_budget_percent = 2.0});
     std::printf("%-8s %8.1f %10.2f %12.1f %12.2f %12.2f\n", name,
                 100.0 * r.high_fraction(),
                 100.0 * (r.fresh_delay_dual / r.fresh_delay_low - 1.0),
@@ -101,8 +102,9 @@ void ext_inc_insertion(const tech::Library& lib) {
               "aging-b4%", "aging-aft%", "saving%", "t0-pen%");
   for (const char* name : {"c432", "c880"}) {
     const netlist::Netlist nl = netlist::iscas85_like(name);
-    const opt::IncInsertionResult r = opt::insert_control_points(
-        nl, lib, conditions(400.0), {.max_control_points = 30});
+    const aging::AgingAnalyzer an(nl, lib, conditions(400.0));
+    const opt::IncInsertionResult r =
+        opt::insert_control_points(an, {.max_control_points = 30});
     std::printf("%-8s %8zu %12.2f %12.2f %12.1f %10.2f\n", name,
                 r.controlled.size(), r.aging_before, r.aging_after,
                 r.aging_saving_percent(), r.time0_penalty_percent());

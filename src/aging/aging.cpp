@@ -96,19 +96,6 @@ AgingAnalyzer::AgingAnalyzer(const netlist::Netlist& nl,
     throw std::invalid_argument(
         "AgingAnalyzer: gate_vth_offsets size mismatch");
   }
-  if (!cond_.gate_delay_scale.empty()) {
-    if (static_cast<int>(cond_.gate_delay_scale.size()) != nl.num_gates()) {
-      throw std::invalid_argument(
-          "AgingAnalyzer: gate_delay_scale size mismatch");
-    }
-    for (int gi = 0; gi < nl.num_gates(); ++gi) {
-      if (cond_.gate_delay_scale[gi] < 1.0) {
-        throw std::invalid_argument(
-            "AgingAnalyzer: gate delay scale below 1");
-      }
-      fresh_delays_[gi] *= cond_.gate_delay_scale[gi];
-    }
-  }
   fresh_critical_delay_ = sta_.analyze(fresh_delays_).max_delay;
 }
 
@@ -314,14 +301,8 @@ std::vector<double> AgingAnalyzer::aged_gate_delays(
     throw std::invalid_argument("aged_gate_delays: dvth size mismatch");
   }
   if (!cond_.taylor_delay) {
-    std::vector<double> delays = sta_.gate_delays(cond_.sta_temperature, dvth,
-                                                  cond_.gate_vth_offsets);
-    if (!cond_.gate_delay_scale.empty()) {
-      for (int gi = 0; gi < nl_->num_gates(); ++gi) {
-        delays[gi] *= cond_.gate_delay_scale[gi];
-      }
-    }
-    return delays;
+    return sta_.gate_delays(cond_.sta_temperature, dvth,
+                            cond_.gate_vth_offsets);
   }
   std::vector<double> delays(fresh_delays_);
   for (int gi = 0; gi < nl_->num_gates(); ++gi) {

@@ -84,9 +84,6 @@ struct AgingConditions {
   /// every transistor of the gate, slowing it, cutting its leakage AND its
   /// NBTI rate (paper Section 4.1 "Vth dependence"). Empty = all nominal.
   std::vector<double> gate_vth_offsets;
-  /// Optional per-gate delay multipliers (>= 1), e.g. the series-sleep-
-  /// device penalty of a control-point-modified driver. Empty = all 1.
-  std::vector<double> gate_delay_scale;
 };
 
 /// Aged/fresh delay ratio of gate \p gi under the first-order delay law of
@@ -182,8 +179,8 @@ class AgingAnalyzer {
     return stress_builds_.load(std::memory_order_relaxed);
   }
 
-  /// Fresh critical delay [s] (gate_delay_scale applied) — precomputed once
-  /// at construction; what analyze() reports as fresh_delay.
+  /// Fresh critical delay [s] — precomputed once at construction; what
+  /// analyze() reports as fresh_delay.
   double fresh_critical_delay() const { return fresh_critical_delay_; }
 
   /// Aged critical delay [s] under \p policy at \p total_time: the

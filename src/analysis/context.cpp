@@ -125,8 +125,14 @@ const aging::AgingAnalyzer& ContextPool::analyzer_for(
   const std::string key = nl_spec + "|" + cond.label();
   const netlist::Netlist& nl = netlist_for(nl_spec);
   return fill_slot<aging::AgingAnalyzer>(mutex_, analyzers_, key, [&] {
-    return std::make_shared<aging::AgingAnalyzer>(
-        nl, lib_, context(nl_spec, cond).aging_conditions());
+    aging::AgingConditions c;
+    c.schedule = nbti::ModeSchedule::from_ras(cond.ras_active,
+                                              cond.ras_standby, 1000.0,
+                                              cond.t_active, cond.t_standby);
+    c.total_time = context(nl_spec, cond).horizon();
+    c.sp_vectors = params_.sp_vectors;
+    c.seed = params_.seed;
+    return std::make_shared<aging::AgingAnalyzer>(nl, lib_, std::move(c));
   });
 }
 
@@ -141,17 +147,6 @@ const leakage::LeakageAnalyzer& ContextPool::leakage_for(
 }
 
 double EvalContext::horizon() const { return cond_.years * kSecondsPerYear; }
-
-aging::AgingConditions EvalContext::aging_conditions() const {
-  aging::AgingConditions c;
-  c.schedule = nbti::ModeSchedule::from_ras(cond_.ras_active,
-                                            cond_.ras_standby, 1000.0,
-                                            cond_.t_active, cond_.t_standby);
-  c.total_time = horizon();
-  c.sp_vectors = params().sp_vectors;
-  c.seed = params().seed;
-  return c;
-}
 
 std::vector<bool> standby_vector(EvalContext& ctx, const std::string& standby) {
   const int n = ctx.netlist().num_inputs();

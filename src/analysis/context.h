@@ -96,14 +96,11 @@ class EvalContext {
 
   /// The aging analyzer for this cell (cached per netlist × condition):
   /// signal stats, STA engine and per-policy stress descriptors live here.
+  /// Built from the condition's schedule and horizon plus the shared
+  /// sp_vectors/seed knobs, at the analyzer's default delay model.
   const aging::AgingAnalyzer& aging() {
     return pool_->analyzer_for(spec_, cond_);
   }
-
-  /// The conditions aging() is built with: the condition's schedule and
-  /// horizon plus the shared sp_vectors/seed knobs. For techniques that
-  /// build their own analyzers (dual-Vth, control-point insertion).
-  aging::AgingConditions aging_conditions() const;
 
   /// Leakage analyzer at the condition's standby temperature (cached per
   /// netlist × T_standby).

@@ -21,10 +21,9 @@ class DualVthAnalysis final : public Analysis {
   }
 
   Metrics run(EvalContext& ctx, const Params&) const override {
-    const opt::DualVthResult r = opt::assign_dual_vth(
-        ctx.netlist(), ctx.library(), ctx.aging_conditions(),
-        {.delay_budget_percent = kDelayBudgetPercent,
-         .leakage_temperature = ctx.condition().t_standby});
+    const opt::DualVthResult r =
+        opt::assign_dual_vth(ctx.aging(), ctx.standby_leakage(),
+                             {.delay_budget_percent = kDelayBudgetPercent});
     return {{"n_high", static_cast<double>(r.n_high)},
             {"high_pct", 100.0 * r.high_fraction()},
             {"fresh_low_ns", to_ns(r.fresh_delay_low)},

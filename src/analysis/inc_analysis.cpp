@@ -22,8 +22,7 @@ class IncAnalysis final : public Analysis {
 
   Metrics run(EvalContext& ctx, const Params&) const override {
     const opt::IncInsertionResult r = opt::insert_control_points(
-        ctx.netlist(), ctx.library(), ctx.aging_conditions(),
-        {.max_control_points = kMaxControlPoints});
+        ctx.aging(), {.max_control_points = kMaxControlPoints});
     return {{"control_points", static_cast<double>(r.controlled.size())},
             {"aging_before_pct", r.aging_before},
             {"aging_after_pct", r.aging_after},

@@ -4,7 +4,6 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <limits>
 #include <optional>
 #include <stdexcept>
@@ -237,17 +236,15 @@ CampaignSpec parse_spec(const Value& doc) {
 }
 
 /// A CLI flag value as JSON: what it parses as (a number, boolean, array,
-/// or the literal NaN/Infinity), else a number when strtod takes all of it
-/// ("nan", "inf", "1e300"), else the string itself.
+/// or the literal NaN/Infinity), else the string itself — so a flag takes
+/// exactly the numbers a spec file takes, and "0x190", ".5" or "nan" reach
+/// the key's check as strings.
 Value flag_value(const std::string& text) {
   try {
     return common::json::parse(text);
   } catch (const std::runtime_error&) {
+    return Value(text);
   }
-  char* end = nullptr;
-  const double d = std::strtod(text.c_str(), &end);
-  if (!text.empty() && *end == '\0') return Value(d);
-  return Value(text);
 }
 
 }  // namespace

@@ -99,9 +99,10 @@ CampaignSpec spec_from_json(const common::json::Value& doc);
 /// --t-active, --t-standby and --years form the one condition, --threads
 /// is n_threads, --cut-dffs is cut_dffs, and every other flag is a
 /// "params" key. A value is whatever it parses as in JSON (a number, true,
-/// false, an array, NaN), else a number when strtod takes all of it ("nan",
-/// "inf"), else a string; a flag without a value is true. The document
-/// goes through spec_from_json, so the CLI has no validator of its own.
+/// false, an array, NaN), else a string ("1:9", "mlv", and also "0x190",
+/// "10." or "nan", which a numeric key then rejects); a flag without a
+/// value is true. The document goes through spec_from_json, so the CLI has
+/// no validator of its own.
 /// A \p verb outside the registry (the CLI's `info`) runs no analysis: its
 /// spec has no analyses and reads no params.
 /// \throws std::invalid_argument naming the flag and \p verb when a params

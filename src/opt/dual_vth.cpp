@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "sta/sta.h"
 
@@ -24,15 +25,22 @@ double delay_with_threshold(const sta::StaEngine& sta, double temp_k,
 
 }  // namespace
 
-DualVthResult assign_dual_vth(const netlist::Netlist& nl,
-                              const tech::Library& lib,
-                              const aging::AgingConditions& cond,
+DualVthResult assign_dual_vth(const aging::AgingAnalyzer& low,
+                              const leakage::LeakageAnalyzer& standby_leak,
                               const DualVthParams& params) {
-  if (params.high_vth_offset <= 0.0 || params.delay_budget_percent < 0.0) {
+  // Written so NaN fails too.
+  if (!(params.high_vth_offset > 0.0) ||
+      !(params.delay_budget_percent >= 0.0)) {
     throw std::invalid_argument("assign_dual_vth: bad parameters");
   }
-  const sta::StaEngine sta(nl, lib);
-  const double temp = cond.sta_temperature;
+  const sta::StaEngine& sta = low.sta();
+  const netlist::Netlist& nl = sta.netlist();
+  if (&nl != &standby_leak.netlist() ||
+      !low.conditions().gate_vth_offsets.empty()) {
+    throw std::invalid_argument(
+        "assign_dual_vth: needs all-low analyzers of one netlist");
+  }
+  const double temp = low.conditions().sta_temperature;
 
   // Baseline timing and per-gate slack (slack of a gate = slack of its
   // output net under the all-low-Vth delays).
@@ -85,21 +93,18 @@ DualVthResult assign_dual_vth(const netlist::Netlist& nl,
 
   // Leakage comparison at the standby temperature, all-zero inputs.
   const std::vector<bool> zeros(nl.num_inputs(), false);
-  const leakage::LeakageAnalyzer leak_low(nl, lib, params.leakage_temperature);
-  const leakage::LeakageAnalyzer leak_dual(nl, lib, params.leakage_temperature,
-                                           offsets);
-  r.leakage_low = leak_low.circuit_leakage(zeros);
+  const leakage::LeakageAnalyzer leak_dual(nl, sta.library(),
+                                           standby_leak.temperature(), offsets);
+  r.leakage_low = standby_leak.circuit_leakage(zeros);
   r.leakage_dual = leak_dual.circuit_leakage(zeros);
 
   // Aging comparison under the worst-case standby policy.
-  aging::AgingConditions cond_low = cond;
-  cond_low.gate_vth_offsets.clear();
-  aging::AgingConditions cond_dual = cond;
+  aging::AgingConditions cond_dual = low.conditions();
   cond_dual.gate_vth_offsets = offsets;
-  const aging::AgingAnalyzer aging_low(nl, lib, cond_low);
-  const aging::AgingAnalyzer aging_dual(nl, lib, cond_dual);
+  const aging::AgingAnalyzer aging_dual(nl, sta.library(),
+                                        std::move(cond_dual));
   r.aging_low_percent =
-      aging_low.analyze(aging::StandbyPolicy::all_stressed()).percent();
+      low.analyze(aging::StandbyPolicy::all_stressed()).percent();
   r.aging_dual_percent =
       aging_dual.analyze(aging::StandbyPolicy::all_stressed()).percent();
   return r;

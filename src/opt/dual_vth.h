@@ -26,8 +26,6 @@ namespace nbtisim::opt {
 struct DualVthParams {
   double high_vth_offset = 0.10;      ///< Vth increase of the high-Vth cell [V]
   double delay_budget_percent = 2.0;  ///< allowed fresh-delay increase [%]
-  double leakage_temperature = 330.0; ///< standby temperature for the
-                                      ///< leakage comparison [K]
 };
 
 /// Result of the assignment + evaluation.
@@ -63,12 +61,14 @@ struct DualVthResult {
 
 /// Runs the assignment and the before/after evaluation.
 ///
-/// \param cond aging conditions for the NBTI comparison (its
-///        gate_vth_offsets member is ignored and replaced)
-/// \throws std::invalid_argument for non-positive budgets or offsets
-DualVthResult assign_dual_vth(const netlist::Netlist& nl,
-                              const tech::Library& lib,
-                              const aging::AgingConditions& cond,
+/// \param low all-low-Vth aging; its STA engine times the assignment, and
+///        the dual-Vth analyzer is built with its conditions
+/// \param standby_leak all-low leakage at the standby temperature
+/// \throws std::invalid_argument for a negative budget or a non-positive
+///         offset (NaN included), or for \p low carrying offsets or bound
+///         to another netlist than \p standby_leak
+DualVthResult assign_dual_vth(const aging::AgingAnalyzer& low,
+                              const leakage::LeakageAnalyzer& standby_leak,
                               const DualVthParams& params = {});
 
 }  // namespace nbtisim::opt

@@ -8,29 +8,28 @@
 
 namespace nbtisim::opt {
 
-IncInsertionResult insert_control_points(const netlist::Netlist& nl,
-                                         const tech::Library& lib,
-                                         const aging::AgingConditions& cond,
+IncInsertionResult insert_control_points(const aging::AgingAnalyzer& analyzer,
                                          const IncInsertionParams& params) {
-  if (params.max_control_points < 1 || params.driver_delay_penalty < 0.0) {
+  // Written so NaN fails too.
+  if (params.max_control_points < 1 ||
+      !(params.driver_delay_penalty >= 0.0)) {
     throw std::invalid_argument("insert_control_points: bad parameters");
   }
+  const sta::StaEngine& sta = analyzer.sta();
+  const netlist::Netlist& nl = sta.netlist();
+  const aging::AgingConditions& cond = analyzer.conditions();
 
   // Baseline: aging under the all-zero standby vector, unmodified circuit.
-  aging::AgingConditions base_cond = cond;
-  base_cond.gate_delay_scale.clear();
-  const aging::AgingAnalyzer base(nl, lib, base_cond);
   const std::vector<bool> zeros(nl.num_inputs(), false);
   const aging::DegradationReport base_rep =
-      base.analyze(aging::StandbyPolicy::from_vector(zeros));
+      analyzer.analyze(aging::StandbyPolicy::from_vector(zeros));
 
   // Candidate ranking.
   const std::vector<bool> standby_values = sim::Simulator(nl).evaluate(zeros);
   const std::vector<double> fresh_delays =
-      base.sta().gate_delays(cond.sta_temperature);
-  const sta::TimingResult fresh_timing = base.sta().analyze(fresh_delays);
-  const std::vector<double> slack =
-      base.sta().slacks(fresh_timing, fresh_delays);
+      sta.gate_delays(cond.sta_temperature, {}, cond.gate_vth_offsets);
+  const sta::TimingResult fresh_timing = sta.analyze(fresh_delays);
+  const std::vector<double> slack = sta.slacks(fresh_timing, fresh_delays);
   const double horizon = std::max(fresh_timing.max_delay, 1e-30);
 
   struct Candidate {
@@ -63,23 +62,46 @@ IncInsertionResult insert_control_points(const netlist::Netlist& nl,
               return a.score > b.score;
             });
 
+  // One trial: the forced-vector select on the analyzer, then two STA
+  // passes over the delays scaled per modified driver: fresh × scale ×
+  // Taylor factor, or the exact aged delay × scale.
+  const tech::LibraryParams& lp = sta.library().params();
+  std::vector<double> arrival_scratch;
+  auto evaluate = [&](const aging::StandbyPolicy& policy,
+                      const std::vector<double>& scale) {
+    const std::vector<double> dvth = analyzer.gate_dvth(policy);
+    std::vector<double> fresh = fresh_delays;
+    std::vector<double> aged =
+        cond.taylor_delay ? fresh : analyzer.aged_gate_delays(dvth);
+    for (int gi = 0; gi < nl.num_gates(); ++gi) {
+      fresh[gi] *= scale[gi];
+      if (cond.taylor_delay) {
+        const double offset =
+            cond.gate_vth_offsets.empty() ? 0.0 : cond.gate_vth_offsets[gi];
+        aged[gi] = fresh[gi] * aging::taylor_delay_factor(lp, dvth[gi],
+                                                          offset, nl, gi);
+      } else {
+        aged[gi] *= scale[gi];
+      }
+    }
+    aging::DegradationReport rep;
+    rep.fresh_delay = sta.critical_delay(fresh, arrival_scratch);
+    rep.aged_delay = sta.critical_delay(aged, arrival_scratch);
+    return rep;
+  };
+
   // Greedy accept-if-improves pass: forcing a net to 1 also flips
   // downstream nets to 0 (an inverter after a forced net becomes MORE
   // stressed), so static ranking is not enough — each candidate must prove
   // itself against the actual degradation. The delay penalty is paid on the
-  // modified driver via gate_delay_scale.
-  IncInsertionResult result;
-  aging::AgingConditions mod_cond = cond;
-  mod_cond.gate_delay_scale.assign(nl.num_gates(), 1.0);
+  // modified driver.
+  IncInsertionResult result{.fresh_before = base_rep.fresh_delay,
+                            .fresh_after = base_rep.fresh_delay,
+                            .aging_before = base_rep.percent(),
+                            .aging_after = base_rep.percent()};
   aging::StandbyPolicy policy = aging::StandbyPolicy::from_vector(zeros);
+  std::vector<double> scale(nl.num_gates(), 1.0);
 
-  auto evaluate = [&](const aging::StandbyPolicy& pol,
-                      const aging::AgingConditions& c) {
-    const aging::AgingAnalyzer an(nl, lib, c);
-    return an.analyze(pol);
-  };
-
-  double current = base_rep.percent();
   const int pool = std::min<int>(static_cast<int>(candidates.size()),
                                  4 * params.max_control_points);
   for (int k = 0; k < pool; ++k) {
@@ -90,26 +112,18 @@ IncInsertionResult insert_control_points(const netlist::Netlist& nl,
     const netlist::NodeId n = candidates[k].node;
     aging::StandbyPolicy trial_policy = policy;
     trial_policy.forces.emplace_back(n, true);
-    aging::AgingConditions trial_cond = mod_cond;
+    std::vector<double> trial_scale = scale;
     const int driver = nl.driver_gate(n);
-    if (driver >= 0) {
-      trial_cond.gate_delay_scale[driver] = 1.0 + params.driver_delay_penalty;
-    }
-    const aging::DegradationReport rep = evaluate(trial_policy, trial_cond);
-    if (rep.percent() < current) {
-      current = rep.percent();
+    if (driver >= 0) trial_scale[driver] = 1.0 + params.driver_delay_penalty;
+    const aging::DegradationReport rep = evaluate(trial_policy, trial_scale);
+    if (rep.percent() < result.aging_after) {
+      result.fresh_after = rep.fresh_delay;
+      result.aging_after = rep.percent();
       policy = std::move(trial_policy);
-      mod_cond = std::move(trial_cond);
+      scale = std::move(trial_scale);
       result.controlled.push_back(n);
-      result.controlled_names.push_back(nl.node_name(n));
     }
   }
-
-  const aging::DegradationReport mod_rep = evaluate(policy, mod_cond);
-  result.fresh_before = base_rep.fresh_delay;
-  result.fresh_after = mod_rep.fresh_delay;
-  result.aging_before = base_rep.percent();
-  result.aging_after = mod_rep.percent();
   return result;
 }
 

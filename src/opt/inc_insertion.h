@@ -19,7 +19,6 @@
 /// driver).
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "aging/aging.h"
@@ -36,7 +35,6 @@ struct IncInsertionParams {
 /// Result: forced nets + before/after metrics on the SAME netlist.
 struct IncInsertionResult {
   std::vector<netlist::NodeId> controlled;  ///< controlled nets
-  std::vector<std::string> controlled_names;
   double fresh_before = 0.0;  ///< fresh critical delay, unmodified [s]
   double fresh_after = 0.0;   ///< fresh critical delay with driver penalties [s]
   double aging_before = 0.0;  ///< degradation, all-zero standby, unmodified [%]
@@ -54,12 +52,12 @@ struct IncInsertionResult {
   }
 };
 
-/// Selects control points in \p nl and evaluates the aging benefit under
-/// \p cond (standby reference vector: all primary inputs 0).
-/// \throws std::invalid_argument for bad parameters
-IncInsertionResult insert_control_points(const netlist::Netlist& nl,
-                                         const tech::Library& lib,
-                                         const aging::AgingConditions& cond,
+/// Selects control points in \p analyzer's netlist and evaluates the aging
+/// benefit under its conditions (standby reference vector: all primary
+/// inputs 0).  Each trial is a standby-vector select on \p analyzer plus
+/// two STA passes over its penalty-scaled delays.
+/// \throws std::invalid_argument for bad parameters (NaN included)
+IncInsertionResult insert_control_points(const aging::AgingAnalyzer& analyzer,
                                          const IncInsertionParams& params = {});
 
 }  // namespace nbtisim::opt

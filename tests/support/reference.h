@@ -4,9 +4,10 @@
 /// Each function here recomputes a result the slow, obvious way — one
 /// scalar device-model call per PMOS or NMOS per horizon, the literal S_n
 /// recursion, one stress context per device, full delay rebuild + full STA
-/// per sizing trial, a fresh analyze() per derate cell, a serial loop per
-/// electrothermal sweep, a nested bisection per stacked OFF device,
-/// snprintf and strtod for JSON number text — and serves as the oracle
+/// per sizing trial, a fresh analyzer per control-point trial, a fresh
+/// analyze() per derate cell, a serial loop per electrothermal sweep, a
+/// nested bisection per stacked OFF device, snprintf and strtod for JSON
+/// number text — and serves as the oracle
 /// that tests/test_differential.cpp property-tests the optimized engines
 /// against across random netlists, seeds, thread counts and horizons.
 /// Keep them boring: no caching, no incremental updates, no parallelism.
@@ -34,6 +35,7 @@
 #include "common/json.h"
 #include "nbti/ac_model.h"
 #include "nbti/device_aging.h"
+#include "opt/inc_insertion.h"
 #include "opt/sizing.h"
 #include "report/derate.h"
 #include "report/report.h"
@@ -276,6 +278,109 @@ inline opt::SizingResult reference_size_for_lifetime(
 
   r.aged_after = aged.max_delay;
   r.met = aged.max_delay <= r.spec;
+  return r;
+}
+
+/// Control-point insertion the pre-select way: every trial builds its own
+/// AgingAnalyzer (signal statistics, STA set-up and all) and evaluates the
+/// trial's forced-vector stress with worst_per_gate(build_stress(policy,
+/// Pmos)); the driver penalties scale that analyzer's fresh delays before
+/// the delay law applies (fresh × scale × Taylor factor, or the exact
+/// re-evaluated delay × scale), and the accepted state is re-evaluated at
+/// the end.  The oracle for opt::insert_control_points, which runs every
+/// trial on the one analyzer it is given.
+inline opt::IncInsertionResult reference_insert_control_points(
+    const netlist::Netlist& nl, const tech::Library& lib,
+    const aging::AgingConditions& cond,
+    const opt::IncInsertionParams& params) {
+  const tech::LibraryParams& lp = lib.params();
+  auto evaluate = [&](const aging::StandbyPolicy& policy,
+                      const std::vector<double>& scale) {
+    const aging::AgingAnalyzer an(nl, lib, cond);
+    const std::vector<double> dvth = an.worst_per_gate(
+        an.build_stress(policy, tech::Channel::Pmos), cond.total_time);
+    std::vector<double> fresh = an.sta().gate_delays(
+        cond.sta_temperature, {}, cond.gate_vth_offsets);
+    std::vector<double> aged =
+        cond.taylor_delay ? fresh
+                          : an.sta().gate_delays(cond.sta_temperature, dvth,
+                                                 cond.gate_vth_offsets);
+    for (int gi = 0; gi < nl.num_gates(); ++gi) {
+      fresh[gi] *= scale[gi];
+      if (cond.taylor_delay) {
+        const double offset =
+            cond.gate_vth_offsets.empty() ? 0.0 : cond.gate_vth_offsets[gi];
+        aged[gi] = fresh[gi] * (1.0 + lp.pmos.alpha * dvth[gi] /
+                                          (lp.vdd - lp.pmos.vth0 - offset));
+      } else {
+        aged[gi] *= scale[gi];
+      }
+    }
+    aging::DegradationReport rep;
+    rep.fresh_delay = an.sta().analyze(fresh).max_delay;
+    rep.aged_delay = an.sta().analyze(aged).max_delay;
+    return rep;
+  };
+
+  const std::vector<bool> zeros(nl.num_inputs(), false);
+  aging::StandbyPolicy policy = aging::StandbyPolicy::from_vector(zeros);
+  std::vector<double> scale(nl.num_gates(), 1.0);
+  const aging::DegradationReport base = evaluate(policy, scale);
+
+  // Candidates: nets at 0 under the all-zero vector, readers weighted by
+  // criticality, drivers without the slack for the penalty skipped.
+  const sta::StaEngine sta(nl, lib);
+  const std::vector<bool> standby = sim::Simulator(nl).evaluate(zeros);
+  const std::vector<double> fresh_delays =
+      sta.gate_delays(cond.sta_temperature, {}, cond.gate_vth_offsets);
+  const sta::TimingResult fresh_timing = sta.analyze(fresh_delays);
+  const std::vector<double> slack = sta.slacks(fresh_timing, fresh_delays);
+  const double horizon = std::max(fresh_timing.max_delay, 1e-30);
+  std::vector<std::pair<netlist::NodeId, double>> candidates;
+  for (netlist::NodeId n = 0; n < nl.num_nodes(); ++n) {
+    if (standby[n] || nl.fanout_gates(n).empty()) continue;
+    double benefit = 0.0;
+    for (int gi : nl.fanout_gates(n)) {
+      benefit += 1.0 / (1.0 + 50.0 * (slack[nl.gate(gi).output] / horizon));
+    }
+    const int driver = nl.driver_gate(n);
+    if (driver >= 0 &&
+        slack[n] < params.driver_delay_penalty * fresh_delays[driver]) {
+      continue;
+    }
+    candidates.emplace_back(n, benefit);
+  }
+  std::sort(candidates.begin(), candidates.end(),
+            [](const auto& a, const auto& b) { return a.second > b.second; });
+
+  opt::IncInsertionResult r;
+  double current = base.percent();
+  const int pool = std::min<int>(static_cast<int>(candidates.size()),
+                                 4 * params.max_control_points);
+  for (int k = 0; k < pool; ++k) {
+    if (static_cast<int>(r.controlled.size()) >= params.max_control_points) {
+      break;
+    }
+    const netlist::NodeId n = candidates[k].first;
+    aging::StandbyPolicy trial_policy = policy;
+    trial_policy.forces.emplace_back(n, true);
+    std::vector<double> trial_scale = scale;
+    const int driver = nl.driver_gate(n);
+    if (driver >= 0) trial_scale[driver] = 1.0 + params.driver_delay_penalty;
+    const double trial = evaluate(trial_policy, trial_scale).percent();
+    if (trial < current) {
+      current = trial;
+      policy = std::move(trial_policy);
+      scale = std::move(trial_scale);
+      r.controlled.push_back(n);
+    }
+  }
+
+  const aging::DegradationReport after = evaluate(policy, scale);
+  r.fresh_before = base.fresh_delay;
+  r.fresh_after = after.fresh_delay;
+  r.aging_before = base.percent();
+  r.aging_after = after.percent();
   return r;
 }
 

@@ -237,6 +237,22 @@ TEST(EvalContextTest, PoolCachesPerCellState) {
   EXPECT_NE(&c.standby_leakage(), &a.standby_leakage());  // per T_standby
 }
 
+// inc and dualvth read the cell's cached analyzer: every control-point
+// trial selects between its two bound stress sets, and the all-low side of
+// dual-Vth reads its all-stressed set.
+TEST(EvalContextTest, IncAndDualVthBuildOnThePoolAnalyzer) {
+  Params p;
+  p.sp_vectors = 256;
+  for (const auto& [name, builds] :
+       {std::pair<const char*, std::uint64_t>{"inc", 2}, {"dualvth", 1}}) {
+    SCOPED_TRACE(name);
+    ContextPool pool(p);
+    EvalContext ctx = pool.context("c432", Condition{});
+    AnalysisRegistry::global().at(name).run(ctx, p);
+    EXPECT_EQ(ctx.aging().stress_build_count(), builds);
+  }
+}
+
 // --------------------------------------------------------------------------
 // The acceptance campaign: one spec listing every analysis runs, resumes
 // after interruption, and its store is byte-identical for every n_threads.

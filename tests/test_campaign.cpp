@@ -18,6 +18,7 @@
 #include <thread>
 
 #include "analysis/analysis.h"
+#include "analysis/context.h"
 #include "campaign/spec.h"
 #include "campaign/store.h"
 #include "common/pool.h"
@@ -380,16 +381,17 @@ TEST(CampaignSpecTest, ExpandBuildsTheFullGridWithStableHashes) {
 }
 
 TEST(CampaignSpecTest, NetlistSpecForms) {
-  EXPECT_EQ(load_campaign_netlist("c432", false).name(), "c432");
-  const netlist::Netlist dag = load_campaign_netlist("dag:8x40@3", false);
+  EXPECT_EQ(analysis::load_netlist_spec("c432", false).name(), "c432");
+  const netlist::Netlist dag =
+      analysis::load_netlist_spec("dag:8x40@3", false);
   EXPECT_EQ(dag.num_inputs(), 8);
   EXPECT_EQ(dag.name(), "dag_8x40_3");
-  EXPECT_THROW(load_campaign_netlist("dag:8x40", false),
+  EXPECT_THROW(analysis::load_netlist_spec("dag:8x40", false),
                std::invalid_argument);
-  EXPECT_EQ(load_campaign_netlist("dag:64x12000@1", false).name(),
+  EXPECT_EQ(analysis::load_netlist_spec("dag:64x12000@1", false).name(),
             "dag_64x12000_1");
-  EXPECT_EQ(load_campaign_netlist("mult:4", false).name(), "mult_4");
-  EXPECT_EQ(load_campaign_netlist("alu:4", false).name(), "alu_4");
+  EXPECT_EQ(analysis::load_netlist_spec("mult:4", false).name(), "mult_4");
+  EXPECT_EQ(analysis::load_netlist_spec("alu:4", false).name(), "alu_4");
   // Every number is read whole, as digits only: a trailing character, a
   // sign, a fraction or an int overflow (which ran a 4-input DAG for
   // 4294967300 inputs) is an error, not a different netlist.
@@ -400,9 +402,10 @@ TEST(CampaignSpecTest, NetlistSpecForms) {
         "mult:4294967304", "mult:", "mult:-8", "alu:4.9", "alu:+4",
         "alu:1"}) {
     SCOPED_TRACE(bad);
-    EXPECT_THROW(load_campaign_netlist(bad, false), std::invalid_argument);
+    EXPECT_THROW(analysis::load_netlist_spec(bad, false),
+                 std::invalid_argument);
   }
-  EXPECT_THROW(load_campaign_netlist("/no/such/file.bench", false),
+  EXPECT_THROW(analysis::load_netlist_spec("/no/such/file.bench", false),
                std::runtime_error);
 }
 

@@ -1,5 +1,6 @@
 // Differential tests: the optimized evaluation paths (incremental
-// SizedTiming, parallel sizing argmax, horizon-batched derate, batched
+// SizedTiming, parallel sizing argmax, control-point trials on one
+// analyzer, horizon-batched derate, batched
 // electrothermal sweeps, the SoA degradation kernel and the shooting stack
 // solver) property-tested against the deliberately naive reference
 // evaluators — support/reference.h and the per-device scalar model — across
@@ -31,6 +32,7 @@
 #include "common/rng.h"
 #include "nbti/rd_kernel.h"
 #include "netlist/generators.h"
+#include "opt/inc_insertion.h"
 #include "opt/sizing.h"
 #include "report/derate.h"
 #include "support/reference.h"
@@ -159,6 +161,50 @@ TEST(DifferentialTest, SizeForLifetimeMatchesReferenceAcrossThreadCounts) {
       EXPECT_EQ(got.spec, want.spec);
       EXPECT_EQ(got.aged_before, want.aged_before);
       EXPECT_EQ(got.aged_after, want.aged_after);
+    }
+  }
+}
+
+TEST(DifferentialTest, IncOnOneAnalyzerMatchesPerTrialRebuild) {
+  // Each trial used to build its own analyzer and stress set; it is now a
+  // vector select on the one analyzer plus two STA passes over its scaled
+  // delays, in the same multiplication order for both delay laws.
+  const tech::Library lib;
+  for (const char* name : {"c432", "c880"}) {
+    const netlist::Netlist nl = netlist::iscas85_like(name);
+    for (bool taylor : {true, false}) {
+      for (double t_standby : {330.0, 400.0}) {
+        aging::AgingConditions cond = fast_conditions();
+        cond.schedule =
+            nbti::ModeSchedule::from_ras(1, 9, 1000.0, 400.0, t_standby);
+        cond.taylor_delay = taylor;
+        const aging::AgingAnalyzer an(nl, lib, cond);
+        for (double penalty : {0.08, 0.3}) {
+          SCOPED_TRACE(::testing::Message()
+                       << name << " taylor=" << taylor << " T_standby="
+                       << t_standby << " penalty=" << penalty);
+          const opt::IncInsertionParams params{
+              .max_control_points = 6, .driver_delay_penalty = penalty};
+          opt::IncInsertionResult want;
+          {
+            const common::ThreadBudget serial(1);
+            want = testsupport::reference_insert_control_points(nl, lib, cond,
+                                                                params);
+          }
+          EXPECT_FALSE(want.controlled.empty());  // trials must be accepted
+          for (int n_threads : {1, 4}) {
+            SCOPED_TRACE(::testing::Message() << "n_threads=" << n_threads);
+            const common::ThreadBudget budget(n_threads);
+            const opt::IncInsertionResult got =
+                opt::insert_control_points(an, params);
+            EXPECT_EQ(got.controlled, want.controlled);
+            EXPECT_EQ(got.fresh_before, want.fresh_before);
+            EXPECT_EQ(got.fresh_after, want.fresh_after);
+            EXPECT_EQ(got.aging_before, want.aging_before);
+            EXPECT_EQ(got.aging_after, want.aging_after);
+          }
+        }
+      }
     }
   }
 }

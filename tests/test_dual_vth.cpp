@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "netlist/generators.h"
 #include "sta/sta.h"
 
@@ -21,6 +23,13 @@ class DualVthTest : public ::testing::Test {
     c.schedule = nbti::ModeSchedule::from_ras(1, 9, 1000.0, 400.0, 330.0);
     c.sp_vectors = 512;
     return c;
+  }
+
+  /// assign_dual_vth on c880 with its all-low analyzers at 330 K standby.
+  DualVthResult assign_c880(const DualVthParams& params) const {
+    const aging::AgingAnalyzer low(c880_, lib_, cond());
+    const leakage::LeakageAnalyzer leak(c880_, lib_, 330.0);
+    return assign_dual_vth(low, leak, params);
   }
 };
 
@@ -88,16 +97,14 @@ TEST_F(DualVthTest, AgingAnalyzerHonorsOffsets) {
 // --- the optimizer ---
 
 TEST_F(DualVthTest, AssignmentRespectsDelayBudget) {
-  const DualVthResult r =
-      assign_dual_vth(c880_, lib_, cond(), {.delay_budget_percent = 3.0});
+  const DualVthResult r = assign_c880({.delay_budget_percent = 3.0});
   EXPECT_LE(r.fresh_delay_dual, r.fresh_delay_low * 1.03 + 1e-15);
   EXPECT_GT(r.n_high, 0);
   EXPECT_LT(r.n_high, c880_.num_gates());  // critical path must stay low-Vth
 }
 
 TEST_F(DualVthTest, AssignmentSavesLeakageAndAging) {
-  const DualVthResult r =
-      assign_dual_vth(c880_, lib_, cond(), {.delay_budget_percent = 3.0});
+  const DualVthResult r = assign_c880({.delay_budget_percent = 3.0});
   EXPECT_LT(r.leakage_dual, r.leakage_low);
   EXPECT_GT(r.leakage_saving_percent(), 10.0);
   // The co-benefit the paper predicts: aging drops too.
@@ -105,18 +112,15 @@ TEST_F(DualVthTest, AssignmentSavesLeakageAndAging) {
 }
 
 TEST_F(DualVthTest, BiggerBudgetMovesMoreGates) {
-  const DualVthResult tight =
-      assign_dual_vth(c880_, lib_, cond(), {.delay_budget_percent = 1.0});
-  const DualVthResult loose =
-      assign_dual_vth(c880_, lib_, cond(), {.delay_budget_percent = 6.0});
+  const DualVthResult tight = assign_c880({.delay_budget_percent = 1.0});
+  const DualVthResult loose = assign_c880({.delay_budget_percent = 6.0});
   EXPECT_GE(loose.n_high, tight.n_high);
   EXPECT_LE(loose.leakage_dual, tight.leakage_dual + 1e-18);
 }
 
 TEST_F(DualVthTest, ZeroBudgetStillFeasible) {
   // Threshold search must converge to a (possibly empty) feasible set.
-  const DualVthResult r =
-      assign_dual_vth(c880_, lib_, cond(), {.delay_budget_percent = 0.0});
+  const DualVthResult r = assign_c880({.delay_budget_percent = 0.0});
   EXPECT_LE(r.fresh_delay_dual, r.fresh_delay_low * 1.0 + 1e-12);
 }
 
@@ -133,8 +137,10 @@ TEST_F(DualVthTest, DanglingGateGoesHighVthWithoutBreakingTheBudget) {
   const netlist::NodeId z = nl.add_gate(tech::GateFn::And, {x, y}, "z");
   nl.mark_output(z);
 
+  const aging::AgingAnalyzer low(nl, lib_, cond());
+  const leakage::LeakageAnalyzer leak(nl, lib_, 330.0);
   const DualVthResult r =
-      assign_dual_vth(nl, lib_, cond(), {.delay_budget_percent = 1.0});
+      assign_dual_vth(low, leak, {.delay_budget_percent = 1.0});
   EXPECT_GT(r.gate_vth_offsets[nl.driver_gate(dead)], 0.0);
   EXPECT_LE(r.fresh_delay_dual, r.fresh_delay_low * 1.01 + 1e-15);
   // The critical path itself must stay low-Vth under the tight budget.
@@ -142,12 +148,25 @@ TEST_F(DualVthTest, DanglingGateGoesHighVthWithoutBreakingTheBudget) {
 }
 
 TEST_F(DualVthTest, RejectsBadParameters) {
-  EXPECT_THROW(
-      assign_dual_vth(c880_, lib_, cond(), {.high_vth_offset = 0.0}),
-      std::invalid_argument);
-  EXPECT_THROW(
-      assign_dual_vth(c880_, lib_, cond(), {.delay_budget_percent = -1.0}),
-      std::invalid_argument);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(assign_c880({.high_vth_offset = 0.0}), std::invalid_argument);
+  EXPECT_THROW(assign_c880({.delay_budget_percent = -1.0}),
+               std::invalid_argument);
+  EXPECT_THROW(assign_c880({.high_vth_offset = nan}), std::invalid_argument);
+  // A NaN budget used to pass the range check and move 155 of c880's 179
+  // gates with no budget at all.
+  EXPECT_THROW(assign_c880({.delay_budget_percent = nan}),
+               std::invalid_argument);
+
+  // The all-low side must be all-low and both analyzers one netlist's.
+  aging::AgingConditions offset = cond();
+  offset.gate_vth_offsets.assign(c880_.num_gates(), 0.10);
+  const aging::AgingAnalyzer high(c880_, lib_, offset);
+  const leakage::LeakageAnalyzer leak(c880_, lib_, 330.0);
+  EXPECT_THROW(assign_dual_vth(high, leak), std::invalid_argument);
+  const netlist::Netlist c432 = netlist::iscas85_like("c432");
+  const aging::AgingAnalyzer other(c432, lib_, cond());
+  EXPECT_THROW(assign_dual_vth(other, leak), std::invalid_argument);
 }
 
 // Saving grows with the offset (until drive dies) across circuits.
@@ -158,9 +177,10 @@ TEST_P(DualVthOffsetSweep, LeakageSavingPositive) {
   const netlist::Netlist nl = netlist::iscas85_like("c432");
   aging::AgingConditions c;
   c.sp_vectors = 256;
+  const aging::AgingAnalyzer low(nl, lib, c);
+  const leakage::LeakageAnalyzer leak(nl, lib, 330.0);
   const DualVthResult r = assign_dual_vth(
-      nl, lib, c,
-      {.high_vth_offset = GetParam(), .delay_budget_percent = 4.0});
+      low, leak, {.high_vth_offset = GetParam(), .delay_budget_percent = 4.0});
   EXPECT_GT(r.leakage_saving_percent(), 0.0) << "offset " << GetParam();
 }
 

@@ -22,6 +22,9 @@ run() {
   "$@"
 }
 
+# The full suite includes the golden diffs (label "golden"): the 16 paper
+# benches against tools/golden/paper/ and every CLI verb against
+# tools/golden/cli/.
 run cmake --preset default
 run cmake --build --preset default -j "$JOBS"
 run ctest --preset default -j "$JOBS"
@@ -45,36 +48,6 @@ printf '%s\n%s\n' \
       --out "$QSMOKE_DIR/results.jsonl" 2>/dev/null > "$QSMOKE_DIR/serve.txt"
 run diff -u tools/golden/campaign_serve.txt "$QSMOKE_DIR/serve.txt"
 echo "check.sh: query/serve smoke matches golden transcripts"
-
-# Paper values: Tables 1-4, Figs. 1-12, the extension studies and the model
-# ablation print no timings, so their stdout is pinned byte for byte to
-# tools/golden/paper/<bench>.txt.  A paper bench without a golden fails.
-for bin in build/bench/bench_table* build/bench/bench_fig* \
-           build/bench/bench_ext_* build/bench/bench_ablation_models; do
-  name="$(basename "$bin")"
-  "$bin" > "$QSMOKE_DIR/$name.txt"
-  run diff -u "tools/golden/paper/$name.txt" "$QSMOKE_DIR/$name.txt"
-done
-echo "check.sh: paper benches match tools/golden/paper/"
-
-# CLI verbs: each analysis verb is a one-cell campaign, so its transcript on
-# c432 is pinned like a paper bench.  tools/golden/cli/<verb>.txt is
-# `nbtisim <verb> c432`; <verb>_standby_<mode>.txt adds `--standby <mode>`.
-# A verb (info or any registered analysis) without a golden fails.
-for verb in info $("$NBTISIM" 2>&1 | sed -n 's/^analyses: //p' || true); do
-  if [[ ! -f "tools/golden/cli/$verb.txt" ]]; then
-    echo "check.sh: no tools/golden/cli/$verb.txt" >&2
-    exit 1
-  fi
-done
-for golden in tools/golden/cli/*.txt; do
-  name="$(basename "$golden" .txt)"
-  args=("${name%%_standby_*}" c432)
-  [[ "$name" == *_standby_* ]] && args+=(--standby "${name##*_standby_}")
-  "$NBTISIM" "${args[@]}" > "$QSMOKE_DIR/cli_$name.txt"
-  run diff -u "$golden" "$QSMOKE_DIR/cli_$name.txt"
-done
-echo "check.sh: CLI verbs match tools/golden/cli/"
 
 # Performance trajectory: each line of BENCH_perfbench.jsonl is one
 # change's perfbench record (EXPERIMENTS.md "Standby vectors as a select"

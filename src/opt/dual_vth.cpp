@@ -7,23 +7,6 @@
 #include "sta/sta.h"
 
 namespace nbtisim::opt {
-namespace {
-
-/// Dual-Vth critical delay when every gate with slack above \p threshold is
-/// moved to high Vth. Returns the offsets via \p offsets.
-double delay_with_threshold(const sta::StaEngine& sta, double temp_k,
-                            const std::vector<double>& slack_of_gate,
-                            double threshold, double high_offset,
-                            std::vector<double>* offsets) {
-  const int n = static_cast<int>(slack_of_gate.size());
-  offsets->assign(n, 0.0);
-  for (int gi = 0; gi < n; ++gi) {
-    if (slack_of_gate[gi] > threshold) (*offsets)[gi] = high_offset;
-  }
-  return sta.analyze(sta.gate_delays(temp_k, {}, *offsets)).max_delay;
-}
-
-}  // namespace
 
 DualVthResult assign_dual_vth(const aging::AgingAnalyzer& low,
                               const leakage::LeakageAnalyzer& standby_leak,
@@ -65,31 +48,48 @@ DualVthResult assign_dual_vth(const aging::AgingAnalyzer& low,
   for (double s : slack_of_gate) {
     if (s < sta::kUnconstrainedSlack) hi = std::max(hi, s);
   }
-  std::vector<double> offsets;
+  // A gate's delay depends only on its own offset, so each step picks every
+  // gate's entry from the all-low or the all-high delay vector and prices
+  // the assignment with one arrival-only STA pass.
+  const std::vector<double> high_delays = sta.gate_delays(
+      temp, {}, std::vector<double>(nl.num_gates(), params.high_vth_offset));
+  std::vector<double> delays(nl.num_gates());
+  std::vector<double> arrival_scratch;
+  // Critical delay with every gate of slack above threshold at high Vth.
+  auto delay_with_threshold = [&](double threshold) {
+    for (int gi = 0; gi < nl.num_gates(); ++gi) {
+      delays[gi] =
+          slack_of_gate[gi] > threshold ? high_delays[gi] : low_delays[gi];
+    }
+    return sta.critical_delay(delays, arrival_scratch);
+  };
   // Try the all-eligible extreme first: threshold just below 0 moves every
   // positive-slack gate.
-  if (delay_with_threshold(sta, temp, slack_of_gate, 0.0,
-                           params.high_vth_offset, &offsets) > budget) {
+  double threshold = 0.0;
+  double fresh_delay_dual = delay_with_threshold(threshold);
+  if (fresh_delay_dual > budget) {
     for (int iter = 0; iter < 40; ++iter) {
       const double mid = 0.5 * (lo + hi);
-      if (delay_with_threshold(sta, temp, slack_of_gate, mid,
-                               params.high_vth_offset, &offsets) > budget) {
+      if (delay_with_threshold(mid) > budget) {
         lo = mid;
       } else {
         hi = mid;
       }
     }
     // Final (feasible) assignment at the conservative end of the bracket.
-    delay_with_threshold(sta, temp, slack_of_gate, hi, params.high_vth_offset,
-                         &offsets);
+    threshold = hi;
+    fresh_delay_dual = delay_with_threshold(threshold);
+  }
+  std::vector<double> offsets(nl.num_gates(), 0.0);
+  for (int gi = 0; gi < nl.num_gates(); ++gi) {
+    if (slack_of_gate[gi] > threshold) offsets[gi] = params.high_vth_offset;
   }
 
   DualVthResult r;
   r.gate_vth_offsets = offsets;
   for (double o : offsets) r.n_high += o > 0.0 ? 1 : 0;
   r.fresh_delay_low = low_timing.max_delay;
-  r.fresh_delay_dual =
-      sta.analyze(sta.gate_delays(temp, {}, offsets)).max_delay;
+  r.fresh_delay_dual = fresh_delay_dual;
 
   // Leakage comparison at the standby temperature, all-zero inputs.
   const std::vector<bool> zeros(nl.num_inputs(), false);

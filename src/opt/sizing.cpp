@@ -1,7 +1,9 @@
 #include "opt/sizing.h"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "common/pool.h"
 
@@ -86,13 +88,14 @@ sta::TimingResult SizedTiming::analyze_current() const {
   return sta_->analyze(delays_);
 }
 
-sta::TimingResult SizedTiming::evaluate_resize(
-    int gate, double new_size, std::vector<double>& scratch) const {
-  scratch.assign(delays_.begin(), delays_.end());
+double SizedTiming::evaluate_resize(int gate, double new_size,
+                                   std::vector<double>& delay_scratch,
+                                   std::vector<double>& arrival_scratch) const {
+  delay_scratch.assign(delays_.begin(), delays_.end());
   for (int a : affected_[gate]) {
-    scratch[a] = gate_delay(sizes_, a, gate, new_size);
+    delay_scratch[a] = gate_delay(sizes_, a, gate, new_size);
   }
-  return sta_->analyze(scratch);
+  return sta_->critical_delay(delay_scratch, arrival_scratch);
 }
 
 void SizedTiming::commit_resize(int gate, double new_size) {
@@ -105,10 +108,21 @@ void SizedTiming::commit_resize(int gate, double new_size) {
 SizingResult size_for_lifetime(const aging::AgingAnalyzer& analyzer,
                                const aging::StandbyPolicy& policy,
                                const SizingParams& params) {
-  if (params.spec_margin_percent < 0.0 || params.size_step <= 0.0 ||
-      params.max_size < 1.0 || params.max_moves < 1) {
-    throw std::invalid_argument("size_for_lifetime: bad parameters");
-  }
+  // Every check is written so NaN fails too.
+  auto require = [](bool ok, const char* what) {
+    if (!ok) {
+      throw std::invalid_argument(std::string("size_for_lifetime: ") + what);
+    }
+  };
+  require(std::isfinite(params.spec_margin_percent) &&
+              params.spec_margin_percent >= 0.0,
+          "spec_margin_percent must be finite and >= 0");
+  require(std::isfinite(params.size_step) && params.size_step > 0.0,
+          "size_step must be finite and > 0");
+  require(std::isfinite(params.max_size) && params.max_size >= 1.0,
+          "max_size must be finite and >= 1");
+  require(params.max_moves >= 1, "max_moves must be >= 1");
+
   const netlist::Netlist& nl = analyzer.sta().netlist();
   const std::vector<double> dvth = analyzer.gate_dvth(policy);
   SizedTiming timing(analyzer, dvth);
@@ -125,7 +139,7 @@ SizingResult size_for_lifetime(const aging::AgingAnalyzer& analyzer,
   r.aged_before = aged.max_delay;
 
   std::vector<int> candidates;
-  std::vector<sta::TimingResult> trials;
+  std::vector<double> trial_delay;
   while (aged.max_delay > r.spec && r.moves < params.max_moves) {
     // Candidate moves: upsize any gate driving a net on the aged critical
     // path; pick the best delay improvement per unit area.
@@ -140,18 +154,21 @@ SizingResult size_for_lifetime(const aging::AgingAnalyzer& analyzer,
 
     // Each trial writes only its own slot; the argmax folds serially in
     // path order below, so results are bit-identical for every thread count.
-    trials.assign(candidates.size(), {});
+    // A trial needs only its critical delay, priced on per-thread scratch.
+    trial_delay.assign(candidates.size(), 0.0);
     common::parallel_for(static_cast<int>(candidates.size()), [&](int i) {
+      thread_local std::vector<double> delay_scratch;
+      thread_local std::vector<double> arrival_scratch;
       const int gi = candidates[i];
-      std::vector<double> scratch;
-      trials[i] = timing.evaluate_resize(gi, r.sizes[gi] + params.size_step,
-                                         scratch);
+      trial_delay[i] =
+          timing.evaluate_resize(gi, r.sizes[gi] + params.size_step,
+                                 delay_scratch, arrival_scratch);
     });
 
     int best = -1;
     double best_ratio = 0.0;
     for (std::size_t i = 0; i < candidates.size(); ++i) {
-      const double gain = aged.max_delay - trials[i].max_delay;
+      const double gain = aged.max_delay - trial_delay[i];
       if (gain > 0.0 && gain / params.size_step > best_ratio) {
         best_ratio = gain / params.size_step;
         best = static_cast<int>(i);
@@ -162,8 +179,11 @@ SizingResult size_for_lifetime(const aging::AgingAnalyzer& analyzer,
     r.sizes[gi] += params.size_step;
     ++r.moves;
     ++r.rounds;
+    // commit_resize writes the delays the winning trial patched, so this
+    // pass reports its critical delay bit for bit, plus the path the next
+    // round's candidates come from.
     timing.commit_resize(gi, r.sizes[gi]);
-    aged = std::move(trials[best]);
+    aged = timing.analyze_current();
   }
 
   r.aged_after = aged.max_delay;

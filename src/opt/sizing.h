@@ -21,9 +21,12 @@
 /// layers.  A resize only changes the delays of the resized gate and of its
 /// fanin drivers, so each trial patches just those entries into
 /// SizedTiming's cached delay vector instead of rebuilding all num_gates()
-/// delays, then prices the move with one full STA.  tests/support/
-/// reference.h reference_size_for_lifetime (full rebuild + full STA per
-/// trial) is the oracle tests/test_differential.cpp checks it against.
+/// delays, then prices the move with the arrival-only
+/// StaEngine::critical_delay on per-thread scratch: a trial reads only its
+/// critical delay.  One full STA after each accepted move yields the next
+/// round's critical path.  tests/support/reference.h
+/// reference_size_for_lifetime (full rebuild + full STA per trial) is the
+/// oracle tests/test_differential.cpp checks it against.
 ///
 /// Only upsizing a gate on the critical path can shorten that path, so the
 /// candidates are exactly that path's drivers.  Widening them to a slack
@@ -101,11 +104,14 @@ class SizedTiming {
   /// STA over the cached delay vector.
   sta::TimingResult analyze_current() const;
 
-  /// Evaluates resizing \p gate to \p new_size without committing: copies
-  /// the cached delays into \p scratch, patches the affected entries and
-  /// runs STA.  Thread-safe for concurrent calls with distinct scratches.
-  sta::TimingResult evaluate_resize(int gate, double new_size,
-                                    std::vector<double>& scratch) const;
+  /// Critical delay after resizing \p gate to \p new_size, without
+  /// committing: copies the cached delays into \p delay_scratch, patches the
+  /// affected entries and runs the arrival-only StaEngine::critical_delay
+  /// over them (bitwise analyze().max_delay).  Thread-safe for concurrent
+  /// calls with distinct scratches.
+  double evaluate_resize(int gate, double new_size,
+                         std::vector<double>& delay_scratch,
+                         std::vector<double>& arrival_scratch) const;
 
   /// Applies the resize to the cached sizes + delay vector.
   void commit_resize(int gate, double new_size);
@@ -133,7 +139,8 @@ class SizedTiming {
 
 /// Sizes \p analyzer's circuit so its aged delay (under \p policy, at the
 /// analyzer's horizon) meets fresh_delay * (1 + spec_margin).
-/// \throws std::invalid_argument for bad parameters
+/// \throws std::invalid_argument naming the parameter for a non-finite or
+///         out-of-range one
 SizingResult size_for_lifetime(const aging::AgingAnalyzer& analyzer,
                                const aging::StandbyPolicy& policy,
                                const SizingParams& params = {});

@@ -1,8 +1,11 @@
 #include "variation/lifetime.h"
 
+#include <atomic>
 #include <cmath>
+#include <mutex>
 #include <random>
 #include <stdexcept>
+#include <string>
 
 #include "common/pool.h"
 #include "common/rng.h"
@@ -25,11 +28,39 @@ double LifetimeResult::quantile(double q) const {
 LifetimeResult lifetime_distribution(const aging::AgingAnalyzer& analyzer,
                                      const aging::StandbyPolicy& policy,
                                      const LifetimeParams& params) {
-  if (params.spec_margin_percent <= 0.0 || params.samples < 2 ||
-      params.sigma_vth < 0.0 || params.max_time <= 0.0 ||
-      params.time_grid_points < 4) {
-    throw std::invalid_argument("lifetime_distribution: bad parameters");
+  // Every check is written so NaN fails too.
+  auto require = [](bool ok, const char* what) {
+    if (!ok) {
+      throw std::invalid_argument(std::string("lifetime_distribution: ") +
+                                  what);
+    }
+  };
+  require(std::isfinite(params.spec_margin_percent) &&
+              params.spec_margin_percent > 0.0,
+          "spec_margin_percent must be finite and > 0");
+  require(params.samples >= 2, "samples must be >= 2");
+  require(std::isfinite(params.sigma_vth) && params.sigma_vth >= 0.0,
+          "sigma_vth must be finite and >= 0");
+  require(std::isfinite(params.max_time) && params.max_time > 0.0,
+          "max_time must be finite and > 0");
+  require(params.time_grid_points >= 4, "time_grid_points must be >= 4");
+
+  // Geometric time grid.  A point no sample reads is never evaluated, so
+  // every grid time is checked here rather than by the ΔVth kernel.
+  const int n_grid = params.time_grid_points;
+  std::vector<double> grid_time(n_grid);
+  const double t_min = params.max_time / std::pow(2.0, n_grid - 1.0) * 2.0;
+  const double log_step = std::log(params.max_time / t_min) / (n_grid - 1);
+  for (int k = 0; k < n_grid; ++k) {
+    grid_time[k] = t_min * std::exp(log_step * k);
+    if (!(std::isfinite(grid_time[k]) && grid_time[k] > 0.0)) {
+      throw std::invalid_argument(
+          "lifetime_distribution: time_grid_points = " +
+          std::to_string(n_grid) + " puts grid point " + std::to_string(k) +
+          " at a time that is not finite and > 0");
+    }
   }
+
   const sta::StaEngine& sta = analyzer.sta();
   const netlist::Netlist& nl = sta.netlist();
   const tech::LibraryParams& lp = sta.library().params();
@@ -43,16 +74,27 @@ LifetimeResult lifetime_distribution(const aging::AgingAnalyzer& analyzer,
   const LinearizedDelay law(lp);
   const double ff_nominal = nbti::field_factor(rd, lp.vdd, lp.pmos.vth0);
 
-  // Nominal per-gate dVth on a geometric time grid.
-  const int n_grid = params.time_grid_points;
-  std::vector<double> grid_time(n_grid);
-  std::vector<std::vector<double>> grid_dvth(n_grid);
-  const double t_min = params.max_time / std::pow(2.0, n_grid - 1.0) * 2.0;
-  const double log_step = std::log(params.max_time / t_min) / (n_grid - 1);
-  for (int k = 0; k < n_grid; ++k) {
-    grid_time[k] = t_min * std::exp(log_step * k);
-    grid_dvth[k] = analyzer.gate_dvth(policy, grid_time[k]);
-  }
+  // Nominal per-gate dVth at a grid point, computed by its first reader,
+  // once: a bisection reads only a few of the points, and the skipped
+  // mid-grid ones are the kernel's most expensive horizons.  A point's value
+  // does not depend on which sample or thread computes it.
+  struct GridPoint {
+    std::once_flag once;
+    std::vector<double> dvth;
+  };
+  std::vector<GridPoint> grid(n_grid);
+  std::atomic<int> evaluated{0};
+  auto nominal_dvth = [&](int k) -> const std::vector<double>& {
+    GridPoint& point = grid[k];
+    std::call_once(point.once, [&] {
+      point.dvth = analyzer.gate_dvth(policy, grid_time[k]);
+      evaluated.fetch_add(1, std::memory_order_relaxed);
+    });
+    return point.dvth;
+  };
+  // Every sample's survivor check reads the horizon first: evaluate it
+  // before the loop, where gate_dvth runs at the caller's full width.
+  nominal_dvth(n_grid - 1);
 
   LifetimeResult result;
   result.max_time = params.max_time;
@@ -79,8 +121,9 @@ LifetimeResult lifetime_distribution(const aging::AgingAnalyzer& analyzer,
     std::vector<double> arrival_scratch;
     auto delay_at_grid = [&](int k) {
       if (delay_cache[k] >= 0.0) return delay_cache[k];
+      const std::vector<double>& dvth_k = nominal_dvth(k);
       for (int gi = 0; gi < nl.num_gates(); ++gi) {
-        const double dvth = grid_dvth[k][gi] * ff_scale[gi];
+        const double dvth = dvth_k[gi] * ff_scale[gi];
         delays[gi] = fresh[gi] * law.factor(offsets[gi] + dvth, nl, gi);
       }
       // Arrival-only STA: same max_delay bitwise, no TimingResult
@@ -113,6 +156,7 @@ LifetimeResult lifetime_distribution(const aging::AgingAnalyzer& analyzer,
     result.lifetimes[s] =
         grid_time[lo] * std::pow(grid_time[hi] / grid_time[lo], frac);
   });
+  result.grid_points_evaluated = evaluated.load(std::memory_order_relaxed);
   return result;
 }
 

@@ -4,10 +4,10 @@
 /// Each function here recomputes a result the slow, obvious way — one
 /// scalar device-model call per PMOS or NMOS per horizon, the literal S_n
 /// recursion, one stress context per device, full delay rebuild + full STA
-/// per sizing trial, a fresh analyzer per control-point trial, a fresh
-/// analyze() per derate cell, a serial loop per electrothermal sweep, a
-/// nested bisection per stacked OFF device, snprintf and strtod for JSON
-/// number text — and serves as the oracle
+/// per sizing trial, a fresh analyzer per control-point trial, an eager
+/// lifetime grid, a fresh analyze() per derate cell, a serial loop per
+/// electrothermal sweep, a nested bisection per stacked OFF device,
+/// snprintf and strtod for JSON number text — and serves as the oracle
 /// that tests/test_differential.cpp property-tests the optimized engines
 /// against across random netlists, seeds, thread counts and horizons.
 /// Keep them boring: no caching, no incremental updates, no parallelism.
@@ -22,6 +22,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
+#include <random>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -33,8 +34,10 @@
 #include "aging/failure.h"
 #include "campaign/store.h"
 #include "common/json.h"
+#include "common/rng.h"
 #include "nbti/ac_model.h"
 #include "nbti/device_aging.h"
+#include "nbti/rd_model.h"
 #include "opt/inc_insertion.h"
 #include "opt/sizing.h"
 #include "report/derate.h"
@@ -43,6 +46,8 @@
 #include "tech/stack.h"
 #include "tech/units.h"
 #include "thermal/electrothermal.h"
+#include "variation/lifetime.h"
+#include "variation/variation.h"
 
 namespace nbtisim::testsupport {
 
@@ -382,6 +387,83 @@ inline opt::IncInsertionResult reference_insert_control_points(
   r.aging_before = base.percent();
   r.aging_after = after.percent();
   return r;
+}
+
+/// Lifetime distribution with the eager grid: nominal dVth at every grid
+/// time up front, then one serial bisection per sample that re-prices each
+/// grid point it reads with a full analyze() — no per-point memo, no lazy
+/// evaluation.  The oracle for variation::lifetime_distribution, which
+/// computes a grid point on its first read.
+inline variation::LifetimeResult reference_lifetime_distribution(
+    const aging::AgingAnalyzer& analyzer, const aging::StandbyPolicy& policy,
+    const variation::LifetimeParams& params = {}) {
+  const sta::StaEngine& sta = analyzer.sta();
+  const netlist::Netlist& nl = sta.netlist();
+  const tech::LibraryParams& lp = sta.library().params();
+  const nbti::RdParams& rd = analyzer.conditions().rd;
+  const std::vector<double> fresh =
+      sta.gate_delays(analyzer.conditions().sta_temperature);
+  const double spec = sta.analyze(fresh).max_delay *
+                      (1.0 + params.spec_margin_percent / 100.0);
+  const variation::LinearizedDelay law(lp);
+  const double ff_nominal = nbti::field_factor(rd, lp.vdd, lp.pmos.vth0);
+
+  const int n_grid = params.time_grid_points;
+  std::vector<double> grid_time(n_grid);
+  std::vector<std::vector<double>> grid_dvth(n_grid);
+  const double t_min = params.max_time / std::pow(2.0, n_grid - 1.0) * 2.0;
+  const double log_step = std::log(params.max_time / t_min) / (n_grid - 1);
+  for (int k = 0; k < n_grid; ++k) {
+    grid_time[k] = t_min * std::exp(log_step * k);
+    grid_dvth[k] = analyzer.gate_dvth(policy, grid_time[k]);
+  }
+
+  variation::LifetimeResult result;
+  result.max_time = params.max_time;
+  result.grid_points_evaluated = n_grid;
+  for (int s = 0; s < params.samples; ++s) {
+    std::mt19937_64 rng(common::stream_seed(params.seed, s));
+    std::normal_distribution<double> gauss(0.0, params.sigma_vth);
+    std::vector<double> offsets(nl.num_gates());
+    std::vector<double> ff_scale(nl.num_gates());
+    for (int gi = 0; gi < nl.num_gates(); ++gi) {
+      offsets[gi] = gauss(rng);
+      const double ff =
+          nbti::field_factor(rd, lp.vdd, lp.pmos.vth0 + offsets[gi]);
+      ff_scale[gi] = ff_nominal > 0.0 ? ff / ff_nominal : 1.0;
+    }
+    auto delay_at_grid = [&](int k) {
+      std::vector<double> delays(nl.num_gates());
+      for (int gi = 0; gi < nl.num_gates(); ++gi) {
+        const double dvth = grid_dvth[k][gi] * ff_scale[gi];
+        delays[gi] = fresh[gi] * law.factor(offsets[gi] + dvth, nl, gi);
+      }
+      return sta.analyze(delays).max_delay;
+    };
+
+    double lifetime = 0.0;
+    if (delay_at_grid(n_grid - 1) <= spec) {
+      lifetime = params.max_time;
+    } else if (delay_at_grid(0) > spec) {
+      lifetime = grid_time[0];
+    } else {
+      int lo = 0, hi = n_grid - 1;
+      while (hi - lo > 1) {
+        const int mid = (lo + hi) / 2;
+        if (delay_at_grid(mid) > spec) {
+          hi = mid;
+        } else {
+          lo = mid;
+        }
+      }
+      const double d_lo = delay_at_grid(lo);
+      const double d_hi = delay_at_grid(hi);
+      const double frac = d_hi > d_lo ? (spec - d_lo) / (d_hi - d_lo) : 0.5;
+      lifetime = grid_time[lo] * std::pow(grid_time[hi] / grid_time[lo], frac);
+    }
+    result.lifetimes.push_back(lifetime);
+  }
+  return result;
 }
 
 /// Per-cell derate table: a fresh full analyze() for every (policy, year).

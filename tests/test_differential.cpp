@@ -1,6 +1,6 @@
 // Differential tests: the optimized evaluation paths (incremental
 // SizedTiming, parallel sizing argmax, control-point trials on one
-// analyzer, horizon-batched derate, batched
+// analyzer, the lazy lifetime grid, horizon-batched derate, batched
 // electrothermal sweeps, the SoA degradation kernel and the shooting stack
 // solver) property-tested against the deliberately naive reference
 // evaluators — support/reference.h and the per-device scalar model — across
@@ -27,6 +27,7 @@
 
 #include "aging/aging.h"
 #include "analysis/analysis.h"
+#include "analysis/context.h"
 #include "common/json.h"
 #include "common/pool.h"
 #include "common/rng.h"
@@ -40,6 +41,7 @@
 #include "tech/stack.h"
 #include "tech/units.h"
 #include "thermal/electrothermal.h"
+#include "variation/lifetime.h"
 
 namespace nbtisim {
 namespace {
@@ -93,6 +95,7 @@ TEST(DifferentialTest, IncrementalSizedTimingMatchesBruteForceRebuild) {
 
     std::mt19937_64 rng(c.step_seed);
     std::vector<double> scratch;
+    std::vector<double> arrival;
     for (int step = 0; step < 10; ++step) {
       const int gate = static_cast<int>(
           rng() % static_cast<std::uint64_t>(nl.num_gates()));
@@ -100,8 +103,8 @@ TEST(DifferentialTest, IncrementalSizedTimingMatchesBruteForceRebuild) {
           1.0 + 0.25 * static_cast<double>(1 + rng() % 12);  // (1, 4]
 
       // Trial evaluation vs a from-scratch rebuild with the trial sizes.
-      const sta::TimingResult got =
-          timing.evaluate_resize(gate, new_size, scratch);
+      const double got =
+          timing.evaluate_resize(gate, new_size, scratch, arrival);
       std::vector<double> trial_sizes = sizes;
       trial_sizes[gate] = new_size;
       const std::vector<double> want_delays =
@@ -110,9 +113,7 @@ TEST(DifferentialTest, IncrementalSizedTimingMatchesBruteForceRebuild) {
       for (std::size_t gi = 0; gi < want_delays.size(); ++gi) {
         ASSERT_EQ(scratch[gi], want_delays[gi]) << "gate " << gi;
       }
-      const sta::TimingResult want = an.sta().analyze(want_delays);
-      EXPECT_EQ(got.max_delay, want.max_delay);
-      EXPECT_EQ(got.critical_path, want.critical_path);
+      EXPECT_EQ(got, an.sta().analyze(want_delays).max_delay);
       ++checked;
 
       // Commit roughly every other step and re-check the cached vector.
@@ -163,6 +164,71 @@ TEST(DifferentialTest, SizeForLifetimeMatchesReferenceAcrossThreadCounts) {
       EXPECT_EQ(got.aged_after, want.aged_after);
     }
   }
+}
+
+TEST(DifferentialTest, LazyLifetimeGridMatchesEagerReference) {
+  // A grid point's nominal dVth is computed by its first reader, once, under
+  // a once_flag the pool's workers share; the oracle computes every point up
+  // front and bisects serially.  The cases cover survivors (40 %), mid-grid
+  // crossings (4-10 %) and dies that fail at the first grid point.
+  struct Case {
+    double margin;
+    double sigma_vth;
+  };
+  const Case cases[] = {{40.0, 0.012}, {4.0, 0.012}, {6.0, 0.012},
+                        {10.0, 0.012}, {0.5, 0.03}};
+  const tech::Library lib;
+  aging::AgingConditions cond = fast_conditions();
+  cond.schedule = nbti::ModeSchedule::from_ras(1, 9, 1000.0, 400.0, 400.0);
+  const aging::StandbyPolicy policy = aging::StandbyPolicy::all_stressed();
+  int survivors = 0;
+  int crossings = 0;
+  int dead_on_arrival = 0;
+  for (const char* spec : {"c432", "dag:16x300@5", "mult:8"}) {
+    const netlist::Netlist nl = analysis::load_netlist_spec(spec, false);
+    const aging::AgingAnalyzer an(nl, lib, cond);
+    for (const Case& c : cases) {
+      SCOPED_TRACE(::testing::Message() << spec << " margin=" << c.margin
+                                        << " sigma=" << c.sigma_vth);
+      const variation::LifetimeParams params{.spec_margin_percent = c.margin,
+                                             .sigma_vth = c.sigma_vth,
+                                             .samples = 40, .seed = 13};
+      variation::LifetimeResult want;
+      {
+        const common::ThreadBudget serial(1);
+        want = testsupport::reference_lifetime_distribution(an, policy,
+                                                            params);
+      }
+      const double t_first = params.max_time /
+                             std::pow(2.0, params.time_grid_points - 1.0) *
+                             2.0;
+      for (double l : want.lifetimes) {
+        if (l == params.max_time) {
+          ++survivors;
+        } else if (l == t_first) {
+          ++dead_on_arrival;
+        } else {
+          ++crossings;
+        }
+      }
+      int evaluated_serial = -1;
+      for (int n_threads : {1, 2, 4}) {
+        SCOPED_TRACE(::testing::Message() << "n_threads=" << n_threads);
+        const common::ThreadBudget budget(n_threads);
+        const variation::LifetimeResult got =
+            variation::lifetime_distribution(an, policy, params);
+        EXPECT_EQ(got.lifetimes, want.lifetimes);
+        EXPECT_EQ(got.max_time, want.max_time);
+        EXPECT_GE(got.grid_points_evaluated, 1);
+        EXPECT_LE(got.grid_points_evaluated, params.time_grid_points);
+        if (evaluated_serial < 0) evaluated_serial = got.grid_points_evaluated;
+        EXPECT_EQ(got.grid_points_evaluated, evaluated_serial);
+      }
+    }
+  }
+  EXPECT_GT(survivors, 0);
+  EXPECT_GT(crossings, 0);
+  EXPECT_GT(dead_on_arrival, 0);
 }
 
 TEST(DifferentialTest, IncOnOneAnalyzerMatchesPerTrialRebuild) {

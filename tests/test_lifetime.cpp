@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <utility>
 
 #include "common/pool.h"
 #include "netlist/generators.h"
@@ -171,6 +173,56 @@ TEST_F(LifetimeTest, RejectsBadParameters) {
                std::domain_error);
   LifetimeResult empty;
   EXPECT_THROW(empty.quantile(0.5), std::logic_error);
+}
+
+TEST_F(LifetimeTest, RejectsNonFiniteParametersByName) {
+  const double nan = std::nan("");
+  const struct {
+    LifetimeParams params;
+    const char* name;
+  } cases[] = {
+      {{.spec_margin_percent = nan}, "spec_margin_percent"},
+      {{.spec_margin_percent = HUGE_VAL}, "spec_margin_percent"},
+      {{.sigma_vth = nan}, "sigma_vth"},
+      {{.sigma_vth = HUGE_VAL}, "sigma_vth"},
+      {{.max_time = nan}, "max_time"},
+      {{.max_time = HUGE_VAL}, "max_time"},
+      {{.max_time = 0.0}, "max_time"},
+      // 2^1099 overflows, so the first grid time is 0 s.  Every sample
+      // survives a 40 % margin and reads only the horizon: the grid check
+      // must still fire.
+      {{.spec_margin_percent = 40.0, .time_grid_points = 1100},
+       "time_grid_points"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    try {
+      lifetime_distribution(*analyzer_, aging::StandbyPolicy::all_stressed(),
+                            c.params);
+      ADD_FAILURE() << "accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(c.name), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST_F(LifetimeTest, GridPointsEvaluatedArePinnedOnC432) {
+  // Each bisection reads the horizon, point 0 and the 6 midpoints that
+  // halve [0, 39]. Here the 40 samples cross inside one grid interval, so
+  // together they read 8 points; when all survive, only the horizon.
+  for (const auto& [margin, points] :
+       {std::pair{4.0, 8}, {6.0, 8}, {10.0, 8}, {40.0, 1}}) {
+    SCOPED_TRACE(margin);
+    const LifetimeParams p{.spec_margin_percent = margin, .samples = 40,
+                           .seed = 13};
+    for (int n : {1, 4}) {
+      const common::ThreadBudget budget(n);
+      const LifetimeResult r = lifetime_distribution(
+          *analyzer_, aging::StandbyPolicy::all_stressed(), p);
+      EXPECT_EQ(r.grid_points_evaluated, points) << n;
+    }
+  }
 }
 
 }  // namespace

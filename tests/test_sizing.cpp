@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+
 #include "common/pool.h"
 #include "netlist/generators.h"
 #include "support/reference.h"
@@ -182,11 +185,12 @@ TEST(SizingTieBreakTest, IdenticalGainRatiosPickSameGateAtEveryThreadCount) {
   SizedTiming timing(an, dvth);
   const sta::TimingResult base = timing.analyze_current();
   std::vector<double> scratch;
-  const double trial2 = timing.evaluate_resize(2, 1.5, scratch).max_delay;
-  const double trial4 = timing.evaluate_resize(4, 1.5, scratch).max_delay;
+  std::vector<double> arrival;
+  const double trial2 = timing.evaluate_resize(2, 1.5, scratch, arrival);
+  const double trial4 = timing.evaluate_resize(4, 1.5, scratch, arrival);
   ASSERT_EQ(trial2, trial4);
   ASSERT_LT(trial2, base.max_delay);
-  const double trial0 = timing.evaluate_resize(0, 1.5, scratch).max_delay;
+  const double trial0 = timing.evaluate_resize(0, 1.5, scratch, arrival);
   ASSERT_GT(trial0, trial2);
 
   // The fold breaks the tie serially in path order, so every thread count
@@ -224,6 +228,35 @@ TEST_F(SizingTest, RejectsBadParameters) {
                                  aging::StandbyPolicy::all_stressed(),
                                  {.max_size = 0.5}),
                std::invalid_argument);
+}
+
+TEST_F(SizingTest, RejectsNonFiniteParametersByName) {
+  // Every check must fail on NaN: a NaN margin or step would make 0 moves
+  // with met = 0, and a NaN max_size would lift the size cap.
+  const double nan = std::nan("");
+  const struct {
+    SizingParams params;
+    const char* name;
+  } cases[] = {
+      {{.spec_margin_percent = nan}, "spec_margin_percent"},
+      {{.spec_margin_percent = HUGE_VAL}, "spec_margin_percent"},
+      {{.size_step = nan}, "size_step"},
+      {{.size_step = HUGE_VAL}, "size_step"},
+      {{.max_size = nan}, "max_size"},
+      {{.max_size = HUGE_VAL}, "max_size"},
+      {{.max_moves = 0}, "max_moves"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    try {
+      size_for_lifetime(*analyzer_, aging::StandbyPolicy::all_stressed(),
+                        c.params);
+      ADD_FAILURE() << "accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(c.name), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 }  // namespace

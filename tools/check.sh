@@ -23,31 +23,12 @@ run() {
 }
 
 # The full suite includes the golden diffs (label "golden"): the 16 paper
-# benches against tools/golden/paper/ and every CLI verb against
-# tools/golden/cli/.
+# benches against tools/golden/paper/, every CLI verb against
+# tools/golden/cli/, and the query/serve transcripts of the smoke campaign
+# against tools/golden/campaign_query.md and campaign_serve.txt.
 run cmake --preset default
 run cmake --build --preset default -j "$JOBS"
 run ctest --preset default -j "$JOBS"
-
-# Query/serve smoke: a tiny campaign through the indexed `campaign query`
-# path and the stdio server, diffed against golden transcripts (byte
-# equality IS the contract — stores and query answers are deterministic).
-QSMOKE_DIR="$(mktemp -d)"
-trap 'rm -rf "$QSMOKE_DIR"' EXIT
-NBTISIM=build/src/tools/nbtisim
-run "$NBTISIM" campaign run examples/campaign_smoke.json \
-  --out "$QSMOKE_DIR/results.jsonl"
-"$NBTISIM" campaign query examples/campaign_smoke.json \
-  --out "$QSMOKE_DIR/results.jsonl" \
-  --query-file examples/campaign_query.json > "$QSMOKE_DIR/query.md"
-run diff -u tools/golden/campaign_query.md "$QSMOKE_DIR/query.md"
-printf '%s\n%s\n' \
-  '{"where":{"analysis":"st"},"select":["netlist","t_standby","st_total_pct"]}' \
-  '{"agg":{"op":"count","by":["netlist","analysis"]}}' \
-  | "$NBTISIM" campaign serve examples/campaign_smoke.json \
-      --out "$QSMOKE_DIR/results.jsonl" 2>/dev/null > "$QSMOKE_DIR/serve.txt"
-run diff -u tools/golden/campaign_serve.txt "$QSMOKE_DIR/serve.txt"
-echo "check.sh: query/serve smoke matches golden transcripts"
 
 # Performance trajectory: each line of BENCH_perfbench.jsonl is one
 # change's perfbench record (EXPERIMENTS.md "Standby vectors as a select"

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "common/pool.h"
 #include "tech/units.h"
@@ -78,20 +79,29 @@ double lambda_to_mttf(double lambda, double beta, double gamma) {
 FailureReport analyze_failure(const AgingAnalyzer& analyzer,
                               const StandbyPolicy& policy,
                               const FailureParams& params) {
-  if (params.fail_dvth <= 0.0 || params.max_years <= 0.0 ||
-      params.weibull_beta <= 0.0) {
-    throw std::invalid_argument(
-        "analyze_failure: non-positive fail_dvth/max_years/weibull_beta");
-  }
-  if (params.time_points < 2) {
-    throw std::invalid_argument("analyze_failure: time_points < 2");
+  // Every check is written so NaN fails too.
+  auto require = [](bool ok, const char* what) {
+    if (!ok) {
+      throw std::invalid_argument(std::string("analyze_failure: ") + what);
+    }
+  };
+  require(std::isfinite(params.fail_dvth) && params.fail_dvth > 0.0,
+          "fail_dvth must be finite and > 0");
+  require(std::isfinite(params.max_years) && params.max_years > 0.0,
+          "max_years must be finite and > 0");
+  require(std::isfinite(params.weibull_beta) && params.weibull_beta > 0.0,
+          "weibull_beta must be finite and > 0");
+  require(params.time_points >= 2, "time_points must be >= 2");
+  require(std::isfinite(params.multi.clock_hz) && params.multi.clock_hz >= 0.0,
+          "multi.clock_hz must be finite and >= 0");
+  for (double y : params.curve_years) {
+    require(std::isfinite(y) && y >= 0.0,
+            "every curve_years entry must be finite and >= 0");
   }
   const double pbti_ratio = params.multi.pbti.ratio;
-  if (params.multi.enable_pbti &&
-      !(std::isfinite(pbti_ratio) && pbti_ratio >= 0.0)) {
-    throw std::invalid_argument(
-        "analyze_failure: pbti.ratio must be finite and >= 0");
-  }
+  require(!params.multi.enable_pbti ||
+              (std::isfinite(pbti_ratio) && pbti_ratio >= 0.0),
+          "pbti.ratio must be finite and >= 0");
 
   const netlist::Netlist& nl = analyzer.sta().netlist();
   const tech::Library& lib = analyzer.sta().library();

@@ -92,10 +92,12 @@ double crossing_time(std::span<const double> times,
                      std::span<const double> values, double threshold);
 
 /// Runs the failure suite on \p analyzer's circuit under \p policy.
-/// \throws std::invalid_argument for a Rotating policy with an empty
-///         rotation, non-positive fail_dvth/max_years/weibull_beta,
-///         time_points < 2, or — with PBTI enabled — a NaN, infinite or
-///         negative multi.pbti.ratio
+/// \throws std::invalid_argument naming the parameter for a Rotating
+///         policy with an empty rotation, a fail_dvth, max_years or
+///         weibull_beta that is not finite and > 0, time_points < 2, a
+///         multi.clock_hz or curve_years entry that is not finite and >= 0,
+///         or — with PBTI enabled — a NaN, infinite or negative
+///         multi.pbti.ratio
 FailureReport analyze_failure(const AgingAnalyzer& analyzer,
                               const StandbyPolicy& policy,
                               const FailureParams& params = {});

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "sta/slew_sta.h"
 
@@ -16,13 +17,21 @@ MultiAgingReport analyze_multi_mechanism(const AgingAnalyzer& analyzer,
   const AgingConditions& cond = analyzer.conditions();
   const sim::SignalStats& stats = analyzer.signal_stats();
   const double horizon = total_time.value_or(cond.total_time);
-  if (params.enable_pbti &&
-      !(std::isfinite(params.pbti.ratio) && params.pbti.ratio >= 0.0)) {
-    // The scaling below needs a finite, non-negative ratio; a NaN one would
-    // turn every NMOS shift into NaN.
-    throw std::invalid_argument(
-        "analyze_multi_mechanism: pbti.ratio must be finite and >= 0");
-  }
+  // Every check is written so NaN fails too: a NaN ratio would turn every
+  // NMOS shift into NaN, and a NaN clock every HCI shift.
+  auto require = [](bool ok, const char* what) {
+    if (!ok) {
+      throw std::invalid_argument(std::string("analyze_multi_mechanism: ") +
+                                  what);
+    }
+  };
+  require(!params.enable_pbti ||
+              (std::isfinite(params.pbti.ratio) && params.pbti.ratio >= 0.0),
+          "pbti.ratio must be finite and >= 0");
+  require(std::isfinite(params.clock_hz) && params.clock_hz >= 0.0,
+          "clock_hz must be finite and >= 0");
+  require(std::isfinite(horizon) && horizon >= 0.0,
+          "total_time must be finite and >= 0");
 
   MultiAgingReport rep;
   rep.pmos_dvth = analyzer.gate_dvth(policy, horizon);

@@ -47,9 +47,10 @@ struct MultiAgingReport {
 /// Per gate, the NMOS shift is pbti.ratio times the worst NMOS R-D shift
 /// (AgingAnalyzer::build_stress with tech::Channel::Nmos, evaluated like
 /// gate_dvth) plus the HCI contribution of the gate's switching activity.
-/// \throws std::invalid_argument for a Rotating policy with an empty
-///         rotation, or — with PBTI enabled — a NaN, infinite or negative
-///         pbti.ratio
+/// \throws std::invalid_argument naming the parameter for a Rotating
+///         policy with an empty rotation, a clock_hz or total_time horizon
+///         that is not finite and >= 0, or — with PBTI enabled — a NaN,
+///         infinite or negative pbti.ratio
 MultiAgingReport analyze_multi_mechanism(const AgingAnalyzer& analyzer,
                                          const StandbyPolicy& policy,
                                          const MultiAgingParams& params = {},

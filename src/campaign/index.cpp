@@ -3,7 +3,6 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
@@ -73,45 +72,59 @@ IndexEntry parse_entry(std::string_view line) {
   return e;
 }
 
-/// Scans store-file rows in [from, end-of-file) and appends their entries.
-/// Stops silently on a truncated final line (killed append); throws on
-/// corruption that is not the final line.
-void scan_rows(const std::string& store_path, std::ifstream& f,
-               std::uint64_t from, std::vector<IndexEntry>& out) {
-  f.clear();
-  f.seekg(static_cast<std::streamoff>(from));
-  std::string line;
-  std::uint64_t offset = from;
-  while (std::getline(f, line)) {
-    const std::uint64_t len = line.size();
-    if (!is_ws_only(line)) {
-      try {
-        const Value row = common::json::parse(line);
-        if (!row.is_object()) throw std::runtime_error("row is not an object");
-        out.push_back(entry_from_row(row, offset, len));
-      } catch (const std::exception& e) {
-        if (f.peek() == std::ifstream::traits_type::eof()) return;
-        throw std::runtime_error(store_path + ": byte " +
-                                 std::to_string(offset) + ": " + e.what());
-      }
-    }
-    offset += len + 1;
-  }
-}
-
 }  // namespace
 
-std::string index_path(const std::string& store_path) {
-  const std::size_t slash = store_path.find_last_of('/');
-  const std::size_t dot = store_path.find_last_of('.');
-  std::string out = store_path;
+LineScan scan_lines(
+    const std::string& path, std::uint64_t from,
+    const std::function<void(std::string_view line, std::uint64_t offset)>&
+        accept) {
+  LineScan out{from, from};
+  std::error_code ec;
+  const std::uintmax_t size = std::filesystem::file_size(path, ec);
+  if (ec || size <= from) return out;
+  std::string bytes(size - from, '\0');
+  std::ifstream f(path, std::ios::binary);
+  f.seekg(static_cast<std::streamoff>(from));
+  f.read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  bytes.resize(static_cast<std::size_t>(f.gcount()));
+  out.size = from + bytes.size();
+
+  std::string_view rest(bytes);
+  for (std::size_t nl; (nl = rest.find('\n')) != std::string_view::npos;
+       rest.remove_prefix(nl + 1)) {
+    const std::string_view line = rest.substr(0, nl);
+    if (!is_ws_only(line)) {
+      try {
+        accept(line, out.end);
+      } catch (const std::exception& e) {
+        // A rejected final line is an interrupted append; anything after
+        // it but whitespace makes it damage.
+        if (is_ws_only(rest.substr(nl + 1))) return out;
+        throw std::runtime_error(path + ": byte " + std::to_string(out.end) +
+                                 ": " + e.what());
+      }
+    }
+    out.end += nl + 1;
+  }
+  return out;  // what is left has no newline: an interrupted append
+}
+
+std::string insert_before_extension(const std::string& path,
+                                    std::string_view text) {
+  const std::size_t slash = path.find_last_of('/');
+  const std::size_t dot = path.find_last_of('.');
+  std::string out = path;
   if (dot != std::string::npos &&
       (slash == std::string::npos || dot > slash)) {
-    out.insert(dot, ".index");  // store.3.jsonl -> store.3.index.jsonl
+    out.insert(dot, text);
   } else {
-    out += ".index";
+    out += text;
   }
   return out;
+}
+
+std::string index_path(const std::string& store_path) {
+  return insert_before_extension(store_path, ".index");
 }
 
 IndexEntry entry_from_row(const Value& row, std::uint64_t offset,
@@ -184,35 +197,30 @@ StoreIndex load_index(const std::string& store_path) {
   std::ifstream store(store_path, std::ios::binary);
   if (!store) return out;
 
-  // Read the sidecar: a truncated final line is a killed writer (dropped);
-  // anything else unparsable means the whole sidecar is stale.
+  // Read the sidecar: damage means the whole sidecar is stale; an
+  // interrupted append at its end is cut, so the catch-up below appends
+  // after whole lines.
+  const std::string side_path = index_path(store_path);
   bool valid = true;
-  {
-    std::ifstream side(index_path(store_path), std::ios::binary);
-    if (side) {
-      std::string line;
-      while (std::getline(side, line)) {
-        if (is_ws_only(line)) continue;
-        try {
+  try {
+    const LineScan side =
+        scan_lines(side_path, 0, [&](std::string_view line, std::uint64_t) {
           out.entries.push_back(parse_entry(line));
-        } catch (const std::exception&) {
-          if (side.peek() == std::ifstream::traits_type::eof()) break;
-          valid = false;
-          break;
-        }
-      }
-    }
+        });
+    if (side.end < side.size) fs::resize_file(side_path, side.end, ec);
+  } catch (const std::exception&) {
+    valid = false;
   }
 
-  // Validate entries against the store file: strictly forward extents that
-  // stay inside the file, with nothing but whitespace between them. Reading
-  // the (normally empty) gaps is the cheap proof that no unindexed row
-  // hides between two indexed ones.
+  // Validate entries against the store file: strictly forward extents whose
+  // newline stays inside the file, with nothing but whitespace between
+  // them. Reading the (normally empty) gaps is the cheap proof that no
+  // unindexed row hides between two indexed ones.
   std::uint64_t covered = 0;  // bytes of the store accounted for so far
   for (const IndexEntry& e : out.entries) {
     if (!valid) break;
     const std::uint64_t end = e.offset + e.length;
-    if (e.offset < covered || end > store_size || e.length == 0) {
+    if (e.offset < covered || end >= store_size || e.length == 0) {
       valid = false;
       break;
     }
@@ -229,28 +237,26 @@ StoreIndex load_index(const std::string& store_path) {
   }
 
   if (!valid) {
-    // Stale sidecar: rebuild from the store file and rewrite (best-effort —
-    // a read-only directory still gets a correct in-memory index).
+    // Stale sidecar: rebuild it from the store file, rewritten best-effort
+    // (a read-only directory still gets a correct in-memory index).
     out.entries.clear();
     out.rebuilt = true;
-    scan_rows(store_path, store, 0, out.entries);
-    std::ofstream side(index_path(store_path), std::ios::trunc);
-    if (side) {
-      for (const IndexEntry& e : out.entries) side << dump_entry(e) << '\n';
-    }
-    return out;
+    covered = 0;
+    std::ofstream(side_path, std::ios::trunc);
   }
 
-  // Valid sidecar that ends before the store does: catch up over the rows
-  // appended without index entries.
-  if (covered < store_size) {
-    std::vector<IndexEntry> fresh;
-    scan_rows(store_path, store, covered, fresh);
-    if (!fresh.empty()) {
-      out.caught_up = true;
-      append_index_entries(store_path, fresh);
-      for (IndexEntry& e : fresh) out.entries.push_back(std::move(e));
-    }
+  // Index the rows past the validated entries: all of them on a rebuild,
+  // else the rows appended without entries.
+  const std::size_t known = out.entries.size();
+  scan_lines(store_path, covered, [&](std::string_view line, std::uint64_t at) {
+    const Value row = common::json::parse(line);
+    if (!row.is_object()) throw std::runtime_error("row is not an object");
+    out.entries.push_back(entry_from_row(row, at, line.size()));
+  });
+  if (out.entries.size() > known) {
+    out.caught_up = !out.rebuilt;
+    append_index_entries(store_path,
+                         std::span(out.entries).subspan(known));
   }
   return out;
 }

@@ -1,5 +1,18 @@
 /// \file index.h
-/// \brief Sidecar index over one JSONL result-store file.
+/// \brief Sidecar index over one JSONL result-store file, and the one
+///        reader of store and sidecar lines.
+///
+/// Which bytes of a store file or a sidecar are data is decided in one
+/// place, scan_lines():
+///
+///   - a line counts only once its newline is on disk;
+///   - whitespace-only lines are skipped;
+///   - a final line that has no newline, or that its caller rejects, is an
+///     interrupted append: its bytes are cut before anything is appended
+///     after them (ResultStore warns with path and byte offset; for the
+///     sidecar, a cache, the cut is best-effort);
+///   - a rejected line with more lines after it is damage: the store throws
+///     naming path and byte offset, and a sidecar counts as stale.
 ///
 /// Every store file `store.<h>.jsonl` may carry a sidecar
 /// `store.<h>.index.jsonl` with one compact entry per row: the task hash,
@@ -15,10 +28,11 @@
 ///     fails the append.
 ///   - **Validated on load.** load_index() checks the sidecar against the
 ///     store file (extents that are integers in [0, 2^53], entries in file
-///     order, extents inside the file, nothing but whitespace between
-///     consecutive extents). Any mismatch — a hand-edited store, a sidecar
-///     from a crashed writer — triggers a transparent rebuild from the
-///     store file, which is then rewritten best-effort.
+///     order, extents whose newline lies inside the file, nothing but
+///     whitespace between consecutive extents). Any mismatch — a
+///     hand-edited store, a sidecar from a crashed writer — triggers a
+///     transparent rebuild from the store file, which is then rewritten
+///     best-effort.
 ///   - **Caught up on load.** Rows beyond the validated sidecar (appended by
 ///     an older binary, or a legacy store with no sidecar at all) are
 ///     scanned from the first unindexed byte and appended to the sidecar.
@@ -32,9 +46,11 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/json.h"
@@ -57,6 +73,29 @@ struct IndexEntry {
   /// (arrays/objects) are not listed — predicates on them require a parse.
   std::vector<std::string> metrics;
 };
+
+/// Where scan_lines() stopped in one file.
+struct LineScan {
+  std::uint64_t end = 0;   ///< just past the last line that counts
+  std::uint64_t size = 0;  ///< file size: [end, size) is an interrupted append
+};
+
+/// Reads \p path from byte \p from to its end under the rule in the file
+/// comment: calls `accept(line, offset)` for every line whose newline is on
+/// disk, skipping whitespace-only lines; `accept` throws to reject a line.
+/// Stops at the first byte of an interrupted append, which the caller cuts.
+/// A missing file scans as empty.
+/// \throws std::runtime_error naming the path and byte offset when a
+///         rejected line has more lines after it
+LineScan scan_lines(
+    const std::string& path, std::uint64_t from,
+    const std::function<void(std::string_view line, std::uint64_t offset)>&
+        accept);
+
+/// \p path with \p text inserted before its extension:
+/// ("store.jsonl", ".3") -> "store.3.jsonl"; ("noext", ".3") -> "noext.3".
+std::string insert_before_extension(const std::string& path,
+                                    std::string_view text);
 
 /// The sidecar of \p store_path: "store.3.jsonl" -> "store.3.index.jsonl".
 std::string index_path(const std::string& store_path);
@@ -87,9 +126,10 @@ struct StoreIndex {
 
 /// Loads the index of \p store_path, validating the sidecar against the
 /// store file and rebuilding or catching up as documented in the file
-/// comment. A missing store file yields an empty index. A truncated final
-/// store line (killed append) is left unindexed; corruption earlier in the
-/// store file throws, matching ResultStore's contract.
+/// comment. A missing store file yields an empty index. An interrupted
+/// append at the end of the store file is left unindexed (and in place:
+/// ResultStore cuts it); one at the end of the sidecar is cut before the
+/// catch-up appends after it.
 /// \throws std::runtime_error on non-trailing store corruption
 StoreIndex load_index(const std::string& store_path);
 

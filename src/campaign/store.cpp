@@ -1,5 +1,6 @@
 #include "campaign/store.h"
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -12,58 +13,31 @@ namespace nbtisim::campaign {
 
 ResultStore::ResultStore(std::string path, std::ostream* warnings)
     : path_(std::move(path)) {
-  std::ifstream f(path_);
-  if (!f) return;  // no store yet: fresh campaign
-  std::string line;
-  std::size_t line_no = 0;
-  std::uintmax_t good_end = 0;  // bytes up to the last intact row
-  bool truncated = false;
-  while (std::getline(f, line)) {
-    ++line_no;
-    if (line.empty()) {
-      good_end += 1;
-      continue;
-    }
-    common::json::Value row;
-    try {
-      row = common::json::parse(line);
-      if (!row.is_object()) throw std::runtime_error("row is not an object");
-      rows_.push_back(std::move(row));
-      hashes_.insert(rows_.back().at("hash").as_string());
-      good_end += line.size() + 1;
-    } catch (const std::exception& e) {
-      // A bad *last* line is the signature of a killed append: drop it and
-      // let the task re-run. Anything earlier means the file is damaged.
-      if (f.peek() == std::ifstream::traits_type::eof()) {
-        truncated = true;
-        break;
-      }
-      throw std::runtime_error(path_ + ":" + std::to_string(line_no) + ": " +
-                               e.what());
-    }
+  const LineScan scan =
+      scan_lines(path_, 0, [this](std::string_view line, std::uint64_t) {
+        common::json::Value row = common::json::parse(line);
+        if (!row.is_object()) throw std::runtime_error("row is not an object");
+        hashes_.insert(row.at("hash").as_string());
+        rows_.push_back(std::move(row));
+      });
+  end_offset_ = scan.end;
+  if (scan.end == scan.size) return;
+  // An interrupted append is expected, but never silent: the operator
+  // should know which file lost a row and where, in case it was not a
+  // crash but e.g. a concurrent writer.
+  (warnings != nullptr ? *warnings : std::cerr)
+      << "ResultStore: " << path_ << ": discarding truncated tail at byte "
+      << scan.end << " (interrupted append; the task will re-run)\n";
+  // Cut the partial bytes off the file too, so the re-appended row does not
+  // land glued onto them. On a read-only or contended file this is a
+  // store-level failure, not a crash: rethrow with the path so the operator
+  // knows which shard to fix.
+  try {
+    std::filesystem::resize_file(path_, scan.end);
+  } catch (const std::filesystem::filesystem_error& e) {
+    throw std::runtime_error("ResultStore: cannot truncate damaged tail of " +
+                             path_ + ": " + e.what());
   }
-  f.close();
-  if (truncated) {
-    // An interrupted append is expected, but never silent: the operator
-    // should know which file lost a row and where, in case it was not a
-    // crash but e.g. a concurrent writer.
-    (warnings != nullptr ? *warnings : std::cerr)
-        << "ResultStore: " << path_ << ": discarding truncated tail at byte "
-        << good_end << " (interrupted append; the task will re-run)\n";
-    // Cut the partial bytes off the file too, so the re-appended row does
-    // not land glued onto them. On a read-only or contended file this is a
-    // store-level failure, not a crash: rethrow with the path so the
-    // operator knows which shard to fix.
-    try {
-      std::filesystem::resize_file(path_, good_end);
-    } catch (const std::filesystem::filesystem_error& e) {
-      throw std::runtime_error("ResultStore: cannot truncate damaged tail of " +
-                               path_ + ": " + e.what());
-    }
-  }
-  std::error_code ec;
-  const std::uintmax_t size = std::filesystem::file_size(path_, ec);
-  end_offset_ = ec ? 0 : static_cast<std::uint64_t>(size);
 }
 
 void ResultStore::append(std::span<const common::json::Value> new_rows) {
@@ -120,28 +94,22 @@ int hex_nibble(char c) {
 }  // namespace
 
 std::string ShardedStore::shard_path(const std::string& base, int shard) {
-  const char digit = kHexDigits[shard & 15];
-  const std::size_t slash = base.find_last_of('/');
-  const std::size_t dot = base.find_last_of('.');
-  std::string out = base;
-  if (dot != std::string::npos &&
-      (slash == std::string::npos || dot > slash)) {
-    out.insert(dot, {'.', digit});  // store.jsonl -> store.<digit>.jsonl
-  } else {
-    out += '.';
-    out += digit;
-  }
+  const char suffix[] = {'.', kHexDigits[shard & 15]};
+  return insert_before_extension(base, {suffix, 2});
+}
+
+std::array<std::string, ShardedStore::kMaxShards + 1> ShardedStore::files(
+    const std::string& path) {
+  std::array<std::string, kMaxShards + 1> out{path};
+  for (int h = 0; h < kMaxShards; ++h) out[1 + h] = shard_path(path, h);
   return out;
 }
 
 bool ShardedStore::exists(const std::string& path) {
-  namespace fs = std::filesystem;
   std::error_code ec;
-  if (fs::exists(path, ec)) return true;
-  for (int h = 0; h < kMaxShards; ++h) {
-    if (fs::exists(shard_path(path, h), ec)) return true;
-  }
-  return false;
+  return std::ranges::any_of(files(path), [&](const std::string& file) {
+    return std::filesystem::exists(file, ec);
+  });
 }
 
 ShardedStore::ShardedStore(std::string path, int n_shards,
@@ -152,37 +120,24 @@ ShardedStore::ShardedStore(std::string path, int n_shards,
     throw std::invalid_argument("ShardedStore: shards must be 1, 2, 4, 8 or "
                                 "16 (got " + std::to_string(n_shards_) + ")");
   }
-  namespace fs = std::filesystem;
+  const std::array<std::string, kMaxShards + 1> paths = files(path_);
   std::error_code ec;
-  // The base file is the append target of the single-shard layout; under a
-  // sharded layout it is merged read-only when a legacy store left it.
-  if (n_shards_ == 1 || fs::exists(path_, ec)) {
-    base_ = std::make_unique<ResultStore>(path_, warnings);
-  }
-  for (int h = 0; h < kMaxShards; ++h) {
-    const std::string sp = shard_path(path_, h);
-    const bool append_target = n_shards_ > 1 && h < n_shards_;
-    if (append_target || fs::exists(sp, ec)) {
-      shards_[h] = std::make_unique<ResultStore>(sp, warnings);
-    }
-  }
-  if (base_) {
-    for (const common::json::Value& row : base_->rows()) {
-      hashes_.insert(row.at("hash").as_string());
-    }
-  }
-  for (const auto& shard : shards_) {
-    if (!shard) continue;
-    for (const common::json::Value& row : shard->rows()) {
+  for (int k = 0; k <= kMaxShards; ++k) {
+    // The append targets open even before they exist; any other file on
+    // disk (a legacy base file, another layout's shards) merges read-only.
+    const bool target = n_shards_ == 1 ? k == 0 : k >= 1 && k <= n_shards_;
+    if (!target && !std::filesystem::exists(paths[k], ec)) continue;
+    files_[k] = std::make_unique<ResultStore>(paths[k], warnings);
+    for (const common::json::Value& row : files_[k]->rows()) {
       hashes_.insert(row.at("hash").as_string());
     }
   }
 }
 
 std::size_t ShardedStore::size() const {
-  std::size_t total = base_ ? base_->size() : 0;
-  for (const auto& shard : shards_) {
-    if (shard) total += shard->size();
+  std::size_t total = 0;
+  for (const auto& file : files_) {
+    if (file) total += file->size();
   }
   return total;
 }
@@ -203,23 +158,19 @@ void ShardedStore::append(std::span<const common::json::Value> new_rows) {
       throw std::invalid_argument("ResultStore: duplicate row hash " + hash);
     }
   }
-  if (n_shards_ == 1) {
-    base_->append(new_rows);
-    for (const common::json::Value& row : new_rows) {
-      hashes_.insert(row.at("hash").as_string());
-    }
-    return;
-  }
-  std::array<std::vector<common::json::Value>, kMaxShards> groups;
+  // One group per slot of files_: the base file for one shard, else the
+  // hash's prefix shard.
+  std::array<std::vector<common::json::Value>, kMaxShards + 1> groups;
   for (const common::json::Value& row : new_rows) {
-    groups[shard_of(row.at("hash").as_string())].push_back(row);
+    const int shard = shard_of(row.at("hash").as_string());
+    groups[n_shards_ == 1 ? 0 : 1 + shard].push_back(row);
   }
-  for (int s = 0; s < n_shards_; ++s) {
-    if (groups[s].empty()) continue;
-    shards_[s]->append(groups[s]);
-    // Record shard by shard: a failed write on shard s leaves shards > s
+  for (int k = 0; k <= kMaxShards; ++k) {
+    if (groups[k].empty()) continue;
+    files_[k]->append(groups[k]);
+    // Record file by file: a failed write on one leaves every later file
     // unrecorded on disk *and* in memory, so a retry appends exactly them.
-    for (const common::json::Value& row : groups[s]) {
+    for (const common::json::Value& row : groups[k]) {
       hashes_.insert(row.at("hash").as_string());
     }
   }
@@ -228,12 +179,9 @@ void ShardedStore::append(std::span<const common::json::Value> new_rows) {
 std::vector<const common::json::Value*> ShardedStore::all_rows() const {
   std::vector<const common::json::Value*> out;
   out.reserve(size());
-  if (base_) {
-    for (const common::json::Value& row : base_->rows()) out.push_back(&row);
-  }
-  for (const auto& shard : shards_) {
-    if (!shard) continue;
-    for (const common::json::Value& row : shard->rows()) out.push_back(&row);
+  for (const auto& file : files_) {
+    if (!file) continue;
+    for (const common::json::Value& row : file->rows()) out.push_back(&row);
   }
   return out;
 }

@@ -5,9 +5,13 @@
 ///
 /// One result row per line, each a compact JSON object carrying the task
 /// hash, the grid coordinates, and a flat metrics object. Append-only: a
-/// crashed or killed run leaves a valid prefix (plus at most one truncated
-/// line, which load() discards), and the next run re-executes exactly the
-/// tasks whose hashes are missing. Because rows are appended in task order
+/// crashed or killed run leaves a valid prefix plus at most one interrupted
+/// append, and the next run re-executes exactly the tasks whose hashes are
+/// missing. Which bytes are rows is decided by campaign::scan_lines()
+/// (index.h), the one reader of store files and sidecars: a row counts once
+/// its newline is on disk, whitespace-only lines are skipped, and a final
+/// line without a newline (or that does not parse as a row) is cut with a
+/// warning before the next append. Because rows are appended in task order
 /// within every run and each row's serialization is deterministic, a
 /// campaign executed with any thread count produces byte-identical files.
 ///
@@ -40,11 +44,11 @@ namespace nbtisim::campaign {
 /// Append-only JSONL file keyed by the "hash" member of each row.
 class ResultStore {
  public:
-  /// Binds to \p path and loads any existing rows. A missing file is an
-  /// empty store; a truncated or corrupt *final* line is discarded with a
-  /// warning naming the path and byte offset (the interrupted task simply
-  /// re-runs). Corruption earlier in the file throws — that is data loss,
-  /// not an interrupted append.
+  /// Binds to \p path and loads any existing rows through scan_lines(). A
+  /// missing file is an empty store; an interrupted append at the end is
+  /// cut from the file with a warning naming the path and byte offset (the
+  /// interrupted task simply re-runs). A bad line earlier in the file
+  /// throws — that is data loss, not an interrupted append.
   /// \param warnings sink for the truncated-tail warning; nullptr means
   ///        std::cerr
   /// \throws std::runtime_error on non-trailing corruption, or when the
@@ -95,6 +99,11 @@ class ShardedStore {
   ShardedStore(std::string path, int n_shards,
                std::ostream* warnings = nullptr);
 
+  /// Every file a store rooted at \p path can hold, in merge order: the
+  /// base file, then shards 0..f.
+  static std::array<std::string, kMaxShards + 1> files(
+      const std::string& path);
+
   /// True when the base file or any prefix shard file exists on disk.
   static bool exists(const std::string& path);
 
@@ -129,8 +138,9 @@ class ShardedStore {
  private:
   std::string path_;
   int n_shards_ = 1;
-  std::unique_ptr<ResultStore> base_;
-  std::array<std::unique_ptr<ResultStore>, kMaxShards> shards_;
+  /// One store per slot of files(path_): the append targets, plus every
+  /// other file on disk merged in read-only.
+  std::array<std::unique_ptr<ResultStore>, kMaxShards + 1> files_;
   std::unordered_set<std::string> hashes_;  ///< union over all files
 };
 

@@ -230,9 +230,6 @@ Netlist parse_bench(std::string_view text, std::string name,
     }
     nl.mark_output(nl.find_node(d));
   }
-  // The parser emits definitions in dependency order, but the downstream
-  // engines silently miscompute on any violation — check, don't trust.
-  nl.validate_topological();
   return nl;
 }
 

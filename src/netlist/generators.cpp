@@ -149,7 +149,6 @@ Netlist make_random_dag(const std::string& name, const RandomDagSpec& spec) {
 
   // Everything still without fanout becomes a primary output.
   for (std::size_t idx : unconsumed) nl.mark_output(nodes[idx]);
-  nl.validate_topological();
   return nl;
 }
 
@@ -198,7 +197,6 @@ Netlist make_multiplier(const std::string& name, int bits) {
     }
   }
   for (NodeId p : product) nl.mark_output(p);
-  nl.validate_topological();
   return nl;
 }
 
@@ -246,7 +244,6 @@ Netlist make_alu(const std::string& name, int width) {
   // Parity flag.
   const NodeId par = build_wide_gate(nl, GateFn::Xor, result, "pf");
   nl.mark_output(par);
-  nl.validate_topological();
   return nl;
 }
 
@@ -307,7 +304,6 @@ Netlist make_priority_controller(const std::string& name, int channels,
   }
   nl.mark_output(build_wide_gate(nl, GateFn::Or, eff, "valid"));
   nl.mark_output(build_wide_gate(nl, GateFn::Xor, eff, "par"));
-  nl.validate_topological();
   return nl;
 }
 
@@ -365,7 +361,6 @@ Netlist make_ecc(const std::string& name, int data_bits, int check_bits,
     const NodeId corrected = make_xor2_net(nl, d[i], flip, "o" + s, expand_xor);
     nl.mark_output(corrected);
   }
-  nl.validate_topological();
   return nl;
 }
 
@@ -377,7 +372,6 @@ Netlist make_parity_tree(const std::string& name, int width) {
     ins[i] = nl.add_input("i" + std::to_string(i));
   }
   nl.mark_output(build_wide_gate(nl, GateFn::Xor, ins, "par"));
-  nl.validate_topological();
   return nl;
 }
 
@@ -394,7 +388,6 @@ Netlist make_ripple_adder(const std::string& name, int width) {
     carry = r.carry;
   }
   nl.mark_output(carry);
-  nl.validate_topological();
   return nl;
 }
 

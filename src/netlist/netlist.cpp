@@ -131,56 +131,6 @@ void Netlist::validate() const {
   }
 }
 
-void Netlist::validate_topological() const {
-  for (int gi = 0; gi < num_gates(); ++gi) {
-    if (gates_[gi].fanins.empty()) {
-      throw std::logic_error(
-          "Netlist '" + name_ + "': gate " + std::to_string(gi) + " ('" +
-          node_name(gates_[gi].output) +
-          "') has no fanins — constant-driver gates are not representable "
-          "(every construction path enforces arity >= 1)");
-    }
-    for (NodeId in : gates_[gi].fanins) {
-      const int drv = driver_.at(in);
-      if (drv >= gi) {
-        throw std::logic_error(
-            "Netlist '" + name_ + "': gate " + std::to_string(gi) + " ('" +
-            node_name(gates_[gi].output) + "') reads net '" + node_name(in) +
-            "' driven by later gate " + std::to_string(drv) +
-            " — gate list is not in topological order");
-      }
-    }
-  }
-}
-
-void Netlist::reorder_gates(std::span<const int> order) {
-  if (static_cast<int>(order.size()) != num_gates()) {
-    throw std::invalid_argument("Netlist::reorder_gates: order size mismatch");
-  }
-  std::vector<bool> seen(num_gates(), false);
-  for (int old_idx : order) {
-    if (old_idx < 0 || old_idx >= num_gates() || seen[old_idx]) {
-      throw std::invalid_argument(
-          "Netlist::reorder_gates: order is not a permutation");
-    }
-    seen[old_idx] = true;
-  }
-
-  std::vector<Gate> reordered;
-  reordered.reserve(gates_.size());
-  for (int old_idx : order) reordered.push_back(std::move(gates_[old_idx]));
-  gates_ = std::move(reordered);
-
-  for (NodeId n = 0; n < num_nodes(); ++n) {
-    driver_[n] = -1;
-    fanouts_[n].clear();
-  }
-  for (int gi = 0; gi < num_gates(); ++gi) {
-    driver_[gates_[gi].output] = gi;
-    for (NodeId in : gates_[gi].fanins) fanouts_[in].push_back(gi);
-  }
-}
-
 NodeId build_wide_gate(Netlist& nl, tech::GateFn fn,
                        std::span<const NodeId> fanins,
                        const std::string& name_prefix) {

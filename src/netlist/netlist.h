@@ -3,9 +3,11 @@
 ///
 /// "In circuit timing analysis, a combinational circuit can be modeled as a
 /// directed acyclic graph G = (V, E)" (paper Section 3.3).  A Netlist owns
-/// named nets (nodes) and gates; construction order enforces acyclicity
-/// (every gate's fanins must already exist), so the gate list is always a
-/// valid topological order.
+/// named nets (nodes) and gates.  add_gate() is the only way to add a gate,
+/// and it rejects a fanin that does not exist yet and a wrong arity, so
+/// every gate reads only primary inputs or outputs of earlier gates: the
+/// gate list is a topological order by construction, which StaEngine and
+/// Simulator rely on.
 #pragma once
 
 #include <span>
@@ -84,24 +86,6 @@ class Netlist {
   /// Structural sanity checks (every output reachable, arities consistent).
   /// \throws std::logic_error describing the first violation
   void validate() const;
-
-  /// Verifies the topological-order contract this header documents: every
-  /// gate reads only primary inputs or outputs of *earlier* gates.
-  /// StaEngine::analyze and Simulator silently miscompute on a violating
-  /// gate list.  Netlists built through add_gate() hold it by construction;
-  /// the .bench/Verilog loaders and the generators call this after
-  /// construction, and it is the guard to run after reorder_gates().
-  /// \throws std::logic_error naming the first offending gate
-  void validate_topological() const;
-
-  /// Re-orders the gate list: new gate i is old gate order[i].  Driver and
-  /// fanout gate indices are remapped; nets keep their ids.  Useful for
-  /// scheduling experiments (e.g. level-ordered evaluation).  Does NOT
-  /// check that the new order is topological — follow with
-  /// validate_topological() unless the permutation is known-safe.
-  /// \throws std::invalid_argument if \p order is not a permutation of the
-  ///         gate indices
-  void reorder_gates(std::span<const int> order);
 
  private:
   std::string name_;

@@ -359,18 +359,11 @@ std::vector<std::string> metric_union(const std::vector<Matched>& matched) {
 }  // namespace
 
 StoreView::StoreView(std::string path) : path_(std::move(path)) {
-  namespace fs = std::filesystem;
   std::error_code ec;
-  auto add = [this](const std::string& p) {
-    File f;
-    f.path = p;
-    f.index = campaign::load_index(p);
-    files_.push_back(std::move(f));
-  };
-  if (fs::exists(path_, ec)) add(path_);
-  for (int h = 0; h < campaign::ShardedStore::kMaxShards; ++h) {
-    const std::string sp = campaign::ShardedStore::shard_path(path_, h);
-    if (fs::exists(sp, ec)) add(sp);
+  for (const std::string& file : campaign::ShardedStore::files(path_)) {
+    if (std::filesystem::exists(file, ec)) {
+      files_.push_back(File{file, campaign::load_index(file)});
+    }
   }
 }
 

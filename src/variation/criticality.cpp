@@ -1,9 +1,11 @@
 #include "variation/criticality.h"
 
 #include <algorithm>
+#include <cmath>
 #include <random>
 #include <set>
 #include <stdexcept>
+#include <string>
 
 #include "common/pool.h"
 #include "common/rng.h"
@@ -25,9 +27,17 @@ std::vector<int> CriticalityResult::critical_set(double threshold) const {
 
 CriticalityResult gate_criticality(const aging::AgingAnalyzer& analyzer,
                                    const CriticalityParams& params) {
-  if (params.samples < 2 || params.sigma_vth < 0.0 || params.total_time < 0.0) {
-    throw std::invalid_argument("gate_criticality: bad parameters");
-  }
+  // Every check is written so NaN fails too.
+  auto require = [](bool ok, const char* what) {
+    if (!ok) {
+      throw std::invalid_argument(std::string("gate_criticality: ") + what);
+    }
+  };
+  require(params.samples >= 2, "samples must be >= 2");
+  require(std::isfinite(params.sigma_vth) && params.sigma_vth >= 0.0,
+          "sigma_vth must be finite and >= 0");
+  require(std::isfinite(params.total_time) && params.total_time >= 0.0,
+          "total_time must be finite and >= 0");
   const sta::StaEngine& sta = analyzer.sta();
   const netlist::Netlist& nl = sta.netlist();
   const tech::LibraryParams& lp = sta.library().params();

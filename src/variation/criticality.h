@@ -37,7 +37,8 @@ struct CriticalityResult {
 
 /// Estimates per-gate critical-path probability by Monte-Carlo over Vth
 /// variation (and optionally aging).
-/// \throws std::invalid_argument for bad parameters
+/// \throws std::invalid_argument naming the parameter for samples < 2 or a
+///         sigma_vth or total_time that is not finite and >= 0
 CriticalityResult gate_criticality(const aging::AgingAnalyzer& analyzer,
                                    const CriticalityParams& params = {});
 

@@ -60,8 +60,13 @@ double DelayDistribution::quantile(double q) const {
 MonteCarloAging::MonteCarloAging(const aging::AgingAnalyzer& analyzer,
                                  VariationParams params)
     : analyzer_(&analyzer), params_(params) {
-  if (params_.samples < 2 || params_.sigma_vth < 0.0) {
-    throw std::invalid_argument("MonteCarloAging: bad parameters");
+  // Written so NaN fails too.
+  if (params_.samples < 2) {
+    throw std::invalid_argument("MonteCarloAging: samples must be >= 2");
+  }
+  if (!(std::isfinite(params_.sigma_vth) && params_.sigma_vth >= 0.0)) {
+    throw std::invalid_argument(
+        "MonteCarloAging: sigma_vth must be finite and >= 0");
   }
 }
 

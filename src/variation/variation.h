@@ -82,6 +82,8 @@ struct DelayDistribution {
 /// Variation-aware aging Monte-Carlo bound to an AgingAnalyzer.
 class MonteCarloAging {
  public:
+  /// \throws std::invalid_argument naming the parameter for samples < 2 or
+  ///         a sigma_vth that is not finite and >= 0
   MonteCarloAging(const aging::AgingAnalyzer& analyzer, VariationParams params);
 
   const VariationParams& params() const { return params_; }

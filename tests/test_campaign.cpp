@@ -22,6 +22,7 @@
 #include "campaign/spec.h"
 #include "campaign/store.h"
 #include "common/pool.h"
+#include "query/query.h"
 #include "report/report.h"
 
 namespace nbtisim::campaign {
@@ -697,6 +698,50 @@ TEST_F(CampaignRunTest, ResumeAfterTruncatedLastLineRecovers) {
   EXPECT_EQ(stats.skipped, 7);
   EXPECT_EQ(stats.executed, 1);
   EXPECT_EQ(read_file(path), full);
+}
+
+// A kill can leave a row without its newline, or a newline and one byte of
+// the next row. At each newline and one byte on either side, the resume
+// re-runs exactly the tasks whose newline is not on disk and gives back the
+// uninterrupted file byte for byte.
+TEST_F(CampaignRunTest, ResumesAfterCrashAtEveryByteNextToANewline) {
+  const std::string full = read_file(path_serial_);
+  const std::string path = temp_path("campaign_cut.jsonl");
+  int rows_before = 0;  // rows whose newline precedes this one
+  for (std::size_t nl = full.find('\n'); nl != std::string::npos;
+       nl = full.find('\n', nl + 1), ++rows_before) {
+    for (const std::size_t cut : {nl - 1, nl, nl + 1}) {
+      if (cut == full.size()) continue;
+      SCOPED_TRACE("cut at byte " + std::to_string(cut));
+      write_text(path, full.substr(0, cut));
+      const int whole = rows_before + (cut > nl ? 1 : 0);
+      const RunStats stats = run_campaign(*spec_, path);
+      EXPECT_EQ(stats.skipped, whole);
+      EXPECT_EQ(stats.executed, 8 - whole);
+      ASSERT_EQ(read_file(path), full);
+    }
+  }
+  EXPECT_EQ(rows_before, 8);
+}
+
+// A whitespace-only line between rows is skipped by every reader: the store
+// loads, resume skips every task, and summarize and query report the rows
+// of the clean store.
+TEST_F(CampaignRunTest, WhitespaceOnlyLineBetweenRowsIsSkipped) {
+  const std::string full = read_file(path_serial_);
+  const std::size_t second = full.find('\n') + 1;
+  const std::string path = temp_path("campaign_ws_line.jsonl");
+  write_text(path, full.substr(0, second) + " \t\r\n" + full.substr(second));
+
+  EXPECT_EQ(ResultStore(path).size(), 8u);
+  EXPECT_EQ(report::to_csv(summarize(*spec_, path)),
+            report::to_csv(summarize(*spec_, path_serial_)));
+  const query::Query all = query::parse_query(common::json::parse("{}"));
+  EXPECT_EQ(
+      report::to_csv(query::run_query(query::StoreView(path), all, 1).table()),
+      report::to_csv(
+          query::run_query(query::StoreView(path_serial_), all, 1).table()));
+  EXPECT_EQ(run_campaign(*spec_, path).executed, 0);
 }
 
 TEST_F(CampaignRunTest, SummarizeBuildsOneRowPerTask) {

@@ -118,6 +118,31 @@ TEST_F(DualVthTest, BiggerBudgetMovesMoreGates) {
   EXPECT_LE(loose.leakage_dual, tight.leakage_dual + 1e-18);
 }
 
+// On c880 moving every positive-slack gate to high Vth leaves the critical
+// delay unchanged, so the cases above never reach the threshold bisection.
+// On c432 that first try adds 3.7 %: at budgets of 0.5, 1 and 3 % the
+// bisection runs, and it must end on the feasible side of its bracket.
+TEST_F(DualVthTest, C432BisectionMeetsEachBudgetBelowTheAllEligibleSet) {
+  const netlist::Netlist c432 = netlist::iscas85_like("c432");
+  const aging::AgingAnalyzer low(c432, lib_, cond());
+  const leakage::LeakageAnalyzer leak(c432, lib_, 330.0);
+  const int all_eligible =
+      assign_dual_vth(low, leak, {.delay_budget_percent = 10.0}).n_high;
+  std::vector<int> n_high;
+  for (double budget : {0.5, 1.0, 3.0}) {
+    SCOPED_TRACE(::testing::Message() << "budget " << budget << " %");
+    const DualVthResult r =
+        assign_dual_vth(low, leak, {.delay_budget_percent = budget});
+    EXPECT_LE(r.fresh_delay_dual, r.fresh_delay_low * (1.0 + budget / 100.0));
+    EXPECT_LT(r.n_high, all_eligible);  // the first try broke the budget
+    if (!n_high.empty()) {
+      EXPECT_GE(r.n_high, n_high.back());
+    }
+    n_high.push_back(r.n_high);
+  }
+  EXPECT_GT(n_high.back(), n_high.front());
+}
+
 TEST_F(DualVthTest, ZeroBudgetStillFeasible) {
   // Threshold search must converge to a (possibly empty) feasible set.
   const DualVthResult r = assign_c880({.delay_budget_percent = 0.0});

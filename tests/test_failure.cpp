@@ -182,6 +182,46 @@ TEST_F(FailureSuiteTest, RejectsBadParameters) {
   empty_rotation.kind = aging::StandbyPolicy::Kind::Rotating;
   EXPECT_THROW(aging::analyze_failure(*analyzer_, empty_rotation, params_),
                std::invalid_argument);
+
+  // NaN used to pass every check: fail_dvth = NaN reported a longer system
+  // MTTF with NBTI, PBTI and HCI never failing, clock_hz = NaN another
+  // MTTF, and NaN beta or curve years NaN results. Each now throws naming
+  // the parameter.
+  const double nan = std::nan("");
+  const auto expect_named = [&](const aging::FailureParams& bad,
+                                const std::string& name) {
+    SCOPED_TRACE(name);
+    try {
+      aging::analyze_failure(*analyzer_, policy, bad);
+      ADD_FAILURE() << "no exception";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+          << e.what();
+    }
+  };
+  for (double v : {nan, HUGE_VAL}) {
+    p = params_;
+    p.fail_dvth = v;
+    expect_named(p, "fail_dvth");
+    p = params_;
+    p.max_years = v;
+    expect_named(p, "max_years");
+    p = params_;
+    p.weibull_beta = v;
+    expect_named(p, "weibull_beta");
+    p = params_;
+    p.multi.clock_hz = v;
+    expect_named(p, "clock_hz");
+    p = params_;
+    p.curve_years = {1.0, v};
+    expect_named(p, "curve_years");
+  }
+  p = params_;
+  p.multi.clock_hz = -1.0;
+  expect_named(p, "clock_hz");
+  p = params_;
+  p.curve_years = {-1.0};
+  expect_named(p, "curve_years");
 }
 
 TEST_F(FailureSuiteTest, RejectsNonFiniteOrNegativePbtiRatio) {

@@ -284,6 +284,27 @@ TEST_F(MultiMechanismTest, RejectsNonFiniteOrNegativePbtiRatio) {
     p.enable_pbti = false;
     EXPECT_NO_THROW(aging::analyze_multi_mechanism(*analyzer_, policy, p));
   }
+  // A NaN clock used to report multi_pct -100; a NaN horizon failed only
+  // inside the R-D kernel. Both now throw naming the parameter.
+  for (double v : {std::nan(""), HUGE_VAL, -1.0}) {
+    SCOPED_TRACE(::testing::Message() << "value=" << v);
+    aging::MultiAgingParams p;
+    p.clock_hz = v;
+    try {
+      aging::analyze_multi_mechanism(*analyzer_, policy, p);
+      ADD_FAILURE() << "no exception";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("clock_hz"), std::string::npos)
+          << e.what();
+    }
+    try {
+      aging::analyze_multi_mechanism(*analyzer_, policy, {}, v);
+      ADD_FAILURE() << "no exception";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("total_time"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 }  // namespace

@@ -188,63 +188,5 @@ TEST(WideGateTest, RejectsEmptyFanins) {
                std::invalid_argument);
 }
 
-namespace {
-// a -> NOT -> NOT -> NOT chain: any non-identity gate order is
-// non-topological.
-Netlist inverter_chain() {
-  Netlist nl("chain");
-  NodeId n = nl.add_input("a");
-  for (int i = 0; i < 3; ++i) {
-    n = nl.add_gate(GateFn::Not, {n}, "n" + std::to_string(i));
-  }
-  nl.mark_output(n);
-  return nl;
-}
-}  // namespace
-
-TEST(TopologicalOrderTest, ConstructionOrderValidates) {
-  inverter_chain().validate_topological();  // must not throw
-}
-
-TEST(TopologicalOrderTest, OutOfOrderGateListIsRejected) {
-  Netlist nl = inverter_chain();
-  nl.reorder_gates(std::vector<int>{2, 1, 0});
-  EXPECT_THROW(nl.validate_topological(), std::logic_error);
-}
-
-TEST(TopologicalOrderTest, IdentityReorderKeepsStructure) {
-  Netlist nl = inverter_chain();
-  const NodeId last = nl.outputs()[0];
-  nl.reorder_gates(std::vector<int>{0, 1, 2});
-  nl.validate_topological();
-  EXPECT_EQ(nl.driver_gate(last), 2);
-}
-
-TEST(TopologicalOrderTest, ReorderRemapsDriversAndFanouts) {
-  Netlist nl("t");
-  const NodeId a = nl.add_input("a");
-  const NodeId b = nl.add_input("b");
-  const NodeId x = nl.add_gate(GateFn::And, {a, b}, "x");
-  const NodeId y = nl.add_gate(GateFn::Or, {a, b}, "y");
-  nl.mark_output(x);
-  nl.mark_output(y);
-  // x and y are independent: swapping them is still topological.
-  nl.reorder_gates(std::vector<int>{1, 0});
-  nl.validate_topological();
-  EXPECT_EQ(nl.driver_gate(y), 0);
-  EXPECT_EQ(nl.driver_gate(x), 1);
-  EXPECT_EQ(nl.gate(0).output, y);
-}
-
-TEST(TopologicalOrderTest, ReorderRejectsNonPermutations) {
-  Netlist nl = inverter_chain();
-  EXPECT_THROW(nl.reorder_gates(std::vector<int>{0, 1}),
-               std::invalid_argument);
-  EXPECT_THROW(nl.reorder_gates(std::vector<int>{0, 1, 1}),
-               std::invalid_argument);
-  EXPECT_THROW(nl.reorder_gates(std::vector<int>{0, 1, 3}),
-               std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace nbtisim::netlist

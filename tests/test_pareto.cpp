@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+
 #include "common/pool.h"
 #include "netlist/generators.h"
 #include "variation/criticality.h"
@@ -216,6 +219,23 @@ TEST_F(CriticalityTest, RejectsBadParameters) {
   EXPECT_THROW(
       variation::gate_criticality(*analyzer_, {.sigma_vth = -0.1}),
       std::invalid_argument);
+  // NaN used to pass: a NaN sigma failed at the first gate's delay law, and
+  // an aged run at a NaN horizon inside the R-D kernel.
+  const double nan = std::nan("");
+  const auto expect_named = [&](const variation::CriticalityParams& bad,
+                                const std::string& name) {
+    try {
+      variation::gate_criticality(*analyzer_, bad);
+      ADD_FAILURE() << "no exception for " << name;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_named({.sigma_vth = nan}, "sigma_vth");
+  expect_named({.sigma_vth = HUGE_VAL}, "sigma_vth");
+  expect_named({.aged = true, .total_time = nan}, "total_time");
+  expect_named({.aged = true, .total_time = HUGE_VAL}, "total_time");
   // Shifts past the linearized delay law's domain used to yield negative
   // gate delays and a criticality map of them.
   EXPECT_THROW(variation::gate_criticality(*analyzer_,

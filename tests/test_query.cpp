@@ -18,7 +18,9 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <random>
+#include <span>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -73,7 +75,9 @@ Value synthetic_row(int i) {
   static const char* kNetlists[] = {"c432", "c880", "dag:8x40@3"};
   static const char* kAnalyses[] = {"aging", "st", "failure"};
   char hash[32];
-  std::snprintf(hash, sizeof hash, "%016x", 0x10000000u * (i % 16) + i);
+  std::snprintf(hash, sizeof hash, "%016llx",
+                0x1000000000000000ull * (i % 16) +
+                    static_cast<unsigned long long>(i));
   Value row;
   row.set("hash", std::string(hash));
   row.set("campaign", "synthetic");
@@ -365,6 +369,117 @@ TEST(ResultStoreTest, WarnsOnTruncatedTailWithPathAndOffset) {
   ResultStore reloaded(path, &quiet);
   EXPECT_EQ(reloaded.size(), 1u);
   EXPECT_TRUE(quiet.str().empty()) << quiet.str();
+}
+
+// --------------------------------------------------------------------------
+// Crash sweeps: a kill at any byte of an append must leave a store that
+// loads the rows whose newline is on disk and resumes to the uninterrupted
+// bytes. `ctest -L recovery` runs them alone.
+
+/// Every store file and sidecar of the store at \p path on disk, by path.
+std::map<std::string, std::string> store_bytes(const std::string& path) {
+  std::map<std::string, std::string> out;
+  for (const std::string& file : ShardedStore::files(path)) {
+    for (const std::string& p : {file, campaign::index_path(file)}) {
+      if (std::ifstream(p)) out[p] = read_file(p);
+    }
+  }
+  return out;
+}
+
+void write_bytes(const std::string& path, const std::string& bytes) {
+  std::ofstream f(path, std::ios::binary | std::ios::trunc);
+  f << bytes;
+}
+
+/// Writes rows [0, n_first) and then rows [n_first, n_rows) as two appends
+/// to a store with \p shards shards, and cuts the second append of the
+/// first shard file at every byte. Each cut leaves that file's sidecar as
+/// it was before the append (the writer appends it after the rows) or as
+/// it was after it (the rows' tail lost, the sidecar kept).
+void sweep_last_append(int shards, int n_first, int n_rows) {
+  const std::string path =
+      temp_path("sweep_" + std::to_string(shards) + ".jsonl");
+  remove_store(path);
+  std::vector<Value> rows;
+  for (int i = 0; i < n_rows; ++i) rows.push_back(synthetic_row(i));
+  const std::string victim = ShardedStore::files(path)[shards == 1 ? 0 : 1];
+  ShardedStore(path, shards).append(std::span(rows).first(n_first));
+  const std::string side_before = read_file(campaign::index_path(victim));
+  const std::size_t victim_before = read_file(victim).size();
+  ShardedStore(path, shards).append(std::span(rows).subspan(n_first));
+  const std::map<std::string, std::string> full = store_bytes(path);
+  const std::string victim_full = read_file(victim);
+  const std::string side_full = read_file(campaign::index_path(victim));
+  const std::vector<IndexEntry> entries = campaign::load_index(victim).entries;
+  ASSERT_LT(victim_before + 2, victim_full.size());
+
+  for (const std::string* side : {&side_before, &side_full}) {
+    for (std::size_t cut = victim_before; cut < victim_full.size(); ++cut) {
+      SCOPED_TRACE("cut at byte " + std::to_string(cut) + ", sidecar " +
+                   (side == &side_before ? "before" : "after") +
+                   " the append");
+      write_bytes(victim, victim_full.substr(0, cut));
+      write_bytes(campaign::index_path(victim), *side);
+
+      // The index lists exactly the rows whose newline is on disk.
+      const campaign::StoreIndex idx = campaign::load_index(victim);
+      std::size_t whole = 0;
+      while (whole < entries.size() &&
+             entries[whole].offset + entries[whole].length < cut) {
+        ++whole;
+      }
+      ASSERT_EQ(idx.entries.size(), whole);
+      for (std::size_t i = 0; i < whole; ++i) {
+        ASSERT_EQ(campaign::dump_entry(idx.entries[i]),
+                  campaign::dump_entry(entries[i]));
+      }
+
+      // Reopen, append what is missing, and every file is back.
+      std::ostringstream warnings;
+      ShardedStore store(path, shards, &warnings);
+      std::vector<Value> missing;
+      for (const Value& row : rows) {
+        if (!store.contains(row.at("hash").as_string())) {
+          missing.push_back(row);
+        }
+      }
+      store.append(missing);
+      ASSERT_EQ(store_bytes(path), full);
+    }
+  }
+  remove_store(path);
+}
+
+TEST(StoreRecoveryTest, SingleFileCrashAtEveryByteOfTheLastAppend) {
+  sweep_last_append(1, 6, 10);
+}
+
+// Rows 32..63 put two rows into every shard's last append; only the first
+// shard file is cut, and the other 15 must stay as they are.
+TEST(StoreRecoveryTest, ShardedCrashAtEveryByteOfTheLastAppend) {
+  sweep_last_append(16, 32, 64);
+}
+
+TEST(StoreRecoveryTest, SidecarCrashAtEveryByteLoadsAndRestoresIt) {
+  const std::string path = build_store("sweep_sidecar.jsonl", 12, 1);
+  const std::string side_path = campaign::index_path(path);
+  const std::string full = read_file(side_path);
+  const std::vector<IndexEntry> entries = campaign::load_index(path).entries;
+  ASSERT_EQ(entries.size(), 12u);
+  for (std::size_t cut = 0; cut < full.size(); ++cut) {
+    SCOPED_TRACE("sidecar cut at byte " + std::to_string(cut));
+    write_bytes(side_path, full.substr(0, cut));
+    const campaign::StoreIndex idx = campaign::load_index(path);
+    EXPECT_FALSE(idx.rebuilt);
+    ASSERT_EQ(idx.entries.size(), entries.size());
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+      ASSERT_EQ(campaign::dump_entry(idx.entries[i]),
+                campaign::dump_entry(entries[i]));
+    }
+    ASSERT_EQ(read_file(side_path), full);
+  }
+  remove_store(path);
 }
 
 // --------------------------------------------------------------------------

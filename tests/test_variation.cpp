@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "common/pool.h"
 #include "netlist/generators.h"
@@ -87,6 +88,16 @@ TEST_F(VariationTest, RejectsBadParams) {
                std::invalid_argument);
   EXPECT_THROW(MonteCarloAging(*analyzer_, {.sigma_vth = -0.01}),
                std::invalid_argument);
+  // A NaN sigma used to pass and fail later at the first gate's delay law.
+  for (double sigma : {std::nan(""), HUGE_VAL}) {
+    try {
+      MonteCarloAging(*analyzer_, {.sigma_vth = sigma});
+      ADD_FAILURE() << "no exception for sigma_vth " << sigma;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("sigma_vth"), std::string::npos)
+          << e.what();
+    }
+  }
   // A 1 V sigma draws shifts past the linearized delay law's domain
   // (negative factors below about -0.6 V, no switching at Vdd - Vth0).
   const MonteCarloAging wide(*analyzer_, {.sigma_vth = 1.0, .samples = 20});

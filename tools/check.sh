@@ -10,6 +10,11 @@
 #   tsan-determinism  TSan build, determinism slice via its test preset
 #                     (bit-identity across thread counts must hold data-race
 #                     clean — the work pool's core contract)
+#
+# ctest labels select slices of a full suite: "golden" (output diffs),
+# "determinism" (bit-identity) and "recovery" (the store crash sweeps: a
+# kill at every byte of an append resumes to the uninterrupted bytes), e.g.
+# `ctest --test-dir build-asan -L recovery`.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -179,6 +179,11 @@ class AgingAnalyzer {
     return stress_builds_.load(std::memory_order_relaxed);
   }
 
+  /// Fresh per-gate delays [s] at conditions().sta_temperature, computed
+  /// once at construction: with gate_vth_offsets, those of the offset
+  /// circuit that gate_dvth ages.  What the layers on an analyzer read.
+  const std::vector<double>& fresh_delays() const { return fresh_delays_; }
+
   /// Fresh critical delay [s] — precomputed once at construction; what
   /// analyze() reports as fresh_delay.
   double fresh_critical_delay() const { return fresh_critical_delay_; }

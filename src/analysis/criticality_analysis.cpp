@@ -40,7 +40,7 @@ class CriticalityAnalysis final : public Analysis {
     common::json::Array gate_prob;
     gate_prob.reserve(r.probability.size());
     for (double prob : r.probability) {
-      gate_prob.push_back(common::json::Value(prob));
+      gate_prob.emplace_back(prob);
     }
     return {{"distinct_paths", static_cast<double>(r.distinct_paths)},
             {"critical_gates", static_cast<double>(r.critical_set().size())},

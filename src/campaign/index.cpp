@@ -215,25 +215,29 @@ StoreIndex load_index(const std::string& store_path) {
   // Validate entries against the store file: strictly forward extents whose
   // newline stays inside the file, with nothing but whitespace between
   // them. Reading the (normally empty) gaps is the cheap proof that no
-  // unindexed row hides between two indexed ones.
+  // unindexed row hides between two indexed ones. A gap is read from the
+  // byte ending the previous entry, and the last entry's end is read on its
+  // own: that byte must be the row's newline, or the entry is short.
+  auto blank = [&](std::uint64_t from, std::uint64_t to, bool after_entry) {
+    std::string bytes(to - from, '\0');
+    store.seekg(static_cast<std::streamoff>(from));
+    store.read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    return store && is_ws_only(bytes) && (!after_entry || bytes[0] == '\n');
+  };
   std::uint64_t covered = 0;  // bytes of the store accounted for so far
   for (const IndexEntry& e : out.entries) {
     if (!valid) break;
     const std::uint64_t end = e.offset + e.length;
-    if (e.offset < covered || end >= store_size || e.length == 0) {
+    if (e.offset < covered || end >= store_size || e.length == 0 ||
+        (e.offset > covered &&
+         !blank(covered == 0 ? 0 : covered - 1, e.offset, covered > 0))) {
       valid = false;
       break;
     }
-    if (e.offset > covered) {
-      std::string gap(e.offset - covered, '\0');
-      store.seekg(static_cast<std::streamoff>(covered));
-      store.read(gap.data(), static_cast<std::streamsize>(gap.size()));
-      if (!store || !is_ws_only(gap)) {
-        valid = false;
-        break;
-      }
-    }
     covered = end + 1;  // +1 for the row's newline
+  }
+  if (valid && covered > 0 && !blank(covered - 1, covered, true)) {
+    valid = false;
   }
 
   if (!valid) {

@@ -35,6 +35,10 @@
 
 namespace nbtisim::common::json {
 
+/// What a Value holds; Value::Kind.  Declared before the Array and Object
+/// aliases, which its enumerators would otherwise shadow.
+enum class Kind : unsigned char { Null, Bool, Number, String, Array, Object };
+
 class Value;
 
 /// JSON array.
@@ -46,7 +50,7 @@ using Object = std::vector<std::pair<std::string, Value>>;
 /// A JSON document node: null, bool, number, string, array or object.
 class Value {
  public:
-  enum class Kind : unsigned char { Null, Bool, Number, String, Array, Object };
+  using Kind = json::Kind;
 
   Value() : data_(nullptr) {}
   Value(std::nullptr_t) : data_(nullptr) {}

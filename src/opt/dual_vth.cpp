@@ -23,11 +23,10 @@ DualVthResult assign_dual_vth(const aging::AgingAnalyzer& low,
     throw std::invalid_argument(
         "assign_dual_vth: needs all-low analyzers of one netlist");
   }
-  const double temp = low.conditions().sta_temperature;
 
   // Baseline timing and per-gate slack (slack of a gate = slack of its
   // output net under the all-low-Vth delays).
-  const std::vector<double> low_delays = sta.gate_delays(temp);
+  const std::vector<double>& low_delays = low.fresh_delays();
   const sta::TimingResult low_timing = sta.analyze(low_delays);
   const std::vector<double> node_slack = sta.slacks(low_timing, low_delays);
   std::vector<double> slack_of_gate(nl.num_gates());
@@ -52,7 +51,8 @@ DualVthResult assign_dual_vth(const aging::AgingAnalyzer& low,
   // gate's entry from the all-low or the all-high delay vector and prices
   // the assignment with one arrival-only STA pass.
   const std::vector<double> high_delays = sta.gate_delays(
-      temp, {}, std::vector<double>(nl.num_gates(), params.high_vth_offset));
+      low.conditions().sta_temperature, {},
+      std::vector<double>(nl.num_gates(), params.high_vth_offset));
   std::vector<double> delays(nl.num_gates());
   std::vector<double> arrival_scratch;
   // Critical delay with every gate of slack above threshold at high Vth.

@@ -26,8 +26,7 @@ IncInsertionResult insert_control_points(const aging::AgingAnalyzer& analyzer,
 
   // Candidate ranking.
   const std::vector<bool> standby_values = sim::Simulator(nl).evaluate(zeros);
-  const std::vector<double> fresh_delays =
-      sta.gate_delays(cond.sta_temperature, {}, cond.gate_vth_offsets);
+  const std::vector<double>& fresh_delays = analyzer.fresh_delays();
   const sta::TimingResult fresh_timing = sta.analyze(fresh_delays);
   const std::vector<double> slack = sta.slacks(fresh_timing, fresh_delays);
   const double horizon = std::max(fresh_timing.max_delay, 1e-30);
@@ -95,7 +94,8 @@ IncInsertionResult insert_control_points(const aging::AgingAnalyzer& analyzer,
   // stressed), so static ranking is not enough — each candidate must prove
   // itself against the actual degradation. The delay penalty is paid on the
   // modified driver.
-  IncInsertionResult result{.fresh_before = base_rep.fresh_delay,
+  IncInsertionResult result{.controlled = {},
+                            .fresh_before = base_rep.fresh_delay,
                             .fresh_after = base_rep.fresh_delay,
                             .aging_before = base_rep.percent(),
                             .aging_after = base_rep.percent()};

@@ -129,10 +129,7 @@ SizingResult size_for_lifetime(const aging::AgingAnalyzer& analyzer,
 
   SizingResult r;
   r.sizes.assign(nl.num_gates(), 1.0);
-  r.fresh_delay = analyzer.sta()
-                      .analyze(analyzer.sta().gate_delays(
-                          analyzer.conditions().sta_temperature))
-                      .max_delay;
+  r.fresh_delay = analyzer.fresh_critical_delay();
   r.spec = r.fresh_delay * (1.0 + params.spec_margin_percent / 100.0);
 
   sta::TimingResult aged = timing.analyze_current();

@@ -1,39 +1,14 @@
 #include "sta/slew_sta.h"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace nbtisim::sta {
 
 SlewStaEngine::SlewStaEngine(const netlist::Netlist& nl,
                              const tech::Library& lib, double input_slew)
-    : nl_(&nl), lib_(&lib), input_slew_(input_slew) {
+    : input_slew_(input_slew), sta_(nl, lib) {
   if (input_slew <= 0.0) {
     throw std::invalid_argument("SlewStaEngine: non-positive input slew");
-  }
-  cells_.reserve(nl.num_gates());
-  for (const netlist::Gate& g : nl.gates()) {
-    cells_.push_back(lib.id_for(g.fn, static_cast<int>(g.fanins.size())));
-  }
-  const double wire_cap = lib.params().wire_cap_per_fanout;
-  const double po_load = lib.input_cap(lib.find("BUF"), 0) + wire_cap;
-  loads_.assign(nl.num_gates(), 0.0);
-  for (int gi = 0; gi < nl.num_gates(); ++gi) {
-    const netlist::NodeId out = nl.gate(gi).output;
-    double load = 0.0;
-    for (int sink : nl.fanout_gates(out)) {
-      const netlist::Gate& sg = nl.gate(sink);
-      for (std::size_t pin = 0; pin < sg.fanins.size(); ++pin) {
-        if (sg.fanins[pin] == out) {
-          load += lib.input_cap(cells_[sink], static_cast<int>(pin)) + wire_cap;
-        }
-      }
-    }
-    if (std::find(nl.outputs().begin(), nl.outputs().end(), out) !=
-        nl.outputs().end()) {
-      load += po_load;
-    }
-    loads_[gi] = load;
   }
 }
 
@@ -41,7 +16,8 @@ SlewTimingResult SlewStaEngine::analyze(
     double temp_k, std::span<const double> pmos_dvth,
     std::span<const double> vth_offsets,
     std::span<const double> nmos_dvth) const {
-  const netlist::Netlist& nl = *nl_;
+  const netlist::Netlist& nl = sta_.netlist();
+  const tech::Library& lib = sta_.library();
   if (!pmos_dvth.empty() &&
       static_cast<int>(pmos_dvth.size()) != nl.num_gates()) {
     throw std::invalid_argument("SlewStaEngine: dvth size mismatch");
@@ -64,11 +40,11 @@ SlewTimingResult SlewStaEngine::analyze(
 
   for (int gi = 0; gi < nl.num_gates(); ++gi) {
     const netlist::Gate& g = nl.gate(gi);
-    const tech::CellId cell = cells_[gi];
+    const tech::CellId cell = sta_.gate_cell(gi);
     const double dvth = pmos_dvth.empty() ? 0.0 : pmos_dvth[gi];
     const double offset = vth_offsets.empty() ? 0.0 : vth_offsets[gi];
     const double n_dvth = nmos_dvth.empty() ? 0.0 : nmos_dvth[gi];
-    const tech::Library::Unateness unate = lib_->unateness(cell);
+    const tech::Library::Unateness unate = lib.unateness(cell);
 
     // For each output edge, collect candidate (arrival, slew) per fanin,
     // choosing the causing input edge from the cell's unateness.
@@ -91,8 +67,8 @@ SlewTimingResult SlewStaEngine::analyze(
               in_rising ? r.arrival_rise[in] : r.arrival_fall[in];
           const double in_slew = in_rising ? r.slew_rise[in] : r.slew_fall[in];
           const tech::Library::ArcTiming arc =
-              lib_->cell_arc(cell, out_edge, loads_[gi], in_slew, temp_k,
-                             dvth, offset, n_dvth);
+              lib.cell_arc(cell, out_edge, sta_.gate_load(gi), in_slew,
+                           temp_k, dvth, offset, n_dvth);
           const double arrival = in_arr + arc.delay;
           if (first || arrival > best_arrival) {
             best_arrival = arrival;

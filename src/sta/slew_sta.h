@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "netlist/netlist.h"
+#include "sta/sta.h"
 #include "tech/library.h"
 
 namespace nbtisim::sta {
@@ -36,15 +37,17 @@ struct SlewTimingResult {
   tech::Library::Edge critical_edge = tech::Library::Edge::Rise;
 };
 
-/// Slew-aware STA engine bound to one netlist + library.
+/// Slew-aware STA engine bound to one netlist + library; each gate's cell
+/// and load are its StaEngine's.
 class SlewStaEngine {
  public:
   /// \param input_slew transition time applied at every primary input [s]
-  /// \throws std::invalid_argument for non-positive input slew
+  /// \throws std::invalid_argument for non-positive input slew, and
+  ///         std::out_of_range as StaEngine does
   SlewStaEngine(const netlist::Netlist& nl, const tech::Library& lib,
                 double input_slew = 2.0e-11);
 
-  const netlist::Netlist& netlist() const { return *nl_; }
+  const netlist::Netlist& netlist() const { return sta_.netlist(); }
   double input_slew() const { return input_slew_; }
 
   /// Full rise/fall propagation; \p pmos_dvth (optional, per gate) slows
@@ -58,11 +61,8 @@ class SlewStaEngine {
                            std::span<const double> nmos_dvth = {}) const;
 
  private:
-  const netlist::Netlist* nl_;
-  const tech::Library* lib_;
   double input_slew_;
-  std::vector<tech::CellId> cells_;
-  std::vector<double> loads_;
+  StaEngine sta_;
 };
 
 }  // namespace nbtisim::sta

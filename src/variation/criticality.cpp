@@ -2,14 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <random>
 #include <set>
 #include <stdexcept>
 #include <string>
 
 #include "common/pool.h"
-#include "common/rng.h"
-#include "nbti/rd_model.h"
 #include "variation/variation.h"
 
 namespace nbtisim::variation {
@@ -33,25 +30,20 @@ CriticalityResult gate_criticality(const aging::AgingAnalyzer& analyzer,
       throw std::invalid_argument(std::string("gate_criticality: ") + what);
     }
   };
-  require(params.samples >= 2, "samples must be >= 2");
-  require(std::isfinite(params.sigma_vth) && params.sigma_vth >= 0.0,
-          "sigma_vth must be finite and >= 0");
+  // The sampler checks samples and sigma_vth.
+  const MonteCarloAging mc(analyzer, {.sigma_vth = params.sigma_vth,
+                                      .samples = params.samples,
+                                      .seed = params.seed});
   require(std::isfinite(params.total_time) && params.total_time >= 0.0,
           "total_time must be finite and >= 0");
   const sta::StaEngine& sta = analyzer.sta();
   const netlist::Netlist& nl = sta.netlist();
-  const tech::LibraryParams& lp = sta.library().params();
-  const nbti::RdParams& rd = analyzer.conditions().rd;
 
-  const std::vector<double> fresh =
-      sta.gate_delays(analyzer.conditions().sta_temperature);
   std::vector<double> dvth_nominal;
   if (params.aged) {
     dvth_nominal = analyzer.gate_dvth(aging::StandbyPolicy::all_stressed(),
                                       params.total_time);
   }
-  const LinearizedDelay law(lp);
-  const double ff_nominal = nbti::field_factor(rd, lp.vdd, lp.pmos.vth0);
 
   CriticalityResult result;
   std::vector<double> hits(nl.num_gates(), 0.0);
@@ -62,19 +54,8 @@ CriticalityResult gate_criticality(const aging::AgingAnalyzer& analyzer,
   // result bit-identical for every thread count.
   std::vector<std::vector<netlist::NodeId>> sample_paths(params.samples);
   common::parallel_for(params.samples, [&](int s) {
-    std::mt19937_64 rng(common::stream_seed(params.seed, s));
-    std::normal_distribution<double> gauss(0.0, params.sigma_vth);
-    std::vector<double> delays(nl.num_gates());
-    for (int gi = 0; gi < nl.num_gates(); ++gi) {
-      const double offset = gauss(rng);
-      double dvth = 0.0;
-      if (params.aged) {
-        const double ff =
-            nbti::field_factor(rd, lp.vdd, lp.pmos.vth0 + offset);
-        dvth = dvth_nominal[gi] * (ff_nominal > 0.0 ? ff / ff_nominal : 1.0);
-      }
-      delays[gi] = fresh[gi] * law.factor(offset + dvth, nl, gi);
-    }
+    std::vector<double> delays;
+    mc.delays(mc.draw(s, params.aged), dvth_nominal, delays);
     sample_paths[s] = sta.analyze(delays).critical_path;
   });
   for (const std::vector<netlist::NodeId>& path : sample_paths) {

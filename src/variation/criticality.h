@@ -6,7 +6,8 @@
 /// the critical path is a random variable and *many* gates carry critical-
 /// path probability mass. Criticality matters for the optimization passes:
 /// dual-Vth assignment and NBTI-aware sizing should protect the gates that
-/// are *likely* critical, not just the nominal path.
+/// are *likely* critical, not just the nominal path.  The dies are
+/// MonteCarloAging's (variation.h).
 #pragma once
 
 #include <cstdint>

@@ -3,13 +3,10 @@
 #include <atomic>
 #include <cmath>
 #include <mutex>
-#include <random>
 #include <stdexcept>
 #include <string>
 
 #include "common/pool.h"
-#include "common/rng.h"
-#include "nbti/rd_model.h"
 #include "variation/variation.h"
 
 namespace nbtisim::variation {
@@ -38,9 +35,10 @@ LifetimeResult lifetime_distribution(const aging::AgingAnalyzer& analyzer,
   require(std::isfinite(params.spec_margin_percent) &&
               params.spec_margin_percent > 0.0,
           "spec_margin_percent must be finite and > 0");
-  require(params.samples >= 2, "samples must be >= 2");
-  require(std::isfinite(params.sigma_vth) && params.sigma_vth >= 0.0,
-          "sigma_vth must be finite and >= 0");
+  // The sampler checks samples and sigma_vth.
+  const MonteCarloAging mc(analyzer, {.sigma_vth = params.sigma_vth,
+                                      .samples = params.samples,
+                                      .seed = params.seed});
   require(std::isfinite(params.max_time) && params.max_time > 0.0,
           "max_time must be finite and > 0");
   require(params.time_grid_points >= 4, "time_grid_points must be >= 4");
@@ -62,17 +60,8 @@ LifetimeResult lifetime_distribution(const aging::AgingAnalyzer& analyzer,
   }
 
   const sta::StaEngine& sta = analyzer.sta();
-  const netlist::Netlist& nl = sta.netlist();
-  const tech::LibraryParams& lp = sta.library().params();
-  const nbti::RdParams& rd = analyzer.conditions().rd;
-
-  const std::vector<double> fresh =
-      sta.gate_delays(analyzer.conditions().sta_temperature);
-  std::vector<double> nominal_scratch;
-  const double nominal = sta.critical_delay(fresh, nominal_scratch);
-  const double spec = nominal * (1.0 + params.spec_margin_percent / 100.0);
-  const LinearizedDelay law(lp);
-  const double ff_nominal = nbti::field_factor(rd, lp.vdd, lp.pmos.vth0);
+  const double spec = analyzer.fresh_critical_delay() *
+                      (1.0 + params.spec_margin_percent / 100.0);
 
   // Nominal per-gate dVth at a grid point, computed by its first reader,
   // once: a bisection reads only a few of the points, and the skipped
@@ -103,29 +92,17 @@ LifetimeResult lifetime_distribution(const aging::AgingAnalyzer& analyzer,
   // Samples are independent streams writing disjoint slots: bit-identical
   // for every thread count.
   common::parallel_for(params.samples, [&](int s) {
-    std::mt19937_64 rng(common::stream_seed(params.seed, s));
-    std::normal_distribution<double> gauss(0.0, params.sigma_vth);
-    std::vector<double> offsets(nl.num_gates());
-    std::vector<double> ff_scale(nl.num_gates());
-    for (int gi = 0; gi < nl.num_gates(); ++gi) {
-      offsets[gi] = gauss(rng);
-      const double ff =
-          nbti::field_factor(rd, lp.vdd, lp.pmos.vth0 + offsets[gi]);
-      ff_scale[gi] = ff_nominal > 0.0 ? ff / ff_nominal : 1.0;
-    }
+    // Drawn once, timed at every grid point the bisection reads.
+    const MonteCarloAging::Sample sample = mc.draw(s, true);
 
     // Memoized per grid point: the bisection endpoints are re-read during
     // the final interpolation, and each STA pass costs a full circuit walk.
     std::vector<double> delay_cache(n_grid, -1.0);
-    std::vector<double> delays(nl.num_gates());
+    std::vector<double> delays;
     std::vector<double> arrival_scratch;
     auto delay_at_grid = [&](int k) {
       if (delay_cache[k] >= 0.0) return delay_cache[k];
-      const std::vector<double>& dvth_k = nominal_dvth(k);
-      for (int gi = 0; gi < nl.num_gates(); ++gi) {
-        const double dvth = dvth_k[gi] * ff_scale[gi];
-        delays[gi] = fresh[gi] * law.factor(offsets[gi] + dvth, nl, gi);
-      }
+      mc.delays(sample, nominal_dvth(k), delays);
       // Arrival-only STA: same max_delay bitwise, no TimingResult
       // allocation inside the per-sample bisection loop.
       return delay_cache[k] = sta.critical_delay(delays, arrival_scratch);

@@ -6,11 +6,13 @@
 /// "when does each die stop meeting its spec". Per Monte-Carlo sample the
 /// aged delay is monotone in time, so the failure time (aged delay crossing
 /// spec = fresh nominal * (1 + margin)) is found by bisection on a shared
-/// nominal dVth(t) grid, scaled per sample by the oxide-field factor like
-/// the Fig. 12 machinery.  A grid point's nominal dVth is computed on its
-/// first read, once for all samples: the bisections read only a few of the
-/// points (on the circuits measured, 8 of the default 40 when lifetimes
-/// fall mid-grid, and only the horizon when every sample survives).
+/// nominal dVth(t) grid.  Each sample is drawn once by the Fig. 12 sampler,
+/// MonteCarloAging, which scales the grid's dVth by its oxide-field factor
+/// at every point the bisection reads.  A grid point's nominal dVth is
+/// computed on its first read, once for all samples: the bisections read
+/// only a few of the points (on the circuits measured, 8 of the default 40
+/// when lifetimes fall mid-grid, and only the horizon when every sample
+/// survives).
 #pragma once
 
 #include <cstdint>

@@ -59,7 +59,11 @@ double DelayDistribution::quantile(double q) const {
 
 MonteCarloAging::MonteCarloAging(const aging::AgingAnalyzer& analyzer,
                                  VariationParams params)
-    : analyzer_(&analyzer), params_(params) {
+    : analyzer_(&analyzer), params_(params),
+      law_(analyzer.sta().library().params()),
+      ff_nominal_(nbti::field_factor(
+          analyzer.conditions().rd, analyzer.sta().library().params().vdd,
+          analyzer.sta().library().params().pmos.vth0)) {
   // Written so NaN fails too.
   if (params_.samples < 2) {
     throw std::invalid_argument("MonteCarloAging: samples must be >= 2");
@@ -70,67 +74,66 @@ MonteCarloAging::MonteCarloAging(const aging::AgingAnalyzer& analyzer,
   }
 }
 
-std::vector<double> MonteCarloAging::sample_offsets(std::uint64_t stream) const {
+MonteCarloAging::Sample MonteCarloAging::draw(int s, bool aged) const {
   const int n_gates = analyzer_->sta().netlist().num_gates();
-  std::mt19937_64 rng(common::stream_seed(params_.seed, stream));
+  const tech::LibraryParams& lp = analyzer_->sta().library().params();
+  std::mt19937_64 rng(common::stream_seed(params_.seed, s));
   std::normal_distribution<double> gauss(0.0, params_.sigma_vth);
-  std::vector<double> offsets(n_gates);
-  for (double& o : offsets) o = gauss(rng);
-  return offsets;
+  Sample sample{std::vector<double>(n_gates),
+                std::vector<double>(aged ? n_gates : 0)};
+  for (int gi = 0; gi < n_gates; ++gi) {
+    sample.offset[gi] = gauss(rng);
+    if (aged) {
+      // Low-Vth samples age faster: the field-factor ratio of eq. (23)
+      // scales the nominal dVth — the variance-compensation mechanism.
+      const double ff = nbti::field_factor(analyzer_->conditions().rd, lp.vdd,
+                                           lp.pmos.vth0 + sample.offset[gi]);
+      sample.dvth_scale[gi] = ff_nominal_ > 0.0 ? ff / ff_nominal_ : 1.0;
+    }
+  }
+  return sample;
 }
 
-DelayDistribution MonteCarloAging::fresh_distribution() const {
-  const sta::StaEngine& sta = analyzer_->sta();
-  const tech::LibraryParams& lp = sta.library().params();
-  const std::vector<double> fresh =
-      sta.gate_delays(analyzer_->conditions().sta_temperature);
-  const LinearizedDelay law(lp);
+void MonteCarloAging::delays(const Sample& sample,
+                             std::span<const double> nominal_dvth,
+                             std::vector<double>& out) const {
+  if (!nominal_dvth.empty() && sample.dvth_scale.empty()) {
+    throw std::invalid_argument(
+        "MonteCarloAging: a sample drawn fresh has no dVth scale");
+  }
+  const netlist::Netlist& nl = analyzer_->sta().netlist();
+  const std::vector<double>& fresh = analyzer_->fresh_delays();
+  out.resize(fresh.size());
+  for (int gi = 0; gi < nl.num_gates(); ++gi) {
+    const double shift =
+        nominal_dvth.empty()
+            ? sample.offset[gi]
+            : sample.offset[gi] + nominal_dvth[gi] * sample.dvth_scale[gi];
+    out[gi] = fresh[gi] * law_.factor(shift, nl, gi);
+  }
+}
 
+DelayDistribution MonteCarloAging::distribution(
+    std::span<const double> nominal_dvth) const {
   // Samples are independent streams writing disjoint slots: bit-identical
   // for every thread count.
   DelayDistribution dist;
   dist.delays.resize(params_.samples);
   common::parallel_for(params_.samples, [&](int s) {
-    const std::vector<double> offsets = sample_offsets(s);
-    std::vector<double> delays(fresh.size());
-    for (std::size_t g = 0; g < fresh.size(); ++g) {
-      delays[g] = fresh[g] * law.factor(offsets[g], sta.netlist(),
-                                        static_cast<int>(g));
-    }
-    dist.delays[s] = sta.analyze(delays).max_delay;
+    std::vector<double> gate_delay;
+    delays(draw(s, !nominal_dvth.empty()), nominal_dvth, gate_delay);
+    dist.delays[s] = analyzer_->sta().analyze(gate_delay).max_delay;
   });
   return dist;
 }
 
+DelayDistribution MonteCarloAging::fresh_distribution() const {
+  return distribution({});
+}
+
 DelayDistribution MonteCarloAging::aged_distribution(
     const aging::StandbyPolicy& policy, double total_time) const {
-  const sta::StaEngine& sta = analyzer_->sta();
-  const tech::LibraryParams& lp = sta.library().params();
-  const nbti::RdParams& rd = analyzer_->conditions().rd;
-  const std::vector<double> fresh =
-      sta.gate_delays(analyzer_->conditions().sta_temperature);
-  const std::vector<double> dvth_nominal =
-      analyzer_->gate_dvth(policy, total_time);
-  const LinearizedDelay law(lp);
-  const double ff_nominal = nbti::field_factor(rd, lp.vdd, lp.pmos.vth0);
-
-  DelayDistribution dist;
-  dist.delays.resize(params_.samples);
-  common::parallel_for(params_.samples, [&](int s) {
-    const std::vector<double> offsets = sample_offsets(s);
-    std::vector<double> delays(fresh.size());
-    for (std::size_t g = 0; g < fresh.size(); ++g) {
-      // Low-Vth samples age faster: scale nominal dVth by the field-factor
-      // ratio of eq. (23) — this is the variance-compensation mechanism.
-      const double ff =
-          nbti::field_factor(rd, lp.vdd, lp.pmos.vth0 + offsets[g]);
-      const double dvth = dvth_nominal[g] * (ff_nominal > 0.0 ? ff / ff_nominal : 1.0);
-      delays[g] = fresh[g] * law.factor(offsets[g] + dvth, sta.netlist(),
-                                        static_cast<int>(g));
-    }
-    dist.delays[s] = sta.analyze(delays).max_delay;
-  });
-  return dist;
+  return distribution(analyzer_->gate_dvth(policy, total_time));
 }
 
 }  // namespace nbtisim::variation

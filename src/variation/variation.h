@@ -8,12 +8,17 @@
 ///     factor of eq. 23 grows as Vgs - Vth grows), and vice versa;
 ///   - hence aging partially compensates static variation and the delay
 ///     variance shrinks slightly while the mean grows ([51]).
-/// Each Monte-Carlo sample draws a per-gate Vth offset, scales the nominal
-/// per-gate dVth by the field-factor ratio, and re-runs STA.
+/// MonteCarloAging is the one sampler of the Monte-Carlo layers (these
+/// distributions, lifetime.h and criticality.h): per-gate Vth offsets, the
+/// field-factor ratio scaling each gate's nominal dVth, the linearized delay
+/// law over AgingAnalyzer::fresh_delays(), and one STA pass per sample.  No
+/// caller passes an analyzer with gate_vth_offsets; one that did would time
+/// the offset circuit its gate_dvth already assumes.
 #pragma once
 
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "aging/aging.h"
@@ -82,11 +87,31 @@ struct DelayDistribution {
 /// Variation-aware aging Monte-Carlo bound to an AgingAnalyzer.
 class MonteCarloAging {
  public:
+  /// One Monte-Carlo die: per-gate Vth offsets [V] and, when drawn aged,
+  /// each gate's nominal-dVth scale field_factor(vth0 + offset) /
+  /// field_factor(vth0).
+  struct Sample {
+    std::vector<double> offset;
+    std::vector<double> dvth_scale;  ///< empty when drawn fresh
+  };
+
   /// \throws std::invalid_argument naming the parameter for samples < 2 or
   ///         a sigma_vth that is not finite and >= 0
   MonteCarloAging(const aging::AgingAnalyzer& analyzer, VariationParams params);
 
   const VariationParams& params() const { return params_; }
+
+  /// Sample \p s, drawn from the stream stream_seed(seed, s) whatever thread
+  /// draws it; \p aged adds each gate's dVth scale.
+  Sample draw(int s, bool aged) const;
+
+  /// Gate delays of \p sample into \p out: each gate's fresh delay times
+  /// the linearized factor at offset + nominal_dvth * dvth_scale, or at the
+  /// offset alone (the fresh circuit) when \p nominal_dvth is empty.
+  /// \throws std::invalid_argument for a nominal dVth with a sample drawn
+  ///         fresh, and std::domain_error from LinearizedDelay::factor
+  void delays(const Sample& sample, std::span<const double> nominal_dvth,
+              std::vector<double>& out) const;
 
   /// Delay distribution of the *fresh* circuit under Vth variation.
   DelayDistribution fresh_distribution() const;
@@ -97,10 +122,13 @@ class MonteCarloAging {
                                       double total_time) const;
 
  private:
-  std::vector<double> sample_offsets(std::uint64_t stream) const;
+  /// One STA pass per sample over delays(draw(s), nominal_dvth).
+  DelayDistribution distribution(std::span<const double> nominal_dvth) const;
 
   const aging::AgingAnalyzer* analyzer_;
   VariationParams params_;
+  LinearizedDelay law_;
+  double ff_nominal_;  ///< field_factor at the nominal Vth0
 };
 
 }  // namespace nbtisim::variation

@@ -5,11 +5,12 @@
 /// scalar device-model call per PMOS or NMOS per horizon, the literal S_n
 /// recursion, one stress context per device, full delay rebuild + full STA
 /// per sizing trial, a fresh analyzer per control-point trial, an eager
-/// lifetime grid, a fresh analyze() per derate cell, a serial loop per
-/// electrothermal sweep, a nested bisection per stacked OFF device,
-/// snprintf and strtod for JSON number text — and serves as the oracle
-/// that tests/test_differential.cpp property-tests the optimized engines
-/// against across random netlists, seeds, thread counts and horizons.
+/// lifetime grid, Monte-Carlo samples drawn and scaled inline, a fresh
+/// analyze() per derate cell, a serial loop per electrothermal sweep, a
+/// nested bisection per stacked OFF device, snprintf and strtod for JSON
+/// number text — and serves as the oracle that tests/test_differential.cpp
+/// property-tests the optimized engines against across random netlists,
+/// seeds, thread counts and horizons.
 /// Keep them boring: no caching, no incremental updates, no parallelism.
 /// The one deliberate sophistication is FP discipline — every accumulation
 /// mirrors the production expression order, so the comparisons can demand
@@ -23,6 +24,7 @@
 #include <cstdlib>
 #include <limits>
 #include <random>
+#include <set>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -46,6 +48,7 @@
 #include "tech/stack.h"
 #include "tech/units.h"
 #include "thermal/electrothermal.h"
+#include "variation/criticality.h"
 #include "variation/lifetime.h"
 #include "variation/variation.h"
 
@@ -463,6 +466,101 @@ inline variation::LifetimeResult reference_lifetime_distribution(
     }
     result.lifetimes.push_back(lifetime);
   }
+  return result;
+}
+
+/// Fig. 12 delay distribution the way each Monte-Carlo layer sampled before
+/// MonteCarloAging owned the sample: fresh delays re-derived from the STA
+/// engine, each sample's offsets drawn and, with \p dvth_nominal (one per
+/// gate), each gate's nominal dVth scaled by its field-factor ratio, inline
+/// and serial, one full analyze() per sample.  An empty \p dvth_nominal
+/// times the fresh circuit.  The oracle for MonteCarloAging's
+/// fresh_distribution and aged_distribution.
+inline variation::DelayDistribution reference_delay_distribution(
+    const aging::AgingAnalyzer& analyzer,
+    const variation::VariationParams& params,
+    const std::vector<double>& dvth_nominal = {}) {
+  const sta::StaEngine& sta = analyzer.sta();
+  const netlist::Netlist& nl = sta.netlist();
+  const tech::LibraryParams& lp = sta.library().params();
+  const nbti::RdParams& rd = analyzer.conditions().rd;
+  const std::vector<double> fresh =
+      sta.gate_delays(analyzer.conditions().sta_temperature);
+  const variation::LinearizedDelay law(lp);
+  const double ff_nominal = nbti::field_factor(rd, lp.vdd, lp.pmos.vth0);
+
+  variation::DelayDistribution dist;
+  for (int s = 0; s < params.samples; ++s) {
+    std::mt19937_64 rng(common::stream_seed(params.seed, s));
+    std::normal_distribution<double> gauss(0.0, params.sigma_vth);
+    std::vector<double> offsets(nl.num_gates());
+    for (double& o : offsets) o = gauss(rng);
+    std::vector<double> delays(nl.num_gates());
+    for (int gi = 0; gi < nl.num_gates(); ++gi) {
+      double shift = offsets[gi];
+      if (!dvth_nominal.empty()) {
+        const double ff =
+            nbti::field_factor(rd, lp.vdd, lp.pmos.vth0 + offsets[gi]);
+        const double dvth =
+            dvth_nominal[gi] * (ff_nominal > 0.0 ? ff / ff_nominal : 1.0);
+        shift = offsets[gi] + dvth;
+      }
+      delays[gi] = fresh[gi] * law.factor(shift, nl, gi);
+    }
+    dist.delays.push_back(sta.analyze(delays).max_delay);
+  }
+  return dist;
+}
+
+/// Per-gate criticality with the sampling inline: the fresh delays
+/// re-derived, each gate's offset drawn and its aged shift (offset plus the
+/// field-factor-scaled nominal dVth, plus 0 when fresh) formed in one loop,
+/// samples serial with the hit counts summed as they come.  The oracle for
+/// variation::gate_criticality.
+inline variation::CriticalityResult reference_gate_criticality(
+    const aging::AgingAnalyzer& analyzer,
+    const variation::CriticalityParams& params) {
+  const sta::StaEngine& sta = analyzer.sta();
+  const netlist::Netlist& nl = sta.netlist();
+  const tech::LibraryParams& lp = sta.library().params();
+  const nbti::RdParams& rd = analyzer.conditions().rd;
+  const std::vector<double> fresh =
+      sta.gate_delays(analyzer.conditions().sta_temperature);
+  std::vector<double> dvth_nominal;
+  if (params.aged) {
+    dvth_nominal = analyzer.gate_dvth(aging::StandbyPolicy::all_stressed(),
+                                      params.total_time);
+  }
+  const variation::LinearizedDelay law(lp);
+  const double ff_nominal = nbti::field_factor(rd, lp.vdd, lp.pmos.vth0);
+
+  std::vector<double> hits(nl.num_gates(), 0.0);
+  std::set<netlist::NodeId> critical_pos;
+  for (int s = 0; s < params.samples; ++s) {
+    std::mt19937_64 rng(common::stream_seed(params.seed, s));
+    std::normal_distribution<double> gauss(0.0, params.sigma_vth);
+    std::vector<double> delays(nl.num_gates());
+    for (int gi = 0; gi < nl.num_gates(); ++gi) {
+      const double offset = gauss(rng);
+      double dvth = 0.0;
+      if (params.aged) {
+        const double ff =
+            nbti::field_factor(rd, lp.vdd, lp.pmos.vth0 + offset);
+        dvth = dvth_nominal[gi] * (ff_nominal > 0.0 ? ff / ff_nominal : 1.0);
+      }
+      delays[gi] = fresh[gi] * law.factor(offset + dvth, nl, gi);
+    }
+    const std::vector<netlist::NodeId> path = sta.analyze(delays).critical_path;
+    for (netlist::NodeId node : path) {
+      const int gi = nl.driver_gate(node);
+      if (gi >= 0) hits[gi] += 1.0;
+    }
+    if (!path.empty()) critical_pos.insert(path.back());
+  }
+
+  variation::CriticalityResult result;
+  for (double h : hits) result.probability.push_back(h / params.samples);
+  result.distinct_paths = static_cast<int>(critical_pos.size());
   return result;
 }
 

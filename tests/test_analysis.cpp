@@ -8,8 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
@@ -21,6 +19,7 @@
 #include "campaign/spec.h"
 #include "campaign/store.h"
 #include "report/report.h"
+#include "support/temp_store.h"
 
 namespace nbtisim::analysis {
 namespace {
@@ -38,13 +37,7 @@ void write_text(const std::string& path, const std::string& text) {
   f << text;
 }
 
-std::string temp_path(const std::string& name) {
-  // Process-unique so `ctest -j` sibling test processes don't race on it.
-  const std::string path = ::testing::TempDir() + "/" +
-                           std::to_string(::getpid()) + "_" + name;
-  std::remove(path.c_str());
-  return path;
-}
+using testsupport::temp_path;
 
 // --------------------------------------------------------------------------
 // Registry behaviour.

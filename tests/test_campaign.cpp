@@ -8,7 +8,6 @@
 
 #include <sys/resource.h>
 #include <sys/stat.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <cstdio>
@@ -24,6 +23,7 @@
 #include "common/pool.h"
 #include "query/query.h"
 #include "report/report.h"
+#include "support/temp_store.h"
 
 namespace nbtisim::campaign {
 namespace {
@@ -41,16 +41,9 @@ void write_text(const std::string& path, const std::string& text) {
   f << text;
 }
 
-std::string temp_path(const std::string& name) {
-  // gtest_discover_tests runs every TEST_F as its own process, and each
-  // process's SetUpTestSuite rebuilds the fixture store — so under
-  // `ctest -j` sibling processes would race on a shared filename unless
-  // the path is process-unique.
-  const std::string path = ::testing::TempDir() + "/" +
-                           std::to_string(::getpid()) + "_" + name;
-  std::remove(path.c_str());
-  return path;
-}
+// gtest_discover_tests runs every TEST_F as its own process, and each
+// process's SetUpTestSuite rebuilds the fixture store in a fresh temp_path.
+using testsupport::temp_path;
 
 // A 2 netlists x 2 conditions x 2 analyses grid on tiny generated circuits:
 // 8 tasks, every analysis kind cheap enough for CI.
@@ -460,6 +453,10 @@ TEST(ResultStoreTest, ThrowsOnNonTrailingCorruption) {
 TEST(ResultStoreTest, FailedAppendLeavesStoreRetryable) {
   const std::string dir = temp_path("store_retry_dir");
   const std::string path = dir + "/store.jsonl";
+  // A directory left by an earlier process with this id: empty and remove
+  // it (temp_path removes the emptied directory again at exit).
+  testsupport::remove_store(path);
+  std::remove(dir.c_str());
   ResultStore store(path);  // missing file: empty store, nothing created yet
 
   std::vector<common::json::Value> rows(2);
@@ -483,6 +480,7 @@ TEST(ResultStoreTest, FailedAppendLeavesStoreRetryable) {
 
   const ResultStore reloaded(path);
   EXPECT_EQ(reloaded.size(), 2u);
+  testsupport::remove_store(path);
 }
 
 // --------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 // Differential tests: the optimized evaluation paths (incremental
 // SizedTiming, parallel sizing argmax, control-point trials on one
-// analyzer, the lazy lifetime grid, horizon-batched derate, batched
-// electrothermal sweeps, the SoA degradation kernel and the shooting stack
-// solver) property-tested against the deliberately naive reference
-// evaluators — support/reference.h and the per-device scalar model — across
-// random dag: netlists, seeds, temperatures, duty cycles, standby policies,
-// thread counts (common::ThreadBudget scopes) and horizons.  Kernel
+// analyzer, the lazy lifetime grid, the one Monte-Carlo sampler,
+// horizon-batched derate, batched electrothermal sweeps, the SoA
+// degradation kernel and the shooting stack solver) property-tested against
+// the deliberately naive reference evaluators — support/reference.h and the
+// per-device scalar model — across random dag: netlists, seeds,
+// temperatures, duty cycles, standby policies, thread counts
+// (common::ThreadBudget scopes) and horizons.  Kernel
 // comparisons are exact (double ==): the optimized paths are bit-identical
 // to brute force by construction, and these tests are what enforce that
 // contract.  The shooting stack solver is bounded by its documented
@@ -41,7 +42,9 @@
 #include "tech/stack.h"
 #include "tech/units.h"
 #include "thermal/electrothermal.h"
+#include "variation/criticality.h"
 #include "variation/lifetime.h"
+#include "variation/variation.h"
 
 namespace nbtisim {
 namespace {
@@ -229,6 +232,55 @@ TEST(DifferentialTest, LazyLifetimeGridMatchesEagerReference) {
   EXPECT_GT(survivors, 0);
   EXPECT_GT(crossings, 0);
   EXPECT_GT(dead_on_arrival, 0);
+}
+
+TEST(DifferentialTest, MonteCarloLayersMatchReference) {
+  // The Fig. 12 distributions and gate criticality draw every die through
+  // MonteCarloAging's one sampler and time it from the analyzer's fresh
+  // delays; the oracles are the loops each layer used to carry, with the
+  // sampling and the field-factor scaling inline.  Lifetime, the third
+  // user, is LazyLifetimeGridMatchesEagerReference's.
+  const tech::Library lib;
+  const aging::StandbyPolicy policy = aging::StandbyPolicy::all_stressed();
+  const double horizon = 3.0e8;
+  for (const char* spec : {"c432", "dag:16x300@5", "mult:8"}) {
+    SCOPED_TRACE(spec);
+    const netlist::Netlist nl = analysis::load_netlist_spec(spec, false);
+    const aging::AgingAnalyzer an(nl, lib, fast_conditions());
+    const variation::VariationParams vp{.sigma_vth = 0.015, .samples = 40,
+                                        .seed = 11};
+    variation::DelayDistribution want_fresh;
+    variation::DelayDistribution want_aged;
+    variation::CriticalityResult want_crit[2];
+    {
+      const common::ThreadBudget serial(1);
+      want_fresh = testsupport::reference_delay_distribution(an, vp);
+      want_aged = testsupport::reference_delay_distribution(
+          an, vp, an.gate_dvth(policy, horizon));
+      for (bool aged : {false, true}) {
+        want_crit[aged] = testsupport::reference_gate_criticality(
+            an, {.samples = 40, .aged = aged, .total_time = horizon});
+      }
+    }
+    // The comparisons must exercise the aging and the path ranking.
+    EXPECT_NE(want_aged.delays, want_fresh.delays);
+    EXPECT_GT(want_crit[true].distinct_paths, 0);
+    for (int n_threads : {1, 4}) {
+      SCOPED_TRACE(::testing::Message() << "n_threads=" << n_threads);
+      const common::ThreadBudget budget(n_threads);
+      const variation::MonteCarloAging mc(an, vp);
+      EXPECT_EQ(mc.fresh_distribution().delays, want_fresh.delays);
+      EXPECT_EQ(mc.aged_distribution(policy, horizon).delays,
+                want_aged.delays);
+      for (bool aged : {false, true}) {
+        SCOPED_TRACE(::testing::Message() << "aged=" << aged);
+        const variation::CriticalityResult got = variation::gate_criticality(
+            an, {.samples = 40, .aged = aged, .total_time = horizon});
+        EXPECT_EQ(got.probability, want_crit[aged].probability);
+        EXPECT_EQ(got.distinct_paths, want_crit[aged].distinct_paths);
+      }
+    }
+  }
 }
 
 TEST(DifferentialTest, IncOnOneAnalyzerMatchesPerTrialRebuild) {

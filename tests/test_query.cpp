@@ -30,6 +30,7 @@
 #include "common/rng.h"
 #include "query/serve.h"
 #include "support/reference.h"
+#include "support/temp_store.h"
 
 namespace nbtisim::query {
 namespace {
@@ -39,24 +40,8 @@ using campaign::ResultStore;
 using campaign::ShardedStore;
 using common::json::Value;
 
-std::string temp_path(const std::string& name) {
-  // Process-unique: gtest_discover_tests runs each TEST as its own process
-  // and ctest -j runs them concurrently.
-  const std::string path = ::testing::TempDir() + "/" +
-                           std::to_string(::getpid()) + "_" + name;
-  std::remove(path.c_str());
-  return path;
-}
-
-void remove_store(const std::string& path) {
-  std::remove(path.c_str());
-  std::remove(campaign::index_path(path).c_str());
-  for (int h = 0; h < ShardedStore::kMaxShards; ++h) {
-    const std::string sp = ShardedStore::shard_path(path, h);
-    std::remove(sp.c_str());
-    std::remove(campaign::index_path(sp).c_str());
-  }
-}
+using testsupport::remove_store;
+using testsupport::temp_path;
 
 std::string read_file(const std::string& path) {
   std::ifstream f(path, std::ios::binary);
@@ -283,6 +268,70 @@ TEST(IndexTest, BadSidecarExtentsRebuild) {
     }
   }
   remove_store(path);
+}
+
+// A sidecar entry one byte short ends on its row's last byte, not on the
+// newline: the byte after it is then that newline, which passes for a
+// whitespace gap (or, after the last entry, for an empty line). The entry
+// must make the sidecar stale, and a query must answer as on the clean
+// store instead of parsing a row cut short.
+void expect_short_entry_rebuilds(const std::string& name, int victim) {
+  const std::string path = build_store(name, 5, 1);
+  const std::string good = read_file(campaign::index_path(path));
+  const campaign::StoreIndex clean = campaign::load_index(path);
+  ASSERT_FALSE(clean.rebuilt);
+  ASSERT_EQ(clean.entries.size(), 5u);
+  std::vector<std::string> answers;
+  {
+    const StoreView view(path);
+    for (const char* text : kQueries) {
+      answers.push_back(report::to_csv(
+          run_query(view, parse_query(common::json::parse(text)), 1).table()));
+    }
+  }
+  std::string side;
+  for (std::size_t i = 0; i < clean.entries.size(); ++i) {
+    IndexEntry e = clean.entries[i];
+    if (static_cast<int>(i) == victim) --e.length;
+    side += campaign::dump_entry(e) + "\n";
+  }
+  auto damage = [&] {
+    std::ofstream f(campaign::index_path(path), std::ios::trunc);
+    f << side;
+  };
+
+  damage();
+  const campaign::StoreIndex idx = campaign::load_index(path);
+  EXPECT_TRUE(idx.rebuilt);
+  ASSERT_EQ(idx.entries.size(), clean.entries.size());
+  for (std::size_t i = 0; i < idx.entries.size(); ++i) {
+    EXPECT_EQ(campaign::dump_entry(idx.entries[i]),
+              campaign::dump_entry(clean.entries[i]));
+  }
+  EXPECT_EQ(read_file(campaign::index_path(path)), good);
+
+  damage();
+  const StoreView view(path);
+  for (std::size_t q = 0; q < std::size(kQueries); ++q) {
+    EXPECT_EQ(report::to_csv(run_query(
+                  view, parse_query(common::json::parse(kQueries[q])), 1)
+                                 .table()),
+              answers[q])
+        << kQueries[q];
+  }
+  remove_store(path);
+}
+
+TEST(IndexTest, FirstEntryOneByteShortRebuilds) {
+  expect_short_entry_rebuilds("idx_short_first.jsonl", 0);
+}
+
+TEST(IndexTest, MiddleEntryOneByteShortRebuilds) {
+  expect_short_entry_rebuilds("idx_short_middle.jsonl", 2);
+}
+
+TEST(IndexTest, LastEntryOneByteShortRebuilds) {
+  expect_short_entry_rebuilds("idx_short_last.jsonl", 4);
 }
 
 TEST(IndexTest, GapBetweenEntriesTriggersRebuild) {

@@ -209,7 +209,9 @@ TEST(SizingTieBreakTest, IdenticalGainRatiosPickSameGateAtEveryThreadCount) {
       EXPECT_EQ(r.sizes[2], 1.5);
       EXPECT_EQ(r.sizes[4], 1.0);
       for (std::size_t gi = 0; gi < r.sizes.size(); ++gi) {
-        if (gi != 2) EXPECT_EQ(r.sizes[gi], 1.0) << "gate " << gi;
+        if (gi != 2) {
+          EXPECT_EQ(r.sizes[gi], 1.0) << "gate " << gi;
+        }
       }
     }
   }

@@ -106,6 +106,29 @@ TEST_F(VariationTest, RejectsBadParams) {
                std::domain_error);
 }
 
+TEST_F(VariationTest, SampleTimesFreshOrWithItsDvthScale) {
+  const MonteCarloAging mc(*analyzer_, {.sigma_vth = 0.015, .samples = 2});
+  const MonteCarloAging::Sample fresh = mc.draw(3, false);
+  const MonteCarloAging::Sample aged = mc.draw(3, true);
+  // One stream per sample: the scale is all an aged draw adds.
+  EXPECT_EQ(aged.offset, fresh.offset);
+  EXPECT_TRUE(fresh.dvth_scale.empty());
+  ASSERT_EQ(aged.dvth_scale.size(), fresh.offset.size());
+  const std::vector<double> dvth =
+      analyzer_->gate_dvth(aging::StandbyPolicy::all_stressed(), 3e8);
+  std::vector<double> delays;
+  EXPECT_THROW(mc.delays(fresh, dvth, delays), std::invalid_argument);
+  // Without a nominal dVth an aged draw times the fresh circuit.
+  std::vector<double> fresh_delays;
+  mc.delays(fresh, {}, fresh_delays);
+  mc.delays(aged, {}, delays);
+  EXPECT_EQ(delays, fresh_delays);
+  mc.delays(aged, dvth, delays);
+  for (std::size_t gi = 0; gi < delays.size(); ++gi) {
+    EXPECT_GE(delays[gi], fresh_delays[gi]) << "gate " << gi;
+  }
+}
+
 TEST_F(VariationTest, FreshDistributionCentersOnNominal) {
   const MonteCarloAging mc(*analyzer_, {.sigma_vth = 0.015, .samples = 200});
   const DelayDistribution fresh = mc.fresh_distribution();

@@ -30,8 +30,10 @@ run() {
 # The full suite includes the golden diffs (label "golden"): the 16 paper
 # benches against tools/golden/paper/, every CLI verb against
 # tools/golden/cli/, and the query/serve transcripts of the smoke campaign
-# against tools/golden/campaign_query.md and campaign_serve.txt.
-run cmake --preset default
+# against tools/golden/campaign_query.md and campaign_serve.txt.  Every
+# preset builds with warnings as errors (NBTISIM_WERROR, default OFF so a
+# project that adds src/ with its own flags is not held to them).
+run cmake --preset default -DNBTISIM_WERROR=ON
 run cmake --build --preset default -j "$JOBS"
 run ctest --preset default -j "$JOBS"
 
@@ -88,11 +90,11 @@ if [[ "$FAST" == 1 ]]; then
   exit 0
 fi
 
-run cmake --preset sanitize
+run cmake --preset sanitize -DNBTISIM_WERROR=ON
 run cmake --build --preset sanitize -j "$JOBS"
 run ctest --test-dir build-asan -j "$JOBS" --output-on-failure
 
-run cmake --preset tsan-determinism
+run cmake --preset tsan-determinism -DNBTISIM_WERROR=ON
 run cmake --build --preset tsan-determinism -j "$JOBS"
 run ctest --preset tsan-determinism -j "$JOBS"
 # The differential suite (SoA kernel vs scalar model, shooting stack solver

@@ -24,7 +24,9 @@ void gate_study(const tech::Library& lib, tech::GateFn fn, int fanin,
   netlist::Netlist nl(name);
   std::vector<netlist::NodeId> pins;
   for (int i = 0; i < fanin; ++i) {
-    pins.push_back(nl.add_input("i" + std::to_string(i)));
+    std::string pin("i");
+    pin += std::to_string(i);
+    pins.push_back(nl.add_input(pin));
   }
   const netlist::NodeId out =
       fanin == 1 ? nl.add_gate(fn, {pins[0]}, "out")

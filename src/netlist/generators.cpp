@@ -11,6 +11,14 @@ namespace {
 
 using tech::GateFn;
 
+/// \p prefix + decimal \p i, by appending (`"a" + std::to_string(i)` trips
+/// a false GCC 12 -Wrestrict at -O3).
+std::string indexed(const char* prefix, int i) {
+  std::string s(prefix);
+  s += std::to_string(i);
+  return s;
+}
+
 /// XOR of two nets, optionally expanded into the 4-NAND2 network (the
 /// structural relationship between ISCAS85 c499 and c1355).
 NodeId make_xor2_net(Netlist& nl, NodeId a, NodeId b, const std::string& name,
@@ -158,8 +166,8 @@ Netlist make_multiplier(const std::string& name, int bits) {
   }
   Netlist nl(name);
   std::vector<NodeId> a(bits), b(bits);
-  for (int i = 0; i < bits; ++i) a[i] = nl.add_input("a" + std::to_string(i));
-  for (int i = 0; i < bits; ++i) b[i] = nl.add_input("b" + std::to_string(i));
+  for (int i = 0; i < bits; ++i) a[i] = nl.add_input(indexed("a", i));
+  for (int i = 0; i < bits; ++i) b[i] = nl.add_input(indexed("b", i));
 
   // Partial products pp[i][j] = a[i] & b[j], summed along anti-diagonals
   // with a carry-save adder array (the c6288 structure).
@@ -168,7 +176,7 @@ Netlist make_multiplier(const std::string& name, int bits) {
     for (int j = 0; j < bits; ++j) {
       const NodeId pp = nl.add_gate(
           GateFn::And, {a[i], b[j]},
-          "pp_" + std::to_string(i) + "_" + std::to_string(j));
+          indexed("pp_", i) + "_" + std::to_string(j));
       columns[i + j].push_back(pp);
     }
   }
@@ -178,7 +186,7 @@ Netlist make_multiplier(const std::string& name, int bits) {
   for (int col = 0; col < 2 * bits; ++col) {
     std::vector<NodeId>& bitsum = columns[col];
     while (bitsum.size() > 1) {
-      const std::string pfx = "add" + std::to_string(fa_count++);
+      const std::string pfx = indexed("add", fa_count++);
       if (bitsum.size() >= 3) {
         const AdderBits r =
             full_adder(nl, bitsum[0], bitsum[1], bitsum[2], pfx);
@@ -206,8 +214,8 @@ Netlist make_alu(const std::string& name, int width) {
   }
   Netlist nl(name);
   std::vector<NodeId> a(width), b(width);
-  for (int i = 0; i < width; ++i) a[i] = nl.add_input("a" + std::to_string(i));
-  for (int i = 0; i < width; ++i) b[i] = nl.add_input("b" + std::to_string(i));
+  for (int i = 0; i < width; ++i) a[i] = nl.add_input(indexed("a", i));
+  for (int i = 0; i < width; ++i) b[i] = nl.add_input(indexed("b", i));
   const NodeId cin = nl.add_input("cin");
   const NodeId op0 = nl.add_input("op0");
   const NodeId op1 = nl.add_input("op1");
@@ -218,8 +226,8 @@ Netlist make_alu(const std::string& name, int width) {
   NodeId carry = nl.add_gate(GateFn::Or, {cin, sub}, "c_in");
   for (int i = 0; i < width; ++i) {
     const NodeId bx =
-        nl.add_gate(GateFn::Xor, {b[i], sub}, "bx" + std::to_string(i));
-    const AdderBits r = full_adder(nl, a[i], bx, carry, "fa" + std::to_string(i));
+        nl.add_gate(GateFn::Xor, {b[i], sub}, indexed("bx", i));
+    const AdderBits r = full_adder(nl, a[i], bx, carry, indexed("fa", i));
     sum[i] = r.sum;
     carry = r.carry;
   }
@@ -257,10 +265,10 @@ Netlist make_priority_controller(const std::string& name, int channels,
   Netlist nl(name);
   std::vector<NodeId> req(channels), mask(mask_groups);
   for (int i = 0; i < channels; ++i) {
-    req[i] = nl.add_input("req" + std::to_string(i));
+    req[i] = nl.add_input(indexed("req", i));
   }
   for (int i = 0; i < mask_groups; ++i) {
-    mask[i] = nl.add_input("mask" + std::to_string(i));
+    mask[i] = nl.add_input(indexed("mask", i));
   }
 
   const int per_group = channels / mask_groups;
@@ -299,7 +307,7 @@ Netlist make_priority_controller(const std::string& name, int channels,
     const NodeId enc = members.size() == 1
                            ? members[0]
                            : build_wide_gate(nl, GateFn::Or, members,
-                                             "enc" + std::to_string(bit));
+                                             indexed("enc", bit));
     nl.mark_output(enc);
   }
   nl.mark_output(build_wide_gate(nl, GateFn::Or, eff, "valid"));
@@ -315,10 +323,10 @@ Netlist make_ecc(const std::string& name, int data_bits, int check_bits,
   Netlist nl(name);
   std::vector<NodeId> d(data_bits), p(check_bits);
   for (int i = 0; i < data_bits; ++i) {
-    d[i] = nl.add_input("d" + std::to_string(i));
+    d[i] = nl.add_input(indexed("d", i));
   }
   for (int j = 0; j < check_bits; ++j) {
-    p[j] = nl.add_input("p" + std::to_string(j));
+    p[j] = nl.add_input(indexed("p", j));
   }
   const NodeId enable = nl.add_input("en");
 
@@ -336,7 +344,7 @@ Netlist make_ecc(const std::string& name, int data_bits, int check_bits,
     for (int i = 0; i < data_bits; ++i) {
       if (member(i, j)) {
         acc = make_xor2_net(nl, acc, d[i],
-                            "s" + std::to_string(j) + "_" + std::to_string(terms),
+                            indexed("s", j) + "_" + std::to_string(terms),
                             expand_xor);
         ++terms;
       }
@@ -369,7 +377,7 @@ Netlist make_parity_tree(const std::string& name, int width) {
   Netlist nl(name);
   std::vector<NodeId> ins(width);
   for (int i = 0; i < width; ++i) {
-    ins[i] = nl.add_input("i" + std::to_string(i));
+    ins[i] = nl.add_input(indexed("i", i));
   }
   nl.mark_output(build_wide_gate(nl, GateFn::Xor, ins, "par"));
   return nl;
@@ -379,11 +387,11 @@ Netlist make_ripple_adder(const std::string& name, int width) {
   if (width < 1) throw std::invalid_argument("make_ripple_adder: width < 1");
   Netlist nl(name);
   std::vector<NodeId> a(width), b(width);
-  for (int i = 0; i < width; ++i) a[i] = nl.add_input("a" + std::to_string(i));
-  for (int i = 0; i < width; ++i) b[i] = nl.add_input("b" + std::to_string(i));
+  for (int i = 0; i < width; ++i) a[i] = nl.add_input(indexed("a", i));
+  for (int i = 0; i < width; ++i) b[i] = nl.add_input(indexed("b", i));
   NodeId carry = nl.add_input("cin");
   for (int i = 0; i < width; ++i) {
-    const AdderBits r = full_adder(nl, a[i], b[i], carry, "fa" + std::to_string(i));
+    const AdderBits r = full_adder(nl, a[i], b[i], carry, indexed("fa", i));
     nl.mark_output(r.sum);
     carry = r.carry;
   }

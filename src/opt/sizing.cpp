@@ -22,29 +22,6 @@ SizedTiming::SizedTiming(const aging::AgingAnalyzer& analyzer,
     aging_factor_[gi] =
         aging::taylor_delay_factor(lib_->params(), dvth[gi], 0.0, nl, gi);
   }
-  // Fanout structure: (sink gate, pin cap) per gate, plus constant load.
-  const double wire = lib_->params().wire_cap_per_fanout;
-  const double po_load = lib_->input_cap(lib_->find("BUF"), 0) + wire;
-  sinks_.resize(nl.num_gates());
-  fixed_load_.assign(nl.num_gates(), 0.0);
-  for (int gi = 0; gi < nl.num_gates(); ++gi) {
-    const netlist::NodeId out = nl.gate(gi).output;
-    for (int sink : nl.fanout_gates(out)) {
-      const netlist::Gate& sg = nl.gate(sink);
-      for (std::size_t pin = 0; pin < sg.fanins.size(); ++pin) {
-        if (sg.fanins[pin] == out) {
-          sinks_[gi].emplace_back(
-              sink,
-              lib_->input_cap(sta_->gate_cell(sink), static_cast<int>(pin)));
-          fixed_load_[gi] += wire;
-        }
-      }
-    }
-    if (std::find(nl.outputs().begin(), nl.outputs().end(), out) !=
-        nl.outputs().end()) {
-      fixed_load_[gi] += po_load;
-    }
-  }
   // Resizing g changes g's own delay (drive) and the delays of the drivers
   // of g's fanin nets (their load includes cap * s_g).
   affected_.resize(nl.num_gates());
@@ -63,10 +40,7 @@ SizedTiming::SizedTiming(const aging::AgingAnalyzer& analyzer,
 
 double SizedTiming::gate_delay(const std::vector<double>& sizes, int gi,
                                int resized, double resized_size) const {
-  double load = fixed_load_[gi];
-  for (const auto& [sink, cap] : sinks_[gi]) {
-    load += cap * (sink == resized ? resized_size : sizes[sink]);
-  }
+  const double load = sta_->sized_load(gi, sizes, resized, resized_size);
   const double s = gi == resized ? resized_size : sizes[gi];
   return lib_->cell_delay(sta_->gate_cell(gi), load / s, temp_) *
          aging_factor_[gi];

@@ -34,7 +34,6 @@
 /// slowly on large DAGs (EXPERIMENTS.md "One sizing loop").
 #pragma once
 
-#include <utility>
 #include <vector>
 
 #include "aging/aging.h"
@@ -78,6 +77,11 @@ struct SizingResult {
 /// Sized-timing evaluator: per-gate size factors scale drive and input
 /// capacitance together, so delay_g = cell_delay(load_g(sizes) / s_g) *
 /// aging_factor_g with aging_factor from the per-gate dVth (paper eq. 22).
+///
+/// load_g is the STA's load sum, StaEngine::sized_load, and the delay law
+/// the Taylor law of an analyzer without gate_vth_offsets, as every caller
+/// uses it; so at all-1 sizes current_delays() is aged_gate_delays(dvth),
+/// bitwise.
 ///
 /// set_sizes() caches the delay vector once, and evaluate_resize() /
 /// commit_resize() recompute only the affected gates (the resized gate,
@@ -130,8 +134,6 @@ class SizedTiming {
   const tech::Library* lib_;
   double temp_;
   std::vector<double> aging_factor_;
-  std::vector<std::vector<std::pair<int, double>>> sinks_;  // (sink, pin cap)
-  std::vector<double> fixed_load_;
   std::vector<std::vector<int>> affected_;
   std::vector<double> sizes_;
   std::vector<double> delays_;

@@ -1,5 +1,6 @@
 #include "sim/simulator.h"
 
+#include <algorithm>
 #include <bit>
 #include <random>
 #include <stdexcept>
@@ -9,35 +10,81 @@
 
 namespace nbtisim::sim {
 
-bool eval_gate(tech::GateFn fn, const std::vector<bool>& fanins) {
+std::uint64_t eval_gate(tech::GateFn fn,
+                        std::span<const netlist::NodeId> fanins,
+                        const std::uint64_t* value) {
   using tech::GateFn;
   if (fanins.empty()) throw std::invalid_argument("eval_gate: no fanins");
+  std::uint64_t acc;
   switch (fn) {
     case GateFn::Not:
-      return !fanins[0];
+      return ~value[fanins[0]];
     case GateFn::Buf:
-      return fanins[0];
+      return value[fanins[0]];
     case GateFn::And:
-    case GateFn::Nand: {
-      bool all = true;
-      for (bool v : fanins) all = all && v;
-      return fn == GateFn::And ? all : !all;
-    }
+    case GateFn::Nand:
+      acc = ~0ull;
+      for (netlist::NodeId in : fanins) acc &= value[in];
+      return fn == GateFn::Nand ? ~acc : acc;
     case GateFn::Or:
-    case GateFn::Nor: {
-      bool any = false;
-      for (bool v : fanins) any = any || v;
-      return fn == GateFn::Or ? any : !any;
-    }
+    case GateFn::Nor:
+      acc = 0;
+      for (netlist::NodeId in : fanins) acc |= value[in];
+      return fn == GateFn::Nor ? ~acc : acc;
     case GateFn::Xor:
-    case GateFn::Xnor: {
-      bool acc = false;
-      for (bool v : fanins) acc = acc != v;
-      return fn == GateFn::Xor ? acc : !acc;
-    }
+    case GateFn::Xnor:
+      acc = 0;
+      for (netlist::NodeId in : fanins) acc ^= value[in];
+      return fn == GateFn::Xnor ? ~acc : acc;
   }
   throw std::logic_error("eval_gate: unknown function");
 }
+
+namespace {
+
+/// The levelized loop: every net's word under \p pi_words, each gate
+/// evaluated in gate order through eval_gate.  A forced PI takes its forced
+/// word; a forced gate output takes it in place of the gate's function, so
+/// it propagates downstream; a net forced twice keeps its last force.
+/// Between forced gates the loop is the plain sweep.
+std::vector<std::uint64_t> propagate(
+    const netlist::Netlist& nl, std::span<const std::uint64_t> pi_words,
+    std::span<const std::pair<netlist::NodeId, bool>> forces) {
+  std::vector<std::uint64_t> value(nl.num_nodes(), 0);
+  for (int i = 0; i < nl.num_inputs(); ++i) value[nl.inputs()[i]] = pi_words[i];
+  std::vector<std::pair<int, std::uint64_t>> forced;  // (gate, word)
+  for (const auto& [node, v] : forces) {
+    if (node < 0 || node >= nl.num_nodes()) {
+      throw std::invalid_argument("Simulator::evaluate_forced: bad net id");
+    }
+    const std::uint64_t word = v ? ~0ull : 0ull;
+    const int gi = nl.driver_gate(node);
+    if (gi < 0) {
+      value[node] = word;
+    } else {
+      forced.emplace_back(gi, word);
+    }
+  }
+  std::ranges::stable_sort(forced, {}, &std::pair<int, std::uint64_t>::first);
+
+  const std::span<const netlist::Gate> gates = nl.gates();
+  int begin = 0;
+  auto sweep = [&](int end) {
+    for (int gi = begin; gi < end; ++gi) {
+      value[gates[gi].output] =
+          eval_gate(gates[gi].fn, gates[gi].fanins, value.data());
+    }
+  };
+  for (const auto& [gi, word] : forced) {
+    sweep(gi);
+    value[gates[gi].output] = word;
+    begin = gi + 1;
+  }
+  sweep(nl.num_gates());
+  return value;
+}
+
+}  // namespace
 
 std::vector<bool> Simulator::evaluate(const std::vector<bool>& pi_values) const {
   return evaluate_forced(pi_values, {});
@@ -46,80 +93,25 @@ std::vector<bool> Simulator::evaluate(const std::vector<bool>& pi_values) const 
 std::vector<bool> Simulator::evaluate_forced(
     const std::vector<bool>& pi_values,
     std::span<const std::pair<netlist::NodeId, bool>> forces) const {
-  const netlist::Netlist& nl = *nl_;
-  if (static_cast<int>(pi_values.size()) != nl.num_inputs()) {
+  if (static_cast<int>(pi_values.size()) != nl_->num_inputs()) {
     throw std::invalid_argument("Simulator::evaluate: PI count mismatch");
   }
-  // Forced values are applied when the net's value is determined (input
-  // assignment or gate evaluation), so they propagate downstream.
-  std::vector<signed char> forced(nl.num_nodes(), -1);
-  for (const auto& [node, v] : forces) {
-    if (node < 0 || node >= nl.num_nodes()) {
-      throw std::invalid_argument("Simulator::evaluate_forced: bad net id");
-    }
-    forced[node] = v ? 1 : 0;
+  std::vector<std::uint64_t> pi_words(pi_values.size());
+  for (std::size_t i = 0; i < pi_values.size(); ++i) {
+    pi_words[i] = pi_values[i] ? ~0ull : 0ull;
   }
-
-  std::vector<bool> value(nl.num_nodes(), false);
-  for (int i = 0; i < nl.num_inputs(); ++i) {
-    const netlist::NodeId n = nl.inputs()[i];
-    value[n] = forced[n] < 0 ? pi_values[i] : forced[n] != 0;
-  }
-  std::vector<bool> ins;
-  for (const netlist::Gate& g : nl.gates()) {
-    if (forced[g.output] >= 0) {
-      value[g.output] = forced[g.output] != 0;
-      continue;
-    }
-    ins.clear();
-    for (netlist::NodeId in : g.fanins) ins.push_back(value[in]);
-    value[g.output] = eval_gate(g.fn, ins);
-  }
-  return value;
+  const std::vector<std::uint64_t> value = propagate(*nl_, pi_words, forces);
+  std::vector<bool> out(value.size());
+  for (std::size_t n = 0; n < value.size(); ++n) out[n] = value[n] & 1ull;
+  return out;
 }
 
 std::vector<std::uint64_t> Simulator::evaluate_words(
     std::span<const std::uint64_t> pi_words) const {
-  using tech::GateFn;
-  const netlist::Netlist& nl = *nl_;
-  if (static_cast<int>(pi_words.size()) != nl.num_inputs()) {
+  if (static_cast<int>(pi_words.size()) != nl_->num_inputs()) {
     throw std::invalid_argument("Simulator::evaluate_words: PI count mismatch");
   }
-  std::vector<std::uint64_t> value(nl.num_nodes(), 0);
-  for (int i = 0; i < nl.num_inputs(); ++i) value[nl.inputs()[i]] = pi_words[i];
-  for (const netlist::Gate& g : nl.gates()) {
-    std::uint64_t acc;
-    switch (g.fn) {
-      case GateFn::Not:
-        acc = ~value[g.fanins[0]];
-        break;
-      case GateFn::Buf:
-        acc = value[g.fanins[0]];
-        break;
-      case GateFn::And:
-      case GateFn::Nand:
-        acc = ~0ull;
-        for (netlist::NodeId in : g.fanins) acc &= value[in];
-        if (g.fn == GateFn::Nand) acc = ~acc;
-        break;
-      case GateFn::Or:
-      case GateFn::Nor:
-        acc = 0;
-        for (netlist::NodeId in : g.fanins) acc |= value[in];
-        if (g.fn == GateFn::Nor) acc = ~acc;
-        break;
-      case GateFn::Xor:
-      case GateFn::Xnor:
-        acc = 0;
-        for (netlist::NodeId in : g.fanins) acc ^= value[in];
-        if (g.fn == GateFn::Xnor) acc = ~acc;
-        break;
-      default:
-        throw std::logic_error("evaluate_words: unknown function");
-    }
-    value[g.output] = acc;
-  }
-  return value;
+  return propagate(*nl_, pi_words, {});
 }
 
 std::vector<bool> Simulator::outputs(const std::vector<bool>& pi_values) const {

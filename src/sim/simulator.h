@@ -8,6 +8,8 @@
 ///   - *active*: Monte-Carlo estimation of per-node signal probabilities
 ///     ("derived statistically by simulating a large number of input
 ///     vectors", Section 3.3) and switching activities.
+/// Both run one levelized loop over 64-bit words through one gate kernel,
+/// eval_gate; evaluate() broadcasts each PI to a word and reads bit 0.
 #pragma once
 
 #include <cstdint>
@@ -18,8 +20,11 @@
 
 namespace nbtisim::sim {
 
-/// Evaluates one gate function over scalar boolean fanins.
-bool eval_gate(tech::GateFn fn, const std::vector<bool>& fanins);
+/// The gate kernel: \p fn over the words value[in] of \p fanins, 64
+/// patterns at once.  \throws std::invalid_argument for empty \p fanins
+std::uint64_t eval_gate(tech::GateFn fn,
+                        std::span<const netlist::NodeId> fanins,
+                        const std::uint64_t* value);
 
 /// Levelized simulator bound to one netlist.
 class Simulator {

@@ -11,29 +11,35 @@ StaEngine::StaEngine(const netlist::Netlist& nl, const tech::Library& lib)
   for (const netlist::Gate& g : nl.gates()) {
     cells_.push_back(lib.id_for(g.fn, static_cast<int>(g.fanins.size())));
   }
+  const std::vector<double> unit(nl.num_gates(), 1.0);
+  loads_.resize(nl.num_gates());
+  for (int gi = 0; gi < nl.num_gates(); ++gi) loads_[gi] = sized_load(gi, unit);
+}
 
-  const double wire_cap = lib.params().wire_cap_per_fanout;
-  // Primary outputs see a nominal downstream load of one buffered pin.
-  const double po_load = lib.input_cap(lib.find("BUF"), 0) + wire_cap;
-
-  loads_.assign(nl.num_gates(), 0.0);
-  for (int gi = 0; gi < nl.num_gates(); ++gi) {
-    const netlist::NodeId out = nl.gate(gi).output;
-    double load = 0.0;
-    for (int sink : nl.fanout_gates(out)) {
-      const netlist::Gate& sg = nl.gate(sink);
-      for (std::size_t pin = 0; pin < sg.fanins.size(); ++pin) {
-        if (sg.fanins[pin] == out) {
-          load += lib.input_cap(cells_[sink], static_cast<int>(pin)) + wire_cap;
-        }
+double StaEngine::sized_load(int gate_idx, std::span<const double> sizes,
+                             int resized, double resized_size) const {
+  if (static_cast<int>(sizes.size()) != nl_->num_gates()) {
+    throw std::invalid_argument("StaEngine::sized_load: sizes size mismatch");
+  }
+  const double wire = lib_->params().wire_cap_per_fanout;
+  const netlist::NodeId out = nl_->gate(gate_idx).output;
+  double load = 0.0;
+  for (int sink : nl_->fanout_gates(out)) {
+    const netlist::Gate& sg = nl_->gate(sink);
+    const double size = sink == resized ? resized_size : sizes[sink];
+    for (std::size_t pin = 0; pin < sg.fanins.size(); ++pin) {
+      if (sg.fanins[pin] == out) {
+        load += lib_->input_cap(cells_[sink], static_cast<int>(pin)) * size +
+                wire;
       }
     }
-    if (std::find(nl.outputs().begin(), nl.outputs().end(), out) !=
-        nl.outputs().end()) {
-      load += po_load;
-    }
-    loads_[gi] = load;
   }
+  // Primary outputs see a nominal downstream load of one buffered pin.
+  if (std::find(nl_->outputs().begin(), nl_->outputs().end(), out) !=
+      nl_->outputs().end()) {
+    load += lib_->input_cap(lib_->find("BUF"), 0) + wire;
+  }
+  return load;
 }
 
 std::vector<double> StaEngine::gate_delays(
@@ -58,40 +64,60 @@ std::vector<double> StaEngine::gate_delays(
   return delays;
 }
 
-TimingResult StaEngine::analyze(std::span<const double> gate_delay) const {
-  if (static_cast<int>(gate_delay.size()) != nl_->num_gates()) {
-    throw std::invalid_argument("StaEngine::analyze: delay size mismatch");
-  }
-  TimingResult r;
-  r.arrival.assign(nl_->num_nodes(), 0.0);
-  std::vector<netlist::NodeId> pred(nl_->num_nodes(), -1);
+namespace {
 
-  for (int gi = 0; gi < nl_->num_gates(); ++gi) {
-    const netlist::Gate& g = nl_->gate(gi);
-    // A fanin-less (constant-driver) gate launches at t = 0 with no
-    // predecessor; indexing fanins[0] unconditionally would be UB on it.
-    double in_arr = 0.0;
-    netlist::NodeId worst_in = -1;
-    for (netlist::NodeId in : g.fanins) {
-      if (r.arrival[in] >= in_arr || worst_in < 0) {
-        in_arr = r.arrival[in];
-        worst_in = in;
-      }
+/// The fanin of \p g with the latest arrival: the first fanin, then any
+/// later one whose arrival is >= the latest so far, so the last of equal
+/// arrivals wins.  -1 for a fanin-less gate.
+struct LatestFanin {
+  double arrival = 0.0;
+  netlist::NodeId node = -1;
+};
+LatestFanin latest_fanin(const netlist::Gate& g, const double* arrival) {
+  LatestFanin latest;
+  for (netlist::NodeId in : g.fanins) {
+    if (arrival[in] >= latest.arrival || latest.node < 0) {
+      latest = {arrival[in], in};
     }
-    r.arrival[g.output] = in_arr + gate_delay[gi];
-    pred[g.output] = worst_in;
   }
+  return latest;
+}
 
+/// The forward pass of analyze() and critical_delay() into \p arrival;
+/// returns the critical primary output (the first latest one, -1 for none).
+netlist::NodeId propagate(const netlist::Netlist& nl,
+                          std::span<const double> gate_delay,
+                          std::vector<double>& arrival) {
+  if (static_cast<int>(gate_delay.size()) != nl.num_gates()) {
+    throw std::invalid_argument("StaEngine: delay size mismatch");
+  }
+  arrival.assign(nl.num_nodes(), 0.0);
+  const std::span<const netlist::Gate> gates = nl.gates();
+  for (std::size_t gi = 0; gi < gates.size(); ++gi) {
+    // A fanin-less (constant-driver) gate launches at t = 0.
+    arrival[gates[gi].output] =
+        latest_fanin(gates[gi], arrival.data()).arrival + gate_delay[gi];
+  }
   netlist::NodeId crit_po = -1;
-  for (netlist::NodeId po : nl_->outputs()) {
-    if (crit_po < 0 || r.arrival[po] > r.max_delay) {
-      r.max_delay = r.arrival[po];
-      crit_po = po;
-    }
+  for (netlist::NodeId po : nl.outputs()) {
+    if (crit_po < 0 || arrival[po] > arrival[crit_po]) crit_po = po;
   }
-  // Walk the critical path back to a primary input.
-  for (netlist::NodeId n = crit_po; n >= 0; n = pred[n]) {
+  return crit_po;
+}
+
+}  // namespace
+
+TimingResult StaEngine::analyze(std::span<const double> gate_delay) const {
+  TimingResult r;
+  const netlist::NodeId crit_po = propagate(*nl_, gate_delay, r.arrival);
+  if (crit_po < 0) return r;
+  r.max_delay = r.arrival[crit_po];
+  // Walk the critical path back to a primary input, re-picking at each gate
+  // the fanin the forward pass took.
+  for (netlist::NodeId n = crit_po; n >= 0;) {
     r.critical_path.push_back(n);
+    const int gi = nl_->driver_gate(n);
+    n = gi < 0 ? -1 : latest_fanin(nl_->gate(gi), r.arrival.data()).node;
   }
   std::reverse(r.critical_path.begin(), r.critical_path.end());
   return r;
@@ -103,33 +129,8 @@ TimingResult StaEngine::analyze_fresh(double temp_k) const {
 
 double StaEngine::critical_delay(std::span<const double> gate_delay,
                                  std::vector<double>& arrival_scratch) const {
-  if (static_cast<int>(gate_delay.size()) != nl_->num_gates()) {
-    throw std::invalid_argument("StaEngine::critical_delay: size mismatch");
-  }
-  // Mirrors analyze() expression for expression (same fold, same
-  // comparisons) so the result is bitwise what analyze() would report.
-  arrival_scratch.assign(nl_->num_nodes(), 0.0);
-  for (int gi = 0; gi < nl_->num_gates(); ++gi) {
-    const netlist::Gate& g = nl_->gate(gi);
-    double in_arr = 0.0;
-    netlist::NodeId worst_in = -1;
-    for (netlist::NodeId in : g.fanins) {
-      if (arrival_scratch[in] >= in_arr || worst_in < 0) {
-        in_arr = arrival_scratch[in];
-        worst_in = in;
-      }
-    }
-    arrival_scratch[g.output] = in_arr + gate_delay[gi];
-  }
-  double max_delay = 0.0;
-  netlist::NodeId crit_po = -1;
-  for (netlist::NodeId po : nl_->outputs()) {
-    if (crit_po < 0 || arrival_scratch[po] > max_delay) {
-      max_delay = arrival_scratch[po];
-      crit_po = po;
-    }
-  }
-  return max_delay;
+  const netlist::NodeId crit_po = propagate(*nl_, gate_delay, arrival_scratch);
+  return crit_po < 0 ? 0.0 : arrival_scratch[crit_po];
 }
 
 std::vector<double> StaEngine::slacks(const TimingResult& timing,

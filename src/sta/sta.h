@@ -35,9 +35,12 @@ struct TimingResult {
 
 /// STA engine bound to one netlist + library.
 ///
-/// Loads are computed structurally once (fanout pin caps + wire cap + PO
-/// load); delay vectors are cheap to recompute for different temperatures
-/// or aging states, which is what the 10-year sweeps do.
+/// Loads are computed structurally once (sized_load at size 1); delay
+/// vectors are cheap to recompute for different temperatures or aging
+/// states, which is what the 10-year sweeps do.  analyze() and
+/// critical_delay() run one forward pass, a gate's arrival being its latest
+/// fanin's (the last one on ties, >=) plus its delay; analyze() then walks
+/// the critical path back, re-picking that fanin from the final arrivals.
 class StaEngine {
  public:
   /// \throws std::out_of_range if the netlist uses a (fn, fanin) combination
@@ -53,6 +56,14 @@ class StaEngine {
   /// Capacitive load on a gate's output [F].
   double gate_load(int gate_idx) const { return loads_.at(gate_idx); }
 
+  /// Load on gate \p gate_idx's output [F] with sink gates upsized by
+  /// \p sizes (gate \p resized, if >= 0, by \p resized_size): per sink pin
+  /// in fanout order pin cap x size + wire cap, then the PO load.  At size
+  /// 1 it is gate_load() bit for bit.  \throws std::invalid_argument when
+  /// sizes has the wrong size
+  double sized_load(int gate_idx, std::span<const double> sizes,
+                    int resized = -1, double resized_size = 1.0) const;
+
   /// Per-gate delays at \p temp_k; \p pmos_dvth (optional, per gate) applies
   /// an NBTI threshold shift to the PMOS devices of each gate;
   /// \p vth_offsets (optional, per gate) shifts every transistor of each
@@ -65,9 +76,8 @@ class StaEngine {
   /// Longest-path analysis with explicit per-gate delays.
   TimingResult analyze(std::span<const double> gate_delay) const;
 
-  /// Critical delay only: the forward pass of analyze() without the
-  /// predecessor bookkeeping, arrival-vector allocation or path walk,
-  /// reusing \p arrival_scratch across calls.  Bit-identical to
+  /// Critical delay only: analyze()'s forward pass into \p arrival_scratch,
+  /// reused across calls, without the path walk.  Bit-identical to
   /// analyze(gate_delay).max_delay — the cheap kernel for sweeps that only
   /// need the scalar (derate tables, lifetime bisection, Pareto scoring).
   /// Thread-safe for concurrent calls with distinct scratch vectors.

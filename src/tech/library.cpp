@@ -170,18 +170,12 @@ double Library::cell_leakage(CellId id, std::uint32_t input_bits,
   return total;
 }
 
-double Library::cell_delay(CellId id, double c_load, double temp_k,
-                           double pmos_dvth, double vth_offset) const {
+std::vector<double> Library::stage_loads(CellId id, double c_load) const {
   const Cell& c = cell(id);
-  const double vdd = params_.vdd;
   const int np = c.num_pins();
   const int ns = c.num_stages();
-
-  // Load seen by each stage: gate caps of consuming stages (+ diffusion for
-  // the driving stage); the last stage additionally drives c_load.
-  std::vector<double> stage_load(ns, 0.0);
+  std::vector<double> stage_load(ns, output_cap(id));
   for (int s = 0; s < ns; ++s) {
-    stage_load[s] += output_cap(id);
     for (int t = s + 1; t < ns; ++t) {
       const Stage& sink = c.stages()[t];
       for (int in : sink.inputs) {
@@ -193,10 +187,19 @@ double Library::cell_delay(CellId id, double c_load, double temp_k,
     }
   }
   stage_load[ns - 1] += c_load;
+  return stage_load;
+}
+
+double Library::cell_delay(CellId id, double c_load, double temp_k,
+                           double pmos_dvth, double vth_offset) const {
+  const Cell& c = cell(id);
+  const double vdd = params_.vdd;
+  const int np = c.num_pins();
+  const int ns = c.num_stages();
+  const std::vector<double> stage_load = stage_loads(id, c_load);
 
   // Longest-path arrival through the stage network.
   std::vector<double> arrival(ns, 0.0);
-  double out_arrival = 0.0;
   for (int s = 0; s < ns; ++s) {
     const Stage& st = c.stages()[s];
     const double i_fall =
@@ -216,7 +219,6 @@ double Library::cell_delay(CellId id, double c_load, double temp_k,
       if (in >= np) in_arrival = std::max(in_arrival, arrival[in - np]);
     }
     arrival[s] = in_arrival + d_stage;
-    out_arrival = std::max(out_arrival, arrival[s]);
   }
   return arrival[ns - 1];
 }
@@ -232,22 +234,7 @@ Library::ArcTiming Library::cell_arc(CellId id, Edge out_edge, double c_load,
   const double vdd = params_.vdd;
   const int np = c.num_pins();
   const int ns = c.num_stages();
-
-  // Stage loads, as in cell_delay.
-  std::vector<double> stage_load(ns, 0.0);
-  for (int s = 0; s < ns; ++s) {
-    stage_load[s] += output_cap(id);
-    for (int t = s + 1; t < ns; ++t) {
-      const Stage& sink = c.stages()[t];
-      for (int in : sink.inputs) {
-        if (in == np + s) {
-          stage_load[s] += gate_capacitance(params_.nmos, sink.nmos_width) +
-                           gate_capacitance(params_.pmos, sink.pmos_width);
-        }
-      }
-    }
-  }
-  stage_load[ns - 1] += c_load;
+  const std::vector<double> stage_load = stage_loads(id, c_load);
 
   // Per-signal (arrival, slew) for each edge; pins carry both edges at t=0.
   struct EdgeState {

@@ -117,6 +117,10 @@ class Library {
   Unateness unateness(CellId id) const;
 
  private:
+  /// Load on each stage of cell \p id [F], for cell_delay and cell_arc:
+  /// output cap + gate caps of the stages it drives (+ \p c_load on the last).
+  std::vector<double> stage_loads(CellId id, double c_load) const;
+
   LibraryParams params_;
   std::vector<Cell> cells_;
 };

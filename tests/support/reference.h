@@ -1,16 +1,17 @@
 /// \file reference.h
 /// \brief Deliberately naive reference evaluators for the differential tests.
 ///
-/// Each function here recomputes a result the slow, obvious way — one
-/// scalar device-model call per PMOS or NMOS per horizon, the literal S_n
-/// recursion, one stress context per device, full delay rebuild + full STA
-/// per sizing trial, a fresh analyzer per control-point trial, an eager
-/// lifetime grid, Monte-Carlo samples drawn and scaled inline, a fresh
-/// analyze() per derate cell, a serial loop per electrothermal sweep, a
-/// nested bisection per stacked OFF device, snprintf and strtod for JSON
-/// number text — and serves as the oracle that tests/test_differential.cpp
-/// property-tests the optimized engines against across random netlists,
-/// seeds, thread counts and horizons.
+/// Each function here recomputes a result the slow, obvious way — one scalar
+/// device-model call per PMOS or NMOS per horizon, the literal S_n recursion,
+/// one stress context per device, a std::vector<bool> per net for logic
+/// simulation, a predecessor per net for the critical path, full delay
+/// rebuild + full STA per sizing trial, a fresh analyzer per control-point
+/// trial, an eager lifetime grid, Monte-Carlo samples drawn and scaled
+/// inline, a fresh analyze() per derate cell, a serial loop per
+/// electrothermal sweep, a nested bisection per stacked OFF device, snprintf
+/// and strtod for JSON number text — and serves as the oracle that
+/// tests/test_differential.cpp property-tests the optimized engines against
+/// across random netlists, seeds, thread counts and horizons.
 /// Keep them boring: no caching, no incremental updates, no parallelism.
 /// The one deliberate sophistication is FP discipline — every accumulation
 /// mirrors the production expression order, so the comparisons can demand
@@ -44,6 +45,8 @@
 #include "opt/sizing.h"
 #include "report/derate.h"
 #include "report/report.h"
+#include "sim/simulator.h"
+#include "sta/sta.h"
 #include "tech/device.h"
 #include "tech/stack.h"
 #include "tech/units.h"
@@ -53,6 +56,111 @@
 #include "variation/variation.h"
 
 namespace nbtisim::testsupport {
+
+/// One gate function over scalar boolean fanins.
+inline bool reference_eval_gate(tech::GateFn fn,
+                                const std::vector<bool>& fanins) {
+  using tech::GateFn;
+  if (fanins.empty()) throw std::invalid_argument("eval_gate: no fanins");
+  switch (fn) {
+    case GateFn::Not:
+      return !fanins[0];
+    case GateFn::Buf:
+      return fanins[0];
+    case GateFn::And:
+    case GateFn::Nand: {
+      bool all = true;
+      for (bool v : fanins) all = all && v;
+      return fn == GateFn::And ? all : !all;
+    }
+    case GateFn::Or:
+    case GateFn::Nor: {
+      bool any = false;
+      for (bool v : fanins) any = any || v;
+      return fn == GateFn::Or ? any : !any;
+    }
+    case GateFn::Xor:
+    case GateFn::Xnor: {
+      bool acc = false;
+      for (bool v : fanins) acc = acc != v;
+      return fn == GateFn::Xor ? acc : !acc;
+    }
+  }
+  throw std::logic_error("eval_gate: unknown function");
+}
+
+/// Every net's value for one PI assignment, one boolean at a time, with
+/// \p forces applied as each net's value is determined (PI assignment or
+/// gate evaluation), so a forced value propagates downstream; a net forced
+/// twice takes its last force.  The oracle for sim::Simulator's word loop:
+/// evaluate, evaluate_forced and each bit of evaluate_words.
+inline std::vector<bool> reference_evaluate_forced(
+    const netlist::Netlist& nl, const std::vector<bool>& pi_values,
+    std::span<const std::pair<netlist::NodeId, bool>> forces = {}) {
+  if (static_cast<int>(pi_values.size()) != nl.num_inputs()) {
+    throw std::invalid_argument("Simulator::evaluate: PI count mismatch");
+  }
+  std::vector<signed char> forced(nl.num_nodes(), -1);
+  for (const auto& [node, v] : forces) {
+    if (node < 0 || node >= nl.num_nodes()) {
+      throw std::invalid_argument("Simulator::evaluate_forced: bad net id");
+    }
+    forced[node] = v ? 1 : 0;
+  }
+  std::vector<bool> value(nl.num_nodes(), false);
+  for (int i = 0; i < nl.num_inputs(); ++i) {
+    const netlist::NodeId n = nl.inputs()[i];
+    value[n] = forced[n] < 0 ? pi_values[i] : forced[n] != 0;
+  }
+  std::vector<bool> ins;
+  for (const netlist::Gate& g : nl.gates()) {
+    if (forced[g.output] >= 0) {
+      value[g.output] = forced[g.output] != 0;
+      continue;
+    }
+    ins.clear();
+    for (netlist::NodeId in : g.fanins) ins.push_back(value[in]);
+    value[g.output] = reference_eval_gate(g.fn, ins);
+  }
+  return value;
+}
+
+/// Longest-path analysis that records each net's predecessor as the forward
+/// pass picks it (the latest fanin, the last one on ties) and walks those
+/// records back from the critical output.  The oracle for
+/// StaEngine::analyze and StaEngine::critical_delay.
+inline sta::TimingResult reference_analyze(const sta::StaEngine& sta,
+                                           std::span<const double> gate_delay) {
+  const netlist::Netlist& nl = sta.netlist();
+  sta::TimingResult r;
+  r.arrival.assign(nl.num_nodes(), 0.0);
+  std::vector<netlist::NodeId> pred(nl.num_nodes(), -1);
+  for (int gi = 0; gi < nl.num_gates(); ++gi) {
+    const netlist::Gate& g = nl.gate(gi);
+    double in_arr = 0.0;
+    netlist::NodeId worst_in = -1;
+    for (netlist::NodeId in : g.fanins) {
+      if (r.arrival[in] >= in_arr || worst_in < 0) {
+        in_arr = r.arrival[in];
+        worst_in = in;
+      }
+    }
+    r.arrival[g.output] = in_arr + gate_delay[gi];
+    pred[g.output] = worst_in;
+  }
+  netlist::NodeId crit_po = -1;
+  for (netlist::NodeId po : nl.outputs()) {
+    if (crit_po < 0 || r.arrival[po] > r.max_delay) {
+      r.max_delay = r.arrival[po];
+      crit_po = po;
+    }
+  }
+  for (netlist::NodeId n = crit_po; n >= 0; n = pred[n]) {
+    r.critical_path.push_back(n);
+  }
+  std::reverse(r.critical_path.begin(), r.critical_path.end());
+  return r;
+}
 
 /// dVth after \p total_time of the AC pattern \p stress by the literal
 /// per-cycle recursion of eqs. (9)-(10) (nbti::sn_exact, O(n) in the cycle
@@ -209,26 +317,23 @@ inline std::vector<double> reference_aged_delays(
   std::vector<double> delays(nl.num_gates());
   for (int gi = 0; gi < nl.num_gates(); ++gi) {
     const netlist::NodeId out = nl.gate(gi).output;
-    // Size-independent load first, then the sized sink pins — the same
-    // two-phase accumulation SizedTiming uses.
-    double fixed = 0.0;
-    std::vector<std::pair<int, double>> sink_caps;
+    // Per sink pin, in fanout order, pin cap x sink size + wire, then the
+    // PO load: the STA's load sum, which sizing reads.
+    double load = 0.0;
     for (int sink : nl.fanout_gates(out)) {
       const netlist::Gate& sg = nl.gate(sink);
       for (std::size_t pin = 0; pin < sg.fanins.size(); ++pin) {
         if (sg.fanins[pin] == out) {
-          sink_caps.emplace_back(
-              sink, lib.input_cap(sta.gate_cell(sink), static_cast<int>(pin)));
-          fixed += wire;
+          load += lib.input_cap(sta.gate_cell(sink), static_cast<int>(pin)) *
+                      sizes[sink] +
+                  wire;
         }
       }
     }
     if (std::find(nl.outputs().begin(), nl.outputs().end(), out) !=
         nl.outputs().end()) {
-      fixed += po_load;
+      load += po_load;
     }
-    double load = fixed;
-    for (const auto& [sink, cap] : sink_caps) load += cap * sizes[sink];
     delays[gi] = lib.cell_delay(sta.gate_cell(gi), load / sizes[gi], temp) *
                  (1.0 + alpha * dvth[gi] / (vdd - vth0));
   }
@@ -239,7 +344,8 @@ inline std::vector<double> reference_aged_delays(
 inline sta::TimingResult reference_aged_timing(
     const aging::AgingAnalyzer& analyzer, const std::vector<double>& dvth,
     const std::vector<double>& sizes) {
-  return analyzer.sta().analyze(reference_aged_delays(analyzer, dvth, sizes));
+  return reference_analyze(analyzer.sta(),
+                           reference_aged_delays(analyzer, dvth, sizes));
 }
 
 /// The pre-optimization sizing loop: serial, full delay rebuild + full STA

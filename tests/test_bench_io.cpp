@@ -7,6 +7,7 @@
 #include <fstream>
 
 #include "sim/simulator.h"
+#include "support/temp_store.h"
 
 namespace nbtisim::netlist {
 namespace {
@@ -172,13 +173,14 @@ TEST(BenchIoTest, RoundTripPreservesSemantics) {
 }
 
 TEST(BenchIoTest, LoadBenchReadsFromDisk) {
-  const std::string path = ::testing::TempDir() + "/nbtisim_test.bench";
+  const std::string path = testsupport::temp_path("nbtisim_test.bench");
   {
     std::ofstream f(path);
     f << kSmall;
   }
   const Netlist nl = load_bench(path);
-  EXPECT_EQ(nl.name(), "nbtisim_test");
+  // The netlist is named after the file stem, pid prefix included.
+  EXPECT_EQ(nl.name(), std::to_string(::getpid()) + "_nbtisim_test");
   EXPECT_EQ(nl.num_gates(), 3);
 }
 

@@ -169,6 +169,33 @@ TEST(DifferentialTest, SizeForLifetimeMatchesReferenceAcrossThreadCounts) {
   }
 }
 
+// Sizing times circuits with the STA's load sum, so with every size at 1 its
+// delays are the analyzer's aged delays and its critical delay the aged
+// delay the "aging" analysis reports, bit for bit, on the analyzer a CLI
+// verb builds (default Params and Condition).
+TEST(DifferentialTest, SizedTimingAtUnitSizesIsTheAnalyzersAgedTiming) {
+  for (const char* spec : {"c432", "c5315", "dag:16x300@5"}) {
+    SCOPED_TRACE(spec);
+    analysis::ContextPool pool(analysis::Params{});
+    analysis::EvalContext ctx = pool.context(spec, analysis::Condition{});
+    const aging::AgingAnalyzer& an = ctx.aging();
+    const aging::StandbyPolicy policy = aging::StandbyPolicy::all_stressed();
+    const std::vector<double> dvth = an.gate_dvth(policy);
+    const opt::SizedTiming timing(an, dvth);
+
+    const std::vector<double> want = an.aged_gate_delays(dvth);
+    const std::vector<double>& got = timing.current_delays();
+    ASSERT_EQ(got.size(), want.size());
+    int differing = 0;
+    for (std::size_t gi = 0; gi < want.size(); ++gi) {
+      differing += got[gi] != want[gi];
+    }
+    EXPECT_EQ(differing, 0) << "of " << want.size() << " gate delays";
+    EXPECT_EQ(timing.analyze_current().max_delay,
+              an.aged_critical_delay(policy));
+  }
+}
+
 TEST(DifferentialTest, LazyLifetimeGridMatchesEagerReference) {
   // A grid point's nominal dVth is computed by its first reader, once, under
   // a once_flag the pool's workers share; the oracle computes every point up

@@ -8,6 +8,8 @@
 #include <fstream>
 #include <limits>
 
+#include "support/temp_store.h"
+
 namespace nbtisim::common::json {
 namespace {
 
@@ -168,7 +170,7 @@ TEST(JsonTest, SetInsertsAndReplaces) {
 
 TEST(JsonTest, LoadFileReportsPathOnErrors) {
   EXPECT_THROW(load_file("/nonexistent/x.json"), std::runtime_error);
-  const std::string path = ::testing::TempDir() + "/nbtisim_json_test.json";
+  const std::string path = testsupport::temp_path("nbtisim_json_test.json");
   {
     std::ofstream f(path);
     f << R"({"ok": [1, 2, 3]})";

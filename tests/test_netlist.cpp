@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "netlist/generators.h"
 
@@ -12,6 +13,14 @@ namespace nbtisim::netlist {
 namespace {
 
 using tech::GateFn;
+
+// "i<k>", built by appending (GCC 12 reports a false -Wrestrict overlap on
+// an inlined "i" + std::to_string(k) at -O3).
+std::string input_name(int k) {
+  std::string name("i");
+  name += std::to_string(k);
+  return name;
+}
 
 Netlist tiny() {
   // a, b -> n1 = NAND(a,b); out = NOT(n1)  (an AND built from gates)
@@ -133,7 +142,7 @@ TEST(NetlistTest, MarkOutputIsIdempotent) {
 TEST(WideGateTest, SmallAritiesPassThrough) {
   Netlist nl("w");
   std::vector<NodeId> ins;
-  for (int i = 0; i < 3; ++i) ins.push_back(nl.add_input("i" + std::to_string(i)));
+  for (int i = 0; i < 3; ++i) ins.push_back(nl.add_input(input_name(i)));
   const NodeId out = build_wide_gate(nl, GateFn::Nand, ins, "g");
   nl.mark_output(out);
   EXPECT_EQ(nl.num_gates(), 1);
@@ -144,7 +153,7 @@ TEST(WideGateTest, WideAndBecomesTree) {
   Netlist nl("w");
   std::vector<NodeId> ins;
   for (int i = 0; i < 10; ++i) {
-    ins.push_back(nl.add_input("i" + std::to_string(i)));
+    ins.push_back(nl.add_input(input_name(i)));
   }
   const NodeId out = build_wide_gate(nl, GateFn::And, ins, "g");
   nl.mark_output(out);
@@ -160,7 +169,7 @@ TEST(WideGateTest, WideNandPreservesPolarity) {
   Netlist nl("w");
   std::vector<NodeId> ins;
   for (int i = 0; i < 6; ++i) {
-    ins.push_back(nl.add_input("i" + std::to_string(i)));
+    ins.push_back(nl.add_input(input_name(i)));
   }
   const NodeId out = build_wide_gate(nl, GateFn::Nand, ins, "g");
   nl.mark_output(out);
@@ -174,7 +183,7 @@ TEST(WideGateTest, WideXnorEndsInverted) {
   Netlist nl("w");
   std::vector<NodeId> ins;
   for (int i = 0; i < 5; ++i) {
-    ins.push_back(nl.add_input("i" + std::to_string(i)));
+    ins.push_back(nl.add_input(input_name(i)));
   }
   const NodeId out = build_wide_gate(nl, GateFn::Xnor, ins, "g");
   nl.mark_output(out);

@@ -6,6 +6,8 @@
 
 #include <fstream>
 
+#include "support/temp_store.h"
+
 namespace nbtisim::report {
 namespace {
 
@@ -79,7 +81,7 @@ TEST(ReportTest, SeriesCsv) {
 }
 
 TEST(ReportTest, WriteFileRoundTrip) {
-  const std::string path = ::testing::TempDir() + "/nbtisim_report_test.csv";
+  const std::string path = testsupport::temp_path("nbtisim_report_test.csv");
   write_file(path, "a,b\n1,2\n");
   std::ifstream f(path);
   std::string line;

@@ -109,7 +109,9 @@ TEST_F(SlewStaTest, InverterChainAlternatesEdges) {
   NodeId prev = nl.add_input("a");
   std::vector<NodeId> nodes{prev};
   for (int i = 0; i < 4; ++i) {
-    prev = nl.add_gate(GateFn::Not, {prev}, "n" + std::to_string(i));
+    std::string name("n");
+    name += std::to_string(i);
+    prev = nl.add_gate(GateFn::Not, {prev}, name);
     nodes.push_back(prev);
   }
   nl.mark_output(prev);

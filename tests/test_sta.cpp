@@ -7,6 +7,7 @@
 #include <random>
 
 #include "netlist/generators.h"
+#include "support/reference.h"
 #include "tech/units.h"
 
 namespace nbtisim::sta {
@@ -170,6 +171,26 @@ TEST_F(StaTest, HotterCircuitIsSlowerUnderThisModel) {
             sta.analyze_fresh(330.0).max_delay);
 }
 
+// sized_load scales each sink pin's cap by its gate's size; at size 1 it is
+// the engine's own load, bit for bit.
+TEST_F(StaTest, SizedLoadScalesEachSinkPin) {
+  const Netlist nl = diamond();
+  const StaEngine sta(nl, lib_);
+  const std::vector<double> unit(nl.num_gates(), 1.0);
+  for (int gi = 0; gi < nl.num_gates(); ++gi) {
+    EXPECT_EQ(sta.sized_load(gi, unit), sta.gate_load(gi)) << "gate " << gi;
+  }
+  // x (gate 0) drives pin 0 of y (gate 1) and of z (gate 2).
+  std::vector<double> sizes = unit;
+  sizes[2] = 2.0;
+  EXPECT_NEAR(sta.sized_load(0, sizes) - sta.gate_load(0),
+              lib_.input_cap(sta.gate_cell(2), 0), 1e-30);
+  EXPECT_EQ(sta.sized_load(0, unit, 2, 2.0), sta.sized_load(0, sizes));
+  EXPECT_EQ(sta.sized_load(2, sizes), sta.gate_load(2));  // z drives no gate
+  EXPECT_THROW(sta.sized_load(0, std::vector<double>(1, 1.0)),
+               std::invalid_argument);
+}
+
 // Arrival at every node must be >= each fanin arrival plus its gate delay
 // (DAG longest-path correctness on a random circuit).
 TEST_F(StaTest, ArrivalRespectsAllEdgesOnRandomDag) {
@@ -189,27 +210,56 @@ TEST_F(StaTest, ArrivalRespectsAllEdgesOnRandomDag) {
   }
 }
 
-// critical_delay is analyze()'s forward pass without the path bookkeeping:
-// it must return the same double on random circuits and delay vectors.
+// analyze() and critical_delay() share one forward pass, and analyze()
+// re-picks each gate's latest fanin from the final arrivals when it walks
+// the critical path back; the oracle records that fanin as the pass picks
+// it.  Half the trials draw whole-picosecond delays from {1, 2, 3} ps, so
+// equal fanin arrivals are common and the tie rule (the last of equal
+// arrivals wins) decides the path.
 TEST(CriticalDelayDifferentialTest, MatchesAnalyzeBitwise) {
   const tech::Library lib;
   std::mt19937_64 rng(11);
   std::uniform_real_distribution<double> uni(0.5, 2.0);
+  int ties = 0;
   for (int which = 0; which < 8; ++which) {
+    std::string name("r");
+    name += std::to_string(which);
     const Netlist nl = netlist::make_random_dag(
-        "r" + std::to_string(which),
-        {.n_inputs = 6 + which, .n_outputs = 4, .n_gates = 80 + 50 * which,
-         .seed = static_cast<std::uint64_t>(which + 1)});
+        name, {.n_inputs = 6 + which,
+               .n_outputs = 4,
+               .n_gates = 80 + 50 * which,
+               .seed = static_cast<std::uint64_t>(which + 1)});
     const StaEngine sta(nl, lib);
-    std::vector<double> delays = sta.gate_delays(400.0);
+    std::vector<double> scaled = sta.gate_delays(400.0);
+    std::vector<double> picos(nl.num_gates());
     std::vector<double> scratch;
-    for (int trial = 0; trial < 4; ++trial) {
-      for (double& d : delays) d *= uni(rng);
-      EXPECT_EQ(sta.critical_delay(delays, scratch),
-                sta.analyze(delays).max_delay)
-          << "circuit " << which << " trial " << trial;
+    for (int trial = 0; trial < 8; ++trial) {
+      SCOPED_TRACE(::testing::Message()
+                   << "circuit " << which << " trial " << trial);
+      if (trial % 2 == 0) {
+        for (double& d : scaled) d *= uni(rng);
+      } else {
+        for (double& d : picos) d = 1e-12 * static_cast<double>(1 + rng() % 3);
+      }
+      const std::vector<double>& delays = trial % 2 == 0 ? scaled : picos;
+      const TimingResult want = testsupport::reference_analyze(sta, delays);
+      const TimingResult got = sta.analyze(delays);
+      EXPECT_EQ(got.arrival, want.arrival);
+      EXPECT_EQ(got.max_delay, want.max_delay);
+      EXPECT_EQ(got.critical_path, want.critical_path);
+      EXPECT_EQ(sta.critical_delay(delays, scratch), want.max_delay);
+      for (std::size_t i = 1; i < want.critical_path.size(); ++i) {
+        const NodeId taken = want.critical_path[i - 1];
+        const int gi = nl.driver_gate(want.critical_path[i]);
+        for (NodeId in : nl.gate(gi).fanins) {
+          ties += in != taken && !nl.is_input(in) &&
+                  want.arrival[in] == want.arrival[taken];
+        }
+      }
     }
   }
+  // The tie rule must decide some critical-path step past the inputs.
+  EXPECT_GT(ties, 0);
 }
 
 class StaCircuitSweep : public ::testing::TestWithParam<std::string_view> {};

@@ -11,6 +11,7 @@
 #include "netlist/bench_io.h"
 #include "netlist/generators.h"
 #include "sim/simulator.h"
+#include "support/temp_store.h"
 
 namespace nbtisim::netlist {
 namespace {
@@ -191,7 +192,7 @@ TEST(VerilogIoTest, LoadVerilogMissingFileThrows) {
 }
 
 TEST(VerilogIoTest, LoadVerilogFromDisk) {
-  const std::string path = ::testing::TempDir() + "/nbtisim_test.v";
+  const std::string path = testsupport::temp_path("nbtisim_test.v");
   {
     std::ofstream f(path);
     f << kC17;

@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
 # Full pre-merge check: build + test every CMake preset that gates a merge.
 #
-#   tools/check.sh            # default + sanitize + tsan-determinism
+#   tools/check.sh            # default + release + sanitize + tsan-determinism
 #   tools/check.sh --fast     # default preset only (full ctest)
 #
 # Presets (CMakePresets.json):
 #   default           RelWithDebInfo, full ctest suite
+#   release           Release (-O3) build only: warnings that appear only
+#                     once the optimizer inlines (GCC's -Wrestrict) fail it
 #   sanitize          ASan + UBSan build, full ctest suite
 #   tsan-determinism  TSan build, determinism slice via its test preset
 #                     (bit-identity across thread counts must hold data-race
@@ -89,6 +91,9 @@ if [[ "$FAST" == 1 ]]; then
   echo "check.sh: fast mode — skipped sanitize and tsan-determinism presets"
   exit 0
 fi
+
+run cmake --preset release -DNBTISIM_WERROR=ON
+run cmake --build --preset release -j "$JOBS"
 
 run cmake --preset sanitize -DNBTISIM_WERROR=ON
 run cmake --build --preset sanitize -j "$JOBS"

@@ -89,7 +89,7 @@ AgingAnalyzer::AgingAnalyzer(const netlist::Netlist& nl,
     : nl_(&nl), lib_(&lib), cond_(std::move(cond)), sta_(nl, lib),
       stats_(sim::estimate_signal_stats(nl, resolve_input_sp(nl, cond_),
                                         cond_.sp_vectors, cond_.seed)),
-      fresh_delays_(sta_.gate_delays(cond_.sta_temperature, {},
+      fresh_delays_(sta_.gate_delays(cond_.schedule.temp_active, {},
                                      cond_.gate_vth_offsets)) {
   if (!cond_.gate_vth_offsets.empty() &&
       static_cast<int>(cond_.gate_vth_offsets.size()) != nl.num_gates()) {
@@ -301,7 +301,7 @@ std::vector<double> AgingAnalyzer::aged_gate_delays(
     throw std::invalid_argument("aged_gate_delays: dvth size mismatch");
   }
   if (!cond_.taylor_delay) {
-    return sta_.gate_delays(cond_.sta_temperature, dvth,
+    return sta_.gate_delays(cond_.schedule.temp_active, dvth,
                             cond_.gate_vth_offsets);
   }
   std::vector<double> delays(fresh_delays_);
@@ -331,22 +331,14 @@ double taylor_delay_factor(const tech::LibraryParams& lp, double dvth,
   return 1.0 + lp.pmos.alpha * dvth / overdrive;
 }
 
-double AgingAnalyzer::aged_critical_delay(
-    const StandbyPolicy& policy, std::optional<double> total_time) const {
-  // critical_delay skips the arrival copy / predecessor bookkeeping /
-  // path walk that analyze() pays — this is the hot query of the Pareto,
-  // sleep-transistor and lifetime sweeps, which never read the path.
-  std::vector<double> arrival_scratch;
-  return sta_.critical_delay(aged_gate_delays(gate_dvth(policy, total_time)),
-                             arrival_scratch);
-}
-
 DegradationReport AgingAnalyzer::analyze(
     const StandbyPolicy& policy, std::optional<double> total_time) const {
   DegradationReport rep;
   rep.gate_dvth = gate_dvth(policy, total_time);
   rep.fresh_delay = fresh_critical_delay_;
-  rep.aged_delay = sta_.analyze(aged_gate_delays(rep.gate_dvth)).max_delay;
+  std::vector<double> arrival_scratch;
+  rep.aged_delay =
+      sta_.critical_delay(aged_gate_delays(rep.gate_dvth), arrival_scratch);
   return rep;
 }
 
@@ -361,16 +353,11 @@ std::vector<std::pair<double, double>> AgingAnalyzer::degradation_series(
   std::vector<std::pair<double, double>> series;
   series.reserve(n_points);
   const double log_step = std::log(t_max / t_min) / (n_points - 1);
-  // The first aged_critical_delay call builds (and caches) the stress
-  // descriptors the policy reads (a vector's are the two bounds); every
-  // further horizon reuses them, and the fresh baseline is the precomputed
-  // fresh_critical_delay().
-  const double fresh = fresh_critical_delay_;
+  // The first point builds (and caches) the stress descriptors the policy
+  // reads (a vector's are the two bounds); every further horizon reuses them.
   for (int i = 0; i < n_points; ++i) {
     const double t = t_min * std::exp(log_step * i);
-    const double aged = aged_critical_delay(policy, t);
-    series.emplace_back(t,
-                        fresh > 0.0 ? 100.0 * (aged - fresh) / fresh : 0.0);
+    series.emplace_back(t, analyze(policy, t).percent());
   }
   return series;
 }

@@ -11,6 +11,9 @@
 ///   temperature-aware device model -> per-PMOS dVth,
 ///   worst PMOS per gate -> gate delay degradation (eq. 21/22),
 ///   STA -> circuit delay degradation.
+/// Every delay is timed at the schedule's T_active.  AgingAnalyzer::analyze
+/// is the one aged-delay query, degradation_percent the one percent formula
+/// and AgingAnalyzer::degradation_series the one time series.
 #pragma once
 
 #include <atomic>
@@ -75,7 +78,6 @@ struct AgingConditions {
                              ///< alpha-power re-evaluation
   int sp_vectors = 4096;     ///< Monte-Carlo vectors for signal probabilities
   std::uint64_t seed = 7;
-  double sta_temperature = 400.0;  ///< temperature for delay evaluation
   /// Per-primary-input probabilities of being 1 for the active-mode
   /// Monte-Carlo pass; empty = 0.5 everywhere (the paper's setup).  Size
   /// must match the netlist's PI count, values in [0, 1].
@@ -97,6 +99,13 @@ double taylor_delay_factor(const tech::LibraryParams& lp, double dvth,
                            double vth_offset, const netlist::Netlist& nl,
                            int gi);
 
+/// Delay degradation of \p aged_delay over \p fresh_delay [%]; 0 when
+/// \p fresh_delay is not positive.
+inline double degradation_percent(double fresh_delay, double aged_delay) {
+  return fresh_delay > 0.0 ? 100.0 * (aged_delay - fresh_delay) / fresh_delay
+                           : 0.0;
+}
+
 /// Full circuit degradation report.
 struct DegradationReport {
   double fresh_delay = 0.0;  ///< [s]
@@ -105,7 +114,7 @@ struct DegradationReport {
 
   double delta_delay() const { return aged_delay - fresh_delay; }
   double percent() const {
-    return fresh_delay > 0.0 ? 100.0 * delta_delay() / fresh_delay : 0.0;
+    return degradation_percent(fresh_delay, aged_delay);
   }
 };
 
@@ -179,7 +188,7 @@ class AgingAnalyzer {
     return stress_builds_.load(std::memory_order_relaxed);
   }
 
-  /// Fresh per-gate delays [s] at conditions().sta_temperature, computed
+  /// Fresh per-gate delays [s] at the schedule's temp_active, computed
   /// once at construction: with gate_vth_offsets, those of the offset
   /// circuit that gate_dvth ages.  What the layers on an analyzer read.
   const std::vector<double>& fresh_delays() const { return fresh_delays_; }
@@ -188,19 +197,20 @@ class AgingAnalyzer {
   /// analyze() reports as fresh_delay.
   double fresh_critical_delay() const { return fresh_critical_delay_; }
 
-  /// Aged critical delay [s] under \p policy at \p total_time: the
-  /// degradation_series inner step — cached stress descriptors + one device
-  /// evaluation + one STA, without re-deriving the fresh baseline.  Sweeps
-  /// over many horizons (derate tables, lifetime searches) should call this
-  /// per cell instead of analyze().
-  double aged_critical_delay(const StandbyPolicy& policy,
-                             std::optional<double> total_time = {}) const;
-
-  /// Full fresh-vs-aged timing comparison.
+  /// The one aged-delay query, which every layer above reads: fresh vs aged
+  /// critical delay under \p policy at \p total_time (default: the horizon).
+  /// The aged delay is one arrival-only STA pass (StaEngine::critical_delay)
+  /// over aged_gate_delays(gate_dvth(policy, total_time)), so a sweep reuses
+  /// the policy's cached stress descriptors at every horizon after its first.
   DegradationReport analyze(const StandbyPolicy& policy,
                             std::optional<double> total_time = {}) const;
 
-  /// (time, delay-degradation-percent) series for Fig. 5-style plots.
+  /// (time, analyze(policy, time).percent()) at \p n_points log-spaced
+  /// times from \p t_min to \p t_max.  Fig. 11's gated logic is the
+  /// all-relaxed series (opt::st_circuit_degradation_series), its ungated
+  /// circuit the all-stressed one.
+  /// \throws std::invalid_argument unless n_points >= 2 and
+  ///         0 < t_min < t_max < inf
   std::vector<std::pair<double, double>> degradation_series(
       const StandbyPolicy& policy, double t_min, double t_max,
       int n_points) const;

@@ -61,13 +61,13 @@ MultiAgingReport analyze_multi_mechanism(const AgingAnalyzer& analyzer,
   }
 
   const sta::SlewStaEngine slew(nl, lib);
+  const double temp = cond.schedule.temp_active;
   rep.fresh_delay =
-      slew.analyze(cond.sta_temperature, {}, cond.gate_vth_offsets).max_delay;
-  rep.nbti_only_delay = slew.analyze(cond.sta_temperature, rep.pmos_dvth,
-                                     cond.gate_vth_offsets)
-                            .max_delay;
-  rep.aged_delay = slew.analyze(cond.sta_temperature, rep.pmos_dvth,
-                                cond.gate_vth_offsets, rep.nmos_dvth)
+      slew.analyze(temp, {}, cond.gate_vth_offsets).max_delay;
+  rep.nbti_only_delay =
+      slew.analyze(temp, rep.pmos_dvth, cond.gate_vth_offsets).max_delay;
+  rep.aged_delay = slew.analyze(temp, rep.pmos_dvth, cond.gate_vth_offsets,
+                                rep.nmos_dvth)
                        .max_delay;
   return rep;
 }

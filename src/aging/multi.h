@@ -31,14 +31,10 @@ struct MultiAgingReport {
   std::vector<double> nmos_dvth; ///< per-gate PBTI+HCI shift [V]
 
   double percent() const {
-    return fresh_delay > 0.0
-               ? 100.0 * (aged_delay - fresh_delay) / fresh_delay
-               : 0.0;
+    return degradation_percent(fresh_delay, aged_delay);
   }
   double nbti_only_percent() const {
-    return fresh_delay > 0.0
-               ? 100.0 * (nbti_only_delay - fresh_delay) / fresh_delay
-               : 0.0;
+    return degradation_percent(fresh_delay, nbti_only_delay);
   }
 };
 

@@ -7,33 +7,10 @@
 
 namespace nbtisim::nbti {
 
-double DeviceAging::eval(const DeviceStress& stress,
-                         const ModeSchedule& schedule, double total_time,
-                         bool worst_case_temp) const {
-  if (!(total_time >= 0.0)) {  // NaN fails too
-    throw std::invalid_argument("DeviceAging: total time negative or NaN");
-  }
-  if (total_time == 0.0) return 0.0;
-
-  ModeSchedule sched = schedule;
-  if (worst_case_temp) sched.temp_standby = sched.temp_active;
-
-  const EquivalentCycle eq = equivalent_cycle(params_, stress, sched);
-  if (eq.stress_time <= 0.0) return 0.0;
-
-  const double n_cycles = total_time / sched.period();
-  const AcStress ac{eq.duty(), eq.period()};
-  // The AC model consumes (pattern, total equivalent time); keep the cycle
-  // count identical to the wall-clock cycle count.
-  const double total_equivalent = n_cycles * eq.period();
-  return ac_delta_vth(params_, sched.temp_active, ac, total_equivalent,
-                      stress.vgs, stress.vth0);
-}
-
 double DeviceAging::delta_vth(const DeviceStress& stress,
                               const ModeSchedule& schedule,
                               double total_time) const {
-  return eval(stress, schedule, total_time, /*worst_case_temp=*/false);
+  return delta_vth(context(stress, schedule), total_time);
 }
 
 void DeviceAging::make_contexts(std::span<const DeviceStress> stresses,
@@ -76,6 +53,13 @@ void DeviceAging::make_contexts(std::span<const DeviceStress> stresses,
   }
 }
 
+DeviceAging::StressContext DeviceAging::context(
+    const DeviceStress& stress, const ModeSchedule& schedule) const {
+  StressContext ctx;
+  make_contexts({&stress, 1}, schedule, {&ctx, 1});
+  return ctx;
+}
+
 double DeviceAging::delta_vth(const StressContext& ctx,
                               double total_time) const {
   if (!(total_time >= 0.0)) {  // NaN fails too
@@ -83,8 +67,8 @@ double DeviceAging::delta_vth(const StressContext& ctx,
   }
   if (total_time == 0.0 || ctx.always_zero) return 0.0;
 
-  // Mirror eval() + ac_delta_vth() operation by operation: the precomputed
-  // quantities must not change a single rounding step.
+  // ac_delta_vth over the equivalent time, with K_v, the S_n prefix and
+  // period^(1/4) taken from the context: the same rounding steps.
   const double n_cycles = total_time / ctx.schedule_period;
   const double total_equivalent = n_cycles * ctx.eq_period;
   if (ctx.ac.duty == 0.0 || total_equivalent == 0.0) return 0.0;
@@ -101,7 +85,9 @@ double DeviceAging::delta_vth(const StressContext& ctx,
 double DeviceAging::delta_vth_worst_case_temp(const DeviceStress& stress,
                                               const ModeSchedule& schedule,
                                               double total_time) const {
-  return eval(stress, schedule, total_time, /*worst_case_temp=*/true);
+  ModeSchedule hot = schedule;
+  hot.temp_standby = hot.temp_active;
+  return delta_vth(stress, hot, total_time);
 }
 
 }  // namespace nbtisim::nbti

@@ -5,7 +5,10 @@
 ///   R-D prefactor (rd_model)  x  AC-stress recursion (ac_model)
 ///   x  equivalent-time transform (schedule)
 /// into the quantity the circuit flow consumes: dVth(total_time) for a PMOS
-/// with a given stress profile under a given active/standby schedule.
+/// with a given stress profile under a given active/standby schedule.  Every
+/// evaluation goes through one StressContext: a single device (the sleep
+/// transistor, the paper benches) builds its own with context(), the circuit
+/// flow builds them in batches with make_contexts() for the SoA kernel.
 #pragma once
 
 #include <span>
@@ -27,15 +30,16 @@ class DeviceAging {
   const RdParams& params() const { return params_; }
 
   /// dVth of a device with stress profile \p stress after \p total_time
-  /// seconds of the repeating mode schedule \p schedule [V].
+  /// seconds of the repeating mode schedule \p schedule [V]:
+  /// delta_vth(context(stress, schedule), total_time).
   double delta_vth(const DeviceStress& stress, const ModeSchedule& schedule,
                    double total_time) const;
 
   /// Horizon-independent evaluation state for one (stress, schedule) pair:
   /// the equivalent cycle, the K_v prefactor, and the S_n recursion prefix.
-  /// Build once with make_contexts(), then evaluate many horizons at O(1)
-  /// each (vs. O(kSnExactCycles) for the plain overload).  delta_vth(ctx, t)
-  /// is bit-identical to delta_vth(stress, schedule, t) for every t.
+  /// Build once, then evaluate many horizons at O(1) each.  Its oracle is
+  /// the one-shot equivalent_cycle -> ac_delta_vth composition
+  /// (tests/support/reference.h reference_delta_vth).
   struct StressContext {
     bool always_zero = false;   ///< no equivalent stress: dVth(t) == 0
     double schedule_period = 1.0;  ///< wall-clock mode period [s]
@@ -60,20 +64,22 @@ class DeviceAging {
                      const ModeSchedule& schedule,
                      std::span<StressContext> out) const;
 
+  /// The evaluation state of one device: make_contexts over \p stress alone.
+  StressContext context(const DeviceStress& stress,
+                        const ModeSchedule& schedule) const;
+
   /// dVth after \p total_time seconds via a precomputed context [V].
   double delta_vth(const StressContext& ctx, double total_time) const;
 
   /// As delta_vth, but evaluated under the *worst-case temperature
   /// assumption* the paper criticizes: standby time is treated as if it were
-  /// spent at T_active.  Used by the pessimism ablation.
+  /// spent at T_active (the schedule with temp_standby = temp_active).  Used
+  /// by the pessimism ablation.
   double delta_vth_worst_case_temp(const DeviceStress& stress,
                                    const ModeSchedule& schedule,
                                    double total_time) const;
 
  private:
-  double eval(const DeviceStress& stress, const ModeSchedule& schedule,
-              double total_time, bool worst_case_temp) const;
-
   RdParams params_;
 };
 

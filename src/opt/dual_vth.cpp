@@ -51,7 +51,7 @@ DualVthResult assign_dual_vth(const aging::AgingAnalyzer& low,
   // gate's entry from the all-low or the all-high delay vector and prices
   // the assignment with one arrival-only STA pass.
   const std::vector<double> high_delays = sta.gate_delays(
-      low.conditions().sta_temperature, {},
+      low.conditions().schedule.temp_active, {},
       std::vector<double>(nl.num_gates(), params.high_vth_offset));
   std::vector<double> delays(nl.num_gates());
   std::vector<double> arrival_scratch;

@@ -63,10 +63,9 @@ IvcResult evaluate_ivc(const aging::AgingAnalyzer& analyzer,
                        }) -
       result.candidates.begin());
 
-  result.worst_case_percent =
-      analyzer.analyze(aging::StandbyPolicy::all_stressed()).percent();
-  result.best_case_percent =
-      analyzer.analyze(aging::StandbyPolicy::all_relaxed()).percent();
+  const IncPotential bounds = internal_node_control_potential(analyzer);
+  result.worst_case_percent = bounds.worst_percent;
+  result.best_case_percent = bounds.best_percent;
 
   if (n_random_ref > 0) {
     // One SplitMix64-decorrelated stream per reference vector (salted away

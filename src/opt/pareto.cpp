@@ -87,14 +87,9 @@ ParetoResult pareto_standby_vectors(const aging::AgingAnalyzer& analyzer,
     common::parallel_for(static_cast<int>(batch.size()), [&](int i) {
       ParetoPoint& p = points[i];
       p.leakage = standby_leak.circuit_leakage(batch[i]);
-      // aged_critical_delay takes the arrival-only STA path — same
-      // percent() value (identical numerator/denominator expressions)
-      // without materializing a DegradationReport per candidate.
-      const double fresh = analyzer.fresh_critical_delay();
-      const double aged = analyzer.aged_critical_delay(
-          aging::StandbyPolicy::from_vector(batch[i]));
       p.degradation_percent =
-          fresh > 0.0 ? 100.0 * (aged - fresh) / fresh : 0.0;
+          analyzer.analyze(aging::StandbyPolicy::from_vector(batch[i]))
+              .percent();
       p.vector = std::move(batch[i]);
     });
     for (ParetoPoint& p : points) {

@@ -12,7 +12,7 @@ namespace nbtisim::opt {
 SizedTiming::SizedTiming(const aging::AgingAnalyzer& analyzer,
                          const std::vector<double>& dvth)
     : sta_(&analyzer.sta()), lib_(&sta_->library()),
-      temp_(analyzer.conditions().sta_temperature) {
+      temp_(analyzer.conditions().schedule.temp_active) {
   const netlist::Netlist& nl = sta_->netlist();
   if (static_cast<int>(dvth.size()) != nl.num_gates()) {
     throw std::invalid_argument("SizedTiming: dvth size mismatch");

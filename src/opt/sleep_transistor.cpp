@@ -1,6 +1,6 @@
 #include "opt/sleep_transistor.h"
 
-#include <cmath>
+#include <algorithm>
 #include <stdexcept>
 
 namespace nbtisim::opt {
@@ -16,18 +16,6 @@ nbti::DeviceStress header_st_stress(const StParams& st) {
   stress.vgs = st.vdd;
   stress.vth0 = st.vth_st;
   return stress;
-}
-
-std::vector<double> log_spaced(double t_min, double t_max, int n_points) {
-  // Written so NaN and an infinite t_max fail too.
-  if (n_points < 2 ||
-      !(t_min > 0.0 && t_max > t_min && std::isfinite(t_max))) {
-    throw std::invalid_argument("degradation series: bad sampling spec");
-  }
-  std::vector<double> t(n_points);
-  const double step = std::log(t_max / t_min) / (n_points - 1);
-  for (int i = 0; i < n_points; ++i) t[i] = t_min * std::exp(step * i);
-  return t;
 }
 
 }  // namespace
@@ -66,79 +54,34 @@ StSizing size_sleep_transistor(const nbti::RdParams& rd,
   return s;
 }
 
+double st_drop_percent(StStyle style, const StParams& st, double dvth_st) {
+  const double sigma0_percent = 100.0 * st.sigma;
+  // The NMOS footer is PBTI-immune in this model: a constant penalty.
+  if (style == StStyle::Footer) return sigma0_percent;
+  const double headroom = st.vdd - st.vth_st;
+  const double header =
+      sigma0_percent * headroom / std::max(1e-9, headroom - dvth_st);
+  return style == StStyle::Header ? header : sigma0_percent + header;
+}
+
 std::vector<StDegradationPoint> st_circuit_degradation_series(
     const aging::AgingAnalyzer& analyzer, StStyle style, const StParams& st,
     double t_min, double t_max, int n_points) {
-  const std::vector<double> times = log_spaced(t_min, t_max, n_points);
-  const nbti::ModeSchedule& schedule = analyzer.conditions().schedule;
-  const nbti::RdParams& rd = analyzer.conditions().rd;
-
-  // The ST device's stress descriptor is horizon-independent: build the
-  // model and context once and only re-evaluate the horizon per point
-  // (bitwise what st_delta_vth computes — delta_vth(stress, ...) is
-  // make_contexts + delta_vth(ctx, t)).
-  const nbti::DeviceAging st_model(rd);
-  const nbti::DeviceStress st_stress = header_st_stress(st);
-  nbti::DeviceAging::StressContext st_ctx;
-  st_model.make_contexts({&st_stress, 1}, schedule, {&st_ctx, 1});
-
-  const double sigma0_percent = 100.0 * st.sigma;
+  // Gated logic: no PMOS is negatively biased in standby -> best case.
+  const std::vector<std::pair<double, double>> logic =
+      analyzer.degradation_series(aging::StandbyPolicy::all_relaxed(), t_min,
+                                  t_max, n_points);
+  // The ST device's context is horizon-independent: built once, evaluated
+  // per point.
+  const nbti::DeviceAging st_model(analyzer.conditions().rd);
+  const nbti::DeviceAging::StressContext st_ctx =
+      st_model.context(header_st_stress(st), analyzer.conditions().schedule);
   std::vector<StDegradationPoint> series;
-  series.reserve(times.size());
-  for (double t : times) {
-    StDegradationPoint pt;
-    pt.time = t;
-    // Gated logic: no PMOS is negatively biased in standby -> best case.
-    // (arrival-only aged_critical_delay; same value as analyze().percent())
-    const double fresh = analyzer.fresh_critical_delay();
-    const double aged =
-        analyzer.aged_critical_delay(aging::StandbyPolicy::all_relaxed(), t);
-    pt.logic_percent = fresh > 0.0 ? 100.0 * (aged - fresh) / fresh : 0.0;
-
-    // ST drop contribution.
-    switch (style) {
-      case StStyle::Footer:
-        // NMOS footer is PBTI-immune in this model: constant penalty.
-        pt.st_percent = sigma0_percent;
-        break;
-      case StStyle::Header: {
-        const double dvth = st_model.delta_vth(st_ctx, t);
-        const double headroom = st.vdd - st.vth_st;
-        pt.st_percent = sigma0_percent * headroom /
-                        std::max(1e-9, headroom - dvth);
-        break;
-      }
-      case StStyle::FooterAndHeader: {
-        const double dvth = st_model.delta_vth(st_ctx, t);
-        const double headroom = st.vdd - st.vth_st;
-        pt.st_percent =
-            sigma0_percent +
-            sigma0_percent * headroom / std::max(1e-9, headroom - dvth);
-        break;
-      }
-    }
-    pt.total_percent = pt.logic_percent + pt.st_percent;
-    series.push_back(pt);
-  }
-  return series;
-}
-
-std::vector<StDegradationPoint> no_st_degradation_series(
-    const aging::AgingAnalyzer& analyzer, double t_min, double t_max,
-    int n_points) {
-  const std::vector<double> times = log_spaced(t_min, t_max, n_points);
-  std::vector<StDegradationPoint> series;
-  series.reserve(times.size());
-  for (double t : times) {
-    StDegradationPoint pt;
-    pt.time = t;
-    const double fresh = analyzer.fresh_critical_delay();
-    const double aged =
-        analyzer.aged_critical_delay(aging::StandbyPolicy::all_stressed(), t);
-    pt.logic_percent = fresh > 0.0 ? 100.0 * (aged - fresh) / fresh : 0.0;
-    pt.st_percent = 0.0;
-    pt.total_percent = pt.logic_percent;
-    series.push_back(pt);
+  series.reserve(logic.size());
+  for (const auto& [t, logic_percent] : logic) {
+    const double drop =
+        st_drop_percent(style, st, st_model.delta_vth(st_ctx, t));
+    series.push_back({t, logic_percent, drop, logic_percent + drop});
   }
   return series;
 }

@@ -37,7 +37,8 @@ struct StParams {
 };
 
 /// dVth of the PMOS ST itself after \p total_time: stressed during active
-/// mode (gate at 0), relaxed during standby (gate at 1) — Fig. 8.
+/// mode (gate at 0), relaxed during standby (gate at 1) — Fig. 8.  One
+/// nbti::DeviceAging::delta_vth, the path the with-ST series evaluates too.
 double st_delta_vth(const nbti::RdParams& rd, const nbti::ModeSchedule& schedule,
                     double total_time, const StParams& st);
 
@@ -76,19 +77,22 @@ struct StDegradationPoint {
   double total_percent = 0.0;   ///< total delay vs. fresh no-ST circuit [%]
 };
 
+/// Delay penalty of the ST drop [%] once the header has shifted by
+/// \p dvth_st: 100 sigma for the footer, which does not age; for the header
+/// the eq. (29) current balance inflates V_ST,
+///   V_ST(t) = V_ST(0) * (Vdd - Vth_ST) / (Vdd - Vth_ST - dVth_ST(t)),
+/// and footer+header pays the footer's constant drop on top.
+double st_drop_percent(StStyle style, const StParams& st, double dvth_st);
+
 /// Circuit degradation over time with an inserted ST of style \p style and
-/// time-0 penalty \p st.sigma (Fig. 11).  The internal logic ages under the
-/// all-relaxed policy (ST insertion leaves no PMOS negatively biased); the
-/// header's own aging inflates V_ST via the eq. (29) current balance:
-///   V_ST(t) = V_ST(0) * (Vdd - Vth_ST) / (Vdd - Vth_ST - dVth_ST(t)).
+/// time-0 penalty \p st.sigma (Fig. 11): per point of
+/// analyzer.degradation_series under the all-relaxed policy (ST insertion
+/// leaves no PMOS negatively biased), plus st_drop_percent at the header's
+/// st_delta_vth.  The "w/o ST" curve is the all-stressed degradation_series.
+/// \throws std::invalid_argument for a bad sampling spec (see
+///         AgingAnalyzer::degradation_series)
 std::vector<StDegradationPoint> st_circuit_degradation_series(
     const aging::AgingAnalyzer& analyzer, StStyle style, const StParams& st,
     double t_min, double t_max, int n_points);
-
-/// Degradation series *without* ST (worst-case standby states), matching the
-/// "w/o ST" curves of Fig. 11.
-std::vector<StDegradationPoint> no_st_degradation_series(
-    const aging::AgingAnalyzer& analyzer, double t_min, double t_max,
-    int n_points);
 
 }  // namespace nbtisim::opt

@@ -45,20 +45,19 @@ DerateTable aging_derate_table(const aging::AgingAnalyzer& analyzer,
           std::vector<bool>(nl.num_inputs(), false)),
       aging::StandbyPolicy::all_relaxed(),
   };
-  // One degradation_series-style pass per policy: the first year builds the
-  // stress descriptors the policy reads (the all-zero vector selects between
-  // the two bounds), the rest reuse them.  Each pass fills only
-  // its own column, so fanning the policies out over parallel_for keeps the
-  // table bit-identical for every thread count.
-  const double fresh = analyzer.fresh_critical_delay();
+  // One pass of analyze() per policy: the first year builds the stress
+  // descriptors the policy reads (the all-zero vector selects between the
+  // two bounds), the rest reuse them.  Each pass fills only its own column,
+  // so fanning the policies out over parallel_for keeps the table
+  // bit-identical for every thread count.
   table.factors.assign(policies.size(), {});
   common::parallel_for(static_cast<int>(policies.size()), [&](int p) {
     std::vector<double>& col = table.factors[p];
     col.reserve(table.years.size());
     for (double y : table.years) {
-      const double aged =
-          analyzer.aged_critical_delay(policies[p], y * kSecondsPerYear);
-      col.push_back(aged / fresh);
+      const aging::DegradationReport rep =
+          analyzer.analyze(policies[p], y * kSecondsPerYear);
+      col.push_back(rep.aged_delay / rep.fresh_delay);
     }
   });
   return table;

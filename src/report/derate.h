@@ -34,14 +34,13 @@ struct DerateTable {
 /// Computes circuit-level derate factors for the given lifetimes under the
 /// worst-case, all-zero-inputs and best-case standby policies.
 ///
-/// Horizon-batched: each policy runs one degradation_series-style pass —
-/// the stress descriptors are built once and every year reuses them via
-/// AgingAnalyzer::aged_critical_delay — instead of a fresh analyze() per
-/// (policy, year) cell, and the per-policy passes fan out over
+/// Horizon-batched: each policy runs one pass of AgingAnalyzer::analyze over
+/// the years — the stress descriptors are built at the first year and every
+/// later year reuses them — and the per-policy passes fan out over
 /// common::parallel_for.  Each pass writes only its own column and the
 /// factors are pure per-cell values, so the table is bit-identical for
-/// every thread count and identical to the naive per-cell evaluation
-/// (tests/test_differential.cpp).
+/// every thread count and identical to the per-cell oracle, which times each
+/// cell with the path-walking reference STA (tests/test_differential.cpp).
 /// \throws std::invalid_argument for an empty or non-positive lifetime list
 DerateTable aging_derate_table(const aging::AgingAnalyzer& analyzer,
                                std::vector<double> years);

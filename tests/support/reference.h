@@ -1,17 +1,19 @@
 /// \file reference.h
 /// \brief Deliberately naive reference evaluators for the differential tests.
 ///
-/// Each function here recomputes a result the slow, obvious way — one scalar
-/// device-model call per PMOS or NMOS per horizon, the literal S_n recursion,
-/// one stress context per device, a std::vector<bool> per net for logic
-/// simulation, a predecessor per net for the critical path, full delay
-/// rebuild + full STA per sizing trial, a fresh analyzer per control-point
-/// trial, an eager lifetime grid, Monte-Carlo samples drawn and scaled
-/// inline, a fresh analyze() per derate cell, a serial loop per
-/// electrothermal sweep, a nested bisection per stacked OFF device, snprintf
-/// and strtod for JSON number text — and serves as the oracle that
-/// tests/test_differential.cpp property-tests the optimized engines against
-/// across random netlists, seeds, thread counts and horizons.
+/// Each function here recomputes a result the slow, obvious way — one
+/// one-shot device-model composition (equivalent cycle, then ac_delta_vth)
+/// per PMOS or NMOS per horizon, the literal S_n recursion, one stress
+/// context per device, a std::vector<bool> per net for logic simulation, a
+/// predecessor per net for the critical path, full delay rebuild + full STA
+/// per sizing trial, a fresh analyzer per control-point trial, an eager
+/// lifetime grid, Monte-Carlo samples drawn and scaled inline, a
+/// path-walking STA per derate cell, the sleep-transistor series' own grid
+/// and loop, a serial loop per electrothermal sweep, a nested bisection per
+/// stacked OFF device, snprintf and strtod for JSON number text — and serves
+/// as the oracle that tests/test_differential.cpp property-tests the
+/// optimized engines against across random netlists, seeds, thread counts
+/// and horizons.
 /// Keep them boring: no caching, no incremental updates, no parallelism.
 /// The one deliberate sophistication is FP discipline — every accumulation
 /// mirrors the production expression order, so the comparisons can demand
@@ -43,6 +45,7 @@
 #include "nbti/rd_model.h"
 #include "opt/inc_insertion.h"
 #include "opt/sizing.h"
+#include "opt/sleep_transistor.h"
 #include "report/derate.h"
 #include "report/report.h"
 #include "sim/simulator.h"
@@ -182,6 +185,28 @@ inline double reference_ac_delta_vth_exact(const nbti::RdParams& p,
          std::pow(stress.period, 0.25);
 }
 
+/// dVth of one device after \p total_time, the one-shot way: the equivalent
+/// cycle of (\p stress, \p schedule), then ac_delta_vth over the equivalent
+/// time (the wall-clock cycle count times the equivalent period) — no stress
+/// context, no S_n prefix.  The oracle for both DeviceAging::delta_vth
+/// overloads, which evaluate through one StressContext.
+inline double reference_delta_vth(const nbti::RdParams& p,
+                                  const nbti::DeviceStress& stress,
+                                  const nbti::ModeSchedule& schedule,
+                                  double total_time) {
+  if (!(total_time >= 0.0)) {
+    throw std::invalid_argument("reference_delta_vth: bad total time");
+  }
+  if (total_time == 0.0) return 0.0;
+  const nbti::EquivalentCycle eq = nbti::equivalent_cycle(p, stress, schedule);
+  if (eq.stress_time <= 0.0) return 0.0;
+  const double n_cycles = total_time / schedule.period();
+  const double total_equivalent = n_cycles * eq.period();
+  return nbti::ac_delta_vth(p, schedule.temp_active,
+                            nbti::AcStress{eq.duty(), eq.period()},
+                            total_equivalent, stress.vgs, stress.vth0);
+}
+
 /// One device's evaluation state, field by field the obvious way: the
 /// equivalent cycle, the literal S_n recursion to kSnExactCycles
 /// (nbti::sn_exact), kv_at and pow, one device at a time.  The oracle for
@@ -217,12 +242,12 @@ inline nbti::DeviceAging::StressContext reference_stress_context(
 
 /// Worst-device dVth per gate at \p total_time, the scalar way: every
 /// device's DeviceStress is rebuilt from the analyzer's signal statistics
-/// and a fresh standby simulation, then evaluated with one one-shot
-/// DeviceAging::delta_vth(stress, schedule, t) call — no stress contexts,
-/// no SoA kernel, no descriptor cache.  A PMOS sits on every stage input
-/// and is NBTI-stressed while its gate signal is 0; an NMOS sits on every
-/// stage input too and is PBTI-stressed while the signal is 1.  The oracle
-/// for AgingAnalyzer::gate_dvth (Pmos) and for worst_per_gate over
+/// and a fresh standby simulation, then evaluated with one
+/// reference_delta_vth call — no stress contexts, no SoA kernel, no
+/// descriptor cache.  A PMOS sits on every stage input and is NBTI-stressed
+/// while its gate signal is 0; an NMOS sits on every stage input too and is
+/// PBTI-stressed while the signal is 1.  The oracle for
+/// AgingAnalyzer::gate_dvth (Pmos) and for worst_per_gate over
 /// build_stress(policy, Nmos).
 inline std::vector<double> reference_gate_dvth(
     const aging::AgingAnalyzer& analyzer, const aging::StandbyPolicy& policy,
@@ -232,7 +257,6 @@ inline std::vector<double> reference_gate_dvth(
   const tech::Library& lib = sta.library();
   const aging::AgingConditions& cond = analyzer.conditions();
   const sim::SignalStats& stats = analyzer.signal_stats();
-  const nbti::DeviceAging model(cond.rd);
   const bool nmos = channel == tech::Channel::Nmos;
 
   // Standby net values: one set per standby vector of the policy.
@@ -291,8 +315,9 @@ inline std::vector<double> reference_gate_dvth(
             break;
           }
         }
-        dvth[gi] = std::max(dvth[gi],
-                            model.delta_vth(stress, cond.schedule, total_time));
+        dvth[gi] = std::max(dvth[gi], reference_delta_vth(cond.rd, stress,
+                                                          cond.schedule,
+                                                          total_time));
       }
     }
   }
@@ -307,7 +332,7 @@ inline std::vector<double> reference_aged_delays(
   const sta::StaEngine& sta = analyzer.sta();
   const tech::Library& lib = sta.library();
   const netlist::Netlist& nl = sta.netlist();
-  const double temp = analyzer.conditions().sta_temperature;
+  const double temp = analyzer.conditions().schedule.temp_active;
   const double alpha = lib.params().pmos.alpha;
   const double vdd = lib.params().vdd;
   const double vth0 = lib.params().pmos.vth0;
@@ -361,7 +386,7 @@ inline opt::SizingResult reference_size_for_lifetime(
   r.sizes.assign(nl.num_gates(), 1.0);
   r.fresh_delay = analyzer.sta()
                       .analyze(analyzer.sta().gate_delays(
-                          analyzer.conditions().sta_temperature))
+                          analyzer.conditions().schedule.temp_active))
                       .max_delay;
   r.spec = r.fresh_delay * (1.0 + params.spec_margin_percent / 100.0);
 
@@ -414,11 +439,12 @@ inline opt::IncInsertionResult reference_insert_control_points(
     const std::vector<double> dvth = an.worst_per_gate(
         an.build_stress(policy, tech::Channel::Pmos), cond.total_time);
     std::vector<double> fresh = an.sta().gate_delays(
-        cond.sta_temperature, {}, cond.gate_vth_offsets);
+        cond.schedule.temp_active, {}, cond.gate_vth_offsets);
     std::vector<double> aged =
-        cond.taylor_delay ? fresh
-                          : an.sta().gate_delays(cond.sta_temperature, dvth,
-                                                 cond.gate_vth_offsets);
+        cond.taylor_delay
+            ? fresh
+            : an.sta().gate_delays(cond.schedule.temp_active, dvth,
+                                   cond.gate_vth_offsets);
     for (int gi = 0; gi < nl.num_gates(); ++gi) {
       fresh[gi] *= scale[gi];
       if (cond.taylor_delay) {
@@ -446,7 +472,7 @@ inline opt::IncInsertionResult reference_insert_control_points(
   const sta::StaEngine sta(nl, lib);
   const std::vector<bool> standby = sim::Simulator(nl).evaluate(zeros);
   const std::vector<double> fresh_delays =
-      sta.gate_delays(cond.sta_temperature, {}, cond.gate_vth_offsets);
+      sta.gate_delays(cond.schedule.temp_active, {}, cond.gate_vth_offsets);
   const sta::TimingResult fresh_timing = sta.analyze(fresh_delays);
   const std::vector<double> slack = sta.slacks(fresh_timing, fresh_delays);
   const double horizon = std::max(fresh_timing.max_delay, 1e-30);
@@ -511,7 +537,7 @@ inline variation::LifetimeResult reference_lifetime_distribution(
   const tech::LibraryParams& lp = sta.library().params();
   const nbti::RdParams& rd = analyzer.conditions().rd;
   const std::vector<double> fresh =
-      sta.gate_delays(analyzer.conditions().sta_temperature);
+      sta.gate_delays(analyzer.conditions().schedule.temp_active);
   const double spec = sta.analyze(fresh).max_delay *
                       (1.0 + params.spec_margin_percent / 100.0);
   const variation::LinearizedDelay law(lp);
@@ -591,7 +617,7 @@ inline variation::DelayDistribution reference_delay_distribution(
   const tech::LibraryParams& lp = sta.library().params();
   const nbti::RdParams& rd = analyzer.conditions().rd;
   const std::vector<double> fresh =
-      sta.gate_delays(analyzer.conditions().sta_temperature);
+      sta.gate_delays(analyzer.conditions().schedule.temp_active);
   const variation::LinearizedDelay law(lp);
   const double ff_nominal = nbti::field_factor(rd, lp.vdd, lp.pmos.vth0);
 
@@ -631,7 +657,7 @@ inline variation::CriticalityResult reference_gate_criticality(
   const tech::LibraryParams& lp = sta.library().params();
   const nbti::RdParams& rd = analyzer.conditions().rd;
   const std::vector<double> fresh =
-      sta.gate_delays(analyzer.conditions().sta_temperature);
+      sta.gate_delays(analyzer.conditions().schedule.temp_active);
   std::vector<double> dvth_nominal;
   if (params.aged) {
     dvth_nominal = analyzer.gate_dvth(aging::StandbyPolicy::all_stressed(),
@@ -670,7 +696,9 @@ inline variation::CriticalityResult reference_gate_criticality(
   return result;
 }
 
-/// Per-cell derate table: a fresh full analyze() for every (policy, year).
+/// Per-cell derate table: every (policy, year) timed by reference_analyze,
+/// the path-walking STA, over the analyzer's aged gate delays.  The oracle for
+/// report::aging_derate_table, which reads AgingAnalyzer::analyze.
 inline report::DerateTable reference_derate_table(
     const aging::AgingAnalyzer& analyzer, std::vector<double> years) {
   const netlist::Netlist& nl = analyzer.sta().netlist();
@@ -683,16 +711,70 @@ inline report::DerateTable reference_derate_table(
           std::vector<bool>(nl.num_inputs(), false)),
       aging::StandbyPolicy::all_relaxed(),
   };
+  const double fresh =
+      reference_analyze(analyzer.sta(), analyzer.fresh_delays()).max_delay;
   for (const aging::StandbyPolicy& policy : policies) {
     std::vector<double> col;
     for (double y : table.years) {
-      const aging::DegradationReport rep =
-          analyzer.analyze(policy, y * kSecondsPerYear);
-      col.push_back(rep.aged_delay / rep.fresh_delay);
+      const std::vector<double> aged = analyzer.aged_gate_delays(
+          analyzer.gate_dvth(policy, y * kSecondsPerYear));
+      col.push_back(reference_analyze(analyzer.sta(), aged).max_delay / fresh);
     }
     table.factors.push_back(std::move(col));
   }
   return table;
+}
+
+/// Fig. 11's with-ST series in one loop: its own log grid; per point the
+/// gated logic's percent from a path-walking STA over the all-relaxed aged
+/// delays, and the header's dVth from reference_delta_vth through the
+/// eq. (29) switch on \p style.  The oracle
+/// for opt::st_circuit_degradation_series, which reads
+/// AgingAnalyzer::degradation_series and opt::st_drop_percent.
+inline std::vector<opt::StDegradationPoint> reference_st_series(
+    const aging::AgingAnalyzer& analyzer, opt::StStyle style,
+    const opt::StParams& st, double t_min, double t_max, int n_points) {
+  const aging::AgingConditions& cond = analyzer.conditions();
+  nbti::DeviceStress header;  // on through active mode, off in standby
+  header.active_stress_prob = 1.0;
+  header.standby = nbti::StandbyMode::Relaxed;
+  header.vgs = st.vdd;
+  header.vth0 = st.vth_st;
+  const double fresh =
+      reference_analyze(analyzer.sta(), analyzer.fresh_delays()).max_delay;
+  const double sigma0_percent = 100.0 * st.sigma;
+  const double step = std::log(t_max / t_min) / (n_points - 1);
+  std::vector<opt::StDegradationPoint> series;
+  for (int i = 0; i < n_points; ++i) {
+    opt::StDegradationPoint pt;
+    pt.time = t_min * std::exp(step * i);
+    const double aged =
+        reference_analyze(analyzer.sta(),
+                          analyzer.aged_gate_delays(analyzer.gate_dvth(
+                              aging::StandbyPolicy::all_relaxed(), pt.time)))
+            .max_delay;
+    pt.logic_percent = fresh > 0.0 ? 100.0 * (aged - fresh) / fresh : 0.0;
+    const double dvth = reference_delta_vth(cond.rd, header, cond.schedule,
+                                            pt.time);
+    const double headroom = st.vdd - st.vth_st;
+    switch (style) {
+      case opt::StStyle::Footer:
+        pt.st_percent = sigma0_percent;
+        break;
+      case opt::StStyle::Header:
+        pt.st_percent =
+            sigma0_percent * headroom / std::max(1e-9, headroom - dvth);
+        break;
+      case opt::StStyle::FooterAndHeader:
+        pt.st_percent =
+            sigma0_percent +
+            sigma0_percent * headroom / std::max(1e-9, headroom - dvth);
+        break;
+    }
+    pt.total_percent = pt.logic_percent + pt.st_percent;
+    series.push_back(pt);
+  }
+  return series;
 }
 
 /// Serial failure suite: the PBTI series from reference_gate_dvth's NMOS

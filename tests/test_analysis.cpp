@@ -246,6 +246,22 @@ TEST(EvalContextTest, IncAndDualVthBuildOnThePoolAnalyzer) {
   }
 }
 
+// Every analysis times at the condition's T_active, as `nbtisim info` does:
+// the pooled analyzer's fresh critical delay is the fresh STA at t_active.
+TEST(EvalContextTest, AnalyzerTimesAtTheConditionsActiveTemperature) {
+  Params p;
+  p.sp_vectors = 256;
+  ContextPool pool(p);
+  Condition cool;
+  cool.t_active = 350.0;
+  EvalContext ctx = pool.context("c432", cool);
+  const aging::AgingAnalyzer& an = ctx.aging();
+  EXPECT_EQ(an.fresh_critical_delay(),
+            an.sta().analyze_fresh(350.0).max_delay);
+  EXPECT_NE(an.fresh_critical_delay(),
+            an.sta().analyze_fresh(400.0).max_delay);
+}
+
 // --------------------------------------------------------------------------
 // The acceptance campaign: one spec listing every analysis runs, resumes
 // after interruption, and its store is byte-identical for every n_threads.

@@ -133,9 +133,11 @@ TEST_F(DeviceAgingTest, HigherInitialVthAgesLess) {
 }
 
 TEST_F(DeviceAgingTest, StressContextIsBitIdenticalToDirectEval) {
-  // The precomputed-context fast path must not change a single bit: the
-  // circuit pipeline caches contexts and the determinism guarantee depends
-  // on both paths producing the same doubles.
+  // Both public forms evaluate through one StressContext (the circuit
+  // pipeline caches them in batches); neither may change a single bit
+  // against the one-shot equivalent_cycle -> ac_delta_vth composition.  The
+  // horizons of 1 s and 500 s are shorter than one 1000 s schedule period,
+  // so the cycle count is clamped to 1.
   const std::vector<DeviceStress> stresses = {
       worst_,
       {0.23, StandbyMode::Relaxed, 1.0, 0.22},
@@ -151,7 +153,11 @@ TEST_F(DeviceAgingTest, StressContextIsBitIdenticalToDirectEval) {
       const DeviceStress& stress = stresses[k];
       const DeviceAging::StressContext& ctx = ctxs[k];
       for (double t : {1.0, 500.0, 1e4, 1e6, 3e8}) {
-        EXPECT_EQ(model_.delta_vth(ctx, t), model_.delta_vth(stress, s, t))
+        const double want =
+            testsupport::reference_delta_vth(RdParams{}, stress, s, t);
+        EXPECT_EQ(model_.delta_vth(ctx, t), want)
+            << "RAS=1:" << parts << " t=" << t;
+        EXPECT_EQ(model_.delta_vth(stress, s, t), want)
             << "RAS=1:" << parts << " t=" << t;
       }
       EXPECT_EQ(model_.delta_vth(ctx, 0.0), 0.0);
@@ -159,6 +165,18 @@ TEST_F(DeviceAgingTest, StressContextIsBitIdenticalToDirectEval) {
       EXPECT_THROW(
           model_.delta_vth(ctx, std::numeric_limits<double>::quiet_NaN()),
           std::invalid_argument);
+    }
+  }
+  // The worst-case-temperature form is the same evaluation on the schedule
+  // whose standby runs as hot as its active mode.
+  const ModeSchedule cool = ras(9, 330.0);
+  ModeSchedule hot = cool;
+  hot.temp_standby = hot.temp_active;
+  for (const DeviceStress& stress : stresses) {
+    for (double t : {1.0, 500.0, 1e6, 3e8}) {
+      EXPECT_EQ(model_.delta_vth_worst_case_temp(stress, cool, t),
+                testsupport::reference_delta_vth(RdParams{}, stress, hot, t))
+          << "t=" << t;
     }
   }
 }

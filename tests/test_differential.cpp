@@ -36,6 +36,7 @@
 #include "netlist/generators.h"
 #include "opt/inc_insertion.h"
 #include "opt/sizing.h"
+#include "opt/sleep_transistor.h"
 #include "report/derate.h"
 #include "support/reference.h"
 #include "tech/library.h"
@@ -192,7 +193,7 @@ TEST(DifferentialTest, SizedTimingAtUnitSizesIsTheAnalyzersAgedTiming) {
     }
     EXPECT_EQ(differing, 0) << "of " << want.size() << " gate delays";
     EXPECT_EQ(timing.analyze_current().max_delay,
-              an.aged_critical_delay(policy));
+              an.analyze(policy).aged_delay);
   }
 }
 
@@ -376,6 +377,135 @@ TEST(DifferentialTest, DerateTableMatchesPerCellReference) {
         EXPECT_EQ(got.factors[p], want.factors[p]) << "policy " << p;
       }
     }
+  }
+}
+
+// AgingAnalyzer::analyze is the one aged-delay query and times with the
+// arrival-only pass; the oracle walks the critical path back over the aged
+// delays of the scalar per-device dVth.  Policies: both bounds, a vector
+// with forces and a rotation, each at three horizons and two budgets.
+TEST(DifferentialTest, AnalyzeMatchesWalkBackReference) {
+  const tech::Library lib;
+  std::mt19937_64 rng(29);
+  std::uniform_real_distribution<double> u(0.0, 1.0);
+  const std::vector<netlist::Netlist> circuits = {
+      analysis::load_netlist_spec("c432", false), random_dag(12, 150, 17)};
+  int checked = 0;
+  for (const netlist::Netlist& nl : circuits) {
+    SCOPED_TRACE(nl.name());
+    const aging::AgingAnalyzer an(nl, lib, fast_conditions());
+    const auto random_vector = [&] {
+      std::vector<bool> v(nl.num_inputs());
+      for (std::size_t i = 0; i < v.size(); ++i) v[i] = u(rng) < 0.5;
+      return v;
+    };
+    aging::StandbyPolicy forced =
+        aging::StandbyPolicy::from_vector(random_vector());
+    for (int f = 0; f < 3; ++f) {
+      const int gi = static_cast<int>(
+          rng() % static_cast<std::uint64_t>(nl.num_gates()));
+      forced.forces.emplace_back(nl.gate(gi).output, u(rng) < 0.5);
+    }
+    const std::vector<aging::StandbyPolicy> policies = {
+        aging::StandbyPolicy::all_stressed(),
+        aging::StandbyPolicy::all_relaxed(), forced,
+        aging::StandbyPolicy::rotating(
+            {random_vector(), random_vector(), random_vector()})};
+    const double fresh =
+        testsupport::reference_analyze(an.sta(), an.fresh_delays()).max_delay;
+    for (std::size_t p = 0; p < policies.size(); ++p) {
+      for (double t : {2.0e5, 3.0e7, 3.0e8}) {
+        const double aged =
+            testsupport::reference_analyze(
+                an.sta(), an.aged_gate_delays(testsupport::reference_gate_dvth(
+                              an, policies[p], t)))
+                .max_delay;
+        for (int n_threads : {1, 4}) {
+          SCOPED_TRACE(::testing::Message() << "policy=" << p << " t=" << t
+                                            << " n_threads=" << n_threads);
+          const common::ThreadBudget budget(n_threads);
+          const aging::DegradationReport got = an.analyze(policies[p], t);
+          EXPECT_EQ(got.fresh_delay, fresh);
+          EXPECT_EQ(got.aged_delay, aged);
+          EXPECT_EQ(got.percent(), aging::degradation_percent(fresh, aged));
+          ++checked;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(checked, 2 * 4 * 3 * 2);
+}
+
+// The with-ST series is degradation_series plus st_drop_percent; the oracle
+// is the series' own grid and loop, horizons below one period included.
+// The "st" analysis reads the horizon point of the header series and the
+// all-stressed percent.
+TEST(DifferentialTest, StSeriesMatchesReferenceLoop) {
+  const tech::Library lib;
+  const netlist::Netlist nl = analysis::load_netlist_spec("c432", false);
+  const aging::AgingAnalyzer an(nl, lib, fast_conditions());
+  opt::StParams st;
+  st.sigma = 0.03;
+  for (const opt::StStyle style :
+       {opt::StStyle::Footer, opt::StStyle::Header,
+        opt::StStyle::FooterAndHeader}) {
+    const std::vector<opt::StDegradationPoint> want =
+        testsupport::reference_st_series(an, style, st, 1.0, 3.0e8, 9);
+    for (int n_threads : {1, 4}) {
+      SCOPED_TRACE(::testing::Message() << "style="
+                                        << static_cast<int>(style)
+                                        << " n_threads=" << n_threads);
+      const common::ThreadBudget budget(n_threads);
+      const std::vector<opt::StDegradationPoint> got =
+          opt::st_circuit_degradation_series(an, style, st, 1.0, 3.0e8, 9);
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(got[i].time, want[i].time) << "point " << i;
+        EXPECT_EQ(got[i].logic_percent, want[i].logic_percent) << "point " << i;
+        EXPECT_EQ(got[i].st_percent, want[i].st_percent) << "point " << i;
+        EXPECT_EQ(got[i].total_percent, want[i].total_percent)
+            << "point " << i;
+      }
+    }
+  }
+
+  for (const char* spec : {"c432", "dag:16x300@5"}) {
+    SCOPED_TRACE(spec);
+    analysis::Params p;
+    p.sp_vectors = 256;
+    p.st_sigma = 0.04;
+    analysis::ContextPool pool(p);
+    analysis::EvalContext ctx = pool.context(spec, analysis::Condition{});
+    const analysis::Metrics metrics =
+        analysis::AnalysisRegistry::global().at("st").run(ctx, p);
+    const auto metric = [&](std::string_view name) {
+      for (const auto& [key, value] : metrics) {
+        if (key == name) return value.as_number();
+      }
+      ADD_FAILURE() << "no metric " << name;
+      return 0.0;
+    };
+    const aging::AgingAnalyzer& cell = ctx.aging();
+    opt::StParams cell_st;
+    cell_st.sigma = p.st_sigma;
+    const double horizon = cell.conditions().total_time;
+    const opt::StDegradationPoint want =
+        testsupport::reference_st_series(cell, opt::StStyle::Header, cell_st,
+                                         horizon, horizon * 1.01, 2)
+            .front();
+    const double fresh =
+        testsupport::reference_analyze(cell.sta(), cell.fresh_delays())
+            .max_delay;
+    const double stressed =
+        testsupport::reference_analyze(
+            cell.sta(),
+            cell.aged_gate_delays(testsupport::reference_gate_dvth(
+                cell, aging::StandbyPolicy::all_stressed(), horizon)))
+            .max_delay;
+    EXPECT_EQ(metric("st_total_pct"), want.total_percent);
+    EXPECT_EQ(metric("st_logic_pct"), want.logic_percent);
+    EXPECT_EQ(metric("st_drop_pct"), want.st_percent);
+    EXPECT_EQ(metric("no_st_pct"), 100.0 * (stressed - fresh) / fresh);
   }
 }
 

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Full pre-merge check: build + test every CMake preset that gates a merge.
 #
-#   tools/check.sh            # default + release + sanitize + tsan-determinism
+#   tools/check.sh            # default + perfbench tests + release + sanitize
+#                             # + tsan-determinism
 #   tools/check.sh --fast     # default preset only (full ctest)
 #
 # Presets (CMakePresets.json):
@@ -88,9 +89,14 @@ print(f"check.sh: {path} has {len(lines)} well-formed record(s)")
 PY
 
 if [[ "$FAST" == 1 ]]; then
-  echo "check.sh: fast mode — skipped sanitize and tsan-determinism presets"
+  echo "check.sh: fast mode — skipped perfbench tests, sanitize and tsan-determinism presets"
   exit 0
 fi
+
+# The benchmark's own tests: the runner compiles against the engine's APIs
+# and tests/support/reference.h, so a break there shows here instead of only
+# when the benchmark runs (Release build under .bench_build/, about 40 s).
+run python3 perfbench/test_perfbench.py
 
 run cmake --preset release -DNBTISIM_WERROR=ON
 run cmake --build --preset release -j "$JOBS"

@@ -92,12 +92,13 @@ EvalContext ContextPool::context(const std::string& netlist_spec,
 namespace {
 
 /// Fetches (or creates) the slot for \p key under \p mutex, then runs
-/// \p build under the slot's own once_flag. Distinct keys build
-/// concurrently; a throwing build resets the flag so a later caller
+/// \p build under the slot's own once_flag, and returns the slot's value
+/// (slots are never erased, so it lives as long as the pool). Distinct keys
+/// build concurrently; a throwing build resets the flag so a later caller
 /// retries (std::call_once semantics).
 template <typename T, typename Map, typename Build>
-const T& fill_slot(std::mutex& mutex, Map& map, const std::string& key,
-                   Build&& build) {
+std::shared_ptr<T> fill_slot(std::mutex& mutex, Map& map,
+                             const std::string& key, Build&& build) {
   std::shared_ptr<typename Map::mapped_type::element_type> slot;
   {
     std::lock_guard<std::mutex> lock(mutex);
@@ -108,13 +109,13 @@ const T& fill_slot(std::mutex& mutex, Map& map, const std::string& key,
     slot = it->second;
   }
   std::call_once(slot->once, [&] { slot->value = build(); });
-  return *slot->value;
+  return slot->value;
 }
 
 }  // namespace
 
 const netlist::Netlist& ContextPool::netlist_for(const std::string& nl_spec) {
-  return fill_slot<netlist::Netlist>(mutex_, netlists_, nl_spec, [&] {
+  return *fill_slot<netlist::Netlist>(mutex_, netlists_, nl_spec, [&] {
     return std::make_shared<netlist::Netlist>(
         load_netlist_spec(nl_spec, cut_dffs_));
   });
@@ -124,7 +125,7 @@ const aging::AgingAnalyzer& ContextPool::analyzer_for(
     const std::string& nl_spec, const Condition& cond) {
   const std::string key = nl_spec + "|" + cond.label();
   const netlist::Netlist& nl = netlist_for(nl_spec);
-  return fill_slot<aging::AgingAnalyzer>(mutex_, analyzers_, key, [&] {
+  return *fill_slot<aging::AgingAnalyzer>(mutex_, analyzers_, key, [&] {
     aging::AgingConditions c;
     c.schedule = nbti::ModeSchedule::from_ras(cond.ras_active,
                                               cond.ras_standby, 1000.0,
@@ -139,10 +140,16 @@ const aging::AgingAnalyzer& ContextPool::analyzer_for(
 const leakage::LeakageAnalyzer& ContextPool::leakage_for(
     const std::string& nl_spec, const Condition& cond) {
   const netlist::Netlist& nl = netlist_for(nl_spec);
-  return fill_slot<leakage::LeakageAnalyzer>(
-      mutex_, leakages_, nl_spec + "|" + fmt_g(cond.t_standby), [&] {
-        return std::make_shared<leakage::LeakageAnalyzer>(nl, lib_,
+  const std::string temp = fmt_g(cond.t_standby);
+  return *fill_slot<leakage::LeakageAnalyzer>(
+      mutex_, leakages_, nl_spec + "|" + temp, [&] {
+        std::shared_ptr<tech::LeakageTable> table =
+            fill_slot<tech::LeakageTable>(mutex_, tables_, temp, [&] {
+              return std::make_shared<tech::LeakageTable>(lib_,
                                                           cond.t_standby);
+            });
+        return std::make_shared<leakage::LeakageAnalyzer>(nl, lib_,
+                                                          std::move(table));
       });
 }
 

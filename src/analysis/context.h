@@ -3,11 +3,12 @@
 ///
 /// Every analysis consumes the same expensive intermediates: the loaded
 /// netlist, its signal statistics and stress-descriptor caches (inside the
-/// AgingAnalyzer), the STA engine, and the standby-temperature leakage
-/// tables. A ContextPool owns them once per campaign, keyed by grid cell;
-/// an EvalContext is the cheap per-task handle that lazily resolves them,
-/// so tasks sharing a cell pay the build cost once no matter how many
-/// analysis kinds run on it.
+/// AgingAnalyzer), the STA engine, and the standby leakage analyzers. A
+/// ContextPool owns them once per campaign, keyed by grid cell: leakage
+/// tables per T_standby, and leakage analyzers per netlist × T_standby,
+/// each reading its temperature's one table. An EvalContext is the cheap
+/// per-task handle that lazily resolves them, so tasks sharing a cell pay
+/// the build cost once no matter how many analysis kinds run on it.
 ///
 /// Cache fills serialize *per key*, not across keys: the pool mutex only
 /// guards the slot map, and each slot's (expensive, deterministic) build
@@ -79,6 +80,7 @@ class ContextPool {
   std::mutex mutex_;  ///< guards the slot maps only, never a build
   SlotMap<netlist::Netlist> netlists_;
   SlotMap<aging::AgingAnalyzer> analyzers_;
+  SlotMap<tech::LeakageTable> tables_;  ///< keyed by fmt_g(T_standby)
   SlotMap<leakage::LeakageAnalyzer> leakages_;
 };
 
@@ -103,7 +105,8 @@ class EvalContext {
   }
 
   /// Leakage analyzer at the condition's standby temperature (cached per
-  /// netlist × T_standby).
+  /// netlist × T_standby), reading the pool's nominal leakage table for
+  /// that temperature (cached per T_standby).
   const leakage::LeakageAnalyzer& standby_leakage() {
     return pool_->leakage_for(spec_, cond_);
   }

@@ -20,8 +20,8 @@
 /// analysis::EvalContext handed out by one per-run analysis::ContextPool —
 /// tasks that share a grid cell's (netlist, condition) reuse one
 /// AgingAnalyzer (the dominant cost: signal statistics + stress-descriptor
-/// builds), and tasks sharing (netlist, T_standby) reuse one
-/// LeakageAnalyzer.
+/// builds), tasks sharing (netlist, T_standby) reuse one LeakageAnalyzer,
+/// and every netlist at one T_standby reads one leakage table.
 ///
 /// Threads: run_campaign opens a common::ThreadBudget of spec.n_threads
 /// (0 = hardware concurrency) on the calling thread, so the task loop runs

@@ -5,15 +5,39 @@
 
 namespace nbtisim::leakage {
 
+std::vector<std::uint32_t> gate_input_states(
+    const netlist::Netlist& nl, const std::vector<bool>& pi_values) {
+  const std::vector<bool> value = sim::Simulator(nl).evaluate(pi_values);
+  std::vector<std::uint32_t> states(nl.num_gates());
+  for (int gi = 0; gi < nl.num_gates(); ++gi) {
+    const netlist::Gate& g = nl.gate(gi);
+    std::uint32_t bits = 0;
+    for (std::size_t pin = 0; pin < g.fanins.size(); ++pin) {
+      bits |= value[g.fanins[pin]] ? (1u << pin) : 0u;
+    }
+    states[gi] = bits;
+  }
+  return states;
+}
+
 LeakageAnalyzer::LeakageAnalyzer(const netlist::Netlist& nl,
                                  const tech::Library& lib, double temp_k,
                                  std::vector<double> gate_vth_offsets)
-    : nl_(&nl), lib_(&lib), table_(lib, temp_k) {
-  cells_.reserve(nl.num_gates());
-  for (const netlist::Gate& g : nl.gates()) {
-    cells_.push_back(lib.id_for(g.fn, static_cast<int>(g.fanins.size())));
-  }
+    : LeakageAnalyzer(nl, lib,
+                      std::make_shared<const tech::LeakageTable>(lib, temp_k),
+                      std::move(gate_vth_offsets)) {}
 
+LeakageAnalyzer::LeakageAnalyzer(
+    const netlist::Netlist& nl, const tech::Library& lib,
+    std::shared_ptr<const tech::LeakageTable> table,
+    std::vector<double> gate_vth_offsets)
+    : nl_(&nl), lib_(&lib), table_(std::move(table)),
+      cells_(netlist::gate_cells(nl, lib)) {
+  if (!table_ || table_->vth_offset() != 0.0) {
+    throw std::invalid_argument(
+        "LeakageAnalyzer: the shared table must be a nominal (zero-offset) "
+        "table");
+  }
   if (!gate_vth_offsets.empty()) {
     if (static_cast<int>(gate_vth_offsets.size()) != nl.num_gates()) {
       throw std::invalid_argument(
@@ -34,7 +58,7 @@ LeakageAnalyzer::LeakageAnalyzer(const netlist::Netlist& nl,
       if (idx < 0) {
         idx = static_cast<int>(distinct.size());
         distinct.push_back(off);
-        extra_.emplace_back(lib, temp_k, off);
+        extra_.emplace_back(lib, table_->temperature(), off);
       }
       table_of_gate_[gi] = idx;
     }
@@ -42,22 +66,17 @@ LeakageAnalyzer::LeakageAnalyzer(const netlist::Netlist& nl,
 }
 
 const tech::LeakageTable& LeakageAnalyzer::table_for(int gate_idx) const {
-  if (table_of_gate_.empty() || table_of_gate_[gate_idx] < 0) return table_;
+  if (table_of_gate_.empty() || table_of_gate_[gate_idx] < 0) return *table_;
   return extra_[table_of_gate_[gate_idx]];
 }
 
 std::vector<double> LeakageAnalyzer::gate_leakage(
     const std::vector<bool>& pi_values) const {
-  sim::Simulator simulator(*nl_);
-  const std::vector<bool> value = simulator.evaluate(pi_values);
+  const std::vector<std::uint32_t> states =
+      gate_input_states(*nl_, pi_values);
   std::vector<double> leak(nl_->num_gates());
   for (int gi = 0; gi < nl_->num_gates(); ++gi) {
-    const netlist::Gate& g = nl_->gate(gi);
-    std::uint32_t bits = 0;
-    for (std::size_t pin = 0; pin < g.fanins.size(); ++pin) {
-      bits |= value[g.fanins[pin]] ? (1u << pin) : 0u;
-    }
-    leak[gi] = table_for(gi).leakage(cells_[gi], bits);
+    leak[gi] = table_for(gi).leakage(cells_[gi], states[gi]);
   }
   return leak;
 }

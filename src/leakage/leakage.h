@@ -8,6 +8,8 @@
 ///   I_leakage(v) = sum_IN I_l(v, IN) * Prob(v, IN)      (eq. 24)
 #pragma once
 
+#include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -17,24 +19,40 @@
 
 namespace nbtisim::leakage {
 
+/// Every gate's input state when the primary inputs hold \p pi_values: its
+/// fanin values packed pin i = bit i, the entry of its cell's leakage row
+/// that the gate reads.  One simulation of the vector, in gate order.
+std::vector<std::uint32_t> gate_input_states(
+    const netlist::Netlist& nl, const std::vector<bool>& pi_values);
+
 /// Leakage estimator bound to (netlist, library, temperature).
 class LeakageAnalyzer {
  public:
+  /// Characterizes its own nominal table of \p lib at \p temp_k.
   /// \param gate_vth_offsets optional per-gate threshold offsets (dual-Vth
   ///        assignment); one extra lookup table is characterized per
   ///        distinct offset value
   LeakageAnalyzer(const netlist::Netlist& nl, const tech::Library& lib,
                   double temp_k, std::vector<double> gate_vth_offsets = {});
 
-  double temperature() const { return table_.temperature(); }
-  const tech::LeakageTable& table() const { return table_; }
+  /// Shares \p table, a nominal (zero-offset) table of \p lib, with every
+  /// other analyzer holding it; the offset tables are characterized at its
+  /// temperature.
+  /// \throws std::invalid_argument for a null or offset \p table
+  LeakageAnalyzer(const netlist::Netlist& nl, const tech::Library& lib,
+                  std::shared_ptr<const tech::LeakageTable> table,
+                  std::vector<double> gate_vth_offsets = {});
+
+  double temperature() const { return table_->temperature(); }
+  const tech::LeakageTable& table() const { return *table_; }
   const netlist::Netlist& netlist() const { return *nl_; }
   const tech::Library& library() const { return *lib_; }
 
   /// Per-gate leakage when the primary inputs hold \p pi_values [A].
   std::vector<double> gate_leakage(const std::vector<bool>& pi_values) const;
 
-  /// Total circuit leakage under a static input vector [A].
+  /// Total circuit leakage under a static input vector [A]: the per-gate
+  /// leakages summed in gate order.
   double circuit_leakage(const std::vector<bool>& pi_values) const;
 
   /// Expected leakage given per-net signal probabilities (eq. 24) [A].
@@ -46,7 +64,7 @@ class LeakageAnalyzer {
 
   const netlist::Netlist* nl_;
   const tech::Library* lib_;
-  tech::LeakageTable table_;                 // nominal-Vth table
+  std::shared_ptr<const tech::LeakageTable> table_;  // nominal-Vth table
   std::vector<tech::LeakageTable> extra_;    // one per distinct offset
   std::vector<int> table_of_gate_;           // -1 = nominal, else extra index
   std::vector<tech::CellId> cells_;

@@ -210,4 +210,14 @@ NodeId build_wide_gate(Netlist& nl, tech::GateFn fn,
   throw std::logic_error("build_wide_gate: unknown gate function");
 }
 
+std::vector<tech::CellId> gate_cells(const Netlist& nl,
+                                     const tech::Library& lib) {
+  std::vector<tech::CellId> cells;
+  cells.reserve(nl.num_gates());
+  for (const Gate& g : nl.gates()) {
+    cells.push_back(lib.id_for(g.fn, static_cast<int>(g.fanins.size())));
+  }
+  return cells;
+}
+
 }  // namespace nbtisim::netlist

@@ -107,4 +107,9 @@ class Netlist {
 NodeId build_wide_gate(Netlist& nl, tech::GateFn fn, std::span<const NodeId> fanins,
                        const std::string& name_prefix);
 
+/// The library cell of every gate of \p nl, in gate order.
+/// \throws std::out_of_range for a gate the library has no cell for
+std::vector<tech::CellId> gate_cells(const Netlist& nl,
+                                     const tech::Library& lib);
+
 }  // namespace nbtisim::netlist

@@ -6,11 +6,7 @@
 namespace nbtisim::sta {
 
 StaEngine::StaEngine(const netlist::Netlist& nl, const tech::Library& lib)
-    : nl_(&nl), lib_(&lib) {
-  cells_.reserve(nl.num_gates());
-  for (const netlist::Gate& g : nl.gates()) {
-    cells_.push_back(lib.id_for(g.fn, static_cast<int>(g.fanins.size())));
-  }
+    : nl_(&nl), lib_(&lib), cells_(netlist::gate_cells(nl, lib)) {
   const std::vector<double> unit(nl.num_gates(), 1.0);
   loads_.resize(nl.num_gates());
   for (int gi = 0; gi < nl.num_gates(); ++gi) loads_[gi] = sized_load(gi, unit);

@@ -43,7 +43,17 @@ struct OperatingPoint {
 
 /// Solves the electrothermal fixpoint for the circuit behind \p nl under a
 /// static input vector \p standby_vector (the leakage state).
-/// \throws std::invalid_argument for non-positive replication or supply
+///
+/// A solve simulates the vector once. Each iterate then characterizes only
+/// the distinct (cell, input state) pairs that the gates read, with
+/// tech::Library::cell_leakage, and adds the per-gate values in gate order,
+/// so its leakage is bitwise leakage::LeakageAnalyzer(nl, lib, T)
+/// .circuit_leakage(standby_vector); no table is built.
+/// \throws std::invalid_argument naming the field for a non-finite
+///         dynamic_power_w; a replication, supply_v, tolerance_k or
+///         runaway_temp_k that is not finite and > 0; max_iterations < 1;
+///         or a starting iterate model.steady_state(dynamic_power_w) that
+///         is not finite and > 0 K
 OperatingPoint solve_operating_point(const netlist::Netlist& nl,
                                      const tech::Library& lib,
                                      const RcThermalModel& model,

@@ -9,11 +9,11 @@
 /// per sizing trial, a fresh analyzer per control-point trial, an eager
 /// lifetime grid, Monte-Carlo samples drawn and scaled inline, a
 /// path-walking STA per derate cell, the sleep-transistor series' own grid
-/// and loop, a serial loop per electrothermal sweep, a nested bisection per
-/// stacked OFF device, snprintf and strtod for JSON number text — and serves
-/// as the oracle that tests/test_differential.cpp property-tests the
-/// optimized engines against across random netlists, seeds, thread counts
-/// and horizons.
+/// and loop, a whole leakage table per electrothermal iterate, a nested
+/// bisection per stacked OFF device, snprintf and strtod for JSON number
+/// text — and serves as the oracle that tests/test_differential.cpp
+/// property-tests the optimized engines against across random netlists,
+/// seeds, thread counts and horizons.
 /// Keep them boring: no caching, no incremental updates, no parallelism.
 /// The one deliberate sophistication is FP discipline — every accumulation
 /// mirrors the production expression order, so the comparisons can demand
@@ -40,6 +40,7 @@
 #include "campaign/store.h"
 #include "common/json.h"
 #include "common/rng.h"
+#include "leakage/leakage.h"
 #include "nbti/ac_model.h"
 #include "nbti/device_aging.h"
 #include "nbti/rd_model.h"
@@ -953,7 +954,36 @@ inline aging::FailureReport reference_failure_report(
   return rep;
 }
 
-/// Serial electrothermal sweep: one solve_operating_point per power.
+/// The whole-table electrothermal fixpoint: every iterate, and the exit
+/// after the last one, builds a LeakageAnalyzer at its temperature (the
+/// library's whole leakage table, and a simulation of the standby vector)
+/// and reads the standby vector's circuit leakage from it.
+inline thermal::OperatingPoint reference_operating_point(
+    const netlist::Netlist& nl, const tech::Library& lib,
+    const thermal::RcThermalModel& model,
+    const std::vector<bool>& standby_vector,
+    const thermal::ElectrothermalParams& params) {
+  auto leakage_watts = [&](double temp_k) {
+    const leakage::LeakageAnalyzer analyzer(nl, lib, temp_k);
+    return analyzer.circuit_leakage(standby_vector) * params.supply_v *
+           params.replication;
+  };
+  double temp = model.steady_state(params.dynamic_power_w);
+  for (int it = 1; it <= params.max_iterations; ++it) {
+    const double p_leak = leakage_watts(temp);
+    const double next = model.steady_state(params.dynamic_power_w + p_leak);
+    if (!std::isfinite(next) || next > params.runaway_temp_k) {
+      return {next, p_leak, it, false};
+    }
+    if (std::abs(next - temp) < params.tolerance_k) {
+      return {next, p_leak, it, true};
+    }
+    temp = next;
+  }
+  return {temp, leakage_watts(temp), params.max_iterations, false};
+}
+
+/// Serial electrothermal sweep: one whole-table fixpoint per power.
 inline std::vector<thermal::OperatingPoint> reference_operating_points(
     const netlist::Netlist& nl, const tech::Library& lib,
     const thermal::RcThermalModel& model,
@@ -966,7 +996,7 @@ inline std::vector<thermal::OperatingPoint> reference_operating_points(
     thermal::ElectrothermalParams cell = params;
     cell.dynamic_power_w = p;
     points.push_back(
-        thermal::solve_operating_point(nl, lib, model, standby_vector, cell));
+        reference_operating_point(nl, lib, model, standby_vector, cell));
   }
   return points;
 }

@@ -230,6 +230,37 @@ TEST(EvalContextTest, PoolCachesPerCellState) {
   EXPECT_NE(&c.standby_leakage(), &a.standby_leakage());  // per T_standby
 }
 
+// One nominal leakage table per T_standby: every netlist's analyzer at that
+// temperature reads the same table, and reads from it exactly what an
+// analyzer characterizing its own table reads.
+TEST(EvalContextTest, PoolSharesOneLeakageTablePerStandbyTemperature) {
+  ContextPool pool(Params{});
+  const Condition cond;
+  Condition hot = cond;
+  hot.t_standby = 400.0;
+  EvalContext c432 = pool.context("c432", cond);
+  EvalContext c880 = pool.context("c880", cond);
+  EvalContext c432_hot = pool.context("c432", hot);
+  EXPECT_EQ(&c432.standby_leakage().table(), &c880.standby_leakage().table());
+  EXPECT_NE(&c432.standby_leakage().table(),
+            &c432_hot.standby_leakage().table());
+  EXPECT_NE(&c432.standby_leakage(), &c880.standby_leakage());
+
+  for (EvalContext* ctx : {&c432, &c880, &c432_hot}) {
+    const netlist::Netlist& nl = ctx->netlist();
+    SCOPED_TRACE(nl.name());
+    const leakage::LeakageAnalyzer& pooled = ctx->standby_leakage();
+    const leakage::LeakageAnalyzer own(nl, pool.library(),
+                                       ctx->condition().t_standby);
+    std::vector<bool> vector(nl.num_inputs());
+    for (std::size_t i = 0; i < vector.size(); ++i) vector[i] = i % 3 == 0;
+    std::vector<double> sp(nl.num_nodes());
+    for (std::size_t i = 0; i < sp.size(); ++i) sp[i] = (i % 7) / 6.0;
+    EXPECT_EQ(pooled.circuit_leakage(vector), own.circuit_leakage(vector));
+    EXPECT_EQ(pooled.expected_leakage(sp), own.expected_leakage(sp));
+  }
+}
+
 // inc and dualvth read the cell's cached analyzer: every control-point
 // trial selects between its two bound stress sets, and the all-low side of
 // dual-Vth reads its all-stressed set.

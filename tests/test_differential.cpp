@@ -509,29 +509,66 @@ TEST(DifferentialTest, StSeriesMatchesReferenceLoop) {
   }
 }
 
+// The solver characterizes only the (cell, input state) pairs its gates
+// read and sums them per gate in gate order; the reference builds a whole
+// LeakageAnalyzer at every iterate. Every field must agree bitwise, on
+// ISCAS85 stand-ins and a random DAG, under all-0, all-1 and random standby
+// vectors, in the converged, max-iteration and runaway exits.
 TEST(DifferentialTest, ElectrothermalSweepMatchesSerialReference) {
   const tech::Library lib;
-  const netlist::Netlist nl = random_dag(10, 60, 13);
   const thermal::RcThermalModel model;
-  const std::vector<bool> zeros(nl.num_inputs(), false);
-  const std::vector<double> powers = {5.0, 20.0, 60.0, 100.0, 130.0};
-  const thermal::ElectrothermalParams params{.replication = 1e5};
-
-  const std::vector<thermal::OperatingPoint> want =
-      testsupport::reference_operating_points(nl, lib, model, zeros, powers,
-                                              params);
-  for (int n_threads : {1, 2, 8}) {
-    SCOPED_TRACE(::testing::Message() << "n_threads=" << n_threads);
-    const common::ThreadBudget budget(n_threads);
-    const std::vector<thermal::OperatingPoint> got =
-        thermal::solve_operating_points(nl, lib, model, zeros, powers, params);
-    ASSERT_EQ(got.size(), want.size());
-    for (std::size_t i = 0; i < want.size(); ++i) {
-      SCOPED_TRACE(::testing::Message() << "power " << powers[i]);
-      EXPECT_EQ(got[i].temperature_k, want[i].temperature_k);
-      EXPECT_EQ(got[i].leakage_w, want[i].leakage_w);
-      EXPECT_EQ(got[i].iterations, want[i].iterations);
-      EXPECT_EQ(got[i].converged, want[i].converged);
+  enum class Exit { Converged, MaxIterations, Runaway };
+  struct Case {
+    const char* name;
+    Exit exit;  // the way every power of the case must leave the loop
+    std::vector<double> powers;
+    thermal::ElectrothermalParams params;
+  };
+  const std::vector<Case> cases = {
+      {"converged", Exit::Converged, {5.0, 60.0, 100.0}, {.replication = 1e5}},
+      {"max-iterations", Exit::MaxIterations, {60.0},
+       {.replication = 1e5, .tolerance_k = 1e-9, .max_iterations = 2}},
+      {"runaway", Exit::Runaway, {130.0}, {.replication = 3e8}}};
+  std::mt19937_64 rng(28);
+  for (const netlist::Netlist& nl :
+       {netlist::iscas85_like("c432"), netlist::iscas85_like("c1908"),
+        random_dag(10, 60, 13)}) {
+    std::vector<bool> random(nl.num_inputs());
+    for (std::size_t i = 0; i < random.size(); ++i) random[i] = rng() & 1u;
+    for (const auto& [vector_name, standby] :
+         {std::pair{"zeros", std::vector<bool>(nl.num_inputs(), false)},
+          std::pair{"ones", std::vector<bool>(nl.num_inputs(), true)},
+          std::pair{"random", random}}) {
+      for (const Case& c : cases) {
+        SCOPED_TRACE(::testing::Message() << nl.name() << " standby "
+                                          << vector_name << " " << c.name);
+        const std::vector<thermal::OperatingPoint> want =
+            testsupport::reference_operating_points(nl, lib, model, standby,
+                                                    c.powers, c.params);
+        for (const thermal::OperatingPoint& op : want) {
+          EXPECT_EQ(op.converged, c.exit == Exit::Converged);
+          EXPECT_EQ(op.temperature_k <= c.params.runaway_temp_k,
+                    c.exit != Exit::Runaway);
+          if (c.exit == Exit::MaxIterations) {
+            EXPECT_EQ(op.iterations, c.params.max_iterations);
+          }
+        }
+        for (int n_threads : {1, 4}) {
+          SCOPED_TRACE(::testing::Message() << "n_threads=" << n_threads);
+          const common::ThreadBudget budget(n_threads);
+          const std::vector<thermal::OperatingPoint> got =
+              thermal::solve_operating_points(nl, lib, model, standby,
+                                              c.powers, c.params);
+          ASSERT_EQ(got.size(), want.size());
+          for (std::size_t i = 0; i < want.size(); ++i) {
+            SCOPED_TRACE(::testing::Message() << "power " << c.powers[i]);
+            EXPECT_EQ(got[i].temperature_k, want[i].temperature_k);
+            EXPECT_EQ(got[i].leakage_w, want[i].leakage_w);
+            EXPECT_EQ(got[i].iterations, want[i].iterations);
+            EXPECT_EQ(got[i].converged, want[i].converged);
+          }
+        }
+      }
     }
   }
 }

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "common/pool.h"
 #include "netlist/generators.h"
 
@@ -178,6 +181,37 @@ TEST_F(ElectrothermalTest, RejectsBadParameters) {
   EXPECT_THROW(solve_operating_point(c432_, lib_, model_, zeros_,
                                      {.runaway_temp_k = 0.0}),
                std::invalid_argument);
+
+  // Every non-finite knob is rejected by name: NaN passes a `<= 0` check,
+  // and a non-finite or hugely negative dynamic power would otherwise reach
+  // the leakage model as a non-physical temperature.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  auto rejects = [&](const RcThermalModel& model,
+                     const ElectrothermalParams& params,
+                     const std::string& field) {
+    SCOPED_TRACE(field);
+    try {
+      solve_operating_point(c432_, lib_, model, zeros_, params);
+      ADD_FAILURE() << "no throw";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+  };
+  for (double bad : {nan, inf, -inf}) {
+    rejects(model_, {.dynamic_power_w = bad}, "dynamic_power_w");
+  }
+  for (double bad : {nan, inf}) {
+    rejects(model_, {.replication = bad}, "replication");
+    rejects(model_, {.supply_v = bad}, "supply_v");
+    rejects(model_, {.tolerance_k = bad}, "tolerance_k");
+    rejects(model_, {.runaway_temp_k = bad}, "runaway_temp_k");
+  }
+  // The starting iterate is the leakage-free steady state: below 0 K at
+  // -1000 W, and NaN for a model with a NaN ambient.
+  rejects(model_, {.dynamic_power_w = -1000.0}, "starting iterate");
+  rejects(RcThermalModel({.t_ambient = nan}), {}, "starting iterate");
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <random>
 
 #include "netlist/generators.h"
@@ -111,6 +112,16 @@ TEST_F(LeakageTest, WrongPiCountRejected) {
   const Netlist nl = netlist::make_parity_tree("p", 4);
   const LeakageAnalyzer an(nl, lib_, 400.0);
   EXPECT_THROW(an.circuit_leakage(std::vector<bool>(5)), std::invalid_argument);
+}
+
+TEST_F(LeakageTest, SharedTableMustBeNominal) {
+  const Netlist nl = netlist::make_parity_tree("p", 4);
+  EXPECT_THROW(LeakageAnalyzer(nl, lib_, nullptr), std::invalid_argument);
+  EXPECT_THROW(
+      LeakageAnalyzer(nl, lib_,
+                      std::make_shared<const tech::LeakageTable>(lib_, 400.0,
+                                                                 0.1)),
+      std::invalid_argument);
 }
 
 }  // namespace

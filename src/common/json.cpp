@@ -1,5 +1,6 @@
 #include "common/json.h"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -43,10 +44,20 @@ char* write_number(char* buf, double d) {
     return std::to_chars(buf, last, static_cast<long long>(d)).ptr;
   }
   // Shortest of %.15g, %.16g and %.17g that reads back as the same double.
+  // The shortest round-trip form has k significant digits, and no text with
+  // fewer reads back, so the search starts at max(15, k); %.17g always
+  // reads back, so it is not checked.
+  const char* const shortest =
+      std::to_chars(buf, last, d, std::chars_format::scientific).ptr;
+  int digits = 0;
+  for (const char* c = buf; c != shortest && *c != 'e'; ++c) {
+    digits += *c >= '0' && *c <= '9';
+  }
   char* end = buf;
-  for (int precision = 15; precision <= 17; ++precision) {
+  for (int precision = std::max(15, digits);; ++precision) {
     end = std::to_chars(buf, last, d, std::chars_format::general, precision)
               .ptr;
+    if (precision >= 17) break;
     double back = 0.0;
     if (std::from_chars(buf, end, back).ec == std::errc() && back == d) break;
   }
@@ -55,28 +66,23 @@ char* write_number(char* buf, double d) {
 
 // ---------------------------------------------------------------------------
 // Parser: recursive descent over a string_view, errors carry a byte offset.
-// One grammar for parse() and its projection: a member the projection drops
-// is read by the same code with nothing built, so both throw alike.
+// It reports tokens to a handler: the tree Builder below for parse() and its
+// projection, or a caller's Handler. A member the handler declines is read by
+// the same code with nothing reported, so every reader throws alike.
 
 class Parser {
  public:
-  Parser(std::string_view text, const Projection* keep)
-      : text_(text), keep_(keep) {
+  Parser(std::string_view text, Handler& out) : text_(text), out_(out) {
     keys_.reserve(32);
   }
 
-  Value parse_document() {
-    Value v = parse_value(keep_ == nullptr ? Level::Whole : Level::Top);
+  void parse_document() {
+    parse_value(true);
     skip_ws();
     if (pos_ != text_.size()) fail("trailing characters after document");
-    return v;
   }
 
  private:
-  /// What parse_value() builds: the whole value, nothing (read only), or a
-  /// projected object — the document (Top) or its kept member (Member).
-  enum class Level : unsigned char { Whole, Skip, Top, Member };
-
   [[noreturn]] void fail(const std::string& what) const {
     throw std::runtime_error("json: " + what + " at offset " +
                              std::to_string(pos_));
@@ -101,133 +107,117 @@ class Parser {
     return true;
   }
 
-  /// The level at which member \p key of an object read at \p parent is
-  /// read.
-  Level member_level(Level parent, std::string_view key) const {
-    switch (parent) {
-      case Level::Top:
-        return key == keep_->member ? Level::Member : Level::Skip;
-      case Level::Member:
-        if (keep_->all) return Level::Whole;
-        for (const std::string& name : keep_->names) {
-          if (name == key) return Level::Whole;
-        }
-        return Level::Skip;
-      default: return parent;
-    }
-  }
-
-  Value parse_value(Level lv) {
+  /// Reads one value, reporting its tokens when \p report.
+  void parse_value(bool report) {
     skip_ws();
     switch (peek()) {
-      case '{': return parse_object(lv);
-      case '[':
-        return parse_array(lv == Level::Skip ? Level::Skip : Level::Whole);
-      case '"': {
-        if (lv == Level::Skip) {
+      case '{': return parse_object(report);
+      case '[': return parse_array(report);
+      case '"':
+        if (!report) {
           read_string(nullptr);
-          return Value();
+        } else {
+          out_.string_value(read_text(false));
         }
-        std::string s;
-        read_string(&s);
-        return Value(std::move(s));
-      }
+        return;
       case 't':
-        if (consume_literal("true")) return Value(true);
-        fail("bad literal");
+        if (!consume_literal("true")) fail("bad literal");
+        if (report) out_.bool_value(true);
+        return;
       case 'f':
-        if (consume_literal("false")) return Value(false);
-        fail("bad literal");
+        if (!consume_literal("false")) fail("bad literal");
+        if (report) out_.bool_value(false);
+        return;
       case 'n':
-        if (consume_literal("null")) return Value(nullptr);
+        if (consume_literal("null")) {
+          if (report) out_.null_value();
+          return;
+        }
         if (consume_literal("nan")) fail("bad literal (did you mean NaN?)");
         fail("bad literal");
       // Non-finite extension (see file comment of json.h).
       case 'I':
-        if (consume_literal("Infinity")) {
-          return Value(std::numeric_limits<double>::infinity());
-        }
-        fail("bad literal");
+        if (!consume_literal("Infinity")) fail("bad literal");
+        if (report) out_.number_value(std::numeric_limits<double>::infinity());
+        return;
       case 'N':
-        if (consume_literal("NaN")) {
-          return Value(std::numeric_limits<double>::quiet_NaN());
+        if (!consume_literal("NaN")) fail("bad literal");
+        if (report) {
+          out_.number_value(std::numeric_limits<double>::quiet_NaN());
         }
-        fail("bad literal");
-      default: return parse_number(lv != Level::Skip);
+        return;
+      default: return parse_number(report);
     }
   }
 
-  Value parse_object(Level lv) {
+  void parse_object(bool report) {
     ++pos_;  // '{'
-    Object obj;
+    if (report) out_.begin_object();
     // Keys of this object sit on keys_ from `first` on, so duplicates are
-    // caught in dropped members too.
+    // caught in declined members too.
     const std::size_t first = keys_.size();
     skip_ws();
-    if (peek() == '}') {
-      ++pos_;
-      return lv == Level::Skip ? Value() : Value(std::move(obj));
-    }
-    for (;;) {
-      skip_ws();
-      if (peek() != '"') fail("expected object key");
-      const std::string_view key = parse_key();
-      for (std::size_t i = first; i < keys_.size(); ++i) {
-        if (keys_[i] == key) {
-          fail("duplicate object key \"" + std::string(key) + "\"");
+    if (peek() != '}') {
+      for (;;) {
+        skip_ws();
+        if (peek() != '"') fail("expected object key");
+        const std::string_view key = read_text(true);
+        for (std::size_t i = first; i < keys_.size(); ++i) {
+          if (keys_[i] == key) {
+            fail("duplicate object key \"" + std::string(key) + "\"");
+          }
         }
+        keys_.push_back(key);
+        skip_ws();
+        if (peek() != ':') fail("expected ':' after object key");
+        ++pos_;
+        parse_value(report && out_.key(key));
+        skip_ws();
+        const char c = peek();
+        if (c == '}') break;
+        ++pos_;
+        if (c != ',') fail("expected ',' or '}' in object");
       }
-      keys_.push_back(key);
-      skip_ws();
-      if (peek() != ':') fail("expected ':' after object key");
-      ++pos_;
-      const Level member = member_level(lv, key);
-      if (member == Level::Skip) {
-        parse_value(Level::Skip);
-      } else {
-        obj.emplace_back(std::string(key), parse_value(member));
-      }
-      skip_ws();
-      const char c = peek();
-      ++pos_;
-      if (c == '}') {
-        keys_.resize(first);
-        return lv == Level::Skip ? Value() : Value(std::move(obj));
-      }
-      if (c != ',') fail("expected ',' or '}' in object");
+      keys_.resize(first);
     }
+    ++pos_;  // '}'
+    if (report) out_.end_object();
   }
 
-  Value parse_array(Level lv) {
+  void parse_array(bool report) {
     ++pos_;  // '['
-    Array arr;
+    if (report) out_.begin_array();
     skip_ws();
-    if (peek() == ']') {
-      ++pos_;
-      return lv == Level::Skip ? Value() : Value(std::move(arr));
-    }
-    for (;;) {
-      if (lv == Level::Skip) {
-        parse_value(Level::Skip);
-      } else {
-        arr.push_back(parse_value(Level::Whole));
+    if (peek() != ']') {
+      for (;;) {
+        parse_value(report);
+        skip_ws();
+        const char c = peek();
+        if (c == ']') break;
+        ++pos_;
+        if (c != ',') fail("expected ',' or ']' in array");
       }
-      skip_ws();
-      const char c = peek();
-      ++pos_;
-      if (c == ']') return lv == Level::Skip ? Value() : Value(std::move(arr));
-      if (c != ',') fail("expected ',' or ']' in array");
     }
+    ++pos_;  // ']'
+    if (report) out_.end_array();
   }
 
-  /// An object key: a view of the text when it has no escapes, else of its
-  /// decoded copy (kept until the parse ends).
-  std::string_view parse_key() {
-    const std::size_t open = pos_;
-    const std::string_view raw = read_string(nullptr);
-    if (raw.find('\\') == std::string_view::npos) return raw;
-    pos_ = open;
-    std::string& decoded = decoded_keys_.emplace_front();
+  /// A string token's text (pos_ at its opening quote): a view of the input
+  /// when it has no escapes, else of its decoded copy — kept until the parse
+  /// ends for a \p key, else until the next string is read.
+  std::string_view read_text(bool key) {
+    for (std::size_t end = pos_ + 1; end < text_.size(); ++end) {
+      const char c = text_[end];
+      if (c == '"') {
+        const std::string_view raw = text_.substr(pos_ + 1, end - pos_ - 1);
+        pos_ = end + 1;
+        return raw;
+      }
+      if (c == '\\' || static_cast<unsigned char>(c) < 0x20) break;
+    }
+    // An escape to decode, or malformed input for read_string() to report.
+    std::string& decoded = key ? decoded_keys_.emplace_front() : scratch_;
+    decoded.clear();
     read_string(&decoded);
     return decoded;
   }
@@ -321,16 +311,17 @@ class Parser {
     }
   }
 
-  /// Checks the number grammar; converts the token only when \p build.
-  Value parse_number(bool build) {
+  /// Checks the number grammar; converts the token only when \p report.
+  void parse_number(bool report) {
     const std::size_t start = pos_;
     if (peek() == '-') {
       ++pos_;
       if (pos_ < text_.size() && text_[pos_] == 'I') {
-        if (consume_literal("Infinity")) {
-          return Value(-std::numeric_limits<double>::infinity());
+        if (!consume_literal("Infinity")) fail("bad literal");
+        if (report) {
+          out_.number_value(-std::numeric_limits<double>::infinity());
         }
-        fail("bad literal");
+        return;
       }
     }
     auto digits = [&] {
@@ -352,43 +343,83 @@ class Parser {
       }
       digits();
     }
-    if (!build) return Value();
-    return Value(read_double(text_.substr(start, pos_ - start)));
+    if (report) out_.number_value(read_double(text_.substr(start, pos_ - start)));
   }
 
   std::string_view text_;
   std::size_t pos_ = 0;
-  const Projection* keep_;  ///< nullptr: keep everything
+  Handler& out_;
   std::vector<std::string_view> keys_;  ///< keys of the open objects
   std::forward_list<std::string> decoded_keys_;  ///< escaped keys, decoded
+  std::string scratch_;  ///< the last escaped string value, decoded
+};
+
+/// Builds the Value tree of a document or, given a Projection, of the
+/// members it keeps. Each value is constructed in place in its container;
+/// an open container is the last value of its parent, so the pointers to
+/// the open ones stay valid.
+class Builder final : public Handler {
+ public:
+  explicit Builder(const Projection* keep) : keep_(keep) {}
+
+  Value take() { return std::move(root_); }
+
+  void begin_object() override {
+    open_.push_back({nullptr, &add(Object{}).as_object()});
+  }
+  void end_object() override { open_.pop_back(); }
+  void begin_array() override {
+    open_.push_back({&add(Array{}).as_array(), nullptr});
+  }
+  void end_array() override { open_.pop_back(); }
+  bool key(std::string_view key) override {
+    if (!keeps(key)) return false;
+    key_ = key;
+    return true;
+  }
+  void string_value(std::string_view s) override { add(std::string(s)); }
+  void number_value(double d) override { add(d); }
+  void bool_value(bool b) override { add(b); }
+  void null_value() override { add(nullptr); }
+
+ private:
+  /// An open container: an array or an object.
+  struct Open {
+    Array* array;
+    Object* object;
+  };
+
+  /// Adds \p v to the open container (under the key just reported, in an
+  /// object) or as the root.
+  template <class T>
+  Value& add(T&& v) {
+    if (open_.empty()) return root_ = Value(std::forward<T>(v));
+    const Open& top = open_.back();
+    if (top.array != nullptr) return top.array->emplace_back(std::forward<T>(v));
+    return top.object->emplace_back(std::string(key_), std::forward<T>(v))
+        .second;
+  }
+
+  /// A projection narrows the document's members to its member and, when
+  /// that is an object, the member's own to its names; nothing deeper.
+  bool keeps(std::string_view key) const {
+    if (keep_ == nullptr) return true;
+    if (open_.size() == 1) return key == keep_->member;
+    if (open_.size() != 2 || open_[0].object == nullptr || keep_->all) {
+      return true;
+    }
+    return std::find(keep_->names.begin(), keep_->names.end(), key) !=
+           keep_->names.end();
+  }
+
+  const Projection* keep_;  ///< nullptr: keep everything
+  Value root_;
+  std::vector<Open> open_;  ///< the open containers, outermost first
+  std::string_view key_;    ///< the key just reported (the parser keeps it)
 };
 
 // ---------------------------------------------------------------------------
 // Writer.
-
-void write_escaped(std::string& out, std::string_view s) {
-  out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;  // UTF-8 bytes pass through verbatim
-        }
-    }
-  }
-  out += '"';
-}
 
 void write_value(std::string& out, const Value& v, int indent, int depth,
                  NonFinite nf) {
@@ -401,7 +432,7 @@ void write_value(std::string& out, const Value& v, int indent, int depth,
     case Value::Kind::Null: out += "null"; break;
     case Value::Kind::Bool: out += v.as_bool() ? "true" : "false"; break;
     case Value::Kind::Number: out += format_number(v.as_number(), nf); break;
-    case Value::Kind::String: write_escaped(out, v.as_string()); break;
+    case Value::Kind::String: write_string(out, v.as_string()); break;
     case Value::Kind::Array: {
       const Array& a = v.as_array();
       if (a.empty()) {
@@ -428,7 +459,7 @@ void write_value(std::string& out, const Value& v, int indent, int depth,
       for (std::size_t i = 0; i < o.size(); ++i) {
         if (i) out += ",";
         newline_pad(depth + 1);
-        write_escaped(out, o[i].first);
+        write_string(out, o[i].first);
         out += indent < 0 ? ":" : ": ";
         write_value(out, o[i].second, indent, depth + 1, nf);
       }
@@ -528,11 +559,51 @@ std::string Value::string_or(std::string_view key, std::string def) const {
 }
 
 Value parse(std::string_view text) {
-  return Parser(text, nullptr).parse_document();
+  Builder tree(nullptr);
+  Parser(text, tree).parse_document();
+  return tree.take();
 }
 
 Value parse(std::string_view text, const Projection& keep) {
-  return Parser(text, &keep).parse_document();
+  Builder tree(&keep);
+  Parser(text, tree).parse_document();
+  return tree.take();
+}
+
+void parse(std::string_view text, Handler& handler) {
+  Parser(text, handler).parse_document();
+}
+
+void write_string(std::string& out, std::string_view s) {
+  out += '"';
+  std::size_t plain = 0;  // start of the run not yet appended
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const char c = s[i];
+    const char* escape = nullptr;
+    switch (c) {
+      case '"': escape = "\\\""; break;
+      case '\\': escape = "\\\\"; break;
+      case '\b': escape = "\\b"; break;
+      case '\f': escape = "\\f"; break;
+      case '\n': escape = "\\n"; break;
+      case '\r': escape = "\\r"; break;
+      case '\t': escape = "\\t"; break;
+      default:
+        // UTF-8 bytes pass through verbatim.
+        if (static_cast<unsigned char>(c) >= 0x20) continue;
+    }
+    out.append(s.data() + plain, i - plain);
+    plain = i + 1;
+    if (escape != nullptr) {
+      out += escape;
+    } else {
+      char buf[8];
+      std::snprintf(buf, sizeof buf, "\\u%04x", c);
+      out += buf;
+    }
+  }
+  out.append(s.data() + plain, s.size() - plain);
+  out += '"';
 }
 
 std::string format_number(double d, NonFinite nf) {

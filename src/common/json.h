@@ -17,6 +17,12 @@
 ///     precision 15, 16 or 17, the first that reads back exactly. The
 ///     standard defines that output as printf's `%.*g` in the C locale, so
 ///     the bytes are C-locale `%.*g` whatever the process locale is.
+///   - **One grammar.** parse() builds a Value tree, a projected parse()
+///     builds only the members a Projection keeps, and a Handler receives
+///     the tokens themselves (the store's sidecar index reads its lines
+///     this way, with no tree). All three run the same parser, so they
+///     accept the same documents and fail with the same message at the
+///     same byte offset.
 ///   - **Documented non-finite policy.** RFC 8259 has no encoding for
 ///     infinities or NaN. By default dump() emits the literals `Infinity`,
 ///     `-Infinity` and `NaN` (the JSON5 convention), and parse() accepts
@@ -125,6 +131,37 @@ struct Projection {
 /// \throws std::runtime_error with byte offset on malformed input
 Value parse(std::string_view text, const Projection& keep);
 
+/// Receives the tokens of one document from parse(text, Handler&), in
+/// document order. Every member of an object is reported as key() followed
+/// by its value's tokens; a container's value is everything between its
+/// begin and end calls.
+class Handler {
+ public:
+  virtual void begin_object() = 0;
+  virtual void end_object() = 0;
+  virtual void begin_array() = 0;
+  virtual void end_array() = 0;
+  /// The key of the next member, decoded. Returning false declines the
+  /// member: the parser reads its value byte for byte (malformed input
+  /// still throws) but reports none of its tokens.
+  virtual bool key(std::string_view key) = 0;
+  /// A string value, decoded; the view is valid during the call only.
+  virtual void string_value(std::string_view s) = 0;
+  /// A number, including the non-finite literals of the file comment.
+  virtual void number_value(double d) = 0;
+  virtual void bool_value(bool b) = 0;
+  virtual void null_value() = 0;
+
+ protected:
+  ~Handler() = default;
+};
+
+/// Parses \p text with the grammar of parse(), reporting its tokens to
+/// \p handler as they are read. An exception thrown by the handler ends the
+/// parse and propagates.
+/// \throws std::runtime_error with byte offset on malformed input
+void parse(std::string_view text, Handler& handler);
+
 /// Encoding policy for non-finite doubles (see file comment).
 /// Literal round-trips (JSON5 tokens); Null is strict RFC 8259 output for
 /// external consumers, at the cost of losing the non-finite value.
@@ -140,6 +177,11 @@ std::string dump(const Value& v, int indent = -1,
 /// non-finite per \p nf) — for numbers printed outside a document, such
 /// as spec error messages and analysis::fmt_g's exact keys.
 std::string format_number(double d, NonFinite nf = NonFinite::Literal);
+
+/// Appends \p s to \p out as dump() writes a string: quoted, with `"`, `\`
+/// and control characters escaped — for lines written without a Value
+/// tree, such as the store's sidecar index entries.
+void write_string(std::string& out, std::string_view s);
 
 /// Reads and parses a JSON file.
 /// \throws std::runtime_error when the file cannot be read or parsed

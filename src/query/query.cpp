@@ -1,10 +1,6 @@
 #include "query/query.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <cmath>
 #include <filesystem>
 #include <stdexcept>
@@ -57,10 +53,6 @@ struct Compiled {
   std::vector<std::string_view> strings;  ///< the string alternatives
   std::vector<double> numbers;            ///< the number alternatives
 
-  bool is_metric() const {
-    return field.text == nullptr && field.number == nullptr;
-  }
-
   /// Predicate::any_of equality and range, as a string value sees them.
   bool matches(std::string_view s) const {
     if (pred->has_range) return false;  // a range holds numbers only
@@ -74,11 +66,6 @@ struct Compiled {
     }
     return !pred->has_range ||
            (!std::isnan(d) && d >= pred->min && d <= pred->max);
-  }
-  bool matches(const Value& v) const {
-    if (v.is_number()) return matches(v.as_number());
-    if (v.is_string()) return matches(std::string_view(v.as_string()));
-    return pred->any_of.empty() && !pred->has_range;
   }
 };
 
@@ -97,8 +84,9 @@ std::vector<Compiled> compile(
   return out;
 }
 
-/// Coordinate predicates evaluated on the index entry alone. An absent
-/// coordinate (empty string / NaN) never matches an equality or range.
+/// Every predicate evaluated on the index entry alone. An absent coordinate
+/// (empty string / NaN) never matches an equality or range, and a metric
+/// predicate holds only on a scalar metric the entry lists.
 bool entry_matches(const IndexEntry& e, const std::vector<Compiled>& preds) {
   for (const Compiled& c : preds) {
     if (c.field.text != nullptr) {
@@ -109,13 +97,8 @@ bool entry_matches(const IndexEntry& e, const std::vector<Compiled>& preds) {
       const double d = e.*c.field.number;
       if (std::isnan(d) || !c.matches(d)) return false;
     } else {
-      // Metric predicate: the index lists the row's scalar metric names, so
-      // a row without the metric is excluded without a parse. The value
-      // check happens after the parse.
-      if (std::find(e.metrics.begin(), e.metrics.end(), *c.key) ==
-          e.metrics.end()) {
-        return false;
-      }
+      const double* v = e.metric(*c.key);
+      if (v == nullptr || !c.matches(*v)) return false;
     }
   }
   return true;
@@ -143,49 +126,15 @@ bool entry_less(const IndexEntry& a, const IndexEntry& b) {
   return a.hash < b.hash;
 }
 
-/// Reads rows of one store file at their index extents: one pread each,
-/// with no stream buffer to refill after every seek. The file is opened at
-/// the first read, so scans that read no row never touch it.
-class RowReader {
- public:
-  explicit RowReader(const std::string& path) : path_(path) {}
-  RowReader(const RowReader&) = delete;
-  RowReader& operator=(const RowReader&) = delete;
-  ~RowReader() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-
-  std::string_view read(const IndexEntry& e) {
-    if (fd_ < 0) {
-      fd_ = ::open(path_.c_str(), O_RDONLY | O_CLOEXEC);
-      if (fd_ < 0) throw std::runtime_error("query: cannot open " + path_);
-    }
-    buf_.resize(e.length);
-    for (std::size_t got = 0; got < e.length;) {
-      const ssize_t n = ::pread(fd_, buf_.data() + got, e.length - got,
-                                static_cast<off_t>(e.offset + got));
-      if (n < 0 && errno == EINTR) continue;
-      if (n <= 0) throw std::runtime_error("query: short read in " + path_);
-      got += static_cast<std::size_t>(n);
-    }
-    return buf_;
-  }
-
- private:
-  const std::string& path_;
-  int fd_ = -1;
-  std::string buf_;
-};
-
 struct Matched {
   const IndexEntry* entry = nullptr;
-  Value row;  ///< parsed store row; null when the query never needed it
-  bool parsed = false;
+  Value row;  ///< projected store row; null when the query never needed it
 };
 
-/// The selected / grouped cell for column \p col: coordinates come from the
-/// index entry (always present there when present in the row), everything
-/// else from the parsed row's metrics object. Null when absent.
+/// The selected / grouped cell for column \p col: coordinates and scalar
+/// metrics come from the index entry (present there whenever the row has
+/// them), any other member from the row's metrics object when the row was
+/// read. Null when absent.
 Value cell_value(const Matched& m, const std::string& col) {
   const IndexEntry& e = *m.entry;
   const Field f = coord_field(col);
@@ -197,7 +146,7 @@ Value cell_value(const Matched& m, const std::string& col) {
     const double d = e.*f.number;
     return std::isnan(d) ? Value() : Value(d);
   }
-  if (!m.parsed) return Value();
+  if (const double* v = e.metric(col)) return Value(*v);
   if (const Value* metrics = m.row.find("metrics")) {
     if (const Value* v = metrics->find(col)) return *v;
   }
@@ -314,40 +263,27 @@ double reduce(const Aggregate& agg, std::vector<double>& values) {
 }
 
 /// What a matched row's read keeps: the members of its "metrics" that the
-/// query reads — metric predicates, metric select columns and aggregated
-/// metrics —, or every member for a default select or an aggregation over
-/// every metric. Nothing (not all, no names) when the index entries answer
-/// the query alone, as they do a count or a coordinate-only select.
-common::json::Projection metrics_read(const Query& q) {
+/// output \p columns name and that are not coordinates. A row is read only
+/// when its entry does not list one of them as a scalar.
+common::json::Projection row_read(const std::vector<std::string>& columns) {
   common::json::Projection p;
   p.member = "metrics";
   p.all = false;
-  const auto read = [&p](const std::string& name) {
-    if (!is_coord(name) &&
-        std::find(p.names.begin(), p.names.end(), name) == p.names.end()) {
-      p.names.push_back(name);
+  for (const std::string& col : columns) {
+    if (!is_coord(col) &&
+        std::find(p.names.begin(), p.names.end(), col) == p.names.end()) {
+      p.names.push_back(col);
     }
-  };
-  for (const auto& [key, pred] : q.where) read(key);
-  if (q.has_agg) {
-    if (q.agg.op != "count") {
-      p.all = q.agg.metrics.empty();
-      for (const std::string& m : q.agg.metrics) read(m);
-    }
-  } else if (q.select.empty()) {
-    p.all = true;
-  } else {
-    for (const std::string& col : q.select) read(col);
   }
   return p;
 }
 
 /// Scalar metric names over the matched rows, first appearance in canonical
 /// row order — the default select/aggregate metric set.
-std::vector<std::string> metric_union(const std::vector<Matched>& matched) {
+std::vector<std::string> metric_union(const std::vector<Matched*>& matched) {
   std::vector<std::string> names;
-  for (const Matched& m : matched) {
-    for (const std::string& name : m.entry->metrics) {
+  for (const Matched* m : matched) {
+    for (const auto& [name, value] : m->entry->metrics) {
       if (std::find(names.begin(), names.end(), name) == names.end()) {
         names.push_back(name);
       }
@@ -412,58 +348,29 @@ Query parse_query(const Value& q) {
 }
 
 QueryResult run_query(const StoreView& view, const Query& q, int n_threads) {
-  // Rows are read only for the metrics the query reads; a query that reads
-  // none is answered from the index entries alone.
-  const common::json::Projection read = metrics_read(q);
-  const bool needs_rows = read.all || !read.names.empty();
   const std::vector<Compiled> preds = compile(q.where);
-
-  struct FileScan {
-    std::vector<Matched> matched;
-    std::size_t parsed = 0;
-  };
   const int n_files = static_cast<int>(view.files().size());
-  std::vector<FileScan> scans(static_cast<std::size_t>(n_files));
   const common::ThreadBudget budget(n_threads);
+
+  // Every predicate is answered by the index entries.
+  std::vector<std::vector<Matched>> scans(static_cast<std::size_t>(n_files));
   common::parallel_for(n_files, [&](int fi) {
-    const StoreView::File& file = view.files()[static_cast<std::size_t>(fi)];
-    FileScan& scan = scans[static_cast<std::size_t>(fi)];
-    RowReader rows(file.path);
-    for (const IndexEntry& e : file.index.entries) {
-      if (!entry_matches(e, preds)) continue;
-      Matched m;
-      m.entry = &e;
-      if (needs_rows) {
-        m.row = common::json::parse(rows.read(e), read);
-        m.parsed = true;
-        ++scan.parsed;
-        // Metric value predicates; name containment ran on the entry.
-        const Value* metrics = m.row.find("metrics");
-        const auto holds = [&](const Compiled& c) {
-          if (!c.is_metric()) return true;
-          const Value* v =
-              metrics == nullptr ? nullptr : metrics->find(*c.key);
-          return v != nullptr && c.matches(*v);
-        };
-        if (!std::all_of(preds.begin(), preds.end(), holds)) continue;
-      }
-      scan.matched.push_back(std::move(m));
+    const std::size_t f = static_cast<std::size_t>(fi);
+    for (const IndexEntry& e : view.files()[f].index.entries) {
+      if (entry_matches(e, preds)) scans[f].emplace_back().entry = &e;
     }
   });
 
   QueryResult out;
   out.stats.files = n_files;
-  for (const StoreView::File& f : view.files()) {
-    out.stats.index_entries += f.index.entries.size();
-  }
-  std::vector<Matched> matched;
-  for (FileScan& scan : scans) {
-    out.stats.rows_parsed += scan.parsed;
-    for (Matched& m : scan.matched) matched.push_back(std::move(m));
+  std::vector<Matched*> matched;
+  for (std::size_t f = 0; f < scans.size(); ++f) {
+    out.stats.index_entries += view.files()[f].index.entries.size();
+    for (Matched& m : scans[f]) matched.push_back(&m);
   }
   std::sort(matched.begin(), matched.end(),
-            [](const Matched& a, const Matched& b) {
-              return entry_less(*a.entry, *b.entry);
+            [](const Matched* a, const Matched* b) {
+              return entry_less(*a->entry, *b->entry);
             });
   out.stats.rows_matched = matched.size();
 
@@ -476,11 +383,33 @@ QueryResult run_query(const StoreView& view, const Query& q, int n_threads) {
         out.columns.push_back(std::move(name));
       }
     }
-    for (const Matched& m : matched) {
+    // A row is read for a column its entry does not list as a scalar: a
+    // payload, or a member the row lacks or holds as a non-number.
+    const common::json::Projection read = row_read(out.columns);
+    std::vector<std::size_t> parsed(scans.size(), 0);
+    if (!read.names.empty()) {
+      common::parallel_for(n_files, [&](int fi) {
+        const std::size_t f = static_cast<std::size_t>(fi);
+        campaign::ExtentReader rows(view.files()[f].path);
+        for (Matched& m : scans[f]) {
+          const IndexEntry& e = *m.entry;
+          if (std::all_of(read.names.begin(), read.names.end(),
+                          [&e](const std::string& name) {
+                            return e.metric(name) != nullptr;
+                          })) {
+            continue;
+          }
+          m.row = common::json::parse(rows.read(e.offset, e.length), read);
+          ++parsed[f];
+        }
+      });
+    }
+    for (std::size_t n : parsed) out.stats.rows_parsed += n;
+    for (const Matched* m : matched) {
       std::vector<Value> cells;
       cells.reserve(out.columns.size());
       for (const std::string& col : out.columns) {
-        cells.push_back(cell_value(m, col));
+        cells.push_back(cell_value(*m, col));
       }
       out.rows.push_back(std::move(cells));
     }
@@ -495,39 +424,50 @@ QueryResult run_query(const StoreView& view, const Query& q, int n_threads) {
     for (const std::string& m : metric_cols) {
       out.columns.push_back(agg.op + "_" + m);
     }
-    // Group in canonical row order; the group key is the dumped by-tuple.
+    // Group in canonical row order; the group key is the by-cells' dumps,
+    // each followed by a comma (a dump is self-delimiting, so equal keys
+    // are equal tuples).
     struct Group {
       std::vector<Value> key;
-      std::vector<const Matched*> rows;
+      std::vector<const IndexEntry*> rows;
     };
     std::vector<Group> groups;
     std::unordered_map<std::string, std::size_t> group_of;
-    for (const Matched& m : matched) {
-      std::vector<Value> key;
-      key.reserve(agg.by.size());
-      common::json::Array key_doc;
+    std::string key_str;
+    for (const Matched* m : matched) {
+      key_str.clear();
       for (const std::string& col : agg.by) {
-        key.push_back(cell_value(m, col));
-        key_doc.push_back(key.back());
+        key_str += common::json::dump(cell_value(*m, col));
+        key_str += ',';
       }
-      const std::string key_str = common::json::dump(Value(key_doc));
-      auto [it, fresh] = group_of.emplace(key_str, groups.size());
-      if (fresh) groups.push_back(Group{std::move(key), {}});
-      groups[it->second].rows.push_back(&m);
+      auto [it, fresh] = group_of.try_emplace(key_str, groups.size());
+      if (fresh) {
+        std::vector<Value> key;
+        key.reserve(agg.by.size());
+        for (const std::string& col : agg.by) {
+          key.push_back(cell_value(*m, col));
+        }
+        groups.push_back(Group{std::move(key), {}});
+      }
+      groups[it->second].rows.push_back(m->entry);
     }
+    // The reducers skip non-numbers and non-finite values, so they read the
+    // entries' scalars and never a row.
+    std::vector<double> values;
     for (Group& g : groups) {
       std::vector<Value> cells = std::move(g.key);
       cells.emplace_back(static_cast<double>(g.rows.size()));
       for (const std::string& mname : metric_cols) {
-        std::vector<double> values;
-        values.reserve(g.rows.size());
-        for (const Matched* m : g.rows) {
-          const Value v = cell_value(*m, mname);
-          if (v.is_number() && std::isfinite(v.as_number())) {
-            values.push_back(v.as_number());
-          }
+        values.clear();
+        for (const IndexEntry* e : g.rows) {
+          const double* v = e->metric(mname);
+          if (v != nullptr && std::isfinite(*v)) values.push_back(*v);
         }
-        cells.push_back(values.empty() ? Value() : Value(reduce(agg, values)));
+        if (values.empty()) {
+          cells.emplace_back();
+        } else {
+          cells.emplace_back(reduce(agg, values));
+        }
       }
       out.rows.push_back(std::move(cells));
     }

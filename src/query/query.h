@@ -6,11 +6,14 @@
 /// c432 under the worst condition" — used to mean rescanning and re-parsing
 /// every JSONL row. This layer turns the store into a queryable result set:
 /// a StoreView opens the base file and every shard with their sidecar
-/// indexes (campaign/index.h), and run_query() evaluates a small declarative
-/// query against the index first, seeking into the store files only for the
-/// rows that can still match. Non-matching rows are never parsed; a row that
-/// can match is validated whole but read through a json::Projection that
-/// builds only the metrics the query reads.
+/// indexes (campaign/index.h), whose entries hold each row's coordinates and
+/// scalar metric values, and run_query() answers a small declarative query
+/// from those entries: every predicate, every scalar column and every
+/// aggregate. A store row is read only when it matches and an output column
+/// is not a scalar its entry lists — a structured payload such as "front",
+/// or a member the row lacks or holds as a non-number. Such a row is
+/// validated whole but read through a json::Projection that builds only
+/// those columns.
 ///
 /// ## The query language
 ///
@@ -119,7 +122,7 @@ Query parse_query(const common::json::Value& q);
 struct QueryStats {
   int files = 0;                  ///< store files consulted
   std::size_t index_entries = 0;  ///< index entries scanned
-  std::size_t rows_parsed = 0;    ///< store rows actually read and parsed
+  std::size_t rows_parsed = 0;    ///< store rows read for non-scalar columns
   std::size_t rows_matched = 0;   ///< rows that passed every predicate
 };
 
@@ -140,9 +143,11 @@ struct QueryResult {
   std::string to_json() const;
 };
 
-/// Evaluates \p q against \p view. Candidate rows are selected from the
-/// index (coordinates + scalar-metric names) and only those are parsed;
-/// files are scanned on the shared work pool, \p n_threads wide (a
+/// Evaluates \p q against \p view. Predicates, scalar columns and
+/// aggregates are answered from the index entries; a matching row is read
+/// only for an output column that its entry does not list as a scalar (a
+/// payload, or a default-select metric the row lacks as a number). Files
+/// are scanned on the shared work pool, \p n_threads wide (a
 /// common::ThreadBudget scope; 0 = hardware concurrency). Bit-identical
 /// output for every \p n_threads and every shard layout of the same
 /// logical store.

@@ -3,13 +3,27 @@
 #include <cmath>
 #include <random>
 #include <stdexcept>
+#include <string>
 
 namespace nbtisim::thermal {
 
+namespace {
+
+/// Throws naming \p what unless \p ok; every check is written so that NaN
+/// fails it.
+void require(bool ok, const char* what) {
+  if (!ok) throw std::invalid_argument(std::string("RcThermalModel") + what);
+}
+
+}  // namespace
+
 RcThermalModel::RcThermalModel(ThermalParams params) : params_(params) {
-  if (params_.r_th <= 0.0 || params_.c_th <= 0.0) {
-    throw std::invalid_argument("RcThermalModel: non-positive RC constants");
-  }
+  require(std::isfinite(params_.r_th) && params_.r_th > 0.0,
+          ": r_th must be finite and > 0");
+  require(std::isfinite(params_.c_th) && params_.c_th > 0.0,
+          ": c_th must be finite and > 0");
+  require(std::isfinite(params_.t_ambient) && params_.t_ambient > 0.0,
+          ": t_ambient must be finite and > 0");
 }
 
 double RcThermalModel::steady_state(double power) const {
@@ -17,7 +31,9 @@ double RcThermalModel::steady_state(double power) const {
 }
 
 double RcThermalModel::step(double t0, double power, double dt) const {
-  if (dt < 0.0) throw std::invalid_argument("RcThermalModel::step: dt < 0");
+  require(std::isfinite(dt) && dt >= 0.0, "::step: dt must be finite and >= 0");
+  require(std::isfinite(t0), "::step: t0 must be finite");
+  require(std::isfinite(power), "::step: power must be finite");
   const double t_inf = steady_state(power);
   return t_inf + (t0 - t_inf) * std::exp(-dt / params_.tau());
 }
@@ -25,20 +41,21 @@ double RcThermalModel::step(double t0, double power, double dt) const {
 std::vector<std::pair<double, double>> RcThermalModel::simulate(
     std::span<const TaskInterval> trace, double sample_dt,
     double t_initial) const {
-  if (trace.empty()) {
-    throw std::invalid_argument("RcThermalModel::simulate: empty trace");
-  }
-  if (sample_dt <= 0.0) {
-    throw std::invalid_argument("RcThermalModel::simulate: bad sample_dt");
+  require(!trace.empty(), "::simulate: empty trace");
+  require(std::isfinite(sample_dt) && sample_dt > 0.0,
+          "::simulate: sample_dt must be finite and > 0");
+  require(std::isfinite(t_initial), "::simulate: t_initial must be finite");
+  for (const TaskInterval& task : trace) {
+    require(std::isfinite(task.duration) && task.duration > 0.0,
+            "::simulate: a task's duration must be finite and > 0");
+    require(std::isfinite(task.power),
+            "::simulate: a task's power must be finite");
   }
   std::vector<std::pair<double, double>> samples;
   double now = 0.0;
   double temp = t_initial;
   samples.emplace_back(now, temp);
   for (const TaskInterval& task : trace) {
-    if (task.duration <= 0.0) {
-      throw std::invalid_argument("RcThermalModel::simulate: bad task duration");
-    }
     double remaining = task.duration;
     while (remaining > 0.0) {
       const double dt = std::min(sample_dt, remaining);

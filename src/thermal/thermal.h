@@ -39,6 +39,8 @@ struct TaskInterval {
 /// Single-node RC thermal model.
 class RcThermalModel {
  public:
+  /// \throws std::invalid_argument naming the field unless r_th, c_th and
+  ///         t_ambient are finite and > 0
   explicit RcThermalModel(ThermalParams params = {});
 
   const ThermalParams& params() const { return params_; }
@@ -48,11 +50,15 @@ class RcThermalModel {
 
   /// Temperature after holding \p power for \p dt starting from \p t0 [K]
   /// (exact exponential step).
+  /// \throws std::invalid_argument unless \p dt is finite and >= 0 and
+  ///         \p t0 and \p power are finite
   double step(double t0, double power, double dt) const;
 
   /// Simulates a task-set power trace; returns (time, temperature) samples
   /// every \p sample_dt seconds.
-  /// \throws std::invalid_argument for an empty trace or bad sample_dt
+  /// \throws std::invalid_argument for an empty trace, unless \p sample_dt
+  ///         is finite and > 0 and \p t_initial finite, and unless every
+  ///         task's duration is finite and > 0 and its power finite
   std::vector<std::pair<double, double>> simulate(
       std::span<const TaskInterval> trace, double sample_dt,
       double t_initial) const;

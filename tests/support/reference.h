@@ -11,9 +11,9 @@
 /// path-walking STA per derate cell, the sleep-transistor series' own grid
 /// and loop, a whole leakage table per electrothermal iterate, a nested
 /// bisection per stacked OFF device, snprintf and strtod for JSON number
-/// text — and serves as the oracle that tests/test_differential.cpp
-/// property-tests the optimized engines against across random netlists,
-/// seeds, thread counts and horizons.
+/// text, a JSON tree per sidecar index line — and serves as the oracle
+/// that tests/test_differential.cpp property-tests the optimized engines
+/// against across random netlists, seeds, thread counts and horizons.
 /// Keep them boring: no caching, no incremental updates, no parallelism.
 /// The one deliberate sophistication is FP discipline — every accumulation
 /// mirrors the production expression order, so the comparisons can demand
@@ -37,6 +37,7 @@
 
 #include "aging/aging.h"
 #include "aging/failure.h"
+#include "campaign/index.h"
 #include "campaign/store.h"
 #include "common/json.h"
 #include "common/rng.h"
@@ -1137,6 +1138,58 @@ inline common::json::Value reference_projection(
     out.emplace_back(key, Value(std::move(inner)));
   }
   return Value(std::move(out));
+}
+
+/// A sidecar line read the tree way: json::parse(), then the members of the
+/// resulting object copied into the entry. Throws where
+/// campaign::parse_entry() must: a line that is not an object, a known
+/// member of the wrong kind, an extent outside the integers in [0, 2^53],
+/// a non-number metric value, or a missing "h", "o" or "l". Unknown
+/// members are skipped.
+inline campaign::IndexEntry reference_parse_entry(std::string_view line) {
+  using common::json::Value;
+  const Value v = common::json::parse(line);
+  const auto extent = [](const Value& x) {
+    const double d = x.as_number();
+    if (!(d >= 0.0 && d <= 9007199254740992.0) || d != std::floor(d)) {
+      throw std::runtime_error("reference: bad extent");
+    }
+    return static_cast<std::uint64_t>(d);
+  };
+  campaign::IndexEntry e;
+  bool hash = false, offset = false, length = false;
+  for (const auto& [key, member] : v.as_object()) {
+    if (key == "h") {
+      e.hash = member.as_string();
+      hash = true;
+    } else if (key == "o") {
+      e.offset = extent(member);
+      offset = true;
+    } else if (key == "l") {
+      e.length = extent(member);
+      length = true;
+    } else if (key == "n") {
+      e.netlist = member.as_string();
+    } else if (key == "r") {
+      e.ras = member.as_string();
+    } else if (key == "ta") {
+      e.t_active = member.as_number();
+    } else if (key == "ts") {
+      e.t_standby = member.as_number();
+    } else if (key == "y") {
+      e.years = member.as_number();
+    } else if (key == "a") {
+      e.analysis = member.as_string();
+    } else if (key == "m") {
+      for (const auto& [name, value] : member.as_object()) {
+        e.metrics.emplace_back(name, value.as_number());
+      }
+    }
+  }
+  if (!hash || !offset || !length) {
+    throw std::runtime_error("reference: entry lacks \"h\", \"o\" or \"l\"");
+  }
+  return e;
 }
 
 // ---------------------------------------------------------------------------

@@ -1029,6 +1029,19 @@ TEST(DifferentialTest, JsonNumbersMatchSnprintfAndStrtod) {
     check(std::ldexp(1.0, e));
     check(-std::ldexp(1.0, e));
   }
+  // Powers of ten with both neighbours, and their multiples, where the
+  // shortest form is short and precision 15 must already read back.
+  for (int e = -323; e <= 308; ++e) {
+    const double p = std::strtod(("1e" + std::to_string(e)).c_str(), nullptr);
+    for (double d : {p, std::nextafter(p, 0.0),
+                     std::nextafter(p, std::numeric_limits<double>::infinity())}) {
+      check(d);
+      check(-d);
+    }
+    for (int m = 2; m <= 9; ++m) check(m * p);
+  }
+  // A 0.001 grid, the values campaign grids and rows are made of.
+  for (int k = -20'000; k <= 20'000; ++k) check(k * 0.001);
   for (int i = 0; i < 50'000; ++i) {
     state = common::splitmix64(state);
     check(static_cast<double>(state % 1'000'000'007) /

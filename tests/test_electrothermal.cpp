@@ -209,9 +209,9 @@ TEST_F(ElectrothermalTest, RejectsBadParameters) {
     rejects(model_, {.runaway_temp_k = bad}, "runaway_temp_k");
   }
   // The starting iterate is the leakage-free steady state: below 0 K at
-  // -1000 W, and NaN for a model with a NaN ambient.
+  // -1000 W. A NaN ambient, which made it NaN, no longer builds a model.
   rejects(model_, {.dynamic_power_w = -1000.0}, "starting iterate");
-  rejects(RcThermalModel({.t_ambient = nan}), {}, "starting iterate");
+  EXPECT_THROW(RcThermalModel({.t_ambient = nan}), std::invalid_argument);
 }
 
 }  // namespace

@@ -7,6 +7,9 @@
 #include <cmath>
 #include <fstream>
 #include <limits>
+#include <stdexcept>
+#include <string>
+#include <string_view>
 
 #include "support/temp_store.h"
 
@@ -185,6 +188,76 @@ TEST(JsonTest, LoadFileReportsPathOnErrors) {
     FAIL() << "expected parse failure";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find(path), std::string::npos);
+  }
+}
+
+/// Records the tokens it is handed as text, declining members named "skip".
+class Recorder final : public Handler {
+ public:
+  std::string log;
+
+  void begin_object() override { log += '{'; }
+  void end_object() override { log += '}'; }
+  void begin_array() override { log += '['; }
+  void end_array() override { log += ']'; }
+  bool key(std::string_view k) override {
+    log += "k:" + std::string(k) + ' ';
+    return k != "skip";
+  }
+  void string_value(std::string_view s) override {
+    log += "s:" + std::string(s) + ' ';
+  }
+  void number_value(double d) override {
+    log += "n:" + format_number(d) + ' ';
+  }
+  void bool_value(bool b) override { log += b ? "true " : "false "; }
+  void null_value() override { log += "null "; }
+};
+
+TEST(JsonTest, HandlerReceivesTokensInDocumentOrder) {
+  Recorder r;
+  parse(R"({"a":[1,"x\ty",{"b":null}],"skip":{"deep":[true]},"c":-Infinity,
+           "\u0064":false})",
+        r);
+  EXPECT_EQ(r.log,
+            "{k:a [n:1 s:x\ty {k:b null }]k:skip k:c n:-Infinity k:d false }");
+}
+
+// A declined member is read by the same grammar: malformed input inside it
+// throws the message, offset included, that parse() throws.
+TEST(JsonTest, DeclinedMembersFailLikeParse) {
+  for (const char* text :
+       {R"({"skip":[1,,2]})", R"({"skip":{"a":1,"a":2}})",
+        R"({"skip":"\x"})", R"({"skip":nan})", R"({"skip":[1 2]})",
+        R"({"skip":{"a":1)"}) {
+    SCOPED_TRACE(text);
+    std::string want;
+    try {
+      parse(std::string_view(text));
+    } catch (const std::runtime_error& e) {
+      want = e.what();
+    }
+    ASSERT_FALSE(want.empty());
+    Recorder r;
+    try {
+      parse(text, r);
+      ADD_FAILURE() << "no throw";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()), want);
+    }
+  }
+}
+
+TEST(JsonTest, WriteStringMatchesDump) {
+  for (const std::string& s :
+       {std::string(), std::string("plain"), std::string("q\"b\\s/"),
+        std::string("\b\f\n\r\t"), std::string("\x01\x1f\x7f"),
+        std::string("caf\xc3\xa9 \xf0\x9f\x98\x80"),
+        std::string("nul\0inside", 10)}) {
+    std::string out = "prefix";
+    write_string(out, s);
+    EXPECT_EQ(out, "prefix" + dump(Value(s)));
+    EXPECT_EQ(parse(out.substr(6)).as_string(), s);
   }
 }
 

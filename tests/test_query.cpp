@@ -51,24 +51,43 @@ std::string read_file(const std::string& path) {
   return ss.str();
 }
 
+void write_bytes(const std::string& path, const std::string& bytes) {
+  std::ofstream f(path, std::ios::binary | std::ios::trunc);
+  f << bytes;
+}
+
 // A deterministic synthetic campaign row: hashes cover every hex prefix so
 // all 16 shards participate, coordinates form a small grid, and metric
 // values are reproducible functions of the index. Every third row carries a
 // structured payload next to its scalars, and a few metric values are
-// non-finite to exercise the aggregation skip rule.
+// non-finite (or -0) to exercise the aggregation skip rule and the sidecar's
+// number round trip. Rows 21-24 of every 40 carry netlist and ras names
+// that a group key joined without quotes or escapes would confuse:
+// "p,q" + "r" against "p" + "q,r", and "p\",\"q" + "r" against
+// "p" + "q\",\"r".
 Value synthetic_row(int i) {
   static const char* kNetlists[] = {"c432", "c880", "dag:8x40@3"};
   static const char* kAnalyses[] = {"aging", "st", "failure"};
+  static const char* kConfusable[][2] = {
+      {"p,q", "r"}, {"p", "q,r"}, {"p\",\"q", "r"}, {"p", "q\",\"r"}};
+  static const double kSpread[] = {std::numeric_limits<double>::quiet_NaN(),
+                                   -std::numeric_limits<double>::infinity(),
+                                   -0.0, 2.5};
   char hash[32];
   std::snprintf(hash, sizeof hash, "%016llx",
                 0x1000000000000000ull * (i % 16) +
                     static_cast<unsigned long long>(i));
+  const int confusable = i % 40 - 21;
+  const bool odd_name = confusable >= 0 && confusable < 4;
+  const char* netlist =
+      odd_name ? kConfusable[confusable][0] : kNetlists[i % 3];
   Value row;
   row.set("hash", std::string(hash));
   row.set("campaign", "synthetic");
-  row.set("netlist", kNetlists[i % 3]);
-  row.set("netlist_spec", kNetlists[i % 3]);
-  row.set("ras", i % 2 == 0 ? "1:9" : "5:5");
+  row.set("netlist", netlist);
+  row.set("netlist_spec", netlist);
+  row.set("ras", odd_name ? kConfusable[confusable][1]
+                          : (i % 2 == 0 ? "1:9" : "5:5"));
   row.set("t_active", 400.0);
   row.set("t_standby", i % 4 < 2 ? 330.0 : 400.0);
   row.set("years", 10.0);
@@ -81,6 +100,7 @@ Value synthetic_row(int i) {
                 i % 22 == 0 ? std::numeric_limits<double>::infinity()
                             : 1.5 * i);
   }
+  if (i % 5 == 2) metrics.set("spread", kSpread[(i / 5) % 4]);
   if (i % 3 == 0) {
     common::json::Array curve;
     for (int k = 0; k < 3; ++k) {
@@ -130,6 +150,16 @@ const char* kQueries[] = {
     R"({"where":{"odd_metric":{"min":0}},"agg":{"op":"min","by":["netlist"],"metrics":["odd_metric"]}})",
     R"({"where":{"hash":"0000000000000000"}})",
     R"({"where":{"netlist":"nonexistent"},"agg":{"op":"count"}})",
+    // Metric predicates, scalar columns and aggregates answered from the
+    // index entries' values, NaN, -Infinity and -0 among them.
+    R"({"where":{"worst_pct":4.5}})",
+    R"({"where":{"fresh_ns":[3,3.125,"c432"]},"select":["hash","fresh_ns","spread"]})",
+    R"({"where":{"odd_metric":{"min":100}},"select":["hash","odd_metric"]})",
+    R"({"where":{"spread":{"max":0}}})",
+    R"({"where":{"t_standby":330},"select":["worst_pct","curve","absent","spread"]})",
+    R"({"agg":{"op":"mean","by":["analysis"],"metrics":["odd_metric","spread"]}})",
+    R"({"agg":{"op":"count","by":["netlist","ras"]}})",
+    R"({"agg":{"op":"sum","by":["ras","netlist"],"metrics":["worst_pct"]}})",
 };
 
 // --------------------------------------------------------------------------
@@ -160,12 +190,20 @@ TEST(IndexTest, AppendBuildsEntriesIncrementally) {
   EXPECT_EQ(idx.entries[0].netlist, "c432");
   EXPECT_EQ(idx.entries[0].analysis, "aging");
   EXPECT_DOUBLE_EQ(idx.entries[1].t_standby, 330.0);
-  // Scalar metric names only: row 0 also carries the structured "curve",
-  // which must not be listed (predicates on it require a parse).
+  // Scalar metrics only, with their values: row 0 also carries the
+  // structured "curve", which must not be listed (a query reads it from the
+  // row).
+  using Metrics = std::vector<std::pair<std::string, double>>;
   EXPECT_EQ(idx.entries[0].metrics,
-            (std::vector<std::string>{"worst_pct", "fresh_ns", "odd_metric"}));
+            (Metrics{{"worst_pct", 4.0},
+                     {"fresh_ns", 3.0},
+                     {"odd_metric", std::numeric_limits<double>::infinity()}}));
   EXPECT_EQ(idx.entries[1].metrics,
-            (std::vector<std::string>{"worst_pct", "fresh_ns"}));
+            (Metrics{{"worst_pct", 4.125}, {"fresh_ns", 3.0625}}));
+  // NaN reads back as NaN (which no == holds for).
+  ASSERT_EQ(idx.entries[2].metrics.size(), 3u);
+  EXPECT_EQ(idx.entries[2].metrics[2].first, "spread");
+  EXPECT_TRUE(std::isnan(idx.entries[2].metrics[2].second));
   // Extents tile the file: entry k+1 starts right after entry k's newline.
   EXPECT_EQ(idx.entries[1].offset, idx.entries[0].offset +
                                        idx.entries[0].length + 1);
@@ -394,6 +432,107 @@ TEST(IndexTest, TruncatedStoreTailStaysUnindexed) {
   EXPECT_EQ(idx.entries[0].hash, synthetic_row(0).at("hash").as_string());
 }
 
+// The sidecar reader takes each line straight from the parser's tokens; it
+// must accept and reject exactly the lines the tree-based reader does, over
+// seeded sidecars, hand-made lines and their truncations and byte flips.
+TEST(IndexTest, SidecarReaderMatchesTreeReader) {
+  std::vector<std::string> lines;
+  for (int n : {41, 64}) {
+    const std::string path = build_store("idx_reader.jsonl", n, 1);
+    std::istringstream side(read_file(campaign::index_path(path)));
+    for (std::string line; std::getline(side, line);) lines.push_back(line);
+    remove_store(path);
+  }
+  for (const char* line : {
+           R"({"h":"a","o":0,"l":5})",
+           R"({"l":5,"o":0,"h":"a","zz":{"m":[1,{"h":2}]},"m":{}})",
+           R"({"h":"a","o":0,"l":5,"m":["worst_pct"]})",
+           R"({"h":"a","o":0,"l":5,"m":{"x":NaN,"y":-Infinity,"z":-0}})",
+           R"({"h":"a","o":0,"l":5,"m":{"x":"1"}})",
+           R"({"h":"a","o":0,"l":5,"m":{"x":[1]}})",
+           R"({"h":"a","o":0,"l":5,"m":{"x":1,"x":2}})",
+           R"({"h":"a","o":0,"l":5,"m":{"x":null}})",
+           R"({"h":"a","o":0,"l":5,"ta":"400"})",
+           R"({"h":"a","o":0,"l":5,"n":7})",
+           R"({"h":"a","o":0,"l":5,"a":true})",
+           R"({"h":"a","o":0,"l":5,"r":null})",
+           R"({"h":1,"o":0,"l":5})",
+           R"({"h":"a","o":0})",
+           R"({"h":"a","o":0,"l":5,"h":"b"})",
+           R"({"\u0068":"a","o":0,"l":5,"n":"c\"4\u00e9"})",
+           R"({"h":"a","o":9007199254740992,"l":1})",
+           R"({"h":"a","o":9007199254740993,"l":1})",
+           R"({"h":"a","o":2.5,"l":1})",
+           R"({"h":"a","o":-0,"l":1e3})",
+           R"({"h":"a","o":[0],"l":5})",
+           R"({"h":"a","o":{},"l":5})",
+           R"(["h","a"])", R"("h")", "12", "null", ""}) {
+    lines.emplace_back(line);
+  }
+  const auto outcome = [](const auto& read) -> std::string {
+    try {
+      return campaign::dump_entry(read());
+    } catch (const std::runtime_error&) {
+      return "rejected";
+    }
+  };
+  std::mt19937_64 rng(common::stream_seed(2026, 29));
+  std::size_t accepted = 0;
+  for (const std::string& line : lines) {
+    for (int k = 0; k < 12; ++k) {
+      std::string text = line;
+      if (k > 0 && !text.empty()) {  // damage every later read
+        if (k % 2 == 1) {
+          text.resize(rng() % text.size());
+        } else {
+          text[rng() % text.size()] ^= static_cast<char>(1 + rng() % 255);
+        }
+      }
+      SCOPED_TRACE(text);
+      const std::string got =
+          outcome([&] { return campaign::parse_entry(text); });
+      EXPECT_EQ(got, outcome([&] {
+                  return testsupport::reference_parse_entry(text);
+                }));
+      accepted += got != "rejected";
+    }
+  }
+  EXPECT_GT(accepted, lines.size());  // both outcomes are exercised
+}
+
+// A sidecar in the earlier schema, whose "m" lists names only, fails the
+// current one. Several such lines are damage, so the sidecar is rebuilt; a
+// single one is an interrupted append, so it is cut and caught up. Either
+// way the sidecar is rewritten byte for byte as a fresh one.
+TEST(IndexTest, NamesOnlySidecarIsRewrittenInTheCurrentSchema) {
+  for (int n : {1, 6}) {
+    SCOPED_TRACE(n);
+    const std::string path = build_store("idx_names.jsonl", n, 1);
+    const std::string fresh = read_file(campaign::index_path(path));
+    const std::vector<IndexEntry> entries = campaign::load_index(path).entries;
+    std::string names_only;
+    for (const IndexEntry& e : entries) {
+      Value line = common::json::parse(campaign::dump_entry(e));
+      common::json::Array names;
+      for (const auto& [name, value] : e.metrics) names.emplace_back(name);
+      line.set("m", Value(std::move(names)));
+      names_only += common::json::dump(line) + "\n";
+    }
+    ASSERT_NE(names_only.find("\"m\":[\"worst_pct\""), std::string::npos);
+    write_bytes(campaign::index_path(path), names_only);
+    const campaign::StoreIndex idx = campaign::load_index(path);
+    EXPECT_EQ(idx.rebuilt, n > 1);
+    EXPECT_EQ(idx.caught_up, n == 1);
+    ASSERT_EQ(idx.entries.size(), entries.size());
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+      EXPECT_EQ(campaign::dump_entry(idx.entries[i]),
+                campaign::dump_entry(entries[i]));
+    }
+    EXPECT_EQ(read_file(campaign::index_path(path)), fresh);
+    remove_store(path);
+  }
+}
+
 // --------------------------------------------------------------------------
 // ResultStore truncated-tail warning (regression: used to be silent).
 
@@ -434,11 +573,6 @@ std::map<std::string, std::string> store_bytes(const std::string& path) {
     }
   }
   return out;
-}
-
-void write_bytes(const std::string& path, const std::string& bytes) {
-  std::ofstream f(path, std::ios::binary | std::ios::trunc);
-  f << bytes;
 }
 
 /// Writes rows [0, n_first) and then rows [n_first, n_rows) as two appends
@@ -736,17 +870,85 @@ TEST(QueryTest, CountAggregationNeverParsesRows) {
   remove_store(path);
 }
 
-TEST(QueryTest, MetricPredicateParsesOnlyRowsListingTheMetric) {
+TEST(QueryTest, MetricPredicateIsAnsweredFromTheIndex) {
   const std::string path = build_store("qprune.jsonl", 110, 4);
   const StoreView view(path);
-  // "odd_metric" exists on every 11th row only; the index prunes the rest.
+  // "odd_metric" exists on every 11th row only, and the entries hold its
+  // values: the predicate, like the scalar columns, reads no row.
   const QueryResult r = run_query(
       view,
-      parse_query(common::json::parse(R"({"where":{"odd_metric":{"min":0}}})")),
+      parse_query(common::json::parse(
+          R"({"where":{"odd_metric":{"min":0}},"select":["hash","odd_metric"]})")),
       1);
-  EXPECT_EQ(r.stats.rows_parsed, 10u);  // rows 0, 11, ..., 99
-  // Infinity satisfies the range (non-finite is skipped only by reducers).
-  EXPECT_EQ(r.stats.rows_matched, r.stats.rows_parsed);
+  EXPECT_EQ(r.stats.rows_parsed, 0u);
+  // Rows 0, 11, ..., 99: Infinity satisfies the range (non-finite is
+  // skipped only by reducers).
+  EXPECT_EQ(r.stats.rows_matched, 10u);
+  remove_store(path);
+}
+
+// A row is read only for an output column that its entry does not list as
+// a scalar; every predicate and aggregate is answered by the entries.
+TEST(QueryTest, ScalarQueriesReadNoRow) {
+  const std::string path = build_store("qscalar.jsonl", 120, 4);
+  const StoreView view(path);
+  const auto run = [&](const char* text) {
+    SCOPED_TRACE(text);
+    const Value qdoc = common::json::parse(text);
+    const QueryResult r = run_query(view, parse_query(qdoc), 2);
+    EXPECT_EQ(report::to_csv(r.table()),
+              report::to_csv(testsupport::reference_query(path, qdoc)));
+    EXPECT_GT(r.stats.rows_matched, 0u);
+    return r.stats;
+  };
+  EXPECT_EQ(
+      run(R"({"where":{"worst_pct":{"min":5,"max":7}},"select":["netlist","worst_pct","fresh_ns"]})")
+          .rows_parsed,
+      0u);
+  EXPECT_EQ(
+      run(R"({"where":{"analysis":["aging","st"]},"agg":{"op":"mean","by":["netlist"],"metrics":["worst_pct","odd_metric"]}})")
+          .rows_parsed,
+      0u);
+  // The default select, over matches that all list the same scalars.
+  EXPECT_EQ(
+      run(R"({"where":{"hash":["1000000000000001","3000000000000003","4000000000000004"]}})")
+          .rows_parsed,
+      0u);
+  // A payload select reads each match, here every "aging" row's "curve".
+  const QueryStats payload = run(
+      R"({"where":{"analysis":"aging"},"select":["hash","curve","worst_pct"]})");
+  EXPECT_EQ(payload.rows_parsed, payload.rows_matched);
+  // A default select reads the matches that lack one of its metrics as a
+  // scalar, since such a row may hold it as a payload: rows 1 and 4 lack
+  // row 0's "odd_metric".
+  const QueryStats mixed = run(
+      R"({"where":{"hash":["0000000000000000","1000000000000001","4000000000000004"]}})");
+  EXPECT_EQ(mixed.rows_parsed, 2u);
+  EXPECT_EQ(mixed.rows_matched, 3u);
+  remove_store(path);
+}
+
+// A metric that is a number in one row and a payload in another is a
+// default select column (it is a scalar somewhere); the row that holds the
+// payload shows it, as the full rescan does.
+TEST(QueryTest, DefaultSelectShowsAPayloadUnderAScalarName) {
+  const std::string path = temp_path("qmixed.jsonl");
+  remove_store(path);
+  {
+    ResultStore store(path);
+    std::vector<Value> rows{synthetic_row(0), synthetic_row(1)};
+    Value payload;
+    payload.set("worst_pct", Value(common::json::Array{Value(1), Value(2)}));
+    rows[1].set("metrics", payload);
+    store.append(rows);
+  }
+  const StoreView view(path);
+  const Value qdoc = common::json::parse("{}");
+  const QueryResult r = run_query(view, parse_query(qdoc), 1);
+  EXPECT_EQ(report::to_csv(r.table()),
+            report::to_csv(testsupport::reference_query(path, qdoc)));
+  EXPECT_NE(report::to_csv(r.table()).find("[1,2]"), std::string::npos);
+  EXPECT_EQ(r.stats.rows_parsed, 1u);
   remove_store(path);
 }
 

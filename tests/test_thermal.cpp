@@ -5,6 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 namespace nbtisim::thermal {
 namespace {
@@ -37,13 +41,42 @@ TEST_F(ThermalTest, StepConvergesExponentially) {
   EXPECT_LT(10.0 * tau, 0.1);  // well under 100 ms
 }
 
+const double kNan = std::numeric_limits<double>::quiet_NaN();
+const double kInf = std::numeric_limits<double>::infinity();
+
+/// Expects \p call to throw std::invalid_argument naming \p field.
+template <class F>
+void expect_rejects(F call, const std::string& field) {
+  SCOPED_TRACE(field);
+  try {
+    call();
+    ADD_FAILURE() << "no throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+        << e.what();
+  }
+}
+
+// NaN passes a `< 0` or `<= 0` check, so each field is also tried
+// non-finite; a NaN step used to return NaN without a throw.
 TEST_F(ThermalTest, StepRejectsNegativeDt) {
   EXPECT_THROW(model_.step(300.0, 50.0, -1.0), std::invalid_argument);
+  for (double bad : {kNan, kInf, -kInf}) {
+    expect_rejects([&] { model_.step(300.0, 50.0, bad); }, "dt");
+    expect_rejects([&] { model_.step(bad, 50.0, 0.01); }, "t0");
+    expect_rejects([&] { model_.step(300.0, bad, 0.01); }, "power");
+  }
+  EXPECT_NEAR(model_.step(300.0, 50.0, 0.0), 300.0, 1e-9);
 }
 
 TEST_F(ThermalTest, ConstructorRejectsBadConstants) {
   EXPECT_THROW(RcThermalModel({.r_th = 0.0}), std::invalid_argument);
   EXPECT_THROW(RcThermalModel({.c_th = -1.0}), std::invalid_argument);
+  for (double bad : {kNan, kInf, -kInf, 0.0, -1.0}) {
+    expect_rejects([&] { RcThermalModel({.r_th = bad}); }, "r_th");
+    expect_rejects([&] { RcThermalModel({.c_th = bad}); }, "c_th");
+    expect_rejects([&] { RcThermalModel({.t_ambient = bad}); }, "t_ambient");
+  }
 }
 
 TEST_F(ThermalTest, SimulateStaysWithinSteadyStateEnvelope) {
@@ -81,6 +114,17 @@ TEST_F(ThermalTest, SimulateRejectsBadInput) {
   EXPECT_THROW(model_.simulate(trace, 0.0, 300.0), std::invalid_argument);
   const std::vector<TaskInterval> bad{{0.0, 50.0}};
   EXPECT_THROW(model_.simulate(bad, 0.01, 300.0), std::invalid_argument);
+  // A NaN duration used to add no samples, and an infinite one never
+  // left the sample loop.
+  for (double v : {kNan, kInf, -kInf}) {
+    expect_rejects([&] { model_.simulate(trace, v, 300.0); }, "sample_dt");
+    expect_rejects([&] { model_.simulate(trace, 0.01, v); }, "t_initial");
+    const std::vector<TaskInterval> duration{{1.0, 50.0}, {v, 50.0}};
+    expect_rejects([&] { model_.simulate(duration, 0.01, 300.0); },
+                   "duration");
+    const std::vector<TaskInterval> power{{1.0, 50.0}, {1.0, v}};
+    expect_rejects([&] { model_.simulate(power, 0.01, 300.0); }, "power");
+  }
 }
 
 TEST_F(ThermalTest, RandomTaskSetRespectsBounds) {

@@ -6,36 +6,43 @@
 /// T_standby) × technique — and related mitigation studies (OptGM-style
 /// comparisons, multiplier hardening under NBTI + process variation) evaluate
 /// techniques side-by-side under identical conditions. This layer gives that
-/// grid a single extension point: an `Analysis` maps one `EvalContext`
-/// (the shared per-(netlist, condition) cached state) to a flat metric list,
-/// and the `AnalysisRegistry` maps canonical names to implementations.
+/// grid a single extension point: an `Analysis` is a name, the Params keys it
+/// reads, and a run function mapping one `EvalContext` (the shared
+/// per-(netlist, condition) cached state) to a flat metric list. The
+/// `AnalysisRegistry` is one sorted constant table of them (registry.cpp).
 ///
-/// Adding a technique is one self-registering file: implement `Analysis`,
-/// expose a factory, and seed it in register_builtin_analyses() — the
-/// campaign grid, task hashing, the CLI verb and summarize columns all pick
-/// it up without touching the engine.
+/// Adding a technique is one run function and one table row — the campaign
+/// grid, task hashing, the CLI verb and its flag check, and the summarize
+/// columns all pick it up without touching the engine. A knob it needs is
+/// one Params field plus one row of param_keys(), which holds the knob's
+/// name, range and task-key tag.
 ///
-/// Hashing contract: fingerprint() returns exactly the Params fields the
-/// analysis consumes, so a campaign store row is invalidated when — and only
-/// when — a parameter that could change its result changes. Shared pipeline
-/// knobs (sp_vectors, seed) appear in every fingerprint; technique knobs
-/// (e.g. sizing_step) appear only in their technique's.
+/// Hashing contract: a task key carries exactly the keys an analysis's
+/// `reads` lists (Analysis::fingerprint), so a campaign store row is
+/// invalidated when — and only when — a parameter that could change its
+/// result changes. `reads` must therefore name every Params field `run`
+/// consumes, directly or through the context. Shared pipeline knobs
+/// (sp_vectors, seed) feed the AgingAnalyzer and appear in every analysis
+/// that uses one; technique knobs (e.g. sizing_step) only in their
+/// technique's.
 ///
-/// Determinism contract: run() must be bit-identical for every scheduler
+/// Determinism contract: run must be bit-identical for every scheduler
 /// thread count. Analyses carry no thread knob: inner engines run at the
 /// calling thread's common::ThreadBudget, which the campaign opens, and
 /// serially when the task already executes on a pool worker (see
 /// common/pool.h). Every inner engine is itself bit-identical for any
-/// thread count, so this holds by construction; registry iteration
-/// (std::map) and metric order (fixed per analysis) are deterministic too.
+/// thread count, so this holds by construction; registry iteration (the
+/// sorted table) and metric order (fixed per analysis) are deterministic
+/// too.
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <memory>
+#include <limits>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "common/json.h"
@@ -56,10 +63,11 @@ struct Condition {
 };
 
 /// Engine knobs shared by every task of a campaign. Each analysis hashes
-/// only the fields it consumes (see fingerprint()).
+/// only the fields it reads (see Analysis::reads); every field has one row
+/// in param_keys().
 struct Params {
-  // Shared pipeline knobs — consumed by every analysis through the
-  // AgingAnalyzer's signal-statistics pass.
+  // Shared pipeline knobs — consumed through the AgingAnalyzer's
+  // signal-statistics pass by every analysis that builds one.
   int sp_vectors = 1024;      ///< active-mode Monte-Carlo vectors
   std::uint64_t seed = 7;
   // lifetime
@@ -91,7 +99,7 @@ struct Params {
   /// Standby state: "" (each analysis's own: all stressed for multi and
   /// failure, inputs all-0 for thermal), "stressed", "relaxed", "zeros",
   /// "ones" or "mlv" (the minimum-leakage vector at T_standby). Enters a
-  /// fingerprint only when set, so stores written without it stay valid.
+  /// task key only when set, so stores written without it stay valid.
   std::string standby;
   // thermal
   double thermal_power = 60.0;        ///< dynamic power [W]
@@ -107,6 +115,29 @@ struct Params {
   friend bool operator==(const Params&, const Params&) = default;
 };
 
+/// One "params" key: its spec name (the CLI flag is "--" + name with '-'
+/// for '_'), the Params field it sets, the values it accepts — numbers,
+/// and the elements of number lists, in [lo, hi], or in (lo, hi] when
+/// `open`; "standby" is the one string — and the tag its value follows in
+/// a task key.
+struct ParamKey {
+  std::string_view name;
+  std::string_view tag;  ///< task-key prefix: "sp" in "sp1024"
+  std::variant<int Params::*, double Params::*, std::uint64_t Params::*,
+               std::string Params::*, std::vector<double> Params::*>
+      field;
+  double lo = -std::numeric_limits<double>::infinity();
+  bool open = false;
+  double hi = std::numeric_limits<double>::infinity();
+};
+
+/// Every "params" key, one row each: the one table the spec parser, the
+/// task keys and the CLI's flag check read.
+std::span<const ParamKey> param_keys();
+
+/// The row of \p name; nullptr when no params key has that name.
+const ParamKey* find_param(std::string_view name);
+
 /// Ordered metric list — the order is the JSONL member order, so it must be
 /// deterministic per analysis kind. Values are JSON nodes: most entries are
 /// plain scalars (a double converts implicitly), but an analysis may attach
@@ -119,34 +150,29 @@ using Metrics = std::vector<std::pair<std::string, common::json::Value>>;
 class EvalContext;
 
 /// One paper technique, evaluated on one grid cell.
-class Analysis {
- public:
-  virtual ~Analysis() = default;
-
+struct Analysis {
   /// Canonical lowercase name — the spec/CLI/store identifier.
-  virtual std::string_view name() const = 0;
-
-  /// Canonical key fragment over exactly the Params fields this analysis
-  /// consumes, e.g. "sp1024,seed7,mc100,margin5". Part of the task content
-  /// hash: changing a consumed field must change it; changing any other
-  /// field must not.
-  virtual std::string fingerprint(const Params& p) const = 0;
-
-  /// Evaluates the technique on \p ctx. Must be bit-identical for every
+  std::string_view name;
+  /// The param_keys() names run consumes, in task-key order.
+  std::span<const std::string_view> reads;
+  /// Evaluates the technique on a cell. Must be bit-identical for every
   /// campaign thread count (see file comment).
-  virtual Metrics run(EvalContext& ctx, const Params& p) const = 0;
+  Metrics (*run)(EvalContext& ctx, const Params& p);
+
+  /// The task-key fragment of \p p: each `reads` key's tag and value,
+  /// comma-joined, e.g. "sp1024,seed7,mc100,margin5" — an integer in
+  /// decimal, a double as fmt_g, a list as "tag[a:b:…]", and an empty
+  /// string not at all. Changing a field in `reads` changes it; changing
+  /// any other field does not.
+  /// \throws std::logic_error when a `reads` entry names no params key
+  std::string fingerprint(const Params& p) const;
 };
 
-/// Open name → Analysis map with deterministic (sorted) iteration order.
+/// The built-in analyses, read-only, in sorted name order.
 class AnalysisRegistry {
  public:
-  /// The process-wide registry, seeded once with the built-in analyses.
-  /// Thread-safe to read; add() further entries only during
-  /// single-threaded startup.
-  static AnalysisRegistry& global();
-
-  /// \throws std::invalid_argument when the name is already registered
-  void add(std::unique_ptr<Analysis> a);
+  /// The process-wide registry. Thread-safe: it never changes.
+  static const AnalysisRegistry& global();
 
   /// nullptr when unknown.
   const Analysis* find(std::string_view name) const;
@@ -158,37 +184,16 @@ class AnalysisRegistry {
   std::vector<std::string> names() const;
 
  private:
-  std::map<std::string, std::unique_ptr<Analysis>, std::less<>> by_name_;
+  explicit AnalysisRegistry(std::span<const Analysis> table)
+      : table_(table) {}
+
+  std::span<const Analysis> table_;  ///< sorted by name, no repeats
 };
-
-// Built-in analysis factories — one per self-registering file.
-std::unique_ptr<Analysis> make_aging_analysis();        // aging_analysis.cpp
-std::unique_ptr<Analysis> make_ivc_analysis();          // ivc_analysis.cpp
-std::unique_ptr<Analysis> make_st_analysis();           // st_analysis.cpp
-std::unique_ptr<Analysis> make_lifetime_analysis();     // lifetime_analysis.cpp
-std::unique_ptr<Analysis> make_sizing_analysis();       // sizing_analysis.cpp
-std::unique_ptr<Analysis> make_derate_analysis();       // derate_analysis.cpp
-std::unique_ptr<Analysis> make_pareto_analysis();       // pareto_analysis.cpp
-std::unique_ptr<Analysis> make_criticality_analysis();  // criticality_analysis.cpp
-std::unique_ptr<Analysis> make_multi_analysis();        // multi_analysis.cpp
-std::unique_ptr<Analysis> make_thermal_analysis();      // thermal_analysis.cpp
-std::unique_ptr<Analysis> make_failure_analysis();      // failure_analysis.cpp
-std::unique_ptr<Analysis> make_mc_analysis();           // mc_analysis.cpp
-std::unique_ptr<Analysis> make_dualvth_analysis();      // dualvth_analysis.cpp
-std::unique_ptr<Analysis> make_inc_analysis();          // inc_analysis.cpp
-std::unique_ptr<Analysis> make_altivc_analysis();       // altivc_analysis.cpp
-
-/// Seeds \p r with the built-ins (what global() does once).
-/// \throws std::invalid_argument when any name is already present
-void register_builtin_analyses(AnalysisRegistry& r);
 
 /// Compact, exact text of \p v for keys, fingerprints and metric names:
 /// the "%g" bytes ("330", "0.05") when they read back as \p v, else the
 /// shortest round-trip form rows print (json::format_number), so two values
 /// never share a key.
 std::string fmt_g(double v);
-
-/// Shared-knob prefix every fingerprint starts with: "sp<N>,seed<S>".
-std::string base_fingerprint(const Params& p);
 
 }  // namespace nbtisim::analysis

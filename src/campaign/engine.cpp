@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <ostream>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -45,6 +46,18 @@ Value execute_task(const CampaignSpec& spec, const Task& task,
   return row;
 }
 
+/// Store rows whose hash is no task of \p grid: results a spec or parameter
+/// change invalidated. A row repeated across store files is not stale.
+int count_stale(const std::vector<Task>& grid, const ShardedStore& store) {
+  std::unordered_set<std::string_view> hashes;
+  for (const Task& t : grid) hashes.insert(t.hash);
+  int stale = 0;
+  for (const Value* row : store.all_rows()) {
+    if (!hashes.contains(row->at("hash").as_string())) ++stale;
+  }
+  return stale;
+}
+
 }  // namespace
 
 RunStats run_campaign(const CampaignSpec& spec, const std::string& store_path,
@@ -52,9 +65,6 @@ RunStats run_campaign(const CampaignSpec& spec, const std::string& store_path,
   const auto t0 = std::chrono::steady_clock::now();
   const std::vector<Task> grid = expand(spec);
   ShardedStore store(store_path, spec.shards);
-
-  std::unordered_set<std::string> grid_hashes;
-  for (const Task& t : grid) grid_hashes.insert(t.hash);
 
   std::vector<const Task*> pending;
   for (const Task& t : grid) {
@@ -64,9 +74,7 @@ RunStats run_campaign(const CampaignSpec& spec, const std::string& store_path,
   RunStats stats;
   stats.total = static_cast<int>(grid.size());
   stats.skipped = stats.total - static_cast<int>(pending.size());
-  for (const Value* row : store.all_rows()) {
-    if (!grid_hashes.contains(row->at("hash").as_string())) ++stats.stale;
-  }
+  stats.stale = count_stale(grid, store);
   if (progress != nullptr) {
     *progress << "campaign " << spec.name << ": " << stats.total << " tasks, "
               << stats.skipped << " already in " << store_path << "\n";
@@ -137,7 +145,7 @@ report::Table summarize(const CampaignSpec& spec,
   if (stats != nullptr) {
     stats->stored = static_cast<int>(store.size());
     stats->summarized = matched;
-    stats->stale = static_cast<int>(store.size()) - matched;
+    stats->stale = count_stale(grid, store);
   }
 
   report::Table table;

@@ -57,7 +57,8 @@ struct RunStats {
 struct SummaryStats {
   int stored = 0;      ///< rows in the store
   int summarized = 0;  ///< rows matching a current grid task
-  int stale = 0;       ///< rows invalidated by a spec/parameter change
+  int stale = 0;       ///< rows whose hash matches no current task (as
+                       ///< RunStats::stale counts them)
 };
 
 /// Runs (or resumes) \p spec against the store at \p store_path; progress

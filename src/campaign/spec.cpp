@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <limits>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -46,61 +47,16 @@ double integer_in(const Value& v, const char* section, const std::string& key,
   return d;
 }
 
-/// One "params" key: the Params field it sets and the values it accepts —
-/// numbers (and the elements of number lists) in [lo, hi], or in (lo, hi]
-/// when \p open.
-struct ParamKey {
-  std::string_view name;
-  std::variant<int CampaignParams::*, double CampaignParams::*,
-               std::uint64_t CampaignParams::*, std::string CampaignParams::*,
-               std::vector<double> CampaignParams::*>
-      field;
-  double lo = -kInf;
-  bool open = false;
-  double hi = kInf;
-};
-
-using P = CampaignParams;
-const ParamKey kParamKeys[] = {
-    {"sp_vectors", &P::sp_vectors, 64},
-    {"seed", &P::seed, 0},
-    {"samples", &P::samples, 2},
-    {"spec_margin", &P::spec_margin, 0, true},
-    {"population", &P::population, 2},
-    {"max_rounds", &P::max_rounds, 1},
-    {"st_sigma", &P::st_sigma, 0, true, 0.5},
-    {"sizing_margin", &P::sizing_margin, 0, true},
-    {"sizing_step", &P::sizing_step, 0, true},
-    {"sizing_max_size", &P::sizing_max_size, 1},
-    {"sizing_max_moves", &P::sizing_max_moves, 1},
-    {"derate_years", &P::derate_years, 0, true},
-    {"pareto_samples", &P::pareto_samples, 2},
-    {"pareto_rounds", &P::pareto_rounds, 0},
-    {"pareto_flips", &P::pareto_flips, 1},
-    {"crit_samples", &P::crit_samples, 2},
-    {"crit_sigma", &P::crit_sigma, 0, true},
-    {"clock_ghz", &P::clock_ghz, 0, true},
-    {"pbti_ratio", &P::pbti_ratio, 0},
-    {"standby", &P::standby},
-    {"thermal_power", &P::thermal_power, 0},
-    {"thermal_replication", &P::thermal_replication, 0, true},
-    {"thermal_runaway_k", &P::thermal_runaway_k, 0, true},
-    {"fail_dvth", &P::fail_dvth, 0, true},
-    {"fail_max_years", &P::fail_max_years, 0, true},
-    {"fail_points", &P::fail_points, 2},
-    {"weibull_beta", &P::weibull_beta, 0, true},
-    {"fail_curve_years", &P::fail_curve_years, 0, true},
-};
-
 template <typename... Fs>
 struct Overloaded : Fs... {
   using Fs::operator()...;
 };
 
+using P = CampaignParams;
+
 void set_param(CampaignParams& p, const std::string& name, const Value& v) {
-  const auto key = std::find_if(std::begin(kParamKeys), std::end(kParamKeys),
-                                [&](const ParamKey& k) { return k.name == name; });
-  if (key == std::end(kParamKeys)) {
+  const analysis::ParamKey* key = analysis::find_param(name);
+  if (key == nullptr) {
     throw std::invalid_argument("campaign: unknown \"params\" key \"" + name +
                                 "\"");
   }
@@ -213,7 +169,7 @@ CampaignSpec parse_spec(const Value& doc) {
   for (const Value& a : doc.at("analyses").as_array()) {
     // at() throws invalid_argument listing the registered names.
     spec.analyses.emplace_back(
-        analysis::AnalysisRegistry::global().at(a.as_string()).name());
+        analysis::AnalysisRegistry::global().at(a.as_string()).name);
   }
 
   if (const Value* params = doc.find("params")) {
@@ -247,13 +203,23 @@ Value flag_value(const std::string& text) {
   }
 }
 
+/// "<netlist>|<condition label>|<analysis>|<analysis fingerprint>".
+std::string task_key(std::string_view netlist, std::string_view label,
+                     std::string_view analysis, std::string_view fingerprint) {
+  std::string key;
+  key.reserve(netlist.size() + label.size() + analysis.size() +
+              fingerprint.size() + 3);
+  key.append(netlist).append(1, '|').append(label).append(1, '|');
+  key.append(analysis).append(1, '|').append(fingerprint);
+  return key;
+}
+
 }  // namespace
 
 std::string Task::key(const CampaignParams& params) const {
-  const analysis::Analysis& a =
-      analysis::AnalysisRegistry::global().at(analysis);
-  return netlist + "|" + condition.label() + "|" + analysis + "|" +
-         a.fingerprint(params);
+  return task_key(netlist, condition.label(), analysis,
+                  analysis::AnalysisRegistry::global().at(analysis).fingerprint(
+                      params));
 }
 
 CampaignSpec spec_from_json(const common::json::Value& doc) {
@@ -322,19 +288,16 @@ CampaignSpec spec_from_args(const std::string& verb,
   doc.set("params", params);
   CampaignSpec spec = reader == nullptr ? parse_spec(doc) : spec_from_json(doc);
 
-  // A flag that moves Params but not the verb's fingerprint is a knob the
-  // verb would silently ignore (the fingerprint covers exactly what an
-  // analysis reads; a verb outside the registry reads no params).
-  auto fingerprint = [&](const CampaignParams& p) {
-    return reader == nullptr ? std::string() : reader->fingerprint(p);
-  };
-  const std::string full = fingerprint(spec.params);
+  // A flag the verb does not read is a knob it would silently ignore,
+  // unless it leaves Params at its default (a verb outside the registry
+  // reads no params).
+  const std::span<const std::string_view> reads =
+      reader == nullptr ? std::span<const std::string_view>() : reader->reads;
+  const CampaignParams defaults;
   for (const auto& [name, _] : params.as_object()) {
-    CampaignParams without;
-    for (const auto& [other, value] : params.as_object()) {
-      if (other != name) set_param(without, other, value);
-    }
-    if (without != spec.params && fingerprint(without) == full) {
+    if (std::ranges::find(reads, name) != reads.end()) continue;
+    if (std::visit([&](auto f) { return spec.params.*f != defaults.*f; },
+                   analysis::find_param(name)->field)) {
       std::string flag = "--" + name;
       std::replace(flag.begin(), flag.end(), '_', '-');
       throw std::invalid_argument(flag + " is not read by " + verb);
@@ -368,18 +331,26 @@ std::vector<Task> expand(const CampaignSpec& spec) {
       spec.analyses.empty()) {
     throw std::invalid_argument("campaign: cannot expand an empty grid axis");
   }
+  // A fingerprint depends on the params alone: one per analysis, not per
+  // task, as a label is one per condition.
+  std::vector<std::string> fingerprints;
+  for (const std::string& a : spec.analyses) {
+    fingerprints.push_back(
+        analysis::AnalysisRegistry::global().at(a).fingerprint(spec.params));
+  }
   std::vector<Task> tasks;
   tasks.reserve(spec.netlists.size() * spec.conditions.size() *
                 spec.analyses.size());
   for (const std::string& nl : spec.netlists) {
     for (const Condition& cond : spec.conditions) {
-      for (const std::string& a : spec.analyses) {
+      const std::string label = cond.label();
+      for (std::size_t a = 0; a < spec.analyses.size(); ++a) {
         Task t;
         t.index = static_cast<int>(tasks.size());
         t.netlist = nl;
         t.condition = cond;
-        t.analysis = a;
-        t.hash = fnv1a_hex(t.key(spec.params));
+        t.analysis = spec.analyses[a];
+        t.hash = fnv1a_hex(task_key(nl, label, t.analysis, fingerprints[a]));
         tasks.push_back(std::move(t));
       }
     }

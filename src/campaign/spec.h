@@ -24,17 +24,18 @@
 ///
 /// The analysis axis is open: any name in analysis::AnalysisRegistry is
 /// valid (see src/analysis/analysis.h) — spec parsing validates names
-/// against the registry, so a new self-registered technique becomes
-/// sweepable without touching this layer.
+/// against the registry, and "params" keys against analysis::param_keys(),
+/// so a new technique becomes sweepable without touching this layer.
 ///
 /// expand() turns the spec into the full cross product of tasks, each with a
 /// stable 64-bit FNV-1a content hash over (netlist, condition, analysis,
 /// engine parameters). The hash keys the JSONL result store: re-running a
 /// partially completed campaign skips every task whose hash is already
-/// stored. Hashing is *per-analysis*: each Analysis::fingerprint covers
-/// exactly the parameters it consumes, so changing e.g. a sizing knob
-/// re-runs only the sizing rows while every other stored row stays valid —
-/// and a stale row can never be mistaken for a current result.
+/// stored. Hashing is *per-analysis*: a task key carries exactly the params
+/// its analysis's `reads` lists (analysis::Analysis::fingerprint), so
+/// changing e.g. a sizing knob re-runs only the sizing rows while every
+/// other stored row stays valid — and a stale row can never be mistaken for
+/// a current result.
 #pragma once
 
 #include <optional>
@@ -51,7 +52,7 @@ namespace nbtisim::campaign {
 using Condition = analysis::Condition;
 
 /// Engine knobs shared by every task of a campaign; each analysis hashes
-/// the subset it consumes (see analysis::Analysis::fingerprint).
+/// the subset it reads (see analysis::Analysis::reads).
 using CampaignParams = analysis::Params;
 
 /// A parsed campaign specification.
@@ -106,8 +107,9 @@ CampaignSpec spec_from_json(const common::json::Value& doc);
 /// A \p verb outside the registry (the CLI's `info`) runs no analysis: its
 /// spec has no analyses and reads no params.
 /// \throws std::invalid_argument naming the flag and \p verb when a params
-///         flag changes Params but not the verb's fingerprint — a knob the
-///         verb would silently ignore — and whatever spec_from_json throws
+///         flag names a key outside the verb's `reads` and changes Params —
+///         a knob the verb would silently ignore — and whatever
+///         spec_from_json throws
 CampaignSpec spec_from_args(const std::string& verb,
                             const std::string& circuit,
                             const std::vector<std::string>& flags);

@@ -45,6 +45,10 @@ class LeakageAnalyzer {
 
   double temperature() const { return table_->temperature(); }
   const tech::LeakageTable& table() const { return *table_; }
+  /// The nominal table as the shared-table constructor takes it.
+  std::shared_ptr<const tech::LeakageTable> shared_table() const {
+    return table_;
+  }
   const netlist::Netlist& netlist() const { return *nl_; }
   const tech::Library& library() const { return *lib_; }
 

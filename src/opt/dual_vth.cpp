@@ -93,8 +93,10 @@ DualVthResult assign_dual_vth(const aging::AgingAnalyzer& low,
 
   // Leakage comparison at the standby temperature, all-zero inputs.
   const std::vector<bool> zeros(nl.num_inputs(), false);
-  const leakage::LeakageAnalyzer leak_dual(nl, sta.library(),
-                                           standby_leak.temperature(), offsets);
+  // The dual analyzer reads the all-low analyzer's nominal table and
+  // characterizes only the high-Vth one.
+  const leakage::LeakageAnalyzer leak_dual(
+      nl, standby_leak.library(), standby_leak.shared_table(), offsets);
   r.leakage_low = standby_leak.circuit_leakage(zeros);
   r.leakage_dual = leak_dual.circuit_leakage(zeros);
 

@@ -9,6 +9,7 @@
 
 #include "campaign/store.h"
 #include "common/pool.h"
+#include "common/quantile.h"
 
 namespace nbtisim::query {
 namespace {
@@ -247,19 +248,13 @@ Aggregate parse_aggregate(const Value& v) {
 }
 
 /// Reduces \p values (finite, canonical row order) with \p agg's operator.
-double reduce(const Aggregate& agg, std::vector<double>& values) {
+double reduce(const Aggregate& agg, const std::vector<double>& values) {
   if (agg.op == "min") return *std::min_element(values.begin(), values.end());
   if (agg.op == "max") return *std::max_element(values.begin(), values.end());
+  if (agg.op == "quantile") return common::empirical_quantile(values, agg.q);
   double sum = 0.0;
   for (double v : values) sum += v;
-  if (agg.op == "sum") return sum;
-  if (agg.op == "mean") return sum / static_cast<double>(values.size());
-  // quantile: sorted linear interpolation
-  std::sort(values.begin(), values.end());
-  const double h = agg.q * static_cast<double>(values.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(h);
-  const std::size_t hi = std::min(lo + 1, values.size() - 1);
-  return values[lo] + (h - static_cast<double>(lo)) * (values[hi] - values[lo]);
+  return agg.op == "sum" ? sum : sum / static_cast<double>(values.size());
 }
 
 /// What a matched row's read keeps: the members of its "metrics" that the

@@ -7,6 +7,7 @@
 #include <string>
 
 #include "common/pool.h"
+#include "common/quantile.h"
 #include "variation/variation.h"
 
 namespace nbtisim::variation {
@@ -19,7 +20,7 @@ double LifetimeResult::failure_fraction_at(double t) const {
 }
 
 double LifetimeResult::quantile(double q) const {
-  return empirical_quantile(lifetimes, q);
+  return common::empirical_quantile(lifetimes, q);
 }
 
 LifetimeResult lifetime_distribution(const aging::AgingAnalyzer& analyzer,

@@ -46,7 +46,7 @@ struct LifetimeResult {
   /// Fraction of samples that fail within \p t seconds.
   double failure_fraction_at(double t) const;
   /// Empirical lifetime quantile in [0,1] (clipped samples count as
-  /// max_time); see empirical_quantile.
+  /// max_time); see common::empirical_quantile.
   double quantile(double q) const;
   /// Fraction of samples still meeting spec at the horizon.
   double survivor_fraction() const { return 1.0 - failure_fraction_at(max_time * (1.0 - 1e-9)); }

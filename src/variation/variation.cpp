@@ -7,6 +7,7 @@
 #include <stdexcept>
 
 #include "common/pool.h"
+#include "common/quantile.h"
 #include "common/rng.h"
 #include "nbti/rd_model.h"
 
@@ -39,22 +40,8 @@ double DelayDistribution::stddev() const {
   return std::sqrt(acc / (delays.size() - 1));
 }
 
-double empirical_quantile(std::vector<double> samples, double q) {
-  if (samples.empty()) throw std::logic_error("quantile of empty samples");
-  // Written so NaN fails too: it must never reach the index cast below.
-  if (!(q >= 0.0 && q <= 1.0)) {
-    throw std::invalid_argument("quantile: q must be finite and in [0, 1]");
-  }
-  std::sort(samples.begin(), samples.end());
-  const double idx = q * (samples.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(idx);
-  const std::size_t hi = std::min(lo + 1, samples.size() - 1);
-  const double frac = idx - lo;
-  return samples[lo] * (1.0 - frac) + samples[hi] * frac;
-}
-
 double DelayDistribution::quantile(double q) const {
-  return empirical_quantile(delays, q);
+  return common::empirical_quantile(delays, q);
 }
 
 MonteCarloAging::MonteCarloAging(const aging::AgingAnalyzer& analyzer,

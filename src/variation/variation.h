@@ -63,14 +63,6 @@ struct VariationParams {
   std::uint64_t seed = 42;
 };
 
-/// Empirical quantile of \p samples at \p q in [0, 1]: the sorted samples,
-/// linearly interpolated between adjacent ranks.  The one quantile of the
-/// Monte-Carlo layers (DelayDistribution and LifetimeResult).
-/// \throws std::logic_error when \p samples is empty, and
-///         std::invalid_argument (a logic_error too) when \p q is
-///         non-finite or outside [0, 1]
-double empirical_quantile(std::vector<double> samples, double q);
-
 /// Summary statistics of a sampled delay distribution.
 struct DelayDistribution {
   std::vector<double> delays;  ///< per-sample circuit delay [s]
@@ -80,7 +72,7 @@ struct DelayDistribution {
   /// mean - 3 sigma / mean + 3 sigma bounds (the paper's Fig. 12 markers).
   double lower3() const { return mean() - 3.0 * stddev(); }
   double upper3() const { return mean() + 3.0 * stddev(); }
-  /// Empirical quantile in [0, 1].
+  /// Empirical quantile in [0, 1]; see common::empirical_quantile.
   double quantile(double q) const;
 };
 

@@ -1401,8 +1401,8 @@ inline report::Table reference_query(const std::string& store_path,
           const double h = q * static_cast<double>(values.size() - 1);
           const std::size_t lo = static_cast<std::size_t>(h);
           const std::size_t hi = std::min(lo + 1, values.size() - 1);
-          r = values[lo] +
-              (h - static_cast<double>(lo)) * (values[hi] - values[lo]);
+          const double f = h - static_cast<double>(lo);
+          r = values[lo] * (1.0 - f) + values[hi] * f;
         }
         cells.push_back(common::json::format_number(r));
       }

@@ -13,6 +13,7 @@
 #include <fstream>
 #include <map>
 #include <sstream>
+#include <variant>
 
 #include "analysis/context.h"
 #include "campaign/engine.h"
@@ -49,9 +50,9 @@ TEST(AnalysisRegistryTest, GlobalListsAllBuiltinsSorted) {
       "failure", "inc", "ivc", "lifetime", "mc",
       "multi", "pareto", "sizing", "st", "thermal"};
   EXPECT_EQ(names, expected);
-  // Every listed name resolves, and name() round-trips.
+  // Every listed name resolves, and its name round-trips.
   for (const std::string& n : names) {
-    EXPECT_EQ(AnalysisRegistry::global().at(n).name(), n);
+    EXPECT_EQ(AnalysisRegistry::global().at(n).name, n);
   }
 }
 
@@ -69,13 +70,18 @@ TEST(AnalysisRegistryTest, UnknownNameThrowsListingKnownNames) {
   }
 }
 
-TEST(AnalysisRegistryTest, DuplicateRegistrationIsRejected) {
-  AnalysisRegistry reg;
-  reg.add(make_aging_analysis());
-  EXPECT_THROW(reg.add(make_aging_analysis()), std::invalid_argument);
-  // The first registration survives the failed second one.
-  ASSERT_NE(reg.find("aging"), nullptr);
-  EXPECT_EQ(reg.names().size(), 1u);
+// The task-key formatter resolves each `reads` entry to a params key row.
+TEST(AnalysisRegistryTest, EveryReadNamesAParamsKey) {
+  const AnalysisRegistry& reg = AnalysisRegistry::global();
+  for (const std::string& name : reg.names()) {
+    const Analysis& a = reg.at(name);
+    for (const std::string_view key : a.reads) {
+      EXPECT_NE(find_param(key), nullptr) << name << " reads " << key;
+      EXPECT_EQ(std::count(a.reads.begin(), a.reads.end(), key), 1)
+          << name << " reads " << key << " twice";
+    }
+  }
+  EXPECT_EQ(find_param("sp_vector"), nullptr);
 }
 
 // --------------------------------------------------------------------------
@@ -161,20 +167,82 @@ TEST(AnalysisFingerprintTest, StandbyTouchesOnlyMultiFailureThermal) {
 TEST(AnalysisFingerprintTest, DefaultFingerprintsArePinned) {
   const std::map<std::string, std::string> pinned{
       {"aging", "sp1024,seed7"},
+      {"altivc", "sp1024,seed7,pop32,r8"},
       {"criticality", "sp1024,seed7,cs300,csig0.015"},
       {"derate", "sp1024,seed7,y[1:2:3:5:7:10]"},
+      {"dualvth", "sp1024,seed7"},
       {"failure",
        "sp1024,seed7,clk1,pbti0.35,dvth0.05,beta2,pts40,ymax100,"
        "curve[1:2:5:10:20:30]"},
+      {"inc", "sp1024,seed7"},
       {"ivc", "sp1024,seed7,pop32,r8"},
       {"lifetime", "sp1024,seed7,mc100,margin5"},
+      {"mc", "sp1024,seed7,mc100"},
       {"multi", "sp1024,seed7,clk1,pbti0.35"},
       {"pareto", "sp1024,seed7,ps64,pr3,pf8"},
       {"sizing", "sp1024,seed7,margin3,step0.5,cap4,moves600"},
       {"st", "sp1024,seed7,sig0.05"},
       {"thermal", "pw60,rep100000,run1000"}};
-  const auto all = all_fingerprints(Params{});
-  for (const auto& [name, fp] : pinned) EXPECT_EQ(all.at(name), fp) << name;
+  EXPECT_EQ(all_fingerprints(Params{}), pinned);
+}
+
+// The same at Params with every knob changed and "standby" set, among them
+// a double whose "%g" text does not read back (thermal_replication).
+TEST(AnalysisFingerprintTest, EveryKnobChangedFingerprintsArePinned) {
+  Params p;
+  p.sp_vectors = 512;
+  p.seed = 11;
+  p.samples = 60;
+  p.spec_margin = 6.5;
+  p.population = 24;
+  p.max_rounds = 5;
+  p.st_sigma = 0.07;
+  p.sizing_margin = 4.5;
+  p.sizing_step = 0.25;
+  p.sizing_max_size = 3.0;
+  p.sizing_max_moves = 450;
+  p.derate_years = {0.5, 4.0, 12.5};
+  p.pareto_samples = 40;
+  p.pareto_rounds = 2;
+  p.pareto_flips = 5;
+  p.crit_samples = 120;
+  p.crit_sigma = 0.0125;
+  p.clock_ghz = 2.5;
+  p.pbti_ratio = 0.4;
+  p.standby = "mlv";
+  p.thermal_power = 75.0;
+  p.thermal_replication = 123456.7;
+  p.thermal_runaway_k = 900.0;
+  p.fail_dvth = 0.06;
+  p.fail_max_years = 80.0;
+  p.fail_points = 24;
+  p.weibull_beta = 3.5;
+  p.fail_curve_years = {1.0, 3.0, 15.0};
+  const std::map<std::string, std::string> pinned{
+      {"aging", "sp512,seed11"},
+      {"altivc", "sp512,seed11,pop24,r5"},
+      {"criticality", "sp512,seed11,cs120,csig0.0125"},
+      {"derate", "sp512,seed11,y[0.5:4:12.5]"},
+      {"dualvth", "sp512,seed11"},
+      {"failure",
+       "sp512,seed11,clk2.5,pbti0.4,dvth0.06,beta3.5,pts24,ymax80,"
+       "curve[1:3:15],sbmlv"},
+      {"inc", "sp512,seed11"},
+      {"ivc", "sp512,seed11,pop24,r5"},
+      {"lifetime", "sp512,seed11,mc60,margin6.5"},
+      {"mc", "sp512,seed11,mc60"},
+      {"multi", "sp512,seed11,clk2.5,pbti0.4,sbmlv"},
+      {"pareto", "sp512,seed11,ps40,pr2,pf5"},
+      {"sizing", "sp512,seed11,margin4.5,step0.25,cap3,moves450"},
+      {"st", "sp512,seed11,sig0.07"},
+      {"thermal", "pw75,rep123456.7,run900,sbmlv"}};
+  EXPECT_EQ(all_fingerprints(p), pinned);
+  // Every knob changed: no field of Params is left at its default.
+  for (const ParamKey& key : param_keys()) {
+    EXPECT_TRUE(std::visit([&](auto f) { return p.*f != Params{}.*f; },
+                           key.field))
+        << key.name;
+  }
 }
 
 TEST(AnalysisFingerprintTest, SharedKnobsTouchEveryHashExceptThermal) {

@@ -923,6 +923,35 @@ TEST_F(ShardedCampaignTest, ResumesAcrossShardLayoutChange) {
   EXPECT_EQ(t.rows.size(), 8u);
 }
 
+// A row whose hash is a grid task is not stale, even when a second copy of
+// it sits in another store file: run and summarize count stale rows by one
+// rule. (summarize used to report store size minus matched tasks, 1 here.)
+TEST_F(ShardedCampaignTest, RowRepeatedInTheBaseFileIsNotStale) {
+  const std::string path = temp_path("sharded_campaign_repeat.jsonl");
+  std::string first_row;
+  for (int h = 0; h < ShardedStore::kMaxShards; ++h) {
+    const std::string src = ShardedStore::shard_path(path_, h);
+    if (!std::ifstream(src)) continue;
+    const std::string text = read_file(src);
+    write_text(ShardedStore::shard_path(path, h), text);
+    if (first_row.empty()) first_row = text.substr(0, text.find('\n') + 1);
+  }
+  ASSERT_FALSE(first_row.empty());
+  write_text(path, first_row);
+
+  std::ostringstream progress;
+  const RunStats stats = run_campaign(*spec_, path, &progress);
+  EXPECT_EQ(stats.skipped, 8);
+  EXPECT_EQ(stats.executed, 0);
+  EXPECT_EQ(stats.stale, 0);
+  SummaryStats sum;
+  const report::Table t = summarize(*spec_, path, &sum);
+  EXPECT_EQ(t.rows.size(), 8u);
+  EXPECT_EQ(sum.stored, 9);
+  EXPECT_EQ(sum.summarized, 8);
+  EXPECT_EQ(sum.stale, stats.stale);
+}
+
 // A serial campaign keeps every inner engine loop on the calling thread: no
 // other thread may burn CPU while it runs. (When n_threads = 1 serialized
 // only the task loop, the analyses' inner loops fanned out over every core

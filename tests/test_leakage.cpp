@@ -124,5 +124,22 @@ TEST_F(LeakageTest, SharedTableMustBeNominal) {
       std::invalid_argument);
 }
 
+// An offset analyzer built on another analyzer's table reads that table
+// object, and reads from it what an analyzer characterizing its own reads.
+TEST_F(LeakageTest, OffsetAnalyzerReadsTheSharedNominalTable) {
+  const Netlist nl = netlist::make_parity_tree("p", 8);
+  const LeakageAnalyzer nominal(nl, lib_, 330.0);
+  std::vector<double> offsets(nl.num_gates(), 0.0);
+  for (std::size_t gi = 0; gi < offsets.size(); gi += 2) offsets[gi] = 0.08;
+  const LeakageAnalyzer shared(nl, lib_, nominal.shared_table(), offsets);
+  EXPECT_EQ(&shared.table(), &nominal.table());
+  const LeakageAnalyzer own(nl, lib_, 330.0, offsets);
+  EXPECT_NE(&own.table(), &nominal.table());
+  std::vector<bool> pi(nl.num_inputs());
+  for (std::size_t i = 0; i < pi.size(); ++i) pi[i] = i % 3 == 0;
+  EXPECT_EQ(shared.gate_leakage(pi), own.gate_leakage(pi));
+  EXPECT_NE(shared.circuit_leakage(pi), nominal.circuit_leakage(pi));
+}
+
 }  // namespace
 }  // namespace nbtisim::leakage

@@ -27,6 +27,7 @@
 
 #include "campaign/index.h"
 #include "campaign/store.h"
+#include "common/quantile.h"
 #include "common/rng.h"
 #include "query/serve.h"
 #include "support/reference.h"
@@ -966,6 +967,37 @@ TEST(QueryTest, StructuredPayloadSelectsAsJson) {
   // And the table cell renders it as compact JSON.
   const report::Table t = r.table();
   EXPECT_EQ(t.rows[0][0].front(), '[');
+  remove_store(path);
+}
+
+// The quantile aggregate is common::empirical_quantile, lo·(1 − f) + hi·f:
+// at (lo, hi, f) = (3, 3.01, 0.1) that is 3.0010000000000003, where the
+// former lo + f·(hi − lo) gave 3.001.
+TEST(QueryTest, QuantileIsTheEmpiricalQuantile) {
+  const std::string path = temp_path("qquantile.jsonl");
+  remove_store(path);
+  {
+    ResultStore store(path);
+    std::vector<Value> rows{synthetic_row(0), synthetic_row(1)};
+    for (int i = 0; i < 2; ++i) {
+      Value metrics;
+      metrics.set("worst_pct", i == 0 ? 3.01 : 3.0);
+      rows[i].set("metrics", metrics);
+    }
+    store.append(rows);
+  }
+  const StoreView view(path);
+  const Value qdoc = common::json::parse(
+      R"({"agg":{"op":"quantile","q":0.1,"metrics":["worst_pct"]}})");
+  const QueryResult r = run_query(view, parse_query(qdoc), 1);
+  ASSERT_EQ(r.rows.size(), 1u);
+  ASSERT_EQ(r.rows[0].size(), 2u);  // count, quantile_worst_pct
+  EXPECT_EQ(r.rows[0][1].as_number(), 3.0010000000000003);
+  EXPECT_NE(r.rows[0][1].as_number(), 3.001);
+  EXPECT_EQ(r.rows[0][1].as_number(),
+            common::empirical_quantile({3.0, 3.01}, 0.1));
+  EXPECT_EQ(report::to_csv(r.table()),
+            report::to_csv(testsupport::reference_query(path, qdoc)));
   remove_store(path);
 }
 

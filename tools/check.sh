@@ -5,6 +5,9 @@
 #                             # + tsan-determinism
 #   tools/check.sh --fast     # default preset only (full ctest)
 #
+# Both modes print the src/ .cpp/.h non-blank line count that CHANGES.md
+# entries report.
+#
 # Presets (CMakePresets.json):
 #   default           RelWithDebInfo, full ctest suite
 #   release           Release (-O3) build only: warnings that appear only
@@ -87,6 +90,12 @@ for n, line in enumerate(lines, 1):
                              f"{side}.{metric} median/q1/q3")
 print(f"check.sh: {path} has {len(lines)} well-formed record(s)")
 PY
+
+# The net src/ size every CHANGES.md entry reports: non-blank lines of the
+# .cpp and .h files under src/, printed in both modes.
+src_lines=$(find src \( -name '*.cpp' -o -name '*.h' \) -exec cat {} + |
+  grep -cv '^[[:space:]]*$')
+echo "check.sh: src/ .cpp/.h non-blank lines: $src_lines"
 
 if [[ "$FAST" == 1 ]]; then
   echo "check.sh: fast mode — skipped perfbench tests, sanitize and tsan-determinism presets"

@@ -12,10 +12,10 @@ namespace nbtisim::aging {
 namespace {
 
 // Gates handed to one work-pool index, both by the RdKernel sweeps and by
-// build_stress's make_contexts batches: large enough that the packed inner
-// loop and the interleaved prefix recursions amortize their setup, small
-// enough to keep the parallel decomposition fine-grained.  Chunk boundaries
-// do not affect results (each gate writes only its own slots).
+// build_stress's stress loop: large enough that the packed inner loop
+// amortizes its setup, small enough to keep the parallel decomposition
+// fine-grained.  Chunk boundaries do not affect results (each gate writes
+// only its own slots).
 constexpr int kGateChunk = 64;
 
 int num_gate_chunks(const netlist::Netlist& nl) {
@@ -118,7 +118,6 @@ AgingAnalyzer::StressSet AgingAnalyzer::build_stress(
         set.gate_begin[gi] + static_cast<int>(cell.pmos_devices().size());
   }
   std::vector<nbti::DeviceStress> stresses(set.gate_begin.back());
-  std::vector<nbti::DeviceAging::StressContext> contexts(stresses.size());
 
   const nbti::DeviceAging model(cond_.rd);
   common::parallel_for(num_gate_chunks(*nl_), [&](int c) {
@@ -177,14 +176,12 @@ AgingAnalyzer::StressSet AgingAnalyzer::build_stress(
         }
       }
     }
-    // The chunk's contexts in one batch: its devices are the contiguous
-    // slots [gate_begin[g_lo], gate_begin[g_hi]).
-    const std::size_t d_lo = set.gate_begin[g_lo];
-    const std::size_t d_n = set.gate_begin[g_hi] - set.gate_begin[g_lo];
-    model.make_contexts(std::span(stresses).subspan(d_lo, d_n),
-                        cond_.schedule,
-                        std::span(contexts).subspan(d_lo, d_n));
   });
+  // All of the set's contexts in one batch, which computes one S_n prefix
+  // per distinct duty: signal probabilities repeat across the whole
+  // circuit, not within a gate chunk.
+  std::vector<nbti::DeviceAging::StressContext> contexts(stresses.size());
+  model.make_contexts(stresses, cond_.schedule, contexts);
   set.kernel = nbti::RdKernel(model, std::move(contexts));
   return set;
 }

@@ -143,11 +143,12 @@ class AgingAnalyzer {
   /// channels list their devices in Cell::pmos_devices() order.  A PMOS
   /// (NBTI) is stressed while its gate signal is 0, an NMOS (PBTI) while it
   /// is 1; AllStressed holds every signal at 0 in standby and AllRelaxed
-  /// every signal at 1.  The contexts come from DeviceAging::make_contexts,
-  /// one batch per gate chunk of the parallel loop.  Not cached: gate_dvth
-  /// keeps the PMOS sets of the two bounds and of each rotation (a vector
-  /// selects between the bounds and needs no build), and the PBTI consumers
-  /// build the NMOS set per call.
+  /// every signal at 1.  The stresses are filled in parallel over gate
+  /// chunks; the contexts come from one DeviceAging::make_contexts batch
+  /// over all of them, which computes one S_n prefix per distinct duty of
+  /// the set.  Not cached: gate_dvth keeps the PMOS sets of the two bounds
+  /// and of each rotation (a vector selects between the bounds and needs no
+  /// build), and the PBTI consumers build the NMOS set per call.
   /// \throws std::invalid_argument for a standby vector of the wrong width
   ///         or a Rotating policy with an empty rotation
   StressSet build_stress(const StandbyPolicy& policy,

@@ -1,7 +1,10 @@
 #include "nbti/device_aging.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <stdexcept>
 #include <vector>
 
@@ -19,12 +22,16 @@ void DeviceAging::make_contexts(std::span<const DeviceStress> stresses,
   if (out.size() != stresses.size()) {
     throw std::invalid_argument("make_contexts: size mismatch");
   }
-  // Every field but the S_n prefix, device by device; then all prefixes in
-  // one interleaved batch (an always-zero device asks for duty 0, whose
-  // prefix is the default one).
-  std::vector<double> duties(stresses.size(), 0.0);
+  // Every field but the S_n prefix, device by device.  Every check is
+  // written so NaN and inf fail too.
   for (std::size_t i = 0; i < stresses.size(); ++i) {
     const DeviceStress& stress = stresses[i];
+    if (!std::isfinite(stress.vgs)) {
+      throw std::invalid_argument("make_contexts: vgs must be finite");
+    }
+    if (!std::isfinite(stress.vth0)) {
+      throw std::invalid_argument("make_contexts: vth0 must be finite");
+    }
     StressContext& ctx = out[i];
     ctx = StressContext{};
     ctx.schedule_period = schedule.period();
@@ -38,18 +45,37 @@ void DeviceAging::make_contexts(std::span<const DeviceStress> stresses,
       continue;
     }
     ctx.eq_period = eq.period();
-    ctx.ac = AcStress{eq.duty(), eq.period()};
-    if (ctx.ac.period <= 0.0) {
-      throw std::invalid_argument("make_contexts: non-positive period");
+    if (!(std::isfinite(ctx.eq_period) && ctx.eq_period > 0.0)) {
+      throw std::invalid_argument(
+          "make_contexts: equivalent period must be finite and > 0");
     }
+    ctx.ac = AcStress{eq.duty(), ctx.eq_period};
     ctx.kv = kv_at(params_, ctx.temp_active, ctx.vgs, ctx.vth0);
     ctx.period_pow = std::pow(ctx.ac.period, 0.25);
-    duties[i] = ctx.ac.duty;
   }
+  // A prefix is a pure function of its duty (every lane of make_sn_prefixes
+  // runs the same operations), so the recursion runs once per distinct duty
+  // and each device looks its duty up: a circuit's signal probabilities
+  // repeat, and a build holds several devices per distinct duty.  Duties
+  // are keyed by bit pattern; an always-zero device asks for duty 0 (key 0),
+  // whose prefix is the default one.  make_sn_prefixes validates every
+  // distinct duty, so every device's.
+  const auto key_of = [](const StressContext& ctx) {
+    return ctx.always_zero ? std::uint64_t{0}
+                           : std::bit_cast<std::uint64_t>(ctx.ac.duty);
+  };
+  std::vector<std::uint64_t> keys(out.size());
+  std::transform(out.begin(), out.end(), keys.begin(), key_of);
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  std::vector<double> duties(keys.size());
+  std::transform(keys.begin(), keys.end(), duties.begin(),
+                 [](std::uint64_t key) { return std::bit_cast<double>(key); });
   std::vector<SnPrefix> prefixes(duties.size());
   make_sn_prefixes(duties, prefixes);
-  for (std::size_t i = 0; i < prefixes.size(); ++i) {
-    out[i].prefix = prefixes[i];
+  for (StressContext& ctx : out) {
+    const auto k = std::lower_bound(keys.begin(), keys.end(), key_of(ctx));
+    ctx.prefix = prefixes[k - keys.begin()];
   }
 }
 

@@ -8,7 +8,8 @@
 /// with a given stress profile under a given active/standby schedule.  Every
 /// evaluation goes through one StressContext: a single device (the sleep
 /// transistor, the paper benches) builds its own with context(), the circuit
-/// flow builds them in batches with make_contexts() for the SoA kernel.
+/// flow builds a stress set's in one make_contexts() batch for the SoA
+/// kernel.
 #pragma once
 
 #include <span>
@@ -55,11 +56,15 @@ class DeviceAging {
 
   /// Precomputes the evaluation state of every stress in \p stresses under
   /// \p schedule into \p out (same size).  The S_n prefixes, nearly all of
-  /// the cost, come from make_sn_prefixes, which interleaves the recursions
-  /// of 8 devices; each context is bitwise what one device alone would get.  A device with no equivalent stress gets always_zero
-  /// and default fields otherwise.
-  /// \throws std::invalid_argument for a size mismatch or an invalid stress
-  ///         or schedule (see equivalent_cycle)
+  /// the cost, come from one make_sn_prefixes call over the batch's
+  /// distinct duties; each device looks its duty up, so a batch pays one
+  /// recursion per distinct duty, not per device.  A prefix depends on its
+  /// duty alone, so each context is bitwise what one device alone would
+  /// get, in any batch.  A device with no equivalent stress gets
+  /// always_zero and default fields otherwise.
+  /// \throws std::invalid_argument for a size mismatch, a non-finite vgs or
+  ///         vth0, or an invalid stress or schedule (see equivalent_cycle),
+  ///         each before any prefix is computed
   void make_contexts(std::span<const DeviceStress> stresses,
                      const ModeSchedule& schedule,
                      std::span<StressContext> out) const;

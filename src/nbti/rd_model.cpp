@@ -8,8 +8,14 @@
 namespace nbtisim::nbti {
 
 double diffusion_ratio(const RdParams& p, double temp_k, double temp_ref_k) {
-  if (temp_k <= 0.0 || temp_ref_k <= 0.0) {
-    throw std::invalid_argument("diffusion_ratio: non-positive temperature");
+  // Written so NaN and inf fail too.
+  if (!(std::isfinite(temp_k) && temp_k > 0.0)) {
+    throw std::invalid_argument(
+        "diffusion_ratio: temp_k must be finite and > 0");
+  }
+  if (!(std::isfinite(temp_ref_k) && temp_ref_k > 0.0)) {
+    throw std::invalid_argument(
+        "diffusion_ratio: temp_ref_k must be finite and > 0");
   }
   const double inv_diff = 1.0 / temp_k - 1.0 / temp_ref_k;
   return std::exp(-p.e_diffusion / kBoltzmannEv * inv_diff);

@@ -60,6 +60,7 @@ struct RdParams {
 ///   exp(-E_D/k (1/T - 1/T_ref))    (eq. 13)
 /// This is the factor that converts standby-temperature stress time into
 /// equivalent active-temperature stress time (paper eq. 17).
+/// \throws std::invalid_argument unless both temperatures are finite and > 0
 double diffusion_ratio(const RdParams& p, double temp_k, double temp_ref_k);
 
 /// Unnormalized oxide-field factor sqrt(Vgs - Vth) * exp(E_ox/E_0) from

@@ -35,19 +35,25 @@ ModeSchedule ModeSchedule::from_ras(double active_parts, double standby_parts,
 
 EquivalentCycle equivalent_cycle(const RdParams& p, const DeviceStress& stress,
                                  const ModeSchedule& schedule) {
-  // Written so NaN fails too.
-  if (!(schedule.t_active >= 0.0 && schedule.t_standby >= 0.0 &&
-        schedule.period() > 0.0)) {
-    throw std::invalid_argument("equivalent_cycle: bad schedule times");
-  }
-  if (!(stress.active_stress_prob >= 0.0 &&
-        stress.active_stress_prob <= 1.0)) {
-    throw std::invalid_argument("equivalent_cycle: stress prob outside [0,1]");
-  }
-  if (!(stress.standby_stress_fraction <= 1.0)) {
-    throw std::invalid_argument(
-        "equivalent_cycle: standby stress fraction > 1 or NaN");
-  }
+  // Every check is written so NaN and inf fail too.
+  auto require = [](bool ok, const char* what) {
+    if (!ok) {
+      throw std::invalid_argument(std::string("equivalent_cycle: ") + what);
+    }
+  };
+  require(std::isfinite(schedule.t_active) && schedule.t_active >= 0.0,
+          "t_active must be finite and >= 0");
+  require(std::isfinite(schedule.t_standby) && schedule.t_standby >= 0.0,
+          "t_standby must be finite and >= 0");
+  require(schedule.period() > 0.0, "t_active + t_standby must be > 0");
+  require(std::isfinite(schedule.temp_active) && schedule.temp_active > 0.0,
+          "temp_active must be finite and > 0");
+  require(std::isfinite(schedule.temp_standby) && schedule.temp_standby > 0.0,
+          "temp_standby must be finite and > 0");
+  require(stress.active_stress_prob >= 0.0 && stress.active_stress_prob <= 1.0,
+          "active_stress_prob must lie in [0, 1]");
+  require(stress.standby_stress_fraction <= 1.0,
+          "standby_stress_fraction must be <= 1");
   const double d_ratio =
       diffusion_ratio(p, schedule.temp_standby, schedule.temp_active);
 

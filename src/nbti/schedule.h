@@ -21,6 +21,9 @@
 /// (Section 4.3.3).
 #pragma once
 
+#include <cmath>
+#include <stdexcept>
+
 #include "nbti/rd_model.h"
 
 namespace nbtisim::nbti {
@@ -73,14 +76,24 @@ struct EquivalentCycle {
   double recovery_time = 0.0;  ///< [s]
 
   double period() const { return stress_time + recovery_time; }
+  /// Stress fraction of the period; 0 for an empty period.
+  /// \throws std::invalid_argument for a non-finite or negative period
   double duty() const {
     const double p = period();
+    if (!(std::isfinite(p) && p >= 0.0)) {  // NaN fails too
+      throw std::invalid_argument(
+          "EquivalentCycle: period (stress + recovery time) must be finite "
+          "and >= 0");
+    }
     return p > 0.0 ? stress_time / p : 0.0;
   }
 };
 
 /// Applies the equivalent-time transform (eqs. 17-19) to one mode period.
-/// \throws std::invalid_argument for negative times / probabilities outside [0,1]
+/// \throws std::invalid_argument naming the field for a schedule time that
+///         is negative or not finite, an all-zero period, a temperature that
+///         is not finite and > 0, a stress probability outside [0, 1] or a
+///         standby stress fraction above 1
 EquivalentCycle equivalent_cycle(const RdParams& p, const DeviceStress& stress,
                                  const ModeSchedule& schedule);
 

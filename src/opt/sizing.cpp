@@ -63,13 +63,19 @@ sta::TimingResult SizedTiming::analyze_current() const {
 }
 
 double SizedTiming::evaluate_resize(int gate, double new_size,
+                                   std::span<const double> committed_arrival,
                                    std::vector<double>& delay_scratch,
                                    std::vector<double>& arrival_scratch) const {
   delay_scratch.assign(delays_.begin(), delays_.end());
+  int first = gate;
   for (int a : affected_[gate]) {
     delay_scratch[a] = gate_delay(sizes_, a, gate, new_size);
+    first = std::min(first, a);
   }
-  return sta_->critical_delay(delay_scratch, arrival_scratch);
+  // Every gate before the first patched one keeps its delay, and so its
+  // committed arrival: the pass starts there.
+  arrival_scratch.assign(committed_arrival.begin(), committed_arrival.end());
+  return sta_->critical_delay(delay_scratch, arrival_scratch, first);
 }
 
 void SizedTiming::commit_resize(int gate, double new_size) {
@@ -125,7 +131,8 @@ SizingResult size_for_lifetime(const aging::AgingAnalyzer& analyzer,
 
     // Each trial writes only its own slot; the argmax folds serially in
     // path order below, so results are bit-identical for every thread count.
-    // A trial needs only its critical delay, priced on per-thread scratch.
+    // A trial needs only its critical delay, priced on per-thread scratch
+    // from the committed arrivals.
     trial_delay.assign(candidates.size(), 0.0);
     common::parallel_for(static_cast<int>(candidates.size()), [&](int i) {
       thread_local std::vector<double> delay_scratch;
@@ -133,7 +140,7 @@ SizingResult size_for_lifetime(const aging::AgingAnalyzer& analyzer,
       const int gi = candidates[i];
       trial_delay[i] =
           timing.evaluate_resize(gi, r.sizes[gi] + params.size_step,
-                                 delay_scratch, arrival_scratch);
+                                 aged.arrival, delay_scratch, arrival_scratch);
     });
 
     int best = -1;

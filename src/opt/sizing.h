@@ -23,10 +23,13 @@
 /// SizedTiming's cached delay vector instead of rebuilding all num_gates()
 /// delays, then prices the move with the arrival-only
 /// StaEngine::critical_delay on per-thread scratch: a trial reads only its
-/// critical delay.  One full STA after each accepted move yields the next
-/// round's critical path.  tests/support/reference.h
-/// reference_size_for_lifetime (full rebuild + full STA per trial) is the
-/// oracle tests/test_differential.cpp checks it against.
+/// critical delay.  The gate list is topological, so every gate before the
+/// lowest patched one keeps its arrival from the committed pass, and the
+/// trial's pass starts at that gate.  One full STA after each accepted move
+/// yields the next round's critical path and committed arrivals.
+/// tests/support/reference.h reference_size_for_lifetime (full rebuild +
+/// full STA per trial) is the oracle tests/test_differential.cpp checks it
+/// against.
 ///
 /// Only upsizing a gate on the critical path can shorten that path, so the
 /// candidates are exactly that path's drivers.  Widening them to a slack
@@ -34,6 +37,7 @@
 /// slowly on large DAGs (EXPERIMENTS.md "One sizing loop").
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "aging/aging.h"
@@ -109,11 +113,15 @@ class SizedTiming {
   sta::TimingResult analyze_current() const;
 
   /// Critical delay after resizing \p gate to \p new_size, without
-  /// committing: copies the cached delays into \p delay_scratch, patches the
-  /// affected entries and runs the arrival-only StaEngine::critical_delay
-  /// over them (bitwise analyze().max_delay).  Thread-safe for concurrent
-  /// calls with distinct scratches.
+  /// committing: copies the cached delays into \p delay_scratch and patches
+  /// the affected entries, copies \p committed_arrival (the arrivals of
+  /// analyze_current()) into \p arrival_scratch, and runs the arrival-only
+  /// StaEngine::critical_delay from the lowest patched gate on: every gate
+  /// before it keeps its delay and its arrival, so the result is bitwise
+  /// analyze().max_delay over the patched delays.  Thread-safe for
+  /// concurrent calls with distinct scratches.
   double evaluate_resize(int gate, double new_size,
+                         std::span<const double> committed_arrival,
                          std::vector<double>& delay_scratch,
                          std::vector<double>& arrival_scratch) const;
 

@@ -79,17 +79,26 @@ LatestFanin latest_fanin(const netlist::Gate& g, const double* arrival) {
   return latest;
 }
 
-/// The forward pass of analyze() and critical_delay() into \p arrival;
-/// returns the critical primary output (the first latest one, -1 for none).
+/// The forward pass of analyze() and critical_delay() into \p arrival, from
+/// gate \p first_gate on; returns the critical primary output (the first
+/// latest one, -1 for none).  At first_gate 0 the pass starts from zeroed
+/// arrivals; past it, \p arrival already holds a pass's arrivals, and the
+/// gates before first_gate keep theirs.
 netlist::NodeId propagate(const netlist::Netlist& nl,
                           std::span<const double> gate_delay,
-                          std::vector<double>& arrival) {
+                          std::vector<double>& arrival, int first_gate) {
   if (static_cast<int>(gate_delay.size()) != nl.num_gates()) {
     throw std::invalid_argument("StaEngine: delay size mismatch");
   }
-  arrival.assign(nl.num_nodes(), 0.0);
+  if (first_gate == 0) {
+    arrival.assign(nl.num_nodes(), 0.0);
+  } else if (first_gate < 0 || first_gate > nl.num_gates() ||
+             static_cast<int>(arrival.size()) != nl.num_nodes()) {
+    throw std::invalid_argument(
+        "StaEngine: first gate out of range or arrival size mismatch");
+  }
   const std::span<const netlist::Gate> gates = nl.gates();
-  for (std::size_t gi = 0; gi < gates.size(); ++gi) {
+  for (std::size_t gi = first_gate; gi < gates.size(); ++gi) {
     // A fanin-less (constant-driver) gate launches at t = 0.
     arrival[gates[gi].output] =
         latest_fanin(gates[gi], arrival.data()).arrival + gate_delay[gi];
@@ -105,7 +114,7 @@ netlist::NodeId propagate(const netlist::Netlist& nl,
 
 TimingResult StaEngine::analyze(std::span<const double> gate_delay) const {
   TimingResult r;
-  const netlist::NodeId crit_po = propagate(*nl_, gate_delay, r.arrival);
+  const netlist::NodeId crit_po = propagate(*nl_, gate_delay, r.arrival, 0);
   if (crit_po < 0) return r;
   r.max_delay = r.arrival[crit_po];
   // Walk the critical path back to a primary input, re-picking at each gate
@@ -124,8 +133,10 @@ TimingResult StaEngine::analyze_fresh(double temp_k) const {
 }
 
 double StaEngine::critical_delay(std::span<const double> gate_delay,
-                                 std::vector<double>& arrival_scratch) const {
-  const netlist::NodeId crit_po = propagate(*nl_, gate_delay, arrival_scratch);
+                                 std::vector<double>& arrival_scratch,
+                                 int first_gate) const {
+  const netlist::NodeId crit_po =
+      propagate(*nl_, gate_delay, arrival_scratch, first_gate);
   return crit_po < 0 ? 0.0 : arrival_scratch[crit_po];
 }
 

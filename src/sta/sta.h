@@ -39,8 +39,9 @@ struct TimingResult {
 /// vectors are cheap to recompute for different temperatures or aging
 /// states, which is what the 10-year sweeps do.  analyze() and
 /// critical_delay() run one forward pass, a gate's arrival being its latest
-/// fanin's (the last one on ties, >=) plus its delay; analyze() then walks
-/// the critical path back, re-picking that fanin from the final arrivals.
+/// fanin's (the last one on ties, >=) plus its delay; critical_delay() can
+/// start it at a later gate, and analyze() walks the critical path back,
+/// re-picking that fanin from the final arrivals.
 class StaEngine {
  public:
   /// \throws std::out_of_range if the netlist uses a (fn, fanin) combination
@@ -80,9 +81,17 @@ class StaEngine {
   /// reused across calls, without the path walk.  Bit-identical to
   /// analyze(gate_delay).max_delay — the cheap kernel for sweeps that only
   /// need the scalar (derate tables, lifetime bisection, Pareto scoring).
+  /// With \p first_gate > 0 the pass starts at that gate: \p arrival_scratch
+  /// must then hold the arrivals of a pass whose delays equal \p gate_delay
+  /// on every gate before it (a sizing trial's committed pass), and since
+  /// the gate list is topological those gates keep their arrivals bitwise.
   /// Thread-safe for concurrent calls with distinct scratch vectors.
+  /// \throws std::invalid_argument for a delay vector of the wrong size, a
+  ///         first_gate outside [0, num_gates()], or with first_gate > 0 an
+  ///         arrival vector of the wrong size
   double critical_delay(std::span<const double> gate_delay,
-                        std::vector<double>& arrival_scratch) const;
+                        std::vector<double>& arrival_scratch,
+                        int first_gate = 0) const;
 
   /// Convenience: fresh-silicon analysis at \p temp_k.
   TimingResult analyze_fresh(double temp_k) const;

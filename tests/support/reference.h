@@ -212,9 +212,9 @@ inline double reference_delta_vth(const nbti::RdParams& p,
 /// One device's evaluation state, field by field the obvious way: the
 /// equivalent cycle, the literal S_n recursion to kSnExactCycles
 /// (nbti::sn_exact), kv_at and pow, one device at a time.  The oracle for
-/// DeviceAging::make_contexts, whose S_n prefixes run lane-interleaved in
-/// batches.  A device without equivalent stress keeps the default fields
-/// and always_zero.
+/// DeviceAging::make_contexts, which computes one S_n prefix per distinct
+/// duty of its batch, the recursions lane-interleaved.  A device without
+/// equivalent stress keeps the default fields and always_zero.
 inline nbti::DeviceAging::StressContext reference_stress_context(
     const nbti::RdParams& p, const nbti::DeviceStress& stress,
     const nbti::ModeSchedule& schedule) {

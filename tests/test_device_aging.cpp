@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "support/reference.h"
 #include "tech/units.h"
@@ -130,6 +132,82 @@ TEST_F(DeviceAgingTest, HigherInitialVthAgesLess) {
   const ModeSchedule s = ras(1, 330.0);
   EXPECT_GT(model_.delta_vth(low, s, kTenYears),
             model_.delta_vth(high, s, kTenYears));
+}
+
+// Expects \p fn to throw std::invalid_argument whose message names
+// \p field.
+template <class Fn>
+void expect_rejects(Fn fn, const std::string& field) {
+  try {
+    fn();
+    ADD_FAILURE() << "no exception; expected one naming " << field;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+        << e.what();
+  }
+}
+
+// Each of these used to pass its check: an infinite t_standby turned the
+// equivalent period into NaN and a NaN temperature the diffusion ratio, and
+// both evaluated to 0 V; a NaN vgs or vth0 evaluated to NaN.
+TEST_F(DeviceAgingTest, RejectsNonFiniteSchedules) {
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const ModeSchedule base = ras(9, 330.0);
+  const struct {
+    double ModeSchedule::*field;
+    double value;
+    const char* name;
+  } cases[] = {
+      {&ModeSchedule::t_standby, kInf, "t_standby"},
+      {&ModeSchedule::t_standby, kNan, "t_standby"},
+      {&ModeSchedule::t_active, kInf, "t_active"},
+      {&ModeSchedule::t_active, kNan, "t_active"},
+      {&ModeSchedule::temp_standby, kNan, "temp_standby"},
+      {&ModeSchedule::temp_standby, kInf, "temp_standby"},
+      {&ModeSchedule::temp_active, kNan, "temp_active"},
+      {&ModeSchedule::temp_active, kInf, "temp_active"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(::testing::Message() << c.name << " = " << c.value);
+    ModeSchedule bad = base;
+    bad.*c.field = c.value;
+    expect_rejects([&] { model_.delta_vth(worst_, bad, kTenYears); },
+                   c.name);
+    // The worst-case-temperature form copies temp_active into temp_standby.
+    if (c.field != &ModeSchedule::temp_standby) {
+      expect_rejects(
+          [&] { model_.delta_vth_worst_case_temp(worst_, bad, kTenYears); },
+          c.name);
+    }
+  }
+  expect_rejects([&] { diffusion_ratio(RdParams{}, kNan, 400.0); }, "temp_k");
+  expect_rejects([&] { diffusion_ratio(RdParams{}, 330.0, kInf); },
+                 "temp_ref_k");
+  expect_rejects([] { (void)EquivalentCycle{kInf, 1.0}.duty(); }, "period");
+  expect_rejects([] { (void)EquivalentCycle{1.0, kNan}.duty(); }, "period");
+}
+
+TEST_F(DeviceAgingTest, RejectsNonFiniteStresses) {
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const ModeSchedule s = ras(9, 330.0);
+  for (const double v : {kNan, kInf, -kInf}) {
+    SCOPED_TRACE(::testing::Message() << "value " << v);
+    DeviceStress bad_vgs = worst_;
+    bad_vgs.vgs = v;
+    expect_rejects([&] { model_.delta_vth(bad_vgs, s, kTenYears); }, "vgs");
+    DeviceStress bad_vth0 = worst_;
+    bad_vth0.vth0 = v;
+    expect_rejects([&] { model_.delta_vth(bad_vth0, s, kTenYears); }, "vth0");
+    // A never-stressed device is checked too, and one bad device anywhere
+    // fails its whole batch.
+    DeviceStress idle{0.0, StandbyMode::Relaxed, v, 0.22};
+    expect_rejects([&] { model_.delta_vth(idle, s, kTenYears); }, "vgs");
+    const std::vector<DeviceStress> batch = {worst_, worst_, bad_vth0};
+    std::vector<DeviceAging::StressContext> ctxs(batch.size());
+    expect_rejects([&] { model_.make_contexts(batch, s, ctxs); }, "vth0");
+  }
 }
 
 TEST_F(DeviceAgingTest, StressContextIsBitIdenticalToDirectEval) {

@@ -107,8 +107,8 @@ TEST(DifferentialTest, IncrementalSizedTimingMatchesBruteForceRebuild) {
           1.0 + 0.25 * static_cast<double>(1 + rng() % 12);  // (1, 4]
 
       // Trial evaluation vs a from-scratch rebuild with the trial sizes.
-      const double got =
-          timing.evaluate_resize(gate, new_size, scratch, arrival);
+      const double got = timing.evaluate_resize(
+          gate, new_size, timing.analyze_current().arrival, scratch, arrival);
       std::vector<double> trial_sizes = sizes;
       trial_sizes[gate] = new_size;
       const std::vector<double> want_delays =
@@ -687,11 +687,12 @@ TEST(DifferentialTest, SoaKernelGateDvthMatchesScalarAcrossRandomCases) {
   EXPECT_GE(checked, 200);
 }
 
-// DeviceAging::make_contexts (S_n prefixes interleaved 8 at a time)
-// against reference_stress_context (one device, the literal
-// recursion), every field compared bit for bit — across batch sizes that
-// end on, before and after a lane boundary, a c1908-sized batch, and the
-// chunked parallel calls build_stress makes.
+// DeviceAging::make_contexts (one S_n prefix per distinct duty, the
+// recursions interleaved 8 at a time) against reference_stress_context
+// (one device, the literal recursion), every field compared bit for bit —
+// across batch sizes that end on, before and after a lane boundary, a
+// c1908-sized batch, a batch whose duties mostly repeat, and chunked
+// parallel calls.
 TEST(DifferentialTest, BatchedStressContextsMatchReferenceFieldByField) {
   const tech::Library lib;
   const netlist::Netlist c1908 = netlist::iscas85_like("c1908");
@@ -754,7 +755,35 @@ TEST(DifferentialTest, BatchedStressContextsMatchReferenceFieldByField) {
     ASSERT_EQ(underflow.ac.duty, 0.0);
   }
 
+  // The whole batch in one call, as build_stress makes it, and in the
+  // uneven chunks of a parallel loop so lanes straddle chunk ends: every
+  // context must be the reference one, field by field.
   int checked = 0;
+  const auto check_batch =
+      [&](const std::vector<nbti::DeviceStress>& stresses) {
+        const int n = static_cast<int>(stresses.size());
+        std::vector<nbti::DeviceAging::StressContext> whole(n);
+        model.make_contexts(stresses, schedule, whole);
+        constexpr int kChunk = 13;
+        std::vector<nbti::DeviceAging::StressContext> chunked(n);
+        common::parallel_for((n + kChunk - 1) / kChunk, [&](int c) {
+          const std::size_t lo = static_cast<std::size_t>(c) * kChunk;
+          const std::size_t len = std::min<std::size_t>(kChunk, n - lo);
+          model.make_contexts(std::span(stresses).subspan(lo, len), schedule,
+                              std::span(chunked).subspan(lo, len));
+        });
+        for (int i = 0; i < n; ++i) {
+          SCOPED_TRACE(::testing::Message() << "device " << i);
+          const nbti::DeviceAging::StressContext want =
+              testsupport::reference_stress_context(rd, stresses[i],
+                                                    schedule);
+          expect_same(whole[i], want);
+          expect_same(chunked[i], want);
+          ++checked;
+        }
+        return whole;
+      };
+
   for (const int threads : {1, 4}) {
     const common::ThreadBudget budget(threads);
     for (const int n : {0, 1, 7, 8, 9, 17, c1908_devices}) {
@@ -775,29 +804,43 @@ TEST(DifferentialTest, BatchedStressContextsMatchReferenceFieldByField) {
         s.vgs = 0.9 + 0.3 * u(rng);
         s.vth0 = 0.18 + 0.08 * u(rng);
       }
-      // The whole batch in one call, and in the uneven chunks of a parallel
-      // loop so lanes straddle chunk ends, as in build_stress.
-      std::vector<nbti::DeviceAging::StressContext> whole(n);
-      model.make_contexts(stresses, schedule, whole);
-      constexpr int kChunk = 13;
-      std::vector<nbti::DeviceAging::StressContext> chunked(n);
-      common::parallel_for((n + kChunk - 1) / kChunk, [&](int c) {
-        const std::size_t lo = static_cast<std::size_t>(c) * kChunk;
-        const std::size_t len = std::min<std::size_t>(kChunk, n - lo);
-        model.make_contexts(std::span(stresses).subspan(lo, len), schedule,
-                            std::span(chunked).subspan(lo, len));
-      });
-      for (int i = 0; i < n; ++i) {
-        SCOPED_TRACE(::testing::Message() << "device " << i);
-        const nbti::DeviceAging::StressContext want =
-            testsupport::reference_stress_context(rd, stresses[i], schedule);
-        expect_same(whole[i], want);
-        expect_same(chunked[i], want);
-        ++checked;
+      check_batch(stresses);
+    }
+
+    // Stress probabilities on the k/1024 grid estimate_signal_stats gives
+    // at 1024 vectors, seven in eight of them on its multiples of 1/16 (a
+    // circuit's probabilities cluster the same way), and standby fractions
+    // of a 4-vector rotation, so most duties repeat (the prefix step
+    // computes one prefix per distinct duty), with the edge stresses
+    // repeated inside the batch.
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads << " grid");
+    std::vector<nbti::DeviceStress> grid(c1908_devices);
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+      if (i % 61 < edges.size()) {
+        grid[i] = edges[i % 61];
+        continue;
+      }
+      nbti::DeviceStress& s = grid[i];
+      const std::uint64_t k = rng() % 8 == 0 ? rng() % 1025 : 64 * (rng() % 17);
+      s.active_stress_prob = static_cast<double>(k) / 1024.0;
+      s.standby = rng() % 2 == 0 ? nbti::StandbyMode::Stressed
+                                 : nbti::StandbyMode::Relaxed;
+      if (rng() % 4 == 0) {
+        s.standby_stress_fraction = static_cast<double>(rng() % 5) / 4.0;
       }
     }
+    const std::vector<nbti::DeviceAging::StressContext> got =
+        check_batch(grid);
+    std::vector<std::uint64_t> duties;
+    for (const nbti::DeviceAging::StressContext& ctx : got) {
+      duties.push_back(std::bit_cast<std::uint64_t>(ctx.ac.duty));
+    }
+    std::sort(duties.begin(), duties.end());
+    const auto distinct = static_cast<std::size_t>(
+        std::unique(duties.begin(), duties.end()) - duties.begin());
+    EXPECT_LT(4 * distinct, grid.size()) << distinct << " distinct duties";
   }
-  EXPECT_GE(checked, 2 * c1908_devices);
+  EXPECT_GE(checked, 4 * c1908_devices);
 
   std::vector<nbti::DeviceAging::StressContext> short_out(1);
   EXPECT_THROW(model.make_contexts(edges, schedule, short_out),

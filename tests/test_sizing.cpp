@@ -186,11 +186,14 @@ TEST(SizingTieBreakTest, IdenticalGainRatiosPickSameGateAtEveryThreadCount) {
   const sta::TimingResult base = timing.analyze_current();
   std::vector<double> scratch;
   std::vector<double> arrival;
-  const double trial2 = timing.evaluate_resize(2, 1.5, scratch, arrival);
-  const double trial4 = timing.evaluate_resize(4, 1.5, scratch, arrival);
+  const double trial2 = timing.evaluate_resize(2, 1.5, base.arrival, scratch,
+                                                 arrival);
+  const double trial4 = timing.evaluate_resize(4, 1.5, base.arrival, scratch,
+                                                 arrival);
   ASSERT_EQ(trial2, trial4);
   ASSERT_LT(trial2, base.max_delay);
-  const double trial0 = timing.evaluate_resize(0, 1.5, scratch, arrival);
+  const double trial0 = timing.evaluate_resize(0, 1.5, base.arrival, scratch,
+                                                 arrival);
   ASSERT_GT(trial0, trial2);
 
   // The fold breaks the tie serially in path order, so every thread count

@@ -215,12 +215,17 @@ TEST_F(StaTest, ArrivalRespectsAllEdgesOnRandomDag) {
 // the critical path back; the oracle records that fanin as the pass picks
 // it.  Half the trials draw whole-picosecond delays from {1, 2, 3} ps, so
 // equal fanin arrivals are common and the tie rule (the last of equal
-// arrivals wins) decides the path.
+// arrivals wins) decides the path.  Each trial also patches a random gate
+// set, as a sizing trial does, and starts critical_delay's pass from the
+// committed arrivals at gates up to the lowest patched one (gate 0 and the
+// last gate included): it must equal the full pass over the patched delays
+// bitwise, arrivals included.
 TEST(CriticalDelayDifferentialTest, MatchesAnalyzeBitwise) {
   const tech::Library lib;
   std::mt19937_64 rng(11);
   std::uniform_real_distribution<double> uni(0.5, 2.0);
   int ties = 0;
+  int started_late = 0;
   for (int which = 0; which < 8; ++which) {
     std::string name("r");
     name += std::to_string(which);
@@ -256,10 +261,59 @@ TEST(CriticalDelayDifferentialTest, MatchesAnalyzeBitwise) {
                   want.arrival[in] == want.arrival[taken];
         }
       }
+
+      const int n_gates = nl.num_gates();
+      for (int patch = 0; patch < 6; ++patch) {
+        // Patch 1-4 random gates; patches 0 and 1 patch only gate 0 and
+        // only the last gate, so those start gates are always covered.
+        std::vector<double> patched = delays;
+        int lowest = n_gates - 1;
+        if (patch == 0) lowest = 0;
+        const int count = patch < 2 ? 1 : 1 + static_cast<int>(rng() % 4);
+        for (int k = 0; k < count; ++k) {
+          const int gi = patch < 2 ? lowest
+                                   : static_cast<int>(rng() % n_gates);
+          patched[gi] = trial % 2 == 0
+                            ? patched[gi] * uni(rng)
+                            : 1e-12 * static_cast<double>(1 + rng() % 3);
+          lowest = std::min(lowest, gi);
+        }
+        const TimingResult full =
+            testsupport::reference_analyze(sta, patched);
+        for (const int first :
+             {lowest, static_cast<int>(rng() % (lowest + 1)), 0}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "patch " << patch << " first gate " << first);
+          std::vector<double> arrival = want.arrival;
+          EXPECT_EQ(sta.critical_delay(patched, arrival, first),
+                    full.max_delay);
+          EXPECT_EQ(arrival, full.arrival);
+          started_late += first > 0;
+        }
+      }
     }
   }
   // The tie rule must decide some critical-path step past the inputs.
   EXPECT_GT(ties, 0);
+  EXPECT_GT(started_late, 0);
+}
+
+TEST(CriticalDelayDifferentialTest, RejectsABadStartGate) {
+  const tech::Library lib;
+  const Netlist nl = diamond();
+  const StaEngine sta(nl, lib);
+  const std::vector<double> delays = sta.gate_delays(400.0);
+  std::vector<double> arrival = sta.analyze(delays).arrival;
+  const double full = sta.analyze(delays).max_delay;
+  // Starting past the last gate recomputes nothing: the committed pass.
+  EXPECT_EQ(sta.critical_delay(delays, arrival, nl.num_gates()), full);
+  EXPECT_THROW(sta.critical_delay(delays, arrival, nl.num_gates() + 1),
+               std::invalid_argument);
+  EXPECT_THROW(sta.critical_delay(delays, arrival, -1),
+               std::invalid_argument);
+  std::vector<double> short_arrival(nl.num_nodes() - 1, 0.0);
+  EXPECT_THROW(sta.critical_delay(delays, short_arrival, 1),
+               std::invalid_argument);
 }
 
 class StaCircuitSweep : public ::testing::TestWithParam<std::string_view> {};

@@ -45,17 +45,27 @@ run ctest --preset default -j "$JOBS"
 
 # Performance trajectory: each line of BENCH_perfbench.jsonl is one
 # change's perfbench record (EXPERIMENTS.md "Standby vectors as a select"
-# shows one).  Per workload it holds the seed, the passes, the host
-# calibration and hardware_concurrency, and the parent's and the change's
-# median and quartiles of the four end-to-end metrics.  A line that does not
-# parse or lacks one of those keys fails the check.
+# shows one).  Per workload it holds the seed, the runs, the passes, the host
+# calibration and hardware_concurrency, the parent's and the change's
+# median and quartiles of the four end-to-end metrics, "correct": true, and
+# pass_s_wins, the pairs in which the change's pass_s was lower: an integer
+# from 0 to runs.  A line that does not parse or lacks one of those keys,
+# or a workload entry that is not correct or whose wins lie outside that
+# range, fails the check.
 run python3 - BENCH_perfbench.jsonl <<'PY'
 import json
 import sys
 
 METRICS = ("setup_s", "pass_s", "pass_cpu_s", "peak_rss_mb")
-WORKLOAD_KEYS = ("workload", "seed", "passes", "hardware_concurrency",
-                 "host.calib_s", "host.mem_calib_s", "parent", "change")
+WORKLOAD_KEYS = ("workload", "seed", "runs", "passes",
+                 "hardware_concurrency", "host.calib_s", "host.mem_calib_s",
+                 "parent", "change", "pass_s_wins", "correct")
+
+
+def is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 path = sys.argv[1]
 try:
     with open(path, encoding="utf-8") as f:
@@ -80,6 +90,14 @@ for n, line in enumerate(lines, 1):
         for key in WORKLOAD_KEYS:
             if key not in w:
                 sys.exit(f"{where}: workload {name} lacks \"{key}\"")
+        if w["correct"] is not True:
+            sys.exit(f"{where}: workload {name} is not \"correct\": true")
+        runs, wins = w["runs"], w["pass_s_wins"]
+        if not (is_int(runs) and runs >= 1):
+            sys.exit(f"{where}: workload {name} runs is not an integer >= 1")
+        if not (is_int(wins) and 0 <= wins <= runs):
+            sys.exit(f"{where}: workload {name} pass_s_wins is not an "
+                     f"integer from 0 to runs ({runs})")
         for side in ("parent", "change"):
             for metric in METRICS:
                 stats = w[side].get(metric) if isinstance(w[side], dict) else None
